@@ -8,19 +8,25 @@ and dices — directly with numpy group-bys.  Two roles:
 * the **correctness oracle**: for every QL query, the SPARQL path and
   this engine must produce identical cells
   (:mod:`repro.olap.compare`).
+
+This module is the pipeline's parent-side half: :func:`compile_query`
+turns a program into an array-only plan, and the shared kernel
+(:mod:`repro.olap.kernel`) does everything after it — here over the
+whole fact table as one morsel, in :mod:`repro.olap.parallel` over
+many.
 """
 
 from __future__ import annotations
 
+import operator
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.rdf.terms import IRI, Literal, Term
 from repro.ql.ast import (
-    AttributePath,
     BooleanCondition,
     Comparison,
     DiceCondition,
@@ -28,8 +34,9 @@ from repro.ql.ast import (
     NotCondition,
 )
 from repro.ql.simplifier import SimplifiedProgram
+from repro.olap import kernel
 from repro.olap.errors import DiceTypeError, OLAPEngineError, UnknownAxisError
-from repro.olap.star import StarSchema
+from repro.olap.star import FactColumns, FactTable, StarSchema
 
 
 @dataclass
@@ -69,164 +76,102 @@ class NativeOLAPEngine:
         self.star = star
 
     def evaluate(self, program: SimplifiedProgram) -> NativeResult:
-        """Evaluate a simplified QL program over the star schema."""
-        if program.state is None:
-            raise OLAPEngineError("program lacks a checked cube state")
+        """Evaluate a simplified QL program over the star schema: the
+        whole fact table as the pipeline's single morsel."""
         started = time.perf_counter()
-        state = program.state
+        query = compile_query(self.star, program)
         facts = self.star.facts
-        n = facts.size
+        partial = kernel.partials(fact_arrays(facts), 0, facts.size,
+                                  query.plan)
+        return query.result([partial], started)
 
-        kept_dimensions = sorted(state.levels, key=lambda iri: iri.value)
-        axis_levels = {iri: state.levels[iri] for iri in kept_dimensions}
 
-        # coordinate codes at the target levels
-        coordinate_codes: List[np.ndarray] = []
-        keep_mask = np.ones(n, dtype=bool)
-        for dimension_iri in kept_dimensions:
-            table = self.star.dimension(dimension_iri)
-            bottom_codes = facts.coordinates[dimension_iri]
-            level = axis_levels[dimension_iri]
-            ancestor = table.map_to_level(level)
-            codes = np.full(n, -1, dtype=np.int64)
-            valid = bottom_codes >= 0
-            codes[valid] = ancestor[bottom_codes[valid]]
-            keep_mask &= codes >= 0  # SPARQL joins drop unmapped members
-            coordinate_codes.append(codes)
+def fact_arrays(facts: Union[FactTable, FactColumns]
+                ) -> Dict[str, np.ndarray]:
+    """The kernel's view of a fact table: one named array per column
+    (``c:<dimension>`` codes, ``m:<measure>`` values), in a stable
+    order so shared-memory exports lay out deterministically."""
+    arrays = {f"c:{iri.value}": codes for iri, codes in sorted(
+        facts.coordinates.items(), key=lambda kv: kv[0].value)}
+    arrays.update((f"m:{iri.value}", values) for iri, values in sorted(
+        facts.measures.items(), key=lambda kv: kv[0].value))
+    return arrays
 
-        # a fact missing any queried measure (NaN sentinel) is a row the
-        # SPARQL BGP's measure patterns would never join — drop it from
-        # every aggregate, exactly as the join does
-        for measure_iri in state.measures:
-            keep_mask &= ~np.isnan(facts.measures[measure_iri])
 
-        # pre-aggregation dice: attribute-only conditions filter facts
-        for condition in program.dices:
-            if condition.measure_refs():
-                continue
-            mask = self._attribute_mask(
-                condition, kept_dimensions, axis_levels, coordinate_codes, n)
-            keep_mask &= mask
+@dataclass(frozen=True)
+class CompiledQuery:
+    """A QL program compiled against one star schema: the array-only
+    :class:`~repro.olap.kernel.Plan` that may cross into workers, plus
+    the terms that label the kernel's output (parent side only)."""
 
-        rows = np.flatnonzero(keep_mask)
-        if coordinate_codes:
-            stacked = np.stack(
-                [codes[rows] for codes in coordinate_codes], axis=1)
-            unique_keys, inverse = np.unique(
-                stacked, axis=0, return_inverse=True)
-        else:
-            unique_keys = np.zeros((1, 0), dtype=np.int64)
-            inverse = np.zeros(len(rows), dtype=np.int64)
-        group_count = unique_keys.shape[0]
+    plan: kernel.Plan
+    #: kept dimension → its level, in axis order
+    axis_levels: Dict[IRI, IRI]
+    #: per kept axis, the members of its level (position = code)
+    members: List[List[Term]]
+    measures: List[IRI]
 
-        aggregated: Dict[IRI, Tuple[np.ndarray, np.ndarray]] = {}
-        for measure_iri in state.measures:
-            keyword = self.star.measure_aggregates.get(measure_iri, "SUM")
-            values = facts.measures[measure_iri][rows]
-            aggregated[measure_iri] = _aggregate(
-                keyword, values, inverse, group_count)
+    def result(self, payloads: Sequence[kernel.Partial],
+               started: float) -> NativeResult:
+        """Merge the morsel partials into the query's cells."""
+        cells = kernel.cells(payloads, self.plan, self.members,
+                             self.measures)
+        return NativeResult(axis_levels=self.axis_levels, cells=cells,
+                            dimension_order=list(self.axis_levels),
+                            seconds=time.perf_counter() - started)
 
-        # post-aggregation dice: measure-bearing conditions filter cells
-        cell_mask = np.ones(group_count, dtype=bool)
-        for condition in program.dices:
-            if not condition.measure_refs():
-                continue
-            cell_mask &= self._cell_mask(
-                condition, kept_dimensions, axis_levels,
-                unique_keys, aggregated, group_count)
 
-        cells: Dict[Tuple[Term, ...], Dict[IRI, float]] = {}
-        member_lists = [
-            self.star.dimension(iri).members_at(axis_levels[iri])
-            for iri in kept_dimensions]
-        for group in np.flatnonzero(cell_mask):
-            key = tuple(
-                member_lists[axis][int(unique_keys[group, axis])]
-                for axis in range(len(kept_dimensions)))
-            # a measure whose aggregate has no defined value for this
-            # group (empty AVG/MIN/MAX) stays out of the cell — the
-            # SPARQL path leaves that projection unbound
-            cells[key] = {
-                measure: float(values[group])
-                for measure, (values, valid) in aggregated.items()
-                if valid[group]}
-        elapsed = time.perf_counter() - started
-        return NativeResult(axis_levels=axis_levels, cells=cells,
-                            dimension_order=kept_dimensions, seconds=elapsed)
+def compile_query(star: StarSchema,
+                  program: SimplifiedProgram) -> CompiledQuery:
+    """Turn ``program`` into a kernel plan: kept axes with their
+    roll-up maps, measures with their aggregates, and every dice
+    compiled once — attribute comparisons into per-member booleans,
+    measure comparisons into numeric targets — split into
+    pre-aggregation (attribute-only) and post-aggregation
+    (measure-bearing) conditions."""
+    if program.state is None:
+        raise OLAPEngineError("program lacks a checked cube state")
+    state = program.state
+    kept = sorted(state.levels, key=lambda iri: iri.value)
+    axis_levels = {iri: state.levels[iri] for iri in kept}
+    measures = list(state.measures)
 
-    # -- dice helpers -----------------------------------------------------------
-
-    def _attribute_mask(self, condition: DiceCondition,
-                        kept: List[IRI], axis_levels: Dict[IRI, IRI],
-                        coordinate_codes: List[np.ndarray],
-                        n: int) -> np.ndarray:
-        if isinstance(condition, Comparison):
-            assert isinstance(condition.operand, AttributePath)
-            path = condition.operand
-            axis = _require_axis(kept, path.dimension)
-            table = self.star.dimension(path.dimension)
-            members = table.members_at(axis_levels[path.dimension])
-            values = table.attribute_values(
-                axis_levels[path.dimension], path.attribute)
-            member_ok = np.zeros(len(members), dtype=bool)
-            for code, member in enumerate(members):
-                value = values.get(member)
-                member_ok[code] = _compare_terms(value, condition.op,
-                                                 condition.value)
-            codes = coordinate_codes[axis]
-            mask = np.zeros(n, dtype=bool)
-            valid = codes >= 0
-            mask[valid] = member_ok[codes[valid]]
-            return mask
-        if isinstance(condition, BooleanCondition):
-            masks = [self._attribute_mask(operand, kept, axis_levels,
-                                          coordinate_codes, n)
-                     for operand in condition.operands]
-            combined = masks[0]
-            for mask in masks[1:]:
-                combined = combined & mask if condition.op == "AND" \
-                    else combined | mask
-            return combined
-        if isinstance(condition, NotCondition):
-            return ~self._attribute_mask(condition.operand, kept,
-                                         axis_levels, coordinate_codes, n)
-        raise OLAPEngineError(f"unknown condition {condition!r}")
-
-    def _cell_mask(self, condition: DiceCondition, kept: List[IRI],
-                   axis_levels: Dict[IRI, IRI], unique_keys: np.ndarray,
-                   aggregated: Dict[IRI, Tuple[np.ndarray, np.ndarray]],
-                   group_count: int) -> np.ndarray:
+    def compile_dice(condition: DiceCondition) -> kernel.Dice:
         if isinstance(condition, Comparison):
             if isinstance(condition.operand, MeasureRef):
-                values, valid = aggregated[condition.operand.measure]
-                target = _dice_target(condition.value)
-                # a dice over an unbound aggregate is an errored FILTER
-                # on the SPARQL side: the group drops
-                return valid & _numeric_compare(values, condition.op, target)
+                return ("measure", measures.index(condition.operand.measure),
+                        condition.op, _dice_target(condition.value))
             path = condition.operand
             axis = _require_axis(kept, path.dimension)
-            table = self.star.dimension(path.dimension)
-            members = table.members_at(axis_levels[path.dimension])
-            attr_values = table.attribute_values(
-                axis_levels[path.dimension], path.attribute)
-            member_ok = np.zeros(len(members), dtype=bool)
-            for code, member in enumerate(members):
-                member_ok[code] = _compare_terms(
-                    attr_values.get(member), condition.op, condition.value)
-            return member_ok[unique_keys[:, axis]]
+            table = star.dimension(path.dimension)
+            level = axis_levels[path.dimension]
+            values = table.attribute_values(level, path.attribute)
+            member_ok = np.array(
+                [_compare_terms(values.get(member), condition.op,
+                                condition.value)
+                 for member in table.members_at(level)], dtype=bool)
+            return ("member", axis, member_ok)
         if isinstance(condition, BooleanCondition):
-            masks = [self._cell_mask(operand, kept, axis_levels,
-                                     unique_keys, aggregated, group_count)
-                     for operand in condition.operands]
-            combined = masks[0]
-            for mask in masks[1:]:
-                combined = combined & mask if condition.op == "AND" \
-                    else combined | mask
-            return combined
+            return (condition.op, [compile_dice(operand)
+                                   for operand in condition.operands])
         if isinstance(condition, NotCondition):
-            return ~self._cell_mask(condition.operand, kept, axis_levels,
-                                    unique_keys, aggregated, group_count)
+            return ("NOT", compile_dice(condition.operand))
         raise OLAPEngineError(f"unknown condition {condition!r}")
+
+    plan = kernel.Plan(
+        axes=tuple((f"c:{iri.value}",
+                    star.dimension(iri).map_to_level(axis_levels[iri]))
+                   for iri in kept),
+        measures=tuple((f"m:{iri.value}",
+                        star.measure_aggregates.get(iri, "SUM"))
+                       for iri in measures),
+        pre=tuple(compile_dice(condition) for condition in program.dices
+                  if not condition.measure_refs()),
+        post=tuple(compile_dice(condition) for condition in program.dices
+                   if condition.measure_refs()))
+    members = [star.dimension(iri).members_at(axis_levels[iri])
+               for iri in kept]
+    return CompiledQuery(plan, axis_levels, members, measures)
 
 
 def _require_axis(kept: List[IRI], dimension: IRI) -> int:
@@ -258,87 +203,20 @@ def _dice_target(value: Term) -> float:
             f"{value.value!r}") from None
 
 
-def _aggregate(keyword: str, values: np.ndarray, inverse: np.ndarray,
-               groups: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-group aggregate plus a per-group *defined* mask.
-
-    Mirrors SPARQL aggregate semantics over a group with no usable
-    values: ``SUM`` and ``COUNT`` are still bound (0), while
-    ``AVG``/``MIN``/``MAX`` are unbound — reported here as
-    ``valid=False`` (never ``0.0`` or ±inf) so the caller drops the
-    cell value the way the SPARQL projection leaves it unbound.
-    """
-    present = ~np.isnan(values)
-    counts = np.zeros(groups)
-    np.add.at(counts, inverse[present], 1.0)
-    defined = counts > 0
-    always = np.ones(groups, dtype=bool)
-    if keyword == "SUM":
-        out = np.zeros(groups)
-        np.add.at(out, inverse[present], values[present])
-        return out, always
-    if keyword == "COUNT":
-        return counts, always
-    if keyword == "AVG":
-        sums = np.zeros(groups)
-        np.add.at(sums, inverse[present], values[present])
-        out = np.full(groups, np.nan)
-        np.divide(sums, counts, out=out, where=defined)
-        return out, defined
-    if keyword == "MIN":
-        out = np.full(groups, np.inf)
-        np.minimum.at(out, inverse[present], values[present])
-        out[~defined] = np.nan
-        return out, defined
-    if keyword == "MAX":
-        out = np.full(groups, -np.inf)
-        np.maximum.at(out, inverse[present], values[present])
-        out[~defined] = np.nan
-        return out, defined
-    raise OLAPEngineError(f"unknown aggregate {keyword!r}")
+_TERM_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                     "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _numeric_compare(values: np.ndarray, op: str, target: float
-                     ) -> np.ndarray:
-    if op == "=":
-        return values == target
-    if op == "!=":
-        return values != target
-    if op == "<":
-        return values < target
-    if op == "<=":
-        return values <= target
-    if op == ">":
-        return values > target
-    if op == ">=":
-        return values >= target
-    raise OLAPEngineError(f"unknown operator {op!r}")
-
-
-def _compare_terms(value: Optional[Term], op: str, target) -> bool:
-    """Python-side comparison for attribute dices (mirrors SPARQL)."""
+def _compare_terms(value: Optional[Term], op: str, target: Term) -> bool:
+    """Python-side comparison for attribute dices (mirrors SPARQL):
+    literals compare by value — incomparable types never match — and
+    any other pair of terms only for (in)equality."""
+    compare = _TERM_COMPARISONS[op]
     if value is None:
         return False
     if isinstance(value, Literal) and isinstance(target, Literal):
-        left = value.value
-        right = target.value
         try:
-            if op == "=":
-                return left == right
-            if op == "!=":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
+            return bool(compare(value.value, target.value))
         except TypeError:
             return False
-    if op == "=":
-        return value == target
-    if op == "!=":
-        return value != target
-    return False
+    return op in ("=", "!=") and bool(compare(value, target))

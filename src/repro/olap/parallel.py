@@ -1,79 +1,39 @@
 """Parallel evaluation of QL pipelines over a shared fact snapshot.
 
-The morsel-driven idea of :mod:`repro.sparql.parallel`, carried up to
-the star schema: the parent exports one compressed
-:class:`~repro.olap.star.FactColumns` generation into shared memory
-(through the same refcounted :data:`~repro.rdf.concurrency.
-SHM_SEGMENTS` registry the SPARQL executor uses, so lifetime rules are
-identical), and worker processes map the narrowed dimension-code and
-measure columns **zero-copy** to compute per-group SUM/COUNT/MIN/MAX
-partials over contiguous fact-row morsels.  The parent merges the
-partials — SUM adds sums, COUNT adds counts, MIN/MAX take the extremum
-of extrema, AVG divides merged sums by merged counts — applies
-post-aggregation (measure) dices, and produces the same
-:class:`~repro.olap.engine.NativeResult` the serial engine does.
+The fan-out of the pipeline the serial engine runs
+(:mod:`repro.olap.kernel`): the parent compiles the program once and
+exports one compressed :class:`~repro.olap.star.FactColumns`
+generation into shared memory (through the refcounted
+:data:`~repro.rdf.concurrency.SHM_SEGMENTS` registry, so lifetime
+rules match the SPARQL executor's); workers map the columns
+**zero-copy** and run ``kernel.partials`` over contiguous fact-row
+morsels; the parent merges the partials into the same
+:class:`~repro.olap.engine.NativeResult` the serial engine produces.
 
-What travels in each task is deliberately small: the shm manifest, a
-row range, the kept axes' roll-up maps, and attribute dice conditions
-pre-compiled into per-level ``member_ok`` boolean arrays (one entry
-per member, not per fact).  The heavy per-fact columns never cross the
-process boundary.
-
-Worker-side code (``_worker_*``) obeys the same shared-nothing
-contract as the SPARQL workers, enforced by the ``parallel-safety``
-lint rule: it touches only the mapped arrays and the shipped task —
-never the live star schema, endpoint, or parent-side registries.
+A task is small — the shm manifest, a row range and the compiled plan
+(one roll-up entry and one dice boolean per *member*, not per fact).
+Worker-side code (``_worker_*`` here, all of the kernel) is
+shared-nothing, enforced by the ``parallel-safety`` lint rule.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.rdf import shm
 from repro.rdf.concurrency import SHM_SEGMENTS
-from repro.rdf.terms import IRI, Term
-from repro.ql.ast import (
-    AttributePath,
-    BooleanCondition,
-    Comparison,
-    DiceCondition,
-    NotCondition,
-)
 from repro.ql.simplifier import SimplifiedProgram
-from repro.olap.engine import (
-    NativeOLAPEngine,
-    NativeResult,
-    OLAPEngineError,
-    _compare_terms,
-    _require_axis,
-)
-from repro.olap.star import FactColumns, StarSchema
+from repro.olap import kernel
+from repro.olap.engine import NativeResult, compile_query, fact_arrays
+from repro.olap.errors import OLAPEngineError
+from repro.olap.star import StarSchema
 
-__all__ = ["FACT_MORSEL_ROWS", "ParallelStarAggregator"]
-
-#: Default fact rows per worker task.
-FACT_MORSEL_ROWS = int(os.environ.get("REPRO_OLAP_MORSEL_ROWS", "16384"))
-
-#: Process-wide name sequence: segment names must be unique per pid.
-_SEGMENT_SEQ = itertools.count(1)
-
-
-def _segment_name() -> str:
-    return f"{shm.SEGMENT_PREFIX}{os.getpid()}_facts{next(_SEGMENT_SEQ)}"
-
-
-# ---------------------------------------------------------------------------
-# worker side (shared-nothing: see the parallel-safety lint rule)
-# ---------------------------------------------------------------------------
+__all__ = ["ParallelStarAggregator"]
 
 #: Per-worker attach cache: segment name -> (handle, mapped views).
 #: Pruned to the current task's segment each run so stale fact
@@ -81,106 +41,18 @@ def _segment_name() -> str:
 _WORKER_FACTS: Dict[str, Tuple[object, Dict[str, np.ndarray]]] = {}
 
 
-def _worker_facts(manifest: shm.ArraysManifest) -> Dict[str, np.ndarray]:
+def _worker_partials(task: Tuple[shm.ArraysManifest, int, int, kernel.Plan]
+                     ) -> kernel.Partial:
+    """One task — fact manifest, row range ``[lo, hi)``, compiled plan —
+    through ``kernel.partials``, over mapped views."""
+    manifest, lo, hi, plan = task
     for name in list(_WORKER_FACTS):
         if name != manifest.segment:
             del _WORKER_FACTS[name]
     cached = _WORKER_FACTS.get(manifest.segment)
     if cached is None:
-        cached = shm.attach_arrays(manifest)
-        _WORKER_FACTS[manifest.segment] = cached
-    return cached[1]
-
-
-def _worker_dice_mask(spec: Dict[str, Any],
-                      level_codes: Sequence[np.ndarray],
-                      n: int) -> np.ndarray:
-    """Evaluate one pre-compiled attribute dice spec over a morsel."""
-    op = spec["op"]
-    if op == "cmp":
-        codes = level_codes[spec["axis"]]
-        mask = np.zeros(n, dtype=bool)
-        valid = codes >= 0
-        mask[valid] = spec["ok"][codes[valid]]
-        return mask
-    if op in ("AND", "OR"):
-        masks = [_worker_dice_mask(operand, level_codes, n)
-                 for operand in spec["operands"]]
-        combined = masks[0]
-        for mask in masks[1:]:
-            combined = combined & mask if op == "AND" else combined | mask
-        return combined
-    if op == "NOT":
-        return ~_worker_dice_mask(spec["operand"], level_codes, n)
-    raise ValueError(f"unknown dice spec op {op!r}")
-
-
-def _worker_star_run(task: Dict[str, Any]) -> Dict[str, Any]:
-    """One fact morsel: roll codes up, filter, group, return partials.
-
-    Returns per-group ``(keys, sums, counts, mins, maxs)`` arrays —
-    one sum/count/min/max column per queried measure, so the parent
-    can finish any of SUM/COUNT/AVG/MIN/MAX from the same payload.
-    """
-    views = _worker_facts(task["manifest"])
-    lo, hi = task["range"]
-    n = hi - lo
-
-    level_codes: List[np.ndarray] = []
-    keep = np.ones(n, dtype=bool)
-    for coord_key, ancestor in task["axes"]:
-        bottom = views[coord_key][lo:hi].astype(np.int64, copy=False)
-        codes = np.full(n, -1, dtype=np.int64)
-        valid = bottom >= 0
-        codes[valid] = ancestor[bottom[valid]]
-        keep &= codes >= 0
-        level_codes.append(codes)
-
-    measure_slices = [views[key][lo:hi] for key in task["measures"]]
-    for values in measure_slices:
-        keep &= ~np.isnan(values)
-
-    for spec in task["dices"]:
-        keep &= _worker_dice_mask(spec, level_codes, n)
-
-    rows = np.flatnonzero(keep)
-    axes = len(level_codes)
-    if not len(rows):
-        return {"keys": np.empty((0, axes), dtype=np.int64),
-                "sums": [], "counts": [], "mins": [], "maxs": []}
-    if axes:
-        stacked = np.stack([codes[rows] for codes in level_codes], axis=1)
-        keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    else:
-        keys = np.zeros((1, 0), dtype=np.int64)
-        inverse = np.zeros(len(rows), dtype=np.int64)
-    groups = keys.shape[0]
-
-    sums: List[np.ndarray] = []
-    counts: List[np.ndarray] = []
-    mins: List[np.ndarray] = []
-    maxs: List[np.ndarray] = []
-    for values in measure_slices:
-        kept_values = values[rows]
-        total = np.zeros(groups)
-        count = np.zeros(groups)
-        np.add.at(total, inverse, kept_values)
-        np.add.at(count, inverse, 1.0)
-        low = np.full(groups, np.inf)
-        high = np.full(groups, -np.inf)
-        np.minimum.at(low, inverse, kept_values)
-        np.maximum.at(high, inverse, kept_values)
-        sums.append(total)
-        counts.append(count)
-        mins.append(low)
-        maxs.append(high)
-    return {"keys": keys, "sums": sums, "counts": counts,
-            "mins": mins, "maxs": maxs}
-
-
-# ---------------------------------------------------------------------------
-# parent side
-# ---------------------------------------------------------------------------
+        cached = _WORKER_FACTS[manifest.segment] = shm.attach_arrays(manifest)
+    return kernel.partials(cached[1], lo, hi, plan)
 
 
 class ParallelStarAggregator:
@@ -188,256 +60,79 @@ class ParallelStarAggregator:
     facts from one pinned shared-memory :class:`FactColumns` snapshot.
 
     Semantics match :class:`~repro.olap.engine.NativeOLAPEngine`
-    exactly (same keep/drop rules, same typed errors, same
-    empty-group cell handling); only the fact scan is fanned out.
-    The serial engine is also kept around for post-aggregation dice
-    evaluation, which runs over per-group arrays and needs no facts.
+    by construction — both run the same compile, kernel and cell
+    assembly; only the fact scan is fanned out.
     """
 
     def __init__(self, star: StarSchema, workers: int = 4,
-                 morsel_rows: int = FACT_MORSEL_ROWS) -> None:
+                 morsel_rows: int = shm.MORSEL_ROWS) -> None:
         self.star = star
         self.workers = max(1, int(workers))
         self.morsel_rows = max(1, int(morsel_rows))
-        self._engine = NativeOLAPEngine(star)
+        self._pool = shm.SpawnPool(self.workers)
         self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._columns: Optional[FactColumns] = None
         self._pinned: Optional[Tuple[object, ...]] = None
         self.telemetry: Dict[str, int] = {"queries": 0, "morsels": 0}
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                context = multiprocessing.get_context("spawn")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context)
-            return self._pool
-
-    def _pin_export(self) -> Tuple[Tuple[object, ...], shm.ArraysManifest]:
+    def _pin_export(self) -> Tuple[Tuple[object, ...], shm.ArraysManifest,
+                                   int]:
         """Pin (exporting on first sight) the fact snapshot; one
         segment per aggregator per star epoch, refcounted by the
-        registry.  Every pin is matched by an ``unpin`` when the query
+        registry.  Returns the registry key, the manifest and the fact
+        count.  Every pin is matched by an ``unpin`` when the query
         finishes; :meth:`close` retires the key afterwards."""
         key = ("facts", id(self), self.star.epoch)
 
         def build() -> Tuple[object, Sequence[object]]:
             columns = self.star.fact_columns()
-            arrays: Dict[str, np.ndarray] = {}
-            for iri, codes in sorted(columns.coordinates.items(),
-                                     key=lambda kv: kv[0].value):
-                arrays[f"c:{iri.value}"] = codes
-            for iri, values in sorted(columns.measures.items(),
-                                      key=lambda kv: kv[0].value):
-                arrays[f"m:{iri.value}"] = values
             segment, manifest = shm.export_arrays(
-                arrays, _segment_name(), epoch=columns.epoch)
-            return (manifest, columns), (segment,)
+                fact_arrays(columns), shm.segment_name("facts"),
+                epoch=columns.epoch)
+            return (manifest, columns.rows), (segment,)
 
-        manifest, columns = SHM_SEGMENTS.pin_or_export(key, build)
+        manifest, rows = SHM_SEGMENTS.pin_or_export(key, build)
         with self._lock:
-            self._columns = columns
             self._pinned = key
-        return key, manifest
+        return key, manifest, rows
 
     def close(self) -> None:
         """Shut the pool down and retire the fact segment.  Idempotent;
         afterwards no segment exported by this aggregator remains
         (provided no query is still running)."""
+        self._pool.shutdown(wait=True)
         with self._lock:
-            pool, self._pool = self._pool, None
             pinned, self._pinned = self._pinned, None
-            self._columns = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
         if pinned is not None:
             SHM_SEGMENTS.retire(pinned)
 
-    # -- query compilation ---------------------------------------------------
-
-    def _dice_spec(self, condition: DiceCondition, kept: List[IRI],
-                   axis_levels: Dict[IRI, IRI]) -> Dict[str, Any]:
-        """Compile an attribute dice into per-member boolean arrays —
-        the worker never sees terms, only ``member_ok[code]``."""
-        if isinstance(condition, Comparison):
-            assert isinstance(condition.operand, AttributePath)
-            path = condition.operand
-            axis = _require_axis(kept, path.dimension)
-            table = self.star.dimension(path.dimension)
-            level = axis_levels[path.dimension]
-            members = table.members_at(level)
-            values = table.attribute_values(level, path.attribute)
-            member_ok = np.zeros(len(members), dtype=bool)
-            for code, member in enumerate(members):
-                member_ok[code] = _compare_terms(
-                    values.get(member), condition.op, condition.value)
-            return {"op": "cmp", "axis": axis, "ok": member_ok}
-        if isinstance(condition, BooleanCondition):
-            return {"op": condition.op,
-                    "operands": [self._dice_spec(operand, kept, axis_levels)
-                                 for operand in condition.operands]}
-        if isinstance(condition, NotCondition):
-            return {"op": "NOT",
-                    "operand": self._dice_spec(condition.operand, kept,
-                                               axis_levels)}
-        raise OLAPEngineError(f"unknown condition {condition!r}")
-
-    # -- evaluation ----------------------------------------------------------
-
     def evaluate(self, program: SimplifiedProgram) -> NativeResult:
         """Evaluate ``program`` across the pool; cell-identical to the
-        serial engine (float associativity aside)."""
-        if program.state is None:
-            raise OLAPEngineError("program lacks a checked cube state")
+        serial engine (float associativity aside).  Any worker failure
+        surfaces as an :class:`OLAPEngineError`."""
         started = time.perf_counter()
-        state = program.state
-        key, manifest = self._pin_export()
+        query = compile_query(self.star, program)
+        key, manifest, rows = self._pin_export()
         try:
-            return self._evaluate_pinned(program, state, manifest, started)
-        finally:
-            SHM_SEGMENTS.unpin(key)
-
-    def _evaluate_pinned(self, program: SimplifiedProgram, state,
-                         manifest: shm.ArraysManifest,
-                         started: float) -> NativeResult:
-        columns = self._columns
-        if columns is None:
-            raise OLAPEngineError("fact snapshot vanished mid-query "
-                                  "(close() raced evaluate())")
-        n = columns.rows
-
-        kept = sorted(state.levels, key=lambda iri: iri.value)
-        axis_levels = {iri: state.levels[iri] for iri in kept}
-        axes = [(f"c:{iri.value}",
-                 self.star.dimension(iri).map_to_level(axis_levels[iri]))
-                for iri in kept]
-        measures = sorted(state.measures, key=lambda iri: iri.value)
-        measure_keys = [f"m:{iri.value}" for iri in measures]
-        dices = [self._dice_spec(condition, kept, axis_levels)
-                 for condition in program.dices
-                 if not condition.measure_refs()]
-
-        tasks: List[Dict[str, Any]] = []
-        start = 0
-        while start < n:
-            stop = min(start + self.morsel_rows, n)
-            tasks.append({"manifest": manifest, "range": (start, stop),
-                          "axes": axes, "measures": measure_keys,
-                          "dices": dices})
-            start = stop
-        self.telemetry["queries"] += 1
-        self.telemetry["morsels"] += len(tasks)
-
-        pool = self._ensure_pool()
-        try:
-            payloads = list(pool.map(_worker_star_run, tasks))
+            tasks = [
+                (manifest, lo, min(lo + self.morsel_rows, rows), query.plan)
+                for lo in range(0, rows, self.morsel_rows)]
+            self.telemetry["queries"] += 1
+            self.telemetry["morsels"] += len(tasks)
+            payloads = list(self._pool.executor().map(_worker_partials,
+                                                      tasks))
         except BrokenProcessPool:
-            with self._lock:
-                pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=False)
             raise OLAPEngineError(
                 "parallel OLAP worker died mid-morsel; the pool will be "
                 "rebuilt for the next query") from None
-
-        unique_keys, aggregated = self._merge(payloads, measures, len(kept))
-        group_count = unique_keys.shape[0]
-
-        cell_mask = np.ones(group_count, dtype=bool)
-        for condition in program.dices:
-            if not condition.measure_refs():
-                continue
-            cell_mask &= self._engine._cell_mask(
-                condition, kept, axis_levels, unique_keys, aggregated,
-                group_count)
-
-        cells: Dict[Tuple[Term, ...], Dict[IRI, float]] = {}
-        member_lists = [
-            self.star.dimension(iri).members_at(axis_levels[iri])
-            for iri in kept]
-        for group in np.flatnonzero(cell_mask):
-            key = tuple(
-                member_lists[axis][int(unique_keys[group, axis])]
-                for axis in range(len(kept)))
-            cells[key] = {
-                measure: float(values[group])
-                for measure, (values, valid) in aggregated.items()
-                if valid[group]}
-        elapsed = time.perf_counter() - started
-        return NativeResult(axis_levels=axis_levels, cells=cells,
-                            dimension_order=kept, seconds=elapsed)
-
-    def _merge(self, payloads: List[Dict[str, Any]], measures: List[IRI],
-               axes: int) -> Tuple[np.ndarray,
-                                   Dict[IRI, Tuple[np.ndarray, np.ndarray]]]:
-        """Fold morsel partials into final per-group aggregates."""
-        key_parts = [p["keys"] for p in payloads if p["keys"].shape[0]]
-        if not key_parts:
-            if axes == 0:
-                # a scalar query (no GROUP BY) over zero kept facts
-                # still has ONE group in SPARQL: SUM/COUNT bound at 0,
-                # AVG/MIN/MAX unbound — mirror the serial engine
-                aggregated: Dict[IRI, Tuple[np.ndarray, np.ndarray]] = {}
-                for measure in measures:
-                    keyword = self.star.measure_aggregates.get(measure,
-                                                               "SUM")
-                    bound = keyword in ("SUM", "COUNT")
-                    aggregated[measure] = (
-                        np.zeros(1) if bound else np.full(1, np.nan),
-                        np.full(1, bound))
-                return np.zeros((1, 0), dtype=np.int64), aggregated
-            empty = np.empty((0, axes), dtype=np.int64)
-            nothing = np.empty(0)
-            return empty, {measure: (nothing, np.empty(0, dtype=bool))
-                           for measure in measures}
-        all_keys = np.concatenate(key_parts, axis=0)
-        unique_keys, inverse = np.unique(all_keys, axis=0,
-                                         return_inverse=True)
-        groups = unique_keys.shape[0]
-        offsets: List[np.ndarray] = []
-        cursor = 0
-        for part in key_parts:
-            offsets.append(inverse[cursor:cursor + part.shape[0]])
-            cursor += part.shape[0]
-
-        aggregated: Dict[IRI, Tuple[np.ndarray, np.ndarray]] = {}
-        for index, measure in enumerate(measures):
-            sums = np.zeros(groups)
-            counts = np.zeros(groups)
-            mins = np.full(groups, np.inf)
-            maxs = np.full(groups, -np.inf)
-            part = 0
-            for payload in payloads:
-                if not payload["keys"].shape[0]:
-                    continue
-                target = offsets[part]
-                part += 1
-                np.add.at(sums, target, payload["sums"][index])
-                np.add.at(counts, target, payload["counts"][index])
-                np.minimum.at(mins, target, payload["mins"][index])
-                np.maximum.at(maxs, target, payload["maxs"][index])
-            defined = counts > 0
-            keyword = self.star.measure_aggregates.get(measure, "SUM")
-            always = np.ones(groups, dtype=bool)
-            if keyword == "SUM":
-                aggregated[measure] = (sums, always)
-            elif keyword == "COUNT":
-                aggregated[measure] = (counts, always)
-            elif keyword == "AVG":
-                out = np.full(groups, np.nan)
-                np.divide(sums, counts, out=out, where=defined)
-                aggregated[measure] = (out, defined)
-            elif keyword == "MIN":
-                mins[~defined] = np.nan
-                aggregated[measure] = (mins, defined)
-            elif keyword == "MAX":
-                maxs[~defined] = np.nan
-                aggregated[measure] = (maxs, defined)
-            else:
-                raise OLAPEngineError(f"unknown aggregate {keyword!r}")
-        return unique_keys, aggregated
+        except Exception as error:
+            # the taxonomy boundary: whatever a worker raised (a vanished
+            # segment, a bad task) reaches callers typed, cause attached
+            raise OLAPEngineError(
+                f"parallel OLAP worker failed: {error!r}") from error
+        finally:
+            SHM_SEGMENTS.unpin(key)
+        return query.result(payloads, started)
 
     def describe(self, program: SimplifiedProgram) -> str:
         """The EXPLAIN-style fan-out line for ``program``."""

@@ -22,8 +22,9 @@ Three kinds of payload travel this way:
   pickled once per epoch.  Ids are positional, so rebuilding the table
   from the same term sequence reproduces the same encoding.
 * **generic array bundles** (:func:`export_arrays` /
-  :func:`attach_arrays`) — any named set of numpy arrays laid
-  back-to-back into one segment.  The OLAP layer ships compressed
+  :func:`attach_arrays`) — any named set of numpy arrays laid into
+  one segment, each aligned to its item size (column segments use the
+  same layout).  The OLAP layer ships compressed
   :class:`~repro.olap.star.FactColumns` snapshots this way (the fact
   pipeline lives *above* the RDF tier, so the rdf layer exposes the
   mechanism without knowing the star layout).
@@ -31,6 +32,9 @@ Three kinds of payload travel this way:
   a single shared byte per query; the parent sets it on a governor
   verdict and workers poll it at morsel boundaries (cooperative
   cancellation without signals).
+
+Worker processes come from :class:`SpawnPool`, the one place a pool is
+constructed; both morsel executors (SPARQL and star) own one.
 
 Ownership is strictly parent-side: the parent creates and unlinks
 every segment (through the refcounted registry in
@@ -46,9 +50,14 @@ pair stays exactly balanced.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
 import pickle
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
@@ -58,13 +67,25 @@ from repro.rdf.terms import Term
 
 __all__ = [
     "ArraySpec", "ArraysManifest", "ColumnsManifest", "ControlFlag",
-    "TermsManifest", "attach_arrays", "attach_columns", "attach_terms",
-    "control_is_set", "export_arrays", "export_columns", "export_terms",
+    "MORSEL_ROWS", "SpawnPool", "TermsManifest", "attach_arrays",
+    "attach_columns", "attach_terms", "control_is_set", "export_arrays",
+    "export_columns", "export_terms", "segment_name",
 ]
 
 #: Every exported segment name carries this prefix, so test hygiene
 #: checks can sweep ``/dev/shm`` for leftovers without false positives.
 SEGMENT_PREFIX = "repro_shm_"
+
+#: Default rows per worker task, for every morsel executor.
+MORSEL_ROWS = 16384
+
+_SEGMENT_SEQ = itertools.count(1)
+
+
+def segment_name(tag: str) -> str:
+    """A fresh segment name: unique in this process by sequence number,
+    across processes by pid."""
+    return f"{SEGMENT_PREFIX}{os.getpid()}_{tag}{next(_SEGMENT_SEQ)}"
 
 
 def _noop_register(name: str, rtype: str) -> None:
@@ -120,44 +141,50 @@ class TermsManifest:
     mark: int
 
 
+_ORDERS = ("spo", "pos", "osp")
+
+
+def _views(segment: shared_memory.SharedMemory,
+           specs: Sequence[ArraySpec]) -> Dict[str, np.ndarray]:
+    """Read-only numpy views over a segment's arrays (zero copy)."""
+    views: Dict[str, np.ndarray] = {}
+    for spec in specs:
+        view = np.ndarray((spec.count,), dtype=spec.dtype,
+                          buffer=segment.buf, offset=spec.offset)
+        view.flags.writeable = False
+        views[spec.key] = view
+    return views
+
+
+def _mapped_columns(segment: shared_memory.SharedMemory,
+                    manifest: ColumnsManifest) -> TripleColumns:
+    """A ``TripleColumns`` whose order arrays are views over ``segment``."""
+    views = _views(segment, manifest.arrays)
+    orders: OrderArrays = {
+        order: (views[f"{order}.0"], views[f"{order}.1"],
+                views[f"{order}.2"])
+        for order in _ORDERS}
+    return TripleColumns.from_sorted_orders(
+        orders, manifest.size, manifest.ceiling, manifest.distinct)
+
+
 def export_columns(columns: TripleColumns, name: str
                    ) -> Tuple[shared_memory.SharedMemory, ColumnsManifest,
                               TripleColumns]:
     """Lay ``columns``' nine sorted order arrays into one new shared
-    segment called ``name``; returns the owning segment handle, the
+    segment called ``name`` (the :func:`export_arrays` layout, keyed
+    ``"<order>.<position>"``); returns the owning segment handle, the
     manifest workers attach with, and a parent-side ``TripleColumns``
     whose arrays are read-only views over the segment (so the exporter
     can route/range morsels without keeping the pre-copy arrays
     alive).  The caller owns the segment's lifetime (close + unlink)."""
     orders, ceiling, distinct = columns.sorted_generation()
-    specs: List[ArraySpec] = []
-    payload: List[np.ndarray] = []
-    offset = 0
-    for order in ("spo", "pos", "osp"):
-        for position in range(3):
-            array = np.ascontiguousarray(orders[order][position])
-            specs.append(ArraySpec(f"{order}.{position}",
-                                   array.dtype.name, offset, len(array)))
-            payload.append(array)
-            offset += array.nbytes
-    nbytes = max(1, offset)  # zero-byte segments are not allowed
-    segment = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-    views: Dict[str, np.ndarray] = {}
-    for spec, array in zip(specs, payload):
-        view = np.ndarray((spec.count,), dtype=spec.dtype,
-                          buffer=segment.buf, offset=spec.offset)
-        view[:] = array
-        view.flags.writeable = False
-        views[spec.key] = view
+    segment, bundle = export_arrays(
+        {f"{order}.{position}": orders[order][position]
+         for order in _ORDERS for position in range(3)}, name)
     manifest = ColumnsManifest(name, columns.size, ceiling, distinct,
-                               tuple(specs), nbytes)
-    mapped: OrderArrays = {
-        order: (views[f"{order}.0"], views[f"{order}.1"],
-                views[f"{order}.2"])
-        for order in ("spo", "pos", "osp")}
-    parent_view = TripleColumns.from_sorted_orders(
-        mapped, manifest.size, manifest.ceiling, manifest.distinct)
-    return segment, manifest, parent_view
+                               bundle.arrays, bundle.nbytes)
+    return segment, manifest, _mapped_columns(segment, manifest)
 
 
 def attach_columns(manifest: ColumnsManifest
@@ -168,19 +195,7 @@ def attach_columns(manifest: ColumnsManifest
     The returned segment handle must stay referenced as long as the
     columns are in use — dropping it invalidates the views."""
     segment = _attach(manifest.segment)
-    views: Dict[str, np.ndarray] = {}
-    for spec in manifest.arrays:
-        view = np.ndarray((spec.count,), dtype=spec.dtype,
-                          buffer=segment.buf, offset=spec.offset)
-        view.flags.writeable = False
-        views[spec.key] = view
-    orders: OrderArrays = {
-        order: (views[f"{order}.0"], views[f"{order}.1"],
-                views[f"{order}.2"])
-        for order in ("spo", "pos", "osp")}
-    columns = TripleColumns.from_sorted_orders(
-        orders, manifest.size, manifest.ceiling, manifest.distinct)
-    return segment, columns
+    return segment, _mapped_columns(segment, manifest)
 
 
 @dataclass(frozen=True)
@@ -202,15 +217,18 @@ class ArraysManifest:
 def export_arrays(arrays: Dict[str, np.ndarray], name: str,
                   epoch: int = 0
                   ) -> Tuple[shared_memory.SharedMemory, ArraysManifest]:
-    """Lay a named set of numpy arrays back-to-back into one new shared
-    segment called ``name``.  Keys are preserved in the manifest in
-    insertion order; the caller owns the segment (close + unlink, or
-    hand it to the :data:`~repro.rdf.concurrency.SHM_SEGMENTS`
-    registry)."""
+    """Lay a named set of numpy arrays into one new shared segment
+    called ``name``, each at an offset aligned to its item size (mixed
+    widths — int8 codes ahead of float64 measures — would otherwise
+    leave the wider views unaligned).  Keys are preserved in the
+    manifest in insertion order; the caller owns the segment (close +
+    unlink, or hand it to the :data:`~repro.rdf.concurrency.
+    SHM_SEGMENTS` registry)."""
     specs: List[ArraySpec] = []
     offset = 0
     for key, array in arrays.items():
         contiguous = np.ascontiguousarray(array)
+        offset += -offset % contiguous.itemsize
         specs.append(ArraySpec(key, contiguous.dtype.name, offset,
                                len(contiguous)))
         offset += contiguous.nbytes
@@ -230,13 +248,7 @@ def attach_arrays(manifest: ArraysManifest
     buffer (zero copy).  The returned segment handle must stay
     referenced as long as any view is in use."""
     segment = _attach(manifest.segment)
-    views: Dict[str, np.ndarray] = {}
-    for spec in manifest.arrays:
-        view = np.ndarray((spec.count,), dtype=spec.dtype,
-                          buffer=segment.buf, offset=spec.offset)
-        view.flags.writeable = False
-        views[spec.key] = view
-    return segment, views
+    return segment, _views(segment, manifest.arrays)
 
 
 def export_terms(terms: Sequence[Term], name: str
@@ -294,6 +306,34 @@ class ControlFlag:
 
     def __repr__(self) -> str:
         return f"<ControlFlag {self.name} set={self.is_set()}>"
+
+
+class SpawnPool:
+    """A lazily spawned, rebuildable worker pool (``spawn``, never
+    ``fork``: the parent has threads).  After :meth:`shutdown` the next
+    :meth:`executor` call builds a fresh pool — which is also how a
+    pool broken by a dead worker is recovered."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def executor(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("spawn"))
+            return self._pool
+
+    def shutdown(self, wait: bool) -> None:
+        """Idempotent.  ``wait=True`` is the orderly close; a broken
+        pool is dropped with ``wait=False``."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
 
 
 def control_is_set(name: str) -> bool:

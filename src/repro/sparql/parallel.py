@@ -41,12 +41,10 @@ endpoint, graphs, or module-level caches of the parent process.
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
+from concurrent.futures import FIRST_COMPLETED, Future, \
     wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -81,15 +79,11 @@ from repro.sparql.expressions import (
 from repro.sparql.optimizer import get_plan
 from repro.testing import faults as _faults
 
-__all__ = ["AUTO_THRESHOLD", "DEFAULT_WORKERS", "MORSEL_ROWS",
-           "ParallelExecutor"]
-
-#: Default morsel size (first-step scan rows per worker task).
-MORSEL_ROWS = int(os.environ.get("REPRO_PARALLEL_MORSEL_ROWS", "16384"))
+__all__ = ["AUTO_THRESHOLD", "DEFAULT_WORKERS", "ParallelExecutor"]
 
 #: Auto-enable threshold: below this estimated first-step cardinality
 #: a query stays serial (fan-out overhead would dominate).
-AUTO_THRESHOLD = int(os.environ.get("REPRO_PARALLEL_THRESHOLD", "8192"))
+AUTO_THRESHOLD = 8192
 
 #: Default worker-pool width when ``parallel=True`` picks for you.
 DEFAULT_WORKERS = 4
@@ -98,14 +92,6 @@ DEFAULT_WORKERS = 4
 #: the granularity at which deadlines/cancellation are enforced over a
 #: running parallel query.
 _POLL_SECONDS = 0.02
-
-#: Process-wide name sequence: segment names must be unique per pid.
-_SEGMENT_SEQ = itertools.count(1)
-
-
-def _segment_name(tag: str) -> str:
-    return f"{shm.SEGMENT_PREFIX}{os.getpid()}_{tag}{next(_SEGMENT_SEQ)}"
-
 
 def _effective_columns(graph: GraphSnapshot) -> TripleColumns:
     """The complete, immutable column view of one pinned graph.
@@ -526,13 +512,13 @@ class ParallelExecutor:
     """
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
-                 morsel_rows: int = MORSEL_ROWS,
+                 morsel_rows: int = shm.MORSEL_ROWS,
                  threshold: int = AUTO_THRESHOLD) -> None:
         self.workers = max(1, int(workers))
         self.morsel_rows = max(1, int(morsel_rows))
         self.threshold = max(0, int(threshold))
         self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool = shm.SpawnPool(self.workers)
         #: logical prefix -> currently-live registry key, so superseded
         #: epochs are retired as soon as a newer one is exported
         self._current: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
@@ -541,34 +527,14 @@ class ParallelExecutor:
             "worker_deaths": 0, "aborts": 0, "agg_pushdown": 0}
         self.last_decline: Optional[str] = None
 
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                context = multiprocessing.get_context("spawn")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context)
-            return self._pool
-
-    def _discard_pool(self) -> None:
-        """Drop a broken pool; the next query lazily builds a fresh
-        one (this is the pool-recovery path after a worker death)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def close(self) -> None:
         """Shut down the workers and retire every exported segment.
 
         Idempotent; after it returns, no shared-memory segment exported
         by this executor remains (provided no query is still running)."""
+        self._pool.shutdown(wait=True)
         with self._lock:
-            pool, self._pool = self._pool, None
             current, self._current = dict(self._current), {}
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
         for key in current.values():
             SHM_SEGMENTS.retire(key)
 
@@ -656,7 +622,7 @@ class ParallelExecutor:
                       ) -> Tuple[object, Sequence[object]]:
                 columns = _effective_columns(graph)
                 segment, manifest, view = shm.export_columns(
-                    columns, _segment_name("col"))
+                    columns, shm.segment_name("col"))
                 return (manifest, view), (segment,)
 
             manifest, view = SHM_SEGMENTS.pin_or_export(key, build)
@@ -670,7 +636,7 @@ class ParallelExecutor:
 
         def build_terms() -> Tuple[object, Sequence[object]]:
             segment, manifest = shm.export_terms(
-                dictionary.terms_up_to(mark), _segment_name("dict"))
+                dictionary.terms_up_to(mark), shm.segment_name("dict"))
             return manifest, (segment,)
 
         job.terms = SHM_SEGMENTS.pin_or_export(terms_key, build_terms)
@@ -713,8 +679,8 @@ class ParallelExecutor:
         return None
 
     def _run(self, job: _Job, gov) -> List[Dict[str, Any]]:
-        pool = self._ensure_pool()
-        control = shm.ControlFlag(_segment_name("ctl"))
+        pool = self._pool.executor()
+        control = shm.ControlFlag(shm.segment_name("ctl"))
         futures: List[Future] = []
         try:
             for morsel in job.tasks:
@@ -744,7 +710,7 @@ class ParallelExecutor:
         except BrokenProcessPool as error:
             control.set()
             self.telemetry["worker_deaths"] += 1
-            self._discard_pool()
+            self._pool.shutdown(wait=False)
             raise QueryExecutionError(
                 "parallel worker died mid-morsel; the worker pool will be "
                 "rebuilt for the next query",

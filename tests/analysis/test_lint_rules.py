@@ -287,6 +287,25 @@ def test_determinism_flags_wall_clock_asserts():
     assert found and "wall clock" in found[0].message
 
 
+def test_parallel_safety_covers_every_kernel_function():
+    """``olap/kernel.py`` is worker-side top to bottom: the rule needs
+    no ``_worker`` prefix there, and still ignores other modules."""
+    source = """
+    def partials(views, lo, hi, plan):
+        return StarSchema.facts
+    """
+    kernel = "src/repro/olap/kernel.py"
+    found = findings_for(source, kernel, "parallel-safety")
+    assert found and "StarSchema" in found[0].message
+    assert findings_for(source, "src/repro/olap/parallel.py",
+                        "parallel-safety") == []
+    raw = """
+    def finalize(keyword, accumulators):
+        raise RuntimeError(keyword)
+    """
+    assert findings_for(raw, kernel, "error-taxonomy")
+
+
 def test_rules_scoped_to_their_paths():
     bad, _path, _good = FIXTURES["lock-discipline"]
     # the same snippet under an unrelated path triggers nothing

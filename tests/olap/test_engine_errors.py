@@ -29,7 +29,7 @@ from repro.sparql import LocalEndpoint
 from repro.sparql.errors import EndpointError
 from repro.ql import QLBuilder, QLEngine, attr, measure, simplify
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
-from repro.olap.engine import _aggregate
+from repro.olap.kernel import Plan, finalize, merge, partials
 from repro.olap.errors import (
     DiceTypeError,
     OLAPEngineError,
@@ -96,14 +96,16 @@ class TestTypedErrors:
 
 
 class TestAggregateEdgeUnits:
-    """``_aggregate`` must never fabricate 0.0 / ±inf for groups with
-    no usable values — those cells stay *undefined* (valid=False)."""
+    """``kernel.finalize`` must never fabricate 0.0 / ±inf for groups
+    with no usable values — those cells stay *undefined*
+    (valid=False)."""
 
     def empty_group(self, keyword):
-        # group 0 has one value, group 1 has none
-        values = np.array([5.0])
-        inverse = np.array([0])
-        return _aggregate(keyword, values, inverse, 2)
+        # group 0 has one value (5.0), group 1 has none: its
+        # accumulators still hold their identities
+        return finalize(keyword, {
+            "sum": np.array([5.0, 0.0]), "count": np.array([1.0, 0.0]),
+            "min": np.array([5.0, np.inf]), "max": np.array([5.0, -np.inf])})
 
     def test_avg_empty_group_is_undefined_not_zero(self):
         out, valid = self.empty_group("AVG")
@@ -129,15 +131,19 @@ class TestAggregateEdgeUnits:
             assert out[1] == 0.0
 
     def test_nan_values_do_not_poison_groups(self):
-        values = np.array([np.nan, 3.0, 7.0])
-        inverse = np.array([0, 0, 1])
-        out, valid = _aggregate("AVG", values, inverse, 2)
+        # the NaN row never reaches an accumulator: group 0 averages
+        # its one real value
+        plan = Plan(axes=(("c:d", np.arange(2)),), measures=(("m:v", "AVG"),))
+        views = {"c:d": np.array([0, 0, 1]),
+                 "m:v": np.array([np.nan, 3.0, 7.0])}
+        keys, [(out, valid)] = merge([partials(views, 0, 3, plan)], plan)
+        assert keys.tolist() == [[0], [1]]
         assert out[0] == 3.0 and out[1] == 7.0
         assert valid.all()
 
     def test_unknown_aggregate_is_typed(self):
         with pytest.raises(OLAPEngineError):
-            _aggregate("MEDIAN", np.array([1.0]), np.array([0]), 1)
+            finalize("MEDIAN", {"sum": np.array([1.0])})
 
 
 def edge_cube():

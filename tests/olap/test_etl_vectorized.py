@@ -222,3 +222,34 @@ class TestFactColumns:
             segment.close()
             segment.unlink()
         endpoint.close()
+
+    def test_shm_views_are_aligned_for_odd_row_counts(self):
+        """Regression: arrays used to be laid back-to-back, so int8 /
+        int16 codes ahead of a float64 measure left its view unaligned
+        whenever the row count was not a multiple of 8."""
+        from repro.rdf import shm
+        for rows in (1, 3, 7, 9):
+            arrays = {"c:a": np.arange(rows, dtype=np.int8),
+                      "m:v": np.arange(rows, dtype=np.float64),
+                      "c:b": np.arange(rows, dtype=np.int16),
+                      "c:c": np.arange(rows, dtype=np.int32),
+                      "m:w": np.full(rows, np.nan)}
+            segment, manifest = shm.export_arrays(
+                arrays, f"{shm.SEGMENT_PREFIX}test_aligned_{rows}")
+            try:
+                attached_segment, views = shm.attach_arrays(manifest)
+                try:
+                    end = 0
+                    for spec in manifest.arrays:
+                        view = views[spec.key]
+                        assert view.flags.aligned, (rows, spec)
+                        assert np.array_equal(view, arrays[spec.key],
+                                              equal_nan=True)
+                        assert spec.offset >= end  # no overlap
+                        end = spec.offset + view.nbytes
+                    assert manifest.nbytes >= end  # covers the payload
+                finally:
+                    attached_segment.close()
+            finally:
+                segment.close()
+                segment.unlink()

@@ -2,8 +2,12 @@
 pinned shared-memory fact snapshot, morsel-size fuzz, lifecycle and
 segment hygiene."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.rdf.namespace import SDMX_MEASURE
 from repro.ql import QLBuilder, all_of, any_of, attr, measure, negate, \
     simplify
 from repro.olap import NativeOLAPEngine, extract_star_schema
+from repro.olap.errors import OLAPEngineError
 from repro.olap.parallel import ParallelStarAggregator
 
 
@@ -184,3 +189,63 @@ class TestLifecycle:
         assert line.startswith("parallel-olap: workers=2 ")
         assert "agg=SUM(obsValue)" in line
         assert f"epoch={star.star.epoch}" in line
+
+
+class TestWorkerFailures:
+    def test_worker_exception_is_typed(self, star, schema, monkeypatch):
+        """Regression: a worker-side failure that is not a process
+        death (here: the manifest names a segment that is gone) used
+        to escape ``evaluate`` as the raw ``FileNotFoundError``."""
+        from repro.rdf import shm
+
+        before = set(SHM_SEGMENTS.segment_names())
+        simplified = simplify(programs(schema)[0], schema)
+        aggregator = ParallelStarAggregator(star.star, workers=1,
+                                            morsel_rows=500)
+        export_arrays = shm.export_arrays
+
+        def vanished(arrays, name, epoch=0):
+            segment, manifest = export_arrays(arrays, name, epoch=epoch)
+            return segment, dataclasses.replace(
+                manifest, segment=name + "_gone")
+
+        try:
+            monkeypatch.setattr(shm, "export_arrays", vanished)
+            with pytest.raises(OLAPEngineError) as excinfo:
+                aggregator.evaluate(simplified)
+            assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+            monkeypatch.undo()
+            # the failed query released its pin: retiring the export
+            # unlinks it rather than waiting on a pin that never drains
+            aggregator.close()
+            assert set(SHM_SEGMENTS.segment_names()) == before
+            assert_same_cells(star.evaluate(simplified),
+                              aggregator.evaluate(simplified))
+        finally:
+            aggregator.close()
+        assert set(SHM_SEGMENTS.segment_names()) == before
+
+    def test_killed_workers_cost_one_typed_error(self, star, schema):
+        """SIGKILL every worker between two queries: the next query
+        fails typed, the one after it runs on a rebuilt pool, and
+        ``close()`` leaves the registry as it found it."""
+        before = set(SHM_SEGMENTS.segment_names())
+        simplified = simplify(programs(schema)[0], schema)
+        others = set(multiprocessing.active_children())
+        aggregator = ParallelStarAggregator(star.star, workers=2,
+                                            morsel_rows=300)
+        try:
+            original = aggregator.evaluate(simplified)
+            workers = set(multiprocessing.active_children()) - others
+            assert workers
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            with pytest.raises(OLAPEngineError):
+                aggregator.evaluate(simplified)
+            assert_same_cells(original, aggregator.evaluate(simplified))
+        finally:
+            aggregator.close()
+        assert set(SHM_SEGMENTS.segment_names()) == before

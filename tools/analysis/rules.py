@@ -32,9 +32,9 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     narrowing excepted).
 ``parallel-safety``
     Worker-side parallel-executor code (``_worker*`` functions,
-    ``_Worker*`` classes, ``attach_*`` helpers) must stay
-    shared-nothing: no endpoint, live graph/dataset state, or parent
-    module caches.
+    ``_Worker*`` classes, ``attach_*`` helpers, and every function of
+    the star-query kernel) must stay shared-nothing: no endpoint, live
+    graph/dataset/star-schema state, or parent module caches.
 """
 
 from __future__ import annotations
@@ -372,7 +372,8 @@ class ErrorTaxonomyRule(Rule):
         return path.endswith(("repro/sparql/endpoint.py",
                               "repro/sparql/evaluator.py",
                               "repro/sparql/governor.py",
-                              "repro/olap/engine.py"))
+                              "repro/olap/engine.py",
+                              "repro/olap/kernel.py"))
 
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
@@ -677,7 +678,10 @@ class ParallelSafetyRule(Rule):
     dictionary and the pattern list.  This rule flags any reference to
     parent-process state inside the worker-side scopes — functions
     named ``_worker*`` or ``attach_*`` and methods of ``_Worker*``
-    classes — of the parallel executor and the SHM mapping module.
+    classes — of the parallel executors and the SHM mapping module,
+    and inside *every* function of the star-query kernel
+    (``olap/kernel.py``), which workers run end to end: it may see
+    arrays and the shipped plan, never the star schema.
     """
 
     id = "parallel-safety"
@@ -692,15 +696,19 @@ class ParallelSafetyRule(Rule):
     FORBIDDEN = {"LocalEndpoint", "Graph", "Dataset", "DatasetSnapshot",
                  "GraphSnapshot", "PLAN_CACHE", "STREAM_TELEMETRY",
                  "GOVERNOR", "CONCURRENCY", "SHM_SEGMENTS", "FAILPOINTS",
-                 "get_plan"}
+                 "get_plan", "StarSchema", "NativeOLAPEngine"}
+
+    #: modules that are worker-side from top to bottom
+    WORKER_MODULES = ("repro/olap/kernel.py",)
 
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/parallel.py",
                               "repro/olap/parallel.py",
-                              "repro/rdf/shm.py"))
+                              "repro/rdf/shm.py") + self.WORKER_MODULES)
 
     @staticmethod
-    def _worker_scopes(tree: ast.AST) -> Iterator[ast.FunctionDef]:
+    def _worker_scopes(tree: ast.AST,
+                       whole_module: bool) -> Iterator[ast.FunctionDef]:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) \
                     and node.name.lstrip("_").startswith("Worker"):
@@ -709,7 +717,7 @@ class ParallelSafetyRule(Rule):
                                            ast.AsyncFunctionDef)):
                         yield member
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and (node.name.startswith("_worker")
+                    and (whole_module or node.name.startswith("_worker")
                          or node.name.startswith("attach_")):
                 yield node
 
@@ -717,7 +725,8 @@ class ParallelSafetyRule(Rule):
               lines: Sequence[str]) -> List[Finding]:
         findings: List[Finding] = []
         seen: Set[ast.AST] = set()
-        for scope in self._worker_scopes(tree):
+        for scope in self._worker_scopes(
+                tree, path.endswith(self.WORKER_MODULES)):
             if scope in seen:
                 continue
             seen.add(scope)

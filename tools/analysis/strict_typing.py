@@ -35,6 +35,7 @@ CORE_MODULES = (
     "src/repro/rdf/concurrency.py",
     "src/repro/sparql/governor.py",
     "src/repro/rdf/stats.py",
+    "src/repro/olap/kernel.py",
 )
 
 #: ``# type: ignore`` with no ``[code]`` qualifier.
