@@ -86,10 +86,11 @@ bench-resilience:
 bench-resilience-baseline:
 	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_resilience.py --update
 
-## Columnar-storage gate: >=5x triple-pattern scan throughput vs the
-## legacy dict backend at 100k observations, compaction latency under
-## its ceiling, and a 1M-observation bulk load + E3-shaped aggregation
-## inside the governor's default deadline.  Throughput history lands in
+## Columnar-storage gate: match_arrays column scans >=5x the throughput
+## of walking triples_ids tuples on a dict-tier-only graph at 100k
+## observations, compaction latency under its ceiling, and a
+## 1M-observation bulk load + E3-shaped aggregation inside the
+## governor's default deadline.  Throughput history lands in
 ## benchmarks/join_baseline.json.
 bench-join:
 	$(PYTHON) benchmarks/check_join.py
@@ -105,8 +106,8 @@ bench-join-baseline:
 bench-parallel:
 	REPRO_BENCH_OBS=100000 $(PYTHON) benchmarks/check_parallel.py
 
-## Columnar-OLAP gate: vectorized star ETL >= 5x the reference
-## extractor at 100k observations (byte-identical fact tables), the
+## Columnar-OLAP gate: star ETL >= 5x the per-observation test oracle
+## at 100k observations (byte-identical fact tables), the
 ## SUM/AVG partial pushdown >= 2x serial on the star-shaped grouped
 ## aggregate, shared-fact-snapshot cells identical to the serial
 ## native engine, zero leaked shared-memory segments after close.

@@ -6,22 +6,17 @@ from the Web, and loading them into traditional DWs for OLAP analysis"
 so the two engines answer from identical information — then
 dictionary-encodes facts into numpy arrays.
 
-Two fact extractors share one output contract:
+The fact extractor never touches observations one at a time: each
+bottom property / measure is one ``match_arrays`` read of the
+dataset's union view, joined to fact rows and member codes with
+``np.searchsorted`` over sorted id arrays.  This is the ETL analogue
+of the evaluator's columnar scan path, and what makes the E9
+baseline's "pay ETL once" price honest at scale.  (The
+per-observation extractor it replaced is the test oracle now:
+``tests/olap/reference_etl.py``.)
 
-* the **vectorized** extractor (default) never touches observations
-  one at a time: each bottom property / measure is one
-  ``match_arrays`` gather of the columnar storage tier, joined to fact
-  rows and member codes with ``np.searchsorted`` over sorted id
-  arrays.  This is the ETL analogue of the evaluator's columnar scan
-  path, and what makes the E9 baseline's "pay ETL once" price honest
-  at scale;
-* the **per-observation** extractor (``vectorized=False``) walks
-  ``subject_predicates`` row by row — kept as the semantics reference
-  and the benchmark comparator (``benchmarks/check_olap.py`` gates the
-  vectorized path's speedup against it).
-
-Both are **deterministic**: when an observation carries several values
-for one dimension or measure property, the extractor keeps the
+Extraction is **deterministic**: when an observation carries several
+values for one dimension or measure property, the extractor keeps the
 *minimum term by sorted key* (:func:`deterministic_key`) instead of
 whatever a set yields first, and roll-up composition picks the
 smallest eligible ``skos:broader`` target the same way — so two ETL
@@ -36,11 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import UnionView
 from repro.rdf.namespace import SKOS
 from repro.rdf.terms import IRI, Literal, Term
 from repro.sparql.endpoint import LocalEndpoint
@@ -62,9 +57,6 @@ class ETLReport:
     #: this should stay near the number of distinct query *shapes*, not
     #: the number of members (see docs/performance.md).
     plan_cache_misses: int = 0
-    #: whether the columnar fact extractor ran (False = the
-    #: per-observation reference extractor was requested or forced)
-    vectorized: bool = True
 
 
 def deterministic_key(term: Term) -> Tuple[str, str]:
@@ -77,8 +69,7 @@ def deterministic_key(term: Term) -> Tuple[str, str]:
     return (term.__class__.__name__, str(getattr(term, "value", term)))
 
 
-def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema,
-                        vectorized: bool = True
+def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema
                         ) -> Tuple[StarSchema, ETLReport]:
     """Materialize the star schema for ``schema`` from ``endpoint``."""
     from repro.sparql.optimizer import PLAN_CACHE
@@ -100,19 +91,15 @@ def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema,
     for measure in schema.measures:
         star.measure_aggregates[measure.iri] = measure.sparql_aggregate()
 
-    if vectorized:
-        _extract_facts_vectorized(graph, schema, star)
-    else:
-        _extract_facts(graph, schema, star)
+    _extract_facts(graph, schema, star)
     elapsed = time.perf_counter() - started
     return star, ETLReport(seconds=elapsed, facts=star.facts.size,
                            dimension_rows=dimension_rows,
                            plan_cache_misses=PLAN_CACHE.misses
-                           - misses_before,
-                           vectorized=vectorized)
+                           - misses_before)
 
 
-def _extract_dimension(graph: Graph, schema: CubeSchema,
+def _extract_dimension(graph: UnionView, schema: CubeSchema,
                        dimension_iri: IRI, bottom: IRI) -> DimensionTable:
     bottom_members = sorted(
         graph.subjects(qb4o.memberOf, bottom),
@@ -139,7 +126,7 @@ def _extract_dimension(graph: Graph, schema: CubeSchema,
     return table
 
 
-def _compose_rollups(graph: Graph, table: DimensionTable,
+def _compose_rollups(graph: UnionView, table: DimensionTable,
                      path: List[IRI]) -> Tuple[List[Term], np.ndarray]:
     """Compose skos:broader hops along ``path`` into one bottom→top map."""
     current_members = table.bottom_members
@@ -169,7 +156,7 @@ def _compose_rollups(graph: Graph, table: DimensionTable,
     return current_members, current_map
 
 
-def _attach_attributes(graph: Graph, schema: CubeSchema,
+def _attach_attributes(graph: UnionView, schema: CubeSchema,
                        table: DimensionTable, level: IRI,
                        members: List[Term]) -> None:
     attributes = schema.attributes_of(level)
@@ -200,83 +187,16 @@ def _measure_value(term: Term) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-observation reference extractor (``vectorized=False``)
+# columnar fact extractor
 # ---------------------------------------------------------------------------
 
 
-def _extract_facts(graph: Graph, schema: CubeSchema,
-                   star: StarSchema) -> None:
-    dimension_order = sorted(star.dimensions, key=lambda iri: iri.value)
-    bottoms = {iri: schema.bottom_level(iri) for iri in dimension_order}
-    observations = list(graph.subjects(qb.dataSet, schema.dataset))
-    observations.sort(key=lambda t: getattr(t, "value", str(t)))
-    n = len(observations)
-
-    coordinate_arrays = {
-        iri: np.full(n, -1, dtype=np.int64) for iri in dimension_order}
-    measure_arrays = {
-        measure.iri: np.full(n, np.nan, dtype=np.float64)
-        for measure in schema.measures}
-
-    for row, observation in enumerate(observations):
-        properties = graph.subject_predicates(observation)
-        for iri in dimension_order:
-            bottom_prop = bottoms[iri]
-            values = properties.get(bottom_prop)
-            if values:
-                code = star.dimensions[iri].bottom_code(
-                    min(values, key=deterministic_key))
-                if code is not None:
-                    coordinate_arrays[iri][row] = code
-        for measure in schema.measures:
-            values = properties.get(measure.iri)
-            if values:
-                term = min(values, key=deterministic_key)
-                measure_arrays[measure.iri][row] = _measure_value(term)
-
-    star.facts = FactTable(coordinates=coordinate_arrays,
-                           measures=measure_arrays)
-
-
-# ---------------------------------------------------------------------------
-# vectorized columnar extractor (default)
-# ---------------------------------------------------------------------------
-
-
-def _gather_pairs(graph: Graph, predicate: Optional[int]
+def _gather_pairs(graph: UnionView, predicate: int
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``(subject, object)`` id pairs carrying ``predicate``.
-
-    Serves from the columnar tier (``match_arrays`` — zero-copy range
-    views) whenever a graph can; graphs mid-mutation (pending
-    tombstones, no generation yet) fall back to the id iterator.  The
-    union view composes per member graph.
-    """
-    if predicate is None:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pattern = (None, predicate, None)
-    graphs = graph._graphs() if hasattr(graph, "_graphs") else [graph]
-    subjects: List[np.ndarray] = []
-    objects: List[np.ndarray] = []
-    for member in graphs:
-        arrays = member.match_arrays(pattern) \
-            if hasattr(member, "match_arrays") else None
-        if arrays is not None:
-            subjects.append(arrays[0].astype(np.int64, copy=False))
-            objects.append(arrays[2].astype(np.int64, copy=False))
-            continue
-        pairs = [(s, o) for s, _p, o in member.triples_ids(pattern)]
-        gathered = np.asarray(pairs, dtype=np.int64) if pairs \
-            else np.empty((0, 2), dtype=np.int64)
-        subjects.append(gathered[:, 0] if pairs
-                        else np.empty(0, dtype=np.int64))
-        objects.append(gathered[:, 1] if pairs
-                       else np.empty(0, dtype=np.int64))
-    if not subjects:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(subjects), np.concatenate(objects)
+    """All ``(subject, object)`` id pairs carrying ``predicate``."""
+    subjects, _, objects = graph.match_arrays((None, predicate, None))
+    return (subjects.astype(np.int64, copy=False),
+            objects.astype(np.int64, copy=False))
 
 
 def _rows_for(subjects: np.ndarray, obs_sorted: np.ndarray,
@@ -307,8 +227,8 @@ def _first_per_row(rows: np.ndarray, rank: np.ndarray,
     return sorted_rows[firsts], order[firsts]
 
 
-def _extract_facts_vectorized(graph: Graph, schema: CubeSchema,
-                              star: StarSchema) -> None:
+def _extract_facts(graph: UnionView, schema: CubeSchema,
+                   star: StarSchema) -> None:
     dictionary = graph.dictionary
     lookup = dictionary.lookup
     decode = dictionary.decode

@@ -64,7 +64,7 @@ IdPattern = Tuple[Optional[int], Optional[int], Optional[int]]
 #: one generation, keyed ``"spo"`` / ``"pos"`` / ``"osp"``.
 OrderArrays = Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-__all__ = ["OrderArrays", "TripleColumns", "concat_arrays"]
+__all__ = ["OrderArrays", "TripleColumns", "concat_arrays", "value_counts"]
 
 #: positional column index of each order's sort-key sequence
 _ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
@@ -77,7 +77,11 @@ def _dtype_for(max_id: int) -> type:
 
 def concat_arrays(parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate ``(S, P, O)`` array triples (union-source scans)."""
+    """Concatenate ``(S, P, O)`` array triples, in order (storage tiers
+    of one graph, member graphs of a union); no parts is no rows."""
+    if not parts:
+        empty = np.empty(0, dtype=np.int32)
+        return empty, empty, empty
     if len(parts) == 1:
         return parts[0]
     return (np.concatenate([part[0] for part in parts]),
@@ -176,14 +180,7 @@ class TripleColumns:
         """A fresh generation: these columns minus ``tombstones`` plus
         the delta overlay's triples.  The receiver is left untouched
         (pinned snapshots keep reading it)."""
-        s, p, o = self._orders["spo"]
-        if tombstones and self.size:
-            keep = np.ones(self.size, dtype=bool)
-            for ts, tp, to in tombstones:
-                lo, hi = self._range("spo", (ts, tp, to))
-                if lo < hi:
-                    keep[lo] = False
-            s, p, o = s[keep], p[keep], o[keep]
+        s, p, o = self.arrays((None, None, None), tombstones)
         extra = [(si, pi, oi)
                  for si, by_predicate in delta_spo.items()
                  for pi, objects in by_predicate.items()
@@ -226,6 +223,10 @@ class TripleColumns:
             if value < 0 or value > self._ceiling:
                 return 0, 0  # never stored (covers overlay ids)
             segment = cols[key_index][lo:hi]
+            # a Python int would make searchsorted promote — and copy —
+            # the whole segment to int64 on every probe; in range by
+            # the ceiling check above, so the cast cannot overflow
+            value = segment.dtype.type(value)
             left = int(np.searchsorted(segment, value, "left"))
             right = int(np.searchsorted(segment, value, "right"))
             hi = lo + right
@@ -245,14 +246,27 @@ class TripleColumns:
     def contains(self, s: int, p: int, o: int) -> bool:
         return self.count((s, p, o)) > 0
 
-    def arrays(self, pattern: IdPattern
+    def arrays(self, pattern: IdPattern, dead: Iterable[IdTriple] = ()
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matching rows as positional ``(S, P, O)`` column views
-        (zero-copy slices of the chosen order)."""
+        (zero-copy slices of the chosen order).  ``dead`` names stored
+        triples matching ``pattern`` to leave out (the owning graph's
+        tombstones): each is located by binary search and masked, so
+        the survivors keep their sorted order."""
         order, prefix = self._route(pattern)
         lo, hi = self._range(order, prefix)
-        s, p, o = self._orders[order]
-        return s[lo:hi], p[lo:hi], o[lo:hi]
+        s, p, o = (column[lo:hi] for column in self._orders[order])
+        keep = None
+        for triple in dead:
+            at, end = self._range(
+                order, tuple(triple[key] for key in _ORDER_KEYS[order]))
+            if at < end:
+                if keep is None:
+                    keep = np.ones(hi - lo, dtype=bool)
+                keep[at - lo] = False
+        if keep is not None:
+            s, p, o = s[keep], p[keep], o[keep]
+        return s, p, o
 
     def scan(self, pattern: IdPattern) -> Iterator[IdTriple]:
         """Matching ``(s, p, o)`` triples as plain-int tuples."""
@@ -261,27 +275,12 @@ class TripleColumns:
 
     # -- statistics support --------------------------------------------------
 
-    def predicate_slice(self, predicate_id: int
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(subjects, objects)`` column views of one predicate's rows."""
-        lo, hi = self._range("pos", (predicate_id,))
-        s, _, o = self._orders["pos"]
-        return s[lo:hi], o[lo:hi]
-
     def predicate_value_counts(self, predicate_id: int
                                ) -> Tuple[Dict[int, int], Dict[int, int], int]:
         """``(subject_counts, object_counts, cardinality)`` for one
         predicate, computed vectorized (one ``np.unique`` per side)."""
-        subjects, objects = self.predicate_slice(predicate_id)
-        if not len(subjects):
-            return {}, {}, 0
-        subject_values, subject_tallies = np.unique(subjects,
-                                                    return_counts=True)
-        object_values, object_tallies = np.unique(objects,
-                                                  return_counts=True)
-        return (dict(zip(subject_values.tolist(), subject_tallies.tolist())),
-                dict(zip(object_values.tolist(), object_tallies.tolist())),
-                int(len(subjects)))
+        subjects, _, objects = self.arrays((None, predicate_id, None))
+        return value_counts(subjects), value_counts(objects), len(subjects)
 
     def has_subject(self, subject_id: int) -> bool:
         return self.count((subject_id, None, None)) > 0
@@ -298,6 +297,12 @@ class TripleColumns:
     def __repr__(self) -> str:
         dtype = self._orders["spo"][0].dtype
         return f"<TripleColumns {self.size} triples, dtype {dtype}>"
+
+
+def value_counts(ids: np.ndarray) -> Dict[int, int]:
+    """``{id: occurrences}`` of an id array (one ``np.unique``)."""
+    values, tallies = np.unique(ids, return_counts=True)
+    return dict(zip(values.tolist(), tallies.tolist()))
 
 
 def _run_count(sorted_array: np.ndarray) -> int:

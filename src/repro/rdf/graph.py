@@ -56,7 +56,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.rdf.columnar import TripleColumns
+from repro.rdf.columnar import TripleColumns, concat_arrays
 from repro.rdf.concurrency import CONCURRENCY, CountedRLock
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.errors import TermError
@@ -152,7 +152,7 @@ def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
 class _GraphReadMixin:
     """Derived read operations shared by :class:`Graph` and the
     read-only :class:`UnionView` — everything here is expressed in
-    terms of ``triples`` / ``count``."""
+    terms of ``triples``."""
 
     def subjects(self, predicate: Optional[Term] = None,
                  obj: Optional[Term] = None) -> Iterator[Term]:
@@ -436,37 +436,31 @@ class Graph(_GraphReadMixin):
         columns = self._columns
         return columns.size if columns is not None else 0
 
+    def tier_sizes(self) -> Tuple[int, int, int]:
+        """``(column rows, overlay triples, pending tombstones)`` — the
+        physical layout behind the content, for gates and telemetry."""
+        return self._column_size(), self._delta_size, len(self._tombstones)
+
+    def folded_columns(self) -> TripleColumns:
+        """The whole content as one immutable sorted generation: the
+        stored one when nothing is pending, else a fresh fold of
+        columns − tombstones + overlay (the graph itself is untouched —
+        :meth:`compact` is what installs the fold)."""
+        base = self._columns if self._columns is not None \
+            else TripleColumns.build(())
+        if self._delta_size or self._tombstones:
+            return base.merged(self._spo, self._tombstones)
+        return base
+
     def _has_sp(self, si: int, pi: int) -> bool:
         """Does any triple ``(si, pi, *)`` exist (both tiers)?"""
-        if pi in self._spo.get(si, {}):
-            return True
-        columns = self._columns
-        if columns is None:
-            return False
-        matches = columns.count((si, pi, None))
-        if not matches:
-            return False
-        if not self._tombstones:
-            return True
-        dead = sum(1 for (a, b, _) in self._tombstones
-                   if a == si and b == pi)
-        return matches > dead
+        return pi in self._spo.get(si, ()) \
+            or self._stored_count((si, pi, None)) > 0
 
     def _has_po(self, pi: int, oi: int) -> bool:
         """Does any triple ``(*, pi, oi)`` exist (both tiers)?"""
-        if oi in self._pos.get(pi, {}):
-            return True
-        columns = self._columns
-        if columns is None:
-            return False
-        matches = columns.count((None, pi, oi))
-        if not matches:
-            return False
-        if not self._tombstones:
-            return True
-        dead = sum(1 for (_, b, c) in self._tombstones
-                   if b == pi and c == oi)
-        return matches > dead
+        return oi in self._pos.get(pi, ()) \
+            or self._stored_count((None, pi, oi)) > 0
 
     def contains_id(self, si: int, pi: int, oi: int) -> bool:
         """Membership of one id triple, across both storage tiers."""
@@ -558,9 +552,7 @@ class Graph(_GraphReadMixin):
         touched = {pi for by_predicate in self._spo.values()
                    for pi in by_predicate}
         touched.update(pi for _, pi, _ in self._tombstones)
-        base = self._columns if self._columns is not None \
-            else TripleColumns.build(())
-        self._columns = base.merged(self._spo, self._tombstones)
+        self._columns = self.folded_columns()
         if self._shared:
             self._spo = {}
             self._pos = {}
@@ -686,33 +678,34 @@ class Graph(_GraphReadMixin):
         if self._delta_size:
             yield from self._delta_ids(pattern)
 
-    def match_arrays(self, pattern: IdPattern = _WILD):
+    def match_arrays(self, pattern: IdPattern = _WILD
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matching triples as positional ``(S, P, O)`` numpy
-        arrays, or ``None`` when this graph cannot serve the pattern
-        vectorized (no column generation yet, or tombstones pending).
+        arrays — the same triples, in the same order, as
+        :meth:`triples_ids`, whatever the graph's physical state.
 
-        Column ranges are zero-copy views; delta-overlay matches are
-        materialized and appended (the overlay is bounded by the
-        compaction thresholds, so this stays small).
+        Column ranges are zero-copy views (pending tombstones are
+        masked out of them); delta-overlay matches are materialized
+        and appended (the overlay is bounded by the compaction
+        thresholds, so this stays small).
         """
-        columns = self._columns
-        if columns is None or self._tombstones:
-            return None
-        arrays = columns.arrays(pattern)
+        parts = []
+        if self._columns is not None:
+            parts.append(self._columns.arrays(pattern, self._dead(pattern)))
         if self._delta_size:
             delta = list(self._delta_ids(pattern))
             if delta:
                 extra = np.asarray(delta, dtype=np.int64)
-                return (np.concatenate(
-                            [arrays[0].astype(np.int64, copy=False),
-                             extra[:, 0]]),
-                        np.concatenate(
-                            [arrays[1].astype(np.int64, copy=False),
-                             extra[:, 1]]),
-                        np.concatenate(
-                            [arrays[2].astype(np.int64, copy=False),
-                             extra[:, 2]]))
-        return arrays
+                parts.append((extra[:, 0], extra[:, 1], extra[:, 2]))
+        return concat_arrays(parts)
+
+    def _dead(self, pattern: IdPattern) -> List[IdTriple]:
+        """The pending tombstones ``pattern`` matches — the one place
+        that says which compacted rows a read must not see."""
+        s, p, o = pattern
+        return [dead for dead in self._tombstones
+                if (s is None or dead[0] == s) and (p is None or dead[1] == p)
+                and (o is None or dead[2] == o)]
 
     def _delta_ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
         """Matches from the delta overlay's hash indexes only."""
@@ -773,16 +766,17 @@ class Graph(_GraphReadMixin):
         tombstones that match the pattern are subtracted.
         """
         total = self._delta_count(pattern) if self._delta_size else 0
-        columns = self._columns
-        if columns is not None:
-            total += columns.count(pattern)
-            if self._tombstones:
-                s, p, o = pattern
-                total -= sum(
-                    1 for (a, b, c) in self._tombstones
-                    if (s is None or a == s) and (p is None or b == p)
-                    and (o is None or c == o))
-        return total
+        return total + self._stored_count(pattern)
+
+    def _stored_count(self, pattern: IdPattern) -> int:
+        """Live matches in the column generation: the range width less
+        the pending tombstones inside it (the one subtraction site)."""
+        if self._columns is None:
+            return 0
+        stored = self._columns.count(pattern)
+        if stored and self._tombstones:
+            stored -= len(self._dead(pattern))
+        return stored
 
     def _delta_count(self, pattern: IdPattern) -> int:
         """Match count within the delta overlay's hash indexes."""
@@ -1094,16 +1088,30 @@ class GraphSnapshot(Graph):
 
 
 class UnionView(_GraphReadMixin):
-    """A **read-only** merged view of a dataset's default + named graphs.
+    """A **read-only** merged view of several graphs of one dataset —
+    the only place union semantics live: member order, duplicate
+    suppression (of id tuples and of id arrays), exact counts,
+    summed statistics.
 
-    Replaces the full-copy merge :meth:`Dataset.union` used to build:
-    reads delegate to the member graphs' id indexes (deduplicating only
-    when the dataset's graphs are known to overlap), so constructing the
-    view is O(1).  Callers that need a mutable merge call :meth:`copy`.
+    ``graphs`` fixes the members (a ``FROM`` merge); without it the
+    view ranges over the dataset's default graph plus every named
+    graph, read at call time.  ``dataset`` may be a live
+    :class:`Dataset` or a pinned :class:`DatasetSnapshot`; its
+    ``graphs_disjoint`` flag is read per call too, so a view can never
+    skip a dedup the data has come to need.  Building the view is
+    O(1); callers that need a mutable merge call :meth:`copy`.
+
+    **The dedup rule.**  Members are read in order and the first
+    occurrence of a triple wins.  Suppression is skipped when the
+    dataset's graphs are disjoint or when fewer than two members match
+    the pattern — both observable per call, so there is nothing to
+    configure.
     """
 
-    def __init__(self, dataset: "Dataset") -> None:
+    def __init__(self, dataset: Union["Dataset", "DatasetSnapshot"],
+                 graphs: Optional[List[Graph]] = None) -> None:
         self._dataset = dataset
+        self._members = graphs
         self.identifier: Optional[IRI] = None
 
     @property
@@ -1114,13 +1122,16 @@ class UnionView(_GraphReadMixin):
     def dictionary(self) -> TermDictionary:
         return self._dataset.dictionary
 
-    def _graphs(self) -> List[Graph]:
-        return [self._dataset.default, *self._dataset._named.values()]
+    def members(self) -> List[Graph]:
+        """The member graphs, in read order."""
+        if self._members is not None:
+            return self._members
+        return [self._dataset.default, *self._dataset.graphs()]
 
     # -- reads ---------------------------------------------------------------
 
     def triples_ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
-        graphs = self._graphs()
+        graphs = self.members()
         if len(graphs) == 1 or self._dataset.graphs_disjoint:
             for graph in graphs:
                 yield from graph.triples_ids(pattern)
@@ -1131,6 +1142,39 @@ class UnionView(_GraphReadMixin):
                 if ids not in seen:
                     seen.add(ids)
                     yield ids
+
+    def match_arrays(self, pattern: IdPattern = _WILD
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`triples_ids` as positional ``(S, P, O)`` arrays (same
+        triples, same order): member arrays concatenated, then a
+        stable first-occurrence dedup when the rule above calls for
+        one."""
+        parts = [part for part in (graph.match_arrays(pattern)
+                                   for graph in self.members())
+                 if len(part[0])]
+        s, p, o = concat_arrays(parts)
+        if len(parts) < 2 or self._dataset.graphs_disjoint:
+            return s, p, o
+        # lexsort is stable, so within a run of equal triples the
+        # original positions ascend and the run's first entry is the
+        # first occurrence
+        order = np.lexsort((o, p, s))
+        repeat = ((s[order[1:]] == s[order[:-1]])
+                  & (p[order[1:]] == p[order[:-1]])
+                  & (o[order[1:]] == o[order[:-1]]))
+        if not repeat.any():
+            return s, p, o
+        keep = np.ones(len(s), dtype=bool)
+        keep[order[1:][repeat]] = False
+        return s[keep], p[keep], o[keep]
+
+    def count_ids(self, pattern: IdPattern) -> int:
+        """Exact number of distinct matching triples."""
+        counts = [count for count in (graph.count_ids(pattern)
+                                      for graph in self.members()) if count]
+        if len(counts) < 2 or self._dataset.graphs_disjoint:
+            return sum(counts)
+        return len(self.match_arrays(pattern)[0])
 
     def triples(self, pattern: TriplePattern = (None, None, None)
                 ) -> Iterator[Triple]:
@@ -1143,39 +1187,34 @@ class UnionView(_GraphReadMixin):
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         ids = self._dataset.default._encode_pattern(pattern)
-        if ids is None:
-            return 0
-        if self._dataset.graphs_disjoint:
-            return sum(g.count_ids(ids) for g in self._graphs())
-        return sum(1 for _ in self.triples_ids(ids))
+        return 0 if ids is None else self.count_ids(ids)
 
     def estimate(self, pattern: TriplePattern) -> int:
+        """Summed member counts — an upper bound, never a scan."""
         ids = self._dataset.default._encode_pattern(pattern)
         if ids is None:
             return 0
-        return sum(g.count_ids(ids) for g in self._graphs())
+        return sum(g.count_ids(ids) for g in self.members())
 
     def statistics(self) -> StatisticsView:
         """The planner's O(1) statistics view over all member graphs."""
-        return StatisticsView(self._graphs())
+        return StatisticsView(self.members())
 
     def subject_predicates(self, subject: Term) -> Dict[Term, Set[Term]]:
         merged: Dict[Term, Set[Term]] = {}
-        for graph in self._graphs():
+        for graph in self.members():
             for predicate, objects in graph.subject_predicates(subject).items():
                 merged.setdefault(predicate, set()).update(objects)
         return merged
 
     def __len__(self) -> int:
-        if self._dataset.graphs_disjoint:
-            return sum(len(g) for g in self._graphs())
-        return sum(1 for _ in self.triples_ids(_WILD))
+        return self.count_ids(_WILD)
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
 
     def __bool__(self) -> bool:
-        return any(len(g) for g in self._graphs())
+        return any(len(g) for g in self.members())
 
     def copy(self) -> Graph:
         """Materialize the union as a mutable :class:`Graph`."""
@@ -1188,7 +1227,8 @@ class UnionView(_GraphReadMixin):
         return self.copy().serialize(format)
 
     def __repr__(self) -> str:
-        return f"<UnionView of {len(self._graphs())} graphs ({len(self)} triples)>"
+        return (f"<UnionView of {len(self.members())} graphs "
+                f"({len(self)} triples)>")
 
     # -- writes are rejected -------------------------------------------------
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple
 
+from repro.rdf.columnar import value_counts
 from repro.rdf.terms import Term
 
 if TYPE_CHECKING:  # import cycle: graph.py imports this module
@@ -73,7 +74,6 @@ __all__ = [
     "PredicateSummary",
     "StatisticsView",
     "build_predicate_summary",
-    "statistics_for",
 ]
 
 #: how many most-common values each direction of a summary keeps
@@ -245,43 +245,18 @@ def build_predicate_summary(graph: "Graph",
                             predicate_id: int) -> PredicateSummary:
     """Build the value-aware summary for one predicate of ``graph``.
 
-    Reads both storage tiers once: the compacted columns answer with a
-    vectorized group-count over the predicate's POS range
-    (:meth:`~repro.rdf.columnar.TripleColumns.predicate_value_counts`),
-    the delta overlay's POS bucket is tallied on top, and pending
-    tombstones are subtracted — so the build is O(cardinality of the
-    predicate) and touches no other index.
+    One ``(?, p, ?)`` read of the graph (which composes its own
+    storage tiers) and a vectorized group-count per side — O(cardinality
+    of the predicate), touching no other index.
     """
-    columns = getattr(graph, "_columns", None)
-    if columns is not None:
-        subject_counts, object_counts, cardinality = \
-            columns.predicate_value_counts(predicate_id)
-        for ts, tp, to in getattr(graph, "_tombstones", ()):
-            if tp != predicate_id:
-                continue
-            cardinality -= 1
-            for counts, key in ((subject_counts, ts), (object_counts, to)):
-                left = counts.get(key, 0) - 1
-                if left > 0:
-                    counts[key] = left
-                else:
-                    counts.pop(key, None)
-    else:
-        subject_counts = {}
-        object_counts = {}
-        cardinality = 0
-    for object_id, subjects in graph._pos.get(predicate_id, {}).items():
-        size = len(subjects)
-        object_counts[object_id] = object_counts.get(object_id, 0) + size
-        cardinality += size
-        for subject_id in subjects:
-            subject_counts[subject_id] = \
-                subject_counts.get(subject_id, 0) + 1
+    subjects, _, objects = graph.match_arrays((None, predicate_id, None))
+    subject_counts = value_counts(subjects)
+    object_counts = value_counts(objects)
     subject_mcv, subject_rest = _split_mcv(subject_counts)
     object_mcv, object_rest = _split_mcv(object_counts)
     return PredicateSummary(
         epoch=graph.epoch,
-        cardinality=cardinality,
+        cardinality=len(subjects),
         distinct_subjects=len(subject_counts),
         distinct_objects=len(object_counts),
         subject_mcv=subject_mcv,
@@ -491,16 +466,3 @@ class StatisticsView:
     def __repr__(self) -> str:
         return (f"<StatisticsView {len(self.graphs)} graphs, "
                 f"{self.triple_count()} triples>")
-
-
-def statistics_for(source: object) -> Optional[StatisticsView]:
-    """The :class:`StatisticsView` of any plannable source.
-
-    Graphs, union views and the evaluator's graph sources all expose a
-    ``statistics()`` method; anything else (a test double, say) planless
-    falls back to ``None`` and the caller uses exact estimates.
-    """
-    getter = getattr(source, "statistics", None)
-    if callable(getter):
-        return getter()
-    return None

@@ -49,20 +49,20 @@ that stops at the first solution; it shares the cached join orders.
 Dataset semantics follow Virtuoso's convenient default (and the paper's
 setup): with no ``FROM`` clause the default graph is the *union* of the
 dataset's default and named graphs; ``GRAPH <g>`` scopes matching to one
-named graph.  Union sources skip duplicate suppression while the
-dataset's graphs are disjoint (which the QB2OLAP endpoint's layout
-guarantees by construction).
+named graph.  The union itself — member order, duplicate suppression —
+is :class:`repro.rdf.graph.UnionView`; this module only adapts it (or a
+single graph) to the join pipeline through :class:`GraphSource`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Tuple, Union
 
 import numpy as np
 
-from repro.rdf.columnar import concat_arrays
-from repro.rdf.graph import Dataset, Graph
+from repro.rdf.graph import Dataset, Graph, UnionView
 from repro.rdf.stats import StatisticsView
 from repro.rdf.terms import IRI, Literal, Term, Triple
 from repro.testing import faults as _faults
@@ -258,142 +258,50 @@ class StepTrace:
 
 
 class GraphSource:
-    """A matchable view over one or more graphs.
+    """The join pipeline's one view of storage: a single graph, or the
+    :class:`~repro.rdf.graph.UnionView` over several.
 
-    Sources expose both a term-level API (``match`` / ``estimate``,
-    used by property paths and the lazy existence pipeline) and an
-    id-level API (``match_ids`` / ``estimate_ids``, the batch joins'
-    allocation-free fast path).
+    A thin adapter — storage semantics (tiers, tombstones, union dedup)
+    all live in :mod:`repro.rdf.graph`.  It offers a term-level API
+    (``match`` / ``estimate``, used by property paths and the lazy
+    existence pipeline), an id-level one (``match_arrays`` for scans
+    and hash builds, ``match_ids`` for point probes with a bound key,
+    ``estimate_ids``), and what the planner keys on (``cache_key``,
+    ``statistics``).
     """
 
-    def match(self, pattern) -> Iterator[Triple]:
-        raise NotImplementedError
+    __slots__ = ("view", "graphs")
 
-    def match_ids(self, pattern: IdPattern) -> Iterator[IdTriple]:
-        raise NotImplementedError
-
-    def match_arrays(self, pattern: IdPattern):
-        """The matches as positional ``(S, P, O)`` numpy arrays, or
-        ``None`` when this source cannot serve the pattern vectorized
-        (no columnar generation yet, pending tombstones, overlapping
-        union members).  ``None`` sends the caller to ``match_ids``."""
-        return None
-
-    def estimate(self, pattern) -> int:
-        raise NotImplementedError
-
-    def estimate_ids(self, pattern: IdPattern) -> int:
-        raise NotImplementedError
-
-    def cache_key(self) -> tuple:
-        """Identity + mutation epochs, for the plan cache."""
-        raise NotImplementedError
-
-    def statistics(self) -> Optional[StatisticsView]:
-        """The cost-based planner's O(1) statistics view.
-
-        ``None`` (the default) sends the planner to its exact-estimate
-        legacy path — subclasses with real graphs override this.
-        """
-        return None
-
-
-class SingleGraphSource(GraphSource):
-    """A matchable view over exactly one graph."""
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
+    def __init__(self, view: Union[Graph, UnionView]) -> None:
+        self.view = view
+        #: the member graphs, in scan order
+        self.graphs: List[Graph] = view.members() \
+            if isinstance(view, UnionView) else [view]
 
     def match(self, pattern) -> Iterator[Triple]:
-        return self.graph.triples(pattern)
+        return self.view.triples(pattern)
 
     def match_ids(self, pattern: IdPattern) -> Iterator[IdTriple]:
-        return self.graph.triples_ids(pattern)
+        return self.view.triples_ids(pattern)
 
     def match_arrays(self, pattern: IdPattern):
-        return self.graph.match_arrays(pattern)
+        """The matches as positional ``(S, P, O)`` numpy arrays."""
+        return self.view.match_arrays(pattern)
 
     def estimate(self, pattern) -> int:
-        return self.graph.estimate(pattern)
+        return self.view.estimate(pattern)
 
     def estimate_ids(self, pattern: IdPattern) -> int:
-        return self.graph.count_ids(pattern)
-
-    def cache_key(self) -> tuple:
-        return ((id(self.graph), self.graph.epoch),)
-
-    def statistics(self) -> StatisticsView:
-        return StatisticsView([self.graph])
-
-
-class UnionGraphSource(GraphSource):
-    """The union of several graphs.
-
-    Duplicate suppression is skipped when the member graphs are known
-    to be disjoint (``disjoint=True``) — the dataset tracks this by
-    construction, so the common endpoint layout pays no dedup cost.
-    """
-
-    def __init__(self, graphs: Iterable[Graph],
-                 disjoint: bool = False) -> None:
-        self.graphs = [g for g in graphs]
-        self.disjoint = disjoint
-
-    def match(self, pattern) -> Iterator[Triple]:
-        if len(self.graphs) == 1:
-            yield from self.graphs[0].triples(pattern)
-            return
-        if self.disjoint:
-            for graph in self.graphs:
-                yield from graph.triples(pattern)
-            return
-        seen: set = set()
-        for graph in self.graphs:
-            for triple in graph.triples(pattern):
-                if triple not in seen:
-                    seen.add(triple)
-                    yield triple
-
-    def match_ids(self, pattern: IdPattern) -> Iterator[IdTriple]:
-        if len(self.graphs) == 1:
-            yield from self.graphs[0].triples_ids(pattern)
-            return
-        if self.disjoint:
-            for graph in self.graphs:
-                yield from graph.triples_ids(pattern)
-            return
-        seen: set = set()
-        for graph in self.graphs:
-            for ids in graph.triples_ids(pattern):
-                if ids not in seen:
-                    seen.add(ids)
-                    yield ids
-
-    def match_arrays(self, pattern: IdPattern):
-        if not self.graphs:
-            return None
-        if len(self.graphs) == 1:
-            return self.graphs[0].match_arrays(pattern)
-        if not self.disjoint:
-            return None  # dedup needs per-triple set probes
-        parts = []
-        for graph in self.graphs:
-            arrays = graph.match_arrays(pattern)
-            if arrays is None:
-                return None
-            parts.append(arrays)
-        return concat_arrays(parts)
-
-    def estimate(self, pattern) -> int:
-        return sum(graph.estimate(pattern) for graph in self.graphs)
-
-    def estimate_ids(self, pattern: IdPattern) -> int:
+        """Summed member counts (an upper bound on a union: exactness
+        would cost the dedup the estimate exists to avoid)."""
         return sum(graph.count_ids(pattern) for graph in self.graphs)
 
     def cache_key(self) -> tuple:
+        """Identity + mutation epochs, for the plan cache."""
         return tuple((id(graph), graph.epoch) for graph in self.graphs)
 
     def statistics(self) -> StatisticsView:
+        """The cost-based planner's O(1) statistics view."""
         return StatisticsView(self.graphs)
 
 
@@ -449,7 +357,6 @@ class DatasetContext:
     def default_source(self, from_graphs: Optional[List[IRI]] = None
                        ) -> GraphSource:
         active = from_graphs or self.from_graphs
-        disjoint = self.dataset.graphs_disjoint
         if active:
             # FROM clauses merge a *set* of graphs: repeating an IRI
             # must not repeat its triples
@@ -459,21 +366,20 @@ class DatasetContext:
                 if iri not in seen:
                     seen.add(iri)
                     distinct.append(iri)
-            return UnionGraphSource(
-                [self.dataset.graph(iri) for iri in distinct],
-                disjoint=disjoint)
+            return GraphSource(UnionView(
+                self.dataset,
+                [self.dataset.graph(iri) for iri in distinct]))
         if self.from_named:
             # FROM NAMED without FROM: the default graph is empty
-            return UnionGraphSource([])
+            return GraphSource(UnionView(self.dataset, []))
         if self.default_as_union:
-            graphs = [self.dataset.default] + list(self.dataset.graphs())
-            return UnionGraphSource(graphs, disjoint=disjoint)
-        return SingleGraphSource(self.dataset.default)
+            return GraphSource(UnionView(self.dataset))
+        return GraphSource(self.dataset.default)
 
     def named_source(self, iri: IRI) -> GraphSource:
         if self.has_dataset_clause and iri not in self.from_named:
-            return UnionGraphSource([])
-        return SingleGraphSource(self.dataset.graph(iri))
+            return GraphSource(UnionView(self.dataset, []))
+        return GraphSource(self.dataset.graph(iri))
 
     def named_graphs(self) -> List[Tuple[IRI, Graph]]:
         if self.has_dataset_clause:
@@ -743,13 +649,10 @@ class PatternEvaluator:
         return spec, new_names, probe_slots, dead
 
     def _vector_matches(self, source: GraphSource, base: IdPattern):
-        """Vectorized ``(S, P, O)`` match arrays for ``base``, or
-        ``None`` to fall back to ``match_ids``.  Accounted exactly like
-        the per-entry scan: every matched index entry bumps the probe
+        """The ``(S, P, O)`` match arrays for ``base``, accounted like
+        the point probes: every matched index entry bumps the probe
         counter and the governor's scan meter."""
         arrays = source.match_arrays(base)
-        if arrays is None:
-            return None
         entries = int(len(arrays[0]))
         if PROBE_COUNTER.active:
             PROBE_COUNTER.entries += entries
@@ -758,10 +661,10 @@ class PatternEvaluator:
         return arrays
 
     @staticmethod
-    def _masked_columns(arrays, n_positions, d_checks):
-        """Apply repeated-variable equality (``d`` spec entries) as one
-        boolean mask; return the new-variable columns post-mask plus
-        the surviving row count."""
+    def _extension_tuples(arrays, n_positions, d_checks) -> List[tuple]:
+        """One tuple of new-variable cells per match that passes the
+        repeated-variable equality (``d`` spec entries), which is
+        applied as one boolean mask."""
         mask = None
         for position, first in d_checks:
             eq = arrays[position] == arrays[first]
@@ -769,10 +672,11 @@ class PatternEvaluator:
         cols = [arrays[position] for position in n_positions]
         if mask is not None:
             cols = [col[mask] for col in cols]
-            survivors = int(np.count_nonzero(mask))
-        else:
-            survivors = int(len(arrays[0]))
-        return cols, survivors
+        if cols:
+            return list(zip(*[col.tolist() for col in cols]))
+        survivors = len(arrays[0]) if mask is None \
+            else int(np.count_nonzero(mask))
+        return [()] * survivors
 
     @staticmethod
     def _build_hash_memo(arrays, v_positions, n_positions, d_checks,
@@ -801,24 +705,23 @@ class PatternEvaluator:
         else:
             order = np.lexsort(tuple(reversed(key_cols)))
         key_cols = [col[order] for col in key_cols]
-        ext_cols = [col[order] for col in ext_cols]
-        changed = np.zeros(total, dtype=bool)
+        starts_run = np.zeros(total, dtype=bool)
+        starts_run[0] = True
         for col in key_cols:
-            changed[1:] |= col[1:] != col[:-1]
-        bounds = [0] + np.flatnonzero(changed).tolist() + [total]
-        keys_list = [col.tolist() for col in key_cols]
-        exts_list = [col.tolist() for col in ext_cols]
-        for index in range(len(bounds) - 1):
-            lo, hi = bounds[index], bounds[index + 1]
-            if single:
-                key = keys_list[0][lo]
-            else:
-                key = tuple(col[lo] for col in keys_list)
-            if exts_list:
-                ext_memo[key] = list(zip(*[col[lo:hi]
-                                           for col in exts_list]))
-            else:
-                ext_memo[key] = [()] * (hi - lo)
+            starts_run[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(starts_run)
+        heads = [col[starts].tolist() for col in key_cols]
+        # all extension tuples in one C-level zip, then one list slice
+        # per run: the paper's cubes have one triple per observation
+        # per predicate, so runs are as many as rows and per-run
+        # Python work is what a build costs
+        exts = list(zip(*[col[order].tolist() for col in ext_cols])) \
+            if ext_cols else [()] * total
+        bounds = starts.tolist()
+        bounds.append(total)
+        ext_memo.update(zip(
+            heads[0] if single else zip(*heads),
+            [exts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
 
     def _prefer_hash(self, source: GraphSource, base: IdPattern,
                      rows: int) -> bool:
@@ -829,48 +732,17 @@ class PatternEvaluator:
         small slices of a large scan and whose builds are cached."""
         return rows >= 64 and source.estimate_ids(base) <= 4 * rows
 
-    # repro: allow[governor-discipline] -- match_ids arrives pre-metered
-    def _hash_memo(self, source: GraphSource, base: IdPattern, match_ids,
+    def _hash_memo(self, source: GraphSource, base: IdPattern,
                    v_positions: List[int], n_positions: List[int],
                    d_checks: List[Tuple[int, int]], single: bool) -> Dict:
         """The build side of the hash join: extension tuples bucketed
-        per distinct join key, off one index scan — vectorized when
-        the source serves the range as arrays (sorted-run grouping),
-        per-entry otherwise.  Read-only to the probe side, so workers
-        may reuse one build across morsels."""
+        per distinct join key (sorted-run grouping), off one index
+        scan.  Read-only to the probe side, so workers may reuse one
+        build across morsels."""
         ext_memo: Dict = {}
-        arrays = self._vector_matches(source, base)
-        if arrays is not None:
-            self._build_hash_memo(arrays, v_positions, n_positions,
-                                  d_checks, single, ext_memo)
-            return ext_memo
-        v_pos0 = v_positions[0]
-        n_count = len(n_positions)
-        np0 = n_positions[0] if n_count > 0 else -1
-        np1 = n_positions[1] if n_count > 1 else -1
-        # the callable arrives pre-metered from _step_triple (wrapped
-        # with self._gov.metered there), so every entry is charged
-        for match in match_ids(base):
-            if d_checks and any(match[a] != match[b]
-                                for a, b in d_checks):
-                continue
-            if single:
-                key = match[v_pos0]
-            else:
-                key = tuple(match[position] for position in v_positions)
-            if n_count == 1:
-                ext = (match[np0],)
-            elif n_count == 2:
-                ext = (match[np0], match[np1])
-            elif n_count == 0:
-                ext = ()
-            else:
-                ext = tuple(match[position] for position in n_positions)
-            got = ext_memo.get(key)
-            if got is None:
-                ext_memo[key] = [ext]
-            else:
-                got.append(ext)
+        self._build_hash_memo(self._vector_matches(source, base),
+                              v_positions, n_positions, d_checks, single,
+                              ext_memo)
         return ext_memo
 
     def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
@@ -882,45 +754,18 @@ class PatternEvaluator:
         if dead or not rows:
             return BindingTable(out_names, [])
         base = _base_pattern(spec)
-        out_rows: List[tuple] = []
-        match_ids = source.match_ids
-        if PROBE_COUNTER.active:
-            match_ids = _counted(match_ids)
-        if self._gov is not None:
-            # long index scans (the hash-join build) stay interruptible
-            # between batch boundaries: one deadline check per stride
-            match_ids = self._gov.metered(match_ids)
+        n_positions = [position for position, (kind, _) in enumerate(spec)
+                       if kind == "n"]
+        d_checks = [(position, value) for position, (kind, value)
+                    in enumerate(spec) if kind == "d"]
 
         if not probe_slots:
             # no shared variables: one scan, applied to every row
             self._last_strategy = "scan"
-            arrays = self._vector_matches(source, base)
-            if arrays is not None:
-                cols, survivors = self._masked_columns(
-                    arrays,
-                    [position for position, (kind, _) in enumerate(spec)
-                     if kind == "n"],
-                    [(position, value) for position, (kind, value)
-                     in enumerate(spec) if kind == "d"])
-                if cols:
-                    exts = list(zip(*[col.tolist() for col in cols]))
-                else:
-                    exts = [()] * survivors
-            else:
-                exts = []
-                for match in match_ids(base):
-                    ok = True
-                    ext = []
-                    for position, (kind, value) in enumerate(spec):
-                        if kind == "n":
-                            ext.append(match[position])
-                        elif kind == "d" and match[position] != match[value]:
-                            ok = False
-                            break
-                    if ok:
-                        exts.append(tuple(ext))
-            out_rows = [row + ext for row in rows for ext in exts]
-            return BindingTable(out_names, out_rows)
+            exts = self._extension_tuples(
+                self._vector_matches(source, base), n_positions, d_checks)
+            return BindingTable(
+                out_names, [row + ext for row in rows for ext in exts])
 
         # shared-variable join.  Rows whose join-key cells are all bound
         # take the fast path: per distinct key, the matching *extension
@@ -931,10 +776,6 @@ class PatternEvaluator:
         # capture-aware application.
         v_positions = [position for position, (kind, _) in enumerate(spec)
                        if kind == "v"]
-        n_positions = [position for position, (kind, _) in enumerate(spec)
-                       if kind == "n"]
-        d_checks = [(position, value) for position, (kind, value)
-                    in enumerate(spec) if kind == "d"]
         single = len(probe_slots) == 1
         slot0 = probe_slots[0]
         v_pos0 = v_positions[0]
@@ -942,6 +783,12 @@ class PatternEvaluator:
         np0 = n_positions[0] if n_count > 0 else -1
         np1 = n_positions[1] if n_count > 1 else -1
         template = [value if kind == "c" else None for kind, value in spec]
+        # index probes with a bound key read per-entry tuples
+        match_ids = source.match_ids
+        if PROBE_COUNTER.active:
+            match_ids = _counted(match_ids)
+        if self._gov is not None:
+            match_ids = self._gov.metered(match_ids)
 
         def extensions(matches) -> list:
             exts = []
@@ -972,14 +819,14 @@ class PatternEvaluator:
         use_hash = self._prefer_hash(source, base, len(rows))
         self._last_strategy = "hash" if use_hash else "probe"
         if use_hash:
-            ext_memo = self._hash_memo(source, base, match_ids,
-                                       v_positions, n_positions,
-                                       d_checks, single)
+            ext_memo = self._hash_memo(source, base, v_positions,
+                                       n_positions, d_checks, single)
         else:
             ext_memo = {}
 
         raw_memo: Dict = {}  # distinct key -> raw matches (capture rows)
         emit = self._emit
+        out_rows: List[tuple] = []
         for row in rows:
             if single:
                 key = row[slot0]
@@ -1166,44 +1013,23 @@ class PatternEvaluator:
         d_checks = [(position, value) for position, (kind, value)
                     in enumerate(spec) if kind == "d"]
         arrays = source.match_arrays(base)
-        if arrays is not None:
-            # vectorized scan, windowed so early termination (LIMIT)
-            # still leaves the tail untouched and unaccounted: probes
-            # and governor charges land per consumed window only
-            counter = PROBE_COUNTER
-            gov = self._gov
-            total = int(len(arrays[0]))
-            for start in range(0, total, batch):
-                stop = min(start + batch, total)
-                if counter.active:
-                    counter.entries += stop - start
-                if gov is not None:
-                    gov.charge_scan(stop - start)
-                window = tuple(col[start:stop] for col in arrays)
-                cols, survivors = self._masked_columns(
-                    window, n_positions, d_checks)
-                if cols:
-                    chunk = list(zip(*[col.tolist() for col in cols]))
-                else:
-                    chunk = [()] * survivors
-                if chunk:
-                    yield BindingTable(names, chunk)
-            return
-        match_ids = source.match_ids
-        if PROBE_COUNTER.active:
-            match_ids = _counted(match_ids)
-        if self._gov is not None:
-            match_ids = self._gov.metered(match_ids)
-        rows: List[tuple] = []
-        for match in match_ids(base):
-            if d_checks and any(match[a] != match[b] for a, b in d_checks):
-                continue
-            rows.append(tuple(match[position] for position in n_positions))
-            if len(rows) >= batch:
-                yield BindingTable(names, rows)
-                rows = []
-        if rows:
-            yield BindingTable(names, rows)
+        # windowed so early termination (LIMIT) leaves the tail
+        # undecoded and unaccounted: probes and governor charges land
+        # per consumed window only
+        counter = PROBE_COUNTER
+        gov = self._gov
+        total = int(len(arrays[0]))
+        for start in range(0, total, batch):
+            stop = min(start + batch, total)
+            if counter.active:
+                counter.entries += stop - start
+            if gov is not None:
+                gov.charge_scan(stop - start)
+            chunk = self._extension_tuples(
+                tuple(col[start:stop] for col in arrays),
+                n_positions, d_checks)
+            if chunk:
+                yield BindingTable(names, chunk)
 
     # -- non-BGP operators ---------------------------------------------------
 
@@ -1418,7 +1244,7 @@ class PatternEvaluator:
                     table.names + (name,),
                     [row + (graph_id,) for row in table.rows])
             results.append(self.solve(
-                node.child, SingleGraphSource(graph), seeded))
+                node.child, GraphSource(graph), seeded))
         if not results:
             extra = () if slot is not None else (name,)
             return BindingTable(table.names + extra, [])
@@ -1695,7 +1521,7 @@ class PatternEvaluator:
                 seeded = dict(binding)
                 seeded[node.name.name] = iri
                 yield from self.evaluate(
-                    node.child, SingleGraphSource(graph), seeded)
+                    node.child, GraphSource(graph), seeded)
             return
         yield from self.evaluate(
             node.child, self.context.named_source(node.name), binding)

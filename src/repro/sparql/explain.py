@@ -15,8 +15,7 @@ query's pattern is actually executed and every step line gains the
 *actual* row count and strategy, so remaining estimate errors are
 directly visible next to what the average-only model would have
 guessed.  A plan ordered by the greedy fallback (BGPs above the DP
-pattern limit, or statistics-less sources) says so on its header
-instead of falling back silently.  This is the debugging surface the
+pattern limit) says so on its header instead of falling back silently.  This is the debugging surface the
 paper's users get from ``EXPLAIN`` on a production endpoint (Virtuoso
 prints a similar operator tree).
 

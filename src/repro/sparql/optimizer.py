@@ -62,7 +62,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.rdf.stats import StatisticsView, statistics_for
+from repro.rdf.stats import StatisticsView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.sparql.algebra import (
     BGP,
@@ -412,9 +412,8 @@ class PhysicalPlan:
     no value-aware constants) — together with the per-step
     :attr:`PlanStep.bracket` it describes when this plan may be reused
     for other constants.  ``fallback`` records a non-exhaustive
-    ordering decision (the greedy walk above :data:`DP_PATTERN_LIMIT`,
-    or the legacy path for statistics-less sources) so EXPLAIN can
-    surface what used to be a silent fallback.
+    ordering decision (the greedy walk above :data:`DP_PATTERN_LIMIT`)
+    so EXPLAIN can surface what used to be a silent fallback.
     """
 
     __slots__ = ("order", "steps", "est_rows", "cost", "bands", "fallback")
@@ -561,9 +560,7 @@ def plan_physical(patterns: Sequence, source,
     n = len(patterns)
     if n == 0:
         return PhysicalPlan([], [], 1.0, 0.0)
-    stats = statistics_for(source)
-    if stats is None:
-        return _legacy_plan(patterns, source, bound0)
+    stats = source.statistics()
     costs = [_compile_cost(pattern, stats) for pattern in patterns]
     fallback = None
     if n <= DP_PATTERN_LIMIT:
@@ -577,74 +574,6 @@ def plan_physical(patterns: Sequence, source,
             "falling back to greedy join ordering", n, DP_PATTERN_LIMIT)
     return PhysicalPlan(list(order), _build_steps(order, costs, bound0),
                         est_rows=rows, cost=total, fallback=fallback)
-
-
-# -- legacy greedy (sources without a statistics layer) ----------------------
-
-
-def _static_rank(pattern, bound: set, source) -> Tuple[int, int, int]:
-    """Greedy rank under the assumption that ``bound`` vars are bound:
-    (disconnected?, number of effectively-unbound positions, estimate).
-    """
-    if isinstance(pattern, PathPatternNode):
-        names = [position.name for position in pattern.endpoints()
-                 if isinstance(position, Var)]
-        connected = not names or any(name in bound for name in names)
-        unbound = sum(1 for name in names if name not in bound)
-        return (0 if connected else 1, unbound + 1, 4096)
-    wildcards = 0
-    shares_bound = False
-    has_vars = False
-    concrete: List[Optional[Term]] = []
-    for position in pattern.positions():
-        if isinstance(position, Var):
-            has_vars = True
-            if position.name in bound:
-                shares_bound = True
-            else:
-                wildcards += 1
-            concrete.append(None)
-        else:
-            concrete.append(position)
-    connected = shares_bound or not has_vars or not bound
-    return (0 if connected else 1, wildcards, source.estimate(
-        (concrete[0], concrete[1], concrete[2])))
-
-
-def _legacy_plan(patterns: Sequence, source,
-                 bound0: frozenset) -> PhysicalPlan:
-    """The pre-statistics greedy ordering, wrapped as a physical plan.
-
-    Only sources without a ``statistics()`` view (exotic test doubles)
-    take this path; estimates come from exact per-pattern counts.
-    """
-    bound: set = set(bound0)
-    remaining = list(range(len(patterns)))
-    order: List[int] = []
-    steps: List[PlanStep] = []
-    rows = 1.0
-    total = 0.0
-    while remaining:
-        best = remaining[0]
-        best_rank = _static_rank(patterns[best], bound, source)
-        for index in remaining[1:]:
-            rank = _static_rank(patterns[index], bound, source)
-            if rank < best_rank:
-                best, best_rank = index, rank
-        remaining.remove(best)
-        order.append(best)
-        estimate = float(best_rank[2])
-        out_rows = max(rows, estimate)
-        total += out_rows
-        strategy = "path" if isinstance(patterns[best], PathPatternNode) \
-            else ("probe" if patterns[best].variables() & bound else "scan")
-        steps.append(PlanStep(best, strategy, rows, out_rows, estimate,
-                              stream_safe=bool(steps) or strategy != "path"))
-        rows = out_rows
-        bound |= patterns[best].variables()
-    return PhysicalPlan(order, steps, est_rows=rows, cost=total,
-                        fallback="legacy greedy: source has no "
-                                 "statistics view")
 
 
 def plan_order(patterns: Sequence, source,
@@ -953,16 +882,16 @@ def bgp_parameters(node: BGP) -> tuple:
     return _signature_and_params(node)[1]
 
 
-def constant_bands(node: BGP, stats: Optional[StatisticsView]) -> tuple:
+def constant_bands(node: BGP, stats: StatisticsView) -> tuple:
     """The selectivity-band vector of a BGP's value-aware constants.
 
     One band per pattern that has a constant subject/object under a
     concrete predicate, in pattern order — the coordinates the plan
     cache distinguishes brackets by.  ``()`` when value-aware costing
-    is off, the source has no statistics, or no pattern qualifies, so
-    band-free shapes keep exactly the pre-v2 cache behaviour.
+    is off or no pattern qualifies, so band-free shapes keep exactly
+    the pre-v2 cache behaviour.
     """
-    if not CONSTANT_AWARE or stats is None:
+    if not CONSTANT_AWARE:
         return ()
     bands: List[int] = []
     for pattern in node.patterns:
@@ -1005,7 +934,7 @@ def get_plan(node: BGP, bound_names: frozenset, source) -> PhysicalPlan:
     bands_key = (source_key, CONSTANT_AWARE)
     bands = bands_cache.get(bands_key)
     if bands is None:
-        bands = constant_bands(node, statistics_for(source))
+        bands = constant_bands(node, source.statistics())
         if len(bands_cache) >= 8:
             bands_cache.clear()
         bands_cache[bands_key] = bands

@@ -49,8 +49,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, \
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.rdf import shm
 from repro.rdf.columnar import IdPattern, TripleColumns, concat_arrays
 from repro.rdf.concurrency import SHM_SEGMENTS
@@ -63,9 +61,7 @@ from repro.sparql.errors import QueryExecutionError
 from repro.sparql.evaluator import (
     DatasetContext,
     PatternEvaluator,
-    SingleGraphSource,
     STREAMING_ENABLED,
-    UnionGraphSource,
     would_stream,
 )
 from repro.sparql.expressions import (
@@ -92,21 +88,6 @@ DEFAULT_WORKERS = 4
 #: the granularity at which deadlines/cancellation are enforced over a
 #: running parallel query.
 _POLL_SECONDS = 0.02
-
-def _effective_columns(graph: GraphSnapshot) -> TripleColumns:
-    """The complete, immutable column view of one pinned graph.
-
-    Published snapshots usually carry a compacted generation and no
-    tombstones; a small uncompacted delta (or a column-less tiny graph)
-    is folded into a fresh generation here so workers always see one
-    sorted array set per graph.
-    """
-    columns = graph._columns
-    if columns is None:
-        return TripleColumns.build(graph.triples_ids())
-    if graph._tombstones or graph._delta_size:
-        return columns.merged(graph._spo, graph._tombstones)
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +131,17 @@ class _WorkerMorselSource:
     """This task's assigned first-step range: a contiguous slice of
     one graph's chosen sort order, served zero-copy."""
 
-    __slots__ = ("_columns", "_order", "_lo", "_hi")
+    __slots__ = ("_generation", "_order", "_lo", "_hi")
 
     def __init__(self, columns: TripleColumns, order: str,
                  lo: int, hi: int) -> None:
-        self._columns = columns
+        self._generation = columns
         self._order = order
         self._lo = lo
         self._hi = hi
 
     def match_arrays(self, pattern: IdPattern):
-        s, p, o = self._columns._orders[self._order]
+        s, p, o = self._generation._orders[self._order]
         return s[self._lo:self._hi], p[self._lo:self._hi], \
             o[self._lo:self._hi]
 
@@ -179,27 +160,23 @@ class _WorkerUnionSource:
     ``cache_token`` identifies the immutable column set (its segment
     names), so join builds over it are cacheable across morsels."""
 
-    __slots__ = ("_columns", "cache_token")
+    __slots__ = ("_members", "cache_token")
 
     def __init__(self, columns: Sequence[TripleColumns],
                  cache_token: Tuple[str, ...]) -> None:
-        self._columns = [member for member in columns if member.size]
+        self._members = [member for member in columns if member.size]
         self.cache_token = cache_token
 
     def match_arrays(self, pattern: IdPattern):
-        parts = [member.arrays(pattern) for member in self._columns]
-        parts = [part for part in parts if len(part[0])]
-        if not parts:
-            empty = np.empty(0, dtype=np.int32)
-            return (empty, empty, empty)
-        return concat_arrays(parts)
+        parts = [member.arrays(pattern) for member in self._members]
+        return concat_arrays([part for part in parts if len(part[0])])
 
     def match_ids(self, pattern: IdPattern):
-        for member in self._columns:
+        for member in self._members:
             yield from member.scan(pattern)
 
     def estimate_ids(self, pattern: IdPattern) -> int:
-        return sum(member.count(pattern) for member in self._columns)
+        return sum(member.count(pattern) for member in self._members)
 
 
 def _worker_prune(task: Dict[str, Any]) -> None:
@@ -253,20 +230,18 @@ class _WorkerEvaluator(PatternEvaluator):
             return rows > 0
         return super()._prefer_hash(source, base, rows)
 
-    def _hash_memo(self, source, base, match_ids, v_positions,
+    def _hash_memo(self, source, base, v_positions,
                    n_positions, d_checks, single) -> Dict:
         token = getattr(source, "cache_token", None)
         if token is None:
-            return super()._hash_memo(source, base, match_ids,
-                                      v_positions, n_positions,
-                                      d_checks, single)
+            return super()._hash_memo(source, base, v_positions,
+                                      n_positions, d_checks, single)
         key = (token, base, tuple(v_positions), tuple(n_positions),
                tuple(d_checks), single)
         memo = _WORKER_MEMOS.get(key)
         if memo is None:
-            memo = super()._hash_memo(source, base, match_ids,
-                                      v_positions, n_positions,
-                                      d_checks, single)
+            memo = super()._hash_memo(source, base, v_positions,
+                                      n_positions, d_checks, single)
             _WORKER_MEMOS[key] = memo
         return memo
 
@@ -550,14 +525,10 @@ class ParallelExecutor:
             return _Probe("BGP contains property paths")
         if not isinstance(context.dataset, DatasetSnapshot):
             return _Probe("not running against a pinned snapshot")
-        if isinstance(source, SingleGraphSource):
-            graphs = [source.graph]
-        elif isinstance(source, UnionGraphSource):
-            graphs = list(source.graphs)
-            if len(graphs) > 1 and not source.disjoint:
-                return _Probe("union source is not disjoint")
-        else:
-            return _Probe("unsupported source kind")
+        graphs = list(source.graphs)
+        if len(graphs) > 1 and not context.dataset.graphs_disjoint:
+            # morsels are per-member ranges: nothing would dedup them
+            return _Probe("union source is not disjoint")
         if any(not isinstance(graph, GraphSnapshot) for graph in graphs):
             return _Probe("source graphs are not pinned snapshots")
         if evaluator._bgp_dead(node.patterns):
@@ -620,7 +591,7 @@ class ParallelExecutor:
 
             def build(graph: GraphSnapshot = graph
                       ) -> Tuple[object, Sequence[object]]:
-                columns = _effective_columns(graph)
+                columns = graph.folded_columns()
                 segment, manifest, view = shm.export_columns(
                     columns, shm.segment_name("col"))
                 return (manifest, view), (segment,)

@@ -196,6 +196,24 @@ FIXTURES = {
             return plan
         """,
     ),
+    "storage-tiers-private": (
+        """
+        def gather(graph, pattern):
+            arrays = graph.match_arrays(pattern)
+            if arrays is None:
+                return list(graph.triples_ids(pattern))
+            if graph._tombstones:
+                return graph._columns.merged(graph._spo, graph._tombstones)
+            return arrays
+        """,
+        LIBRARY,
+        """
+        def gather(graph, pattern):
+            subjects, _, objects = graph.match_arrays(pattern)
+            columns = graph.folded_columns()
+            return subjects, objects, columns, graph.tier_sizes()
+        """,
+    ),
 }
 
 
@@ -304,6 +322,24 @@ def test_parallel_safety_covers_every_kernel_function():
         raise RuntimeError(keyword)
     """
     assert findings_for(raw, kernel, "error-taxonomy")
+
+
+def test_storage_tiers_are_the_graphs_own():
+    """graph.py itself may read its tiers, but not even it may treat a
+    ``match_arrays`` answer as optional; non-``src/`` files are free."""
+    source = """
+    class Graph:
+        def match_arrays(self, pattern):
+            return self._columns.arrays(pattern, self._tombstones)
+
+        def scan(self, pattern):
+            if self.match_arrays(pattern) is not None:
+                return 1
+    """
+    found = findings_for(source, GRAPH, "storage-tiers-private")
+    assert len(found) == 1 and "None" in found[0].message
+    assert findings_for(source, "benchmarks/check_join.py",
+                        "storage-tiers-private") == []
 
 
 def test_rules_scoped_to_their_paths():

@@ -170,18 +170,6 @@ def test_empty_plan_is_valid():
     verify_plan(PhysicalPlan([], [], 1.0, 0.0), [])
 
 
-def test_legacy_plan_verifies(patterns):
-    class Statless:
-        """A plannable source with no statistics view."""
-
-        def estimate(self, pattern):
-            return 5
-
-    plan = optimizer._legacy_plan(patterns, Statless(), frozenset())
-    assert plan.fallback is not None
-    verify_plan(plan, patterns)
-
-
 def test_runtime_hook_fires(endpoint, patterns, monkeypatch):
     import repro.sparql.plan_verifier as core
 

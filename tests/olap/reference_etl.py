@@ -1,0 +1,68 @@
+"""The per-observation fact extractor: the ETL's test oracle.
+
+This is the member-at-a-time walk ``repro.olap.etl`` shipped before the
+columnar extractor replaced it (``subject_predicates`` per observation,
+minimum :func:`~repro.olap.etl.deterministic_key` term per property).
+It is the *semantics reference*: ``tests/olap/test_etl_vectorized.py``
+requires the production extractor to be byte-identical to it, and
+``benchmarks/check_olap.py`` gates the production extractor's speed-up
+against it.  Dimension tables come from the production code — only the
+fact walk is independent.
+"""
+
+import time
+from typing import Tuple
+
+import numpy as np
+
+from repro.olap.etl import (
+    _measure_value,
+    deterministic_key,
+    extract_star_schema,
+)
+from repro.olap.star import FactTable, StarSchema
+from repro.qb import vocabulary as qb
+
+
+def reference_facts(graph, schema, star: StarSchema) -> FactTable:
+    dimension_order = sorted(star.dimensions, key=lambda iri: iri.value)
+    bottoms = {iri: schema.bottom_level(iri) for iri in dimension_order}
+    observations = list(graph.subjects(qb.dataSet, schema.dataset))
+    observations.sort(key=lambda t: getattr(t, "value", str(t)))
+    n = len(observations)
+
+    coordinate_arrays = {
+        iri: np.full(n, -1, dtype=np.int64) for iri in dimension_order}
+    measure_arrays = {
+        measure.iri: np.full(n, np.nan, dtype=np.float64)
+        for measure in schema.measures}
+
+    for row, observation in enumerate(observations):
+        properties = graph.subject_predicates(observation)
+        for iri in dimension_order:
+            bottom_prop = bottoms[iri]
+            values = properties.get(bottom_prop)
+            if values:
+                code = star.dimensions[iri].bottom_code(
+                    min(values, key=deterministic_key))
+                if code is not None:
+                    coordinate_arrays[iri][row] = code
+        for measure in schema.measures:
+            values = properties.get(measure.iri)
+            if values:
+                term = min(values, key=deterministic_key)
+                measure_arrays[measure.iri][row] = _measure_value(term)
+
+    return FactTable(coordinates=coordinate_arrays,
+                     measures=measure_arrays)
+
+
+def reference_star_schema(endpoint, schema) -> Tuple[StarSchema, float]:
+    """``(star, seconds)``: the production dimension tables with the
+    fact table rebuilt by the per-observation walk, and how long that
+    walk took."""
+    star, _ = extract_star_schema(endpoint, schema)
+    graph = endpoint.dataset.union()
+    started = time.perf_counter()
+    star.facts = reference_facts(graph, schema, star)
+    return star, time.perf_counter() - started

@@ -1,4 +1,4 @@
-"""Vectorized-ETL tests: columnar/reference equivalence, determinism
+"""Columnar-ETL tests: production/oracle equivalence, determinism
 regressions (hash-order multi-value picks, multi-target roll-ups),
 missing-value sentinels, and the FactColumns snapshot layout."""
 
@@ -19,6 +19,8 @@ from repro.rdf.namespace import SKOS
 from repro.sparql import LocalEndpoint
 from repro.olap.etl import deterministic_key, extract_star_schema
 from repro.olap.star import FactColumns, _code_dtype
+
+from tests.olap.reference_etl import reference_star_schema
 
 EX = Namespace("http://example.org/etl/")
 
@@ -66,6 +68,19 @@ def tiny_endpoint(order: str = "forward") -> LocalEndpoint:
     return endpoint
 
 
+def production(endpoint, schema):
+    return extract_star_schema(endpoint, schema)[0]
+
+
+def oracle(endpoint, schema):
+    return reference_star_schema(endpoint, schema)[0]
+
+
+#: the production extractor and the per-observation oracle must obey
+#: the same determinism / sentinel contract
+EXTRACTORS = [production, oracle]
+
+
 def assert_identical(left, right):
     assert set(left.facts.coordinates) == set(right.facts.coordinates)
     for iri, codes in left.facts.coordinates.items():
@@ -77,30 +92,24 @@ def assert_identical(left, right):
 
 class TestVectorizedEquivalence:
     def test_matches_reference_on_demo(self, endpoint, schema):
-        fast, fast_report = extract_star_schema(endpoint, schema)
-        slow, slow_report = extract_star_schema(endpoint, schema,
-                                                vectorized=False)
-        assert fast_report.vectorized and not slow_report.vectorized
-        assert_identical(fast, slow)
+        assert_identical(production(endpoint, schema),
+                         oracle(endpoint, schema))
 
     def test_matches_reference_on_dirty_cube(self):
         endpoint = tiny_endpoint()
-        fast, _ = extract_star_schema(endpoint, tiny_schema())
-        slow, _ = extract_star_schema(endpoint, tiny_schema(),
-                                      vectorized=False)
-        assert_identical(fast, slow)
+        assert_identical(production(endpoint, tiny_schema()),
+                         oracle(endpoint, tiny_schema()))
         endpoint.close()
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_multivalued_picks_minimum_key(self, vectorized):
+    @pytest.mark.parametrize("extract", EXTRACTORS)
+    def test_multivalued_picks_minimum_key(self, extract):
         """Regression: the extractor used to take ``next(iter(set))``
         for multi-valued observation properties — hash order."""
         for order in ("forward", "reversed"):
             endpoint = tiny_endpoint(order)
-            star, _ = extract_star_schema(endpoint, tiny_schema(),
-                                          vectorized=vectorized)
+            star = extract(endpoint, tiny_schema())
             table = star.dimensions[EX.geoDim]
             codes = star.facts.coordinates[EX.geoDim]
             # obs1's dimension value: cityA < cityB by deterministic key
@@ -109,14 +118,13 @@ class TestDeterminism:
             assert star.facts.measures[EX.amount][0] == 3.0, order
             endpoint.close()
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_rollup_picks_minimum_broader_target(self, vectorized):
+    @pytest.mark.parametrize("extract", EXTRACTORS)
+    def test_rollup_picks_minimum_broader_target(self, extract):
         """Regression: ``_compose_rollups`` used to keep the first
         ``skos:broader`` target iteration happened to yield."""
         for order in ("forward", "reversed"):
             endpoint = tiny_endpoint(order)
-            star, _ = extract_star_schema(endpoint, tiny_schema(),
-                                          vectorized=vectorized)
+            star = extract(endpoint, tiny_schema())
             table = star.dimensions[EX.geoDim]
             ancestor = table.map_to_level(EX.region)
             members = table.members_at(EX.region)
@@ -145,23 +153,21 @@ class TestDeterminism:
 
 
 class TestMissingValueSentinels:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_missing_measure_is_nan(self, vectorized):
+    @pytest.mark.parametrize("extract", EXTRACTORS)
+    def test_missing_measure_is_nan(self, extract):
         endpoint = tiny_endpoint()
-        star, _ = extract_star_schema(endpoint, tiny_schema(),
-                                      vectorized=vectorized)
+        star = extract(endpoint, tiny_schema())
         values = star.facts.measures[EX.amount]
         assert np.isnan(values[1])  # obs2 has no amount
         endpoint.close()
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_non_member_value_is_minus_one(self, vectorized):
+    @pytest.mark.parametrize("extract", EXTRACTORS)
+    def test_non_member_value_is_minus_one(self, extract):
         endpoint = tiny_endpoint()
         graph = endpoint.dataset.default
         graph.add(EX.obs3, qb.dataSet, EX.ds)
         graph.add(EX.obs3, EX.city, EX.nowhere)  # not a city member
-        star, _ = extract_star_schema(endpoint, tiny_schema(),
-                                      vectorized=vectorized)
+        star = extract(endpoint, tiny_schema())
         assert star.facts.coordinates[EX.geoDim][2] == -1
         assert np.isnan(star.facts.measures[EX.amount][2])
         endpoint.close()

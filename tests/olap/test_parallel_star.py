@@ -240,8 +240,14 @@ class TestWorkerFailures:
             assert workers
             for worker in workers:
                 os.kill(worker.pid, signal.SIGKILL)
+            # the pool's manager thread reaps dead workers too: whoever
+            # loses that waitpid race sees the exit code only once the
+            # winner has stored it, so poll instead of trusting one join
             for worker in workers:
-                worker.join(timeout=10)
+                for _ in range(1000):
+                    if not worker.is_alive():
+                        break
+                    worker.join(timeout=0.01)
                 assert not worker.is_alive()
             with pytest.raises(OLAPEngineError):
                 aggregator.evaluate(simplified)

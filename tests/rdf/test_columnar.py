@@ -126,6 +126,42 @@ class TestDtypeAndCeiling:
     def test_negative_ids_probe_empty(self, columns):
         assert columns.count((-5, None, None)) == 0
 
+    def test_probe_never_copies_the_column(self):
+        """Regression: ``searchsorted(int32 column, <Python int>)``
+        promoted — and copied — the whole first-stage column to int64
+        on every probe (4 MiB+ at this size, O(n) where the docstring
+        says O(log n)).  Measured by allocation, not by a clock."""
+        import tracemalloc
+
+        n = 1_000_000
+        rows = np.arange(n, dtype=np.int64)
+        cols = TripleColumns(rows % 5000, rows % 7, rows % 90001)
+        assert cols.arrays((None, None, None))[0].dtype == np.int32
+        s, p, o = 4242, 3, 4242 + 5000 * 9
+        shapes = [(None, None, None), (s, None, None), (None, p, None),
+                  (None, None, o), (s, p, None), (s, None, o),
+                  (None, p, o), (s, p, o)]
+        for shape in shapes:
+            cols.count(shape)  # warm any lazy numpy state
+        for shape in shapes:
+            tracemalloc.start()
+            try:
+                cols.count(shape)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (shape, peak)
+
+    def test_arrays_mask_dead_rows_in_place(self, columns, triples):
+        """``arrays(pattern, dead)`` leaves out exactly the named
+        stored triples and keeps the survivors' sorted order."""
+        for pattern in all_patterns(triples):
+            matches = list(columns.scan(pattern))
+            dead = matches[::3]
+            s, p, o = columns.arrays(pattern, dead)
+            kept = list(zip(s.tolist(), p.tolist(), o.tolist()))
+            assert kept == [m for m in matches if m not in set(dead)]
+
 
 class TestEmptyAndHelpers:
     def test_empty_columns(self):

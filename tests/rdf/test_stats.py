@@ -6,7 +6,6 @@ from repro.rdf.stats import (
     PredicateSummary,
     StatisticsView,
     build_predicate_summary,
-    statistics_for,
 )
 
 EX = Namespace("http://example.org/")
@@ -214,11 +213,11 @@ class TestAggregatedViews:
         assert stats.predicate_cardinality(EX.p) == 2
         assert stats.triple_count() == 2
 
-    def test_statistics_for_duck_typing(self):
+    def test_every_plannable_view_has_statistics(self):
         g = build_graph()
-        view = statistics_for(g)
-        assert isinstance(view, StatisticsView)
-        assert statistics_for(object()) is None
+        ds = Dataset()
+        for view in (g, g.snapshot(), ds.union()):
+            assert isinstance(view.statistics(), StatisticsView)
 
     def test_union_view_sums_constant_estimates(self):
         ds = Dataset()

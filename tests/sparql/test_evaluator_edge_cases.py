@@ -152,3 +152,46 @@ class TestBindChaining:
         """)
         first = t.to_python()[0]
         assert first["quad"] == first["double"] * 2
+
+
+class TestHashBuild:
+    """``_build_hash_memo`` against the per-entry bucketing it
+    replaced: same keys, same extension tuples, same order within a
+    key (the scan's order)."""
+
+    @pytest.mark.parametrize("v_positions,n_positions,d_checks", [
+        ([0], [2], []),          # the cube's shape: subject key, object out
+        ([2], [0], []),          # many rows per key
+        ([0], [], []),           # existence only
+        ([0, 2], [1], []),       # composite key
+        ([0], [1, 2], []),       # two new variables
+        ([0], [1], [(2, 1)]),    # repeated new variable
+    ])
+    def test_matches_per_entry_reference(self, v_positions, n_positions,
+                                         d_checks):
+        import random
+
+        import numpy as np
+
+        from repro.sparql.evaluator import PatternEvaluator
+
+        rng = random.Random(len(n_positions) * 7 + v_positions[0])
+        for rows in (0, 1, 7, 300):
+            triples = [(rng.randrange(40), rng.randrange(3),
+                        rng.randrange(5)) for _ in range(rows)]
+            arrays = tuple(np.array([t[i] for t in triples], dtype=np.int32)
+                           for i in range(3))
+            single = len(v_positions) == 1
+            expected = {}
+            for t in triples:
+                if any(t[a] != t[b] for a, b in d_checks):
+                    continue
+                key = t[v_positions[0]] if single \
+                    else tuple(t[p] for p in v_positions)
+                expected.setdefault(key, []).append(
+                    tuple(t[p] for p in n_positions))
+            memo = {}
+            PatternEvaluator._build_hash_memo(
+                arrays, v_positions, n_positions, d_checks, single, memo)
+            assert memo == expected
+            assert all(type(k) is (int if single else tuple) for k in memo)

@@ -35,6 +35,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     ``_Worker*`` classes, ``attach_*`` helpers, and every function of
     the star-query kernel) must stay shared-nothing: no endpoint, live
     graph/dataset/star-schema state, or parent module caches.
+``storage-tiers-private``
+    Under ``src/``, a graph's storage tiers (``_columns``,
+    ``_tombstones``, ``_spo`` / ``_pos`` / ``_osp``, ``_delta_size``)
+    are read only inside ``repro/rdf/graph.py``, and a
+    ``match_arrays(...)`` result is never compared with ``None``.
 """
 
 from __future__ import annotations
@@ -742,6 +747,76 @@ class ParallelSafetyRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# storage-tiers-private
+# ---------------------------------------------------------------------------
+
+
+class StorageTiersPrivateRule(Rule):
+    """One scan path: only the graph composes its storage tiers.
+
+    ``Graph.match_arrays`` / ``triples_ids`` / ``count_ids`` /
+    ``folded_columns`` answer for columns, overlay and tombstones
+    together, in every physical state.  A second composition written
+    elsewhere (the statistics builder, the parallel exporter and the
+    ETL each had one) silently diverges the next time a tier changes,
+    and a ``None`` test on ``match_arrays`` is the first line of a
+    second scan path — the contract is total, there is no fallback to
+    select.
+    """
+
+    id = "storage-tiers-private"
+    title = "storage tiers are composed only inside rdf/graph.py"
+    rationale = ("a hand-written columns+overlay+tombstones read outside "
+                 "the graph, or a fallback keyed on match_arrays() being "
+                 "None, re-creates the duplicate scan path ISSUE 15 "
+                 "deleted")
+
+    TIERS = {"_columns", "_tombstones", "_spo", "_pos", "_osp",
+             "_delta_size"}
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/")
+
+    @staticmethod
+    def _is_none(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        findings: List[Finding] = []
+        owner = path.endswith("repro/rdf/graph.py")
+        #: names bound directly from a ``match_arrays(...)`` call
+        results: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) \
+                    and "match_arrays" in called_names(node.value):
+                results.update(target.id for target in node.targets
+                               if isinstance(target, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not owner \
+                    and node.attr in self.TIERS:
+                findings.append(self.finding(
+                    path, node,
+                    f"storage tier `{node.attr}` read outside "
+                    f"repro/rdf/graph.py (ask the graph: match_arrays / "
+                    f"triples_ids / count_ids / folded_columns / "
+                    f"tier_sizes)", lines))
+            elif isinstance(node, ast.Compare) \
+                    and any(self._is_none(side) for side in
+                            [node.left, *node.comparators]):
+                for side in [node.left, *node.comparators]:
+                    if (isinstance(side, ast.Name) and side.id in results) \
+                            or "match_arrays" in called_names(side):
+                        findings.append(self.finding(
+                            path, node,
+                            "match_arrays() result compared with None "
+                            "(it always answers: there is no second scan "
+                            "path to fall back to)", lines))
+                        break
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -752,6 +827,7 @@ ALL_RULES: List[Rule] = [
     MutableDefaultRule(),
     AssertValidationRule(),
     ParallelSafetyRule(),
+    StorageTiersPrivateRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
