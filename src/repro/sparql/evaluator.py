@@ -1,7 +1,7 @@
 """SPARQL query evaluation over in-memory graphs.
 
-The evaluator interprets :mod:`repro.sparql.algebra` trees with a
-**batch columnar pipeline**: solutions flow between operators as
+The evaluator interprets :mod:`repro.sparql.algebra` trees with **one
+walker over id-level tables**: solutions flow between operators as
 :class:`~repro.sparql.bindings.BindingTable`\\ s of interned term ids,
 basic graph patterns execute as a sequence of join steps planned *once
 per bound-variable signature* (through the LRU plan cache in
@@ -26,25 +26,37 @@ needs to reason about skew, and each executed step's
 :class:`~repro.sparql.optimizer.PlanStep` carries the estimator label
 and average-only estimate that the trace threads to EXPLAIN.
 
-Queries with ``LIMIT`` but no ORDER BY / aggregation are **streamed**:
-the first join step's index scan is pulled in batches and the pipeline
-stops as soon as ``OFFSET + LIMIT`` output rows exist, instead of
-materializing the full :class:`BindingTable`.  ``DISTINCT`` streams
-through an incremental dedup operator (seen-set bounded by the row
-budget), ``REDUCED`` through adjacent dedup with no seen-set at all,
-and ``OPTIONAL`` executes as a streaming left-outer probe fed
-batch-by-batch from its required side (see :func:`_stream_select` and
-:meth:`PatternEvaluator.stream_tables`).  Streamability is carried on
-the plan IR (:attr:`~repro.sparql.optimizer.PhysicalPlan.streamable`)
-rather than re-derived here.
+The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
+query forms differ only in how they drain it:
+
+* **un-chunked** (:meth:`PatternEvaluator.solve`) — one table per
+  node; SELECT without LIMIT, CONSTRUCT, DESCRIBE and update ``WHERE``
+  clauses.
+* **chunked until enough rows exist** — queries with ``LIMIT`` but no
+  ORDER BY / aggregation pull the first join step's index scan in
+  windows and stop as soon as ``OFFSET + LIMIT`` output rows exist.
+  ``DISTINCT`` streams through an incremental dedup operator (seen-set
+  bounded by the row budget), ``REDUCED`` through adjacent dedup with
+  no seen-set at all, and ``OPTIONAL`` as a left-outer probe fed
+  piece-by-piece from its required side (see :func:`_stream_select`
+  and :meth:`PatternEvaluator.stream_tables`).  Streamability is
+  carried on the plan IR
+  (:attr:`~repro.sparql.optimizer.PhysicalPlan.streamable`) rather
+  than re-derived here.
+* **chunked until the first non-empty table**
+  (:meth:`PatternEvaluator.exists`) — ASK.  ``EXISTS`` is the same
+  drain seeded with every row of the table being filtered plus a row
+  marker, the way OPTIONAL seeds its right side, and stops once every
+  row has been seen in a solution.
+
+Every drain runs the same BGP step loop, so the ``evaluator.step``
+failpoint, the governor's per-step row charge and the step trace apply
+to all of them alike.
 
 Computed terms (BIND results, VALUES literals, seed bindings) intern
 into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
 discarded with the evaluator, so a long-lived endpoint's term
 dictionary only grows with *stored* data.
-
-Existence checks (ASK, EXISTS) use a separate *lazy* seeded pipeline
-that stops at the first solution; it shares the cached join orders.
 
 Dataset semantics follow Virtuoso's convenient default (and the paper's
 setup): with no ``FROM`` clause the default graph is the *union* of the
@@ -57,8 +69,9 @@ single graph) to the join pipeline through :class:`GraphSource`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
+    Set, Tuple, Union
 
 import numpy as np
 
@@ -115,12 +128,7 @@ from repro.sparql.expressions import (
     effective_boolean_value,
     order_key,
 )
-from repro.sparql.optimizer import (
-    get_plan,
-    stream_shape,
-    substituted,
-    substituted_endpoints,
-)
+from repro.sparql.optimizer import get_plan, stream_shape
 from repro.sparql.paths import evaluate_path
 from repro.sparql.results import ResultTable
 
@@ -209,6 +217,9 @@ class StreamTelemetry:
 #: The shared streaming-telemetry counters.
 STREAM_TELEMETRY = StreamTelemetry()
 
+#: Index entries per window of a chunked leading scan.
+_CHUNK = 512
+
 #: Kill switch for the streaming SELECT path (differential tests flip
 #: it off to compare streamed against fully materialized execution).
 STREAMING_ENABLED = True
@@ -263,8 +274,8 @@ class GraphSource:
 
     A thin adapter — storage semantics (tiers, tombstones, union dedup)
     all live in :mod:`repro.rdf.graph`.  It offers a term-level API
-    (``match`` / ``estimate``, used by property paths and the lazy
-    existence pipeline), an id-level one (``match_arrays`` for scans
+    (``match`` / ``estimate``, used by property paths and DESCRIBE),
+    an id-level one (``match_arrays`` for scans
     and hash builds, ``match_ids`` for point probes with a bound key,
     ``estimate_ids``), and what the planner keys on (``cache_key``,
     ``statistics``).
@@ -390,187 +401,27 @@ class DatasetContext:
                 if graph.identifier is not None]
 
 
-# ---------------------------------------------------------------------------
-# Lazy-path helpers (existence checks)
-# ---------------------------------------------------------------------------
+class JoinSteps:
+    """The BGP join steps: one triple or path pattern at a time, joined
+    into a :class:`BindingTable` of interned term ids.
 
-
-def _try_extend(binding: Binding, pattern: TriplePatternNode,
-                triple: Triple) -> Optional[Binding]:
-    """Extend ``binding`` with the matches of ``pattern`` against ``triple``.
-
-    Returns ``None`` when a variable would need two different values
-    (repeated-variable consistency).
-    """
-    extension: Optional[Binding] = None
-    for position, value in zip(pattern.positions(), triple):
-        if isinstance(position, Var):
-            current = binding.get(position.name)
-            if current is None and extension is not None:
-                current = extension.get(position.name)
-            if current is None:
-                if extension is None:
-                    extension = {}
-                extension[position.name] = value
-            elif current != value:
-                return None
-        elif position != value:
-            return None
-    if extension is None:
-        return dict(binding)
-    merged = dict(binding)
-    merged.update(extension)
-    return merged
-
-
-def _compatible(left: Binding, right: Binding) -> bool:
-    for name, value in right.items():
-        if name in left and left[name] != value:
-            return False
-    return True
-
-
-class PatternEvaluator:
-    """Evaluates pattern nodes against a dataset context.
-
-    Two pipelines share the cached join plans:
-
-    * :meth:`solve` — the batch columnar pipeline; tables in, tables
-      out.  This is what SELECT / CONSTRUCT / DESCRIBE / updates use.
-    * :meth:`evaluate` — the lazy seeded generator, which stops work at
-      the first solution; ASK and EXISTS use it.
+    A step joins via a hash join over a single index scan or via
+    memoized index probes keyed on the distinct join values; that
+    choice (:meth:`_prefer_hash`) and the hash build
+    (:meth:`_hash_memo`) are methods so the morsel workers of
+    :mod:`repro.sparql.parallel` can override them.
     """
 
-    def __init__(self, context: DatasetContext,
-                 eval_context: Optional[EvalContext] = None) -> None:
-        self.context = context
-        self.eval_context = eval_context or EvalContext()
+    def __init__(self, dictionary, governor) -> None:
+        #: where pattern constants are looked up and computed terms
+        #: interned
+        self._dict = dictionary
         #: per-request governor (deadline/budget/cancellation checks at
         #: batch boundaries); ``None`` on ungoverned requests, so the
         #: fast path costs one ``is not None`` test per boundary
-        self._gov = getattr(context, "governor", None)
-        if self._gov is not None:
-            # a dead-on-arrival request (cancelled token, expired
-            # deadline) dies here, before any evaluation work — this
-            # also covers lazy early-exit paths (ASK) that may finish
-            # without ever reaching a batch boundary
-            self._gov.check()
-        #: per-query overlay: computed BIND/VALUES terms intern into a
-        #: discardable overflow id range, never into the base dictionary
-        self._dict = context.dataset.dictionary.overlay()
-        self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
-        self._subselect_rows: Dict[tuple, List[Binding]] = {}
-        self._visible_cache: Dict[Tuple[str, ...], list] = {}
-        self._marker_count = 0
-        #: when set to a list, every executed join step appends a
-        #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
-        self.trace: Optional[List[StepTrace]] = None
+        self._gov = governor
+        #: how the last :meth:`_step_triple` / :meth:`_step_path` joined
         self._last_strategy = "scan"
-
-    # ==================================================================
-    # Batch columnar pipeline
-    # ==================================================================
-
-    def solve(self, node: PatternNode, source: GraphSource,
-              table: Optional[BindingTable] = None) -> BindingTable:
-        """Evaluate ``node`` over every row of ``table`` at once."""
-        if table is None:
-            table = BindingTable.unit()
-        if isinstance(node, BGP):
-            return self._solve_bgp(node, source, table)
-        if isinstance(node, Join):
-            return self.solve(node.right, source,
-                              self.solve(node.left, source, table))
-        if isinstance(node, LeftJoin):
-            return self._solve_left_join(node, source, table)
-        if isinstance(node, UnionNode):
-            return table_concat([self.solve(node.left, source, table),
-                                 self.solve(node.right, source, table)])
-        if isinstance(node, Minus):
-            return self._solve_minus(node, source, table)
-        if isinstance(node, Filter):
-            return self._solve_filter(node, source, table)
-        if isinstance(node, Extend):
-            return self._solve_extend(node, source, table)
-        if isinstance(node, ValuesNode):
-            return self._solve_values(node, table)
-        if isinstance(node, GraphNode):
-            return self._solve_graph(node, source, table)
-        if isinstance(node, SubSelectNode):
-            return self._solve_subselect(node, source, table)
-        if isinstance(node, Empty):
-            return table
-        raise EvaluationError(f"unknown pattern node {node!r}")
-
-    def solutions(self, node: PatternNode, source: GraphSource,
-                  seed: Optional[Binding] = None) -> List[Binding]:
-        """Batch-evaluate and decode into {var: term} dict bindings."""
-        table = BindingTable.unit()
-        if seed:
-            names = tuple(seed.keys())
-            encode = self._dict.encode
-            table = BindingTable(
-                names, [tuple(encode(seed[name]) for name in names)])
-        result = self.solve(node, source, table)
-        decode = self._dict.decode
-        out: List[Binding] = []
-        visible = result.visible_slots()
-        for row in result.rows:
-            out.append({name: decode(row[slot]) for slot, name in visible
-                        if row[slot] is not None})
-        return out
-
-    # -- BGP join steps ------------------------------------------------------
-
-    def _bgp_dead(self, patterns) -> bool:
-        """True when a triple pattern holds a never-interned constant.
-
-        Such a pattern can match nothing, so the whole conjunction is
-        empty — checked up front (a dict probe per constant) so the
-        plan's earlier steps never run for a doomed BGP.  Path patterns
-        are exempt: a zero-length path can match an unknown term.
-        """
-        lookup = self._dict.lookup
-        for pattern in patterns:
-            if isinstance(pattern, TriplePatternNode):
-                for position in pattern.positions():
-                    if not isinstance(position, Var) \
-                            and lookup(position) is None:
-                        return True
-        return False
-
-    def _solve_bgp(self, node: BGP, source: GraphSource,
-                   table: BindingTable) -> BindingTable:
-        patterns = node.patterns
-        if not patterns:
-            return table
-        if self._bgp_dead(patterns):
-            return BindingTable(table.names, [])
-        bound = frozenset(
-            name for name in table.names if not name.startswith("#"))
-        plan = get_plan(node, bound, source)
-        trace = self.trace
-        gov = self._gov
-        for position, step in enumerate(plan.steps):
-            if not table.rows:
-                break
-            if _faults.ACTIVE:
-                _faults.fire("evaluator.step")
-            pattern = patterns[step.index]
-            rows_in = len(table.rows)
-            if isinstance(pattern, PathPatternNode):
-                table = self._step_path(pattern, source, table)
-            else:
-                table = self._step_triple(pattern, source, table)
-            if gov is not None:
-                # batch-boundary governance: account the produced
-                # binding cells, then check deadline/cancellation
-                gov.charge_rows(len(table.rows), max(1, len(table.names)))
-            if trace is not None:
-                trace.append(StepTrace(node, position, step, rows_in,
-                                       len(table.rows),
-                                       self._last_strategy))
-        return table
 
     @staticmethod
     def _emit(row, matches, spec, out_rows) -> None:
@@ -908,10 +759,288 @@ class PatternEvaluator:
                 emit(row, got, spec, out_rows)
         return BindingTable(out_names, out_rows)
 
-    # -- streaming LIMIT pipeline --------------------------------------------
+    def _scan_chunks(self, pattern: TriplePatternNode, source: GraphSource,
+                     table: BindingTable, batch: int
+                     ) -> Iterator[BindingTable]:
+        """A leading join step that shares no variable with ``table``,
+        as a sequence of bounded-size tables."""
+        spec, new_names, _probe_slots, _dead = self._compile_positions(
+            pattern.positions(), table)
+        names = table.names + tuple(new_names)
+        base = _base_pattern(spec)
+        n_positions = [position for position, (kind, _) in enumerate(spec)
+                       if kind == "n"]
+        d_checks = [(position, value) for position, (kind, value)
+                    in enumerate(spec) if kind == "d"]
+        arrays = source.match_arrays(base)
+        rows = table.rows
+        # windowed so early termination (LIMIT, ASK) leaves the tail
+        # undecoded and unaccounted: probes and governor charges land
+        # per consumed window only
+        counter = PROBE_COUNTER
+        gov = self._gov
+        total = int(len(arrays[0]))
+        # each window multiplies with every seed row: keep a piece near
+        # ``batch`` rows however many rows seed it
+        batch = max(1, batch // len(rows))
+        for start in range(0, total, batch):
+            stop = min(start + batch, total)
+            if counter.active:
+                counter.entries += stop - start
+            if gov is not None:
+                gov.charge_scan(stop - start)
+            chunk = self._extension_tuples(
+                tuple(col[start:stop] for col in arrays),
+                n_positions, d_checks)
+            if chunk:
+                yield BindingTable(
+                    names, [row + ext for row in rows for ext in chunk])
+
+
+class PatternEvaluator(JoinSteps):
+    """Evaluates pattern nodes against a dataset context.
+
+    One walker (:meth:`_walk`) interprets the algebra over id-level
+    :class:`BindingTable`\\ s; every query form is a way of draining it:
+
+    * :meth:`solve` — no chunking, one table out.  SELECT, CONSTRUCT,
+      DESCRIBE and update ``WHERE`` clauses use it.
+    * :meth:`stream_tables` — the leading scan in chunks, pulled only
+      while the caller iterates (SELECT with LIMIT).
+    * :meth:`exists` — chunked, stopped at the first non-empty table
+      (ASK); EXISTS is the same drain seeded with the rows being
+      filtered (:meth:`_exists_rows`).
+    """
+
+    def __init__(self, context: DatasetContext,
+                 eval_context: Optional[EvalContext] = None) -> None:
+        self.context = context
+        self.eval_context = eval_context or EvalContext()
+        governor = getattr(context, "governor", None)
+        if governor is not None:
+            # a dead-on-arrival request (cancelled token, expired
+            # deadline) dies here, before any evaluation work — this
+            # also covers early-exit paths (ASK) that may finish
+            # without ever reaching a batch boundary
+            governor.check()
+        # per-query overlay: computed BIND/VALUES terms intern into a
+        # discardable overflow id range, never into the base dictionary
+        super().__init__(context.dataset.dictionary.overlay(), governor)
+        self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
+        self._visible_cache: Dict[Tuple[str, ...], list] = {}
+        self._marker_count = 0
+        #: when set to a list, every executed join step appends a
+        #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
+        self.trace: Optional[List[StepTrace]] = None
+
+    # ==================================================================
+    # Draining the walker
+    # ==================================================================
+
+    def solve(self, node: PatternNode, source: GraphSource,
+              table: Optional[BindingTable] = None) -> BindingTable:
+        """Evaluate ``node`` over every row of ``table`` at once."""
+        if table is None:
+            table = BindingTable.unit()
+        # un-chunked, the walker yields exactly one table per node
+        result, = self._walk(node, source, table, None)
+        return result
+
+    def exists(self, node: PatternNode, source: GraphSource) -> bool:
+        """Whether ``node`` has a solution: pulls chunks and stops at
+        the first non-empty one (ASK)."""
+        return bool(self._exists_rows(node, source, BindingTable.unit()))
+
+    def _marked(self, table: BindingTable) -> Tuple[str, BindingTable]:
+        """``table`` plus a fresh internal column numbering its rows, so
+        solutions seeded from it can be traced back to their row."""
+        self._marker_count += 1
+        marker = f"#mark{self._marker_count}"
+        return marker, BindingTable(
+            table.names + (marker,),
+            [row + (index,) for index, row in enumerate(table.rows)])
+
+    def _exists_rows(self, node: PatternNode, source: GraphSource,
+                     table: BindingTable) -> Set[int]:
+        """Indexes of the rows of ``table`` over which ``node`` has a
+        solution (EXISTS for a whole table at once).
+
+        The walker runs seeded with every row, in chunks, and stops as
+        soon as each row has been seen in some solution.
+        """
+        marker, seeded = self._marked(table)
+        found: Set[int] = set()
+        for piece in self._walk(node, source, seeded, _CHUNK):
+            slot = piece.slots[marker]
+            found.update(row[slot] for row in piece.rows)
+            if len(found) == len(table.rows):
+                break
+        return found
+
+    def _seed_table(self, seed: Binding) -> BindingTable:
+        """The one-row table binding ``seed``'s variables."""
+        names = tuple(seed)
+        encode = self._dict.encode
+        return BindingTable(
+            names, [tuple(encode(seed[name]) for name in names)])
+
+    def solutions(self, node: PatternNode, source: GraphSource
+                  ) -> List[Binding]:
+        """Batch-evaluate and decode into {var: term} dict bindings."""
+        result = self.solve(node, source)
+        decode = self._dict.decode
+        out: List[Binding] = []
+        visible = result.visible_slots()
+        for row in result.rows:
+            out.append({name: decode(row[slot]) for slot, name in visible
+                        if row[slot] is not None})
+        return out
+
+    # ==================================================================
+    # The algebra walker
+    # ==================================================================
+
+    def _walk(self, node: PatternNode, source: GraphSource,
+              table: BindingTable, chunk: Optional[int]
+              ) -> Iterator[BindingTable]:
+        """Tables whose concatenation is ``node`` evaluated over
+        ``table``.
+
+        With ``chunk`` set, the left-most BGP's leading index scan is
+        pulled in windows of at most ``chunk`` entries and every
+        operator above it that consumes its input row-locally maps over
+        the pieces, so a consumer that stops iterating stops the scan.
+        With ``chunk=None`` each node yields exactly one table.
+        """
+        if isinstance(node, BGP):
+            yield from self._walk_bgp(node, source, table, chunk)
+        elif isinstance(node, Join):
+            for left in self._walk(node.left, source, table, chunk):
+                yield from self._walk(node.right, source, left, None)
+        elif isinstance(node, LeftJoin):
+            # left-outer probe per required-side piece: each piece is
+            # extended (or None-padded) against the optional side right
+            # away, so neither side materializes fully when chunked
+            for left in self._walk(node.left, source, table, chunk):
+                yield self._left_outer_extend(node, source, left) \
+                    if left.rows else left
+        elif isinstance(node, UnionNode):
+            yield from self._gathered(
+                chain(self._walk(node.left, source, table, chunk),
+                      self._walk(node.right, source, table, chunk)),
+                chunk, table.names)
+        elif isinstance(node, Minus):
+            # the right side is NOT correlated with the left in SPARQL
+            # MINUS: it is solved once, when the first left row shows up
+            removals = None
+            for left in self._walk(node.left, source, table, chunk):
+                if left.rows:
+                    if removals is None:
+                        removals = self.solve(node.right, source)
+                    left = self._minus_table(left, removals)
+                yield left
+        elif isinstance(node, Filter):
+            for child in self._walk(node.child, source, table, chunk):
+                yield self._filter_table(child, node.condition, source)
+        elif isinstance(node, Extend):
+            for child in self._walk(node.child, source, table, chunk):
+                yield self._extend_table(node, child, source)
+        elif isinstance(node, ValuesNode):
+            encode = self._dict.encode
+            yield _join_relation(table, node.vars, [
+                tuple(None if value is None else encode(value)
+                      for value in row)
+                for row in node.rows])
+        elif isinstance(node, GraphNode):
+            yield from self._walk_graph(node, source, table, chunk)
+        elif isinstance(node, SubSelectNode):
+            yield _join_relation(table, *self._subselect(node, source))
+        elif isinstance(node, Empty):
+            yield table
+        else:
+            raise EvaluationError(f"unknown pattern node {node!r}")
+
+    @staticmethod
+    def _gathered(pieces: Iterator[BindingTable], chunk: Optional[int],
+                  names: Tuple[str, ...]) -> Iterator[BindingTable]:
+        """``pieces`` as they come when chunked, concatenated into the
+        one table an un-chunked node owes otherwise."""
+        if chunk is not None:
+            yield from pieces
+            return
+        tables = list(pieces)
+        yield table_concat(tables) if tables else BindingTable(names, [])
+
+    def _bgp_dead(self, patterns) -> bool:
+        """True when a triple pattern holds a never-interned constant.
+
+        Such a pattern can match nothing, so the whole conjunction is
+        empty — checked up front (a dict probe per constant) so the
+        plan's earlier steps never run for a doomed BGP.  Path patterns
+        are exempt: a zero-length path can match an unknown term.
+        """
+        lookup = self._dict.lookup
+        for pattern in patterns:
+            if isinstance(pattern, TriplePatternNode):
+                for position in pattern.positions():
+                    if not isinstance(position, Var) \
+                            and lookup(position) is None:
+                        return True
+        return False
+
+    def _walk_bgp(self, node: BGP, source: GraphSource,
+                  table: BindingTable, chunk: Optional[int]
+                  ) -> Iterator[BindingTable]:
+        patterns = node.patterns
+        if not patterns:
+            yield table
+            return
+        if self._bgp_dead(patterns):
+            table = BindingTable(table.names, [])
+        bound = frozenset(
+            name for name in table.names if not name.startswith("#"))
+        plan = get_plan(node, bound, source)
+        steps = plan.steps
+        feeds: Iterable[Optional[BindingTable]] = (None,)
+        if chunk is not None and plan.streamable and table.rows:
+            first = patterns[steps[0].index]
+            if not first.variables() & table.slots.keys():
+                # an incremental scan can lead: each window of it is
+                # one feed through the remaining steps
+                feeds = self._scan_chunks(first, source, table, chunk)
+        trace = self.trace
+        gov = self._gov
+        for feed in feeds:
+            current = table
+            for position, step in enumerate(steps):
+                if _faults.ACTIVE:
+                    _faults.fire("evaluator.step")
+                if not current.rows:
+                    break
+                pattern = patterns[step.index]
+                rows_in = len(current.rows)
+                if feed is not None and position == 0:
+                    current = feed
+                    self._last_strategy = "scan"
+                elif isinstance(pattern, PathPatternNode):
+                    current = self._step_path(pattern, source, current)
+                else:
+                    current = self._step_triple(pattern, source, current)
+                if gov is not None:
+                    # batch-boundary governance: account the produced
+                    # binding cells, then check deadline/cancellation
+                    gov.charge_rows(len(current.rows),
+                                    max(1, len(current.names)))
+                if trace is not None:
+                    trace.append(StepTrace(node, position, step, rows_in,
+                                           len(current.rows),
+                                           self._last_strategy))
+            yield current
+
+    # -- draining in chunks (SELECT with LIMIT) ------------------------------
 
     def iter_stream_solutions(self, node: PatternNode, source: GraphSource,
-                              batch: int = 512) -> Iterator[Binding]:
+                              batch: int = _CHUNK) -> Iterator[Binding]:
         """Lazily decoded solutions, pulled batch-by-batch.
 
         The first join step of the leading BGP is pulled in batches of
@@ -930,11 +1059,11 @@ class PatternEvaluator:
                        if row[slot] is not None}
 
     def stream_tables(self, node: PatternNode, source: GraphSource,
-                      batch: int = 512) -> Iterator[BindingTable]:
+                      batch: int = _CHUNK) -> Iterator[BindingTable]:
         """Solution batches for a streamable subtree, with telemetry."""
         telemetry = STREAM_TELEMETRY
         gov = self._gov
-        for table in self._stream(node, source, batch):
+        for table in self._walk(node, source, BindingTable.unit(), batch):
             telemetry.record_batch(len(table.rows))
             if _faults.ACTIVE:
                 _faults.fire("evaluator.batch")
@@ -942,134 +1071,24 @@ class PatternEvaluator:
                 gov.charge_rows(len(table.rows), max(1, len(table.names)))
             yield table
 
-    def _stream(self, node: PatternNode, source: GraphSource,
-                batch: int) -> Iterator[BindingTable]:
-        """Yield solution batches for a :func:`streamable` subtree."""
-        if isinstance(node, BGP):
-            yield from self._stream_bgp(node, source, batch)
-        elif isinstance(node, Filter):
-            eval_context = self._context_for(source)
-            for table in self._stream(node.child, source, batch):
-                if table.rows:
-                    table = self._filter_table(table, node.condition,
-                                               eval_context)
-                yield table
-        elif isinstance(node, Extend):
-            for table in self._stream(node.child, source, batch):
-                yield self._extend_table(node, table, source)
-        elif isinstance(node, Join):
-            for table in self._stream(node.left, source, batch):
-                if table.rows:
-                    yield self.solve(node.right, source, table)
-        elif isinstance(node, LeftJoin):
-            # streaming left-outer probe: each required-side batch is
-            # extended (or None-padded) against the optional side right
-            # away, so neither side ever materializes fully
-            for table in self._stream(node.left, source, batch):
-                if table.rows:
-                    yield self._left_outer_extend(node, source, table)
-        else:
-            yield self.solve(node, source, BindingTable.unit())
-
-    def _stream_bgp(self, node: BGP, source: GraphSource,
-                    batch: int) -> Iterator[BindingTable]:
-        patterns = node.patterns
-        if not patterns:
-            yield BindingTable.unit()
-            return
-        if self._bgp_dead(patterns):
-            yield BindingTable((), [])
-            return
-        plan = get_plan(node, frozenset(), source)
-        if not plan.streamable:
-            # e.g. a path-first plan: closure-based, no incremental scan
-            yield self._solve_bgp(node, source, BindingTable.unit())
-            return
-        first = patterns[plan.steps[0].index]
-        rest = plan.steps[1:]
-        for table in self._scan_chunks(first, source, batch):
-            for step in rest:
-                if not table.rows:
-                    break
-                pattern = patterns[step.index]
-                if isinstance(pattern, PathPatternNode):
-                    table = self._step_path(pattern, source, table)
-                else:
-                    table = self._step_triple(pattern, source, table)
-            yield table
-
-    def _scan_chunks(self, pattern: TriplePatternNode, source: GraphSource,
-                     batch: int) -> Iterator[BindingTable]:
-        """The first join step as a sequence of bounded-size tables."""
-        spec, new_names, _probe_slots, dead = self._compile_positions(
-            pattern.positions(), BindingTable.unit())
-        names = tuple(new_names)
-        if dead:
-            yield BindingTable(names, [])
-            return
-        base = _base_pattern(spec)
-        n_positions = [position for position, (kind, _) in enumerate(spec)
-                       if kind == "n"]
-        d_checks = [(position, value) for position, (kind, value)
-                    in enumerate(spec) if kind == "d"]
-        arrays = source.match_arrays(base)
-        # windowed so early termination (LIMIT) leaves the tail
-        # undecoded and unaccounted: probes and governor charges land
-        # per consumed window only
-        counter = PROBE_COUNTER
-        gov = self._gov
-        total = int(len(arrays[0]))
-        for start in range(0, total, batch):
-            stop = min(start + batch, total)
-            if counter.active:
-                counter.entries += stop - start
-            if gov is not None:
-                gov.charge_scan(stop - start)
-            chunk = self._extension_tuples(
-                tuple(col[start:stop] for col in arrays),
-                n_positions, d_checks)
-            if chunk:
-                yield BindingTable(names, chunk)
-
-    # -- non-BGP operators ---------------------------------------------------
-
-    def _solve_left_join(self, node: LeftJoin, source: GraphSource,
-                         table: BindingTable) -> BindingTable:
-        left = self.solve(node.left, source, table)
-        if not left.rows:
-            return left
-        return self._left_outer_extend(node, source, left)
+    # -- operators -----------------------------------------------------------
 
     def _left_outer_extend(self, node: LeftJoin, source: GraphSource,
                            left: BindingTable) -> BindingTable:
         """Extend solved required-side rows with the optional side.
 
-        The streaming pipeline calls this per required-side batch (the
-        left-outer probe is row-local: each left row either gains its
-        matches or a ``None`` pad, independently of other rows), the
-        batch pipeline once with the full required-side table.
+        The left-outer probe is row-local (each left row either gains
+        its matches or a ``None`` pad, independently of other rows), so
+        the walker calls this once per required-side piece.
         """
         if self._gov is not None:
             self._gov.check()
-        self._marker_count += 1
-        marker = f"#lj{self._marker_count}"
-        seeded = BindingTable(
-            left.names + (marker,),
-            [row + (index,) for index, row in enumerate(left.rows)])
+        marker, seeded = self._marked(left)
         right = self.solve(node.right, source, seeded)
         right_rows = right.rows
         if node.condition is not None and right_rows:
-            eval_context = self._context_for(source)
-            kept = []
-            for row in right_rows:
-                binding = self._decode_row(right.names, row)
-                try:
-                    if effective_boolean_value(node.condition.evaluate(
-                            binding, eval_context)):
-                        kept.append(row)
-                except ExpressionError:
-                    continue
-            right_rows = kept
+            right_rows = self._filter_table(
+                right, node.condition, source).rows
         marker_slot = right.slots[marker]
         matched: Dict[int, list] = {}
         for row in right_rows:
@@ -1087,13 +1106,11 @@ class PatternEvaluator:
                 out_rows.append(left_row + pad)
         return BindingTable(out_names, out_rows)
 
-    def _solve_minus(self, node: Minus, source: GraphSource,
-                     table: BindingTable) -> BindingTable:
-        left = self.solve(node.left, source, table)
-        if not left.rows:
-            return left
-        # the right side is NOT correlated with the left in SPARQL MINUS
-        removals = self.solve(node.right, source, BindingTable.unit())
+    @staticmethod
+    def _minus_table(left: BindingTable,
+                     removals: BindingTable) -> BindingTable:
+        """``left`` without the rows a compatible, overlapping row of
+        ``removals`` excludes."""
         if not removals.rows:
             return left
         shared = [(left.slots[name], removals.slots[name])
@@ -1123,19 +1140,13 @@ class PatternEvaluator:
                 out_rows.append(left_row)
         return BindingTable(left.names, out_rows)
 
-    def _solve_filter(self, node: Filter, source: GraphSource,
-                      table: BindingTable) -> BindingTable:
-        child = self.solve(node.child, source, table)
-        if not child.rows:
-            return child
-        return self._filter_table(child, node.condition,
-                                  self._context_for(source))
-
     def _filter_table(self, child: BindingTable, condition,
-                      eval_context: EvalContext) -> BindingTable:
+                      source: GraphSource) -> BindingTable:
+        eval_context = self._context_for(source, child)
         out_rows = []
-        for row in child.rows:
+        for index, row in enumerate(child.rows):
             binding = self._decode_row(child.names, row)
+            binding["#row"] = index
             try:
                 if effective_boolean_value(
                         condition.evaluate(binding, eval_context)):
@@ -1143,11 +1154,6 @@ class PatternEvaluator:
             except ExpressionError:
                 continue
         return BindingTable(child.names, out_rows)
-
-    def _solve_extend(self, node: Extend, source: GraphSource,
-                      table: BindingTable) -> BindingTable:
-        child = self.solve(node.child, source, table)
-        return self._extend_table(node, child, source)
 
     def _extend_table(self, node: Extend, child: BindingTable,
                       source: GraphSource) -> BindingTable:
@@ -1175,88 +1181,39 @@ class PatternEvaluator:
         names = child.names if slot is not None else child.names + (name,)
         return BindingTable(names, out_rows)
 
-    def _solve_values(self, node: ValuesNode,
-                      table: BindingTable) -> BindingTable:
-        encode = self._dict.encode
-        value_rows = [
-            tuple(None if value is None else encode(value) for value in row)
-            for row in node.rows]
-        shared = [(table.slots[name], index)
-                  for index, name in enumerate(node.vars)
-                  if name in table.slots]
-        new_indices = [index for index, name in enumerate(node.vars)
-                       if name not in table.slots]
-        names = table.names + tuple(
-            node.vars[index] for index in new_indices)
-        out_rows = []
-        for table_row in table.rows:
-            for value_row in value_rows:
-                updates = None
-                ok = True
-                for slot, index in shared:
-                    value = value_row[index]
-                    if value is None:  # UNDEF constrains nothing
-                        continue
-                    current = table_row[slot]
-                    if current is None:
-                        if updates is None:
-                            updates = {}
-                        updates[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if updates:
-                    cells = list(table_row)
-                    for slot, value in updates.items():
-                        cells[slot] = value
-                    base = tuple(cells)
-                else:
-                    base = table_row
-                out_rows.append(base + tuple(
-                    value_row[index] for index in new_indices))
-        return BindingTable(names, out_rows)
-
-    def _solve_graph(self, node: GraphNode, source: GraphSource,
-                     table: BindingTable) -> BindingTable:
+    def _walk_graph(self, node: GraphNode, source: GraphSource,
+                    table: BindingTable, chunk: Optional[int]
+                    ) -> Iterator[BindingTable]:
         if not isinstance(node.name, Var):
-            return self.solve(node.child,
-                              self.context.named_source(node.name), table)
+            yield from self._walk(node.child,
+                                  self.context.named_source(node.name),
+                                  table, chunk)
+            return
         name = node.name.name
-        slot = table.slots.get(name)
-        results = []
-        for iri, graph in self.context.named_graphs():
-            graph_id = self._dict.encode(iri)
-            if slot is not None:
-                rows = []
-                for row in table.rows:
-                    current = row[slot]
-                    if current is None:
-                        cells = list(row)
-                        cells[slot] = graph_id
-                        rows.append(tuple(cells))
-                    elif current == graph_id:
-                        rows.append(row)
-                seeded = BindingTable(table.names, rows)
-            else:
-                seeded = BindingTable(
-                    table.names + (name,),
-                    [row + (graph_id,) for row in table.rows])
-            results.append(self.solve(
-                node.child, GraphSource(graph), seeded))
-        if not results:
-            extra = () if slot is not None else (name,)
-            return BindingTable(table.names + extra, [])
-        return table_concat(results)
 
-    def _solve_subselect(self, node: SubSelectNode, source: GraphSource,
-                         table: BindingTable) -> BindingTable:
+        def per_graph() -> Iterator[BindingTable]:
+            for iri, graph in self.context.named_graphs():
+                # ?g is this graph: rows that bind it otherwise drop out
+                seeded = _join_relation(
+                    table, (name,), [(self._dict.encode(iri),)])
+                yield from self._walk(node.child, GraphSource(graph),
+                                      seeded, chunk)
+
+        yield from self._gathered(
+            per_graph(), chunk,
+            table.names + (() if name in table.slots else (name,)))
+
+    def _subselect(self, node: SubSelectNode, source: GraphSource
+                   ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """The sub-SELECT's result as ``(names, id rows)``, evaluated
+        once per evaluator and source."""
         # keyed by node *and* source: under GRAPH ?g the same subselect
         # evaluates once per named graph, not once globally
         cache_key = (id(node), source.cache_key())
         cached = self._subselect_tables.get(cache_key)
         if cached is None:
+            from repro.sparql.evaluator import evaluate_select
+
             # the outer trace rides along so EXPLAIN analyze renders
             # nested plans with their actual cardinalities
             result = evaluate_select(node.query, self.context, source=source,
@@ -1268,62 +1225,7 @@ class PatternEvaluator:
                 for row in result.rows]
             cached = (tuple(result.vars), sub_rows)
             self._subselect_tables[cache_key] = cached
-        sub_names, sub_rows = cached
-        shared = [(table.slots[name], index)
-                  for index, name in enumerate(sub_names)
-                  if name in table.slots]
-        new_indices = [index for index, name in enumerate(sub_names)
-                       if name not in table.slots]
-        names = table.names + tuple(
-            sub_names[index] for index in new_indices)
-        out_rows: List[tuple] = []
-        clean = bool(shared) and all(
-            row[index] is not None for _, index in shared
-            for row in sub_rows) and all(
-            row[slot] is not None for slot, _ in shared
-            for row in table.rows)
-        if clean:
-            buckets: Dict[tuple, list] = {}
-            for sub_row in sub_rows:
-                key = tuple(sub_row[index] for _, index in shared)
-                buckets.setdefault(key, []).append(sub_row)
-            for table_row in table.rows:
-                got = buckets.get(
-                    tuple(table_row[slot] for slot, _ in shared))
-                if not got:
-                    continue
-                for sub_row in got:
-                    out_rows.append(table_row + tuple(
-                        sub_row[index] for index in new_indices))
-            return BindingTable(names, out_rows)
-        for table_row in table.rows:
-            for sub_row in sub_rows:
-                updates = None
-                ok = True
-                for slot, index in shared:
-                    value = sub_row[index]
-                    if value is None:
-                        continue
-                    current = table_row[slot]
-                    if current is None:
-                        if updates is None:
-                            updates = {}
-                        updates[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if updates:
-                    cells = list(table_row)
-                    for slot, value in updates.items():
-                        cells[slot] = value
-                    base = tuple(cells)
-                else:
-                    base = table_row
-                out_rows.append(base + tuple(
-                    sub_row[index] for index in new_indices))
-        return BindingTable(names, out_rows)
+        return cached
 
     def _decode_row(self, names, row) -> Binding:
         # the visible-column scan is memoized per schema: this runs once
@@ -1339,224 +1241,93 @@ class PatternEvaluator:
             if row[slot] is not None
         }
 
-    # ==================================================================
-    # Lazy seeded pipeline (ASK / EXISTS: stop at the first solution)
-    # ==================================================================
+    def _context_for(self, source: GraphSource,
+                     table: Optional[BindingTable] = None) -> EvalContext:
+        """The expression context for patterns matched against
+        ``source``.
 
-    def evaluate(self, node: PatternNode, source: GraphSource,
-                 seed: Optional[Binding] = None) -> Iterator[Binding]:
-        binding = seed or {}
-        if isinstance(node, BGP):
-            yield from self._iter_bgp(node, source, binding)
-        elif isinstance(node, Join):
-            for left in self.evaluate(node.left, source, binding):
-                yield from self.evaluate(node.right, source, left)
-        elif isinstance(node, LeftJoin):
-            yield from self._iter_left_join(node, source, binding)
-        elif isinstance(node, UnionNode):
-            yield from self.evaluate(node.left, source, binding)
-            yield from self.evaluate(node.right, source, binding)
-        elif isinstance(node, Minus):
-            yield from self._iter_minus(node, source, binding)
-        elif isinstance(node, Filter):
-            yield from self._iter_filter(node, source, binding)
-        elif isinstance(node, Extend):
-            yield from self._iter_extend(node, source, binding)
-        elif isinstance(node, ValuesNode):
-            yield from self._iter_values(node, binding)
-        elif isinstance(node, GraphNode):
-            yield from self._iter_graph(node, source, binding)
-        elif isinstance(node, SubSelectNode):
-            yield from self._iter_subselect(node, source, binding)
-        elif isinstance(node, Empty):
-            yield dict(binding)
-        else:
-            raise EvaluationError(f"unknown pattern node {node!r}")
+        A caller about to evaluate one expression over every row of a
+        ``table`` passes it and tags each row's binding with its index
+        under ``"#row"``: EXISTS is then answered for the whole table
+        by one seeded walk, on first use.  An untagged binding (HAVING,
+        projection, ORDER BY, BIND) is a table of one row.
+        """
+        found: Dict[int, Set[int]] = {}
 
-    # -- node implementations ------------------------------------------------
+        def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
+            index = None if table is None else binding.get("#row")
+            if index is None:
+                return bool(self._exists_rows(
+                    pattern, source, self._seed_table(binding)))
+            hits = found.get(id(pattern))
+            if hits is None:
+                hits = found[id(pattern)] = self._exists_rows(
+                    pattern, source, table)
+            return index in hits
 
-    def _iter_bgp(self, node: BGP, source: GraphSource,
-                  binding: Binding) -> Iterator[Binding]:
-        patterns = node.patterns
-        if not patterns:
-            yield dict(binding)
-            return
-        order = get_plan(node, frozenset(binding), source).order
-        yield from self._iter_bgp_step(patterns, order, 0, source, binding)
+        return EvalContext(exists_evaluator=exists_evaluator,
+                           now=self.eval_context.now)
 
-    def _iter_bgp_step(self, patterns, order: List[int], step: int,
-                       source: GraphSource, binding: Binding
-                       ) -> Iterator[Binding]:
-        if _faults.ACTIVE:
-            _faults.fire("evaluator.step")
-        pattern = patterns[order[step]]
-        last = step == len(order) - 1
-        if isinstance(pattern, PathPatternNode):
-            for extended in self._iter_path_pattern(pattern, source, binding):
-                if last:
-                    yield extended
-                else:
-                    yield from self._iter_bgp_step(
-                        patterns, order, step + 1, source, extended)
-            return
-        concrete = substituted(pattern, binding)
-        gov = self._gov
-        for triple in source.match(concrete):
-            if gov is not None:
-                gov.tick_scan()
-            extended = _try_extend(binding, pattern, triple)
-            if extended is None:
-                continue
-            if last:
-                yield extended
-            else:
-                yield from self._iter_bgp_step(
-                    patterns, order, step + 1, source, extended)
 
-    def _iter_path_pattern(self, pattern: PathPatternNode,
-                           source: GraphSource, binding: Binding
-                           ) -> Iterator[Binding]:
-        start, end = substituted_endpoints(pattern, binding)
-        for start_term, end_term in evaluate_path(
-                source, pattern.path, start, end):
-            extended = dict(binding)
-            consistent = True
-            for position, value in zip(pattern.endpoints(),
-                                       (start_term, end_term)):
-                if isinstance(position, Var):
-                    current = extended.get(position.name)
-                    if current is None:
-                        extended[position.name] = value
-                    elif current != value:
-                        consistent = False
-                        break
-                elif position != value:
-                    consistent = False
-                    break
-            if consistent:
-                yield extended
+def _join_relation(table: BindingTable, names: Sequence[str],
+                   relation: List[tuple]) -> BindingTable:
+    """Join ``table`` with a constant relation (VALUES data, a cached
+    sub-SELECT result) of id rows over ``names``.
 
-    def _iter_left_join(self, node: LeftJoin, source: GraphSource,
-                        binding: Binding) -> Iterator[Binding]:
-        for left in self.evaluate(node.left, source, binding):
-            produced = False
-            for right in self.evaluate(node.right, source, left):
-                if node.condition is not None:
-                    try:
-                        keep = effective_boolean_value(
-                            node.condition.evaluate(right, self.eval_context))
-                    except ExpressionError:
-                        keep = False
-                    if not keep:
-                        continue
-                produced = True
-                yield right
-            if not produced:
-                yield left
-
-    def _iter_minus(self, node: Minus, source: GraphSource,
-                    binding: Binding) -> Iterator[Binding]:
-        # the right side is NOT correlated with the left in SPARQL MINUS
-        removals = list(self.evaluate(node.right, source, {}))
-        for left in self.evaluate(node.left, source, binding):
-            excluded = False
-            for right in removals:
-                shared = set(left) & set(right)
-                if shared and _compatible(left, right):
-                    excluded = True
-                    break
-            if not excluded:
-                yield left
-
-    def _iter_filter(self, node: Filter, source: GraphSource,
-                     binding: Binding) -> Iterator[Binding]:
-        eval_context = self._context_for(source)
-        for row in self.evaluate(node.child, source, binding):
-            try:
-                if effective_boolean_value(
-                        node.condition.evaluate(row, eval_context)):
-                    yield row
-            except ExpressionError:
-                continue
-
-    def _iter_extend(self, node: Extend, source: GraphSource,
-                     binding: Binding) -> Iterator[Binding]:
-        eval_context = self._context_for(source)
-        for row in self.evaluate(node.child, source, binding):
-            if node.var in row:
-                raise EvaluationError(
-                    f"BIND would rebind already-bound variable ?{node.var}")
-            extended = dict(row)
-            try:
-                extended[node.var] = node.expression.evaluate(
-                    row, eval_context)
-            except ExpressionError:
-                pass  # leave unbound per SPARQL error semantics
-            yield extended
-
-    def _iter_values(self, node: ValuesNode, binding: Binding
-                     ) -> Iterator[Binding]:
-        for row in node.rows:
-            candidate = dict(binding)
+    A ``None`` cell on either side constrains nothing (``UNDEF``, an
+    unbound variable) and takes the other side's value.
+    """
+    shared = [(table.slots[name], index)
+              for index, name in enumerate(names) if name in table.slots]
+    new_indices = [index for index, name in enumerate(names)
+                   if name not in table.slots]
+    out_names = table.names + tuple(names[index] for index in new_indices)
+    out_rows: List[tuple] = []
+    clean = bool(shared) and all(
+        row[index] is not None for _, index in shared
+        for row in relation) and all(
+        row[slot] is not None for slot, _ in shared
+        for row in table.rows)
+    if clean:
+        # every join cell bound on both sides: bucket the relation once
+        buckets: Dict[tuple, list] = {}
+        for rel_row in relation:
+            key = tuple(rel_row[index] for _, index in shared)
+            buckets.setdefault(key, []).append(rel_row)
+        for table_row in table.rows:
+            for rel_row in buckets.get(
+                    tuple(table_row[slot] for slot, _ in shared), ()):
+                out_rows.append(table_row + tuple(
+                    rel_row[index] for index in new_indices))
+        return BindingTable(out_names, out_rows)
+    for table_row in table.rows:
+        for rel_row in relation:
+            updates = None
             ok = True
-            for name, value in zip(node.vars, row):
+            for slot, index in shared:
+                value = rel_row[index]
                 if value is None:
                     continue
-                current = candidate.get(name)
+                current = table_row[slot]
                 if current is None:
-                    candidate[name] = value
+                    if updates is None:
+                        updates = {}
+                    updates[slot] = value
                 elif current != value:
                     ok = False
                     break
-            if ok:
-                yield candidate
-
-    def _iter_graph(self, node: GraphNode, source: GraphSource,
-                    binding: Binding) -> Iterator[Binding]:
-        if isinstance(node.name, Var):
-            bound = binding.get(node.name.name)
-            for iri, graph in self.context.named_graphs():
-                if bound is not None and bound != iri:
-                    continue
-                seeded = dict(binding)
-                seeded[node.name.name] = iri
-                yield from self.evaluate(
-                    node.child, GraphSource(graph), seeded)
-            return
-        yield from self.evaluate(
-            node.child, self.context.named_source(node.name), binding)
-
-    def _iter_subselect(self, node: SubSelectNode, source: GraphSource,
-                        binding: Binding) -> Iterator[Binding]:
-        cache_key = (id(node), source.cache_key())
-        if cache_key not in self._subselect_rows:
-            result = evaluate_select(node.query, self.context, source=source,
-                                     trace=self.trace)
-            materialized: List[Binding] = []
-            for row in result.rows:
-                materialized.append({
-                    name: value
-                    for name, value in zip(result.vars, row)
-                    if value is not None
-                })
-            self._subselect_rows[cache_key] = materialized
-        for sub_binding in self._subselect_rows[cache_key]:
-            if _compatible(binding, sub_binding):
-                merged = dict(binding)
-                merged.update(sub_binding)
-                yield merged
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _context_for(self, source: GraphSource) -> EvalContext:
-        def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
-            return next(
-                iter(self.evaluate(pattern, source, binding)), None
-            ) is not None
-
-        context = EvalContext(exists_evaluator=exists_evaluator,
-                              now=self.eval_context.now)
-        return context
+            if not ok:
+                continue
+            if updates:
+                cells = list(table_row)
+                for slot, value in updates.items():
+                    cells[slot] = value
+                base = tuple(cells)
+            else:
+                base = table_row
+            out_rows.append(base + tuple(
+                rel_row[index] for index in new_indices))
+    return BindingTable(out_names, out_rows)
 
 
 def streamable(node: PatternNode) -> bool:
@@ -1974,13 +1745,11 @@ def _aggregate_rows(query: SelectQuery, solutions: List[Binding],
 
 
 def evaluate_ask(query: AskQuery, context: DatasetContext) -> bool:
-    """Evaluate an ASK query (lazily: stops at the first solution)."""
+    """Evaluate an ASK query (stops at the first non-empty chunk)."""
     context = context.scoped(getattr(query, "from_graphs", None),
                              getattr(query, "from_named", None))
-    source = context.default_source()
-    evaluator = PatternEvaluator(context)
-    return next(
-        iter(evaluator.evaluate(query.pattern, source, {})), None) is not None
+    return PatternEvaluator(context).exists(
+        query.pattern, context.default_source())
 
 
 def evaluate_construct(query, context: DatasetContext) -> Graph:

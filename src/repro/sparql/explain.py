@@ -310,14 +310,22 @@ def _cache_stats_lines() -> List[str]:
 
 def _collect_traces(query: Query, context: DatasetContext
                     ) -> Optional[_TraceIndex]:
-    """Execute the query's pattern with step tracing (EXPLAIN analyze)."""
+    """Execute the query's pattern with step tracing (EXPLAIN analyze).
+
+    The pattern runs the way the query form runs it: ASK stops at the
+    first non-empty chunk, so its actual row counts are those of the
+    steps executed up to there; every other form drains the walker.
+    """
     pattern = getattr(query, "pattern", None)
     if pattern is None:
         return None
     source = context.default_source()
     evaluator = PatternEvaluator(context)
     evaluator.trace = []
-    evaluator.solve(pattern, source)
+    if isinstance(query, AskQuery):
+        evaluator.exists(pattern, source)
+    else:
+        evaluator.solve(pattern, source)
     return _index_traces(evaluator.trace)
 
 

@@ -445,7 +445,9 @@ class ExistsExpression(Expression):
         return boolean(exists != self.negated)
 
     def variables(self) -> set[str]:
-        return set()
+        """The variables the pattern can bind — the ones through which
+        the outer row it is seeded with correlates with it."""
+        return set(self.pattern.variables())
 
 
 class FunctionExpression(Expression):

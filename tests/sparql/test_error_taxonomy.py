@@ -87,6 +87,13 @@ class TestEvaluatorExceptionMapping:
             with pytest.raises(QueryExecutionError):
                 endpoint.select(QUERY + " LIMIT 3")
 
+    def test_streamed_path_fires_the_step_failpoint(self, endpoint):
+        """Streamed and materialized SELECT run the same step loop."""
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(QueryExecutionError) as info:
+                endpoint.select(QUERY + " LIMIT 3")
+        assert info.value.code == "internal_error"
+
     def test_counter_increments(self, endpoint):
         with faults.failpoint("evaluator.step", raises=KeyError):
             with pytest.raises(QueryExecutionError):

@@ -199,8 +199,9 @@ def test_analyze_traces_subselect_steps(dataset):
     assert "est. 50, actual 50" in nested_bgp
 
 
-def test_analyze_traces_subselect_in_lazy_pipeline(dataset):
-    """ASK uses the lazy pipeline; its sub-SELECTs trace too."""
+def test_analyze_traces_subselect_under_ask(dataset):
+    """ASK drains the walker with early exit; its sub-SELECTs trace
+    too."""
     plan = explain(f"""
         ASK {{
             {{ SELECT ?s WHERE {{ ?s <{EX}value> ?v }} }}
@@ -208,6 +209,20 @@ def test_analyze_traces_subselect_in_lazy_pipeline(dataset):
         }}
     """, dataset, analyze=True)
     assert "SubSelect" in plan
+
+
+def test_analyze_of_ask_shows_the_steps_that_ran():
+    """ASK stops at the first non-empty chunk of the leading scan, and
+    EXPLAIN analyze reports that run — not a full materialization."""
+    dataset = Dataset()
+    for i in range(2000):
+        dataset.default.add(IRI(f"{EX}obs{i}"), IRI(EX + "value"),
+                            Literal(i))
+    pattern = f"{{ ?s <{EX}value> ?v }}"
+    asked = explain(f"ASK {pattern}", dataset, analyze=True)
+    selected = explain(f"SELECT * WHERE {pattern}", dataset, analyze=True)
+    assert "est. 2000, actual 512" in asked
+    assert "est. 2000, actual 2000" in selected
 
 
 def test_path_first_plan_not_marked_streaming(dataset):

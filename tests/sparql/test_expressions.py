@@ -15,6 +15,7 @@ from repro.sparql.expressions import (
     BooleanExpression,
     ComparisonExpression,
     EvalContext,
+    ExistsExpression,
     FunctionExpression,
     InExpression,
     NotExpression,
@@ -345,3 +346,21 @@ def test_aggregates_match_python(values):
 def test_order_key_total_order(terms):
     keys = [order_key(t) for t in terms]
     assert sorted(keys) == sorted(keys, key=lambda k: k)  # no TypeError
+
+
+class TestExists:
+    def test_variables_are_the_patterns(self):
+        """EXISTS reads the outer row through its pattern's variables;
+        an expression that claims to read nothing could not be guarded
+        by a decode-only-what-is-read projection."""
+        from repro.sparql.parser import parse_query
+
+        query = parse_query(
+            "SELECT ?s WHERE { ?s ?p ?o FILTER(?o > 1 && NOT EXISTS "
+            "{ ?s <http://example.org/q> ?r OPTIONAL { ?r ?p ?t } }) }")
+        condition = query.pattern.condition
+        exists = condition.right.operand if isinstance(
+            condition.right, NotExpression) else condition.right
+        assert isinstance(exists, ExistsExpression)
+        assert exists.variables() == {"s", "r", "p", "t"}
+        assert condition.variables() == {"o", "s", "r", "p", "t"}

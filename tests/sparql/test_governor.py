@@ -69,6 +69,18 @@ class TestLimits:
         assert info.value.code == "resource_exhausted"
         assert info.value.telemetry["rows_produced"] > 10
 
+    def test_max_rows_governs_ask(self):
+        """ASK runs the same join steps as SELECT, so the row budget
+        applies to it too (the join below produces 50 rows per step and
+        never finds a solution, so there is no early exit)."""
+        endpoint = make_endpoint()
+        ask = (f"ASK {{ ?s <{EX}p> ?o . ?t <{EX}p> ?o "
+               f"FILTER(?s != ?t) }}")
+        assert endpoint.ask(ask) is False
+        with pytest.raises(ResourceExhausted) as info:
+            endpoint.ask(ask, limits=QueryLimits(max_rows=10))
+        assert info.value.telemetry["rows_produced"] > 10
+
     def test_max_binding_cells_raises_resource_exhausted(self):
         endpoint = make_endpoint()
         with pytest.raises(ResourceExhausted):
