@@ -1,0 +1,454 @@
+"""BGP join steps of the SPARQL evaluator.
+
+The join pipeline for each BGP is a cached :class:`PhysicalPlan` from
+the cost-based planner (:mod:`repro.sparql.optimizer`): the walker
+(:mod:`repro.sparql.evaluator_walker`) executes the plan's steps in
+order through the methods here, re-validating each step's
+hash-vs-probe choice against the *actual* table size (estimates can
+still be wrong, so mis-estimates must degrade safely), and — when a
+trace list is installed — records per-step actual cardinalities for
+``EXPLAIN ... analyze``.  Because every ``get_plan`` call passes the
+BGP node with its *actual* constants, the band-keyed plan cache
+transparently swaps in a constant-specialized plan when a bound
+constant's value-aware estimate (MCV / histogram, statistics v2) falls
+outside the brackets of the cached one — the evaluator itself never
+needs to reason about skew, and each executed step's
+:class:`~repro.sparql.optimizer.PlanStep` carries the estimator label
+and average-only estimate that the trace threads to EXPLAIN.
+
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
+
+from repro.sparql.algebra import PathPatternNode, TriplePatternNode, Var
+from repro.sparql.bindings import BindingTable
+from repro.sparql.evaluator_source import (
+    PROBE_COUNTER,
+    GraphSource,
+    IdPattern,
+)
+from repro.sparql.paths import evaluate_path
+
+
+def _base_pattern(spec: Iterable[Tuple[str, Optional[int]]]) -> IdPattern:
+    """The concrete ``(s, p, o)`` id pattern of a compiled position
+    spec: constants keep their ids, every other position is a
+    wildcard."""
+    s, p, o = (value if kind == "c" else None for kind, value in spec)
+    return (s, p, o)
+
+
+# Telemetry shim: passes match_ids batches through unchanged, so the
+# consumer that installed it stays responsible for governor charging.
+def _counted(match_ids):  # repro: allow[governor-discipline]
+    """Wrap a ``match_ids`` callable to count yielded index entries."""
+    counter = PROBE_COUNTER
+
+    def wrapped(pattern):  # repro: allow[governor-discipline]
+        for ids in match_ids(pattern):
+            counter.entries += 1
+            yield ids
+
+    return wrapped
+
+
+class JoinSteps:
+    """The BGP join steps: one triple or path pattern at a time, joined
+    into a :class:`BindingTable` of interned term ids.
+
+    A step joins via a hash join over a single index scan or via
+    memoized index probes keyed on the distinct join values; that
+    choice (:meth:`_prefer_hash`) and the hash build
+    (:meth:`_hash_memo`) are methods so the morsel workers of
+    :mod:`repro.sparql.parallel` can override them.
+    """
+
+    def __init__(self, dictionary, governor) -> None:
+        #: where pattern constants are looked up and computed terms
+        #: interned
+        self._dict = dictionary
+        #: per-request governor (deadline/budget/cancellation checks at
+        #: batch boundaries); ``None`` on ungoverned requests, so the
+        #: fast path costs one ``is not None`` test per boundary
+        self._gov = governor
+        #: how the last :meth:`_step_triple` / :meth:`_step_path` joined
+        self._last_strategy = "scan"
+
+    @staticmethod
+    def _emit(row, matches, spec, out_rows) -> None:
+        """Apply pattern ``matches`` to one input ``row``.
+
+        ``spec`` positions: ``("c", _)`` constants are pre-constrained;
+        ``("v", slot)`` may capture into a still-``None`` cell;
+        ``("n", _)`` appends a fresh column value; ``("d", first)``
+        enforces repeated-variable equality against spec position
+        ``first``.
+        """
+        for match in matches:
+            updates = None
+            ext = []
+            ok = True
+            for position, (kind, value) in enumerate(spec):
+                if kind == "v":
+                    if row[value] is None:
+                        captured = match[position]
+                        if updates is None:
+                            updates = {value: captured}
+                        else:
+                            previous = updates.get(value)
+                            if previous is None:
+                                updates[value] = captured
+                            elif previous != captured:
+                                ok = False
+                                break
+                elif kind == "n":
+                    ext.append(match[position])
+                elif kind == "d":
+                    if match[position] != match[value]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            if updates:
+                cells = list(row)
+                for slot, captured in updates.items():
+                    cells[slot] = captured
+                out_rows.append(tuple(cells) + tuple(ext))
+            else:
+                out_rows.append(row + tuple(ext))
+
+    def _compile_positions(self, positions, table: BindingTable):
+        """Shared step compilation: classify each pattern position.
+
+        Returns ``(spec, new_names, probe_slots, dead)``; ``dead`` is
+        True when a constant term is not interned (no matches possible).
+        """
+        lookup = self._dict.lookup
+        spec = []
+        new_names: List[str] = []
+        first_new: Dict[str, int] = {}
+        probe_slots: List[int] = []
+        dead = False
+        for position in positions:
+            if isinstance(position, Var):
+                name = position.name
+                slot = table.slots.get(name)
+                if slot is not None:
+                    spec.append(("v", slot))
+                    probe_slots.append(slot)
+                elif name in first_new:
+                    spec.append(("d", first_new[name]))
+                else:
+                    first_new[name] = len(spec)
+                    spec.append(("n", None))
+                    new_names.append(name)
+            else:
+                term_id = lookup(position)
+                if term_id is None:
+                    dead = True
+                    term_id = -1  # matches nothing; step short-circuits
+                spec.append(("c", term_id))
+        return spec, new_names, probe_slots, dead
+
+    def _vector_matches(self, source: GraphSource, base: IdPattern):
+        """The ``(S, P, O)`` match arrays for ``base``, accounted like
+        the point probes: every matched index entry bumps the probe
+        counter and the governor's scan meter."""
+        arrays = source.match_arrays(base)
+        entries = int(len(arrays[0]))
+        if PROBE_COUNTER.active:
+            PROBE_COUNTER.entries += entries
+        if self._gov is not None:
+            self._gov.charge_scan(entries)
+        return arrays
+
+    @staticmethod
+    def _extension_tuples(arrays, n_positions, d_checks) -> List[tuple]:
+        """One tuple of new-variable cells per match that passes the
+        repeated-variable equality (``d`` spec entries), which is
+        applied as one boolean mask."""
+        mask = None
+        for position, first in d_checks:
+            eq = arrays[position] == arrays[first]
+            mask = eq if mask is None else mask & eq
+        cols = [arrays[position] for position in n_positions]
+        if mask is not None:
+            cols = [col[mask] for col in cols]
+        if cols:
+            return list(zip(*[col.tolist() for col in cols]))
+        survivors = len(arrays[0]) if mask is None \
+            else int(np.count_nonzero(mask))
+        return [()] * survivors
+
+    @staticmethod
+    def _build_hash_memo(arrays, v_positions, n_positions, d_checks,
+                         single, ext_memo) -> None:
+        """Bucket extension tuples per distinct join key, vectorized.
+
+        The matched range is sorted by its key columns (stable argsort /
+        lexsort), so each distinct key becomes one contiguous run — the
+        grouping a sorted-merge join consumes — and the runs are sliced
+        straight into the memo without per-row Python dispatch.
+        """
+        mask = None
+        for position, first in d_checks:
+            eq = arrays[position] == arrays[first]
+            mask = eq if mask is None else mask & eq
+        key_cols = [arrays[position] for position in v_positions]
+        ext_cols = [arrays[position] for position in n_positions]
+        if mask is not None:
+            key_cols = [col[mask] for col in key_cols]
+            ext_cols = [col[mask] for col in ext_cols]
+        total = int(len(key_cols[0]))
+        if not total:
+            return
+        if len(key_cols) == 1:
+            order = np.argsort(key_cols[0], kind="stable")
+        else:
+            order = np.lexsort(tuple(reversed(key_cols)))
+        key_cols = [col[order] for col in key_cols]
+        starts_run = np.zeros(total, dtype=bool)
+        starts_run[0] = True
+        for col in key_cols:
+            starts_run[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(starts_run)
+        heads = [col[starts].tolist() for col in key_cols]
+        # all extension tuples in one C-level zip, then one list slice
+        # per run: the paper's cubes have one triple per observation
+        # per predicate, so runs are as many as rows and per-run
+        # Python work is what a build costs
+        exts = list(zip(*[col[order].tolist() for col in ext_cols])) \
+            if ext_cols else [()] * total
+        bounds = starts.tolist()
+        bounds.append(total)
+        ext_memo.update(zip(
+            heads[0] if single else zip(*heads),
+            [exts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+
+    def _prefer_hash(self, source: GraphSource, base: IdPattern,
+                     rows: int) -> bool:
+        """Join-strategy choice for one step: build the bucketed index
+        scan (hash join) when the matched range is small enough
+        relative to the binding table, probe per distinct key
+        otherwise.  Overridden by the morsel workers, whose tables are
+        small slices of a large scan and whose builds are cached."""
+        return rows >= 64 and source.estimate_ids(base) <= 4 * rows
+
+    def _hash_memo(self, source: GraphSource, base: IdPattern,
+                   v_positions: List[int], n_positions: List[int],
+                   d_checks: List[Tuple[int, int]], single: bool) -> Dict:
+        """The build side of the hash join: extension tuples bucketed
+        per distinct join key (sorted-run grouping), off one index
+        scan.  Read-only to the probe side, so workers may reuse one
+        build across morsels."""
+        ext_memo: Dict = {}
+        self._build_hash_memo(self._vector_matches(source, base),
+                              v_positions, n_positions, d_checks, single,
+                              ext_memo)
+        return ext_memo
+
+    def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
+                     table: BindingTable) -> BindingTable:
+        spec, new_names, probe_slots, dead = self._compile_positions(
+            pattern.positions(), table)
+        out_names = table.names + tuple(new_names)
+        rows = table.rows
+        if dead or not rows:
+            return BindingTable(out_names, [])
+        base = _base_pattern(spec)
+        n_positions = [position for position, (kind, _) in enumerate(spec)
+                       if kind == "n"]
+        d_checks = [(position, value) for position, (kind, value)
+                    in enumerate(spec) if kind == "d"]
+
+        if not probe_slots:
+            # no shared variables: one scan, applied to every row
+            self._last_strategy = "scan"
+            exts = self._extension_tuples(
+                self._vector_matches(source, base), n_positions, d_checks)
+            return BindingTable(
+                out_names, [row + ext for row in rows for ext in exts])
+
+        # shared-variable join.  Rows whose join-key cells are all bound
+        # take the fast path: per distinct key, the matching *extension
+        # tuples* (new-variable values) are computed once — either from
+        # one bucketed index scan (hash join) or from a memoized index
+        # probe — and appended to each row with no per-match rechecking.
+        # Rows with an unbound (None) join cell fall back to the general
+        # capture-aware application.
+        v_positions = [position for position, (kind, _) in enumerate(spec)
+                       if kind == "v"]
+        single = len(probe_slots) == 1
+        slot0 = probe_slots[0]
+        v_pos0 = v_positions[0]
+        n_count = len(n_positions)
+        np0 = n_positions[0] if n_count > 0 else -1
+        np1 = n_positions[1] if n_count > 1 else -1
+        template = [value if kind == "c" else None for kind, value in spec]
+        # index probes with a bound key read per-entry tuples
+        match_ids = source.match_ids
+        if PROBE_COUNTER.active:
+            match_ids = _counted(match_ids)
+        if self._gov is not None:
+            match_ids = self._gov.metered(match_ids)
+
+        def extensions(matches) -> list:
+            exts = []
+            for match in matches:
+                if d_checks and any(match[a] != match[b]
+                                    for a, b in d_checks):
+                    continue
+                if n_count == 1:
+                    exts.append((match[np0],))
+                elif n_count == 2:
+                    exts.append((match[np0], match[np1]))
+                elif n_count == 0:
+                    exts.append(())
+                else:
+                    exts.append(tuple(match[position]
+                                      for position in n_positions))
+            return exts
+
+        def concrete_for(key) -> IdPattern:
+            pattern_ids = list(template)
+            if single:
+                pattern_ids[v_pos0] = key
+            else:
+                for position, cell in zip(v_positions, key):
+                    pattern_ids[position] = cell
+            return (pattern_ids[0], pattern_ids[1], pattern_ids[2])
+
+        use_hash = self._prefer_hash(source, base, len(rows))
+        self._last_strategy = "hash" if use_hash else "probe"
+        if use_hash:
+            ext_memo = self._hash_memo(source, base, v_positions,
+                                       n_positions, d_checks, single)
+        else:
+            ext_memo = {}
+
+        raw_memo: Dict = {}  # distinct key -> raw matches (capture rows)
+        emit = self._emit
+        out_rows: List[tuple] = []
+        for row in rows:
+            if single:
+                key = row[slot0]
+                unbound_key = key is None
+            else:
+                key = tuple(row[slot] for slot in probe_slots)
+                unbound_key = None in key
+            if not unbound_key:
+                exts = ext_memo.get(key)
+                if exts is None:
+                    if use_hash:  # complete hash table: no matches
+                        continue
+                    exts = extensions(match_ids(concrete_for(key)))
+                    ext_memo[key] = exts
+                if exts:
+                    for ext in exts:
+                        out_rows.append(row + ext)
+                continue
+            got = raw_memo.get(key)
+            if got is None:
+                got = list(match_ids(concrete_for(key)))
+                raw_memo[key] = got
+            if got:
+                emit(row, got, spec, out_rows)
+        return BindingTable(out_names, out_rows)
+
+    def _step_path(self, pattern: PathPatternNode, source: GraphSource,
+                   table: BindingTable) -> BindingTable:
+        self._last_strategy = "path"
+        decode = self._dict.decode
+        encode = self._dict.encode
+        spec = []
+        new_names: List[str] = []
+        first_new: Dict[str, int] = {}
+        probe_slots: List[int] = []
+        for position in pattern.endpoints():
+            if isinstance(position, Var):
+                name = position.name
+                slot = table.slots.get(name)
+                if slot is not None:
+                    spec.append(("v", slot))
+                    probe_slots.append(slot)
+                elif name in first_new:
+                    spec.append(("d", first_new[name]))
+                else:
+                    first_new[name] = len(spec)
+                    spec.append(("n", None))
+                    new_names.append(name)
+            else:
+                spec.append(("c", position))  # paths match at term level
+        out_names = table.names + tuple(new_names)
+        rows = table.rows
+        if not rows:
+            return BindingTable(out_names, [])
+        out_rows: List[tuple] = []
+        memo: Dict[tuple, list] = {}
+        emit = self._emit
+        for row in rows:
+            key = tuple(row[slot] for slot in probe_slots)
+            got = memo.get(key)
+            if got is None:
+                endpoints = []
+                cursor = 0
+                for kind, value in spec:
+                    if kind == "c":
+                        endpoints.append(value)
+                    elif kind == "v":
+                        bound_id = key[cursor]
+                        cursor += 1
+                        endpoints.append(
+                            None if bound_id is None else decode(bound_id))
+                    else:
+                        endpoints.append(None)
+                got = [(encode(start), encode(end)) for start, end in
+                       evaluate_path(source, pattern.path,
+                                     endpoints[0], endpoints[1])]
+                memo[key] = got
+            if got:
+                emit(row, got, spec, out_rows)
+        return BindingTable(out_names, out_rows)
+
+    def _scan_chunks(self, pattern: TriplePatternNode, source: GraphSource,
+                     table: BindingTable, batch: int
+                     ) -> Iterator[BindingTable]:
+        """A leading join step that shares no variable with ``table``,
+        as a sequence of bounded-size tables."""
+        spec, new_names, _probe_slots, _dead = self._compile_positions(
+            pattern.positions(), table)
+        names = table.names + tuple(new_names)
+        base = _base_pattern(spec)
+        n_positions = [position for position, (kind, _) in enumerate(spec)
+                       if kind == "n"]
+        d_checks = [(position, value) for position, (kind, value)
+                    in enumerate(spec) if kind == "d"]
+        arrays = source.match_arrays(base)
+        rows = table.rows
+        # windowed so early termination (LIMIT, ASK) leaves the tail
+        # undecoded and unaccounted: probes and governor charges land
+        # per consumed window only
+        counter = PROBE_COUNTER
+        gov = self._gov
+        total = int(len(arrays[0]))
+        # each window multiplies with every seed row: keep a piece near
+        # ``batch`` rows however many rows seed it
+        batch = max(1, batch // len(rows))
+        for start in range(0, total, batch):
+            stop = min(start + batch, total)
+            if counter.active:
+                counter.entries += stop - start
+            if gov is not None:
+                gov.charge_scan(stop - start)
+            chunk = self._extension_tuples(
+                tuple(col[start:stop] for col in arrays),
+                n_positions, d_checks)
+            if chunk:
+                yield BindingTable(
+                    names, [row + ext for row in rows for ext in chunk])
+
+

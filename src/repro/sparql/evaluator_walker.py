@@ -1,0 +1,689 @@
+"""The algebra walker of the SPARQL evaluator.
+
+The evaluator interprets :mod:`repro.sparql.algebra` trees with **one
+walker over id-level tables**: solutions flow between operators as
+:class:`~repro.sparql.bindings.BindingTable`\\ s of interned term ids,
+basic graph patterns execute as a sequence of join steps planned *once
+per bound-variable signature* (through the LRU plan cache in
+:mod:`repro.sparql.optimizer`), and each step joins via either a hash
+join over a single index scan or memoized index probes keyed on the
+distinct join values — never a fresh plan or a fresh Python dict per
+input row.  Terms are only decoded at expression boundaries (FILTER,
+BIND, aggregation) and at final projection.
+
+The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
+query forms differ only in how they drain it:
+
+* **un-chunked** (:meth:`PatternEvaluator.solve`) — one table per
+  node; SELECT without LIMIT, CONSTRUCT, DESCRIBE and update ``WHERE``
+  clauses.
+* **chunked until enough rows exist** — queries with ``LIMIT`` but no
+  ORDER BY / aggregation pull the first join step's index scan in
+  windows and stop as soon as ``OFFSET + LIMIT`` output rows exist.
+  ``DISTINCT`` streams through an incremental dedup operator (seen-set
+  bounded by the row budget), ``REDUCED`` through adjacent dedup with
+  no seen-set at all, and ``OPTIONAL`` as a left-outer probe fed
+  piece-by-piece from its required side (see :func:`_stream_select`
+  and :meth:`PatternEvaluator.stream_tables`).  Streamability is
+  carried on the plan IR
+  (:attr:`~repro.sparql.optimizer.PhysicalPlan.streamable`) rather
+  than re-derived here.
+* **chunked until the first non-empty table**
+  (:meth:`PatternEvaluator.exists`) — ASK.  ``EXISTS`` is the same
+  drain seeded with every row of the table being filtered plus a row
+  marker, the way OPTIONAL seeds its right side, and stops once every
+  row has been seen in a solution.
+
+Every drain runs the same BGP step loop, so the ``evaluator.step``
+failpoint, the governor's per-step row charge and the step trace apply
+to all of them alike.
+
+Computed terms (BIND results, VALUES literals, seed bindings) intern
+into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
+discarded with the evaluator, so a long-lived endpoint's term
+dictionary only grows with *stored* data.
+"""
+
+from __future__ import annotations
+
+import threading
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
+    Set, Tuple
+
+from repro.testing import faults as _faults
+from repro.sparql.algebra import (
+    BGP,
+    Empty,
+    Extend,
+    Filter,
+    GraphNode,
+    Join,
+    LeftJoin,
+    Minus,
+    PathPatternNode,
+    PatternNode,
+    SubSelectNode,
+    TriplePatternNode,
+    Union as UnionNode,
+    ValuesNode,
+    Var,
+)
+from repro.sparql.bindings import (
+    BindingTable,
+    concat as table_concat,
+    visible_slots as table_visible_slots,
+)
+from repro.sparql.errors import EvaluationError, ExpressionError
+from repro.sparql.evaluator_source import (
+    Binding,
+    DatasetContext,
+    GraphSource,
+)
+from repro.sparql.evaluator_steps import JoinSteps
+from repro.sparql.expressions import EvalContext, effective_boolean_value
+from repro.sparql.optimizer import get_plan
+
+
+class StreamTelemetry:
+    """Counters for the streaming pipeline (always on, O(1) per batch).
+
+    ``queries`` counts SELECT evaluations that took the streaming path
+    — including nested sub-SELECTs, so one request can contribute more
+    than one — ``batches`` the solution batches pulled through it and
+    ``rows`` the solutions those batches carried.  The endpoint and the
+    QL execution report read deltas of these around each request, so
+    callers can verify a workload streamed (and how much it pulled)
+    without enabling the probe counter.
+
+    Updates go through :meth:`record_query` / :meth:`record_batch`
+    under a small mutex (one acquisition per *batch*, not per row):
+    the snapshot-isolated endpoint streams several SELECTs in
+    parallel, and unsynchronized ``+=`` would silently drop counts.
+    """
+
+    __slots__ = ("queries", "batches", "rows", "_lock")
+
+    def __init__(self) -> None:
+        self.queries = 0
+        self.batches = 0
+        self.rows = 0
+        self._lock = threading.Lock()
+
+    def record_query(self) -> None:
+        with self._lock:
+            self.queries += 1
+
+    def record_batch(self, rows: int) -> None:
+        with self._lock:
+            self.batches += 1
+            self.rows += rows
+
+    def reset(self) -> None:
+        with self._lock:
+            self.queries = 0
+            self.batches = 0
+            self.rows = 0
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return {"queries": self.queries, "batches": self.batches,
+                    "rows": self.rows}
+
+
+#: The shared streaming-telemetry counters.
+STREAM_TELEMETRY = StreamTelemetry()
+
+
+#: Index entries per window of a chunked leading scan.
+_CHUNK = 512
+
+
+
+class StepTrace:
+    """One executed join step, for EXPLAIN's estimated-vs-actual view."""
+
+    __slots__ = ("node", "position", "step", "rows_in", "rows_out",
+                 "strategy")
+
+    def __init__(self, node, position: int, step, rows_in: int,
+                 rows_out: int, strategy: str) -> None:
+        self.node = node
+        self.position = position
+        self.step = step
+        self.rows_in = rows_in
+        self.rows_out = rows_out
+        self.strategy = strategy
+
+
+class PatternEvaluator(JoinSteps):
+    """Evaluates pattern nodes against a dataset context.
+
+    One walker (:meth:`_walk`) interprets the algebra over id-level
+    :class:`BindingTable`\\ s; every query form is a way of draining it:
+
+    * :meth:`solve` — no chunking, one table out.  SELECT, CONSTRUCT,
+      DESCRIBE and update ``WHERE`` clauses use it.
+    * :meth:`stream_tables` — the leading scan in chunks, pulled only
+      while the caller iterates (SELECT with LIMIT).
+    * :meth:`exists` — chunked, stopped at the first non-empty table
+      (ASK); EXISTS is the same drain seeded with the rows being
+      filtered (:meth:`_exists_rows`).
+    """
+
+    def __init__(self, context: DatasetContext,
+                 eval_context: Optional[EvalContext] = None) -> None:
+        self.context = context
+        self.eval_context = eval_context or EvalContext()
+        governor = getattr(context, "governor", None)
+        if governor is not None:
+            # a dead-on-arrival request (cancelled token, expired
+            # deadline) dies here, before any evaluation work — this
+            # also covers early-exit paths (ASK) that may finish
+            # without ever reaching a batch boundary
+            governor.check()
+        # per-query overlay: computed BIND/VALUES terms intern into a
+        # discardable overflow id range, never into the base dictionary
+        super().__init__(context.dataset.dictionary.overlay(), governor)
+        self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
+        self._visible_cache: Dict[Tuple[str, ...], list] = {}
+        self._marker_count = 0
+        #: when set to a list, every executed join step appends a
+        #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
+        self.trace: Optional[List[StepTrace]] = None
+
+    # ==================================================================
+    # Draining the walker
+    # ==================================================================
+
+    def solve(self, node: PatternNode, source: GraphSource,
+              table: Optional[BindingTable] = None) -> BindingTable:
+        """Evaluate ``node`` over every row of ``table`` at once."""
+        if table is None:
+            table = BindingTable.unit()
+        # un-chunked, the walker yields exactly one table per node
+        result, = self._walk(node, source, table, None)
+        return result
+
+    def exists(self, node: PatternNode, source: GraphSource) -> bool:
+        """Whether ``node`` has a solution: pulls chunks and stops at
+        the first non-empty one (ASK)."""
+        return bool(self._exists_rows(node, source, BindingTable.unit()))
+
+    def _marked(self, table: BindingTable) -> Tuple[str, BindingTable]:
+        """``table`` plus a fresh internal column numbering its rows, so
+        solutions seeded from it can be traced back to their row."""
+        self._marker_count += 1
+        marker = f"#mark{self._marker_count}"
+        return marker, BindingTable(
+            table.names + (marker,),
+            [row + (index,) for index, row in enumerate(table.rows)])
+
+    def _exists_rows(self, node: PatternNode, source: GraphSource,
+                     table: BindingTable) -> Set[int]:
+        """Indexes of the rows of ``table`` over which ``node`` has a
+        solution (EXISTS for a whole table at once).
+
+        The walker runs seeded with every row, in chunks, and stops as
+        soon as each row has been seen in some solution.
+        """
+        marker, seeded = self._marked(table)
+        found: Set[int] = set()
+        for piece in self._walk(node, source, seeded, _CHUNK):
+            slot = piece.slots[marker]
+            found.update(row[slot] for row in piece.rows)
+            if len(found) == len(table.rows):
+                break
+        return found
+
+    def _seed_table(self, seed: Binding) -> BindingTable:
+        """The one-row table binding ``seed``'s variables."""
+        names = tuple(seed)
+        encode = self._dict.encode
+        return BindingTable(
+            names, [tuple(encode(seed[name]) for name in names)])
+
+    def solutions(self, node: PatternNode, source: GraphSource
+                  ) -> List[Binding]:
+        """Batch-evaluate and decode into {var: term} dict bindings."""
+        result = self.solve(node, source)
+        decode = self._dict.decode
+        out: List[Binding] = []
+        visible = result.visible_slots()
+        for row in result.rows:
+            out.append({name: decode(row[slot]) for slot, name in visible
+                        if row[slot] is not None})
+        return out
+
+    # ==================================================================
+    # The algebra walker
+    # ==================================================================
+
+    def _walk(self, node: PatternNode, source: GraphSource,
+              table: BindingTable, chunk: Optional[int]
+              ) -> Iterator[BindingTable]:
+        """Tables whose concatenation is ``node`` evaluated over
+        ``table``.
+
+        With ``chunk`` set, the left-most BGP's leading index scan is
+        pulled in windows of at most ``chunk`` entries and every
+        operator above it that consumes its input row-locally maps over
+        the pieces, so a consumer that stops iterating stops the scan.
+        With ``chunk=None`` each node yields exactly one table.
+        """
+        if isinstance(node, BGP):
+            yield from self._walk_bgp(node, source, table, chunk)
+        elif isinstance(node, Join):
+            for left in self._walk(node.left, source, table, chunk):
+                yield from self._walk(node.right, source, left, None)
+        elif isinstance(node, LeftJoin):
+            # left-outer probe per required-side piece: each piece is
+            # extended (or None-padded) against the optional side right
+            # away, so neither side materializes fully when chunked
+            for left in self._walk(node.left, source, table, chunk):
+                yield self._left_outer_extend(node, source, left) \
+                    if left.rows else left
+        elif isinstance(node, UnionNode):
+            yield from self._gathered(
+                chain(self._walk(node.left, source, table, chunk),
+                      self._walk(node.right, source, table, chunk)),
+                chunk, table.names)
+        elif isinstance(node, Minus):
+            # the right side is NOT correlated with the left in SPARQL
+            # MINUS: it is solved once, when the first left row shows up
+            removals = None
+            for left in self._walk(node.left, source, table, chunk):
+                if left.rows:
+                    if removals is None:
+                        removals = self.solve(node.right, source)
+                    left = self._minus_table(left, removals)
+                yield left
+        elif isinstance(node, Filter):
+            for child in self._walk(node.child, source, table, chunk):
+                yield self._filter_table(child, node.condition, source)
+        elif isinstance(node, Extend):
+            for child in self._walk(node.child, source, table, chunk):
+                yield self._extend_table(node, child, source)
+        elif isinstance(node, ValuesNode):
+            encode = self._dict.encode
+            yield _join_relation(table, node.vars, [
+                tuple(None if value is None else encode(value)
+                      for value in row)
+                for row in node.rows])
+        elif isinstance(node, GraphNode):
+            yield from self._walk_graph(node, source, table, chunk)
+        elif isinstance(node, SubSelectNode):
+            yield _join_relation(table, *self._subselect(node, source))
+        elif isinstance(node, Empty):
+            yield table
+        else:
+            raise EvaluationError(f"unknown pattern node {node!r}")
+
+    @staticmethod
+    def _gathered(pieces: Iterator[BindingTable], chunk: Optional[int],
+                  names: Tuple[str, ...]) -> Iterator[BindingTable]:
+        """``pieces`` as they come when chunked, concatenated into the
+        one table an un-chunked node owes otherwise."""
+        if chunk is not None:
+            yield from pieces
+            return
+        tables = list(pieces)
+        yield table_concat(tables) if tables else BindingTable(names, [])
+
+    def _bgp_dead(self, patterns) -> bool:
+        """True when a triple pattern holds a never-interned constant.
+
+        Such a pattern can match nothing, so the whole conjunction is
+        empty — checked up front (a dict probe per constant) so the
+        plan's earlier steps never run for a doomed BGP.  Path patterns
+        are exempt: a zero-length path can match an unknown term.
+        """
+        lookup = self._dict.lookup
+        for pattern in patterns:
+            if isinstance(pattern, TriplePatternNode):
+                for position in pattern.positions():
+                    if not isinstance(position, Var) \
+                            and lookup(position) is None:
+                        return True
+        return False
+
+    def _walk_bgp(self, node: BGP, source: GraphSource,
+                  table: BindingTable, chunk: Optional[int]
+                  ) -> Iterator[BindingTable]:
+        patterns = node.patterns
+        if not patterns:
+            yield table
+            return
+        if self._bgp_dead(patterns):
+            table = BindingTable(table.names, [])
+        bound = frozenset(
+            name for name in table.names if not name.startswith("#"))
+        plan = get_plan(node, bound, source)
+        steps = plan.steps
+        feeds: Iterable[Optional[BindingTable]] = (None,)
+        if chunk is not None and plan.streamable and table.rows:
+            first = patterns[steps[0].index]
+            if not first.variables() & table.slots.keys():
+                # an incremental scan can lead: each window of it is
+                # one feed through the remaining steps
+                feeds = self._scan_chunks(first, source, table, chunk)
+        trace = self.trace
+        gov = self._gov
+        for feed in feeds:
+            current = table
+            for position, step in enumerate(steps):
+                if _faults.ACTIVE:
+                    _faults.fire("evaluator.step")
+                if not current.rows:
+                    break
+                pattern = patterns[step.index]
+                rows_in = len(current.rows)
+                if feed is not None and position == 0:
+                    current = feed
+                    self._last_strategy = "scan"
+                elif isinstance(pattern, PathPatternNode):
+                    current = self._step_path(pattern, source, current)
+                else:
+                    current = self._step_triple(pattern, source, current)
+                if gov is not None:
+                    # batch-boundary governance: account the produced
+                    # binding cells, then check deadline/cancellation
+                    gov.charge_rows(len(current.rows),
+                                    max(1, len(current.names)))
+                if trace is not None:
+                    trace.append(StepTrace(node, position, step, rows_in,
+                                           len(current.rows),
+                                           self._last_strategy))
+            yield current
+
+    # -- draining in chunks (SELECT with LIMIT) ------------------------------
+
+    def iter_stream_solutions(self, node: PatternNode, source: GraphSource,
+                              batch: int = _CHUNK) -> Iterator[Binding]:
+        """Lazily decoded solutions, pulled batch-by-batch.
+
+        The first join step of the leading BGP is pulled in batches of
+        at most ``batch`` index entries; each batch flows through the
+        remaining steps (and any row-local operators above the BGP),
+        but only while the caller keeps iterating — consumers that
+        cannot know up front how many raw solutions they need (the
+        incremental DISTINCT operator) simply stop pulling.
+        """
+        decode = self._dict.decode
+        for table in self.stream_tables(node, source, batch):
+            visible = table.visible_slots()
+            for row in table.rows:
+                yield {name: decode(row[slot])
+                       for slot, name in visible
+                       if row[slot] is not None}
+
+    def stream_tables(self, node: PatternNode, source: GraphSource,
+                      batch: int = _CHUNK) -> Iterator[BindingTable]:
+        """Solution batches for a streamable subtree, with telemetry."""
+        telemetry = STREAM_TELEMETRY
+        gov = self._gov
+        for table in self._walk(node, source, BindingTable.unit(), batch):
+            telemetry.record_batch(len(table.rows))
+            if _faults.ACTIVE:
+                _faults.fire("evaluator.batch")
+            if gov is not None:
+                gov.charge_rows(len(table.rows), max(1, len(table.names)))
+            yield table
+
+    # -- operators -----------------------------------------------------------
+
+    def _left_outer_extend(self, node: LeftJoin, source: GraphSource,
+                           left: BindingTable) -> BindingTable:
+        """Extend solved required-side rows with the optional side.
+
+        The left-outer probe is row-local (each left row either gains
+        its matches or a ``None`` pad, independently of other rows), so
+        the walker calls this once per required-side piece.
+        """
+        if self._gov is not None:
+            self._gov.check()
+        marker, seeded = self._marked(left)
+        right = self.solve(node.right, source, seeded)
+        right_rows = right.rows
+        if node.condition is not None and right_rows:
+            right_rows = self._filter_table(
+                right, node.condition, source).rows
+        marker_slot = right.slots[marker]
+        matched: Dict[int, list] = {}
+        for row in right_rows:
+            matched.setdefault(row[marker_slot], []).append(row)
+        out_names = tuple(name for name in right.names if name != marker)
+        right_picks = [right.slots[name] for name in out_names]
+        pad = (None,) * (len(out_names) - len(left.names))
+        out_rows: List[tuple] = []
+        for index, left_row in enumerate(left.rows):
+            hits = matched.get(index)
+            if hits:
+                for row in hits:
+                    out_rows.append(tuple(row[pick] for pick in right_picks))
+            else:
+                out_rows.append(left_row + pad)
+        return BindingTable(out_names, out_rows)
+
+    @staticmethod
+    def _minus_table(left: BindingTable,
+                     removals: BindingTable) -> BindingTable:
+        """``left`` without the rows a compatible, overlapping row of
+        ``removals`` excludes."""
+        if not removals.rows:
+            return left
+        shared = [(left.slots[name], removals.slots[name])
+                  for name in left.names
+                  if name in removals.slots and not name.startswith("#")]
+        if not shared:
+            return left
+        out_rows = []
+        for left_row in left.rows:
+            excluded = False
+            for removal in removals.rows:
+                overlap = False
+                compatible = True
+                for left_slot, removal_slot in shared:
+                    left_value = left_row[left_slot]
+                    removal_value = removal[removal_slot]
+                    if left_value is None or removal_value is None:
+                        continue
+                    if left_value != removal_value:
+                        compatible = False
+                        break
+                    overlap = True
+                if compatible and overlap:
+                    excluded = True
+                    break
+            if not excluded:
+                out_rows.append(left_row)
+        return BindingTable(left.names, out_rows)
+
+    def _filter_table(self, child: BindingTable, condition,
+                      source: GraphSource) -> BindingTable:
+        eval_context = self._context_for(source, child)
+        out_rows = []
+        for index, row in enumerate(child.rows):
+            binding = self._decode_row(child.names, row)
+            binding["#row"] = index
+            try:
+                if effective_boolean_value(
+                        condition.evaluate(binding, eval_context)):
+                    out_rows.append(row)
+            except ExpressionError:
+                continue
+        return BindingTable(child.names, out_rows)
+
+    def _extend_table(self, node: Extend, child: BindingTable,
+                      source: GraphSource) -> BindingTable:
+        eval_context = self._context_for(source)
+        encode = self._dict.encode
+        name = node.var
+        slot = child.slots.get(name)
+        out_rows = []
+        for row in child.rows:
+            if slot is not None and row[slot] is not None:
+                raise EvaluationError(
+                    f"BIND would rebind already-bound variable ?{name}")
+            binding = self._decode_row(child.names, row)
+            try:
+                value = encode(node.expression.evaluate(
+                    binding, eval_context))
+            except ExpressionError:
+                value = None  # leave unbound per SPARQL error semantics
+            if slot is not None:
+                cells = list(row)
+                cells[slot] = value
+                out_rows.append(tuple(cells))
+            else:
+                out_rows.append(row + (value,))
+        names = child.names if slot is not None else child.names + (name,)
+        return BindingTable(names, out_rows)
+
+    def _walk_graph(self, node: GraphNode, source: GraphSource,
+                    table: BindingTable, chunk: Optional[int]
+                    ) -> Iterator[BindingTable]:
+        if not isinstance(node.name, Var):
+            yield from self._walk(node.child,
+                                  self.context.named_source(node.name),
+                                  table, chunk)
+            return
+        name = node.name.name
+
+        def per_graph() -> Iterator[BindingTable]:
+            for iri, graph in self.context.named_graphs():
+                # ?g is this graph: rows that bind it otherwise drop out
+                seeded = _join_relation(
+                    table, (name,), [(self._dict.encode(iri),)])
+                yield from self._walk(node.child, GraphSource(graph),
+                                      seeded, chunk)
+
+        yield from self._gathered(
+            per_graph(), chunk,
+            table.names + (() if name in table.slots else (name,)))
+
+    def _subselect(self, node: SubSelectNode, source: GraphSource
+                   ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """The sub-SELECT's result as ``(names, id rows)``, evaluated
+        once per evaluator and source."""
+        # keyed by node *and* source: under GRAPH ?g the same subselect
+        # evaluates once per named graph, not once globally
+        cache_key = (id(node), source.cache_key())
+        cached = self._subselect_tables.get(cache_key)
+        if cached is None:
+            from repro.sparql.evaluator import evaluate_select
+
+            # the outer trace rides along so EXPLAIN analyze renders
+            # nested plans with their actual cardinalities
+            result = evaluate_select(node.query, self.context, source=source,
+                                     trace=self.trace)
+            encode = self._dict.encode
+            sub_rows = [
+                tuple(None if value is None else encode(value)
+                      for value in row)
+                for row in result.rows]
+            cached = (tuple(result.vars), sub_rows)
+            self._subselect_tables[cache_key] = cached
+        return cached
+
+    def _decode_row(self, names, row) -> Binding:
+        # the visible-column scan is memoized per schema: this runs once
+        # per row on every FILTER/BIND/ORDER BY boundary
+        visible = self._visible_cache.get(names)
+        if visible is None:
+            visible = table_visible_slots(names)
+            self._visible_cache[names] = visible
+        decode = self._dict.decode
+        return {
+            name: decode(row[slot])
+            for slot, name in visible
+            if row[slot] is not None
+        }
+
+    def _context_for(self, source: GraphSource,
+                     table: Optional[BindingTable] = None) -> EvalContext:
+        """The expression context for patterns matched against
+        ``source``.
+
+        A caller about to evaluate one expression over every row of a
+        ``table`` passes it and tags each row's binding with its index
+        under ``"#row"``: EXISTS is then answered for the whole table
+        by one seeded walk, on first use.  An untagged binding (HAVING,
+        projection, ORDER BY, BIND) is a table of one row.
+        """
+        found: Dict[int, Set[int]] = {}
+
+        def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
+            index = None if table is None else binding.get("#row")
+            if index is None:
+                return bool(self._exists_rows(
+                    pattern, source, self._seed_table(binding)))
+            hits = found.get(id(pattern))
+            if hits is None:
+                hits = found[id(pattern)] = self._exists_rows(
+                    pattern, source, table)
+            return index in hits
+
+        return EvalContext(exists_evaluator=exists_evaluator,
+                           now=self.eval_context.now)
+
+
+def _join_relation(table: BindingTable, names: Sequence[str],
+                   relation: List[tuple]) -> BindingTable:
+    """Join ``table`` with a constant relation (VALUES data, a cached
+    sub-SELECT result) of id rows over ``names``.
+
+    A ``None`` cell on either side constrains nothing (``UNDEF``, an
+    unbound variable) and takes the other side's value.
+    """
+    shared = [(table.slots[name], index)
+              for index, name in enumerate(names) if name in table.slots]
+    new_indices = [index for index, name in enumerate(names)
+                   if name not in table.slots]
+    out_names = table.names + tuple(names[index] for index in new_indices)
+    out_rows: List[tuple] = []
+    clean = bool(shared) and all(
+        row[index] is not None for _, index in shared
+        for row in relation) and all(
+        row[slot] is not None for slot, _ in shared
+        for row in table.rows)
+    if clean:
+        # every join cell bound on both sides: bucket the relation once
+        buckets: Dict[tuple, list] = {}
+        for rel_row in relation:
+            key = tuple(rel_row[index] for _, index in shared)
+            buckets.setdefault(key, []).append(rel_row)
+        for table_row in table.rows:
+            for rel_row in buckets.get(
+                    tuple(table_row[slot] for slot, _ in shared), ()):
+                out_rows.append(table_row + tuple(
+                    rel_row[index] for index in new_indices))
+        return BindingTable(out_names, out_rows)
+    for table_row in table.rows:
+        for rel_row in relation:
+            updates = None
+            ok = True
+            for slot, index in shared:
+                value = rel_row[index]
+                if value is None:
+                    continue
+                current = table_row[slot]
+                if current is None:
+                    if updates is None:
+                        updates = {}
+                    updates[slot] = value
+                elif current != value:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if updates:
+                cells = list(table_row)
+                for slot, value in updates.items():
+                    cells[slot] = value
+                base = tuple(cells)
+            else:
+                base = table_row
+            out_rows.append(base + tuple(
+                rel_row[index] for index in new_indices))
+    return BindingTable(out_names, out_rows)
