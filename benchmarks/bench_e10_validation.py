@@ -31,6 +31,10 @@ from repro.qb.validator import check_ic12_no_duplicate_observations
 
 NORMALIZE_SIZES = [500, 2_000, 8_000]
 IC12_SIZES = [100, 200, 400]
+#: the IC suite is the engine's ASK / NOT EXISTS traffic, which no
+#: ``benchmarks/perf`` workload issues: two sizes so a change to that
+#: path has a scaling number to stand on (docs/performance.md)
+IC_SUITE_SIZES = [2_000, 8_000]
 
 
 def normalized_cube(observations: int, seed: int = 42):
@@ -65,8 +69,9 @@ def test_e10_normalization_scaling(benchmark, save_rows):
     assert again == 0  # idempotent
 
 
-def test_e10_ic_suite_cost(benchmark, save_rows):
-    graph, _ = normalized_cube(2_000)
+@pytest.mark.parametrize("observations", IC_SUITE_SIZES)
+def test_e10_ic_suite_cost(benchmark, save_rows, observations):
+    graph, _ = normalized_cube(observations)
 
     def run():
         rows = []
@@ -86,9 +91,9 @@ def test_e10_ic_suite_cost(benchmark, save_rows):
         f"{seconds:7.3f}s ({seconds / total:5.1%})"
         for ic, label, violated, seconds in timings
     ]
-    save_rows("E10_ic_costs",
-              "per-constraint cost, 2000-observation cube "
-              "(IC-12/17 delegated to native checks)", rows)
+    save_rows(f"E10_ic_costs_{observations}",
+              f"per-constraint cost, {observations}-observation cube "
+              f"(IC-12/17 delegated to native checks)", rows)
     # the raw synthetic cube reproduces the real dump's metadata gap:
     # dimensions lack rdfs:range (IC-4)
     violated_ics = {ic for ic, _, violated, _ in timings if violated}

@@ -22,11 +22,6 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Term
 from repro.sparql.algebra import (
     AskQuery,
-    BGP,
-    Extend,
-    Filter,
-    Join,
-    LeftJoin,
     PatternNode,
     Query,
     SelectQuery,
@@ -71,7 +66,7 @@ from repro.sparql.expressions import (
     effective_boolean_value,
     order_key,
 )
-from repro.sparql.optimizer import get_plan, stream_shape
+from repro.sparql.optimizer import get_plan, leading_bgp, stream_shape
 from repro.sparql.results import ResultTable
 
 #: Kill switch for the streaming SELECT path (differential tests flip
@@ -91,14 +86,6 @@ def streamable(node: PatternNode) -> bool:
     pipeline consults at execution time.
     """
     return stream_shape(node)
-
-
-def _leading_bgp(node: PatternNode) -> Optional[BGP]:
-    """The BGP whose scan would feed a stream of ``node``, if any."""
-    while isinstance(node, (Filter, Extend, Join, LeftJoin)):
-        node = node.child if isinstance(node, (Filter, Extend)) \
-            else node.left
-    return node if isinstance(node, BGP) else None
 
 
 def would_stream(query: SelectQuery,
@@ -121,7 +108,7 @@ def would_stream(query: SelectQuery,
             or not stream_shape(query.pattern)):
         return False
     if source is not None:
-        bgp = _leading_bgp(query.pattern)
+        bgp = leading_bgp(query.pattern)
         if bgp is not None and bgp.patterns:
             return get_plan(bgp, frozenset(), source).streamable
     return True
@@ -583,6 +570,9 @@ def evaluate_describe(query, context: DatasetContext) -> Graph:
         if node in described:
             continue
         described.add(node)
+        # a bounded description copies stored triples, terms and all:
+        # the one term-level scan of the evaluator family
+        # repro: allow[single-algebra-walker]
         for triple in source.match((node, None, None)):
             result.add(triple)
             if isinstance(triple.object, BNode) \

@@ -139,7 +139,6 @@ STREAM_TELEMETRY = StreamTelemetry()
 _CHUNK = 512
 
 
-
 class StepTrace:
     """One executed join step, for EXPLAIN's estimated-vs-actual view."""
 
@@ -159,22 +158,13 @@ class StepTrace:
 class PatternEvaluator(JoinSteps):
     """Evaluates pattern nodes against a dataset context.
 
-    One walker (:meth:`_walk`) interprets the algebra over id-level
-    :class:`BindingTable`\\ s; every query form is a way of draining it:
-
-    * :meth:`solve` — no chunking, one table out.  SELECT, CONSTRUCT,
-      DESCRIBE and update ``WHERE`` clauses use it.
-    * :meth:`stream_tables` — the leading scan in chunks, pulled only
-      while the caller iterates (SELECT with LIMIT).
-    * :meth:`exists` — chunked, stopped at the first non-empty table
-      (ASK); EXISTS is the same drain seeded with the rows being
-      filtered (:meth:`_exists_rows`).
+    :meth:`_walk` interprets the algebra; :meth:`solve`,
+    :meth:`stream_tables` and :meth:`exists` are the three ways of
+    draining it (see the module docstring).
     """
 
-    def __init__(self, context: DatasetContext,
-                 eval_context: Optional[EvalContext] = None) -> None:
+    def __init__(self, context: DatasetContext) -> None:
         self.context = context
-        self.eval_context = eval_context or EvalContext()
         governor = getattr(context, "governor", None)
         if governor is not None:
             # a dead-on-arrival request (cancelled token, expired
@@ -624,8 +614,7 @@ class PatternEvaluator(JoinSteps):
                     pattern, source, table)
             return index in hits
 
-        return EvalContext(exists_evaluator=exists_evaluator,
-                           now=self.eval_context.now)
+        return EvalContext(exists_evaluator=exists_evaluator)
 
 
 def _join_relation(table: BindingTable, names: Sequence[str],

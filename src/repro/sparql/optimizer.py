@@ -48,9 +48,9 @@ suboptimal order, which ``EXPLAIN ... analyze`` makes visible as an
 estimated-vs-actual gap (:mod:`repro.sparql.explain`).
 
 The per-binding helpers (:func:`choose_next`, :func:`pattern_cost`)
-remain for the lazy existence-check path (ASK / EXISTS): they use
-*exact* index counts per binding, which is ideal when the pipeline
-stops at the first solution.
+cost a pattern with *exact* index counts under one binding.  Nothing
+in the evaluator calls them any more — ASK and EXISTS execute the
+cached plans like every other query form.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def substituted_endpoints(pattern: PathPatternNode, binding: Binding
 
 
 def pattern_cost(pattern, binding: Binding, source) -> int:
-    """Exact matches for ``pattern`` under ``binding`` (lazy pipeline)."""
+    """Exact matches for ``pattern`` under ``binding``."""
     if isinstance(pattern, PathPatternNode):
         start, end = substituted_endpoints(pattern, binding)
         return estimate_path(source, pattern.path, start, end)
@@ -595,27 +595,32 @@ def static_order(patterns: Sequence[TriplePatternNode], source,
 # ---------------------------------------------------------------------------
 
 
-def stream_shape(node: PatternNode) -> bool:
-    """Whether the algebra *shape* of ``node`` admits batch streaming.
+def leading_bgp(node: PatternNode) -> Optional[BGP]:
+    """The BGP whose leading index scan would feed a stream of
+    ``node``, or ``None`` when the shape of ``node`` admits none.
 
-    A streamable tree has a BGP at its left-most leaf (whose leading
-    index scan becomes the batch source) under operators that consume
-    input rows locally: FILTER, BIND, joins fed from the left, and —
-    via the streaming left-outer probe — OPTIONAL whose required side
-    is itself streamable.  Whether the *plan* for that leading BGP can
-    actually scan incrementally (its first step might be a property
-    path) is recorded on the :class:`PhysicalPlan` IR as
-    :attr:`PhysicalPlan.streamable`, so the shape test here and the
-    plan flag together replace any ad-hoc re-derivation in the
-    evaluator.
+    A streamable tree has a BGP at its left-most leaf under operators
+    that consume input rows locally: FILTER, BIND, joins fed from the
+    left, and — via the left-outer probe — OPTIONAL whose required side
+    is itself streamable.
     """
-    if isinstance(node, BGP):
-        return True
-    if isinstance(node, (Filter, Extend)):
-        return stream_shape(node.child)
-    if isinstance(node, (Join, LeftJoin)):
-        return stream_shape(node.left)
-    return False
+    while isinstance(node, (Filter, Extend, Join, LeftJoin)):
+        node = node.child if isinstance(node, (Filter, Extend)) \
+            else node.left
+    return node if isinstance(node, BGP) else None
+
+
+def stream_shape(node: PatternNode) -> bool:
+    """Whether the algebra *shape* of ``node`` admits batch streaming
+    (see :func:`leading_bgp`).
+
+    Whether the *plan* for that leading BGP can actually scan
+    incrementally (its first step might be a property path) is recorded
+    on the :class:`PhysicalPlan` IR as :attr:`PhysicalPlan.streamable`,
+    so the shape test here and the plan flag together replace any
+    ad-hoc re-derivation in the evaluator.
+    """
+    return leading_bgp(node) is not None
 
 
 def estimate_pattern(node: PatternNode, source,

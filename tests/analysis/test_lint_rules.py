@@ -33,6 +33,7 @@ COLUMNAR = "src/repro/rdf/columnar.py"
 TESTFILE = "tests/test_example.py"
 LIBRARY = "src/repro/olap/example.py"
 PARALLEL = "src/repro/sparql/parallel.py"
+WALKER = "src/repro/sparql/evaluator_walker.py"
 
 #: rule id -> (bad fixture, claimed path, good fixture)
 FIXTURES = {
@@ -214,6 +215,42 @@ FIXTURES = {
             return subjects, objects, columns, graph.tier_sizes()
         """,
     ),
+    "single-algebra-walker": (
+        """
+        class PatternEvaluator:
+            def _walk(self, node, source, table, chunk):
+                if isinstance(node, BGP):
+                    yield from self._walk_bgp(node, source, table, chunk)
+                elif isinstance(node, (Join, LeftJoin, Filter, Extend)):
+                    yield table
+
+            def evaluate(self, node, source, binding):
+                if isinstance(node, BGP):
+                    for triple in source.match(node.patterns[0]):
+                        yield binding
+                elif isinstance(node, Join):
+                    yield binding
+                elif isinstance(node, (LeftJoin, UnionNode)):
+                    yield binding
+        """,
+        WALKER,
+        """
+        class PatternEvaluator:
+            def _walk(self, node, source, table, chunk):
+                if isinstance(node, BGP):
+                    yield from self._walk_bgp(node, source, table, chunk)
+                elif isinstance(node, (Join, LeftJoin, Filter, Extend)):
+                    yield table
+
+            def exists(self, node, source):
+                return any(piece.rows for piece in
+                           self._walk(node, source, None, 512))
+
+            def _bgp_dead(self, patterns):
+                return any(isinstance(pattern, TriplePatternNode)
+                           for pattern in patterns)
+        """,
+    ),
 }
 
 
@@ -340,6 +377,43 @@ def test_storage_tiers_are_the_graphs_own():
     assert len(found) == 1 and "None" in found[0].message
     assert findings_for(source, "benchmarks/check_join.py",
                         "storage-tiers-private") == []
+
+
+def test_single_walker_lives_in_the_walker_module_only():
+    """The one allowed dispatch is the walker file's; the same function
+    anywhere else under ``sparql/`` is a second interpreter, while the
+    modules that describe trees without evaluating them are exempt."""
+    _bad, _path, good = FIXTURES["single-algebra-walker"]
+    rule = "single-algebra-walker"
+    assert findings_for(good, WALKER, rule) == []
+    for elsewhere in (EVALUATOR, PARALLEL, ENDPOINT):
+        found = findings_for(good, elsewhere, rule)
+        assert len(found) == 1 and "_walk" in found[0].message
+    for describer in ("src/repro/sparql/explain.py",
+                      "src/repro/sparql/optimizer.py",
+                      "src/repro/sparql/plan_verifier.py",
+                      "src/repro/sparql/algebra.py",
+                      "src/repro/olap/engine.py"):
+        assert findings_for(good, describer, rule) == []
+
+
+def test_evaluator_rules_cover_the_whole_family():
+    """A file split must not drop coverage: every module of the
+    evaluator family on disk is in the tuple the evaluator-scoped
+    rules share, and each of those rules fires in each of them."""
+    from analysis.rules import EVALUATOR_FAMILY
+
+    on_disk = sorted(
+        "repro/sparql/" + path.name
+        for path in (ROOT / "src/repro/sparql").glob("evaluator*.py"))
+    assert on_disk == sorted(EVALUATOR_FAMILY)
+    narrowing = "def narrow(ids, np):\n    return ids.astype(np.int32)\n"
+    for member in EVALUATOR_FAMILY:
+        path = "src/" + member
+        for rule_id in ("governor-discipline", "error-taxonomy"):
+            bad, _path, _good = FIXTURES[rule_id]
+            assert findings_for(bad, path, rule_id), (rule_id, member)
+        assert findings_for(narrowing, path, "columnar-dtype-safety")
 
 
 def test_rules_scoped_to_their_paths():

@@ -40,6 +40,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     ``_tombstones``, ``_spo`` / ``_pos`` / ``_osp``, ``_delta_size``)
     are read only inside ``repro/rdf/graph.py``, and a
     ``match_arrays(...)`` result is never compared with ``None``.
+``single-algebra-walker``
+    Under ``src/repro/sparql/`` one function evaluates the algebra:
+    only ``PatternEvaluator._walk`` dispatches over the pattern-node
+    classes, and no evaluator-family function scans at term level
+    (``source.match(...)``).
 """
 
 from __future__ import annotations
@@ -48,6 +53,14 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from analysis.lint import Finding, Rule
+
+#: ``sparql/evaluator.py`` and the modules it was split into: the rules
+#: written for "the evaluator" apply to the whole family, so a file
+#: split cannot silently drop coverage
+EVALUATOR_FAMILY = ("repro/sparql/evaluator.py",
+                    "repro/sparql/evaluator_source.py",
+                    "repro/sparql/evaluator_steps.py",
+                    "repro/sparql/evaluator_walker.py")
 
 # ---------------------------------------------------------------------------
 # shared AST helpers
@@ -323,7 +336,7 @@ class GovernorDisciplineRule(Rule):
                       "metered", "_gov", "governor"}
 
     def applies_to(self, path: str) -> bool:
-        return path.endswith("repro/sparql/evaluator.py")
+        return path.endswith(EVALUATOR_FAMILY)
 
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
@@ -375,10 +388,10 @@ class ErrorTaxonomyRule(Rule):
 
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/endpoint.py",
-                              "repro/sparql/evaluator.py",
                               "repro/sparql/governor.py",
                               "repro/olap/engine.py",
-                              "repro/olap/kernel.py"))
+                              "repro/olap/kernel.py")
+                             + EVALUATOR_FAMILY)
 
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
@@ -446,8 +459,7 @@ class ColumnarDtypeSafetyRule(Rule):
     OVERLAY_TIERS = {"_spo", "_pos", "_osp", "overlay", "_tombstones"}
 
     def applies_to(self, path: str) -> bool:
-        return "repro/rdf/" in path or path.endswith(
-            "repro/sparql/evaluator.py")
+        return "repro/rdf/" in path or path.endswith(EVALUATOR_FAMILY)
 
     @staticmethod
     def _is_int32(node: ast.AST) -> bool:
@@ -817,6 +829,90 @@ class StorageTiersPrivateRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# single-algebra-walker
+# ---------------------------------------------------------------------------
+
+
+class SingleAlgebraWalkerRule(Rule):
+    """One function evaluates the algebra.
+
+    ``PatternEvaluator._walk`` is the only dispatch over the pattern-
+    node classes that *evaluates* them; ASK, EXISTS, SELECT (streamed
+    or not), CONSTRUCT, DESCRIBE and updates all drain it.  A second
+    function testing ``isinstance`` against the node classes is the
+    start of a second interpreter, whose BGP step, OPTIONAL, MINUS …
+    then drift from the first (ISSUE 16 deleted one that had).  The
+    algebra's own traversals and the planner / EXPLAIN / verifier, which
+    describe trees without evaluating them, are exempt.  Term-level
+    scans (``source.match(...)``) are how that second interpreter read
+    storage: in the evaluator family they belong to DESCRIBE alone
+    (pragma'd), property paths live in ``paths.py``.
+    """
+
+    id = "single-algebra-walker"
+    title = "one dispatch over the algebra node classes"
+    rationale = ("a second function branching on the pattern-node "
+                 "classes is a second interpreter: its operators drift "
+                 "from the walker's and escape its governor charges, "
+                 "failpoints and traces")
+
+    PATTERN_NODES = {"BGP", "Join", "LeftJoin", "Union", "UnionNode",
+                     "Minus", "Filter", "Extend", "ValuesNode",
+                     "GraphNode", "SubSelectNode", "Empty"}
+    #: a dispatch is a function testing at least this many node classes
+    DISPATCH_WIDTH = 4
+    WALKER_FILE = "repro/sparql/evaluator_walker.py"
+    DESCRIBERS = ("repro/sparql/algebra.py", "repro/sparql/explain.py",
+                  "repro/sparql/optimizer.py",
+                  "repro/sparql/plan_verifier.py")
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/repro/sparql/") \
+            and not path.endswith(self.DESCRIBERS)
+
+    def _node_classes_tested(self, function: ast.AST) -> Set[str]:
+        tested: Set[str] = set()
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) \
+                    and isinstance(call.func, ast.Name) \
+                    and call.func.id == "isinstance" \
+                    and len(call.args) == 2:
+                tested |= dotted_names(call.args[1]) & self.PATTERN_NODES
+        return tested
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        findings: List[Finding] = []
+        allowed = 1 if path.endswith(self.WALKER_FILE) else 0
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                tested = self._node_classes_tested(node)
+                if len(tested) < self.DISPATCH_WIDTH:
+                    continue
+                if allowed:
+                    allowed -= 1
+                    continue
+                findings.append(self.finding(
+                    path, node,
+                    f"`{node.name}` dispatches over {len(tested)} "
+                    f"algebra node classes: the walker "
+                    f"(PatternEvaluator._walk) is the one function that "
+                    f"evaluates them — extend it, or seed it", lines))
+            elif isinstance(node, ast.Call) \
+                    and path.endswith(EVALUATOR_FAMILY) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "match" \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "source":
+                findings.append(self.finding(
+                    path, node,
+                    "term-level scan `source.match(...)` in the "
+                    "evaluator family (join at the id level through "
+                    "the walker's steps)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -828,6 +924,7 @@ ALL_RULES: List[Rule] = [
     AssertValidationRule(),
     ParallelSafetyRule(),
     StorageTiersPrivateRule(),
+    SingleAlgebraWalkerRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
