@@ -42,7 +42,6 @@ from repro.sparql.evaluator_source import (  # noqa: F401  (re-exports)
     IdTriple,
     ProbeCounter,
 )
-from repro.sparql.evaluator_steps import JoinSteps  # noqa: F401
 from repro.sparql.evaluator_walker import (  # noqa: F401  (re-exports)
     STREAM_TELEMETRY,
     PatternEvaluator,

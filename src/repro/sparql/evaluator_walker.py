@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Set, Tuple
 
 from repro.testing import faults as _faults
 from repro.sparql.algebra import (
@@ -362,6 +362,8 @@ class PatternEvaluator(JoinSteps):
         for feed in feeds:
             current = table
             for position, step in enumerate(steps):
+                # before the emptiness test: a doomed BGP has no step to
+                # run, and an injected fault must still reach it
                 if _faults.ACTIVE:
                     _faults.fire("evaluator.step")
                 if not current.rows:
@@ -491,11 +493,11 @@ class PatternEvaluator(JoinSteps):
 
     def _filter_table(self, child: BindingTable, condition,
                       source: GraphSource) -> BindingTable:
-        eval_context = self._context_for(source, child)
+        index = 0
+        eval_context = self._context_for(source, child, lambda: index)
         out_rows = []
         for index, row in enumerate(child.rows):
             binding = self._decode_row(child.names, row)
-            binding["#row"] = index
             try:
                 if effective_boolean_value(
                         condition.evaluate(binding, eval_context)):
@@ -591,28 +593,28 @@ class PatternEvaluator(JoinSteps):
         }
 
     def _context_for(self, source: GraphSource,
-                     table: Optional[BindingTable] = None) -> EvalContext:
+                     table: Optional[BindingTable] = None,
+                     at: Optional[Callable[[], int]] = None) -> EvalContext:
         """The expression context for patterns matched against
         ``source``.
 
-        A caller about to evaluate one expression over every row of a
-        ``table`` passes it and tags each row's binding with its index
-        under ``"#row"``: EXISTS is then answered for the whole table
-        by one seeded walk, on first use.  An untagged binding (HAVING,
-        projection, ORDER BY, BIND) is a table of one row.
+        A caller evaluating one expression over every row of a
+        ``table`` passes it with ``at``, which tells the index of the
+        row under evaluation: EXISTS is then answered for the whole
+        table by one seeded walk, on first use.  Otherwise (HAVING,
+        projection, ORDER BY, BIND) the binding is a table of one row.
         """
         found: Dict[int, Set[int]] = {}
 
         def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
-            index = None if table is None else binding.get("#row")
-            if index is None:
+            if table is None:
                 return bool(self._exists_rows(
                     pattern, source, self._seed_table(binding)))
             hits = found.get(id(pattern))
             if hits is None:
                 hits = found[id(pattern)] = self._exists_rows(
                     pattern, source, table)
-            return index in hits
+            return at() in hits
 
         return EvalContext(exists_evaluator=exists_evaluator)
 
