@@ -16,7 +16,7 @@ the evaluator family, which is split along its seams:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Term
@@ -227,56 +227,42 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
         return ResultTable(names, [])
     distinct = query.distinct
     reduced = query.reduced and not distinct
-    rows: List[Tuple[Optional[Term], ...]] = []
+    rows: List[tuple] = []
     batch = max(64, min(512, needed))
     has_expressions = any(item.expression is not None
                           for item in query.projection or [])
     gov = evaluator._gov
     allow_partial = gov is not None and gov.limits.allow_partial
     truncated = False
-    try:
+
+    def projected() -> Iterator[tuple]:
+        """Projected rows in pipeline order: of terms when the
+        projection computes expressions, of term ids otherwise."""
         if has_expressions:
-            seen: set = set()
-            last: object = _NO_ROW
             for binding in evaluator.iter_stream_solutions(
                     query.pattern, source, batch):
                 _apply_projection_expressions(query, binding, eval_context)
-                row = tuple(binding.get(name) for name in names)
-                if distinct:
-                    if row in seen:
-                        continue
-                    seen.add(row)
-                elif reduced:
-                    if row == last:
-                        continue
-                    last = row
-                rows.append(row)
-                if len(rows) >= needed:
-                    break
+                yield tuple(binding.get(name) for name in names)
         else:
-            decode = evaluator._dict.decode
-            seen_ids: set = set()
-            last_ids: object = _NO_ROW
-            done = False
             for table in evaluator.stream_tables(query.pattern, source,
                                                  batch):
-                for id_row in table.iter_onto(names):
-                    if distinct:
-                        if id_row in seen_ids:
-                            continue
-                        seen_ids.add(id_row)
-                    elif reduced:
-                        if id_row == last_ids:
-                            continue
-                        last_ids = id_row
-                    rows.append(tuple(
-                        None if cell is None else decode(cell)
-                        for cell in id_row))
-                    if len(rows) >= needed:
-                        done = True
-                        break
-                if done:
-                    break
+                yield from table.iter_onto(names)
+
+    seen: set = set()
+    last: object = _NO_ROW
+    try:
+        for row in projected():
+            if distinct:
+                if row in seen:
+                    continue
+                seen.add(row)
+            elif reduced:
+                if row == last:
+                    continue
+                last = row
+            rows.append(row)
+            if len(rows) >= needed:
+                break
     except (QueryTimeout, ResourceExhausted):
         # graceful degradation (opt-in, streamable queries only): the
         # rows gathered so far are each individually correct — serve
@@ -285,7 +271,12 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
             raise
         truncated = True
         gov.truncated = True
-    result = ResultTable(names, rows[query.offset:])
+    rows = rows[query.offset:]
+    if not has_expressions:
+        decode = evaluator._dict.decode
+        rows = [tuple(None if cell is None else decode(cell)
+                      for cell in row) for row in rows]
+    result = ResultTable(names, rows)
     if truncated:
         result.truncated = True
     return result

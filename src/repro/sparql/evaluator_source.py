@@ -85,9 +85,6 @@ class GraphSource:
         """The matches as positional ``(S, P, O)`` numpy arrays."""
         return self.view.match_arrays(pattern)
 
-    def estimate(self, pattern) -> int:
-        return self.view.estimate(pattern)
-
     def estimate_ids(self, pattern: IdPattern) -> int:
         """Summed member counts (an upper bound on a union: exactness
         would cost the dedup the estimate exists to avoid)."""

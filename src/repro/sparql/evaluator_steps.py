@@ -364,25 +364,12 @@ class JoinSteps:
         self._last_strategy = "path"
         decode = self._dict.decode
         encode = self._dict.encode
-        spec = []
-        new_names: List[str] = []
-        first_new: Dict[str, int] = {}
-        probe_slots: List[int] = []
-        for position in pattern.endpoints():
-            if isinstance(position, Var):
-                name = position.name
-                slot = table.slots.get(name)
-                if slot is not None:
-                    spec.append(("v", slot))
-                    probe_slots.append(slot)
-                elif name in first_new:
-                    spec.append(("d", first_new[name]))
-                else:
-                    first_new[name] = len(spec)
-                    spec.append(("n", None))
-                    new_names.append(name)
-            else:
-                spec.append(("c", position))  # paths match at term level
+        # paths match at term level (a zero-length path can match a
+        # never-interned constant), so the constants are read off the
+        # pattern rather than the spec's ids and ``dead`` does not apply
+        ends = pattern.endpoints()
+        spec, new_names, probe_slots, _dead = self._compile_positions(
+            ends, table)
         out_names = table.names + tuple(new_names)
         rows = table.rows
         if not rows:
@@ -396,9 +383,9 @@ class JoinSteps:
             if got is None:
                 endpoints = []
                 cursor = 0
-                for kind, value in spec:
+                for (kind, _), end in zip(spec, ends):
                     if kind == "c":
-                        endpoints.append(value)
+                        endpoints.append(end)
                     elif kind == "v":
                         bound_id = key[cursor]
                         cursor += 1

@@ -34,9 +34,10 @@ query forms differ only in how they drain it:
   marker, the way OPTIONAL seeds its right side, and stops once every
   row has been seen in a solution.
 
-Every drain runs the same BGP step loop, so the ``evaluator.step``
-failpoint, the governor's per-step row charge and the step trace apply
-to all of them alike.
+Every drain runs BGPs through the same :meth:`PatternEvaluator._walk_bgp`,
+so its ``evaluator.step`` failpoint, the governor's per-step row charge
+(the only row charge — draining adds none) and the step trace apply to
+all of them alike.
 
 Computed terms (BIND results, VALUES literals, seed bindings) intern
 into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+from typing import Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set, Tuple
 
 from repro.testing import faults as _faults
@@ -344,8 +345,11 @@ class PatternEvaluator(JoinSteps):
         if not patterns:
             yield table
             return
+        if _faults.ACTIVE:
+            _faults.fire("evaluator.step")
         if self._bgp_dead(patterns):
-            table = BindingTable(table.names, [])
+            yield BindingTable(table.names, [])
+            return
         bound = frozenset(
             name for name in table.names if not name.startswith("#"))
         plan = get_plan(node, bound, source)
@@ -362,10 +366,6 @@ class PatternEvaluator(JoinSteps):
         for feed in feeds:
             current = table
             for position, step in enumerate(steps):
-                # before the emptiness test: a doomed BGP has no step to
-                # run, and an injected fault must still reach it
-                if _faults.ACTIVE:
-                    _faults.fire("evaluator.step")
                 if not current.rows:
                     break
                 pattern = patterns[step.index]
@@ -413,13 +413,10 @@ class PatternEvaluator(JoinSteps):
                       batch: int = _CHUNK) -> Iterator[BindingTable]:
         """Solution batches for a streamable subtree, with telemetry."""
         telemetry = STREAM_TELEMETRY
-        gov = self._gov
         for table in self._walk(node, source, BindingTable.unit(), batch):
             telemetry.record_batch(len(table.rows))
             if _faults.ACTIVE:
                 _faults.fire("evaluator.batch")
-            if gov is not None:
-                gov.charge_rows(len(table.rows), max(1, len(table.names)))
             yield table
 
     # -- operators -----------------------------------------------------------
@@ -493,10 +490,11 @@ class PatternEvaluator(JoinSteps):
 
     def _filter_table(self, child: BindingTable, condition,
                       source: GraphSource) -> BindingTable:
-        index = 0
-        eval_context = self._context_for(source, child, lambda: index)
+        at = [0]  # index of the row under evaluation, read by EXISTS
+        eval_context = self._context_for(source, child, at)
         out_rows = []
         for index, row in enumerate(child.rows):
+            at[0] = index
             binding = self._decode_row(child.names, row)
             try:
                 if effective_boolean_value(
@@ -594,15 +592,23 @@ class PatternEvaluator(JoinSteps):
 
     def _context_for(self, source: GraphSource,
                      table: Optional[BindingTable] = None,
-                     at: Optional[Callable[[], int]] = None) -> EvalContext:
+                     at: Sequence[int] = ()) -> EvalContext:
         """The expression context for patterns matched against
         ``source``.
 
         A caller evaluating one expression over every row of a
-        ``table`` passes it with ``at``, which tells the index of the
-        row under evaluation: EXISTS is then answered for the whole
-        table by one seeded walk, on first use.  Otherwise (HAVING,
-        projection, ORDER BY, BIND) the binding is a table of one row.
+        ``table`` passes it with ``at``, whose first cell it keeps at
+        the index of the row under evaluation: EXISTS is then answered
+        for the whole table by one seeded walk, on first use.  Otherwise
+        (HAVING, projection, ORDER BY, BIND) the binding is a table of
+        one row.
+
+        The trade-off of the whole-table answer: the pattern also runs
+        for rows whose ``&&`` / ``||`` operands would short-circuit
+        before reaching the EXISTS, so a cheap selective guard in the
+        same FILTER (``?o = x && NOT EXISTS {…}``) does not shrink the
+        seeded walk or its governor charge.  The IC suite has no such
+        guard; a query that does can put the guard in its own FILTER.
         """
         found: Dict[int, Set[int]] = {}
 
@@ -614,7 +620,7 @@ class PatternEvaluator(JoinSteps):
             if hits is None:
                 hits = found[id(pattern)] = self._exists_rows(
                     pattern, source, table)
-            return at() in hits
+            return at[0] in hits
 
         return EvalContext(exists_evaluator=exists_evaluator)
 

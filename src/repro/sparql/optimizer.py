@@ -46,11 +46,6 @@ A stale or mis-estimated plan can never produce wrong results
 (execution always applies the *actual* patterns); the worst case is a
 suboptimal order, which ``EXPLAIN ... analyze`` makes visible as an
 estimated-vs-actual gap (:mod:`repro.sparql.explain`).
-
-The per-binding helpers (:func:`choose_next`, :func:`pattern_cost`)
-cost a pattern with *exact* index counts under one binding.  Nothing
-in the evaluator calls them any more — ASK and EXISTS execute the
-cached plans like every other query form.
 """
 
 from __future__ import annotations
@@ -81,15 +76,8 @@ from repro.sparql.algebra import (
     ValuesNode,
     Var,
 )
-from repro.sparql.paths import estimate_path
-
-Binding = Dict[str, Term]
 
 _LOG = logging.getLogger(__name__)
-
-#: Penalty rank applied before cardinality: patterns with no bound
-#: position join last unless nothing else is available.
-_UNBOUND_PENALTY = 1 << 40
 
 #: BGPs up to this size are planned with the exact subset DP; larger
 #: ones use the greedy walk over the same cost model.
@@ -138,57 +126,6 @@ def band_bracket(band: int) -> Tuple[float, float]:
 #: deliberately priced above plain patterns of the same boundness so
 #: the planner binds their endpoints first when it can).
 _PATH_ESTIMATES = {2: 64.0, 1: 4096.0, 0: float(1 << 41)}
-
-
-def substituted(pattern: TriplePatternNode, binding: Binding
-                ) -> Tuple[Optional[Term], Optional[Term], Optional[Term]]:
-    """The concrete match pattern under ``binding`` (None = wildcard)."""
-    out = []
-    for position in pattern.positions():
-        if isinstance(position, Var):
-            out.append(binding.get(position.name))
-        else:
-            out.append(position)
-    return out[0], out[1], out[2]
-
-
-def substituted_endpoints(pattern: PathPatternNode, binding: Binding
-                          ) -> Tuple[Optional[Term], Optional[Term]]:
-    """Concrete (start, end) endpoints of a path pattern under ``binding``."""
-    out = []
-    for position in pattern.endpoints():
-        if isinstance(position, Var):
-            out.append(binding.get(position.name))
-        else:
-            out.append(position)
-    return out[0], out[1]
-
-
-def pattern_cost(pattern, binding: Binding, source) -> int:
-    """Exact matches for ``pattern`` under ``binding``."""
-    if isinstance(pattern, PathPatternNode):
-        start, end = substituted_endpoints(pattern, binding)
-        return estimate_path(source, pattern.path, start, end)
-    concrete = substituted(pattern, binding)
-    cost = source.estimate(concrete)
-    if all(term is None for term in concrete):
-        cost += _UNBOUND_PENALTY
-    return cost
-
-
-def choose_next(patterns: Sequence[TriplePatternNode], binding: Binding,
-                source) -> int:
-    """Index of the cheapest pattern to evaluate next (greedy, exact)."""
-    best_index = 0
-    best_cost: Optional[int] = None
-    for index, pattern in enumerate(patterns):
-        cost = pattern_cost(pattern, binding, source)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_index = index
-            if cost == 0:
-                break  # cannot do better; also prunes dead branches early
-    return best_index
 
 
 # ---------------------------------------------------------------------------

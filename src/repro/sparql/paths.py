@@ -362,20 +362,3 @@ def _evaluate_sequence(source, steps: List[Path], start: Optional[Term],
             if pair not in emitted:
                 emitted.add(pair)
                 yield pair
-
-
-def estimate_path(source, path: Path, start: Optional[Term],
-                  end: Optional[Term]) -> int:
-    """Rough cardinality estimate used by the BGP join optimizer.
-
-    Paths are deliberately priced above plain patterns with the same
-    boundness so the optimizer binds their endpoints first when it can.
-    """
-    if isinstance(path, LinkPath):
-        return source.estimate((start, path.iri, end))
-    bound = (start is not None) + (end is not None)
-    if bound == 2:
-        return 64
-    if bound == 1:
-        return 4096
-    return 1 << 41

@@ -14,6 +14,11 @@ import pytest
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import LocalEndpoint
+from repro.sparql.evaluator import (
+    STREAM_TELEMETRY,
+    DatasetContext,
+    evaluate_select,
+)
 from repro.sparql.errors import (
     EndpointOverloaded,
     GovernedQueryError,
@@ -27,10 +32,12 @@ from repro.sparql.governor import (
     CancellationToken,
     CircuitBreaker,
     CircuitOpenError,
+    GovernorContext,
     QueryGovernor,
     QueryLimits,
     retry_with_backoff,
 )
+from repro.sparql.parser import parse_query
 
 EX = "http://example.org/"
 
@@ -80,6 +87,41 @@ class TestLimits:
         with pytest.raises(ResourceExhausted) as info:
             endpoint.ask(ask, limits=QueryLimits(max_rows=10))
         assert info.value.telemetry["rows_produced"] > 10
+
+    def test_streamed_limit_charges_each_row_once(self):
+        """A streamed SELECT … LIMIT pays for the rows its join steps
+        produce and nothing on top: the 1000 rows asked for come out of
+        two scan windows (1024 entries), so any budget from 1024 up
+        passes — as it did before the step loop was shared."""
+        endpoint = make_endpoint(rows=3000)
+        before = STREAM_TELEMETRY.snapshot()["queries"]
+        for budget in (1024, 1100, 1500):
+            table = endpoint.select(QUERY + " LIMIT 1000",
+                                    limits=QueryLimits(max_rows=budget))
+            assert len(table) == 1000
+        assert STREAM_TELEMETRY.snapshot()["queries"] == before + 3
+        with pytest.raises(ResourceExhausted) as info:
+            endpoint.select(QUERY + " LIMIT 1000",
+                            limits=QueryLimits(max_rows=1023))
+        assert info.value.telemetry["rows_produced"] == 1024
+
+    def test_streamed_and_materialized_charge_the_same_steps(self):
+        """One window holds the whole scan below, so the streamed drain
+        executes exactly the materialized steps and charges their
+        totals: 300 rows × 2 columns, then 300 rows × 3 columns."""
+        dataset = make_endpoint(rows=300).dataset
+        for index in range(300):
+            dataset.default.add(IRI(f"{EX}s{index}"), IRI(f"{EX}q"),
+                                Literal(-index))
+        join = f"SELECT * WHERE {{ ?s <{EX}p> ?o . ?s <{EX}q> ?v }}"
+        charged = []
+        for text in (join, join + " LIMIT 1000"):
+            gov = GovernorContext(QueryLimits(max_rows=10 ** 9))
+            table = evaluate_select(
+                parse_query(text), DatasetContext(dataset, governor=gov))
+            assert len(table) == 300
+            charged.append((gov.rows, gov.cells))
+        assert charged == [(600, 1500), (600, 1500)]
 
     def test_max_binding_cells_raises_resource_exhausted(self):
         endpoint = make_endpoint()

@@ -2,12 +2,7 @@
 
 from repro.rdf import Graph, Literal, Namespace
 from repro.sparql.algebra import TriplePatternNode, Var
-from repro.sparql.optimizer import (
-    choose_next,
-    pattern_cost,
-    static_order,
-    substituted,
-)
+from repro.sparql.optimizer import static_order
 
 EX = Namespace("http://example.org/")
 
@@ -20,51 +15,6 @@ def build_graph():
         g.add(EX[f"obs{i}"], EX.inGroup, EX[f"g{i % 3}"])
     g.add(EX.g0, EX.name, Literal("zero"))
     return g
-
-
-class TestSubstitution:
-    def test_substituted_applies_binding(self):
-        pattern = TriplePatternNode(Var("s"), EX.value, Var("v"))
-        concrete = substituted(pattern, {"s": EX.obs1})
-        assert concrete == (EX.obs1, EX.value, None)
-
-    def test_unbound_vars_are_wildcards(self):
-        pattern = TriplePatternNode(Var("s"), Var("p"), Var("o"))
-        assert substituted(pattern, {}) == (None, None, None)
-
-
-class TestCosting:
-    def test_selective_pattern_is_cheaper(self):
-        g = build_graph()
-        selective = TriplePatternNode(Var("x"), EX.name, Var("n"))
-        broad = TriplePatternNode(Var("x"), EX.value, Var("v"))
-        assert pattern_cost(selective, {}, g) < pattern_cost(broad, {}, g)
-
-    def test_fully_unbound_penalized(self):
-        g = build_graph()
-        anything = TriplePatternNode(Var("s"), Var("p"), Var("o"))
-        concrete = TriplePatternNode(Var("s"), EX.value, Var("v"))
-        assert pattern_cost(anything, {}, g) > pattern_cost(concrete, {}, g)
-
-    def test_choose_next_prefers_selective(self):
-        g = build_graph()
-        patterns = [
-            TriplePatternNode(Var("x"), EX.value, Var("v")),
-            TriplePatternNode(Var("x"), EX.name, Var("n")),
-        ]
-        assert choose_next(patterns, {}, g) == 1
-
-    def test_binding_changes_choice(self):
-        g = build_graph()
-        patterns = [
-            TriplePatternNode(Var("x"), EX.value, Var("v")),
-            TriplePatternNode(Var("x"), EX.inGroup, Var("g")),
-        ]
-        # once ?x is bound both are cheap lookups; cost picks estimate 1
-        index = choose_next(patterns, {"x": EX.obs5}, g)
-        assert index in (0, 1)
-        cost = pattern_cost(patterns[index], {"x": EX.obs5}, g)
-        assert cost == 1
 
 
 class TestStaticOrder:
