@@ -608,7 +608,9 @@ class PatternEvaluator(JoinSteps):
         before reaching the EXISTS, so a cheap selective guard in the
         same FILTER (``?o = x && NOT EXISTS {…}``) does not shrink the
         seeded walk or its governor charge.  The IC suite has no such
-        guard; a query that does can put the guard in its own FILTER.
+        guard; a query that does can put the guard in a FILTER of its
+        own ahead of the EXISTS one (filters of a group apply in
+        textual order).
         """
         found: Dict[int, Set[int]] = {}
 
