@@ -41,8 +41,9 @@ __all__ = ["ParallelStarAggregator"]
 _WORKER_FACTS: Dict[str, Tuple[object, Dict[str, np.ndarray]]] = {}
 
 
-def _worker_partials(task: Tuple[shm.ArraysManifest, int, int, kernel.Plan]
-                     ) -> kernel.Partial:
+def _worker_star_partials(
+        task: Tuple[shm.ArraysManifest, int, int, kernel.Plan]
+        ) -> kernel.Partial:
     """One task — fact manifest, row range ``[lo, hi)``, compiled plan —
     through ``kernel.partials``, over mapped views."""
     manifest, lo, hi, plan = task
@@ -118,8 +119,8 @@ class ParallelStarAggregator:
                 for lo in range(0, rows, self.morsel_rows)]
             self.telemetry["queries"] += 1
             self.telemetry["morsels"] += len(tasks)
-            payloads = list(self._pool.executor().map(_worker_partials,
-                                                      tasks))
+            payloads = list(self._pool.executor().map(
+                _worker_star_partials, tasks))
         except BrokenProcessPool:
             self._pool.shutdown(wait=False)
             raise OLAPEngineError(

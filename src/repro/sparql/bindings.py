@@ -15,7 +15,8 @@ right side) and are never decoded into user-visible bindings.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, Iterator, \
+    List, Optional, Sequence, Tuple
 
 IdRow = Tuple[Optional[int], ...]
 
@@ -43,15 +44,6 @@ class BindingTable:
     def empty(cls, names: Sequence[str] = ()) -> "BindingTable":
         """No rows at all (the annihilator)."""
         return cls(names, [])
-
-    def visible_names(self) -> List[str]:
-        """Schema minus internal ``#``-prefixed bookkeeping columns."""
-        return [name for name in self.names if not name.startswith("#")]
-
-    def visible_slots(self) -> List[Tuple[int, str]]:
-        """``(slot, name)`` pairs of the user-visible columns — the
-        shape the decode paths (batch and streaming) iterate per row."""
-        return visible_slots(self.names)
 
     def extended(self, extra_names: Sequence[str]) -> "BindingTable":
         """Schema-widened copy: new columns filled with ``None``."""
@@ -88,13 +80,25 @@ class BindingTable:
         return f"<BindingTable {list(self.names)} ({len(self.rows)} rows)>"
 
 
-def visible_slots(names: Sequence[str]) -> List[Tuple[int, str]]:
-    """``(slot, name)`` pairs of the non-``#`` columns of a schema.
+def row_decoder(names: Sequence[str], decode: Callable[[int], Any],
+                variables: Optional[Collection[str]] = None
+                ) -> Callable[[IdRow], Dict[str, Any]]:
+    """The function turning an id row over ``names`` into a ``{name:
+    term}`` binding of its bound, user-visible (non-``#``) cells — of
+    ``variables`` only, when given.
 
-    The single definition of "user-visible" every decode path shares.
+    The single definition of "decode a row" every term-level boundary
+    (FILTER, BIND, expression arguments, final projection) shares.
     """
-    return [(slot, name) for slot, name in enumerate(names)
-            if not name.startswith("#")]
+    visible = [(slot, name) for slot, name in enumerate(names)
+               if not name.startswith("#")
+               and (variables is None or name in variables)]
+
+    def decode_row(row: IdRow) -> Dict[str, Any]:
+        return {name: decode(row[slot]) for slot, name in visible
+                if row[slot] is not None}
+
+    return decode_row
 
 
 def concat(tables: Iterable[BindingTable]) -> BindingTable:

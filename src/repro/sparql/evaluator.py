@@ -3,7 +3,8 @@
 SELECT, ASK, CONSTRUCT and DESCRIBE each drain the one algebra walker
 (:class:`~repro.sparql.evaluator_walker.PatternEvaluator`) their own
 way and apply their own tail; this module holds those entry points, the
-SELECT tail (projection, aggregation, ORDER BY, DISTINCT / REDUCED,
+SELECT tail (projection — grouped queries through
+:mod:`repro.sparql.aggregation` — ORDER BY, DISTINCT / REDUCED,
 OFFSET / LIMIT — streamed and materialized) and re-exports the rest of
 the evaluator family, which is split along its seams:
 
@@ -20,6 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Term
+from repro.sparql import aggregation
 from repro.sparql.algebra import (
     AskQuery,
     PatternNode,
@@ -48,23 +50,7 @@ from repro.sparql.evaluator_walker import (  # noqa: F401  (re-exports)
     StepTrace,
     StreamTelemetry,
 )
-from repro.sparql.expressions import (
-    Aggregate,
-    ArithmeticExpression,
-    BooleanExpression,
-    ComparisonExpression,
-    EvalContext,
-    ExistsExpression,
-    Expression,
-    FunctionExpression,
-    InExpression,
-    NotExpression,
-    TermExpression,
-    UnaryMinusExpression,
-    VariableExpression,
-    effective_boolean_value,
-    order_key,
-)
+from repro.sparql.expressions import EvalContext, order_key
 from repro.sparql.optimizer import get_plan, leading_bgp, stream_shape
 from repro.sparql.results import ResultTable
 
@@ -114,87 +100,8 @@ def would_stream(query: SelectQuery,
 
 
 # ---------------------------------------------------------------------------
-# Aggregation helpers
-# ---------------------------------------------------------------------------
-
-
-def _substitute_aggregates(expression: Expression, group: List[Binding],
-                           context: EvalContext) -> Expression:
-    """Replace Aggregate nodes with their computed constant values."""
-    if isinstance(expression, Aggregate):
-        try:
-            value = expression.apply(group, context)
-        except ExpressionError:
-            return _ErrorExpression()
-        return TermExpression(value)
-    if isinstance(expression, (TermExpression, VariableExpression)):
-        return expression
-    if isinstance(expression, BooleanExpression):
-        return BooleanExpression(
-            expression.op,
-            _substitute_aggregates(expression.left, group, context),
-            _substitute_aggregates(expression.right, group, context))
-    if isinstance(expression, NotExpression):
-        return NotExpression(
-            _substitute_aggregates(expression.operand, group, context))
-    if isinstance(expression, ComparisonExpression):
-        return ComparisonExpression(
-            expression.op,
-            _substitute_aggregates(expression.left, group, context),
-            _substitute_aggregates(expression.right, group, context))
-    if isinstance(expression, ArithmeticExpression):
-        return ArithmeticExpression(
-            expression.op,
-            _substitute_aggregates(expression.left, group, context),
-            _substitute_aggregates(expression.right, group, context))
-    if isinstance(expression, UnaryMinusExpression):
-        return UnaryMinusExpression(
-            _substitute_aggregates(expression.operand, group, context))
-    if isinstance(expression, InExpression):
-        return InExpression(
-            _substitute_aggregates(expression.operand, group, context),
-            [_substitute_aggregates(choice, group, context)
-             for choice in expression.choices],
-            negated=expression.negated)
-    if isinstance(expression, FunctionExpression):
-        return FunctionExpression(
-            expression.name,
-            [_substitute_aggregates(arg, group, context)
-             for arg in expression.args])
-    if isinstance(expression, ExistsExpression):
-        return expression
-    return expression
-
-
-class _ErrorExpression(Expression):
-    """An expression that always errors (aggregate over empty group)."""
-
-    def evaluate(self, binding: Binding, context: EvalContext) -> Term:
-        raise ExpressionError("aggregate evaluation error")
-
-
-# ---------------------------------------------------------------------------
 # Query evaluation
 # ---------------------------------------------------------------------------
-
-
-def _apply_projection_expressions(query: SelectQuery, binding: Binding,
-                                  eval_context: EvalContext) -> None:
-    """Evaluate ``(expr AS ?alias)`` projection items into ``binding``.
-
-    Items apply in projection order, each seeing the aliases bound by
-    the ones before it; a failing expression leaves its alias unbound
-    per SPARQL error semantics.  Shared by the materialized and the
-    streaming SELECT paths so both produce identical rows.
-    """
-    for item in query.projection or []:
-        if item.expression is None:
-            continue
-        try:
-            binding[item.name] = item.expression.evaluate(
-                binding, eval_context)
-        except ExpressionError:
-            pass
 
 
 #: Distinct-from-everything marker for the REDUCED adjacent-dedup state.
@@ -238,15 +145,14 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
     def projected() -> Iterator[tuple]:
         """Projected rows in pipeline order: of terms when the
         projection computes expressions, of term ids otherwise."""
-        if has_expressions:
-            for binding in evaluator.iter_stream_solutions(
-                    query.pattern, source, batch):
-                _apply_projection_expressions(query, binding, eval_context)
-                yield tuple(binding.get(name) for name in names)
-        else:
-            for table in evaluator.stream_tables(query.pattern, source,
-                                                 batch):
+        for table in evaluator.stream_tables(query.pattern, source, batch):
+            if not has_expressions:
                 yield from table.iter_onto(names)
+            else:
+                for binding in evaluator.decoded(table):
+                    aggregation.apply_projection(
+                        query.projection, binding, eval_context)
+                    yield tuple(binding.get(name) for name in names)
 
     seen: set = set()
     last: object = _NO_ROW
@@ -307,25 +213,29 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
         # rows exist, instead of materializing the full binding table
         STREAM_TELEMETRY.record_query()
         return _stream_select(query, evaluator, source, eval_context)
+    # the one materialized tail: id rows (or worker partials) → the
+    # grouped or the plain projection → _finalize_select
+    table = parts = None
     parallel = getattr(context, "parallel", None)
     if parallel is not None and trace is None:
-        # morsel-driven parallel path: the executor runs eligible
-        # BGP-only plans across its worker pool and applies the same
-        # SELECT tail (via _finalize_select); None means "stay serial"
-        table = parallel.try_select(query, context, source, evaluator,
-                                    eval_context)
-        if table is not None:
-            return table
-    solutions = evaluator.solutions(query.pattern, source)
-
+        # morsel-driven parallel path: eligible BGP-only plans run
+        # across the worker pool; (None, None) means "stay serial"
+        table, parts = parallel.try_select(query, context, source, evaluator)
+    if table is None and parts is None:
+        table = evaluator.solve(query.pattern, source)
     if query.is_aggregate_query:
-        result_bindings = _aggregate_rows(
-            query, solutions, eval_context)
+        plan = aggregation.Plan(query)
+        decode = evaluator._dict.decode
+        if parts is None:
+            # the serial path: one partial, nothing to merge
+            parts = [aggregation.partials(plan, table, decode, eval_context)]
+        result_bindings = aggregation.finalize(
+            plan, aggregation.merge(plan, parts), decode, eval_context)
     else:
-        result_bindings = solutions
+        result_bindings = evaluator.decoded(table)
         for row in result_bindings:
-            _apply_projection_expressions(query, row, eval_context)
-
+            aggregation.apply_projection(
+                query.projection, row, eval_context)
     return _finalize_select(query, result_bindings, eval_context)
 
 
@@ -334,9 +244,8 @@ def _finalize_select(query: SelectQuery, result_bindings: List[Binding],
     """The materialized SELECT tail: ORDER BY, projection to named
     rows, DISTINCT/REDUCED, OFFSET and LIMIT.
 
-    Shared by the serial path above and the parallel executor's merge
-    stage, so both produce byte-identical result tables from the same
-    solution multiset.
+    Every materialized SELECT ends here, whichever way its solutions
+    were computed.
     """
     if query.order_by:
         def sort_key(row: Binding):
@@ -397,77 +306,6 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and self.value == other.value
-
-
-def _aggregate_rows(query: SelectQuery, solutions: List[Binding],
-                    eval_context: EvalContext) -> List[Binding]:
-    """GROUP BY + aggregate projection + HAVING.
-
-    Contract relied on by the parallel executor's in-worker aggregate
-    path (:meth:`~repro.sparql.parallel.ParallelExecutor.
-    _merge_aggregate` replicates it partial-by-partial): groups appear
-    in first-occurrence order of their key over the solution sequence,
-    and each projection follows :meth:`~repro.sparql.expressions.
-    Aggregate.apply` — including the empty-group cases (COUNT binds 0,
-    SUM binds 0, AVG/MIN/MAX stay unbound via :class:`ExpressionError`)
-    and the whole-aggregate unbinding when any value is non-numeric.
-    Changes to these semantics must be mirrored there.
-    """
-    groups: Dict[Tuple, List[Binding]] = {}
-    key_bindings: Dict[Tuple, Binding] = {}
-    if query.group_by:
-        for row in solutions:
-            key_parts: List[Optional[Term]] = []
-            key_binding: Binding = {}
-            for position, expression in enumerate(query.group_by):
-                try:
-                    value = expression.evaluate(row, eval_context)
-                except ExpressionError:
-                    value = None
-                key_parts.append(value)
-                alias = query.group_aliases.get(position)
-                if alias is not None and value is not None:
-                    key_binding[alias] = value
-                elif isinstance(expression, VariableExpression) \
-                        and value is not None:
-                    key_binding[expression.name] = value
-            key = tuple(key_parts)
-            groups.setdefault(key, []).append(row)
-            key_bindings.setdefault(key, key_binding)
-    else:
-        # implicit single group: aggregates over the whole solution set,
-        # producing exactly one row even when there are no solutions.
-        groups[()] = solutions
-        key_bindings[()] = {}
-
-    results: List[Binding] = []
-    for key, group in groups.items():
-        binding = dict(key_bindings[key])
-        # HAVING first: it may reject the whole group
-        rejected = False
-        for condition in query.having:
-            concrete = _substitute_aggregates(condition, group, eval_context)
-            try:
-                if not effective_boolean_value(
-                        concrete.evaluate(binding, eval_context)):
-                    rejected = True
-                    break
-            except ExpressionError:
-                rejected = True
-                break
-        if rejected:
-            continue
-        for item in query.projection or []:
-            if item.expression is None:
-                continue  # plain var: must be a group key, already bound
-            concrete = _substitute_aggregates(
-                item.expression, group, eval_context)
-            try:
-                binding[item.name] = concrete.evaluate(binding, eval_context)
-            except ExpressionError:
-                pass
-        results.append(binding)
-    return results
 
 
 def evaluate_ask(query: AskQuery, context: DatasetContext) -> bool:

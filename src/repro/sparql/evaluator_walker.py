@@ -9,7 +9,8 @@ per bound-variable signature* (through the LRU plan cache in
 join over a single index scan or memoized index probes keyed on the
 distinct join values — never a fresh plan or a fresh Python dict per
 input row.  Terms are only decoded at expression boundaries (FILTER,
-BIND, aggregation) and at final projection.
+BIND) and at final projection; GROUP BY folds the id table itself
+(:mod:`repro.sparql.aggregation`).
 
 The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
 query forms differ only in how they drain it:
@@ -73,7 +74,7 @@ from repro.sparql.algebra import (
 from repro.sparql.bindings import (
     BindingTable,
     concat as table_concat,
-    visible_slots as table_visible_slots,
+    row_decoder,
 )
 from repro.sparql.errors import EvaluationError, ExpressionError
 from repro.sparql.evaluator_source import (
@@ -177,7 +178,6 @@ class PatternEvaluator(JoinSteps):
         # discardable overflow id range, never into the base dictionary
         super().__init__(context.dataset.dictionary.overlay(), governor)
         self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
-        self._visible_cache: Dict[Tuple[str, ...], list] = {}
         self._marker_count = 0
         #: when set to a list, every executed join step appends a
         #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
@@ -234,17 +234,15 @@ class PatternEvaluator(JoinSteps):
         return BindingTable(
             names, [tuple(encode(seed[name]) for name in names)])
 
+    def decoded(self, table: BindingTable) -> List[Binding]:
+        """The rows of ``table`` as {var: term} dict bindings."""
+        return list(map(row_decoder(table.names, self._dict.decode),
+                        table.rows))
+
     def solutions(self, node: PatternNode, source: GraphSource
                   ) -> List[Binding]:
         """Batch-evaluate and decode into {var: term} dict bindings."""
-        result = self.solve(node, source)
-        decode = self._dict.decode
-        out: List[Binding] = []
-        visible = result.visible_slots()
-        for row in result.rows:
-            out.append({name: decode(row[slot]) for slot, name in visible
-                        if row[slot] is not None})
-        return out
+        return self.decoded(self.solve(node, source))
 
     # ==================================================================
     # The algebra walker
@@ -390,25 +388,6 @@ class PatternEvaluator(JoinSteps):
 
     # -- draining in chunks (SELECT with LIMIT) ------------------------------
 
-    def iter_stream_solutions(self, node: PatternNode, source: GraphSource,
-                              batch: int = _CHUNK) -> Iterator[Binding]:
-        """Lazily decoded solutions, pulled batch-by-batch.
-
-        The first join step of the leading BGP is pulled in batches of
-        at most ``batch`` index entries; each batch flows through the
-        remaining steps (and any row-local operators above the BGP),
-        but only while the caller keeps iterating — consumers that
-        cannot know up front how many raw solutions they need (the
-        incremental DISTINCT operator) simply stop pulling.
-        """
-        decode = self._dict.decode
-        for table in self.stream_tables(node, source, batch):
-            visible = table.visible_slots()
-            for row in table.rows:
-                yield {name: decode(row[slot])
-                       for slot, name in visible
-                       if row[slot] is not None}
-
     def stream_tables(self, node: PatternNode, source: GraphSource,
                       batch: int = _CHUNK) -> Iterator[BindingTable]:
         """Solution batches for a streamable subtree, with telemetry."""
@@ -492,13 +471,13 @@ class PatternEvaluator(JoinSteps):
                       source: GraphSource) -> BindingTable:
         at = [0]  # index of the row under evaluation, read by EXISTS
         eval_context = self._context_for(source, child, at)
+        decode_row = row_decoder(child.names, self._dict.decode)
         out_rows = []
         for index, row in enumerate(child.rows):
             at[0] = index
-            binding = self._decode_row(child.names, row)
             try:
                 if effective_boolean_value(
-                        condition.evaluate(binding, eval_context)):
+                        condition.evaluate(decode_row(row), eval_context)):
                     out_rows.append(row)
             except ExpressionError:
                 continue
@@ -510,15 +489,15 @@ class PatternEvaluator(JoinSteps):
         encode = self._dict.encode
         name = node.var
         slot = child.slots.get(name)
+        decode_row = row_decoder(child.names, self._dict.decode)
         out_rows = []
         for row in child.rows:
             if slot is not None and row[slot] is not None:
                 raise EvaluationError(
                     f"BIND would rebind already-bound variable ?{name}")
-            binding = self._decode_row(child.names, row)
             try:
                 value = encode(node.expression.evaluate(
-                    binding, eval_context))
+                    decode_row(row), eval_context))
             except ExpressionError:
                 value = None  # leave unbound per SPARQL error semantics
             if slot is not None:
@@ -575,20 +554,6 @@ class PatternEvaluator(JoinSteps):
             cached = (tuple(result.vars), sub_rows)
             self._subselect_tables[cache_key] = cached
         return cached
-
-    def _decode_row(self, names, row) -> Binding:
-        # the visible-column scan is memoized per schema: this runs once
-        # per row on every FILTER/BIND/ORDER BY boundary
-        visible = self._visible_cache.get(names)
-        if visible is None:
-            visible = table_visible_slots(names)
-            self._visible_cache[names] = visible
-        decode = self._dict.decode
-        return {
-            name: decode(row[slot])
-            for slot, name in visible
-            if row[slot] is not None
-        }
 
     def _context_for(self, source: GraphSource,
                      table: Optional[BindingTable] = None,

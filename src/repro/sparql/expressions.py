@@ -23,7 +23,7 @@ import datetime as _dt
 import math
 import re
 from decimal import Decimal
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.rdf.terms import (
     BNode,
@@ -192,10 +192,24 @@ def order_key(term: Optional[Term]) -> tuple:
     return (7, term.lexical, term.datatype.value)
 
 
+def promoted(left: Any, right: Any) -> tuple[Any, Any]:
+    """Two numeric values under SPARQL's type promotion.
+
+    Python already promotes integer ⊕ decimal and integer ⊕ double the
+    way XPath does; decimal ⊕ double is the pair it refuses
+    (``TypeError``), so there the decimal becomes a double.
+    """
+    if isinstance(left, float):
+        if isinstance(right, Decimal):
+            return left, float(right)
+    elif isinstance(right, float) and isinstance(left, Decimal):
+        return float(left), right
+    return left, right
+
+
 def arithmetic(left: Term, right: Term, op: str) -> Literal:
     """Numeric ``+ - * /`` with SPARQL type promotion."""
-    lval = numeric_value(left)
-    rval = numeric_value(right)
+    lval, rval = promoted(numeric_value(left), numeric_value(right))
     if op == "+":
         result = lval + rval
     elif op == "-":
@@ -259,12 +273,16 @@ class EvalContext:
 
     ``exists_evaluator`` is injected by the query evaluator so that
     ``EXISTS { ... }`` can recursively evaluate patterns.
+    ``aggregates`` holds each :class:`Aggregate`'s finished value for
+    the group whose HAVING / projection is being evaluated (set by
+    :func:`repro.sparql.aggregation.finalize`, ``None`` elsewhere).
     """
 
     def __init__(self, exists_evaluator: Optional[Callable] = None,
                  now: Optional[_dt.datetime] = None) -> None:
         self.exists_evaluator = exists_evaluator
         self.now = now or _dt.datetime(2016, 1, 1, 0, 0, 0)
+        self.aggregates: Optional[Dict["Aggregate", Term]] = None
 
 
 class TermExpression(Expression):
@@ -900,8 +918,9 @@ AGGREGATE_NAMES = frozenset(
 class Aggregate(Expression):
     """An aggregate call inside a SELECT/HAVING of a grouped query.
 
-    Evaluation happens in the evaluator's grouping stage; here we only
-    carry structure.  ``expression`` is ``None`` for ``COUNT(*)``.
+    Here we only carry structure: what each aggregate computes is
+    stated once, in :mod:`repro.sparql.aggregation`.  ``expression`` is
+    ``None`` for ``COUNT(*)``.
     """
 
     def __init__(self, name: str, expression: Optional[Expression],
@@ -915,73 +934,49 @@ class Aggregate(Expression):
         self.separator = separator
 
     def evaluate(self, binding: Binding, context: EvalContext) -> Term:
-        raise ExpressionError(
-            f"aggregate {self.name} evaluated outside GROUP BY context")
+        """The value the grouping stage finished for the current group."""
+        value = (context.aggregates or {}).get(self)
+        if value is None:
+            raise ExpressionError(
+                f"aggregate {self.name} has no value here: outside GROUP BY "
+                f"context, or it is an error for this group")
+        return value
 
     def variables(self) -> set[str]:
         return self.expression.variables() if self.expression else set()
 
     def apply(self, group: List[Binding], context: EvalContext) -> Term:
         """Compute this aggregate over the bindings of one group."""
-        if self.name == "COUNT" and self.expression is None:
-            return Literal(len(group))
-        values: List[Term] = []
+        from repro.sparql.aggregation import accumulator
+        values: List[Any] = []
         for row in group:
             try:
-                values.append(self.expression.evaluate(row, context))
+                values.append(self.expression.evaluate(row, context)
+                              if self.expression else row)
             except ExpressionError:
                 continue
-        if self.distinct:
-            unique: List[Term] = []
-            seen: set[Term] = set()
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    unique.append(value)
-            values = unique
-        if self.name == "COUNT":
-            return Literal(len(values))
-        if self.name == "SAMPLE":
-            if not values:
-                raise ExpressionError("SAMPLE over empty group")
-            return values[0]
-        if self.name == "GROUP_CONCAT":
-            return Literal(self.separator.join(
-                string_value(v) for v in values), datatype=XSD_STRING)
-        if not values:
-            if self.name == "SUM":
-                return Literal(0)
-            raise ExpressionError(f"{self.name} over empty group")
-        if self.name in ("SUM", "AVG"):
-            total: Any = 0
-            for value in values:
-                total = total + numeric_value(value)
-            if self.name == "SUM":
-                return _numeric_literal(total)
-            if isinstance(total, int):
-                return _numeric_literal(Decimal(total) / Decimal(len(values)))
-            return _numeric_literal(total / len(values))
-        # MIN / MAX use the ORDER BY total ordering
-        keyed = sorted(values, key=order_key)
-        return keyed[0] if self.name == "MIN" else keyed[-1]
+        return accumulator(self).over(values)
 
     def __repr__(self) -> str:
         distinct = "DISTINCT " if self.distinct else ""
         return f"Aggregate({self.name}({distinct}{self.expression!r}))"
 
 
-def contains_aggregate(expression: Expression) -> bool:
-    """True when an expression tree contains an Aggregate node."""
-    if isinstance(expression, Aggregate):
-        return True
+def subexpressions(expression: Expression) -> Iterator[Expression]:
+    """``expression`` and every expression nested in it (an aggregate's
+    argument excepted: it is evaluated per row, not per group)."""
+    yield expression
     for attr in ("left", "right", "operand"):
         child = getattr(expression, attr, None)
-        if isinstance(child, Expression) and contains_aggregate(child):
-            return True
+        if isinstance(child, Expression):
+            yield from subexpressions(child)
     for attr in ("args", "choices"):
-        children = getattr(expression, attr, None)
-        if children:
-            if any(contains_aggregate(c) for c in children
-                   if isinstance(c, Expression)):
-                return True
-    return False
+        for child in getattr(expression, attr, None) or ():
+            if isinstance(child, Expression):
+                yield from subexpressions(child)
+
+
+def contains_aggregate(expression: Expression) -> bool:
+    """True when an expression tree contains an Aggregate node."""
+    return any(isinstance(node, Aggregate)
+               for node in subexpressions(expression))

@@ -19,14 +19,15 @@ already provide:
   graph generation once per epoch (see :mod:`repro.rdf.shm` and the
   refcounted registry in :mod:`repro.rdf.concurrency`), and the term
   dictionary prefix ships once per epoch the same way;
-* workers return **id-level** results (solution rows or per-group
-  COUNT/SUM/AVG/MIN/MAX partials) plus the per-step ``(rows, width)``
-  charge log;
-  the parent replays the charges against the query's single governor
-  budget (global across workers), merges in morsel submission order,
-  decodes ids back into terms, and applies the ordinary SELECT tail —
-  so DISTINCT / ORDER BY / LIMIT / OFFSET semantics are exactly the
-  serial ones;
+* workers return **id-level** results — solution rows, or the
+  per-group partials of :func:`repro.sparql.aggregation.partials`, the
+  function the serial path runs once over its whole table — plus the
+  per-step ``(rows, width)`` charge log; the parent replays the charges
+  against the query's single governor budget (global across workers)
+  and hands the rows (concatenated) or the partials, in morsel
+  submission order, back to ``evaluate_select``, whose one tail merges,
+  decodes and finishes them — so aggregate, DISTINCT / ORDER BY /
+  LIMIT / OFFSET semantics are the serial ones by construction;
 * deadline, budget and cancellation verdicts trip a one-byte shared
   **control flag** that workers poll at morsel boundaries; a worker
   death surfaces as a typed :class:`QueryExecutionError` and the pool
@@ -47,16 +48,16 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, \
     wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf import shm
 from repro.rdf.columnar import IdPattern, TripleColumns, concat_arrays
 from repro.rdf.concurrency import SHM_SEGMENTS
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import DatasetSnapshot, GraphSnapshot
-from repro.rdf.terms import Literal, Term
+from repro.sparql import aggregation
 from repro.sparql.algebra import BGP, SelectQuery, TriplePatternNode, Var
-from repro.sparql.bindings import BindingTable
+from repro.sparql.bindings import BindingTable, concat as table_concat
 from repro.sparql.errors import QueryExecutionError
 from repro.sparql.evaluator import (
     DatasetContext,
@@ -66,11 +67,8 @@ from repro.sparql.evaluator import (
 )
 from repro.sparql.expressions import (
     Aggregate,
-    ExpressionError,
+    EvalContext,
     VariableExpression,
-    _numeric_literal,
-    numeric_value,
-    order_key,
 )
 from repro.sparql.optimizer import get_plan
 from repro.testing import faults as _faults
@@ -246,100 +244,15 @@ class _WorkerEvaluator(PatternEvaluator):
         return memo
 
 
-_ABORTED: Dict[str, Any] = {"aborted": True, "names": (), "rows": [],
-                            "partials": [], "charges": []}
+#: What a morsel that saw the control flag answers: the parent is
+#: already raising, nobody reads it.
+_ABORTED: Tuple[Any, List[Tuple[int, int]]] = (None, [])
 
 
-def _worker_partials(spec: Dict[str, Any], table: BindingTable,
-                     dictionary: TermDictionary) -> List[Tuple]:
-    """Per-group aggregate partials over one morsel's id-level rows.
-
-    Per aggregate item the partial state is chosen so the parent can
-    merge *exactly* (see :meth:`ParallelExecutor._merge_aggregate`):
-
-    * ``COUNT`` — the count of rows whose argument is bound;
-    * ``SUM`` / ``AVG`` — ``(total, n, err)``: the Python-semantics
-      running total (int stays int, Decimal stays Decimal — addition
-      is associative for both, so partial sums merge losslessly), the
-      contributing-value count, and a sticky error flag for values
-      :func:`numeric_value` rejects (the serial path leaves the whole
-      aggregate unbound in that case);
-    * ``MIN`` / ``MAX`` — the id of the morsel's best term under
-      :func:`order_key` (first-encountered among ties, like the serial
-      stable sort); the parent re-compares one candidate per morsel.
-
-    Only group keys and the handful of per-group extrema/total terms
-    are ever decoded — the bulk of the morsel stays id-level.
-    """
-    if not table.rows:
-        return []
-    decode = dictionary.decode
-    group_slots = [table.slots[name] for name in spec["group"]]
-    items = spec["items"]
-    item_slots = [table.slots[arg] if arg is not None else None
-                  for _kind, arg in items]
-    #: id → (numeric value | ExpressionError sentinel) and id → order
-    #: key caches: each distinct term is decoded at most once per morsel
-    numeric_cache: Dict[int, Any] = {}
-    key_cache: Dict[int, Tuple] = {}
-    groups: Dict[Tuple[Optional[int], ...], List[Any]] = {}
-    for row in table.rows:
-        key = tuple(row[slot] for slot in group_slots)
-        states = groups.get(key)
-        if states is None:
-            states = []
-            for kind, _arg in items:
-                if kind == "COUNT":
-                    states.append(0)
-                elif kind in ("SUM", "AVG"):
-                    states.append([0, 0, False])
-                else:  # MIN / MAX
-                    states.append(None)
-            groups[key] = states
-        for index, (kind, _arg) in enumerate(items):
-            slot = item_slots[index]
-            if kind == "COUNT":
-                if slot is None or row[slot] is not None:
-                    states[index] += 1
-                continue
-            value_id = row[slot]
-            if value_id is None:
-                continue  # unbound argument: the serial path skips it
-            if kind in ("SUM", "AVG"):
-                state = states[index]
-                number = numeric_cache.get(value_id)
-                if number is None:
-                    try:
-                        number = numeric_value(decode(value_id))
-                    except ExpressionError:
-                        number = ExpressionError
-                    numeric_cache[value_id] = number
-                if number is ExpressionError:
-                    state[2] = True
-                else:
-                    state[0] = state[0] + number
-                    state[1] += 1
-            else:  # MIN / MAX
-                best = states[index]
-                if best is None:
-                    states[index] = value_id
-                    continue
-                if best == value_id:
-                    continue
-                for vid in (best, value_id):
-                    if vid not in key_cache:
-                        key_cache[vid] = order_key(decode(vid))
-                if kind == "MIN":
-                    if key_cache[value_id] < key_cache[best]:
-                        states[index] = value_id
-                elif key_cache[value_id] > key_cache[best]:
-                    states[index] = value_id
-    return list(groups.items())
-
-
-def _worker_run(task: Dict[str, Any]) -> Dict[str, Any]:
+def _worker_run(task: Dict[str, Any]) -> Tuple[Any, List[Tuple[int, int]]]:
     """Execute one morsel: the shipped join pipeline over the mapped
-    columns, id-level in and id-level out (decode stays parent-side)."""
+    columns, id-level in and id-level out (decode stays parent-side).
+    Answers ``(solved table or its aggregate partials, charge log)``."""
     fault = task.get("fault")
     if fault is not None:
         kind, seconds = fault
@@ -372,11 +285,9 @@ def _worker_run(task: Dict[str, Any]) -> Dict[str, Any]:
         if not table.rows:
             break
     if task["agg"] is not None:
-        partials = _worker_partials(task["agg"], table, dictionary)
-        return {"aborted": False, "names": tuple(table.names), "rows": None,
-                "partials": partials, "charges": charges}
-    return {"aborted": False, "names": tuple(table.names),
-            "rows": table.rows, "partials": None, "charges": charges}
+        return aggregation.partials(task["agg"], table, dictionary.decode,
+                                    EvalContext()), charges
+    return table, charges
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +300,7 @@ class _Probe:
     serial, or everything the export/dispatch stage needs."""
 
     __slots__ = ("reason", "graphs", "plan", "base", "counts",
-                 "est", "agg_spec")
+                 "est", "aggregate")
 
     def __init__(self, reason: Optional[str] = None) -> None:
         self.reason = reason
@@ -398,19 +309,16 @@ class _Probe:
         self.base: IdPattern = (None, None, None)
         self.counts: List[int] = []
         self.est = 0
-        #: ``None`` for the general path; for the in-worker aggregate
-        #: path the ``(group keys, aggregate items)`` spec from
-        #: :func:`_fast_aggregate_spec`.
-        self.agg_spec: Optional[Tuple[List[Tuple[str, str]],
-                                      List[Tuple[str, str, Optional[str]]]]] \
-            = None
+        #: ``None`` for the general path; the aggregation plan when the
+        #: workers can compute its partials (:func:`_pushable`)
+        self.aggregate: Optional[aggregation.Plan] = None
 
 
 class _Job:
     """One exported, morselized parallel query (segments pinned)."""
 
     __slots__ = ("manifests", "terms", "patterns", "order", "tasks",
-                 "agg_task", "agg_keys", "agg_items", "pinned", "skew")
+                 "aggregate", "pinned", "skew")
 
     def __init__(self) -> None:
         self.manifests: List[shm.ColumnsManifest] = []
@@ -418,61 +326,31 @@ class _Job:
         self.patterns: List[TriplePatternNode] = []
         self.order: List[int] = []
         self.tasks: List[Tuple[int, str, int, int]] = []
-        #: worker-shippable form of the aggregate spec (or ``None``)
-        self.agg_task: Optional[Dict[str, Any]] = None
-        self.agg_keys: Optional[List[Tuple[str, str]]] = None
-        self.agg_items: Optional[List[Tuple[str, str, Optional[str]]]] = None
+        #: the plan whose partials the workers compute (or ``None``)
+        self.aggregate: Optional[aggregation.Plan] = None
         self.pinned: List[Tuple[object, ...]] = []
         self.skew = 1.0
 
 
-#: Aggregates the workers can compute as mergeable per-group partials.
-_PARTIAL_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
-
-def _fast_aggregate_spec(query: SelectQuery, available: frozenset
-                         ) -> Optional[Tuple[
-                             List[Tuple[str, str]],
-                             List[Tuple[str, str, Optional[str]]]]]:
-    """``(group keys, aggregate items)`` when the whole aggregation can
-    run as in-worker per-group partials: no HAVING, variable-only GROUP
-    BY keys (all bound by the BGP), and every projected expression a
-    plain non-DISTINCT COUNT/SUM/AVG/MIN/MAX over a BGP variable (or
-    ``COUNT(*)``).  Anything else returns ``None`` and takes the
-    general path (parallel BGP, serial aggregation over the merged
-    solutions).
-
-    Group keys are ``(pattern var, output name)`` pairs; items are
-    ``(output name, aggregate kind, argument var or None)``.
-    """
-    if query.having or query.projection is None:
-        return None
-    keys: List[Tuple[str, str]] = []
-    for position, expression in enumerate(query.group_by):
-        if not isinstance(expression, VariableExpression) \
-                or expression.name not in available:
-            return None
-        alias = query.group_aliases.get(position)
-        keys.append((expression.name, alias or expression.name))
-    items: List[Tuple[str, str, Optional[str]]] = []
-    for item in query.projection:
-        if item.expression is None:
-            continue
-        aggregate = item.expression
-        if not isinstance(aggregate, Aggregate) or aggregate.distinct \
-                or aggregate.name not in _PARTIAL_AGGREGATES:
-            return None
-        argument = aggregate.expression
-        if argument is None:
-            if aggregate.name != "COUNT":
-                return None
-            items.append((item.name, "COUNT", None))
-            continue
-        if not isinstance(argument, VariableExpression) \
-                or argument.name not in available:
-            return None
-        items.append((item.name, aggregate.name, argument.name))
-    return keys, items
+def _pushable(query: SelectQuery, plan: aggregation.Plan,
+              available: frozenset) -> bool:
+    """Whether the workers can compute ``plan``'s partials: no HAVING,
+    variable-only GROUP BY keys (all bound by the BGP), and every
+    projected expression a bare non-DISTINCT aggregate with a fixed-size
+    state over a BGP variable (or ``COUNT(*)``).  Anything else takes
+    the general path (parallel BGP, one partial over the concatenated
+    rows)."""
+    if query.having or query.projection is None or not plan.fixed_size():
+        return False
+    reads = [key for key, _name in plan.keys]
+    for item in plan.projection:
+        call = item.expression
+        if not isinstance(call, Aggregate) or call.distinct:
+            return False
+        if call.expression is not None:  # COUNT(*) reads nothing
+            reads.append(call.expression)
+    return all(isinstance(expression, VariableExpression)
+               and expression.name in available for expression in reads)
 
 
 class ParallelExecutor:
@@ -480,10 +358,10 @@ class ParallelExecutor:
     dispatch loop for one endpoint.
 
     The executor is engaged from ``evaluate_select`` (via the
-    ``parallel`` attribute of the :class:`DatasetContext`); it either
-    returns a finished :class:`ResultTable` or ``None`` to fall back
-    to the serial path — eligibility reasons land in
-    :attr:`last_decline` and the ``telemetry`` counters.
+    ``parallel`` attribute of the :class:`DatasetContext`); it answers
+    with id rows or aggregate partials for that function's tail to
+    finish, or declines to fall back to the serial path — eligibility
+    reasons land in :attr:`last_decline` and the ``telemetry`` counters.
     """
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
@@ -557,9 +435,9 @@ class ParallelExecutor:
         probe.counts = counts
         probe.est = est
         if query.is_aggregate_query:
-            available = frozenset().union(
-                *[pattern.variables() for pattern in node.patterns])
-            probe.agg_spec = _fast_aggregate_spec(query, available)
+            plan = aggregation.Plan(query)
+            if _pushable(query, plan, frozenset(node.variables())):
+                probe.aggregate = plan
         return probe
 
     # -- export / morselization ----------------------------------------------
@@ -626,13 +504,7 @@ class ParallelExecutor:
                 start = stop
         if sizes:
             job.skew = max(sizes) / (sum(sizes) / len(sizes))
-        if probe.agg_spec is not None:
-            job.agg_keys, job.agg_items = probe.agg_spec
-            job.agg_task = {
-                "group": [variable for variable, _name in job.agg_keys],
-                "items": [(kind, argument)
-                          for _name, kind, argument in job.agg_items],
-            }
+        job.aggregate = probe.aggregate
         return job
 
     # -- dispatch ------------------------------------------------------------
@@ -649,7 +521,7 @@ class ParallelExecutor:
                 return (kind, float(point.delay))
         return None
 
-    def _run(self, job: _Job, gov) -> List[Dict[str, Any]]:
+    def _run(self, job: _Job, gov) -> List[Any]:
         pool = self._pool.executor()
         control = shm.ControlFlag(shm.segment_name("ctl"))
         futures: List[Future] = []
@@ -662,7 +534,7 @@ class ParallelExecutor:
                     "patterns": job.patterns,
                     "order": job.order,
                     "morsel": morsel,
-                    "agg": job.agg_task,
+                    "agg": job.aggregate,
                     "fault": self._fault_directive(),
                 }
                 futures.append(pool.submit(_worker_run, task))
@@ -672,12 +544,12 @@ class ParallelExecutor:
                 done, pending = wait(pending, timeout=_POLL_SECONDS,
                                      return_when=FIRST_COMPLETED)
                 for future in done:
-                    payload = future.result()
+                    _result, charges = future.result()
                     if gov is not None:
-                        gov.charge_batches(payload["charges"])
+                        gov.charge_batches(charges)
                 if gov is not None and pending:
                     gov.check()
-            return [future.result() for future in futures]
+            return [future.result()[0] for future in futures]
         except BrokenProcessPool as error:
             control.set()
             self.telemetry["worker_deaths"] += 1
@@ -696,147 +568,37 @@ class ParallelExecutor:
         finally:
             control.destroy()
 
-    # -- merge ---------------------------------------------------------------
-
-    def _merge_solutions(self, payloads: List[Dict[str, Any]],
-                         evaluator: PatternEvaluator) -> List[Dict[str, Term]]:
-        """Concatenate worker rows in morsel submission order and
-        decode — the exact multiset (and, over compacted generations,
-        the exact order) the serial pipeline produces."""
-        decode = evaluator._dict.decode
-        solutions: List[Dict[str, Term]] = []
-        for payload in payloads:
-            rows = payload["rows"]
-            if not rows:
-                continue
-            visible = [(slot, name)
-                       for slot, name in enumerate(payload["names"])
-                       if not name.startswith("#")]
-            for row in rows:
-                solutions.append({name: decode(row[slot])
-                                  for slot, name in visible
-                                  if row[slot] is not None})
-        return solutions
-
-    def _merge_aggregate(self, query: SelectQuery, job: _Job,
-                         payloads: List[Dict[str, Any]],
-                         evaluator: PatternEvaluator
-                         ) -> List[Dict[str, Term]]:
-        """Fold the workers' per-group aggregate partials exactly.
-
-        Insertion order over submission-ordered payloads reproduces
-        the serial grouping stage's first-occurrence group order; only
-        group keys and per-morsel extremum candidates are ever decoded
-        — the whole point of keeping aggregation id-level in the
-        workers.  Each merge step replicates
-        :meth:`~repro.sparql.expressions.Aggregate.apply`: COUNT adds
-        counts, SUM/AVG add Python-semantics totals (exact for
-        int/Decimal) with the empty-group and non-numeric cases
-        producing the same bound/unbound outcomes, MIN/MAX re-compare
-        one candidate id per morsel under :func:`order_key`.
-        """
-        from decimal import Decimal
-        items = job.agg_items or []
-        merged: Dict[Tuple[Optional[int], ...], List[Any]] = {}
-        for payload in payloads:
-            for key, states in payload["partials"]:
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = list(states)
-                    continue
-                for index, (_name, kind, _arg) in enumerate(items):
-                    state = states[index]
-                    if kind == "COUNT":
-                        into[index] += state
-                    elif kind in ("SUM", "AVG"):
-                        into[index] = [into[index][0] + state[0],
-                                       into[index][1] + state[1],
-                                       into[index][2] or state[2]]
-                    elif state is not None:
-                        best = into[index]
-                        if best is None:
-                            into[index] = state
-                        elif best != state:
-                            decode = evaluator._dict.decode
-                            left = order_key(decode(best))
-                            right = order_key(decode(state))
-                            if (kind == "MIN" and right < left) \
-                                    or (kind == "MAX" and right > left):
-                                into[index] = state
-        if not query.group_by and not merged:
-            # the implicit single group still yields one result row:
-            # COUNT binds 0, SUM binds 0, AVG/MIN/MAX stay unbound
-            merged[()] = [0 if kind == "COUNT"
-                          else [0, 0, False] if kind in ("SUM", "AVG")
-                          else None
-                          for _name, kind, _arg in items]
-        decode = evaluator._dict.decode
-        results: List[Dict[str, Term]] = []
-        for key, states in merged.items():
-            binding: Dict[str, Term] = {}
-            for cell, (_variable, out_name) in zip(key, job.agg_keys or []):
-                if cell is not None:
-                    binding[out_name] = decode(cell)
-            for index, (name, kind, _arg) in enumerate(items):
-                state = states[index]
-                if kind == "COUNT":
-                    binding[name] = Literal(state)
-                    continue
-                if kind in ("SUM", "AVG"):
-                    total, count, err = state
-                    if err:
-                        continue  # serial path: projection stays unbound
-                    if kind == "SUM":
-                        binding[name] = Literal(0) if count == 0 \
-                            else _numeric_literal(total)
-                    elif count:
-                        if isinstance(total, int):
-                            binding[name] = _numeric_literal(
-                                Decimal(total) / Decimal(count))
-                        else:
-                            binding[name] = _numeric_literal(total / count)
-                    continue
-                if state is not None:
-                    binding[name] = decode(state)
-            results.append(binding)
-        return results
-
     # -- entry points --------------------------------------------------------
 
     def try_select(self, query: SelectQuery, context, source,
-                   evaluator: PatternEvaluator, eval_context):
-        """Run an eligible SELECT across the pool; ``None`` declines
-        (the caller falls through to the serial path)."""
-        from repro.sparql.evaluator import _aggregate_rows, \
-            _apply_projection_expressions, _finalize_select
+                   evaluator: PatternEvaluator
+                   ) -> Tuple[Optional[BindingTable],
+                              Optional[List[aggregation.Partials]]]:
+        """Run an eligible SELECT's pattern across the pool.
+
+        Returns ``(table, None)`` — the morsels' id rows concatenated in
+        submission order: the exact multiset (and, over compacted
+        generations, the exact order) the serial pipeline solves — or
+        ``(None, partials)``, one per morsel in the same order, when the
+        workers also aggregated.  ``(None, None)`` declines (the caller
+        falls through to the serial path)."""
         probe = self._probe(query, context, source, evaluator)
         if probe.reason is not None:
             self.last_decline = probe.reason
             self.telemetry["declined"] += 1
-            return None
+            return None, None
         self.telemetry["queries"] += 1
         gov = getattr(context, "governor", None)
         job = self._export_job(query, context, probe)
         try:
-            payloads = self._run(job, gov)
-            if job.agg_task is not None:
-                self.telemetry["agg_pushdown"] += 1
-                result_bindings = self._merge_aggregate(
-                    query, job, payloads, evaluator)
-            else:
-                solutions = self._merge_solutions(payloads, evaluator)
-                if query.is_aggregate_query:
-                    result_bindings = _aggregate_rows(
-                        query, solutions, eval_context)
-                else:
-                    result_bindings = solutions
-                    for row in result_bindings:
-                        _apply_projection_expressions(
-                            query, row, eval_context)
-            return _finalize_select(query, result_bindings, eval_context)
+            results = self._run(job, gov)
         finally:
             for key in job.pinned:
                 SHM_SEGMENTS.unpin(key)
+        if job.aggregate is not None:
+            self.telemetry["agg_pushdown"] += 1
+            return None, results
+        return table_concat(results), None
 
     def describe(self, query, dataset) -> str:
         """The EXPLAIN ``parallel:`` line for ``query`` — either the
@@ -866,13 +628,14 @@ class ParallelExecutor:
         skew = max(sizes) / (sum(sizes) / len(sizes)) if sizes else 1.0
         line = (f"parallel: workers={self.workers} morsels={len(sizes)} "
                 f"est_rows={probe.est} skew={skew:.2f}")
-        if probe.agg_spec is not None:
-            keys, items = probe.agg_spec
+        if probe.aggregate is not None:
             spec = ",".join(
-                f"{kind}({argument if argument is not None else '*'})"
-                for _name, kind, argument in items)
-            if keys:
-                spec += " by " + ",".join(var for var, _name in keys)
+                f"{call.name}"
+                f"({call.expression.name if call.expression else '*'})"
+                for call in probe.aggregate.aggregates)
+            if probe.aggregate.keys:
+                spec += " by " + ",".join(
+                    key.name for key, _name in probe.aggregate.keys)
             line += f" agg={spec}"
         return line
 

@@ -251,6 +251,22 @@ FIXTURES = {
                            for pattern in patterns)
         """,
     ),
+    "single-sparql-aggregate": (
+        """
+        def _merge_aggregate(kind, into, state):
+            if kind in ("SUM", "AVG"):
+                return into + state
+            return min(into, state) if kind == "MIN" else max(into, state)
+        """,
+        PARALLEL,
+        """
+        AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
+        def _pushable(plan, call):
+            return plan.fixed_size() and (
+                call.name == "COUNT" or call.expression is not None)
+        """,
+    ),
 }
 
 
@@ -395,6 +411,24 @@ def test_single_walker_lives_in_the_walker_module_only():
                       "src/repro/sparql/algebra.py",
                       "src/repro/olap/engine.py"):
         assert findings_for(good, describer, rule) == []
+
+
+def test_aggregate_names_have_two_homes_and_one_set():
+    """The accumulators and the tokenizer's keyword list may spell the
+    names; the ``AGGREGATE_NAMES`` set may too, but a second set beside
+    it (the parent's ``_PARTIAL_AGGREGATES``) may not."""
+    bad, _path, good = FIXTURES["single-sparql-aggregate"]
+    rule = "single-sparql-aggregate"
+    assert len(findings_for(bad, PARALLEL, rule)) == 3
+    for home in ("src/repro/sparql/aggregation.py",
+                 "src/repro/sparql/tokenizer.py",
+                 "src/repro/olap/kernel.py"):
+        assert findings_for(bad, home, rule) == []
+    second_set = 'MERGEABLE = frozenset({"COUNT", "SUM", "MAX"})\n'
+    found = findings_for(second_set, "src/repro/sparql/expressions.py", rule)
+    assert [finding.message.split('"')[1] for finding in found] \
+        == ["SUM", "MAX"]
+    assert findings_for(good, "src/repro/sparql/expressions.py", rule) == []
 
 
 def test_evaluator_rules_cover_the_whole_family():

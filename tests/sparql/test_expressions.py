@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rdf import IRI, BNode, Literal
-from repro.rdf.terms import XSD_DATE, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
+from repro.rdf.terms import XSD_DATE, XSD_DATETIME, XSD_DECIMAL, \
+    XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     Aggregate,
@@ -309,6 +310,46 @@ class TestAggregates:
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(ExpressionError):
             Aggregate("MEDIAN", VariableExpression("x"))
+
+
+class TestDecimalDoublePromotion:
+    """xsd:decimal ⊕ xsd:double promotes the decimal to a double (XPath
+    numeric type promotion); Python's ``Decimal + float`` refuses."""
+
+    DEC = lit("1.5", datatype=XSD_DECIMAL)
+    DBL = lit(2.5)
+
+    @pytest.mark.parametrize("op,expected,mirrored", [
+        ("+", 4.0, 4.0), ("-", -1.0, 1.0), ("*", 3.75, 3.75),
+        ("/", 0.6, 2.5 / 1.5)])
+    def test_arithmetic_either_way_round(self, op, expected, mirrored):
+        for left, right, value in ((self.DEC, self.DBL, expected),
+                                   (self.DBL, self.DEC, mirrored)):
+            result = arithmetic(left, right, op)
+            assert result.datatype.value == XSD_DOUBLE
+            assert result.value == pytest.approx(value)
+
+    def test_integer_with_double_keeps_its_answer(self):
+        assert arithmetic(lit(2), self.DBL, "+") == lit(4.5)
+        assert arithmetic(self.DBL, lit(2), "/") == lit(1.25)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_sum_and_avg(self, order):
+        values = [self.DEC, self.DBL]
+        group = [{"x": values[index]} for index in order]
+        x = VariableExpression("x")
+        assert Aggregate("SUM", x).apply(group, CTX) == lit(4.0)
+        assert Aggregate("AVG", x).apply(group, CTX) == lit(2.0)
+
+    def test_through_the_endpoint(self):
+        from repro.sparql import LocalEndpoint
+        endpoint = LocalEndpoint()
+        assert endpoint.select(
+            "SELECT (1.5 + 2.5E0 AS ?x) WHERE {}").rows == [(lit(4.0),)]
+        assert endpoint.select(
+            "SELECT (SUM(?v) AS ?s) (AVG(?v) AS ?a) "
+            "WHERE { VALUES ?v { 1.5 2.5E0 } }").rows == [
+                (lit(4.0), lit(2.0))]
 
 
 # -- property-based -----------------------------------------------------------

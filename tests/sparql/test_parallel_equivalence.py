@@ -28,7 +28,9 @@ import pytest
 
 import random
 
+from repro.rdf import Literal
 from repro.rdf.concurrency import SHM_SEGMENTS
+from repro.rdf.terms import XSD_DECIMAL, XSD_INTEGER
 from repro.sparql import LocalEndpoint
 
 from tests.sparql.test_columnar_equivalence import CORPUS, EX, populate
@@ -235,6 +237,45 @@ class TestAggregatePushdown:
                  f"?o {CITIZEN} ?m }}")
         assert serial.select(query).rows == parallel.select(query).rows
         assert executor.telemetry["agg_pushdown"] == before
+
+
+    def test_order_key_ties_keep_the_first_encountered(self):
+        # 1, 1.0 and "01"^^xsd:integer are one point of the ORDER BY
+        # order: MIN and MAX both answer the first of them in solution
+        # order, on every route — one partial (serial), one partial per
+        # morsel merged in order (push-down), concatenated rows (HAVING
+        # takes the general path), and inside a sub-SELECT
+        serial = LocalEndpoint()
+        ties = [Literal(1), Literal("1.0", datatype=XSD_DECIMAL),
+                Literal("01", datatype=XSD_INTEGER)]
+        serial.dataset.default.add_all(
+            (EX[f"t{i}"], EX.tie, tie) for i, tie in enumerate(ties))
+        serial.dataset.default.compact()
+        parallel = LocalEndpoint(serial.dataset, parallel=2,
+                                 parallel_threshold=1)
+        executor = parallel.parallel_executor
+        executor.morsel_rows = 1
+        where = "WHERE { ?s <http://example.org/tie> ?v }"
+        extrema = "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi)"
+        try:
+            first = serial.select(f"SELECT ?v {where}").rows[0][0]
+            assert first in ties
+            expected = [(first, first)]
+            pushed = f"SELECT {extrema} {where}"
+            general = f"{pushed} HAVING (COUNT(?s) > 0)"
+            assert serial.select(pushed).rows == expected
+            assert serial.select(general).rows == expected
+            assert serial.select(
+                f"SELECT ?lo ?hi WHERE {{ {{ {pushed} }} }}").rows == expected
+            assert parallel.select(pushed).rows == expected
+            assert executor.telemetry["agg_pushdown"] == 1
+            assert parallel.select(general).rows == expected
+            assert executor.telemetry["agg_pushdown"] == 1
+            assert executor.telemetry["queries"] == 2
+            assert executor.telemetry["morsels"] == 2 * len(ties)
+        finally:
+            parallel.close()
+            serial.close()
 
 
 class TestMorselSizeFuzz:

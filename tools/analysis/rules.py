@@ -45,6 +45,10 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     only ``PatternEvaluator._walk`` dispatches over the pattern-node
     classes, and no evaluator-family function scans at term level
     (``source.match(...)``).
+``single-sparql-aggregate``
+    Under ``src/repro/sparql/`` only ``aggregation.py`` says what SUM,
+    AVG, MIN and MAX compute: the name literals appear nowhere else but
+    the tokenizer's keyword list and ``AGGREGATE_NAMES``.
 """
 
 from __future__ import annotations
@@ -716,7 +720,8 @@ class ParallelSafetyRule(Rule):
                  "get_plan", "StarSchema", "NativeOLAPEngine"}
 
     #: modules that are worker-side from top to bottom
-    WORKER_MODULES = ("repro/olap/kernel.py",)
+    WORKER_MODULES = ("repro/olap/kernel.py",
+                      "repro/sparql/aggregation.py")
 
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/parallel.py",
@@ -913,6 +918,59 @@ class SingleAlgebraWalkerRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# single-sparql-aggregate
+# ---------------------------------------------------------------------------
+
+
+class SingleSparqlAggregateRule(Rule):
+    """One module says what the SPARQL aggregates compute.
+
+    ``repro/sparql/aggregation.py`` folds SUM / AVG / MIN / MAX for the
+    serial evaluator and for the parallel workers alike.  Code that
+    branches on those names anywhere else under ``sparql/`` is a second
+    statement of their int / decimal / double, empty-group and tie
+    rules — ISSUE 17 deleted three, one of which had drifted.  The
+    tokenizer's keyword list and the ``AGGREGATE_NAMES`` set name the
+    aggregates without computing them; ``"COUNT"`` is exempt because
+    the parser needs it for ``COUNT(*)``.
+    """
+
+    id = "single-sparql-aggregate"
+    title = "SPARQL aggregates are computed in sparql/aggregation.py only"
+    rationale = ("a branch on an aggregate's name outside aggregation.py "
+                 "re-states its semantics, and the copy drifts from the "
+                 "accumulator the other execution paths run")
+
+    NAMES = {"SUM", "AVG", "MIN", "MAX"}
+    HOMES = ("repro/sparql/aggregation.py", "repro/sparql/tokenizer.py")
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/repro/sparql/") \
+            and not path.endswith(self.HOMES)
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant)
+                    and node.value in self.NAMES):
+                continue
+            if any(isinstance(outer, ast.Assign) and any(
+                    isinstance(target, ast.Name)
+                    and target.id == "AGGREGATE_NAMES"
+                    for target in outer.targets)
+                    for outer in ancestors(node, parents)):
+                continue
+            findings.append(self.finding(
+                path, node,
+                f"aggregate name literal \"{node.value}\" outside "
+                f"sparql/aggregation.py (ask the accumulator: "
+                f"aggregation.accumulator / Plan)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -925,6 +983,7 @@ ALL_RULES: List[Rule] = [
     ParallelSafetyRule(),
     StorageTiersPrivateRule(),
     SingleAlgebraWalkerRule(),
+    SingleSparqlAggregateRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
