@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	bench-baseline bench-plan bench-plan-baseline bench-stream \
 	bench-stream-baseline bench-concurrency bench-resilience \
 	bench-resilience-baseline bench-join bench-join-baseline \
-	bench-parallel bench-olap
+	bench-parallel bench-olap perf perf-compare
 
 ## Tier-1 verification: static analysis + docs doctests + the full
 ## unit/integration suite.
@@ -115,3 +115,15 @@ bench-parallel:
 ## zero leaked shared-memory segments after close.
 bench-olap:
 	REPRO_BENCH_OBS=100000 $(PYTHON) benchmarks/check_olap.py
+
+## The contract benchmark (BENCHMARK.json), the A/B a perf claim is
+## judged by: `make perf OUT=a.json [RUNS=10]` records one set of runs
+## (every workload, RUNS fresh processes each) of the tree it runs in;
+## `make perf-compare BASE=a.json CHANGE=b.json` reads two sets under
+## the contract's bounds and the nine-of-ten-pairs rule.
+RUNS ?= 10
+perf:
+	python3 benchmarks/perf/record.py --runs $(RUNS) --out $(OUT)
+
+perf-compare:
+	python3 benchmarks/perf/compare.py $(BASE) $(CHANGE)

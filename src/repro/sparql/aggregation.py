@@ -12,11 +12,12 @@ algebraic split of OLAP aggregates (COUNT, SUM, MIN, MAX merge as
 themselves, AVG as SUM and COUNT).
 
 Terms are touched late: plain-variable group keys group on id tuples
-(the dictionary is a bijection) and decode once per group, a
-plain-variable argument decodes once per *distinct* id, and any other
-key or argument expression sees a binding of just the variables it
-reads.  Worker-safe: the dictionary arrives as a ``decode`` function,
-nothing here touches an endpoint, a graph or a module cache.
+(the dictionary is a bijection) and decode once per group, and any
+other key or argument is a column of
+:func:`~repro.sparql.bindings.expression_column` — evaluated and lifted
+once per *distinct* id tuple of the variables it reads.  Worker-safe:
+the dictionary arrives as a ``decode`` function, nothing here touches
+an endpoint, a graph or a module cache.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, \
 
 from repro.rdf.terms import Literal, Term, XSD_STRING
 from repro.sparql.algebra import ProjectionItem, SelectQuery
-from repro.sparql.bindings import BindingTable, row_decoder
+from repro.sparql.bindings import BindingTable, expression_column
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     Aggregate,
     Binding,
     EvalContext,
-    ExistsExpression,
     Expression,
     VariableExpression,
     _numeric_literal,
@@ -258,44 +258,6 @@ class Plan:
         return not any(isinstance(fold, _Values) for fold in self.folds)
 
 
-def _column(expression: Optional[Expression], table: BindingTable,
-            decode: Callable[[int], Term], context: EvalContext,
-            lift: Optional[Callable[[Term], Any]]) -> Sequence[Any]:
-    """``expression`` over every row of ``table``; ``None`` where it is
-    unbound or an error.  A plain variable stays the column of its ids
-    when nothing needs the terms (``lift`` is ``None``) and otherwise
-    lifts each distinct id once; ``COUNT(*)`` has no argument, which is
-    bound on every row."""
-    rows = table.rows
-    if expression is None:
-        return rows
-    if isinstance(expression, VariableExpression):
-        slot = table.slots.get(expression.name)
-        if slot is None:
-            return [None] * len(rows)
-        ids = [row[slot] for row in rows]
-        if lift is None:
-            return ids
-        lifted = {vid: lift(decode(vid)) for vid in set(ids)
-                  if vid is not None}
-        lifted[None] = None
-        return [lifted[vid] for vid in ids]
-    # an EXISTS reads whatever its pattern's inner filters mention,
-    # which variables() does not list: it gets the whole row
-    reads = None if any(isinstance(node, ExistsExpression)
-                        for node in subexpressions(expression)) \
-        else expression.variables()
-    decode_row = row_decoder(table.names, decode, reads)
-    values: List[Any] = []
-    for row in rows:
-        try:
-            term = expression.evaluate(decode_row(row), context)
-            values.append(term if lift is None else lift(term))
-        except ExpressionError:
-            values.append(None)
-    return values
-
-
 def partials(plan: Plan, table: BindingTable,
              decode: Callable[[int], Term], context: EvalContext
              ) -> Partials:
@@ -303,7 +265,7 @@ def partials(plan: Plan, table: BindingTable,
     group's state, a column at a time."""
     if not table.rows:
         return {}
-    key_columns = [_column(expression, table, decode, context, None)
+    key_columns = [expression_column(expression, table, decode, context)
                    for expression, _name in plan.keys]
     keys = list(zip(*key_columns)) if key_columns \
         else [()] * len(table.rows)
@@ -313,8 +275,11 @@ def partials(plan: Plan, table: BindingTable,
     for call, fold in zip(plan.aggregates, plan.folds):
         column = [fold.start() for _ in groups]
         step = fold.step
-        for group, value in zip(member, _column(
-                call.expression, table, decode, context, fold.lift)):
+        # COUNT(*) has no argument, which is bound on every row
+        values = table.rows if call.expression is None \
+            else expression_column(call.expression, table, decode,
+                                   context, fold.lift)
+        for group, value in zip(member, values):
             if value is not None:
                 column[group] = step(column[group], value)
         states.append(column)

@@ -15,8 +15,18 @@ right side) and are never decoded into user-visible bindings.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Dict, Iterable, Iterator, \
-    List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Optional, Sequence, Tuple
+
+from repro.sparql.errors import ExpressionError
+from repro.sparql.expressions import (
+    EvalContext,
+    ExistsExpression,
+    Expression,
+    FunctionExpression,
+    VariableExpression,
+    subexpressions,
+)
 
 IdRow = Tuple[Optional[int], ...]
 
@@ -45,14 +55,6 @@ class BindingTable:
         """No rows at all (the annihilator)."""
         return cls(names, [])
 
-    def extended(self, extra_names: Sequence[str]) -> "BindingTable":
-        """Schema-widened copy: new columns filled with ``None``."""
-        if not extra_names:
-            return self
-        pad: IdRow = (None,) * len(extra_names)
-        return BindingTable(self.names + tuple(extra_names),
-                            [row + pad for row in self.rows])
-
     def project_onto(self, names: Sequence[str]) -> List[IdRow]:
         """Rows re-ordered/padded onto a target schema."""
         return list(self.iter_onto(names))
@@ -80,25 +82,91 @@ class BindingTable:
         return f"<BindingTable {list(self.names)} ({len(self.rows)} rows)>"
 
 
-def row_decoder(names: Sequence[str], decode: Callable[[int], Any],
-                variables: Optional[Collection[str]] = None
+def row_decoder(names: Sequence[str], decode: Callable[[int], Any]
                 ) -> Callable[[IdRow], Dict[str, Any]]:
     """The function turning an id row over ``names`` into a ``{name:
-    term}`` binding of its bound, user-visible (non-``#``) cells — of
-    ``variables`` only, when given.
+    term}`` binding of its bound, user-visible (non-``#``) cells.
 
-    The single definition of "decode a row" every term-level boundary
-    (FILTER, BIND, expression arguments, final projection) shares.
+    The single definition of "decode a row": the final projection and
+    the row-at-a-time branch of :func:`expression_column` share it.
     """
     visible = [(slot, name) for slot, name in enumerate(names)
-               if not name.startswith("#")
-               and (variables is None or name in variables)]
+               if not name.startswith("#")]
 
     def decode_row(row: IdRow) -> Dict[str, Any]:
         return {name: decode(row[slot]) for slot, name in visible
                 if row[slot] is not None}
 
     return decode_row
+
+
+def _row_at_a_time(expression: Expression) -> bool:
+    """Whether equal bindings of ``expression.variables()`` can still
+    give different values: an EXISTS reads whatever its pattern's inner
+    filters mention (which ``variables()`` does not list) and is
+    answered through the row cursor, and ``BNODE`` mints a node per
+    call — the only non-deterministic builtin (``NOW`` is fixed per
+    :class:`EvalContext`)."""
+    return any(
+        isinstance(node, ExistsExpression)
+        or isinstance(node, FunctionExpression) and node.name == "BNODE"
+        for node in subexpressions(expression))
+
+
+def expression_column(expression: Expression, table: BindingTable,
+                      decode: Callable[[int], Any], context: EvalContext,
+                      lift: Optional[Callable[[Any], Any]] = None
+                      ) -> List[Any]:
+    """``expression`` over every row of ``table``: the lifted value per
+    row, ``None`` where it is unbound or an :class:`ExpressionError`.
+
+    The single term-level boundary of the id pipeline — FILTER (``lift``
+    is the effective boolean value), BIND (``encode``), an aggregate's
+    argument (its accumulator's ``lift``) and a computed group key
+    (nothing) all evaluate here.  The expression is evaluated and lifted
+    **once per distinct id tuple** of the columns it reads, decoding
+    only the cells that tuple holds: the dictionary is a bijection, so
+    equal id tuples are equal bindings (``1``, ``1.0`` and
+    ``"01"^^xsd:integer`` are distinct ids, evaluated separately).  A
+    plain variable nothing lifts stays the column of its ids.  Only an
+    expression :func:`_row_at_a_time` names sees every row, whole, with
+    ``context.row`` at the row's index.
+    """
+    rows = table.rows
+    slots = table.slots
+    if lift is None and isinstance(expression, VariableExpression):
+        slot = slots.get(expression.name)
+        return [None] * len(rows) if slot is None \
+            else [row[slot] for row in rows]
+
+    def value_of(binding: Dict[str, Any]) -> Any:
+        try:
+            value = expression.evaluate(binding, context)
+            return value if lift is None else lift(value)
+        except ExpressionError:
+            return None
+
+    if _row_at_a_time(expression):
+        decode_row = row_decoder(table.names, decode)
+        values = []
+        for index, row in enumerate(rows):
+            context.row = index
+            values.append(value_of(decode_row(row)))
+        return values
+    variables = expression.variables()
+    reads = [name for name in table.names if name in variables]
+    if not reads:
+        return [value_of({})] * len(rows)
+    columns = [[row[slots[name]] for row in rows] for name in reads]
+    # one column keys on its ids as they are: no tuple per row
+    single = len(columns) == 1
+    keys = columns[0] if single else list(zip(*columns))
+    memo = dict.fromkeys(keys)  # first-occurrence order, like the rows
+    for key in memo:
+        memo[key] = value_of({name: decode(cell) for name, cell
+                              in zip(reads, (key,) if single else key)
+                              if cell is not None})
+    return list(map(memo.__getitem__, keys))
 
 
 def concat(tables: Iterable[BindingTable]) -> BindingTable:

@@ -24,7 +24,6 @@ from repro.rdf.terms import Literal, Term
 from repro.sparql import aggregation
 from repro.sparql.algebra import (
     AskQuery,
-    PatternNode,
     Query,
     SelectQuery,
     Var,
@@ -57,20 +56,6 @@ from repro.sparql.results import ResultTable
 #: Kill switch for the streaming SELECT path (differential tests flip
 #: it off to compare streamed against fully materialized execution).
 STREAMING_ENABLED = True
-
-
-def streamable(node: PatternNode) -> bool:
-    """Whether :meth:`PatternEvaluator.stream_tables` can drive
-    ``node`` incrementally.
-
-    The shape test lives in the planner (:func:`stream_shape`: a BGP at
-    the left-most leaf under row-local operators — FILTER, BIND, joins
-    fed from the left, OPTIONAL probed from its required side); whether
-    the leading BGP's *plan* supports an incremental scan is the
-    :attr:`~repro.sparql.optimizer.PhysicalPlan.streamable` IR flag the
-    pipeline consults at execution time.
-    """
-    return stream_shape(node)
 
 
 def would_stream(query: SelectQuery,

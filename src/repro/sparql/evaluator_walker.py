@@ -8,8 +8,10 @@ per bound-variable signature* (through the LRU plan cache in
 :mod:`repro.sparql.optimizer`), and each step joins via either a hash
 join over a single index scan or memoized index probes keyed on the
 distinct join values — never a fresh plan or a fresh Python dict per
-input row.  Terms are only decoded at expression boundaries (FILTER,
-BIND) and at final projection; GROUP BY folds the id table itself
+input row.  Terms are only decoded where an expression reads them
+(:func:`~repro.sparql.bindings.expression_column`: FILTER, BIND and
+aggregate arguments, once per distinct id tuple of the columns read)
+and at final projection; GROUP BY folds the id table itself
 (:mod:`repro.sparql.aggregation`).
 
 The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
@@ -49,7 +51,7 @@ dictionary only grows with *stored* data.
 from __future__ import annotations
 
 import threading
-from itertools import chain
+from itertools import chain, compress
 from typing import Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set, Tuple
 
@@ -74,9 +76,10 @@ from repro.sparql.algebra import (
 from repro.sparql.bindings import (
     BindingTable,
     concat as table_concat,
+    expression_column,
     row_decoder,
 )
-from repro.sparql.errors import EvaluationError, ExpressionError
+from repro.sparql.errors import EvaluationError
 from repro.sparql.evaluator_source import (
     Binding,
     DatasetContext,
@@ -469,45 +472,28 @@ class PatternEvaluator(JoinSteps):
 
     def _filter_table(self, child: BindingTable, condition,
                       source: GraphSource) -> BindingTable:
-        at = [0]  # index of the row under evaluation, read by EXISTS
-        eval_context = self._context_for(source, child, at)
-        decode_row = row_decoder(child.names, self._dict.decode)
-        out_rows = []
-        for index, row in enumerate(child.rows):
-            at[0] = index
-            try:
-                if effective_boolean_value(
-                        condition.evaluate(decode_row(row), eval_context)):
-                    out_rows.append(row)
-            except ExpressionError:
-                continue
-        return BindingTable(child.names, out_rows)
+        keep = expression_column(
+            condition, child, self._dict.decode,
+            self._context_for(source, child), effective_boolean_value)
+        return BindingTable(child.names, list(compress(child.rows, keep)))
 
     def _extend_table(self, node: Extend, child: BindingTable,
                       source: GraphSource) -> BindingTable:
-        eval_context = self._context_for(source)
-        encode = self._dict.encode
         name = node.var
         slot = child.slots.get(name)
-        decode_row = row_decoder(child.names, self._dict.decode)
-        out_rows = []
-        for row in child.rows:
-            if slot is not None and row[slot] is not None:
-                raise EvaluationError(
-                    f"BIND would rebind already-bound variable ?{name}")
-            try:
-                value = encode(node.expression.evaluate(
-                    decode_row(row), eval_context))
-            except ExpressionError:
-                value = None  # leave unbound per SPARQL error semantics
-            if slot is not None:
-                cells = list(row)
-                cells[slot] = value
-                out_rows.append(tuple(cells))
-            else:
-                out_rows.append(row + (value,))
-        names = child.names if slot is not None else child.names + (name,)
-        return BindingTable(names, out_rows)
+        if slot is None:
+            slot = len(child.names)
+        elif any(row[slot] is not None for row in child.rows):
+            raise EvaluationError(
+                f"BIND would rebind already-bound variable ?{name}")
+        # an error leaves the variable unbound per SPARQL error semantics
+        values = expression_column(
+            node.expression, child, self._dict.decode,
+            self._context_for(source), self._dict.encode)
+        return BindingTable(
+            child.names[:slot] + (name,) + child.names[slot + 1:],
+            [row[:slot] + (value,) + row[slot + 1:]
+             for row, value in zip(child.rows, values)])
 
     def _walk_graph(self, node: GraphNode, source: GraphSource,
                     table: BindingTable, chunk: Optional[int]
@@ -556,17 +542,15 @@ class PatternEvaluator(JoinSteps):
         return cached
 
     def _context_for(self, source: GraphSource,
-                     table: Optional[BindingTable] = None,
-                     at: Sequence[int] = ()) -> EvalContext:
+                     table: Optional[BindingTable] = None) -> EvalContext:
         """The expression context for patterns matched against
         ``source``.
 
         A caller evaluating one expression over every row of a
-        ``table`` passes it with ``at``, whose first cell it keeps at
-        the index of the row under evaluation: EXISTS is then answered
-        for the whole table by one seeded walk, on first use.  Otherwise
-        (HAVING, projection, ORDER BY, BIND) the binding is a table of
-        one row.
+        ``table`` passes it: EXISTS is then answered for the whole table
+        by one seeded walk, on first use, and read at the context's
+        ``row`` cursor.  Otherwise (HAVING, projection, ORDER BY, BIND)
+        the binding is a table of one row.
 
         The trade-off of the whole-table answer: the pattern also runs
         for rows whose ``&&`` / ``||`` operands would short-circuit
@@ -587,9 +571,10 @@ class PatternEvaluator(JoinSteps):
             if hits is None:
                 hits = found[id(pattern)] = self._exists_rows(
                     pattern, source, table)
-            return at[0] in hits
+            return context.row in hits
 
-        return EvalContext(exists_evaluator=exists_evaluator)
+        context = EvalContext(exists_evaluator=exists_evaluator)
+        return context
 
 
 def _join_relation(table: BindingTable, names: Sequence[str],

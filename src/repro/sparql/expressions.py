@@ -267,6 +267,12 @@ class Expression:
         """Free variables mentioned anywhere in the expression."""
         return set()
 
+    def __repr__(self) -> str:
+        """``Class(field, …)`` in constructor order — what the node
+        computes, never where it lives: EXPLAIN prints conditions."""
+        fields = ", ".join(map(repr, vars(self).values()))
+        return f"{type(self).__name__}({fields})"
+
 
 class EvalContext:
     """What expression evaluation may need besides the row binding.
@@ -276,6 +282,9 @@ class EvalContext:
     ``aggregates`` holds each :class:`Aggregate`'s finished value for
     the group whose HAVING / projection is being evaluated (set by
     :func:`repro.sparql.aggregation.finalize`, ``None`` elsewhere).
+    ``row`` is the index of the table row under evaluation, kept by
+    :func:`repro.sparql.bindings.expression_column` for an
+    ``exists_evaluator`` that answers a whole table at once.
     """
 
     def __init__(self, exists_evaluator: Optional[Callable] = None,
@@ -283,6 +292,7 @@ class EvalContext:
         self.exists_evaluator = exists_evaluator
         self.now = now or _dt.datetime(2016, 1, 1, 0, 0, 0)
         self.aggregates: Optional[Dict["Aggregate", Term]] = None
+        self.row = 0
 
 
 class TermExpression(Expression):
@@ -293,9 +303,6 @@ class TermExpression(Expression):
 
     def evaluate(self, binding: Binding, context: EvalContext) -> Term:
         return self.term
-
-    def __repr__(self) -> str:
-        return f"TermExpression({self.term!r})"
 
 
 class VariableExpression(Expression):
@@ -312,9 +319,6 @@ class VariableExpression(Expression):
 
     def variables(self) -> set[str]:
         return {self.name}
-
-    def __repr__(self) -> str:
-        return f"VariableExpression({self.name!r})"
 
 
 class BooleanExpression(Expression):
@@ -384,9 +388,6 @@ class ComparisonExpression(Expression):
 
     def variables(self) -> set[str]:
         return self.left.variables() | self.right.variables()
-
-    def __repr__(self) -> str:
-        return f"ComparisonExpression({self.op!r}, {self.left!r}, {self.right!r})"
 
 
 class ArithmeticExpression(Expression):

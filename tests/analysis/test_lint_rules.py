@@ -267,6 +267,33 @@ FIXTURES = {
                 call.name == "COUNT" or call.expression is not None)
         """,
     ),
+    "single-expression-loop": (
+        """
+        class PatternEvaluator:
+            def _filter_table(self, child, condition, source):
+                context = self._context_for(source)
+                decode_row = row_decoder(child.names, self._dict.decode)
+                return [row for index, row in enumerate(child.rows)
+                        if condition.evaluate(decode_row(row), context)]
+        """,
+        WALKER,
+        """
+        class PatternEvaluator:
+            def decoded(self, table):
+                return list(map(row_decoder(table.names, self._dict.decode),
+                                table.rows))
+
+            def _filter_table(self, child, condition, source):
+                keep = expression_column(
+                    condition, child, self._dict.decode,
+                    self._context_for(source, child), effective_boolean_value)
+                return [row for row, kept in zip(child.rows, keep) if kept]
+
+            def _having(self, groups, condition, context):
+                return [group for group in groups.items()
+                        if condition.evaluate(group, context)]
+        """,
+    ),
 }
 
 
@@ -429,6 +456,31 @@ def test_aggregate_names_have_two_homes_and_one_set():
     assert [finding.message.split('"')[1] for finding in found] \
         == ["SUM", "MAX"]
     assert findings_for(good, "src/repro/sparql/expressions.py", rule) == []
+
+
+def test_expression_loops_have_one_home_and_one_projection():
+    """Both shapes are flagged — the ``for`` statement as well as the
+    comprehension — everywhere under ``sparql/`` but in ``bindings.py``;
+    ``row_decoder`` is the final projection's alone."""
+    bad, _path, good = FIXTURES["single-expression-loop"]
+    rule = "single-expression-loop"
+    assert len(findings_for(bad, WALKER, rule)) == 2
+    statement = """
+    def _column(expression, table, decode, context):
+        values = []
+        for index, row in enumerate(table.rows):
+            values.append(expression.evaluate({}, context))
+        return values
+    """
+    for elsewhere in (WALKER, "src/repro/sparql/aggregation.py", PARALLEL):
+        found = findings_for(statement, elsewhere, rule)
+        assert len(found) == 1 and ".rows" in found[0].message
+    for home in ("src/repro/sparql/bindings.py", "src/repro/olap/engine.py"):
+        assert findings_for(bad, home, rule) == []
+        assert findings_for(statement, home, rule) == []
+    # `decoded` may call row_decoder in the walker module only
+    found = findings_for(good, EVALUATOR, rule)
+    assert len(found) == 1 and "row_decoder" in found[0].message
 
 
 def test_evaluator_rules_cover_the_whole_family():

@@ -229,3 +229,37 @@ def test_path_first_plan_not_marked_streaming(dataset):
     plan = explain(
         f"SELECT ?a ?b WHERE {{ ?a <{EX}value>+ ?b }} LIMIT 5", dataset)
     assert "streams" not in plan
+
+
+def test_compound_filter_conditions_print_their_structure():
+    """Every expression class prints what it computes, not where it
+    lives: the plan of the benchmark's three-way dice names its three
+    attributes and is the same text on every parse."""
+    from benchmarks.perf.workloads import DICE_PROGRAMS
+    from repro.data import small_demo
+    from repro.demo import enrich
+
+    session = enrich(small_demo(observations=200, seed=33))
+    translation = session.engine.execute(
+        DICE_PROGRAMS["three_way_and"], variant="direct").translation
+    for text in (translation.direct, translation.optimized):
+        plan = explain(text, session.endpoint.dataset)
+        assert "0x" not in plan
+        filter_line = next(line for line in plan.splitlines()
+                           if "Filter " in line)
+        for name in ("att0", "att1", "att2"):
+            assert name in filter_line
+        assert plan == explain(text, session.endpoint.dataset)
+
+
+@pytest.mark.parametrize("condition", [
+    "?v > 1 && ?v < 9 || !(?v = 5)",
+    "-?v + 2 * ?v - 1 / ?v > 0",
+    "?v IN (1, 2) || ?v NOT IN (3)",
+    f"EXISTS {{ ?s <{EX}special> ?f }} && NOT EXISTS {{ ?v <{EX}p> ?s }}",
+])
+def test_no_expression_class_prints_an_address(dataset, condition):
+    text = f"SELECT ?s WHERE {{ ?s <{EX}value> ?v FILTER({condition}) }}"
+    plan = explain(text, dataset)
+    assert "object at 0x" not in plan
+    assert plan == explain(text, dataset)

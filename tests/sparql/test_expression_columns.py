@@ -1,0 +1,377 @@
+"""One evaluation per distinct id tuple ≡ one evaluation per row.
+
+``repro.sparql.bindings.expression_column`` is the only place the id
+pipeline evaluates an expression (FILTER, BIND, aggregate arguments,
+computed group keys), and it evaluates once per *distinct id tuple* of
+the columns the expression reads.  Every query route runs it, so their
+agreement no longer checks it; these tests do, against the oracle that
+lives here: the row-at-a-time loops the evaluator had before, which
+decode the whole row for every row.
+
+Generated tables repeat ids heavily (so the memo is hit), leave cells
+unbound, and hold ill-typed numerics, dates, IRIs and literals that are
+value-equal without being term-equal (``1``, ``"01"^^xsd:integer``,
+``1.0``) — distinct ids the memo must keep apart.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.rdf import Dataset, IRI, Literal
+from repro.rdf.terms import BNode, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from repro.sparql import LocalEndpoint
+from repro.sparql.algebra import Empty, Extend, Filter
+from repro.sparql.bindings import BindingTable, expression_column
+from repro.sparql.errors import EvaluationError, ExpressionError
+from repro.sparql.evaluator import DatasetContext, PatternEvaluator
+from repro.sparql.expressions import (
+    ArithmeticExpression,
+    BooleanExpression,
+    ComparisonExpression,
+    Expression,
+    FunctionExpression,
+    InExpression,
+    NotExpression,
+    TermExpression,
+    UnaryMinusExpression,
+    VariableExpression,
+    effective_boolean_value,
+)
+from repro.sparql.parser import parse_query
+
+EX = "http://example.org/"
+
+#: cells: value-equal numerics of four lexical forms, an ill-typed
+#: numeric, strings that differ in case / language, dates, IRIs, a
+#: boolean; ``None`` is an unbound cell
+CELLS = [
+    Literal(1), Literal("01", datatype=XSD_INTEGER), Literal(1.0),
+    Literal("1.0", datatype=XSD_DECIMAL), Literal(2), Literal(-3), Literal(0),
+    Literal("abc", datatype=XSD_INTEGER), Literal("Asia"), Literal("asia"),
+    Literal("Asia", language="en"), Literal("2014-03-01", datatype=XSD_DATE),
+    Literal("2015-01-01", datatype=XSD_DATE), IRI(EX + "a"), IRI(EX + "b"),
+    Literal(True), None]
+#: ``?w`` never has a column; ``#mark`` is internal and never decoded
+NAMES = ("x", "y", "#mark", "z")
+VARIABLES = ["x", "y", "z", "w"]
+
+terms = st.sampled_from([cell for cell in CELLS if cell is not None])
+#: a row pool of at most four distinct rows, so ids repeat heavily
+tables = st.lists(
+    st.tuples(*[st.sampled_from(CELLS)] * len(NAMES)),
+    min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=30))
+
+
+def function(name, *args):
+    return FunctionExpression(name, list(args))
+
+
+def compound(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.builds(lambda op, pair: ComparisonExpression(op, *pair),
+                  st.sampled_from(["=", "!=", "<", ">", "<=", ">="]), pairs),
+        st.builds(lambda op, pair: BooleanExpression(op, *pair),
+                  st.sampled_from(["&&", "||"]), pairs),
+        st.builds(lambda op, pair: ArithmeticExpression(op, *pair),
+                  st.sampled_from(["+", "-", "*", "/"]), pairs),
+        st.builds(NotExpression, children),
+        st.builds(UnaryMinusExpression, children),
+        st.builds(InExpression, children,
+                  st.lists(children, min_size=1, max_size=3), st.booleans()),
+        st.builds(lambda name: function("BOUND", VariableExpression(name)),
+                  st.sampled_from(VARIABLES)),
+        st.builds(lambda args: function("COALESCE", *args),
+                  st.lists(children, min_size=1, max_size=3)),
+        st.builds(lambda args: function("IF", *args),
+                  st.tuples(children, children, children)),
+        st.builds(lambda arg: function("STR", arg), children),
+        st.builds(lambda arg, pattern: function(
+            "REGEX", function("STR", arg), TermExpression(Literal(pattern))),
+            children, st.sampled_from(["^A", "a$", "1"])))
+
+
+expressions = st.recursive(
+    st.one_of(st.builds(VariableExpression, st.sampled_from(VARIABLES)),
+              st.builds(TermExpression, terms)),
+    compound, max_leaves=8)
+
+
+class Harness:
+    """An evaluator over an empty dataset and an id table of its
+    dictionary, plus the row-at-a-time reference loops."""
+
+    def __init__(self, rows, names=NAMES):
+        context = DatasetContext(Dataset())
+        self.evaluator = PatternEvaluator(context)
+        self.source = context.default_source()
+        self.encode = self.evaluator._dict.encode
+        self.decode = self.evaluator._dict.decode
+        self.context = self.evaluator._context_for(self.source)
+        self.table = BindingTable(names, [
+            tuple(None if term is None else self.encode(term)
+                  for term in row) for row in rows])
+
+    def whole(self, row):
+        """The row decoded in full, as every boundary used to."""
+        return {name: self.decode(cell)
+                for name, cell in zip(self.table.names, row)
+                if cell is not None and not name.startswith("#")}
+
+    def reference_filter(self, condition):
+        kept = []
+        for row in self.table.rows:
+            try:
+                if effective_boolean_value(
+                        condition.evaluate(self.whole(row), self.context)):
+                    kept.append(row)
+            except ExpressionError:
+                continue
+        return kept
+
+    def reference_extend(self, name, expression):
+        table = self.table
+        slot = table.slots.get(name)
+        out = []
+        for row in table.rows:
+            if slot is not None and row[slot] is not None:
+                raise EvaluationError(f"would rebind ?{name}")
+            try:
+                value = self.encode(
+                    expression.evaluate(self.whole(row), self.context))
+            except ExpressionError:
+                value = None
+            if slot is not None:
+                cells = list(row)
+                cells[slot] = value
+                out.append(tuple(cells))
+            else:
+                out.append(row + (value,))
+        return (table.names if slot is not None
+                else table.names + (name,)), out
+
+    def reference_values(self, expression):
+        values = []
+        for row in self.table.rows:
+            try:
+                values.append(
+                    expression.evaluate(self.whole(row), self.context))
+            except ExpressionError:
+                values.append(None)
+        return values
+
+    def filter(self, condition):
+        return self.evaluator._filter_table(
+            self.table, condition, self.source)
+
+    def extend(self, name, expression):
+        return self.evaluator._extend_table(
+            Extend(Empty(), name, expression), self.table, self.source)
+
+    def values(self, expression):
+        return expression_column(
+            expression, self.table, self.decode, self.context)
+
+
+class TestMemoisedEqualsRowAtATime:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tables, expressions)
+    def test_filter_keeps_the_same_rows_in_order(self, rows, condition):
+        harness = Harness(rows)
+        result = harness.filter(condition)
+        assert result.names == NAMES
+        assert result.rows == harness.reference_filter(condition)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tables, expressions, st.sampled_from(["b", "z"]))
+    def test_bind_encodes_the_same_values_or_refuses_alike(
+            self, rows, expression, name):
+        harness = Harness(rows)
+        try:
+            expected = harness.reference_extend(name, expression)
+        except EvaluationError:
+            with pytest.raises(EvaluationError, match="rebind"):
+                harness.extend(name, expression)
+            return
+        result = harness.extend(name, expression)
+        assert (result.names, result.rows) == expected
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tables, expressions)
+    def test_group_key_terms_are_the_same(self, rows, expression):
+        harness = Harness(rows)
+        values = harness.values(expression)
+        if isinstance(expression, VariableExpression):
+            # a plain variable nothing lifts stays its id column
+            values = [None if cell is None else harness.decode(cell)
+                      for cell in values]
+        assert values == harness.reference_values(expression)
+
+
+class Counting(Expression):
+    """``operand``, counting its evaluations (an attribute name
+    ``subexpressions`` descends into, so what it wraps is still seen)."""
+
+    def __init__(self, operand):
+        self.operand = operand
+        self.calls = 0
+
+    def evaluate(self, binding, context):
+        self.calls += 1
+        return self.operand.evaluate(binding, context)
+
+    def variables(self):
+        return self.operand.variables()
+
+
+def condition_of(text):
+    """The FILTER condition of ``SELECT * WHERE { FILTER(text) }``."""
+    node = parse_query(f"SELECT * WHERE {{ FILTER({text}) }}").pattern
+    assert isinstance(node, Filter)
+    return node.condition
+
+
+def bind_of(text):
+    node = parse_query(f"SELECT * WHERE {{ BIND({text} AS ?b) }}").pattern
+    assert isinstance(node, Extend)
+    return node.expression
+
+
+ILL = Literal("abc", datatype=XSD_INTEGER)
+
+
+class TestFixedCases:
+    def test_bnode_mints_a_node_per_row(self):
+        harness = Harness([(Literal(1),)] * 50, names=("x",))
+        result = harness.extend("b", bind_of("BNODE()"))
+        nodes = [harness.decode(row[1]) for row in result.rows]
+        assert all(isinstance(node, BNode) for node in nodes)
+        assert len(set(nodes)) == 50
+        # nested in a deterministic function, it still does
+        result = harness.extend("b", bind_of("COALESCE(?w, BNODE())"))
+        assert len({row[1] for row in result.rows}) == 50
+
+    def test_now_is_one_value_on_every_row(self):
+        harness = Harness([(Literal(value),) for value in range(20)],
+                          names=("x",))
+        result = harness.extend("b", bind_of("NOW()"))
+        assert len({row[1] for row in result.rows}) == 1
+
+    def test_an_error_drops_exactly_the_rows_holding_that_tuple(self):
+        rows = [(Literal(1),), (ILL,), (Literal(1),), (ILL,), (Literal(5),),
+                (None,), (ILL,)]
+        harness = Harness(rows, names=("x",))
+        counted = Counting(condition_of("?x < 2"))
+        assert harness.filter(counted).rows == [
+            harness.table.rows[0], harness.table.rows[2]]
+        # 1, the ill-typed literal, 5 and the unbound cell: four tuples
+        assert counted.calls == 4
+        bound = harness.extend("b", bind_of("?x + 1"))
+        assert [None if row[1] is None else harness.decode(row[1])
+                for row in bound.rows] == [
+            Literal(2), None, Literal(2), None, Literal(6), None, None]
+
+    def test_value_equal_terms_are_evaluated_apart(self):
+        rows = [(Literal(1),), (Literal("01", datatype=XSD_INTEGER),),
+                (Literal(1.0),), (Literal(1),)]
+        harness = Harness(rows, names=("x",))
+        counted = Counting(function("STR", VariableExpression("x")))
+        assert harness.values(counted) == [
+            Literal("1"), Literal("01"), Literal("1.0"), Literal("1")]
+        assert counted.calls == 3
+
+    def test_a_variable_without_a_column_is_unbound_everywhere(self):
+        rows = [(Literal(1),), (Literal(2),), (Literal(1),)]
+        harness = Harness(rows, names=("x",))
+        assert harness.filter(condition_of("?w = 1")).rows == []
+        assert harness.filter(
+            condition_of("!BOUND(?w)")).rows == harness.table.rows
+        assert harness.values(VariableExpression("w")) == [None] * 3
+        counted = Counting(bind_of("COALESCE(?w, ?x)"))
+        assert harness.values(counted) == [Literal(1), Literal(2), Literal(1)]
+        assert counted.calls == 2
+        constant = Counting(condition_of("?w = 1 || true"))
+        assert harness.filter(constant).rows == harness.table.rows
+        assert constant.calls == 1  # it reads no column at all
+
+    @pytest.fixture()
+    def endpoint(self):
+        endpoint = LocalEndpoint()
+        endpoint.update(f"""PREFIX : <{EX}> INSERT DATA {{
+            :r1 :val 1 ; :tag "a" . :r2 :val 1 ; :tag "b" .
+            :r3 :val 1 ; :tag "a" . :r4 :val 2 ; :tag "c" .
+            :r5 :val 1 ; :tag "b" .
+            :k :bad "a" . :k :worse 2 . }}""")
+        return endpoint
+
+    def test_exists_beside_a_guard_agrees_with_the_join_rewrite(
+            self, endpoint):
+        """Rows that share the id of every variable the condition
+        *lists* still differ where the EXISTS pattern's inner filter
+        reads ``?y``: such a condition sees every row."""
+        def subjects(where):
+            return sorted(row[0].value for row in endpoint.select(
+                f"PREFIX : <{EX}> SELECT ?r WHERE {{ {where} }}").rows)
+
+        rows = "?r :val ?x . ?r :tag ?y"
+        assert subjects(
+            rows + " FILTER(?x = 1 && NOT EXISTS "
+                   "{ ?s :bad ?o FILTER(?o = ?y) })"
+        ) == subjects(
+            rows + " FILTER(?x = 1) MINUS { ?s :bad ?y }"
+        ) == [EX + "r2", EX + "r5"]
+        assert subjects(
+            "?r :val ?x FILTER(?x = 1 && NOT EXISTS { ?s :worse ?x })"
+        ) == subjects(
+            "?r :val ?x FILTER(?x = 1) MINUS { ?s :worse ?x }"
+        ) == [EX + f"r{n}" for n in (1, 2, 3, 5)]
+        assert subjects(
+            "?r :val ?x FILTER(?x = 2 && EXISTS { ?s :worse ?x })"
+        ) == [EX + "r4"]
+
+    def test_exists_in_bind_and_in_an_aggregate_argument(self, endpoint):
+        result = endpoint.select(f"""PREFIX : <{EX}>
+            SELECT ?x (SUM(IF(EXISTS {{ ?s :bad ?y }}, 1, 0)) AS ?bad)
+                   (COUNT(?flag) AS ?n)
+            WHERE {{ ?r :val ?x . ?r :tag ?y
+                     BIND(EXISTS {{ ?s :bad ?y }} AS ?flag) }}
+            GROUP BY ?x ORDER BY ?x""")
+        assert result.rows == [
+            (Literal(1), Literal(2), Literal(4)),
+            (Literal(2), Literal(0), Literal(1))]
+
+
+class TestOncePerDistinctTuple:
+    """The benchmark's three-way dice reads three attribute columns
+    whose id tuples repeat: the condition runs once per tuple."""
+
+    def test_three_way_and_is_evaluated_once_per_attribute_tuple(
+            self, monkeypatch):
+        from benchmarks.perf.workloads import DICE_PROGRAMS
+        from repro.data import small_demo
+        from repro.demo import enrich
+
+        # the cube of tests/integration/test_union_traffic.py
+        session = enrich(small_demo(observations=1200, seed=33))
+        text = session.engine.execute(
+            DICE_PROGRAMS["three_way_and"], variant="direct"
+        ).translation.direct
+        filtered = []
+        original = PatternEvaluator._filter_table
+
+        def counting(self, child, condition, source):
+            counted = Counting(condition)
+            filtered.append((child, counted))
+            return original(self, child, counted, source)
+
+        monkeypatch.setattr(PatternEvaluator, "_filter_table", counting)
+        expected = session.endpoint.select(text)
+        monkeypatch.undo()
+        assert session.endpoint.select(text).rows == expected.rows
+        (child, counted), = filtered
+        assert counted.variables() == {"att0", "att1", "att2"}
+        slots = [child.slots[name] for name in ("att0", "att1", "att2")]
+        tuples = {tuple(row[slot] for slot in slots) for row in child.rows}
+        assert len(child.rows) > 1000
+        assert counted.calls == len(tuples) < len(child.rows) // 4

@@ -49,6 +49,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     Under ``src/repro/sparql/`` only ``aggregation.py`` says what SUM,
     AVG, MIN and MAX compute: the name literals appear nowhere else but
     the tokenizer's keyword list and ``AGGREGATE_NAMES``.
+``single-expression-loop``
+    Under ``src/repro/sparql/`` only ``bindings.expression_column``
+    evaluates an expression over the rows of an id table: no
+    ``.evaluate(`` inside a ``for`` over a ``.rows`` attribute, and no
+    ``row_decoder(`` call but the final projection's, anywhere else.
 """
 
 from __future__ import annotations
@@ -971,6 +976,77 @@ class SingleSparqlAggregateRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# single-expression-loop
+# ---------------------------------------------------------------------------
+
+
+class SingleExpressionLoopRule(Rule):
+    """One function evaluates an expression over an id table.
+
+    ``bindings.expression_column`` evaluates FILTER conditions, BIND
+    expressions, aggregate arguments and computed group keys once per
+    distinct id tuple of the columns they read, and knows the two kinds
+    of expression (EXISTS, ``BNODE()``) that must see every row.  A
+    hand-written ``for row in table.rows: … .evaluate(decode_row(row))``
+    beside it decodes every visible cell of every row again — ISSUE 18
+    deleted three, which were 57 % of a dice — and has to re-learn those
+    two exceptions.  ``PatternEvaluator.decoded`` (the final projection)
+    is the one other caller of ``row_decoder``.
+    """
+
+    id = "single-expression-loop"
+    title = "expressions run over id tables in bindings.expression_column only"
+    rationale = ("a per-row evaluate loop decodes whole rows the memoised "
+                 "column function decodes once per distinct id tuple, and "
+                 "drifts from its EXISTS / BNODE handling")
+
+    HOME = "repro/sparql/bindings.py"
+    PROJECTION = ("repro/sparql/evaluator_walker.py", "decoded")
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/repro/sparql/") \
+            and not path.endswith(self.HOME)
+
+    @staticmethod
+    def _loops_over_rows(outer: ast.AST) -> bool:
+        """Whether ``outer`` is a ``for`` statement, or a comprehension
+        with a generator, iterating something with ``.rows`` in it."""
+        loops = [outer] if isinstance(outer, ast.For) \
+            else getattr(outer, "generators", ())
+        return any(isinstance(node, ast.Attribute) and node.attr == "rows"
+                   for loop in loops for node in ast.walk(loop.iter))
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) \
+                    and node.func.id == "row_decoder":
+                function = enclosing_function(node, parents)
+                if not (path.endswith(self.PROJECTION[0]) and function
+                        is not None and function.name == self.PROJECTION[1]):
+                    findings.append(self.finding(
+                        path, node,
+                        "`row_decoder(...)` outside the final projection "
+                        "(evaluate through bindings.expression_column, "
+                        "which decodes only the cells an expression "
+                        "reads)", lines))
+            elif isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "evaluate" \
+                    and any(map(self._loops_over_rows,
+                                ancestors(node, parents))):
+                findings.append(self.finding(
+                    path, node,
+                    "`.evaluate(...)` inside a loop over `.rows` "
+                    "(bindings.expression_column evaluates once per "
+                    "distinct id tuple)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -984,6 +1060,7 @@ ALL_RULES: List[Rule] = [
     StorageTiersPrivateRule(),
     SingleAlgebraWalkerRule(),
     SingleSparqlAggregateRule(),
+    SingleExpressionLoopRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
