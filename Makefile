@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	bench-baseline bench-plan bench-plan-baseline bench-stream \
 	bench-stream-baseline bench-concurrency bench-resilience \
 	bench-resilience-baseline bench-join bench-join-baseline \
-	bench-parallel bench-olap perf perf-compare
+	bench-parallel bench-olap perf perf-compare profile
 
 ## Tier-1 verification: static analysis + docs doctests + the full
 ## unit/integration suite.
@@ -127,3 +127,12 @@ perf:
 
 perf-compare:
 	python3 benchmarks/perf/compare.py $(BASE) $(CHANGE)
+
+## Where one round of a contract workload spends its time: set the
+## workload up through benchmarks/perf/harness.py, one warm round (the
+## verification), one round under cProfile, the cumulative table.
+## `make profile WORKLOAD=rollup_20k [TOP=30]`.  Finds candidates;
+## `make perf` / `make perf-compare` measure them.
+TOP ?= 30
+profile:
+	python3 tools/profile_round.py --workload $(WORKLOAD) --top $(TOP)

@@ -263,12 +263,12 @@ def partials(plan: Plan, table: BindingTable,
              ) -> Partials:
     """Group ``table`` and fold every aggregate's argument into its
     group's state, a column at a time."""
-    if not table.rows:
+    if not table:
         return {}
     key_columns = [expression_column(expression, table, decode, context)
                    for expression, _name in plan.keys]
     keys = list(zip(*key_columns)) if key_columns \
-        else [()] * len(table.rows)
+        else [()] * len(table)
     groups: Dict[Tuple[Any, ...], int] = {}
     member = [groups.setdefault(key, len(groups)) for key in keys]
     states: List[List[Any]] = []
@@ -276,7 +276,7 @@ def partials(plan: Plan, table: BindingTable,
         column = [fold.start() for _ in groups]
         step = fold.step
         # COUNT(*) has no argument, which is bound on every row
-        values = table.rows if call.expression is None \
+        values = keys if call.expression is None \
             else expression_column(call.expression, table, decode,
                                    context, fold.lift)
         for group, value in zip(member, values):

@@ -1,12 +1,25 @@
 """Columnar solution tables for the batch SPARQL pipeline.
 
 A :class:`BindingTable` is the unit of data flow inside the evaluator:
-a shared variable→slot map (the schema) plus a list of row tuples whose
-cells are **interned term ids** (see :mod:`repro.rdf.dictionary`) or
-``None`` for unbound.  Keeping solutions columnar and integer-typed is
-what lets basic graph patterns execute as batch joins — hash joins and
-memoized index probes on machine integers — instead of materializing a
-Python dict per solution per operator.
+a shared variable→slot map (the schema) plus **one ``int64`` numpy
+column per variable** whose cells are interned term ids (see
+:mod:`repro.rdf.dictionary`), ``-1`` (:data:`UNBOUND`) where the
+variable is unbound, and an explicit row count (the zero-column unit
+table still has one row).  Every operator on the query's critical path
+— the join kernel of :mod:`repro.sparql.evaluator_steps`, FILTER, BIND,
+GROUP BY — reads and writes those columns whole: a join step is a sort,
+a binary search and a gather, never a Python object per solution.
+
+Columns are **immutable once a table holds them**: an operator that
+keeps every row hands the input's column objects on to its output, so
+nothing may write into one in place.
+
+:attr:`BindingTable.rows` is a derived view — the same solutions as a
+list of tuples with ``None`` for unbound, built on first use and
+cached — for the cold operators that are row-at-a-time by nature
+(OPTIONAL's left-outer pairing, the ``UNDEF``-tolerant joins, the
+streamed projection) and for tests, which also *build* tables from
+such tuples.
 
 Column names beginning with ``#`` are internal bookkeeping (e.g. the
 left-row provenance marker OPTIONAL evaluation threads through its
@@ -17,6 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, \
     Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
@@ -30,42 +45,97 @@ from repro.sparql.expressions import (
 
 IdRow = Tuple[Optional[int], ...]
 
-__all__ = ["BindingTable"]
+__all__ = ["BindingTable", "UNBOUND"]
+
+#: The cell of an unbound variable (term ids are never negative).
+UNBOUND = -1
+
+
+def id_column(cells: Iterable[Optional[int]]) -> np.ndarray:
+    """A column from term ids with ``None`` for unbound."""
+    return np.array([UNBOUND if cell is None else cell for cell in cells],
+                    dtype=np.int64)
+
+
+def column_cells(column: np.ndarray) -> List[Optional[int]]:
+    """A column as a list of term ids with ``None`` for unbound."""
+    unbound = column < 0
+    if not unbound.any():
+        return column.tolist()
+    cells = column.astype(object)
+    cells[unbound] = None
+    return cells.tolist()
+
+
+def all_bound(columns: Iterable[np.ndarray]) -> bool:
+    """Whether no cell of ``columns`` is unbound."""
+    return not any((column < 0).any() for column in columns)
 
 
 class BindingTable:
     """An ordered bag of solution rows over a fixed variable schema."""
 
-    __slots__ = ("names", "slots", "rows")
+    __slots__ = ("names", "slots", "columns", "_count", "_rows")
 
     def __init__(self, names: Sequence[str] = (),
                  rows: Optional[List[IdRow]] = None) -> None:
+        """A table from row tuples (``None`` for unbound): what the
+        row-at-a-time operators and tests build; the join kernel builds
+        with :meth:`of`."""
         self.names: Tuple[str, ...] = tuple(names)
         self.slots: Dict[str, int] = {
             name: index for index, name in enumerate(self.names)}
-        self.rows: List[IdRow] = rows if rows is not None else []
+        self._rows: Optional[List[IdRow]] = rows if rows is not None else []
+        self._count = len(self._rows)
+        self.columns: List[np.ndarray] = [
+            id_column(cells) for cells in zip(*self._rows)] \
+            if self._rows else [np.empty(0, dtype=np.int64)
+                                for _ in self.names]
+
+    @classmethod
+    def of(cls, names: Sequence[str], columns: Sequence[np.ndarray],
+           count: int) -> "BindingTable":
+        """A table of ``count`` rows around ``int64`` id ``columns``
+        (one per name, not copied)."""
+        table = cls.__new__(cls)
+        table.names = tuple(names)
+        table.slots = {name: index for index, name in enumerate(table.names)}
+        table.columns = list(columns)
+        table._count = count
+        table._rows = None
+        return table
 
     @classmethod
     def unit(cls) -> "BindingTable":
         """The join identity: no columns, one empty row."""
-        return cls((), [()])
+        return cls.of((), (), 1)
 
     @classmethod
     def empty(cls, names: Sequence[str] = ()) -> "BindingTable":
         """No rows at all (the annihilator)."""
         return cls(names, [])
 
-    def project_onto(self, names: Sequence[str]) -> List[IdRow]:
-        """Rows re-ordered/padded onto a target schema."""
-        return list(self.iter_onto(names))
+    @property
+    def rows(self) -> List[IdRow]:
+        """The solutions as tuples, ``None`` for unbound (derived from
+        the columns on first use, then cached)."""
+        if self._rows is None:
+            self._rows = list(zip(*map(column_cells, self.columns))) \
+                if self.columns else [()] * self._count
+        return self._rows
+
+    def take(self, index: np.ndarray) -> "BindingTable":
+        """The rows a boolean mask keeps / an index array picks, in
+        that order."""
+        columns = [column[index] for column in self.columns]
+        count = int(np.count_nonzero(index)) if index.dtype == bool \
+            else len(index)
+        return BindingTable.of(self.names, columns, count)
 
     def iter_onto(self, names: Sequence[str]) -> Iterator[IdRow]:
-        """Lazily project rows onto a target schema.
-
-        The generator form of :meth:`project_onto` for incremental
+        """Lazily project rows onto a target schema, for incremental
         consumers (the streaming dedup operator) that may stop before
-        draining the batch.
-        """
+        draining the batch."""
         slots = self.slots
         picks = [slots.get(name) for name in names]
         for row in self.rows:
@@ -73,13 +143,13 @@ class BindingTable:
                 None if pick is None else row[pick] for pick in picks)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._count
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return self._count > 0
 
     def __repr__(self) -> str:
-        return f"<BindingTable {list(self.names)} ({len(self.rows)} rows)>"
+        return f"<BindingTable {list(self.names)} ({self._count} rows)>"
 
 
 def row_decoder(names: Sequence[str], decode: Callable[[int], Any]
@@ -132,12 +202,12 @@ def expression_column(expression: Expression, table: BindingTable,
     expression :func:`_row_at_a_time` names sees every row, whole, with
     ``context.row`` at the row's index.
     """
-    rows = table.rows
+    count = len(table)
     slots = table.slots
     if lift is None and isinstance(expression, VariableExpression):
         slot = slots.get(expression.name)
-        return [None] * len(rows) if slot is None \
-            else [row[slot] for row in rows]
+        return [None] * count if slot is None \
+            else column_cells(table.columns[slot])
 
     def value_of(binding: Dict[str, Any]) -> Any:
         try:
@@ -149,15 +219,18 @@ def expression_column(expression: Expression, table: BindingTable,
     if _row_at_a_time(expression):
         decode_row = row_decoder(table.names, decode)
         values = []
-        for index, row in enumerate(rows):
+        # whole rows, one at a time, is what these two kinds need: the
+        # row view's one reader here, not a column read
+        # repro: allow[columnar-join-step]
+        for index, row in enumerate(table.rows):
             context.row = index
             values.append(value_of(decode_row(row)))
         return values
     variables = expression.variables()
     reads = [name for name in table.names if name in variables]
     if not reads:
-        return [value_of({})] * len(rows)
-    columns = [[row[slots[name]] for row in rows] for name in reads]
+        return [value_of({})] * count
+    columns = [column_cells(table.columns[slots[name]]) for name in reads]
     # one column keys on its ids as they are: no tuple per row
     single = len(columns) == 1
     keys = columns[0] if single else list(zip(*columns))
@@ -170,21 +243,18 @@ def expression_column(expression: Expression, table: BindingTable,
 
 
 def concat(tables: Iterable[BindingTable]) -> BindingTable:
-    """Append tables, unioning schemas (missing cells become ``None``)."""
+    """Append tables, unioning schemas (missing cells are unbound)."""
     tables = [table for table in tables]
     if not tables:
         return BindingTable.empty()
-    names: List[str] = []
-    seen = set()
-    for table in tables:
-        for name in table.names:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    rows: List[IdRow] = []
-    for table in tables:
-        if table.names == tuple(names):
-            rows.extend(table.rows)
-        else:
-            rows.extend(table.project_onto(names))
-    return BindingTable(names, rows)
+    if len(tables) == 1:
+        return tables[0]
+    names = list(dict.fromkeys(
+        name for table in tables for name in table.names))
+    columns = [
+        np.concatenate([
+            table.columns[table.slots[name]] if name in table.slots
+            else np.full(len(table), UNBOUND, dtype=np.int64)
+            for table in tables])
+        for name in names]
+    return BindingTable.of(names, columns, sum(map(len, tables)))

@@ -61,10 +61,10 @@ class GraphSource:
     A thin adapter — storage semantics (tiers, tombstones, union dedup)
     all live in :mod:`repro.rdf.graph`.  It offers a term-level API
     (``match`` / ``estimate``, used by property paths and DESCRIBE),
-    an id-level one (``match_arrays`` for scans
-    and hash builds, ``match_ids`` for point probes with a bound key,
-    ``estimate_ids``), and what the planner keys on (``cache_key``,
-    ``statistics``).
+    an id-level one (``match_arrays`` — a pattern's matches as
+    ``(S, P, O)`` arrays, whether the pattern is a whole range or one
+    join key's probe — and ``estimate_ids``), and what the planner keys
+    on (``cache_key``, ``statistics``).
     """
 
     __slots__ = ("view", "graphs")
@@ -77,9 +77,6 @@ class GraphSource:
 
     def match(self, pattern) -> Iterator[Triple]:
         return self.view.triples(pattern)
-
-    def match_ids(self, pattern: IdPattern) -> Iterator[IdTriple]:
-        return self.view.triples_ids(pattern)
 
     def match_arrays(self, pattern: IdPattern):
         """The matches as positional ``(S, P, O)`` numpy arrays."""

@@ -16,22 +16,68 @@ needs to reason about skew, and each executed step's
 :class:`~repro.sparql.optimizer.PlanStep` carries the estimator label
 and average-only estimate that the trace threads to EXPLAIN.
 
+**The kernel.**  A :class:`~repro.sparql.bindings.BindingTable` holds
+one ``int64`` id column per variable, and every step — triple pattern,
+property path, the cross product of a pattern that shares no variable,
+a chunk of a streamed leading scan — is :func:`join_table`:
+
+1. take the pattern's matches as position arrays (``(S, P, O)``), from
+   one scan of its whole index range or from one index probe per
+   distinct join key, concatenated;
+2. mask out matches that disagree with a variable the pattern repeats;
+3. sort them by join key, stably (:func:`grouped`);
+4. binary-search every row's key in the sorted keys (:func:`located`)
+   — one ``searchsorted`` for the whole table;
+5. gather: a plain take when no row has two matches, ``np.repeat``
+   plus run offsets otherwise.
+
+Output order is **row order, and within a row the matches' index
+order** — what the row-at-a-time loop this replaced produced, and what
+streamed ``LIMIT`` queries and REDUCED's adjacent dedup observe.  Rows
+with an unbound (``-1``) join cell are not a second algorithm: rows are
+partitioned by which join cells they leave unbound, each partition runs
+the same five steps with those positions capturing the match's value
+instead of constraining it, and a stable sort on the source row index
+restores row order.  ``tests/sparql/reference_join.py`` keeps the old
+loop as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple
 
 import numpy as np
 
 from repro.sparql.algebra import PathPatternNode, TriplePatternNode, Var
-from repro.sparql.bindings import BindingTable
+from repro.sparql.bindings import BindingTable, id_column
 from repro.sparql.evaluator_source import (
     PROBE_COUNTER,
     GraphSource,
     IdPattern,
 )
 from repro.sparql.paths import evaluate_path
+
+#: One array per pattern position — ``(S, P, O)`` of a triple pattern's
+#: matches, ``(start, end)`` of a path's — entry ``i`` of each being
+#: match ``i``.
+Matches = Tuple[np.ndarray, ...]
+
+#: A pattern position spec: ``("c", id)`` a constant, ``("v", slot)`` a
+#: variable the table has a column for, ``("n", None)`` a new variable,
+#: ``("d", first)`` a new variable repeated from position ``first``.
+Spec = List[Tuple[str, Optional[int]]]
+
+#: The build side of one join step, grouped by join key: the matches
+#: that passed the repeated-variable mask, then — see :func:`_runs` —
+#: the stable permutation that sorts them by key, the sorted key as one
+#: ``int64`` array, and each sorted position's distance to the end of
+#: its run of equal keys.  The last three are ``None`` without a single
+#: key column: no key at all (every row meets every match) or a
+#: composite one, which :func:`_ranked` reduces to one column together
+#: with the probe side.
+Build = Tuple[Matches, Optional[np.ndarray], Optional[np.ndarray],
+              Optional[np.ndarray]]
 
 
 def _base_pattern(spec: Iterable[Tuple[str, Optional[int]]]) -> IdPattern:
@@ -42,29 +88,220 @@ def _base_pattern(spec: Iterable[Tuple[str, Optional[int]]]) -> IdPattern:
     return (s, p, o)
 
 
-# Telemetry shim: passes match_ids batches through unchanged, so the
-# consumer that installed it stays responsible for governor charging.
-def _counted(match_ids):  # repro: allow[governor-discipline]
-    """Wrap a ``match_ids`` callable to count yielded index entries."""
-    counter = PROBE_COUNTER
+def _positions(spec: Spec, kind: str) -> List[Tuple[int, Optional[int]]]:
+    """``(position, value)`` of the ``spec`` entries of one kind."""
+    return [(position, value) for position, (entry, value)
+            in enumerate(spec) if entry == kind]
 
-    def wrapped(pattern):  # repro: allow[governor-discipline]
-        for ids in match_ids(pattern):
-            counter.entries += 1
-            yield ids
 
-    return wrapped
+def _agreeing(matches: Matches, checks: Sequence[Tuple[int, int]]
+              ) -> Matches:
+    """``matches`` without those that hold different ids at a pair of
+    positions that must agree (one variable, twice), as one mask."""
+    mask = None
+    for position, first in checks:
+        equal = matches[position] == matches[first]
+        mask = equal if mask is None else mask & equal
+    if mask is None:
+        return matches
+    return tuple(column[mask] for column in matches)
+
+
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, sorted keys, spans)`` of an ``int64`` key column: the
+    stable sort (the entries of one key keep their index order), the
+    keys in that order, and per sorted position how many entries from
+    there on hold the same key.  Both arrays end in a sentinel (key
+    ``-1``, span 0) for the probe that lands past the last key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # sorted needles: one linear pass, not a binary search each
+    spans = np.searchsorted(keys, keys, "right") - np.arange(len(keys))
+    return order, np.append(keys, -1), np.append(spans, 0)
+
+
+def grouped(matches: Matches, key_positions: Sequence[int]) -> Build:
+    """``matches`` grouped by their join key."""
+    if len(key_positions) != 1:
+        return matches, None, None, None
+    # int64 once, here: searchsorted would otherwise promote (and copy)
+    # an int32 storage column on every call
+    return (matches, *_runs(matches[key_positions[0]].astype(np.int64)))
+
+
+def _distinct(columns: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
+    """The distinct rows of ``columns`` as tuples; of no columns, the
+    one empty tuple."""
+    if not columns:
+        return [()]
+    if len(columns) == 1:
+        return [(key,) for key in np.unique(columns[0]).tolist()]
+    return [tuple(key) for key in np.unique(
+        np.stack(columns, axis=1), axis=0).tolist()]
+
+
+def _ranked(build: Sequence[np.ndarray], probe: Sequence[np.ndarray]
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite keys as single ones: each key tuple's dense rank in
+    the joint lexicographic order of both sides, so equal tuples — and
+    only those — share a number.  (Packing ``a << 32 | b`` instead
+    would overflow on overlay ids, which start at ``1 << 40``.)"""
+    both = [np.concatenate(pair) for pair in zip(build, probe)]
+    order = np.lexsort(both[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    for column in both:
+        column = column[order]
+        starts[1:] |= column[1:] != column[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(starts)
+    return rank[:len(build[0])], rank[len(build[0]):]
+
+
+def located(build: Build, key_positions: Sequence[int],
+            probe: Sequence[np.ndarray], count: int
+            ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Where each of ``count`` probe rows' matches sit in the sorted
+    build side: ``(order, low, counts)`` — row ``i`` matches
+    ``order[low[i]:low[i] + counts[i]]`` (``order`` ``None``: the
+    matches as they stand)."""
+    matches, order, keys, spans = build
+    if not key_positions:
+        return (None, np.zeros(count, dtype=np.int64),
+                np.full(count, len(matches[0]), dtype=np.int64))
+    key = probe[0]
+    if order is None:
+        ranks, key = _ranked(
+            [matches[position] for position in key_positions], probe)
+        order, keys, spans = _runs(ranks)
+    # one binary search a row: where its key would start; it is there
+    # if the key at that place is the row's, for as long as its run
+    low = np.searchsorted(keys[:-1], key, "left")
+    return order, low, np.where(keys[low] == key, spans[low], 0)
+
+
+def _matched(build: Build, key_positions: Sequence[int],
+             probe: Sequence[np.ndarray], count: int
+             ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Pair ``count`` probe rows with the build matches of their keys.
+
+    Returns ``(rows, picked)``, one entry per pair: the probe row
+    (``None`` when every row pairs exactly once — the output is the
+    input, extended) and the match.  Pairs come in **probe-row order,
+    and within a row in match index order**.
+    """
+    order, low, counts = located(build, key_positions, probe, count)
+    total = int(counts.sum())
+    if total == 0 or counts.max() == 1:
+        # at most one match a row: a plain take
+        rows = None if total == count else np.flatnonzero(counts)
+        at = low if rows is None else low[rows]
+    else:
+        rows = np.repeat(np.arange(count), counts)
+        # each row's run of matches, laid end to end
+        first = np.cumsum(counts) - counts
+        at = np.arange(total) - np.repeat(first - low, counts)
+    return rows, at if order is None else order[at]
+
+
+def join_table(table: BindingTable, spec: Spec,
+               out_names: Tuple[str, ...],
+               fetch: Optional[Callable[[List[Optional[int]]], Matches]],
+               hashed: Optional[Build] = None) -> BindingTable:
+    """The join kernel: ``table`` (not empty) extended by the
+    matches of the pattern ``spec`` compiles.
+
+    ``fetch(ids)`` answers the match arrays of the pattern with
+    ``ids`` (``None`` = wildcard) at its positions.  Rows are
+    partitioned by *which* of their shared cells are unbound; for
+    each partition the bound shared positions are the join key and
+    the unbound ones capture the match's value into the row, like a
+    new variable.  ``hashed`` — the whole range grouped on every
+    shared position — serves the partition with nothing unbound;
+    any other build side is fetched per distinct key.  Output order
+    is row order, and within a row match index order.
+    """
+    shared = _positions(spec, "v")
+    repeats = _positions(spec, "d")
+    template = [value if kind == "c" else None for kind, value in spec]
+    columns = table.columns
+    parts: List[Tuple[int, Optional[np.ndarray]]] = [(0, None)]
+    unbound = [columns[slot] < 0 for _position, slot in shared]
+    if any(mask.any() for mask in unbound):
+        code = sum(mask.astype(np.int64) << bit
+                   for bit, mask in enumerate(unbound))
+        parts = [(int(value), np.flatnonzero(code == value))
+                 for value in np.unique(code)]
+    pieces = []
+    for code, index in parts:
+        count = len(table) if index is None else len(index)
+        part = columns if index is None \
+            else [column[index] for column in columns]
+        key_positions = []
+        probe = []
+        captures: Dict[int, int] = {}  # slot -> capturing position
+        checks = list(repeats)
+        for bit, (position, slot) in enumerate(shared):
+            if not code >> bit & 1:
+                key_positions.append(position)
+                probe.append(part[slot])
+            elif slot in captures:
+                # one variable at two positions captures one value
+                checks.append((position, captures[slot]))
+            else:
+                captures[slot] = position
+        if hashed is not None and not code:
+            build = hashed
+        else:
+            # one fetch per distinct key; without a key, the pattern
+            # as it stands
+            found = []
+            for key in _distinct(probe):
+                ids = list(template)
+                for position, cell in zip(key_positions, key):
+                    ids[position] = cell
+                found.append(fetch(ids))
+            build = grouped(_agreeing(
+                found[0] if len(found) == 1 else tuple(
+                    np.concatenate(arrays) for arrays in zip(*found)),
+                checks), key_positions)
+        rows, picked = _matched(build, key_positions, probe, count)
+        if rows is not None:
+            part = [column[rows] for column in part]
+            index = rows if index is None else index[rows]
+        else:
+            part = list(part)
+        matches = build[0]
+        for slot, position in captures.items():
+            part[slot] = matches[position][picked].astype(np.int64)
+        part.extend(matches[position][picked].astype(np.int64)
+                    for position, _ in _positions(spec, "n"))
+        pieces.append((index, part, len(picked)))
+    if len(pieces) == 1:
+        _index, out, count = pieces[0]
+        return BindingTable.of(out_names, out, count)
+    # back to row order; stable, so a row's matches stay in order
+    restore = np.argsort(np.concatenate(
+        [index for index, _part, _count in pieces]), kind="stable")
+    return BindingTable.of(
+        out_names,
+        [np.concatenate(cells)[restore] for cells in zip(*(
+            part for _index, part, _count in pieces))],
+        len(restore))
 
 
 class JoinSteps:
     """The BGP join steps: one triple or path pattern at a time, joined
     into a :class:`BindingTable` of interned term ids.
 
-    A step joins via a hash join over a single index scan or via
-    memoized index probes keyed on the distinct join values; that
-    choice (:meth:`_prefer_hash`) and the hash build
-    (:meth:`_hash_memo`) are methods so the morsel workers of
-    :mod:`repro.sparql.parallel` can override them.
+    Every step is the one kernel, :func:`join_table`: group the pattern's
+    matches by join key (a stable sort), binary-search each row's key
+    in them, gather.  What a step chooses is only where its matches
+    come from — one scan of the pattern's whole index range ("hash",
+    the name kept from the bucketed build it replaced) or one index
+    probe per distinct key ("probe"); that choice
+    (:meth:`_prefer_hash`) and the range build (:meth:`_hash_build`)
+    are methods so the morsel workers of :mod:`repro.sparql.parallel`
+    can override them.
     """
 
     def __init__(self, dictionary, governor) -> None:
@@ -78,60 +315,17 @@ class JoinSteps:
         #: how the last :meth:`_step_triple` / :meth:`_step_path` joined
         self._last_strategy = "scan"
 
-    @staticmethod
-    def _emit(row, matches, spec, out_rows) -> None:
-        """Apply pattern ``matches`` to one input ``row``.
-
-        ``spec`` positions: ``("c", _)`` constants are pre-constrained;
-        ``("v", slot)`` may capture into a still-``None`` cell;
-        ``("n", _)`` appends a fresh column value; ``("d", first)``
-        enforces repeated-variable equality against spec position
-        ``first``.
-        """
-        for match in matches:
-            updates = None
-            ext = []
-            ok = True
-            for position, (kind, value) in enumerate(spec):
-                if kind == "v":
-                    if row[value] is None:
-                        captured = match[position]
-                        if updates is None:
-                            updates = {value: captured}
-                        else:
-                            previous = updates.get(value)
-                            if previous is None:
-                                updates[value] = captured
-                            elif previous != captured:
-                                ok = False
-                                break
-                elif kind == "n":
-                    ext.append(match[position])
-                elif kind == "d":
-                    if match[position] != match[value]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if updates:
-                cells = list(row)
-                for slot, captured in updates.items():
-                    cells[slot] = captured
-                out_rows.append(tuple(cells) + tuple(ext))
-            else:
-                out_rows.append(row + tuple(ext))
-
-    def _compile_positions(self, positions, table: BindingTable):
+    def _compile_positions(self, positions, table: BindingTable
+                           ) -> Tuple[Spec, List[str], bool]:
         """Shared step compilation: classify each pattern position.
 
-        Returns ``(spec, new_names, probe_slots, dead)``; ``dead`` is
-        True when a constant term is not interned (no matches possible).
+        Returns ``(spec, new_names, dead)``; ``dead`` is True when a
+        constant term is not interned (no matches possible).
         """
         lookup = self._dict.lookup
-        spec = []
+        spec: Spec = []
         new_names: List[str] = []
         first_new: Dict[str, int] = {}
-        probe_slots: List[int] = []
         dead = False
         for position in positions:
             if isinstance(position, Var):
@@ -139,7 +333,6 @@ class JoinSteps:
                 slot = table.slots.get(name)
                 if slot is not None:
                     spec.append(("v", slot))
-                    probe_slots.append(slot)
                 elif name in first_new:
                     spec.append(("d", first_new[name]))
                 else:
@@ -152,12 +345,13 @@ class JoinSteps:
                     dead = True
                     term_id = -1  # matches nothing; step short-circuits
                 spec.append(("c", term_id))
-        return spec, new_names, probe_slots, dead
+        return spec, new_names, dead
 
-    def _vector_matches(self, source: GraphSource, base: IdPattern):
-        """The ``(S, P, O)`` match arrays for ``base``, accounted like
-        the point probes: every matched index entry bumps the probe
-        counter and the governor's scan meter."""
+    def _vector_matches(self, source: GraphSource, base: IdPattern
+                        ) -> Matches:
+        """The ``(S, P, O)`` match arrays for ``base``, accounted: every
+        matched index entry bumps the probe counter and the governor's
+        scan meter."""
         arrays = source.match_arrays(base)
         entries = int(len(arrays[0]))
         if PROBE_COUNTER.active:
@@ -166,198 +360,51 @@ class JoinSteps:
             self._gov.charge_scan(entries)
         return arrays
 
-    @staticmethod
-    def _extension_tuples(arrays, n_positions, d_checks) -> List[tuple]:
-        """One tuple of new-variable cells per match that passes the
-        repeated-variable equality (``d`` spec entries), which is
-        applied as one boolean mask."""
-        mask = None
-        for position, first in d_checks:
-            eq = arrays[position] == arrays[first]
-            mask = eq if mask is None else mask & eq
-        cols = [arrays[position] for position in n_positions]
-        if mask is not None:
-            cols = [col[mask] for col in cols]
-        if cols:
-            return list(zip(*[col.tolist() for col in cols]))
-        survivors = len(arrays[0]) if mask is None \
-            else int(np.count_nonzero(mask))
-        return [()] * survivors
-
-    @staticmethod
-    def _build_hash_memo(arrays, v_positions, n_positions, d_checks,
-                         single, ext_memo) -> None:
-        """Bucket extension tuples per distinct join key, vectorized.
-
-        The matched range is sorted by its key columns (stable argsort /
-        lexsort), so each distinct key becomes one contiguous run — the
-        grouping a sorted-merge join consumes — and the runs are sliced
-        straight into the memo without per-row Python dispatch.
-        """
-        mask = None
-        for position, first in d_checks:
-            eq = arrays[position] == arrays[first]
-            mask = eq if mask is None else mask & eq
-        key_cols = [arrays[position] for position in v_positions]
-        ext_cols = [arrays[position] for position in n_positions]
-        if mask is not None:
-            key_cols = [col[mask] for col in key_cols]
-            ext_cols = [col[mask] for col in ext_cols]
-        total = int(len(key_cols[0]))
-        if not total:
-            return
-        if len(key_cols) == 1:
-            order = np.argsort(key_cols[0], kind="stable")
-        else:
-            order = np.lexsort(tuple(reversed(key_cols)))
-        key_cols = [col[order] for col in key_cols]
-        starts_run = np.zeros(total, dtype=bool)
-        starts_run[0] = True
-        for col in key_cols:
-            starts_run[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(starts_run)
-        heads = [col[starts].tolist() for col in key_cols]
-        # all extension tuples in one C-level zip, then one list slice
-        # per run: the paper's cubes have one triple per observation
-        # per predicate, so runs are as many as rows and per-run
-        # Python work is what a build costs
-        exts = list(zip(*[col[order].tolist() for col in ext_cols])) \
-            if ext_cols else [()] * total
-        bounds = starts.tolist()
-        bounds.append(total)
-        ext_memo.update(zip(
-            heads[0] if single else zip(*heads),
-            [exts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
-
     def _prefer_hash(self, source: GraphSource, base: IdPattern,
                      rows: int) -> bool:
-        """Join-strategy choice for one step: build the bucketed index
-        scan (hash join) when the matched range is small enough
-        relative to the binding table, probe per distinct key
-        otherwise.  Overridden by the morsel workers, whose tables are
-        small slices of a large scan and whose builds are cached."""
+        """Join-strategy choice for one step: scan the pattern's whole
+        range when it is small enough relative to the binding table,
+        probe per distinct key otherwise.  (Measured, the scan is worth
+        it up to ≈ 256 range entries per distinct key — see
+        docs/performance.md, "Range scan or per-key probes", for the
+        numbers and for why the rule still stands.)  Overridden by the
+        morsel workers, whose tables are small slices of a large scan
+        and whose builds are cached."""
         return rows >= 64 and source.estimate_ids(base) <= 4 * rows
 
-    def _hash_memo(self, source: GraphSource, base: IdPattern,
-                   v_positions: List[int], n_positions: List[int],
-                   d_checks: List[Tuple[int, int]], single: bool) -> Dict:
-        """The build side of the hash join: extension tuples bucketed
-        per distinct join key (sorted-run grouping), off one index
-        scan.  Read-only to the probe side, so workers may reuse one
-        build across morsels."""
-        ext_memo: Dict = {}
-        self._build_hash_memo(self._vector_matches(source, base),
-                              v_positions, n_positions, d_checks, single,
-                              ext_memo)
-        return ext_memo
+    def _hash_build(self, source: GraphSource, base: IdPattern,
+                    key_positions: Sequence[int],
+                    checks: Sequence[Tuple[int, int]]) -> Build:
+        """The build side off one scan of ``base``'s range.  Read-only
+        to the probe side, so workers may reuse one build across
+        morsels."""
+        return grouped(
+            _agreeing(self._vector_matches(source, base), checks),
+            key_positions)
 
     def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
                      table: BindingTable) -> BindingTable:
-        spec, new_names, probe_slots, dead = self._compile_positions(
+        spec, new_names, dead = self._compile_positions(
             pattern.positions(), table)
         out_names = table.names + tuple(new_names)
-        rows = table.rows
-        if dead or not rows:
-            return BindingTable(out_names, [])
+        if dead or not table:
+            return BindingTable.empty(out_names)
         base = _base_pattern(spec)
-        n_positions = [position for position, (kind, _) in enumerate(spec)
-                       if kind == "n"]
-        d_checks = [(position, value) for position, (kind, value)
-                    in enumerate(spec) if kind == "d"]
-
-        if not probe_slots:
+        key_positions = [position for position, _slot
+                         in _positions(spec, "v")]
+        hashed = None
+        if not key_positions:
             # no shared variables: one scan, applied to every row
             self._last_strategy = "scan"
-            exts = self._extension_tuples(
-                self._vector_matches(source, base), n_positions, d_checks)
-            return BindingTable(
-                out_names, [row + ext for row in rows for ext in exts])
-
-        # shared-variable join.  Rows whose join-key cells are all bound
-        # take the fast path: per distinct key, the matching *extension
-        # tuples* (new-variable values) are computed once — either from
-        # one bucketed index scan (hash join) or from a memoized index
-        # probe — and appended to each row with no per-match rechecking.
-        # Rows with an unbound (None) join cell fall back to the general
-        # capture-aware application.
-        v_positions = [position for position, (kind, _) in enumerate(spec)
-                       if kind == "v"]
-        single = len(probe_slots) == 1
-        slot0 = probe_slots[0]
-        v_pos0 = v_positions[0]
-        n_count = len(n_positions)
-        np0 = n_positions[0] if n_count > 0 else -1
-        np1 = n_positions[1] if n_count > 1 else -1
-        template = [value if kind == "c" else None for kind, value in spec]
-        # index probes with a bound key read per-entry tuples
-        match_ids = source.match_ids
-        if PROBE_COUNTER.active:
-            match_ids = _counted(match_ids)
-        if self._gov is not None:
-            match_ids = self._gov.metered(match_ids)
-
-        def extensions(matches) -> list:
-            exts = []
-            for match in matches:
-                if d_checks and any(match[a] != match[b]
-                                    for a, b in d_checks):
-                    continue
-                if n_count == 1:
-                    exts.append((match[np0],))
-                elif n_count == 2:
-                    exts.append((match[np0], match[np1]))
-                elif n_count == 0:
-                    exts.append(())
-                else:
-                    exts.append(tuple(match[position]
-                                      for position in n_positions))
-            return exts
-
-        def concrete_for(key) -> IdPattern:
-            pattern_ids = list(template)
-            if single:
-                pattern_ids[v_pos0] = key
-            else:
-                for position, cell in zip(v_positions, key):
-                    pattern_ids[position] = cell
-            return (pattern_ids[0], pattern_ids[1], pattern_ids[2])
-
-        use_hash = self._prefer_hash(source, base, len(rows))
-        self._last_strategy = "hash" if use_hash else "probe"
-        if use_hash:
-            ext_memo = self._hash_memo(source, base, v_positions,
-                                       n_positions, d_checks, single)
+        elif self._prefer_hash(source, base, len(table)):
+            self._last_strategy = "hash"
+            hashed = self._hash_build(source, base, key_positions,
+                                      _positions(spec, "d"))
         else:
-            ext_memo = {}
-
-        raw_memo: Dict = {}  # distinct key -> raw matches (capture rows)
-        emit = self._emit
-        out_rows: List[tuple] = []
-        for row in rows:
-            if single:
-                key = row[slot0]
-                unbound_key = key is None
-            else:
-                key = tuple(row[slot] for slot in probe_slots)
-                unbound_key = None in key
-            if not unbound_key:
-                exts = ext_memo.get(key)
-                if exts is None:
-                    if use_hash:  # complete hash table: no matches
-                        continue
-                    exts = extensions(match_ids(concrete_for(key)))
-                    ext_memo[key] = exts
-                if exts:
-                    for ext in exts:
-                        out_rows.append(row + ext)
-                continue
-            got = raw_memo.get(key)
-            if got is None:
-                got = list(match_ids(concrete_for(key)))
-                raw_memo[key] = got
-            if got:
-                emit(row, got, spec, out_rows)
-        return BindingTable(out_names, out_rows)
+            self._last_strategy = "probe"
+        return join_table(
+            table, spec, out_names,
+            lambda ids: self._vector_matches(source, tuple(ids)), hashed)
 
     def _step_path(self, pattern: PathPatternNode, source: GraphSource,
                    table: BindingTable) -> BindingTable:
@@ -368,54 +415,31 @@ class JoinSteps:
         # never-interned constant), so the constants are read off the
         # pattern rather than the spec's ids and ``dead`` does not apply
         ends = pattern.endpoints()
-        spec, new_names, probe_slots, _dead = self._compile_positions(
-            ends, table)
+        spec, new_names, _dead = self._compile_positions(ends, table)
         out_names = table.names + tuple(new_names)
-        rows = table.rows
-        if not rows:
-            return BindingTable(out_names, [])
-        out_rows: List[tuple] = []
-        memo: Dict[tuple, list] = {}
-        emit = self._emit
-        for row in rows:
-            key = tuple(row[slot] for slot in probe_slots)
-            got = memo.get(key)
-            if got is None:
-                endpoints = []
-                cursor = 0
-                for (kind, _), end in zip(spec, ends):
-                    if kind == "c":
-                        endpoints.append(end)
-                    elif kind == "v":
-                        bound_id = key[cursor]
-                        cursor += 1
-                        endpoints.append(
-                            None if bound_id is None else decode(bound_id))
-                    else:
-                        endpoints.append(None)
-                got = [(encode(start), encode(end)) for start, end in
-                       evaluate_path(source, pattern.path,
-                                     endpoints[0], endpoints[1])]
-                memo[key] = got
-            if got:
-                emit(row, got, spec, out_rows)
-        return BindingTable(out_names, out_rows)
+        if not table:
+            return BindingTable.empty(out_names)
+
+        def fetch(ids: List[Optional[int]]) -> Matches:
+            start, end = (
+                constant if kind == "c"
+                else None if cell is None else decode(cell)
+                for (kind, _), constant, cell in zip(spec, ends, ids))
+            pairs = list(evaluate_path(source, pattern.path, start, end))
+            return (id_column(encode(first) for first, _last in pairs),
+                    id_column(encode(last) for _first, last in pairs))
+
+        return join_table(table, spec, out_names, fetch)
 
     def _scan_chunks(self, pattern: TriplePatternNode, source: GraphSource,
                      table: BindingTable, batch: int
                      ) -> Iterator[BindingTable]:
         """A leading join step that shares no variable with ``table``,
         as a sequence of bounded-size tables."""
-        spec, new_names, _probe_slots, _dead = self._compile_positions(
+        spec, new_names, _dead = self._compile_positions(
             pattern.positions(), table)
         names = table.names + tuple(new_names)
-        base = _base_pattern(spec)
-        n_positions = [position for position, (kind, _) in enumerate(spec)
-                       if kind == "n"]
-        d_checks = [(position, value) for position, (kind, value)
-                    in enumerate(spec) if kind == "d"]
-        arrays = source.match_arrays(base)
-        rows = table.rows
+        arrays = source.match_arrays(_base_pattern(spec))
         # windowed so early termination (LIMIT, ASK) leaves the tail
         # undecoded and unaccounted: probes and governor charges land
         # per consumed window only
@@ -424,18 +448,14 @@ class JoinSteps:
         total = int(len(arrays[0]))
         # each window multiplies with every seed row: keep a piece near
         # ``batch`` rows however many rows seed it
-        batch = max(1, batch // len(rows))
+        batch = max(1, batch // len(table))
         for start in range(0, total, batch):
             stop = min(start + batch, total)
             if counter.active:
                 counter.entries += stop - start
             if gov is not None:
                 gov.charge_scan(stop - start)
-            chunk = self._extension_tuples(
-                tuple(col[start:stop] for col in arrays),
-                n_positions, d_checks)
-            if chunk:
-                yield BindingTable(
-                    names, [row + ext for row in rows for ext in chunk])
-
-
+            window = tuple(column[start:stop] for column in arrays)
+            piece = join_table(table, spec, names, lambda _ids: window)
+            if piece:
+                yield piece

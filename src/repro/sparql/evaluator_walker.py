@@ -5,10 +5,12 @@ walker over id-level tables**: solutions flow between operators as
 :class:`~repro.sparql.bindings.BindingTable`\\ s of interned term ids,
 basic graph patterns execute as a sequence of join steps planned *once
 per bound-variable signature* (through the LRU plan cache in
-:mod:`repro.sparql.optimizer`), and each step joins via either a hash
-join over a single index scan or memoized index probes keyed on the
-distinct join values — never a fresh plan or a fresh Python dict per
-input row.  Terms are only decoded where an expression reads them
+:mod:`repro.sparql.optimizer`), and each step is one vectorized
+sort-and-search join over id columns
+(:func:`~repro.sparql.evaluator_steps.join_table`), its matches read
+off a single index scan or off one index probe per distinct join value
+— never a fresh plan or a Python object per input row.  Terms are only
+decoded where an expression reads them
 (:func:`~repro.sparql.bindings.expression_column`: FILTER, BIND and
 aggregate arguments, once per distinct id tuple of the columns read)
 and at final projection; GROUP BY folds the id table itself
@@ -51,9 +53,11 @@ dictionary only grows with *stored* data.
 from __future__ import annotations
 
 import threading
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.testing import faults as _faults
 from repro.sparql.algebra import (
@@ -75,8 +79,10 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.bindings import (
     BindingTable,
+    all_bound,
     concat as table_concat,
     expression_column,
+    id_column,
     row_decoder,
 )
 from repro.sparql.errors import EvaluationError
@@ -85,7 +91,12 @@ from repro.sparql.evaluator_source import (
     DatasetContext,
     GraphSource,
 )
-from repro.sparql.evaluator_steps import JoinSteps
+from repro.sparql.evaluator_steps import (
+    JoinSteps,
+    grouped,
+    join_table,
+    located,
+)
 from repro.sparql.expressions import EvalContext, effective_boolean_value
 from repro.sparql.optimizer import get_plan
 
@@ -142,6 +153,9 @@ STREAM_TELEMETRY = StreamTelemetry()
 
 #: Index entries per window of a chunked leading scan.
 _CHUNK = 512
+
+#: Left rows between governor checks of the ``None``-tolerant MINUS.
+_MINUS_BATCH = 64
 
 
 class StepTrace:
@@ -209,9 +223,10 @@ class PatternEvaluator(JoinSteps):
         solutions seeded from it can be traced back to their row."""
         self._marker_count += 1
         marker = f"#mark{self._marker_count}"
-        return marker, BindingTable(
+        return marker, BindingTable.of(
             table.names + (marker,),
-            [row + (index,) for index, row in enumerate(table.rows)])
+            [*table.columns, np.arange(len(table), dtype=np.int64)],
+            len(table))
 
     def _exists_rows(self, node: PatternNode, source: GraphSource,
                      table: BindingTable) -> Set[int]:
@@ -224,9 +239,8 @@ class PatternEvaluator(JoinSteps):
         marker, seeded = self._marked(table)
         found: Set[int] = set()
         for piece in self._walk(node, source, seeded, _CHUNK):
-            slot = piece.slots[marker]
-            found.update(row[slot] for row in piece.rows)
-            if len(found) == len(table.rows):
+            found.update(piece.columns[piece.slots[marker]].tolist())
+            if len(found) == len(table):
                 break
         return found
 
@@ -274,7 +288,7 @@ class PatternEvaluator(JoinSteps):
             # away, so neither side materializes fully when chunked
             for left in self._walk(node.left, source, table, chunk):
                 yield self._left_outer_extend(node, source, left) \
-                    if left.rows else left
+                    if left else left
         elif isinstance(node, UnionNode):
             yield from self._gathered(
                 chain(self._walk(node.left, source, table, chunk),
@@ -285,7 +299,7 @@ class PatternEvaluator(JoinSteps):
             # MINUS: it is solved once, when the first left row shows up
             removals = None
             for left in self._walk(node.left, source, table, chunk):
-                if left.rows:
+                if left:
                     if removals is None:
                         removals = self.solve(node.right, source)
                     left = self._minus_table(left, removals)
@@ -320,7 +334,7 @@ class PatternEvaluator(JoinSteps):
             yield from pieces
             return
         tables = list(pieces)
-        yield table_concat(tables) if tables else BindingTable(names, [])
+        yield table_concat(tables) if tables else BindingTable.empty(names)
 
     def _bgp_dead(self, patterns) -> bool:
         """True when a triple pattern holds a never-interned constant.
@@ -349,14 +363,14 @@ class PatternEvaluator(JoinSteps):
         if _faults.ACTIVE:
             _faults.fire("evaluator.step")
         if self._bgp_dead(patterns):
-            yield BindingTable(table.names, [])
+            yield BindingTable.empty(table.names)
             return
         bound = frozenset(
             name for name in table.names if not name.startswith("#"))
         plan = get_plan(node, bound, source)
         steps = plan.steps
         feeds: Iterable[Optional[BindingTable]] = (None,)
-        if chunk is not None and plan.streamable and table.rows:
+        if chunk is not None and plan.streamable and table:
             first = patterns[steps[0].index]
             if not first.variables() & table.slots.keys():
                 # an incremental scan can lead: each window of it is
@@ -367,10 +381,10 @@ class PatternEvaluator(JoinSteps):
         for feed in feeds:
             current = table
             for position, step in enumerate(steps):
-                if not current.rows:
+                if not current:
                     break
                 pattern = patterns[step.index]
-                rows_in = len(current.rows)
+                rows_in = len(current)
                 if feed is not None and position == 0:
                     current = feed
                     self._last_strategy = "scan"
@@ -381,11 +395,11 @@ class PatternEvaluator(JoinSteps):
                 if gov is not None:
                     # batch-boundary governance: account the produced
                     # binding cells, then check deadline/cancellation
-                    gov.charge_rows(len(current.rows),
+                    gov.charge_rows(len(current),
                                     max(1, len(current.names)))
                 if trace is not None:
                     trace.append(StepTrace(node, position, step, rows_in,
-                                           len(current.rows),
+                                           len(current),
                                            self._last_strategy))
             yield current
 
@@ -396,7 +410,7 @@ class PatternEvaluator(JoinSteps):
         """Solution batches for a streamable subtree, with telemetry."""
         telemetry = STREAM_TELEMETRY
         for table in self._walk(node, source, BindingTable.unit(), batch):
-            telemetry.record_batch(len(table.rows))
+            telemetry.record_batch(len(table))
             if _faults.ACTIVE:
                 _faults.fire("evaluator.batch")
             yield table
@@ -436,37 +450,45 @@ class PatternEvaluator(JoinSteps):
                 out_rows.append(left_row + pad)
         return BindingTable(out_names, out_rows)
 
-    @staticmethod
-    def _minus_table(left: BindingTable,
+    def _minus_table(self, left: BindingTable,
                      removals: BindingTable) -> BindingTable:
         """``left`` without the rows a compatible, overlapping row of
         ``removals`` excludes."""
-        if not removals.rows:
-            return left
-        shared = [(left.slots[name], removals.slots[name])
-                  for name in left.names
+        shared = [name for name in left.names
                   if name in removals.slots and not name.startswith("#")]
-        if not shared:
+        if not removals or not shared:
             return left
+        ours = [left.columns[left.slots[name]] for name in shared]
+        theirs = tuple(removals.columns[removals.slots[name]]
+                       for name in shared)
+        if all_bound((*ours, *theirs)):
+            # every shared cell bound: compatible means equal, so this
+            # is the join kernel's anti-join — keep the matchless rows
+            positions = range(len(shared))
+            _order, _low, counts = located(
+                grouped(theirs, positions), positions, ours, len(left))
+            return left.take(counts == 0)
+        gov = self._gov
+        left_slots = [left.slots[name] for name in shared]
+        removal_rows = [tuple(row[removals.slots[name]] for name in shared)
+                        for row in removals.rows]
         out_rows = []
-        for left_row in left.rows:
-            excluded = False
-            for removal in removals.rows:
+        for index, left_row in enumerate(left.rows):
+            if gov is not None and not index % _MINUS_BATCH:
+                gov.check()
+            cells = [left_row[slot] for slot in left_slots]
+            for removal in removal_rows:
                 overlap = False
-                compatible = True
-                for left_slot, removal_slot in shared:
-                    left_value = left_row[left_slot]
-                    removal_value = removal[removal_slot]
-                    if left_value is None or removal_value is None:
+                for ours_value, theirs_value in zip(cells, removal):
+                    if ours_value is None or theirs_value is None:
                         continue
-                    if left_value != removal_value:
-                        compatible = False
+                    if ours_value != theirs_value:
                         break
                     overlap = True
-                if compatible and overlap:
-                    excluded = True
-                    break
-            if not excluded:
+                else:
+                    if overlap:
+                        break  # compatible and overlapping: excluded
+            else:
                 out_rows.append(left_row)
         return BindingTable(left.names, out_rows)
 
@@ -475,7 +497,7 @@ class PatternEvaluator(JoinSteps):
         keep = expression_column(
             condition, child, self._dict.decode,
             self._context_for(source, child), effective_boolean_value)
-        return BindingTable(child.names, list(compress(child.rows, keep)))
+        return child.take(np.array(keep, dtype=bool))
 
     def _extend_table(self, node: Extend, child: BindingTable,
                       source: GraphSource) -> BindingTable:
@@ -483,17 +505,17 @@ class PatternEvaluator(JoinSteps):
         slot = child.slots.get(name)
         if slot is None:
             slot = len(child.names)
-        elif any(row[slot] is not None for row in child.rows):
+        elif (child.columns[slot] >= 0).any():
             raise EvaluationError(
                 f"BIND would rebind already-bound variable ?{name}")
         # an error leaves the variable unbound per SPARQL error semantics
         values = expression_column(
             node.expression, child, self._dict.decode,
             self._context_for(source), self._dict.encode)
-        return BindingTable(
+        return BindingTable.of(
             child.names[:slot] + (name,) + child.names[slot + 1:],
-            [row[:slot] + (value,) + row[slot + 1:]
-             for row, value in zip(child.rows, values)])
+            child.columns[:slot] + [id_column(values)]
+            + child.columns[slot + 1:], len(child))
 
     def _walk_graph(self, node: GraphNode, source: GraphSource,
                     table: BindingTable, chunk: Optional[int]
@@ -590,24 +612,19 @@ def _join_relation(table: BindingTable, names: Sequence[str],
     new_indices = [index for index, name in enumerate(names)
                    if name not in table.slots]
     out_names = table.names + tuple(names[index] for index in new_indices)
+    if not table or not relation:
+        return BindingTable.empty(out_names)
+    columns = tuple(id_column(cells) for cells in zip(*relation))
+    if names and all_bound(
+            column for slot, index in shared
+            for column in (table.columns[slot], columns[index])):
+        # every join cell bound on both sides: the relation is the
+        # build side of the join kernel, as it stands
+        spec = [("v", table.slots[name]) if name in table.slots
+                else ("n", None) for name in names]
+        return join_table(table, spec, out_names, None, grouped(
+            columns, [index for _, index in shared]))
     out_rows: List[tuple] = []
-    clean = bool(shared) and all(
-        row[index] is not None for _, index in shared
-        for row in relation) and all(
-        row[slot] is not None for slot, _ in shared
-        for row in table.rows)
-    if clean:
-        # every join cell bound on both sides: bucket the relation once
-        buckets: Dict[tuple, list] = {}
-        for rel_row in relation:
-            key = tuple(rel_row[index] for _, index in shared)
-            buckets.setdefault(key, []).append(rel_row)
-        for table_row in table.rows:
-            for rel_row in buckets.get(
-                    tuple(table_row[slot] for slot, _ in shared), ()):
-                out_rows.append(table_row + tuple(
-                    rel_row[index] for index in new_indices))
-        return BindingTable(out_names, out_rows)
     for table_row in table.rows:
         for rel_row in relation:
             updates = None

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.sparql.errors import (
     EndpointOverloaded,
@@ -216,33 +216,18 @@ class GovernorContext:
         for rows, width in charges:
             self.charge_rows(rows, width)
 
-    def tick_scan(self) -> None:
-        """One scanned index entry; checks every
-        :data:`SCAN_CHECK_STRIDE` entries so long scans stay
-        interruptible between batch boundaries."""
-        self.scanned += 1
-        if self.scanned % self._stride == 0:
-            self.check()
-
     def charge_scan(self, entries: int) -> None:
-        """Account ``entries`` scanned index entries at once (the
-        vectorized scan path produces a whole range per call instead of
-        per-entry ticks).  The deadline check fires on the same stride
-        boundaries :meth:`tick_scan` would have hit."""
+        """Account ``entries`` scanned index entries at once (a scan
+        produces a whole range per call).  The deadline check fires
+        whenever the total crosses a :data:`SCAN_CHECK_STRIDE`
+        boundary, so long scans stay interruptible between batch
+        boundaries."""
         if entries <= 0:
             return
         before = self.scanned
         self.scanned = before + entries
         if before // self._stride != self.scanned // self._stride:
             self.check()
-
-    def metered(self, match_ids: Callable[..., Iterable]) -> Callable:
-        """Wrap a ``match_ids`` callable so its scans tick the governor."""
-        def wrapped(pattern: object) -> Iterator:
-            for ids in match_ids(pattern):
-                self.tick_scan()
-                yield ids
-        return wrapped
 
 
 class _AdmissionSlot:

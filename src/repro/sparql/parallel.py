@@ -65,6 +65,7 @@ from repro.sparql.evaluator import (
     STREAMING_ENABLED,
     would_stream,
 )
+from repro.sparql.evaluator_steps import Build
 from repro.sparql.expressions import (
     Aggregate,
     EvalContext,
@@ -98,11 +99,12 @@ _POLL_SECONDS = 0.02
 _WORKER_COLUMNS: Dict[str, Tuple[object, TripleColumns]] = {}
 _WORKER_TERMS: Dict[str, TermDictionary] = {}
 
-#: Hash-join builds keyed by (segment names, pattern, join spec): the
-#: build side scans the *whole* mapped columns, so one build serves
+#: Join build sides (the match arrays of a pattern's whole range,
+#: sorted by join key) keyed by (segment names, pattern, join spec):
+#: the build side scans the *whole* mapped columns, so one build serves
 #: every morsel of a step — and every later query against the same
 #: epoch.  Entries die with their segments (pruned per task).
-_WORKER_MEMOS: Dict[Tuple[Any, ...], Dict] = {}
+_WORKER_MEMOS: Dict[Tuple[Any, ...], Build] = {}
 
 
 class _WorkerDataset:
@@ -143,10 +145,6 @@ class _WorkerMorselSource:
         return s[self._lo:self._hi], p[self._lo:self._hi], \
             o[self._lo:self._hi]
 
-    def match_ids(self, pattern: IdPattern):
-        s, p, o = self.match_arrays(pattern)
-        return zip(s.tolist(), p.tolist(), o.tolist())
-
     def estimate_ids(self, pattern: IdPattern) -> int:
         return self._hi - self._lo
 
@@ -168,10 +166,6 @@ class _WorkerUnionSource:
     def match_arrays(self, pattern: IdPattern):
         parts = [member.arrays(pattern) for member in self._members]
         return concat_arrays([part for part in parts if len(part[0])])
-
-    def match_ids(self, pattern: IdPattern):
-        for member in self._members:
-            yield from member.scan(pattern)
 
     def estimate_ids(self, pattern: IdPattern) -> int:
         return sum(member.count(pattern) for member in self._members)
@@ -212,15 +206,15 @@ class _WorkerEvaluator(PatternEvaluator):
     """The serial join pipeline with morsel-aware strategy choices.
 
     A morsel's binding table is a small slice of a large scan, so the
-    parent's ``estimate <= 4 * rows`` hash-join heuristic would send
+    parent's ``estimate <= 4 * rows`` range-scan heuristic would send
     every morsel down the per-key index-probe path — quadratic across
-    the fan-out.  Workers instead always build the hash side against
-    the full mapped columns and memoize the build in
-    :data:`_WORKER_MEMOS`: the first morsel pays for the scan once per
-    worker, every later morsel (and every later query against the
-    same epoch) probes it for free.  The memo is read-only on the
-    probe side (missing keys mean *no matches* under ``use_hash``), so
-    sharing it across morsels cannot corrupt results.
+    the fan-out.  Workers instead always build from the pattern's whole
+    range in the full mapped columns and keep the sorted build in
+    :data:`_WORKER_MEMOS`: the first morsel pays for the scan and the
+    sort once per worker, every later morsel (and every later query
+    against the same epoch) only binary-searches it.  The kernel never
+    writes to a build side, so sharing one across morsels cannot
+    corrupt results.
     """
 
     def _prefer_hash(self, source, base, rows) -> bool:
@@ -228,20 +222,16 @@ class _WorkerEvaluator(PatternEvaluator):
             return rows > 0
         return super()._prefer_hash(source, base, rows)
 
-    def _hash_memo(self, source, base, v_positions,
-                   n_positions, d_checks, single) -> Dict:
+    def _hash_build(self, source, base, key_positions, checks) -> Build:
         token = getattr(source, "cache_token", None)
         if token is None:
-            return super()._hash_memo(source, base, v_positions,
-                                      n_positions, d_checks, single)
-        key = (token, base, tuple(v_positions), tuple(n_positions),
-               tuple(d_checks), single)
-        memo = _WORKER_MEMOS.get(key)
-        if memo is None:
-            memo = super()._hash_memo(source, base, v_positions,
-                                      n_positions, d_checks, single)
-            _WORKER_MEMOS[key] = memo
-        return memo
+            return super()._hash_build(source, base, key_positions, checks)
+        key = (token, base, tuple(key_positions), tuple(checks))
+        build = _WORKER_MEMOS.get(key)
+        if build is None:
+            build = super()._hash_build(source, base, key_positions, checks)
+            _WORKER_MEMOS[key] = build
+        return build
 
 
 #: What a morsel that saw the control flag answers: the parent is
@@ -281,8 +271,8 @@ def _worker_run(task: Dict[str, Any]) -> Tuple[Any, List[Tuple[int, int]]]:
             return _ABORTED
         source = first_source if position == 0 else rest_source
         table = evaluator._step_triple(patterns[index], source, table)
-        charges.append((len(table.rows), max(1, len(table.names))))
-        if not table.rows:
+        charges.append((len(table), max(1, len(table.names))))
+        if not table:
             break
     if task["agg"] is not None:
         return aggregation.partials(task["agg"], table, dictionary.decode,

@@ -34,6 +34,7 @@ TESTFILE = "tests/test_example.py"
 LIBRARY = "src/repro/olap/example.py"
 PARALLEL = "src/repro/sparql/parallel.py"
 WALKER = "src/repro/sparql/evaluator_walker.py"
+STEPS = "src/repro/sparql/evaluator_steps.py"
 
 #: rule id -> (bad fixture, claimed path, good fixture)
 FIXTURES = {
@@ -294,6 +295,32 @@ FIXTURES = {
                         if condition.evaluate(group, context)]
         """,
     ),
+    "columnar-join-step": (
+        """
+        class JoinSteps:
+            def _step_triple(self, pattern, source, table):
+                rows = table.rows
+                exts = self._extension_tuples(source, pattern)
+                if not self._shared(pattern, table):
+                    return [row + ext for row in rows for ext in exts]
+                out_rows = []
+                for row in rows:
+                    for ext in self._memo.get(row[0], ()):
+                        out_rows.append(row + ext)
+                return out_rows
+        """,
+        STEPS,
+        """
+        class JoinSteps:
+            def _step_triple(self, pattern, source, table):
+                keys = table.columns[0]
+                low = np.searchsorted(self._sorted, keys, "left")
+                return [column[low] for column in table.columns]
+
+            def _step_path(self, pattern, source, table):
+                return [self._reach(row[0]) for row in table.rows]
+        """,
+    ),
 }
 
 
@@ -481,6 +508,31 @@ def test_expression_loops_have_one_home_and_one_projection():
     # `decoded` may call row_decoder in the walker module only
     found = findings_for(good, EVALUATOR, rule)
     assert len(found) == 1 and "row_decoder" in found[0].message
+
+
+def test_join_steps_and_column_reads_stay_columnar():
+    """Both loop shapes are flagged, through a local alias of the row
+    view too; ``_step_path`` is exempt in the steps module, and in
+    ``aggregation.py`` / ``bindings.py`` only the column readers are
+    in scope — a cold operator elsewhere may walk rows."""
+    bad, _path, _good = FIXTURES["columnar-join-step"]
+    rule = "columnar-join-step"
+    # the comprehension's generator over rows, and the statement
+    assert len(findings_for(bad, STEPS, rule)) == 2
+    column_read = """
+    def {name}(plan, table, decode, context):
+        rows = table.rows
+        return [row[0] for row in rows]
+    """
+    for home, reader in (("src/repro/sparql/aggregation.py", "partials"),
+                         ("src/repro/sparql/bindings.py",
+                          "expression_column")):
+        found = findings_for(column_read.format(name=reader), home, rule)
+        assert len(found) == 1 and reader in found[0].message
+        assert findings_for(column_read.format(name="finalize"),
+                            home, rule) == []
+        assert findings_for(bad, home, rule) == []
+    assert findings_for(bad, WALKER, rule) == []
 
 
 def test_evaluator_rules_cover_the_whole_family():

@@ -155,9 +155,9 @@ class TestBindChaining:
 
 
 class TestHashBuild:
-    """``_build_hash_memo`` against the per-entry bucketing it
-    replaced: same keys, same extension tuples, same order within a
-    key (the scan's order)."""
+    """The join kernel's grouping (``grouped`` + ``located``) against
+    per-entry bucketing: same keys, same extension tuples, same order
+    within a key (the scan's order), and no run for an absent key."""
 
     @pytest.mark.parametrize("v_positions,n_positions,d_checks", [
         ([0], [2], []),          # the cube's shape: subject key, object out
@@ -173,7 +173,7 @@ class TestHashBuild:
 
         import numpy as np
 
-        from repro.sparql.evaluator import PatternEvaluator
+        from repro.sparql.evaluator_steps import _agreeing, grouped, located
 
         rng = random.Random(len(n_positions) * 7 + v_positions[0])
         for rows in (0, 1, 7, 300):
@@ -181,17 +181,28 @@ class TestHashBuild:
                         rng.randrange(5)) for _ in range(rows)]
             arrays = tuple(np.array([t[i] for t in triples], dtype=np.int32)
                            for i in range(3))
-            single = len(v_positions) == 1
             expected = {}
             for t in triples:
                 if any(t[a] != t[b] for a, b in d_checks):
                     continue
-                key = t[v_positions[0]] if single \
-                    else tuple(t[p] for p in v_positions)
-                expected.setdefault(key, []).append(
+                expected.setdefault(
+                    tuple(t[p] for p in v_positions), []).append(
                     tuple(t[p] for p in n_positions))
-            memo = {}
-            PatternEvaluator._build_hash_memo(
-                arrays, v_positions, n_positions, d_checks, single, memo)
-            assert memo == expected
-            assert all(type(k) is (int if single else tuple) for k in memo)
+            # every key of the build side, plus some it does not hold
+            keys = [*expected, *[(41 + i,) * len(v_positions)
+                                 for i in range(3)]]
+            probe = [np.array([key[i] for key in keys], dtype=np.int64)
+                     for i in range(len(v_positions))]
+            build = grouped(_agreeing(arrays, d_checks), v_positions)
+            order, low, counts = located(build, v_positions, probe,
+                                         len(keys))
+            found = {}
+            for key, at, count in zip(keys, low.tolist(), counts.tolist()):
+                picked = order[at:at + count]
+                if count:
+                    found[key] = [
+                        tuple(int(build[0][p][i]) for p in n_positions)
+                        for i in picked]
+            assert found == expected
+            if len(v_positions) == 1:  # sorted once, as int64
+                assert build[2].dtype == np.int64

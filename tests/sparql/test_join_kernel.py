@@ -1,0 +1,327 @@
+"""The vectorized join kernel against the row-at-a-time step it
+replaced (``reference_join.ReferenceJoin``, the oracle).
+
+Both sides run the same chain of triple patterns over the same id
+table and the same graph, with the range-scan ("hash") / per-key
+("probe") choice forced to the same value, and must agree after every
+step on
+
+* the rows, **in the same order** (probe-row order, a row's matches in
+  index order), unbound cells included;
+* ``PROBE_COUNTER.entries`` — every index entry read, once;
+* the governor's scan meter and its row / cell meters.
+
+Graphs are generated with a compacted column tier, a delta overlay on
+top and pending tombstones, and — unioned — with a second graph that
+repeats some of the first one's triples, so "index order" is the
+storage layer's real one, not one the test makes up.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.rdf import IRI, Dataset, Literal
+from repro.sparql.algebra import TriplePatternNode, Var
+from repro.sparql.bindings import BindingTable
+from repro.sparql.endpoint import LocalEndpoint
+from repro.sparql.evaluator import (
+    PROBE_COUNTER,
+    STREAM_TELEMETRY,
+    DatasetContext,
+    PatternEvaluator,
+)
+from repro.sparql.errors import QueryTimeout
+from repro.sparql.governor import GovernorContext, QueryLimits
+
+from tests.sparql.reference_join import ReferenceJoin, reference_minus
+
+EX = "http://example.org/"
+NODES = [IRI(f"{EX}n{index}") for index in range(6)]
+PREDICATES = [IRI(f"{EX}p{index}") for index in range(3)]
+#: never stored, never interned: a pattern holding it is dead
+STRANGER = IRI(f"{EX}stranger")
+OTHER_GRAPH = IRI(f"{EX}other")
+VARIABLES = ["x", "y", "z", "w"]
+
+triples = st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES),
+                    st.sampled_from(NODES))
+#: a cell of the seed table: a stored node, a stored predicate, unbound,
+#: or one of two computed terms (overlay ids, at ``1 << 40`` and up)
+cells = st.one_of(st.sampled_from(NODES), st.sampled_from(NODES),
+                  st.sampled_from(PREDICATES), st.none(),
+                  st.sampled_from([Literal("computed"), Literal(7)]))
+positions = st.one_of(
+    st.sampled_from([Var(name) for name in VARIABLES]),
+    st.sampled_from([Var(name) for name in VARIABLES]),
+    st.sampled_from(NODES + PREDICATES), st.just(STRANGER))
+patterns = st.builds(TriplePatternNode, positions, positions, positions)
+
+
+@st.composite
+def seed_tables(draw):
+    """``(names, rows of terms)``: any width from the unit table up,
+    any length from empty up, cells repeating freely."""
+    names = draw(st.lists(st.sampled_from(VARIABLES[:3]), unique=True,
+                          max_size=3))
+    rows = draw(st.lists(st.tuples(*[cells] * len(names)), max_size=12))
+    if not names:
+        rows = rows[:1] or [()]  # zero columns: the unit table
+    return tuple(names), rows
+
+
+class Forced(PatternEvaluator):
+    """The evaluator with the strategy choice taken from the test."""
+
+    use_hash = True
+
+    def _prefer_hash(self, source, base, rows):
+        return self.use_hash
+
+
+def build_dataset(compacted, overlaid, removed, other):
+    dataset = Dataset()
+    graph = dataset.default
+    for triple in compacted:
+        graph.add(triple)
+    graph.compact()
+    for triple in overlaid:
+        graph.add(triple)
+    for triple in removed:
+        graph.remove(triple)
+    for triple in other:
+        dataset.graph(OTHER_GRAPH).add(triple)
+    # every term a pattern may name is interned, stored or not
+    for term in NODES + PREDICATES:
+        dataset.dictionary.encode(term)
+    return dataset
+
+
+def governed():
+    return GovernorContext(QueryLimits(max_rows=10 ** 9))
+
+
+def run_both(dataset, names, term_rows, chain, use_hash):
+    """Run ``chain`` through the kernel and the oracle; assert they
+    agree after every step, and return the final rows."""
+    kernel_gov, oracle_gov = governed(), governed()
+    evaluator = Forced(DatasetContext(dataset, governor=kernel_gov))
+    evaluator.use_hash = use_hash
+    encode = evaluator._dict.encode
+    rows = [tuple(None if term is None else encode(term) for term in row)
+            for row in term_rows]
+    source = evaluator.context.default_source()
+    oracle = ReferenceJoin(evaluator._dict, oracle_gov, use_hash)
+    ours = theirs = BindingTable(names, rows)
+    for pattern in chain:
+        with PROBE_COUNTER as counter:
+            ours = evaluator._step_triple(pattern, source, ours)
+            probed = counter.entries
+        with PROBE_COUNTER as counter:
+            theirs = oracle._step_triple(pattern, source, theirs)
+            assert probed == counter.entries, pattern
+        assert ours.names == theirs.names
+        assert ours.rows == theirs.rows, pattern
+        assert len(ours) == len(theirs.rows)
+        for gov, table in ((kernel_gov, ours), (oracle_gov, theirs)):
+            gov.charge_rows(len(table.rows), max(1, len(table.names)))
+        assert (kernel_gov.scanned, kernel_gov.rows, kernel_gov.cells) == (
+            oracle_gov.scanned, oracle_gov.rows, oracle_gov.cells)
+    return ours.rows
+
+
+class TestKernelEqualsRowAtATime:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.lists(triples, max_size=25), st.lists(triples, max_size=8),
+           st.lists(triples, max_size=4), st.lists(triples, max_size=6),
+           seed_tables(), st.lists(patterns, min_size=1, max_size=3),
+           st.booleans())
+    def test_same_rows_same_order_same_charges(
+            self, compacted, overlaid, removed, other, seed, chain,
+            use_hash):
+        dataset = build_dataset(compacted, overlaid, removed, other)
+        run_both(dataset, *seed, chain, use_hash)
+
+
+def star(count=4):
+    """n0 -p0-> n1..; n0 and n1 also loop on themselves through p1."""
+    edges = [(NODES[0], PREDICATES[0], NODES[index])
+             for index in range(1, count + 1)]
+    return edges + [(NODES[0], PREDICATES[1], NODES[0]),
+                    (NODES[1], PREDICATES[1], NODES[1]),
+                    (NODES[2], PREDICATES[1], NODES[3])]
+
+
+@pytest.mark.parametrize("use_hash", [True, False], ids=["hash", "probe"])
+class TestNamedCases:
+    """The shapes the issue names, one each, with the answer spelled
+    out where it is short enough to read."""
+
+    def dataset(self):
+        return build_dataset(star(), [], [], [])
+
+    def test_keys_matching_none_one_and_many(self, use_hash):
+        rows = run_both(
+            self.dataset(), ("x",),
+            [(NODES[5],), (NODES[2],), (NODES[0],), (NODES[0],)],
+            [TriplePatternNode(Var("x"), PREDICATES[0], Var("y"))], use_hash)
+        # n5: absent; n2: a subject of p1 only; n0 (twice): four each
+        assert len(rows) == 8
+        assert [row[0] for row in rows] == [rows[0][0]] * 8
+
+    def test_unbound_join_cells_capture_in_row_order(self, use_hash):
+        rows = run_both(
+            self.dataset(), ("x", "y"),
+            [(NODES[0], None), (None, NODES[2]), (None, None),
+             (NODES[0], NODES[4]), (NODES[3], None)],
+            [TriplePatternNode(Var("x"), PREDICATES[0], Var("y"))], use_hash)
+        # 4 captures of ?y, 1 of ?x, the whole range, 1 check, none
+        assert len(rows) == 4 + 1 + 4 + 1 + 0
+        assert all(None not in row for row in rows)
+
+    def test_two_column_key(self, use_hash):
+        rows = run_both(
+            self.dataset(), ("x", "y"),
+            [(NODES[0], NODES[1]), (NODES[1], NODES[0]),
+             (NODES[0], NODES[1]), (NODES[0], NODES[5])],
+            [TriplePatternNode(Var("x"), PREDICATES[0], Var("y"))], use_hash)
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("seed", [
+        (("x",), [(NODES[0],), (NODES[2],), (NODES[1],)]),   # bound
+        (("x",), [(None,), (NODES[1],), (None,)]),           # unbound
+        (("z",), [(NODES[4],)]),                             # new
+    ], ids=["bound", "unbound", "new"])
+    def test_variable_repeated_in_one_pattern(self, use_hash, seed):
+        rows = run_both(
+            self.dataset(), *seed,
+            [TriplePatternNode(Var("x"), PREDICATES[1], Var("x"))], use_hash)
+        # only the two self-loops n0 and n1 ever qualify
+        assert len(rows) == {"x": 2 if seed[1][0][0] else 5,
+                             "z": 2}[seed[0][0]]
+
+    def test_overlay_ids_never_match_and_never_overflow(self, use_hash):
+        computed = [Literal("computed"), Literal(7)]
+        rows = run_both(
+            self.dataset(), ("x", "y"),
+            [(computed[0], computed[1]), (NODES[0], computed[0]),
+             (NODES[0], NODES[1]), (computed[1], None)],
+            [TriplePatternNode(Var("x"), PREDICATES[0], Var("y")),
+             TriplePatternNode(Var("y"), Var("q"), Var("x"))], use_hash)
+        assert rows == []
+
+    def test_empty_table_empty_range_and_unit_table(self, use_hash):
+        dataset = self.dataset()
+        scan = TriplePatternNode(Var("x"), PREDICATES[0], Var("y"))
+        assert run_both(dataset, ("x",), [], [scan], use_hash) == []
+        assert run_both(
+            dataset, ("x",), [(NODES[0],)],
+            [TriplePatternNode(Var("x"), PREDICATES[2], Var("y"))],
+            use_hash) == []
+        assert run_both(
+            dataset, ("x",), [(NODES[0],)],
+            [TriplePatternNode(Var("x"), STRANGER, Var("y"))],
+            use_hash) == []
+        assert len(run_both(dataset, (), [()], [scan], use_hash)) == 4
+
+    def test_cross_product_repeats_rows_and_tiles_matches(self, use_hash):
+        rows = run_both(
+            self.dataset(), ("z",), [(NODES[4],), (None,), (NODES[5],)],
+            [TriplePatternNode(Var("x"), PREDICATES[0], Var("y"))], use_hash)
+        assert len(rows) == 12
+        assert [row[0] for row in rows[:4]] == [rows[0][0]] * 4
+        assert [row[1:] for row in rows[:4]] == [row[1:] for row in rows[4:8]]
+
+
+#: id cells of a MINUS operand: few values, so rows collide
+minus_cells = st.one_of(st.integers(0, 3), st.integers(0, 3), st.none())
+
+
+@st.composite
+def minus_operands(draw):
+    """Two id tables whose schemas overlap in zero to two columns."""
+    tables = []
+    for pool in (["a", "b", "c"], ["b", "c", "d", "#mark1"]):
+        names = draw(st.lists(st.sampled_from(pool), unique=True,
+                              min_size=1, max_size=3))
+        # one in three tables has no unbound cell at all
+        cell = draw(st.sampled_from([minus_cells, minus_cells,
+                                     st.integers(0, 3)]))
+        tables.append(BindingTable(names, draw(st.lists(
+            st.tuples(*[cell] * len(names)), max_size=10))))
+    return tables
+
+
+class TestMinus:
+    def evaluator(self, governor=None):
+        return PatternEvaluator(DatasetContext(Dataset(), governor=governor))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(minus_operands())
+    def test_anti_join_equals_the_pairwise_loop(self, operands):
+        left, removals = operands
+        result = self.evaluator()._minus_table(left, removals)
+        assert result.names == left.names
+        assert result.rows == reference_minus(left, removals).rows
+
+    def test_unbound_cells_are_governed(self):
+        """2 000 x 2 000 rows that never exclude one another, with an
+        unbound cell on each side so the pairwise loop must run: about
+        a second of work, stopped by a 50 ms deadline."""
+        left = BindingTable(("a", "b"), [
+            (index, None if index % 7 == 0 else index)
+            for index in range(2000)])
+        removals = BindingTable(("a", "b"), [
+            (None if index % 5 == 0 else 5000 + index, 9000 + index)
+            for index in range(2000)])
+        governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
+        with pytest.raises(QueryTimeout):
+            self.evaluator(governor)._minus_table(left, removals)
+
+    def test_bound_cells_finish_inside_the_deadline(self):
+        """The same size with every shared cell bound is the kernel's
+        anti-join: done long before the deadline that stops the loop."""
+        left = BindingTable(("a", "b"), [
+            (index, index % 50) for index in range(2000)])
+        removals = BindingTable(("a", "b"), [
+            (2 * index, (2 * index) % 50) for index in range(2000)])
+        governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
+        result = self.evaluator(governor)._minus_table(left, removals)
+        assert result.rows == [row for row in left.rows if row[0] % 2]
+
+
+def test_streamed_limit_returns_the_first_rows_of_the_row_pipeline():
+    """A streamed ``LIMIT`` reads the leading scan in windows and stops:
+    which rows come first is the kernel's order contract end to end.
+    The expected rows, the 128 probed entries (a 64-entry window of
+    ``?s p ?o``, then one probe of ``?s q ?v`` per row) and the one
+    66-row batch are what the row-at-a-time pipeline answered at the
+    parent commit for this dataset (column tier, then a late
+    overlay)."""
+    dataset = Dataset()
+    graph = dataset.default
+    for index in range(300):
+        subject = IRI(f"{EX}s{(index * 37) % 300}")
+        graph.add(subject, IRI(f"{EX}p"), IRI(f"{EX}o{index % 11}"))
+        if index % 3:
+            graph.add(subject, IRI(f"{EX}q"), Literal(index % 5))
+        if index % 4 == 0:
+            graph.add(subject, IRI(f"{EX}q"), Literal(100 + index % 7))
+    graph.compact()
+    for index in range(5):
+        graph.add(IRI(f"{EX}s{index}"), IRI(f"{EX}p"),
+                  IRI(f"{EX}late{index}"))
+    endpoint = LocalEndpoint(dataset)
+    before = STREAM_TELEMETRY.snapshot()
+    with PROBE_COUNTER as counter:
+        result = endpoint.select(
+            f"SELECT ?s ?o ?v WHERE {{ ?s <{EX}p> ?o . ?s <{EX}q> ?v }} "
+            f"OFFSET 3 LIMIT 8")
+        assert counter.entries == 128
+    after = STREAM_TELEMETRY.snapshot()
+    assert {name: after[name] - before[name] for name in after} == {
+        "queries": 1, "batches": 1, "rows": 66}
+    assert [(s.value[len(EX):], o.value[len(EX):], v.lexical)
+            for s, o, v in result.rows] == [
+        ("s272", "o1", "100"), ("s108", "o7", "100"), ("s244", "o2", "100"),
+        ("s80", "o8", "100"), ("s216", "o3", "100"), ("s52", "o9", "100"),
+        ("s188", "o4", "100"), ("s24", "o10", "100")]

@@ -1047,6 +1047,76 @@ class SingleExpressionLoopRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# columnar-join-step
+# ---------------------------------------------------------------------------
+
+
+class ColumnarJoinStepRule(Rule):
+    """The join steps and the column readers stay columnar.
+
+    A ``BindingTable`` holds one id column per variable; ``.rows`` is a
+    derived view for the operators that are row-at-a-time by nature.
+    A ``for`` over it inside a BGP join step re-creates the per-row
+    loop ISSUE 19 deleted (79 % of a roll-up), and a
+    ``[row[slot] for row in table.rows]`` column read in
+    ``aggregation.partials`` or ``bindings.expression_column``
+    rebuilds every row tuple to pick one cell of each.
+    """
+
+    id = "columnar-join-step"
+    title = "join steps and column reads do not loop over .rows"
+    rationale = ("a Python loop over the row view inside a join step or "
+                 "a column read costs an object per solution where the "
+                 "column arrays cost one numpy call")
+
+    STEPS = "repro/sparql/evaluator_steps.py"
+    #: functions of other modules that read whole columns
+    COLUMN_READERS = {"repro/sparql/aggregation.py": "partials",
+                      "repro/sparql/bindings.py": "expression_column"}
+
+    def applies_to(self, path: str) -> bool:
+        return path.endswith((self.STEPS, *self.COLUMN_READERS))
+
+    @staticmethod
+    def _reads_rows(node: ast.AST, aliases: Set[str]) -> bool:
+        return any(
+            isinstance(inner, ast.Attribute) and inner.attr == "rows"
+            or isinstance(inner, ast.Name) and inner.id in aliases
+            for inner in ast.walk(node))
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        reader = next((name for home, name in self.COLUMN_READERS.items()
+                       if path.endswith(home)), None)
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            loops = [node] if isinstance(node, ast.For) \
+                else getattr(node, "generators", ())
+            function = enclosing_function(node, parents) if loops else None
+            if function is None:
+                continue
+            if reader is None and function.name == "_step_path" \
+                    or reader is not None and function.name != reader:
+                continue
+            # local names bound to a ``.rows`` view: ``rows = table.rows``
+            aliases = {
+                target.id for assign in ast.walk(function)
+                if isinstance(assign, ast.Assign)
+                and self._reads_rows(assign.value, set())
+                for target in assign.targets
+                if isinstance(target, ast.Name)}
+            for loop in loops:
+                if self._reads_rows(loop.iter, aliases):
+                    findings.append(self.finding(
+                        path, loop.iter,
+                        f"loop over a `.rows` view in `{function.name}` "
+                        f"(read `table.columns[slot]` — the join "
+                        f"kernel, `column_cells` — instead)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -1061,6 +1131,7 @@ ALL_RULES: List[Rule] = [
     SingleAlgebraWalkerRule(),
     SingleSparqlAggregateRule(),
     SingleExpressionLoopRule(),
+    ColumnarJoinStepRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
