@@ -131,8 +131,11 @@ perf-compare:
 ## Where one round of a contract workload spends its time: set the
 ## workload up through benchmarks/perf/harness.py, one warm round (the
 ## verification), one round under cProfile, the cumulative table.
-## `make profile WORKLOAD=rollup_20k [TOP=30]`.  Finds candidates;
-## `make perf` / `make perf-compare` measure them.
+## `make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...]`.
+## Finds candidates; WALL re-runs the round un-profiled and prints the
+## named functions' wall-clock share — what to size a claim from;
+## `make perf` / `make perf-compare` measure it.
 TOP ?= 30
 profile:
-	python3 tools/profile_round.py --workload $(WORKLOAD) --top $(TOP)
+	python3 tools/profile_round.py --workload $(WORKLOAD) --top $(TOP) \
+		$(if $(WALL),--wall $(WALL))

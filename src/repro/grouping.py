@@ -1,0 +1,91 @@
+"""Composite-key grouping: sort the key columns, mark run starts, cumsum.
+
+The one place under ``src/`` that groups rows by several key columns.
+The star kernel (:mod:`repro.olap.kernel`: level codes → groups, and
+the merge of morsel partials), SPARQL ``GROUP BY``
+(:mod:`repro.sparql.aggregation`), the join kernel's composite keys
+(:mod:`repro.sparql.evaluator_steps`) and the storage tier's triple
+dedup (:mod:`repro.rdf.graph`) all call it; the ``single-grouping-kernel``
+lint rule keeps it that way.
+
+Keys are parallel integer columns of any width (``int8`` codes next to
+``int64`` term ids).  They are compared column by column, never packed
+into one word — ``a << 32 | b`` overflows on overlay ids, which start
+at ``1 << 40`` — and never viewed as one void-dtype row, which is what
+``np.unique(axis=0)`` sorts and why it is an order of magnitude slower.
+``-1`` (an unbound cell) is a key value like any other.
+
+Numpy only and stateless, so worker processes run it as it stands (the
+``parallel-safety`` lint rule treats the module as worker-side code).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Sequence, Tuple
+
+import numpy as np
+
+
+def sorted_runs(columns: Sequence[np.ndarray], count: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)`` of ``count`` rows keyed by ``columns`` (at
+    least one): the stable permutation that sorts the rows
+    lexicographically, first column most significant, and a mask over
+    the *sorted* positions that is set where a run of equal keys
+    begins.  Stable, so ``order[starts]`` is each distinct key's first
+    row."""
+    order = np.lexsort(columns[::-1])  # most significant key last
+    starts = np.zeros(count, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        column = column[order]
+        starts[1:] |= column[1:] != column[:-1]
+    return order, starts
+
+
+def group(columns: Sequence[np.ndarray], count: int,
+          by_first_row: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Group ``count`` rows by their key ``columns``: ``(first,
+    inverse)`` — the index of each group's first row, and every row's
+    group number (``columns[i][first]`` are the distinct keys).
+
+    Groups are numbered in sorted key order, or with ``by_first_row``
+    in the order their first rows come.  No columns at all is ONE group
+    however many rows there are — none included, where its first row
+    ``0`` does not exist: GROUP BY nothing over nothing still answers.
+    """
+    if not columns:
+        return (np.zeros(1, dtype=np.int64),
+                np.zeros(count, dtype=np.int64))
+    order, starts = sorted_runs(columns, count)
+    first = order[starts]
+    inverse = np.empty(count, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    if by_first_row:
+        # renumber the groups by where each one starts
+        rank = np.argsort(first)
+        number = np.empty(len(first), dtype=np.int64)
+        number[rank] = np.arange(len(first))
+        first, inverse = first[rank], number[inverse]
+    return first, inverse
+
+
+#: accumulator → (the ufunc that folds values in and merges partials,
+#: its identity — what a group nothing contributed to holds)
+_FOLDS: Dict[str, Tuple[np.ufunc, float]] = {
+    "sum": (np.add, 0), "count": (np.add, 0),
+    "min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
+
+
+def fold(name: str, inverse: np.ndarray, values: Any, groups: int
+         ) -> np.ndarray:
+    """Accumulate ``values`` (one per row, or one scalar for all) into
+    ``groups`` slots by group number, **in row order** — ``ufunc.at``
+    is unbuffered, so a slot sees exactly the left-to-right fold of its
+    rows.  The result takes the dtype of ``values`` (``int64`` sums
+    stay integers) widened by the identity where it has to be (an
+    integer minimum starts at ``inf``)."""
+    ufunc, identity = _FOLDS[name]
+    out = np.full(groups, identity, dtype=np.result_type(values, identity))
+    ufunc.at(out, inverse, values)
+    return out

@@ -36,7 +36,7 @@ from repro.ql.ast import (
 from repro.ql.simplifier import SimplifiedProgram
 from repro.olap import kernel
 from repro.olap.errors import DiceTypeError, OLAPEngineError, UnknownAxisError
-from repro.olap.star import FactColumns, FactTable, StarSchema
+from repro.olap.star import FactColumns, FactTable, StarSchema, narrowed
 
 
 @dataclass
@@ -159,9 +159,11 @@ def compile_query(star: StarSchema,
         raise OLAPEngineError(f"unknown condition {condition!r}")
 
     plan = kernel.Plan(
-        axes=tuple((f"c:{iri.value}",
-                    star.dimension(iri).map_to_level(axis_levels[iri]))
-                   for iri in kept),
+        # narrow level codes group faster: numpy's stable sort is a
+        # radix sort up to 16 bits
+        axes=tuple((f"c:{iri.value}", narrowed(
+            star.dimension(iri).map_to_level(axis_levels[iri])))
+            for iri in kept),
         measures=tuple((f"m:{iri.value}",
                         star.measure_aggregates.get(iri, "SUM"))
                        for iri in measures),

@@ -220,6 +220,8 @@ def _first_per_row(rows: np.ndarray, rank: np.ndarray,
     and keeping each row's first entry selects exactly the minimum
     deterministic-key term the reference extractor picks.
     """
+    # each row's minimum over a second key, not a grouping by both
+    # repro: allow[single-grouping-kernel]
     order = np.lexsort((rank, rows))
     sorted_rows = rows[order]
     firsts = np.ones(len(sorted_rows), dtype=bool)

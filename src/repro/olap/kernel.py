@@ -25,7 +25,11 @@ mirror SPARQL and are stated here once:
   :func:`finalize` returns ``(values, valid)`` and the cell omits the
   measure, never reporting ``0.0`` or ``±inf``;
 * **scalar over zero facts** — a query with no axes has exactly one
-  group even when every fact was filtered out (:func:`_group`).
+  group even when every fact was filtered out
+  (:func:`repro.grouping.group`).
+
+Grouping and the per-group folds are :mod:`repro.grouping`'s, shared
+with SPARQL ``GROUP BY``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.grouping import fold, group
 from repro.olap.errors import OLAPEngineError
 
 #: A compiled dice condition, as nested tuples of plain values:
@@ -54,12 +59,6 @@ Partial = Tuple[np.ndarray, List[Dict[str, np.ndarray]]]
 ACCUMULATORS: Dict[str, Tuple[str, ...]] = {
     "SUM": ("sum",), "COUNT": ("count",), "AVG": ("sum", "count"),
     "MIN": ("min", "count"), "MAX": ("max", "count")}
-
-#: accumulator → (the ufunc that folds values in and merges partials,
-#: its identity — what a group nothing contributed to holds)
-_FOLDS: Dict[str, Tuple[np.ufunc, float]] = {
-    "sum": (np.add, 0.0), "count": (np.add, 0.0),
-    "min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 _COMPARISONS: Dict[str, np.ufunc] = {
     "=": np.equal, "!=": np.not_equal, "<": np.less,
@@ -89,25 +88,14 @@ def _take(table: np.ndarray, codes: np.ndarray, missing: Any) -> np.ndarray:
     return out
 
 
-def _group(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``keys`` in sorted order, and the group index
-    of every row — the star path's one grouping site."""
-    if keys.shape[1] == 0:
-        # GROUP BY nothing is ONE group however many rows there are —
-        # none included: the scalar-over-zero-facts rule
-        return (np.zeros((1, 0), dtype=np.int64),
-                np.zeros(len(keys), dtype=np.int64))
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return distinct, inverse.reshape(-1)
-
-
-def _fold(name: str, inverse: np.ndarray, values: Any,
-          groups: int) -> np.ndarray:
-    """Accumulate ``values`` into ``groups`` slots by group index."""
-    ufunc, identity = _FOLDS[name]
-    out = np.full(groups, identity)
-    ufunc.at(out, inverse, values)
-    return out
+def _grouped_keys(columns: Sequence[np.ndarray], count: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows ``(groups, axes)`` of ``count`` rows of key
+    ``columns``, in sorted order, and the group index of every row."""
+    first, inverse = group(columns, count)
+    keys = np.stack([column[first] for column in columns], axis=1) \
+        if columns else np.zeros((1, 0), dtype=np.int64)
+    return keys, inverse
 
 
 def dice_mask(dice: Dice, codes: Sequence[np.ndarray],
@@ -152,12 +140,11 @@ def partials(views: Mapping[str, np.ndarray], lo: int, hi: int,
     for dice in plan.pre:
         keep &= dice_mask(dice, level_codes, ())
     rows = np.flatnonzero(keep)
-    keys, inverse = _group(
-        np.stack([codes[rows] for codes in level_codes], axis=1)
-        if level_codes else np.empty((len(rows), 0), dtype=np.int64))
+    keys, inverse = _grouped_keys([codes[rows] for codes in level_codes],
+                                  len(rows))
     accumulators = [
-        {name: _fold(name, inverse,
-                     1.0 if name == "count" else values[rows], len(keys))
+        {name: fold(name, inverse,
+                    1.0 if name == "count" else values[rows], len(keys))
          for name in ACCUMULATORS.get(keyword, ())}
         for values, (_, keyword) in zip(columns, plan.measures)]
     return keys, accumulators
@@ -186,13 +173,14 @@ def merge(payloads: Sequence[Partial], plan: Plan
     """Fold morsel partials into the final groups: their key rows and
     one finalized ``(values, valid)`` pair per plan measure."""
     # the empty leading parts keep concatenation defined over no morsels
-    keys, inverse = _group(np.concatenate(
+    stacked = np.concatenate(
         [np.empty((0, len(plan.axes)), dtype=np.int64),
-         *(keys for keys, _ in payloads)]))
+         *(keys for keys, _ in payloads)])
+    keys, inverse = _grouped_keys(list(stacked.T), len(stacked))
     aggregated = []
     for index, (_, keyword) in enumerate(plan.measures):
         merged = {
-            name: _fold(name, inverse, np.concatenate(
+            name: fold(name, inverse, np.concatenate(
                 [np.empty(0), *(accumulators[index][name]
                                 for _, accumulators in payloads)]), len(keys))
             for name in ACCUMULATORS.get(keyword, ())}

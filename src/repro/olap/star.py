@@ -103,6 +103,13 @@ def _code_dtype(max_code: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def narrowed(codes: np.ndarray) -> np.ndarray:
+    """``codes`` (``-1`` = missing) in the smallest signed dtype that
+    holds them, contiguous."""
+    ceiling = int(codes.max()) if codes.shape[0] else 0
+    return np.ascontiguousarray(codes, dtype=_code_dtype(ceiling))
+
+
 @dataclass(frozen=True)
 class FactColumns:
     """One immutable, compressed columnar generation of the fact table.
@@ -130,11 +137,9 @@ class FactColumns:
     def from_facts(cls, facts: FactTable, epoch: int = 0) -> "FactColumns":
         coordinates: Dict[IRI, np.ndarray] = {}
         for iri, codes in facts.coordinates.items():
-            ceiling = int(codes.max()) if codes.shape[0] else 0
-            narrowed = np.ascontiguousarray(codes,
-                                            dtype=_code_dtype(ceiling))
-            narrowed.flags.writeable = False
-            coordinates[iri] = narrowed
+            column = narrowed(codes)
+            column.flags.writeable = False
+            coordinates[iri] = column
         measures: Dict[IRI, np.ndarray] = {}
         for iri, values in facts.measures.items():
             column = np.ascontiguousarray(values, dtype=np.float64)

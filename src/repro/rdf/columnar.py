@@ -123,7 +123,9 @@ class TripleColumns:
         self._orders = {}
         base = (s, p, o)
         for name, (first, second, third) in _ORDER_KEYS.items():
-            # np.lexsort sorts by the *last* key first
+            # an index order, not a grouping; np.lexsort sorts by the
+            # *last* key first
+            # repro: allow[single-grouping-kernel]
             perm = np.lexsort((base[third], base[second], base[first]))
             self._orders[name] = (s[perm], p[perm], o[perm])
         spo_s, spo_p, _ = self._orders["spo"]

@@ -27,9 +27,16 @@ from decimal import Decimal
 from typing import Any, Callable, Dict, Iterable, List, Optional, \
     Sequence, Tuple
 
+import numpy as np
+
+from repro import grouping
 from repro.rdf.terms import Literal, Term, XSD_STRING
 from repro.sparql.algebra import ProjectionItem, SelectQuery
-from repro.sparql.bindings import BindingTable, expression_column
+from repro.sparql.bindings import (
+    BindingTable,
+    column_cells,
+    expression_column,
+)
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     Aggregate,
@@ -65,6 +72,17 @@ class _Accumulator:
     #: term; ``None`` when ``step`` only needs the argument to be bound
     lift: Optional[Callable[[Term], Any]] = None
 
+    def columns(self, inverse: np.ndarray, groups: int,
+                lifted: Optional[List[Any]], codes: Optional[np.ndarray]
+                ) -> Optional[List[Any]]:
+        """The states of ``groups`` groups after the rows whose argument
+        is bound — row ``i`` belongs to group ``inverse[i]`` and holds
+        the value ``lifted[codes[i]]`` (both ``None`` when ``lift`` is)
+        — folded as whole columns; or ``None`` when only ``step`` can
+        fold these values.  The states are what ``step`` would have
+        left: builtin numbers, never numpy scalars."""
+        return None
+
     def over(self, terms: Iterable[Term]) -> Term:
         """The aggregate of ``terms``, one at a time."""
         state = self.start()
@@ -82,6 +100,10 @@ class _Count(_Accumulator):
 
     def step(self, state: int, value: Any) -> int:
         return state + 1
+
+    def columns(self, inverse: np.ndarray, groups: int,
+                lifted: None, codes: None) -> List[int]:
+        return np.bincount(inverse, minlength=groups).tolist()
 
     def merge(self, left: int, right: int) -> int:
         return left + right
@@ -123,6 +145,29 @@ class _Sum(_Accumulator):
         except TypeError:  # decimal ⊕ double, the pair Python refuses
             total, value = promoted(total, value)
             return (total + value, count + 1, failed)
+
+    def columns(self, inverse: np.ndarray, groups: int,
+                lifted: List[Any], codes: np.ndarray
+                ) -> Optional[List[tuple]]:
+        """Integers that cannot leave ``int64`` however they add up, or
+        doubles: ``grouping.fold`` adds a group's values in row order,
+        so the totals are those of ``step`` to the bit."""
+        kinds = set(map(type, lifted))
+        if kinds == {int} \
+                and max(map(abs, lifted)) * len(codes) < 1 << 63:
+            values = np.array(lifted, dtype=np.int64)
+        elif kinds == {float}:
+            values = np.array(lifted, dtype=np.float64)
+        else:
+            return None
+        # like Python's, these sums overflow to inf and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = grouping.fold("sum", inverse, values[codes],
+                                   groups).tolist()
+        counts = np.bincount(inverse, minlength=groups).tolist()
+        # a group no value reached keeps the start state's integer 0
+        return [(total if count else 0, count, False)
+                for total, count in zip(totals, counts)]
 
     def merge(self, left: tuple, right: tuple) -> tuple:
         total, other = promoted(left[0], right[0])
@@ -258,6 +303,65 @@ class Plan:
         return not any(isinstance(fold, _Values) for fold in self.folds)
 
 
+def _key_column(expression: Expression, table: BindingTable,
+                decode: Callable[[int], Term], context: EvalContext
+                ) -> Tuple[np.ndarray, Optional[List[Any]]]:
+    """One GROUP BY key as an integer column to group on: a plain
+    variable's ids as they are (``None`` beside them), any other key's
+    values numbered — equal terms are one key whatever ids they were
+    computed from — beside the values themselves."""
+    if isinstance(expression, VariableExpression) \
+            and expression.name in table.slots:
+        return table.columns[table.slots[expression.name]], None
+    values = expression_column(expression, table, decode, context)
+    number: Dict[Any, int] = {}
+    return np.array([number.setdefault(value, len(number))
+                     for value in values], dtype=np.int64), values
+
+
+def _states(call: Aggregate, fold: _Accumulator, table: BindingTable,
+            inverse: np.ndarray, groups: int,
+            decode: Callable[[int], Term], context: EvalContext
+            ) -> List[Any]:
+    """``call``'s state in each of ``groups`` groups, ``inverse`` giving
+    the group of every row of ``table``.
+
+    The column decides how: a plain-variable argument lifts its
+    distinct ids once and folds as arrays where the accumulator can
+    (:meth:`_Accumulator.columns`); whatever that declines, and every
+    computed argument, goes through ``step`` a row at a time."""
+    expression = call.expression
+    if expression is None:  # COUNT(*): no argument, bound on every row
+        return fold.columns(inverse, groups, None, None)
+    slot = table.slots.get(expression.name) \
+        if isinstance(expression, VariableExpression) else None
+    if slot is None:
+        values: Iterable[Any] = expression_column(
+            expression, table, decode, context, fold.lift)
+    else:
+        column = table.columns[slot]
+        bound = column >= 0
+        if not bound.all():
+            column, inverse = column[bound], inverse[bound]
+        lifted = codes = None
+        if fold.lift is not None:
+            distinct, codes = np.unique(column, return_inverse=True)
+            lifted = [fold.lift(decode(cell)) for cell in distinct.tolist()]
+        states = fold.columns(inverse, groups, lifted, codes)
+        if states is not None:
+            return states
+        values = map(lifted.__getitem__, codes.tolist())
+    states = [fold.start() for _ in range(groups)]
+    step = fold.step
+    # the general fold: what no array dtype holds (decimals, mixed
+    # numeric classes, order keys, value lists) steps a row at a time
+    # repro: allow[columnar-join-step]
+    for group_of_row, value in zip(inverse.tolist(), values):
+        if value is not None:
+            states[group_of_row] = step(states[group_of_row], value)
+    return states
+
+
 def partials(plan: Plan, table: BindingTable,
              decode: Callable[[int], Term], context: EvalContext
              ) -> Partials:
@@ -265,26 +369,19 @@ def partials(plan: Plan, table: BindingTable,
     group's state, a column at a time."""
     if not table:
         return {}
-    key_columns = [expression_column(expression, table, decode, context)
-                   for expression, _name in plan.keys]
-    keys = list(zip(*key_columns)) if key_columns \
-        else [()] * len(table)
-    groups: Dict[Tuple[Any, ...], int] = {}
-    member = [groups.setdefault(key, len(groups)) for key in keys]
-    states: List[List[Any]] = []
-    for call, fold in zip(plan.aggregates, plan.folds):
-        column = [fold.start() for _ in groups]
-        step = fold.step
-        # COUNT(*) has no argument, which is bound on every row
-        values = keys if call.expression is None \
-            else expression_column(call.expression, table, decode,
-                                   context, fold.lift)
-        for group, value in zip(member, values):
-            if value is not None:
-                column[group] = step(column[group], value)
-        states.append(column)
-    return {key: [column[group] for column in states]
-            for key, group in groups.items()}
+    keys = [_key_column(expression, table, decode, context)
+            for expression, _name in plan.keys]
+    first, inverse = grouping.group(
+        [column for column, _values in keys], len(table), by_first_row=True)
+    states = [_states(call, fold, table, inverse, len(first), decode, context)
+              for call, fold in zip(plan.aggregates, plan.folds)]
+    # a group's key: the cells of its first row (a term id per
+    # plain-variable key, a term per computed one, ``None`` unbound)
+    cells = [column_cells(column[first]) if values is None
+             else [values[row] for row in first.tolist()]
+             for column, values in keys]
+    return {key: [column[number] for column in states]
+            for number, key in enumerate(zip(*cells) if cells else [()])}
 
 
 def merge(plan: Plan, parts: Sequence[Partials]) -> Partials:

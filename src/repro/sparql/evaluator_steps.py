@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
 
 import numpy as np
 
+from repro.grouping import group
 from repro.sparql.algebra import PathPatternNode, TriplePatternNode, Var
 from repro.sparql.bindings import BindingTable, id_column
 from repro.sparql.evaluator_source import (
@@ -136,24 +137,17 @@ def _distinct(columns: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
         return [()]
     if len(columns) == 1:
         return [(key,) for key in np.unique(columns[0]).tolist()]
-    return [tuple(key) for key in np.unique(
-        np.stack(columns, axis=1), axis=0).tolist()]
+    first, _inverse = group(columns, len(columns[0]))
+    return list(zip(*(column[first].tolist() for column in columns)))
 
 
 def _ranked(build: Sequence[np.ndarray], probe: Sequence[np.ndarray]
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Composite keys as single ones: each key tuple's dense rank in
     the joint lexicographic order of both sides, so equal tuples — and
-    only those — share a number.  (Packing ``a << 32 | b`` instead
-    would overflow on overlay ids, which start at ``1 << 40``.)"""
+    only those — share a number."""
     both = [np.concatenate(pair) for pair in zip(build, probe)]
-    order = np.lexsort(both[::-1])
-    starts = np.zeros(len(order), dtype=bool)
-    for column in both:
-        column = column[order]
-        starts[1:] |= column[1:] != column[:-1]
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.cumsum(starts)
+    _first, rank = group(both, len(both[0]))
     return rank[:len(build[0])], rank[len(build[0]):]
 
 

@@ -8,6 +8,7 @@ apply to a real file at that location.
 """
 
 import pathlib
+import re
 import sys
 import textwrap
 
@@ -321,6 +322,22 @@ FIXTURES = {
                 return [self._reach(row[0]) for row in table.rows]
         """,
     ),
+    "single-grouping-kernel": (
+        """
+        def _group(keys):
+            distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+            return distinct, inverse.reshape(-1)
+        """,
+        LIBRARY,
+        """
+        def _group(columns, count):
+            first, inverse = group(columns, count)
+            return [column[first] for column in columns], inverse
+
+        def _distinct(column):
+            return np.unique(column, return_inverse=True)
+        """,
+    ),
 }
 
 
@@ -533,6 +550,58 @@ def test_join_steps_and_column_reads_stay_columnar():
                             home, rule) == []
         assert findings_for(bad, home, rule) == []
     assert findings_for(bad, WALKER, rule) == []
+
+
+def test_the_general_fold_is_the_only_per_row_step():
+    """In ``aggregation.py``'s column readers a ``for`` statement that
+    calls ``step`` is the per-row fold: flagged wherever it stands, so
+    the one general fallback is the one pragma; accumulators' own
+    methods (``over``) are out of scope."""
+    rule = "columnar-join-step"
+    per_row = """
+    def {name}(call, fold, table, inverse, groups, decode, context):
+        states = [fold.start() for _ in range(groups)]
+        for number, value in zip(inverse.tolist(), values):
+            states[number] = fold.step(states[number], value)
+        return states
+    """
+    home = "src/repro/sparql/aggregation.py"
+    for reader in ("partials", "_states", "_key_column"):
+        found = findings_for(per_row.format(name=reader), home, rule)
+        assert len(found) == 1 and "step" in found[0].message
+    assert findings_for(per_row.format(name="over"), home, rule) == []
+    assert findings_for(per_row.format(name="_states"),
+                        "src/repro/sparql/bindings.py", rule) == []
+    source = (ROOT / home).read_text(encoding="utf-8")
+    assert len(re.findall(r"allow\[columnar-join-step\]", source)) == 1
+    assert findings_for(source, home, rule) == []
+
+
+def test_grouping_has_one_home():
+    """``np.unique(axis=0)`` is a finding everywhere under ``src/``,
+    the shared module included; ``np.lexsort`` everywhere but there;
+    a one-dimensional ``np.unique`` and code outside ``src/`` are
+    free."""
+    rule = "single-grouping-kernel"
+    bad, _path, good = FIXTURES[rule]
+    home = "src/repro/grouping.py"
+    lexsort = """
+    def _ranked(both):
+        order = np.lexsort(both[::-1])
+        return order
+    """
+    for path in (LIBRARY, STEPS, GRAPH, home):
+        assert len(findings_for(bad, path, rule)) == 1
+        assert findings_for(good, path, rule) == []
+    for path in (LIBRARY, STEPS, GRAPH):
+        found = findings_for(lexsort, path, rule)
+        assert len(found) == 1 and "lexsort" in found[0].message
+    assert findings_for(lexsort, home, rule) == []
+    for path in ("tests/olap/reference_group.py", "benchmarks/check_x.py"):
+        assert findings_for(bad, path, rule) == []
+    # the shared module is worker-side code, top to bottom
+    worker = "def group(columns, count):\n    return PLAN_CACHE\n"
+    assert findings_for(worker, home, "parallel-safety")
 
 
 def test_evaluator_rules_cover_the_whole_family():

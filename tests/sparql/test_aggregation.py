@@ -13,6 +13,12 @@ Decimals and doubles in the generated tables are small multiples of
 compared with ``==`` however the additions associate.
 """
 
+import math
+import pickle
+import struct
+from decimal import Decimal
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf import IRI, Literal
@@ -27,6 +33,7 @@ from repro.sparql.expressions import (
     Aggregate,
     EvalContext,
     VariableExpression,
+    numeric_value,
 )
 from repro.sparql.parser import parse_query
 
@@ -190,3 +197,144 @@ class TestFixedCases:
         order = ["b", "c", "a", "c", "b", "d"]
         result = select(text, ("g",), [(Literal(g),) for g in order], [3])
         assert [row["g"].lexical for row in result] == ["b", "c", "a", "d"]
+
+
+#: SUM, AVG and both COUNTs: the aggregates with a column-at-a-time fold
+ARRAY_CALLS = [Aggregate("SUM", VariableExpression("v")),
+               Aggregate("AVG", VariableExpression("v")),
+               Aggregate("COUNT", VariableExpression("v")),
+               Aggregate("COUNT", None)]
+
+
+def bits(number):
+    """A number, told apart to the bit (``-0.0`` from ``0.0``, one NaN
+    from another) and by class (``1`` from ``1.0``)."""
+    if isinstance(number, float):
+        return ("double", struct.pack("<d", number))
+    return (type(number).__name__, number)
+
+
+class TestArrayFoldEdges:
+    """Where the array fold of SUM / AVG / COUNT must hand over to the
+    row-at-a-time ``step`` — or must not differ from it by a bit."""
+
+    def check(self, measures, groups=None, exact=True):
+        """``ARRAY_CALLS`` over ``measures`` (grouped when ``groups``
+        names each row's group): the whole, the reference and — when
+        the sums are ``exact`` however they associate — any split
+        agree; the partial's states are builtin values equal to a
+        left-to-right Python sum to the bit.  Returns the bindings."""
+        grouped = groups is not None
+        rows = list(zip(groups if grouped else [None] * len(measures),
+                        measures))
+        dictionary, table = table_of(("g", "v"), rows)
+        query = query_over(ARRAY_CALLS, grouped)
+        whole = aggregated(query, dictionary, table)
+        assert whole == reference(ARRAY_CALLS, grouped, rows)
+        for cuts in (range(1, len(rows)), [1, len(rows) - 1], [2]):
+            cuts = sorted(cut for cut in cuts if 0 <= cut <= len(rows))
+            assert not exact \
+                or aggregated(query, dictionary, table, cuts) == whole
+        plan = Plan(query)
+        part = partials(plan, table, dictionary.decode, CTX)
+        assert b"numpy" not in pickle.dumps(part)
+        members = {}
+        for group, measure in rows:
+            members.setdefault(group if grouped else None, []).append(
+                measure)
+        for (key, states), values in zip(part.items(), members.values()):
+            assert all(type(cell) is int for cell in key)
+            total, count, failed = 0, 0, False
+            for term in values:
+                try:
+                    number = numeric_value(term)
+                except ExpressionError:
+                    failed = failed or term is not None
+                    continue
+                if isinstance(total, Decimal) and isinstance(number, float):
+                    total = float(total)
+                elif isinstance(total, float) \
+                        and isinstance(number, Decimal):
+                    number = float(number)
+                total, count = total + number, count + 1
+            for state in states[:2]:  # SUM and AVG
+                assert type(state) is tuple
+                assert (bits(state[0]), state[1:]) \
+                    == (bits(total), (count, failed))
+            bound = sum(term is not None for term in values)
+            assert states[2:] == [bound, len(values)]
+            assert type(states[2]) is int and type(states[3]) is int
+        return whole
+
+    def test_integers_past_double_precision_stay_exact(self):
+        [row] = self.check([Literal(2**53), Literal(1), Literal(1)])
+        assert row["a0"] == Literal(2**53 + 2)
+
+    @pytest.mark.parametrize("measures, total", [
+        ([2**63 - 1], 2**63 - 1),           # the last sum int64 holds
+        ([2**62, 2**62], 2**63),            # the first it does not
+        ([-2**63], -2**63),
+        ([2**63 - 1, 1, -2**63, -5], -5),   # overflows on the way only
+        ([2**64, 1], 2**64 + 1),            # a value int64 cannot hold
+    ])
+    def test_integers_at_the_int64_edge_stay_exact(self, measures, total):
+        [row] = self.check([Literal(value) for value in measures])
+        assert row["a0"] == Literal(total)
+
+    def test_doubles_agree_with_a_python_sum_to_the_bit(self):
+        special = [-0.0, math.inf, -math.inf, math.nan, 0.1, 0.2, 1e16,
+                   1.0, -1e16]
+        self.check([Literal(-0.0)])
+        self.check([Literal(-0.0), Literal(-0.0)])
+        self.check([Literal(math.inf), Literal(-math.inf), Literal(1.0)])
+        self.check([Literal(value) for value in special],
+                   [GROUPS[index % 2] for index in range(len(special))])
+        # cancellation: any other order of additions gives another sum
+        [row] = self.check([Literal(value) for value in
+                            (1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3)],
+                           exact=False)
+        assert row["a0"] == Literal(((((((1e16 + 1.0) + -1e16) + 1.0)
+                                       + 0.1) + 0.2) + 0.3))
+
+    def test_mixed_numeric_classes_take_the_general_fold(self):
+        decimal = Literal("2.5", datatype=XSD_DECIMAL)
+        [row] = self.check([Literal(2**53), Literal(1), Literal(1.0)])
+        assert row["a0"] == Literal(float(2**53 + 1) + 1.0)
+        [row] = self.check([Literal(1), decimal, Literal(3)])
+        assert row["a0"] == Literal("6.5", datatype=XSD_DECIMAL)
+        [row] = self.check([decimal, Literal(0.5), Literal(1)])
+        assert row["a0"] == Literal(4.0)
+        # one group all integers, one all doubles, one mixed
+        self.check([Literal(1), Literal(0.5), Literal(2), Literal(1.5),
+                    decimal, Literal(7)],
+                   [GROUPS[0], GROUPS[1], GROUPS[0], GROUPS[1], GROUPS[2],
+                    GROUPS[2]])
+
+    def test_one_non_numeric_value_fails_its_group_only(self):
+        rows = self.check(
+            [Literal(1), Literal("n/a"), Literal(2), Literal(4)],
+            [GROUPS[0], GROUPS[1], GROUPS[0], GROUPS[1]])
+        assert rows == [
+            {"g": GROUPS[0], "a0": Literal(3),
+             "a1": Literal("1.5", datatype=XSD_DECIMAL), "a2": Literal(2),
+             "a3": Literal(2)},
+            {"g": GROUPS[1], "a2": Literal(2), "a3": Literal(2)}]
+
+    def test_a_group_no_bound_value_reaches(self):
+        """SUM stays the integer 0 — not 0.0 — beside groups of
+        doubles; AVG is unbound; COUNT(?v) and COUNT(*) part ways."""
+        rows = self.check(
+            [Literal(1.5), None, Literal(2.5), None],
+            [GROUPS[0], GROUPS[1], GROUPS[0], GROUPS[1]])
+        assert rows == [
+            {"g": GROUPS[0], "a0": Literal(4.0), "a1": Literal(2.0),
+             "a2": Literal(2), "a3": Literal(2)},
+            {"g": GROUPS[1], "a0": Literal(0), "a2": Literal(0),
+             "a3": Literal(2)}]
+        assert self.check([None, None]) == [
+            {"a0": Literal(0), "a2": Literal(0), "a3": Literal(2)}]
+
+    def test_no_group_by_over_zero_rows(self):
+        assert self.check([]) == [
+            {"a0": Literal(0), "a2": Literal(0), "a3": Literal(0)}]
+        assert self.check([], []) == []

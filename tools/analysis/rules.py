@@ -54,6 +54,14 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     evaluates an expression over the rows of an id table: no
     ``.evaluate(`` inside a ``for`` over a ``.rows`` attribute, and no
     ``row_decoder(`` call but the final projection's, anywhere else.
+``columnar-join-step``
+    The join steps and the column readers of ``aggregation.py`` /
+    ``bindings.py`` never loop over a ``.rows`` view, and the grouped
+    fold steps a row at a time only in its one general fallback.
+``single-grouping-kernel``
+    Under ``src/`` only ``repro/grouping.py`` groups rows by several
+    key columns: no ``np.unique(..., axis=0)`` anywhere, no
+    ``np.lexsort`` outside it.
 """
 
 from __future__ import annotations
@@ -726,7 +734,8 @@ class ParallelSafetyRule(Rule):
 
     #: modules that are worker-side from top to bottom
     WORKER_MODULES = ("repro/olap/kernel.py",
-                      "repro/sparql/aggregation.py")
+                      "repro/sparql/aggregation.py",
+                      "repro/grouping.py")
 
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/parallel.py",
@@ -1061,7 +1070,10 @@ class ColumnarJoinStepRule(Rule):
     loop ISSUE 19 deleted (79 % of a roll-up), and a
     ``[row[slot] for row in table.rows]`` column read in
     ``aggregation.partials`` or ``bindings.expression_column``
-    rebuilds every row tuple to pick one cell of each.
+    rebuilds every row tuple to pick one cell of each.  The grouped
+    fold is columnar too: ``_Accumulator.columns`` folds an argument
+    column whole, and a loop calling ``step`` a row is the general
+    fallback for what no array dtype holds — there is one, pragma'd.
     """
 
     id = "columnar-join-step"
@@ -1072,8 +1084,10 @@ class ColumnarJoinStepRule(Rule):
 
     STEPS = "repro/sparql/evaluator_steps.py"
     #: functions of other modules that read whole columns
-    COLUMN_READERS = {"repro/sparql/aggregation.py": "partials",
-                      "repro/sparql/bindings.py": "expression_column"}
+    COLUMN_READERS = {
+        "repro/sparql/aggregation.py": ("partials", "_key_column",
+                                        "_states"),
+        "repro/sparql/bindings.py": ("expression_column",)}
 
     def applies_to(self, path: str) -> bool:
         return path.endswith((self.STEPS, *self.COLUMN_READERS))
@@ -1087,8 +1101,9 @@ class ColumnarJoinStepRule(Rule):
 
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
-        reader = next((name for home, name in self.COLUMN_READERS.items()
-                       if path.endswith(home)), None)
+        readers = next((names for home, names
+                        in self.COLUMN_READERS.items()
+                        if path.endswith(home)), None)
         parents = parent_map(tree)
         findings: List[Finding] = []
         for node in ast.walk(tree):
@@ -1097,9 +1112,17 @@ class ColumnarJoinStepRule(Rule):
             function = enclosing_function(node, parents) if loops else None
             if function is None:
                 continue
-            if reader is None and function.name == "_step_path" \
-                    or reader is not None and function.name != reader:
+            if readers is None and function.name == "_step_path" \
+                    or readers is not None and function.name not in readers:
                 continue
+            if isinstance(node, ast.For) and readers is not None \
+                    and "step" in called_names(node):
+                findings.append(self.finding(
+                    path, node,
+                    f"`step` called a row at a time in `{function.name}` "
+                    f"(fold the column whole — `_Accumulator.columns` — "
+                    f"and leave the rest to the one general fallback)",
+                    lines))
             # local names bound to a ``.rows`` view: ``rows = table.rows``
             aliases = {
                 target.id for assign in ast.walk(function)
@@ -1114,6 +1137,65 @@ class ColumnarJoinStepRule(Rule):
                         f"loop over a `.rows` view in `{function.name}` "
                         f"(read `table.columns[slot]` — the join "
                         f"kernel, `column_cells` — instead)", lines))
+        return findings
+
+
+# ---------------------------------------------------------------------------
+# single-grouping-kernel
+# ---------------------------------------------------------------------------
+
+
+class SingleGroupingKernelRule(Rule):
+    """One module groups rows by several key columns.
+
+    ``repro/grouping.py`` sorts the key columns, marks run starts and
+    numbers the runs; the star kernel, SPARQL GROUP BY, the join
+    kernel's composite keys and the storage tier's triple dedup call
+    it.  ``np.unique(..., axis=0)`` does the same job through a
+    void-dtype sort an order of magnitude slower (it was 93 % of a
+    star-engine op until ISSUE 21), and a hand-rolled ``np.lexsort`` +
+    neighbour diff is a second copy of the kernel.  A ``lexsort`` that
+    orders rows without grouping them (an index order) says so beside
+    its pragma.
+    """
+
+    id = "single-grouping-kernel"
+    title = "composite-key grouping lives in repro/grouping.py only"
+    rationale = ("np.unique(axis=0) sorts void-dtype rows ~10x slower "
+                 "than a lexsort of the columns, and every hand-rolled "
+                 "lexsort + neighbour diff is a copy of the shared "
+                 "kernel that drifts from it")
+
+    HOME = "repro/grouping.py"
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/")
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            if name == "unique" and any(
+                    keyword.arg == "axis"
+                    and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value == 0
+                    for keyword in node.keywords):
+                findings.append(self.finding(
+                    path, node,
+                    "`np.unique(..., axis=0)` sorts whole rows as one "
+                    "void-dtype key (group the columns with "
+                    "repro.grouping.group instead)", lines))
+            elif name == "lexsort" and not path.endswith(self.HOME):
+                findings.append(self.finding(
+                    path, node,
+                    "`np.lexsort` outside repro/grouping.py (group "
+                    "through repro.grouping.group / sorted_runs; a sort "
+                    "that is not a grouping carries a pragma saying "
+                    "so)", lines))
         return findings
 
 
@@ -1132,6 +1214,7 @@ ALL_RULES: List[Rule] = [
     SingleSparqlAggregateRule(),
     SingleExpressionLoopRule(),
     ColumnarJoinStepRule(),
+    SingleGroupingKernelRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -10,11 +10,19 @@ the cumulative table.
 Usage::
 
     python tools/profile_round.py --workload rollup_20k [--top 30]
-    make profile WORKLOAD=rollup_20k [TOP=30]
+    python tools/profile_round.py --workload rollup_20k \\
+        --wall repro.sparql.aggregation.partials,repro.olap.kernel.partials
+    make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...]
 
 ``cProfile`` charges every Python call but not the work inside native
 code, so the proportions lean against call-heavy code: find candidates
 here, measure them with ``make perf`` / ``make perf-compare``.
+``--wall`` sizes a candidate before that: the same round once more,
+un-profiled, with a ``perf_counter`` wrapper around each named function
+(``module.function`` or ``module.Class.method``), and their share of
+the round's wall clock — the number a claim should be sized from
+(cProfile put ``aggregation.partials`` at 58 % of a roll-up; it is
+45 %).
 """
 
 from __future__ import annotations
@@ -22,14 +30,61 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import importlib
 import pstats
 import random
 import sys
+import time
 from pathlib import Path
+from typing import Any, Callable, Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 # the harness modules import each other by bare name
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
+
+
+def _resolve(dotted: str) -> Any:
+    """The object ``dotted`` names: its longest importable prefix, then
+    attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            found = getattr(found, name)
+        return found
+    raise SystemExit(f"--wall: cannot import {dotted!r}")
+
+
+def timed(dotted: str, seconds: Dict[str, List[float]]
+          ) -> Callable[[], None]:
+    """Put a ``perf_counter`` wrapper in place of the function
+    ``dotted`` names — on its owner and in every loaded module that
+    imported it by name — appending each call's wall clock (callees
+    included) to ``seconds[dotted]``.  Returns the undo."""
+    original = _resolve(dotted)
+    name = dotted.rpartition(".")[2]
+    calls = seconds.setdefault(dotted, [])
+
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        started = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            calls.append(time.perf_counter() - started)
+
+    holders = [holder for holder in [_resolve(dotted.rpartition(".")[0]),
+                                     *sys.modules.values()]
+               if getattr(holder, "__dict__", {}).get(name) is original]
+    for holder in holders:
+        setattr(holder, name, wrapper)
+
+    def undo() -> None:
+        for holder in holders:
+            setattr(holder, name, original)
+    return undo
 
 
 def main() -> int:
@@ -44,7 +99,11 @@ def main() -> int:
                         help="rows of the cumulative table")
     parser.add_argument("--sort", default="cumulative",
                         help="pstats sort key (cumulative, tottime, ...)")
+    parser.add_argument("--wall", default="", metavar="FUNC[,FUNC...]",
+                        help="dotted names of functions to time, callees "
+                             "included, in one more, un-profiled round")
     args = parser.parse_args()
+    named = [name for name in args.wall.split(",") if name]
 
     workload = WORKLOADS[args.workload]
     cube = harness.set_up(workload.observations, args.seed, workload.star,
@@ -58,12 +117,29 @@ def main() -> int:
         for op in ops:
             harness.run_op(cube, op)
         profile.disable()
+        seconds: Dict[str, List[float]] = {}
+        if named:
+            undo = [timed(name, seconds) for name in named]
+            gc.collect()
+            started = time.perf_counter()
+            for op in ops:
+                harness.run_op(cube, op)
+            wall = time.perf_counter() - started
+            for restore in undo:
+                restore()
     finally:
         harness.clean_up(cube)
     print(f"# one round of {args.workload} (seed {args.seed}): "
           f"{len(ops)} ops")
     pstats.Stats(profile).strip_dirs().sort_stats(args.sort).print_stats(
         args.top)
+    if named:
+        print(f"# the same round un-profiled: {wall * 1e3:.1f} ms wall "
+              f"clock; per function, callees included")
+        for name in named:
+            calls = seconds[name]
+            print(f"{sum(calls) * 1e3:10.1f} ms {sum(calls) / wall:6.1%} "
+                  f"{len(calls):6d} calls  {name}")
     return 0
 
 
