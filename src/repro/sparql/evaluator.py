@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.grouping import group
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Term
 from repro.sparql import aggregation
@@ -28,6 +29,7 @@ from repro.sparql.algebra import (
     SelectQuery,
     Var,
 )
+from repro.sparql.bindings import BindingTable
 from repro.sparql.errors import (
     EvaluationError,
     ExpressionError,
@@ -217,11 +219,31 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
         result_bindings = aggregation.finalize(
             plan, aggregation.merge(plan, parts), decode, eval_context)
     else:
+        if query.distinct and not query.order_by and not any(
+                item.expression is not None
+                for item in query.projection or ()):
+            # only the distinct output rows are worth decoding
+            table = _distinct_table(table, query.output_names())
         result_bindings = evaluator.decoded(table)
         for row in result_bindings:
             aggregation.apply_projection(
                 query.projection, row, eval_context)
     return _finalize_select(query, result_bindings, eval_context)
+
+
+def _distinct_table(table: BindingTable, names: List[str]) -> BindingTable:
+    """``table`` cut down to the output ``names`` it has, the first
+    occurrence of each distinct row kept, in order.  Within one
+    evaluator ids and terms are one-to-one (overlay ids included), so
+    these are the rows DISTINCT keeps after decoding — a SELECT
+    DISTINCT of plain variables decodes its answer, not its input."""
+    kept = [name for name in names if name in table.slots]
+    columns = [table.columns[table.slots[name]] for name in kept]
+    if not columns:
+        return BindingTable.of((), (), min(len(table), 1))
+    first, _inverse = group(columns, len(table), by_first_row=True)
+    return BindingTable.of(kept, [column[first] for column in columns],
+                           len(first))
 
 
 def _finalize_select(query: SelectQuery, result_bindings: List[Binding],

@@ -206,3 +206,94 @@ class TestHashBuild:
             assert found == expected
             if len(v_positions) == 1:  # sorted once, as int64
                 assert build[2].dtype == np.int64
+
+
+class TestDistinctBeforeDecode:
+    """SELECT DISTINCT of plain variables (or ``*``) without ORDER BY
+    takes its distinct rows at the id level and decodes only those:
+    the same rows, in the same order, as the query without DISTINCT
+    deduplicated term by term (first occurrence kept)."""
+
+    PREFIX = "PREFIX ex: <http://example.org/>\n"
+
+    def agree(self, endpoint, head, body, monkeypatch):
+        from repro.sparql.evaluator_walker import PatternEvaluator
+        decoded = []
+        original = PatternEvaluator.decoded
+
+        def counting(evaluator, table):
+            decoded.append(len(table))
+            return original(evaluator, table)
+
+        plain = endpoint.select(f"{self.PREFIX}SELECT {head} {body}")
+        monkeypatch.setattr(PatternEvaluator, "decoded", counting)
+        distinct = endpoint.select(
+            f"{self.PREFIX}SELECT DISTINCT {head} {body}")
+        assert distinct.vars == plain.vars
+        assert distinct.rows == list(dict.fromkeys(plain.rows))
+        # and the decoder saw the answer, not the solutions
+        assert decoded == [len(distinct)]
+        return distinct
+
+    def test_unbound_cells_are_values_like_any_other(self, endpoint,
+                                                     monkeypatch):
+        table = self.agree(endpoint, "?t ?l", """WHERE {
+          ?s ex:v ?v OPTIONAL { ?s ex:tag ?t } OPTIONAL { ?s ex:link ?l }
+        }""", monkeypatch)
+        assert (None, None) in table.rows  # ex:d has neither
+        assert len(table) == 4
+
+    def test_a_projected_variable_the_pattern_never_binds(self, endpoint,
+                                                          monkeypatch):
+        table = self.agree(endpoint, "?t ?nowhere",
+                           "WHERE { ?s ex:tag ?t }", monkeypatch)
+        assert sorted(row[0].value for row in table.rows) == ["x", "y"]
+        assert all(row[1] is None for row in table.rows)
+
+    def test_no_projected_variable_is_bound_at_all(self, endpoint,
+                                                   monkeypatch):
+        table = self.agree(endpoint, "?nowhere", "WHERE { ?s ex:v ?v }",
+                           monkeypatch)
+        assert table.rows == [(None,)]
+        empty = self.agree(endpoint, "?nowhere", "WHERE { ?s ex:none ?v }",
+                           monkeypatch)
+        assert empty.rows == []
+
+    def test_union_with_overlapping_branches(self, endpoint, monkeypatch):
+        table = self.agree(endpoint, "?s", """WHERE {
+          { ?s ex:v 2 } UNION { ?s ex:tag "x" } UNION { ?s ex:link ?o }
+        }""", monkeypatch)
+        assert len(table) == 3  # b, c; a, b; a, c
+
+    def test_star_projection(self, endpoint, monkeypatch):
+        table = self.agree(endpoint, "*", """WHERE {
+          { ?s ex:tag ?t } UNION { ?s ex:tag ?t . ?s ex:v ?v }
+        }""", monkeypatch)
+        assert table.vars == ["s", "t", "v"]
+        assert len(table) == 6
+
+    def test_computed_values_live_in_the_overlay_range(self, endpoint,
+                                                       monkeypatch):
+        # ?w takes two stored values (1 + 1 = 2 is interned, by ex:b)
+        # and computed ones no graph holds: overlay ids, one per term
+        table = self.agree(endpoint, "?w ?u", """WHERE {
+          ?s ex:v ?v BIND(?v + 1 AS ?w) BIND(CONCAT("n", STR(?v)) AS ?u)
+        }""", monkeypatch)
+        assert sorted(row[0].value for row in table.rows) == [2, 3, 4]
+
+    def test_offset_and_limit_cut_the_same_rows(self, endpoint,
+                                                monkeypatch):
+        plain = endpoint.select(self.PREFIX + """
+        SELECT ?t WHERE { ?s ex:v ?v OPTIONAL { ?s ex:tag ?t } }""")
+        cut = endpoint.select(self.PREFIX + """
+        SELECT DISTINCT ?t WHERE { ?s ex:v ?v OPTIONAL { ?s ex:tag ?t } }
+        OFFSET 1""")
+        assert cut.rows == list(dict.fromkeys(plain.rows))[1:]
+
+    def test_other_shapes_keep_the_term_level_tail(self, endpoint):
+        ordered = endpoint.select(self.PREFIX + """
+        SELECT DISTINCT ?t WHERE { ?s ex:tag ?t } ORDER BY DESC(?t)""")
+        assert [row[0].value for row in ordered.rows] == ["y", "x"]
+        computed = endpoint.select(self.PREFIX + """
+        SELECT DISTINCT (?v * 0 AS ?zero) WHERE { ?s ex:v ?v }""")
+        assert [row[0].value for row in computed.rows] == [0]
