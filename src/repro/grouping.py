@@ -4,8 +4,9 @@ The one place under ``src/`` that groups rows by several key columns.
 The star kernel (:mod:`repro.olap.kernel`: level codes → groups, and
 the merge of morsel partials), SPARQL ``GROUP BY``
 (:mod:`repro.sparql.aggregation`), the join kernel's composite keys
-(:mod:`repro.sparql.evaluator_steps`) and the storage tier's triple
-dedup (:mod:`repro.rdf.graph`) all call it; the ``single-grouping-kernel``
+(:mod:`repro.sparql.evaluator_steps`), SELECT DISTINCT before decode
+(:mod:`repro.sparql.evaluator`) and the storage tier's triple dedup
+(:mod:`repro.rdf.graph`) all call it; the ``single-grouping-kernel``
 lint rule keeps it that way.
 
 Keys are parallel integer columns of any width (``int8`` codes next to

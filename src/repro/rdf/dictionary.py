@@ -80,6 +80,18 @@ class TermDictionary:
                     self._ids[term] = term_id
         return term_id
 
+    def encode_all(self, terms: Iterable[Term]) -> List[int]:
+        """:meth:`encode` over a whole sequence, in order (so first
+        sights get the ids one ``encode`` call per term would have
+        given them): one dict probe per known term, the interning
+        mutex only for the ones never seen."""
+        known = self._ids.get
+        ids: List[int] = []
+        for term in terms:
+            term_id = known(term)
+            ids.append(self.encode(term) if term_id is None else term_id)
+        return ids
+
     def lookup(self, term: Term) -> Optional[int]:
         """The id for ``term`` or ``None`` — never interns."""
         return self._ids.get(term)

@@ -12,11 +12,12 @@ keyed on dense integer ids**:
   tombstone set for removals of already-compacted triples.
 
 Reads compose both tiers transparently; compaction folds the overlay
-into a fresh column generation at snapshot-epoch boundaries (and when
-a bulk load outgrows the write threshold), so the hot read path is
-array scans, not pointer chasing.  This is the storage layer
-underneath the local SPARQL endpoint that stands in for the Virtuoso
-instance used in the paper.
+into a fresh column generation at snapshot-epoch boundaries, and a
+batch big enough to outgrow the write threshold (:meth:`Graph.add_all`,
+:meth:`Graph.bulk_load_ids`) is folded in without ever entering the
+overlay, so the hot read path is array scans, not pointer chasing.
+This is the storage layer underneath the local SPARQL endpoint that
+stands in for the Virtuoso instance used in the paper.
 
 Pattern positions use ``None`` as the wildcard:
 
@@ -68,7 +69,8 @@ from repro.rdf.stats import (
     StatisticsView,
     build_predicate_summary,
 )
-from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, make_triple
+from repro.rdf.terms import (BNode, IRI, Literal, Term, Triple, check_triple,
+                             make_triple)
 from repro.testing import faults as _faults
 
 TriplePattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
@@ -80,8 +82,9 @@ _Index = Dict[int, Dict[int, Set[int]]]
 _WILD: IdPattern = (None, None, None)
 
 #: delta triples beyond which a mutation folds the overlay inline —
-#: scaled against the column generation so bulk loads compact a
-#: geometrically growing number of times, not per threshold step
+#: scaled against the column generation so a stream of single adds
+#: compacts a geometrically growing number of times, not per threshold
+#: step; a batch that would cross it folds once, without the overlay
 COMPACT_WRITE_THRESHOLD = 65536
 
 #: delta triples at/over which snapshot publication compacts first
@@ -135,6 +138,11 @@ def _pin_published_snapshot(owner):
 
 def _index_add(index: _Index, a: int, b: int, c: int) -> None:
     index.setdefault(a, {}).setdefault(b, set()).add(c)
+
+
+def _index_clone(index: _Index) -> _Index:
+    return {a: {b: set(c) for b, c in level.items()}
+            for a, level in index.items()}
 
 
 def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
@@ -242,9 +250,9 @@ class Graph(_GraphReadMixin):
         #: plan caches key on it so stale statistics age out, and the
         #: snapshot layer uses it as its consistency boundary.
         self.epoch = 0
-        #: optional hook ``(graph, s_id, p_id, o_id) -> None`` installed
-        #: by :class:`Dataset` to track cross-graph disjointness.
-        self._on_add = None
+        #: the :class:`Dataset` that tracks cross-graph disjointness and
+        #: is told of every new triple (``_track_add`` / ``_track_batch``)
+        self._tracker = None
         #: the exclusive write lock (shared across a Dataset's member
         #: graphs so multi-graph snapshots are consistent); mutations
         #: and snapshot publication both take it, reads never do.
@@ -279,12 +287,9 @@ class Graph(_GraphReadMixin):
         forever), the graph continues on fresh copies.  O(graph size),
         but paid once per write-burst-after-pin, not per triple.
         """
-        self._spo = {a: {b: set(c) for b, c in level.items()}
-                     for a, level in self._spo.items()}
-        self._pos = {a: {b: set(c) for b, c in level.items()}
-                     for a, level in self._pos.items()}
-        self._osp = {a: {b: set(c) for b, c in level.items()}
-                     for a, level in self._osp.items()}
+        self._spo = _index_clone(self._spo)
+        self._pos = _index_clone(self._pos)
+        self._osp = _index_clone(self._osp)
         # the column generation needs no clone — it is immutable, and
         # compaction *replaces* it, leaving the snapshot's reference
         # untouched — but the tombstone set mutates in place
@@ -309,71 +314,92 @@ class Graph(_GraphReadMixin):
         s, p, o = make_triple(s, p, o)
         with self._lock:
             encode = self.dictionary.encode
-            si, pi, oi = encode(s), encode(p), encode(o)
-            by_predicate = self._spo.get(si)
-            if by_predicate is not None and oi in by_predicate.get(pi, ()):
-                return self  # already present in the delta overlay
-            columns = self._columns
-            if columns is not None and columns.contains(si, pi, oi):
-                if (si, pi, oi) not in self._tombstones:
-                    return self  # already present in the columns
-                # re-adding a tombstoned triple: resurrect it in place
-                if self._shared:
-                    self._unshare()
-                new_subject = not self._has_sp(si, pi)
-                new_object = not self._has_po(pi, oi)
-                self._tombstones.discard((si, pi, oi))
-            else:
-                if self._shared:
-                    self._unshare()
-                new_subject = not self._has_sp(si, pi)
-                new_object = not self._has_po(pi, oi)
-                _index_add(self._spo, si, pi, oi)
-                _index_add(self._pos, pi, oi, si)
-                _index_add(self._osp, oi, si, pi)
-                self._delta_size += 1
-            self._size += 1
-            self.stats.record_add(pi, new_subject, new_object)
-            self.epoch += 1
-            if self._owner is not None:
-                self._owner._dirty = True
-            if self._on_add is not None:
-                self._on_add(self, si, pi, oi)
-            if self._delta_size >= max(COMPACT_WRITE_THRESHOLD,
-                                       self._column_size() >> 1):
-                self._compact()
+            if self._add_ids(encode(s), encode(p), encode(o)):
+                self._mutated()
+                if self._outgrown(self._delta_size):
+                    self._compact()
         return self
+
+    def _outgrown(self, delta: int) -> bool:
+        """The size rule of the write path: would an overlay of
+        ``delta`` triples be folded into the columns inline?"""
+        return delta >= max(COMPACT_WRITE_THRESHOLD,
+                            self._column_size() >> 1)
+
+    def _add_ids(self, si: int, pi: int, oi: int) -> bool:
+        """Put one encoded triple into the overlay; ``False`` when the
+        graph already holds it (must hold the lock)."""
+        by_predicate = self._spo.get(si)
+        if by_predicate is not None and oi in by_predicate.get(pi, ()):
+            return False  # already present in the delta overlay
+        columns = self._columns
+        if columns is not None and columns.contains(si, pi, oi):
+            if (si, pi, oi) not in self._tombstones:
+                return False  # already present in the columns
+            # re-adding a tombstoned triple: resurrect it in place
+            if self._shared:
+                self._unshare()
+            new_subject = not self._has_sp(si, pi)
+            new_object = not self._has_po(pi, oi)
+            self._tombstones.discard((si, pi, oi))
+        else:
+            if self._shared:
+                self._unshare()
+            new_subject = not self._has_sp(si, pi)
+            new_object = not self._has_po(pi, oi)
+            _index_add(self._spo, si, pi, oi)
+            _index_add(self._pos, pi, oi, si)
+            _index_add(self._osp, oi, si, pi)
+            self._delta_size += 1
+        self._size += 1
+        self.stats.record_add(pi, new_subject, new_object)
+        if self._tracker is not None:
+            self._tracker._track_add(self, si, pi, oi)
+        return True
+
+    def _mutated(self) -> None:
+        """The content changed: one epoch on, and the owning dataset's
+        published snapshot is stale (must hold the lock)."""
+        self.epoch += 1
+        if self._owner is not None:
+            self._owner._dirty = True
 
     def add_all(self, triples: Iterable[Union[Triple, Tuple]]) -> "Graph":
         """Add many triples as one atomic batch — **all or nothing**.
 
-        The write lock is held across the whole iteration, so a reader
-        pinning a snapshot sees either none or all of the batch.  If
-        any element fails mid-batch (a malformed term, an injected
-        fault), the triples already added are rolled back and the
-        epoch restored before the exception propagates — safe because
-        the lock was held throughout, so no intermediate epoch was
-        ever published to a reader.
+        The write lock is held throughout, so a reader pinning a
+        snapshot sees none or all of the batch.  The batch is first
+        validated and interned whole (positional constraints, the
+        ``graph.add_all.step`` failpoint per element) with the graph
+        left alone, so a failing element propagates with nothing to
+        undo; then placed — folded straight into the column tier when
+        it would have outgrown the write threshold on its way through
+        the overlay (:meth:`bulk_load_ids`), into the overlay
+        otherwise.  :attr:`epoch` moves on, once, exactly when the
+        batch held a new triple.
         """
         with self._lock:
-            epoch_before = self.epoch
-            added: List[Triple] = []
-            try:
-                for triple in triples:
-                    if _faults.ACTIVE:
-                        _faults.fire("graph.add_all.step")
-                    if isinstance(triple, tuple) and len(triple) == 3:
-                        triple = make_triple(*triple)
-                    size_before = self._size
-                    self.add(triple)
-                    if self._size != size_before:
-                        added.append(triple)
-            except BaseException:
-                for triple in reversed(added):
-                    self.remove(triple)
-                self.epoch = epoch_before
-                raise
+            s, p, o = self._encoded(triples)
+            if self._outgrown(self._delta_size + len(s)):
+                self._fold(s, p, o)
+            elif sum(map(self._add_ids, s.tolist(), p.tolist(), o.tolist())):
+                self._mutated()
         return self
+
+    def _encoded(self, triples: Iterable[Union[Triple, Tuple]]) -> np.ndarray:
+        """A batch validated and interned, as ``(S, P, O)`` id rows.
+        Everything that can fail does so here, before the graph is
+        touched; the term and id lists die with the call."""
+        terms: List[Term] = []
+        for triple in triples:
+            if _faults.ACTIVE:
+                _faults.fire("graph.add_all.step")
+            if not isinstance(triple, tuple) or len(triple) != 3:
+                raise TermError(f"expected a triple, got {triple!r}")
+            check_triple(*triple)
+            terms += triple
+        return np.asarray(self.dictionary.encode_all(terms),
+                          dtype=np.int64).reshape(-1, 3).T
 
     def remove(self, pattern: TriplePattern) -> int:
         """Remove all triples matching ``pattern``; return how many."""
@@ -401,35 +427,17 @@ class Graph(_GraphReadMixin):
                     lost_subject=not self._has_sp(si, pi),
                     lost_object=not self._has_po(pi, oi))
             self._size -= len(victims)
-            self.epoch += 1
-            if self._owner is not None:
-                self._owner._dirty = True
+            self._mutated()
             if len(self._tombstones) >= TOMBSTONE_THRESHOLD:
                 self._compact()
             return len(victims)
 
     def clear(self) -> None:
         with self._lock:
-            if self._shared:
-                # a snapshot still owns the old structures: abandon
-                # them to it instead of clearing them in place
-                self._spo = {}
-                self._pos = {}
-                self._osp = {}
-                self._tombstones = set()
-                self._shared = False
-            else:
-                self._spo.clear()
-                self._pos.clear()
-                self._osp.clear()
-                self._tombstones.clear()
-            self._columns = None
-            self._delta_size = 0
+            self._install(None)
             self._size = 0
             self.stats.clear()
-            self.epoch += 1
-            if self._owner is not None:
-                self._owner._dirty = True
+            self._mutated()
 
     # -- compaction (delta overlay -> sorted columns) ------------------------
 
@@ -483,56 +491,46 @@ class Graph(_GraphReadMixin):
 
     def bulk_load_ids(self, s_ids, p_ids, o_ids) -> "Graph":
         """Bulk-load dictionary-encoded triples straight into the
-        columnar tier — the 1M+-observation load path.
+        columnar tier — the id-level entry to the fold a large
+        :meth:`add_all` batch takes, and the 1M+-observation load path.
 
         The three parallel arrays (anything :func:`numpy.asarray`
-        accepts) are deduplicated, merged with the graph's existing
-        content, and folded into one fresh column generation with no
-        per-triple dict writes; statistics are rebuilt vectorized per
-        predicate.  Every id must already be interned in the graph's
-        term dictionary (use :meth:`TermDictionary.encode`).
+        accepts) are deduplicated against each other and against the
+        graph's content and folded into one fresh column generation
+        with no per-triple dict writes.  Every id must already be
+        interned in the graph's term dictionary (use
+        :meth:`TermDictionary.encode`).
         """
         with self._lock:
-            fresh = np.stack([np.asarray(s_ids, dtype=np.int64),
-                              np.asarray(p_ids, dtype=np.int64),
-                              np.asarray(o_ids, dtype=np.int64)], axis=1)
-            if not len(fresh):
-                return self
-            if self._size:
-                existing = np.asarray(list(self.triples_ids()),
-                                      dtype=np.int64)
-                fresh = np.concatenate([existing, fresh])
-            # dedup: keep the first triple of each run of equal ones
-            order, starts = sorted_runs(list(fresh.T), len(fresh))
-            rows = fresh[order[starts]]
-            if self._shared:
-                self._spo = {}
-                self._pos = {}
-                self._osp = {}
-                self._tombstones = set()
-                self._shared = False
-            else:
-                self._spo.clear()
-                self._pos.clear()
-                self._osp.clear()
-                self._tombstones.clear()
-            self._delta_size = 0
-            self._columns = TripleColumns(rows[:, 0], rows[:, 1],
-                                          rows[:, 2])
-            self._size = self._columns.size
-            self.stats.clear()
-            self._refresh_stats(np.unique(rows[:, 1]).tolist())
-            CONCURRENCY.record_compaction()
-            self.epoch += 1
-            if self._owner is not None:
-                self._owner._dirty = True
-                # bulk ids bypass per-triple overlap tracking: drop the
-                # dataset's disjointness claim (conservative direction)
-                self._owner._disjoint = False
+            self._fold(np.asarray(s_ids, dtype=np.int64),
+                       np.asarray(p_ids, dtype=np.int64),
+                       np.asarray(o_ids, dtype=np.int64))
         return self
 
+    def _fold(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> None:
+        """Place a batch of encoded triples by rebuilding the column
+        tier (must hold the lock): stored content ‖ batch, one sort,
+        the first of each run of equal triples kept — no overlay
+        write, no per-triple probe.  The kept rows that came from the
+        batch are its new triples; with none, nothing changes."""
+        held = self.match_arrays(_WILD)
+        merged = concat_arrays([held, (s, p, o)])
+        order, starts = sorted_runs(merged, len(merged[0]))
+        kept = order[starts]
+        fresh = kept[kept >= self._size]
+        if not len(fresh):
+            return
+        self._install(TripleColumns(*(column[kept] for column in merged)))
+        self._size = len(kept)
+        CONCURRENCY.record_compaction()
+        self._mutated()
+        s, p, o = (column[fresh] for column in merged)
+        self._refresh_stats(np.unique(p).tolist())
+        if self._tracker is not None:
+            self._tracker._track_batch(self, s, p, o)
+
     def _compact(self) -> None:
-        """The fold itself (must hold the lock).
+        """The fold of what the graph already holds (must hold the lock).
 
         Pinned snapshots keep the dict overlay they were sharing (it
         is abandoned to them, exactly like :meth:`clear`) and the old
@@ -548,7 +546,16 @@ class Graph(_GraphReadMixin):
         touched = {pi for by_predicate in self._spo.values()
                    for pi in by_predicate}
         touched.update(pi for _, pi, _ in self._tombstones)
-        self._columns = self.folded_columns()
+        self._install(self.folded_columns())
+        CONCURRENCY.record_compaction()
+        self._refresh_stats(touched)
+
+    def _install(self, columns: Optional[TripleColumns]) -> None:
+        """Make ``columns`` the whole stored content, the one place a
+        generation is swapped in (must hold the lock).  A published
+        snapshot that still shares the overlay and the tombstone set
+        keeps them — the graph goes on with fresh empty ones;
+        unshared, they are cleared in place."""
         if self._shared:
             self._spo = {}
             self._pos = {}
@@ -560,9 +567,8 @@ class Graph(_GraphReadMixin):
             self._pos.clear()
             self._osp.clear()
             self._tombstones.clear()
+        self._columns = columns
         self._delta_size = 0
-        CONCURRENCY.record_compaction()
-        self._refresh_stats(touched)
 
     def _refresh_stats(self, touched) -> None:
         """Re-derive exact per-predicate counters (and any cached
@@ -950,12 +956,9 @@ class Graph(_GraphReadMixin):
         with self._lock:
             clone = Graph(self.identifier, self.namespace_manager.copy(),
                           dictionary=self.dictionary)
-            clone._spo = {a: {b: set(c) for b, c in level.items()}
-                          for a, level in self._spo.items()}
-            clone._pos = {a: {b: set(c) for b, c in level.items()}
-                          for a, level in self._pos.items()}
-            clone._osp = {a: {b: set(c) for b, c in level.items()}
-                          for a, level in self._osp.items()}
+            clone._spo = _index_clone(self._spo)
+            clone._pos = _index_clone(self._pos)
+            clone._osp = _index_clone(self._osp)
             #: the column generation is immutable — share it outright
             clone._columns = self._columns
             clone._tombstones = set(self._tombstones)
@@ -1048,7 +1051,7 @@ class GraphSnapshot(Graph):
         self.epoch = graph.epoch
         #: ids below this were interned when the snapshot was taken
         self.dictionary_mark = len(graph.dictionary)
-        self._on_add = None
+        self._tracker = None
         self._lock = graph._lock
         self._shared = True
         self._snapshot = None
@@ -1071,6 +1074,7 @@ class GraphSnapshot(Graph):
 
     add = _read_only
     add_all = _read_only
+    bulk_load_ids = _read_only
     remove = _read_only
     clear = _read_only
     parse = _read_only
@@ -1295,8 +1299,8 @@ class Dataset:
         graph._lock = self._lock
         graph._owner = self
         self._dirty = True
-        if graph._on_add is None:
-            graph._on_add = self._track_add
+        if graph._tracker is None:
+            graph._tracker = self
         else:
             # the graph reports adds to another dataset's tracker, so
             # overlaps here would go unseen — stay conservative and
@@ -1325,7 +1329,7 @@ class Dataset:
                     graph = Graph(iri, self.namespace_manager,
                                   dictionary=self.dictionary,
                                   lock=self._lock)
-                    graph._on_add = self._track_add
+                    graph._tracker = self
                     graph._owner = self
                     self._named[iri] = graph
                     self._dirty = True
@@ -1347,23 +1351,34 @@ class Dataset:
     def graphs_disjoint(self) -> bool:
         """True while no triple has been added to two member graphs.
 
-        Maintained incrementally on every add (a handful of dict probes
-        against the sibling graphs); once an overlap appears the flag
-        stays conservative-False.
+        Maintained on every add (a handful of probes against the
+        sibling graphs) and every folded batch (one sort per non-empty
+        sibling); once an overlap appears the flag stays
+        conservative-False.
         """
         return self._disjoint
 
     def _track_add(self, graph: Graph, si: int, pi: int, oi: int) -> None:
         if not self._disjoint:
             return
-        if graph is not self.default \
-                and self.default.contains_id(si, pi, oi):
-            self._disjoint = False
+        for other in (self._default, *self._named.values()):
+            if other is not graph and other.contains_id(si, pi, oi):
+                self._disjoint = False
+                return
+
+    def _track_batch(self, graph: Graph, s: np.ndarray, p: np.ndarray,
+                     o: np.ndarray) -> None:
+        """:meth:`_track_add` for the distinct new triples a fold gave
+        ``graph``: a sibling holds one of them exactly when sorting the
+        sibling's content together with them finds two equal rows."""
+        if not self._disjoint:
             return
-        for other in self._named.values():
-            if other is graph:
+        for other in (self._default, *self._named.values()):
+            if other is graph or not len(other):
                 continue
-            if other.contains_id(si, pi, oi):
+            held = other.match_arrays(_WILD)
+            merged = concat_arrays([held, (s, p, o)])
+            if not sorted_runs(merged, len(merged[0]))[1].all():
                 self._disjoint = False
                 return
 

@@ -390,8 +390,8 @@ class Triple(NamedTuple):
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
 
-def make_triple(subject: Term, predicate: Term, obj: Term) -> Triple:
-    """Build a :class:`Triple`, enforcing RDF positional constraints."""
+def check_triple(subject: Term, predicate: Term, obj: Term) -> None:
+    """Enforce the RDF positional constraints on one statement."""
     if not isinstance(subject, (IRI, BNode)):
         raise TermError(
             f"triple subject must be an IRI or blank node, got {subject!r}")
@@ -399,6 +399,11 @@ def make_triple(subject: Term, predicate: Term, obj: Term) -> Triple:
         raise TermError(f"triple predicate must be an IRI, got {predicate!r}")
     if not isinstance(obj, Term):
         raise TermError(f"triple object must be an RDF term, got {obj!r}")
+
+
+def make_triple(subject: Term, predicate: Term, obj: Term) -> Triple:
+    """Build a :class:`Triple`, enforcing RDF positional constraints."""
+    check_triple(subject, predicate, obj)
     return Triple(subject, predicate, obj)
 
 

@@ -219,8 +219,8 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
         result_bindings = aggregation.finalize(
             plan, aggregation.merge(plan, parts), decode, eval_context)
     else:
-        if query.distinct and not query.order_by and not any(
-                item.expression is not None
+        if query.distinct and not query.order_by and all(
+                item.expression is None
                 for item in query.projection or ()):
             # only the distinct output rows are worth decoding
             table = _distinct_table(table, query.output_names())

@@ -338,6 +338,44 @@ FIXTURES = {
             return np.unique(column, return_inverse=True)
         """,
     ),
+    "single-generation-install": (
+        """
+        class Graph:
+            def bulk_load_ids(self, s, p, o):
+                with self._lock:
+                    self._spo.clear()
+                    self._columns = TripleColumns(s, p, o)
+
+            def add_all(self, triples):
+                with self._lock:
+                    for triple in triples:
+                        self.add(triple)
+        """,
+        GRAPH,
+        """
+        class Graph:
+            def __init__(self):
+                self._columns = None
+
+            def add_all(self, triples):
+                with self._lock:
+                    ids = self.dictionary.encode_all(checked(triples))
+                    self._fold(*ids)
+
+            def _fold(self, s, p, o):
+                \"\"\"Must hold the lock.\"\"\"
+                self._install(TripleColumns(s, p, o))
+
+            def _install(self, columns):
+                \"\"\"Must hold the lock.\"\"\"
+                self._spo.clear()
+                self._columns = columns
+
+        class GraphSnapshot(Graph):
+            def __init__(self, graph):
+                self._columns = graph._columns
+        """,
+    ),
 }
 
 
@@ -602,6 +640,66 @@ def test_grouping_has_one_home():
     # the shared module is worker-side code, top to bottom
     worker = "def group(columns, count):\n    return PLAN_CACHE\n"
     assert findings_for(worker, home, "parallel-safety")
+
+
+def test_a_generation_is_installed_in_one_place():
+    """``self._columns = …`` is a finding in every method of
+    ``rdf/graph.py`` but ``__init__`` and ``_install`` — ``clear`` and
+    ``_compact`` included, which used to carry their own copies —
+    while another object's ``_columns`` and other files are free; the
+    real module is clean without a pragma."""
+    rule = "single-generation-install"
+    swap = """
+    class Graph:
+        def {name}(self):
+            \"\"\"Must hold the lock.\"\"\"
+            self._columns = None
+            clone._columns = self._columns
+    """
+    for name in ("clear", "_compact", "_fold", "bulk_load_ids", "copy"):
+        found = findings_for(swap.format(name=name), GRAPH, rule)
+        assert len(found) == 1 and "_install" in found[0].message
+    for name in ("__init__", "_install"):
+        assert findings_for(swap.format(name=name), GRAPH, rule) == []
+    assert findings_for(swap.format(name="clear"), COLUMNAR, rule) == []
+    source = (ROOT / GRAPH).read_text(encoding="utf-8")
+    assert "allow[single-generation-install]" not in source
+    assert findings_for(source, GRAPH, rule) == []
+    assert findings_for(source, GRAPH, "lock-discipline") == []
+
+
+def test_the_batch_path_does_not_loop_over_add():
+    """A ``self.add(`` call inside a ``for`` statement or a
+    comprehension is a finding in ``Graph``; a single call, a loop over
+    the id-level body, and a loop in another class are not."""
+    rule = "single-generation-install"
+    loops = """
+    class Graph:
+        def add_all(self, triples):
+            with self._lock:
+                for triple in triples:
+                    if triple:
+                        self.add(triple)
+
+        def __iadd__(self, triples):
+            return [self.add(triple) for triple in triples]
+
+        def add_one(self, triple):
+            return self.add(triple)
+
+        def place(self, ids):
+            with self._lock:
+                for si, pi, oi in ids:
+                    self._add_ids(si, pi, oi)
+
+    class Loader:
+        def load(self, triples):
+            for triple in triples:
+                self.add(triple)
+    """
+    found = findings_for(loops, GRAPH, rule)
+    assert [finding.line for finding in found] == [7, 10]
+    assert all("add_all" in finding.message for finding in found)
 
 
 def test_evaluator_rules_cover_the_whole_family():

@@ -62,6 +62,10 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     Under ``src/`` only ``repro/grouping.py`` groups rows by several
     key columns: no ``np.unique(..., axis=0)`` anywhere, no
     ``np.lexsort`` outside it.
+``single-generation-install``
+    In ``repro/rdf/graph.py`` a column generation is swapped in by one
+    helper (``self._columns = …`` only in ``__init__`` and
+    ``_install``), and no method of ``Graph`` loops over ``self.add(``.
 """
 
 from __future__ import annotations
@@ -1199,6 +1203,71 @@ class SingleGroupingKernelRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# single-generation-install
+# ---------------------------------------------------------------------------
+
+
+class SingleGenerationInstallRule(Rule):
+    """One batch write path, one place a generation is swapped in.
+
+    ``Graph._install`` is the only code that replaces the column
+    generation and abandons-or-clears the overlay with it; compaction,
+    the batch fold and ``clear`` call it (they were three copies of the
+    same twelve lines, and the copy in ``bulk_load_ids`` had drifted:
+    it dropped the statistics and the dataset's disjointness claim).
+    And a batch is validated, interned and placed as a batch: a loop
+    over ``self.add(`` inside ``Graph`` is the per-triple load ISSUE 22
+    deleted (10 µs a triple, twice validated, rolled back by hand).
+    """
+
+    id = "single-generation-install"
+    title = "one install helper, no per-triple add loop, in rdf/graph.py"
+    rationale = ("a second `self._columns = …` site forgets the overlay, "
+                 "the shared flag or the delta size sooner or later, and "
+                 "a `for` over `self.add(` pays the overlay for every "
+                 "triple of a batch the column tier could take whole")
+
+    INSTALLERS = {"__init__", "_install"}
+    LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+    def applies_to(self, path: str) -> bool:
+        return path.endswith("repro/rdf/graph.py")
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                function = enclosing_function(node, parents)
+                if any(_self_attr(target) == "_columns"
+                       for target in targets) and (
+                        function is None
+                        or function.name not in self.INSTALLERS):
+                    findings.append(self.finding(
+                        path, node,
+                        "`self._columns` assigned outside `_install` "
+                        "(swap a generation in through the one helper, "
+                        "which also settles the overlay it replaces)",
+                        lines))
+            elif isinstance(node, ast.Call) \
+                    and _self_attr(node.func) == "add":
+                owner = enclosing_class(node, parents)
+                if owner is not None and owner.name == "Graph" and any(
+                        isinstance(ancestor, self.LOOPS)
+                        for ancestor in ancestors(node, parents)):
+                    findings.append(self.finding(
+                        path, node,
+                        "`self.add(` in a loop inside `Graph` (hand the "
+                        "batch to `add_all`: one validation, one "
+                        "interning pass, one placement)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -1215,6 +1284,7 @@ ALL_RULES: List[Rule] = [
     SingleExpressionLoopRule(),
     ColumnarJoinStepRule(),
     SingleGroupingKernelRule(),
+    SingleGenerationInstallRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -1,18 +1,24 @@
 #!/usr/bin/env python
-"""``cProfile`` one round of one perf-benchmark workload.
+"""``cProfile`` one round — or the set-up — of one perf-benchmark
+workload.
 
 Sets the workload up through ``benchmarks/perf/harness.py`` exactly as
 ``run.py`` does (imported, never edited), verifies it — which is also
 the warm round: every distinct op runs once, so plan and parse caches
 are hot — then runs one round of ops under :mod:`cProfile` and prints
-the cumulative table.
+the cumulative table.  With ``--setup`` the profiled subject is
+``harness.set_up`` itself (generate, load, enrich, and for a star
+workload ETL, column export and pool spawn): what ``setup_s`` is made
+of.
 
 Usage::
 
     python tools/profile_round.py --workload rollup_20k [--top 30]
     python tools/profile_round.py --workload rollup_20k \\
         --wall repro.sparql.aggregation.partials,repro.olap.kernel.partials
-    make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...]
+    python tools/profile_round.py --workload rollup_20k --setup \\
+        --wall repro.rdf.graph.Graph.add_all
+    make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...] [SETUP=1]
 
 ``cProfile`` charges every Python call but not the work inside native
 code, so the proportions lean against call-heavy code: find candidates
@@ -95,6 +101,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--setup", action="store_true",
+                        help="profile harness.set_up (generate, load, "
+                             "enrich, star ETL) instead of a round")
     parser.add_argument("--top", type=int, default=30,
                         help="rows of the cumulative table")
     parser.add_argument("--sort", default="cumulative",
@@ -106,35 +115,53 @@ def main() -> int:
     named = [name for name in args.wall.split(",") if name]
 
     workload = WORKLOADS[args.workload]
-    cube = harness.set_up(workload.observations, args.seed, workload.star,
-                          Tracer())
+
+    def set_up() -> Any:
+        return harness.set_up(workload.observations, args.seed,
+                              workload.star, Tracer())
+
+    def close(made: Any) -> None:
+        if made is not None:
+            harness.clean_up(made)
+
+    cube = None
     try:
-        ops = workload.round_ops(random.Random(args.seed))
-        harness.verify(cube, ops)
+        if args.setup:
+            # the subject is set-up itself; each run's cube is closed
+            # outside the measured region
+            subject, what = set_up, f"set-up of {args.workload}"
+        else:
+            cube = set_up()
+            ops = workload.round_ops(random.Random(args.seed))
+            harness.verify(cube, ops)
+            what = f"one round of {args.workload}: {len(ops)} ops"
+
+            def subject() -> None:
+                for op in ops:
+                    harness.run_op(cube, op)
         gc.collect()
         profile = cProfile.Profile()
         profile.enable()
-        for op in ops:
-            harness.run_op(cube, op)
+        made = subject()
         profile.disable()
+        close(made)
         seconds: Dict[str, List[float]] = {}
         if named:
             undo = [timed(name, seconds) for name in named]
             gc.collect()
             started = time.perf_counter()
-            for op in ops:
-                harness.run_op(cube, op)
+            made = subject()
             wall = time.perf_counter() - started
+            close(made)
             for restore in undo:
                 restore()
     finally:
-        harness.clean_up(cube)
-    print(f"# one round of {args.workload} (seed {args.seed}): "
-          f"{len(ops)} ops")
+        close(cube)
+    print(f"# {what} (seed {args.seed})")
     pstats.Stats(profile).strip_dirs().sort_stats(args.sort).print_stats(
         args.top)
     if named:
-        print(f"# the same round un-profiled: {wall * 1e3:.1f} ms wall "
+        print(f"# the same again un-profiled: {wall * 1e3:.1f} ms wall "
               f"clock; per function, callees included")
         for name in named:
             calls = seconds[name]
