@@ -28,13 +28,14 @@ copy), which is what the evaluator's vectorized batch pipeline and the
 merge-join grouping consume.
 
 The columns are **immutable by construction**: mutation lives in the
-owning :class:`~repro.rdf.graph.Graph`'s small dict-backed delta
-overlay (the legacy SPO/POS/OSP dicts, now holding only uncompacted
-writes) plus a tombstone set for removals of compacted triples.
-:meth:`TripleColumns.merged` folds delta + tombstones into a fresh
-sorted generation at compaction time; pinned snapshots keep the old
-generation by reference, so a compaction never disturbs a reader —
-this is what makes snapshot pinning of the bulk data literally free.
+owning :class:`~repro.rdf.graph.Graph`'s two small hash-indexed tiers —
+the delta overlay holding uncompacted writes and the tombstones naming
+removed compacted triples.  :meth:`TripleColumns.merged` merges delta
+and tombstones into a fresh sorted generation at compaction time, at
+the cost of one copy plus a search per changed row; pinned snapshots
+keep the old generation by reference, so a compaction never disturbs a
+reader — this is what makes snapshot pinning of the bulk data
+literally free.
 
 Ids are stored in the smallest integer dtype that fits (int32 for any
 realistic dictionary, int64 beyond), and probe values outside the
@@ -53,7 +54,7 @@ before touching numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +65,11 @@ IdPattern = Tuple[Optional[int], Optional[int], Optional[int]]
 #: one generation, keyed ``"spo"`` / ``"pos"`` / ``"osp"``.
 OrderArrays = Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-__all__ = ["OrderArrays", "TripleColumns", "concat_arrays", "value_counts"]
+#: Triples as three parallel ``(S, P, O)`` id arrays.
+IdArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+__all__ = ["IdArrays", "OrderArrays", "TripleColumns", "concat_arrays",
+           "value_counts"]
 
 #: positional column index of each order's sort-key sequence
 _ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
@@ -177,22 +182,58 @@ class TripleColumns:
         return (self._orders, self._ceiling,
                 (self.n_subjects, self.n_predicates, self.n_objects))
 
-    def merged(self, delta_spo: Dict[int, Dict[int, Set[int]]],
-               tombstones: Set[IdTriple]) -> "TripleColumns":
-        """A fresh generation: these columns minus ``tombstones`` plus
-        the delta overlay's triples.  The receiver is left untouched
-        (pinned snapshots keep reading it)."""
-        s, p, o = self.arrays((None, None, None), tombstones)
-        extra = [(si, pi, oi)
-                 for si, by_predicate in delta_spo.items()
-                 for pi, objects in by_predicate.items()
-                 for oi in objects]
-        if extra:
-            data = np.asarray(extra, dtype=np.int64)
-            s = np.concatenate([s.astype(np.int64, copy=False), data[:, 0]])
-            p = np.concatenate([p.astype(np.int64, copy=False), data[:, 1]])
-            o = np.concatenate([o.astype(np.int64, copy=False), data[:, 2]])
-        return TripleColumns(s, p, o)
+    def merged(self, delta: IdArrays, dead: IdArrays) -> "TripleColumns":
+        """A fresh generation: these columns minus the ``dead`` rows
+        plus the ``delta`` rows (both ``(S, P, O)`` id arrays; a dead
+        row that is not stored is ignored).  The receiver is left
+        untouched (pinned snapshots keep reading it).
+
+        A merge of sorted runs: only the delta is sorted; per order,
+        delta and dead rows are located among the stored rows by one
+        vectorized binary search and the new arrays are one masked
+        copy — O(n) copy + O(k log n) search for k changed rows, never
+        a re-sort of the n stored ones.  The result is exactly what
+        ``TripleColumns(s, p, o)`` of the same content builds.
+        """
+        fresh = TripleColumns(*delta)
+        if not self.size:
+            return fresh
+        orders: OrderArrays = {}
+        for name in _ORDER_KEYS:
+            at, found = self._locate(name, dead)
+            keep = np.ones(self.size, dtype=bool)
+            keep[at[found]] = False
+            gone = np.flatnonzero(~keep)
+            # a delta row goes where the first stored row not below it
+            # stands, moved left by the dead rows before that one and
+            # right by the delta rows before itself
+            added = fresh._orders[name]
+            slot = self._locate(name, added)[0]
+            slot += np.arange(fresh.size) - np.searchsorted(gone, slot)
+            size = self.size - len(gone) + fresh.size
+            old = np.ones(size, dtype=bool)
+            old[slot] = False
+            columns = []
+            for was, new in zip(self._orders[name], added):
+                column = np.empty(size, dtype=np.result_type(was, new))
+                column[old] = was[keep]
+                column[slot] = new
+                columns.append(column)
+            orders[name] = (columns[0], columns[1], columns[2])
+        if not size:
+            return fresh
+        leads = [orders[name][keys[0]]
+                 for name, keys in _ORDER_KEYS.items()]
+        ceiling = int(max(lead[-1] for lead in leads))
+        dtype = _dtype_for(ceiling)
+        if dtype != leads[0].dtype:  # the only wide ids were folded away
+            orders = {name: (s.astype(dtype), p.astype(dtype),
+                             o.astype(dtype))
+                      for name, (s, p, o) in orders.items()}
+        return TripleColumns.from_sorted_orders(
+            orders, size, ceiling,
+            (_run_count(leads[0]), _run_count(leads[1]),
+             _run_count(leads[2])))
 
     # -- range location ------------------------------------------------------
 
@@ -237,6 +278,43 @@ class TripleColumns:
                 return lo, lo
         return lo, hi
 
+    def _locate(self, order: str, rows: IdArrays
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where each ``(S, P, O)`` row stands in ``order``: the index
+        of the first stored row not below it, and whether that stored
+        row equals it.  One binary search over all the rows at once —
+        the first key by :func:`numpy.searchsorted`, the other two by
+        bisecting every row's range in step, compared key by key
+        (never packed into one word)."""
+        if not self.size:
+            nowhere = np.zeros(len(rows[0]), dtype=np.int64)
+            return nowhere, nowhere.astype(bool)
+        (first, a), (second, b), (third, c) = (
+            (self._orders[order][key], rows[key])
+            for key in _ORDER_KEYS[order])
+        if len(a) and a.dtype != first.dtype \
+                and 0 <= a.min() and a.max() <= self._ceiling:
+            # searchsorted would widen — and copy — the stored column
+            # instead; in range, so the cast cannot overflow
+            a = a.astype(first.dtype)
+        lo = np.searchsorted(first, a, "left")
+        hi = np.searchsorted(first, a, "right")
+        last = self.size - 1
+        while True:
+            unsettled = lo < hi
+            if not unsettled.any():
+                break
+            mid = (lo + hi) >> 1
+            probe = np.minimum(mid, last)  # settled rows may sit at the end
+            below = (second[probe] < b) \
+                | ((second[probe] == b) & (third[probe] < c))
+            lo = np.where(unsettled & below, mid + 1, lo)
+            hi = np.where(unsettled & ~below, mid, hi)
+        probe = np.minimum(lo, last)
+        found = (lo <= last) & (first[probe] == a) \
+            & (second[probe] == b) & (third[probe] == c)
+        return lo, found
+
     # -- reads ---------------------------------------------------------------
 
     def count(self, pattern: IdPattern) -> int:
@@ -248,25 +326,21 @@ class TripleColumns:
     def contains(self, s: int, p: int, o: int) -> bool:
         return self.count((s, p, o)) > 0
 
-    def arrays(self, pattern: IdPattern, dead: Iterable[IdTriple] = ()
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def arrays(self, pattern: IdPattern, dead: Optional[IdArrays] = None
+               ) -> IdArrays:
         """The matching rows as positional ``(S, P, O)`` column views
-        (zero-copy slices of the chosen order).  ``dead`` names stored
+        (zero-copy slices of the chosen order).  ``dead`` holds stored
         triples matching ``pattern`` to leave out (the owning graph's
-        tombstones): each is located by binary search and masked, so
-        the survivors keep their sorted order."""
+        tombstones) as ``(S, P, O)`` id arrays: they are located by
+        one vectorized binary search and masked, so the survivors keep
+        their sorted order."""
         order, prefix = self._route(pattern)
         lo, hi = self._range(order, prefix)
         s, p, o = (column[lo:hi] for column in self._orders[order])
-        keep = None
-        for triple in dead:
-            at, end = self._range(
-                order, tuple(triple[key] for key in _ORDER_KEYS[order]))
-            if at < end:
-                if keep is None:
-                    keep = np.ones(hi - lo, dtype=bool)
-                keep[at - lo] = False
-        if keep is not None:
+        if dead is not None and len(dead[0]):
+            at, found = self._locate(order, dead)
+            keep = np.ones(hi - lo, dtype=bool)
+            keep[at[found] - lo] = False
             s, p, o = s[keep], p[keep], o[keep]
         return s, p, o
 
@@ -277,12 +351,13 @@ class TripleColumns:
 
     # -- statistics support --------------------------------------------------
 
-    def predicate_value_counts(self, predicate_id: int
-                               ) -> Tuple[Dict[int, int], Dict[int, int], int]:
-        """``(subject_counts, object_counts, cardinality)`` for one
-        predicate, computed vectorized (one ``np.unique`` per side)."""
+    def predicate_counts(self, predicate_id: int) -> Tuple[int, int, int]:
+        """``(cardinality, distinct subjects, distinct objects)`` of
+        one predicate, from its POS range: the objects are sorted
+        there (a run count), the subjects take one sort."""
         subjects, _, objects = self.arrays((None, predicate_id, None))
-        return value_counts(subjects), value_counts(objects), len(subjects)
+        return (len(subjects), _run_count(np.sort(subjects)),
+                _run_count(objects))
 
     def has_subject(self, subject_id: int) -> bool:
         return self.count((subject_id, None, None)) > 0

@@ -7,9 +7,11 @@ keyed on dense integer ids**:
 * the compacted bulk lives in immutable, sorted columnar arrays
   (:class:`~repro.rdf.columnar.TripleColumns` — SPO/POS/OSP orders,
   answered by staged binary search and vectorized range scans);
-* fresh writes land in a small dict-of-dict-of-set **delta overlay**
-  (the three hash indexes ``_spo`` / ``_pos`` / ``_osp``), plus a
-  tombstone set for removals of already-compacted triples.
+* fresh writes land in a small **delta overlay**, removals of
+  already-compacted triples in the **tombstones** — each a
+  :class:`_TripleIndex` (dict-of-dict-of-set hash indexes in the
+  SPO / POS / OSP orders), so either answers any pattern shape in
+  O(matches).
 
 Reads compose both tiers transparently; compaction folds the overlay
 into a fresh column generation at snapshot-epoch boundaries, and a
@@ -53,12 +55,13 @@ idle graph serves every reader the same object with no copying.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.grouping import sorted_runs
-from repro.rdf.columnar import TripleColumns, concat_arrays
+from repro.rdf.columnar import IdArrays, TripleColumns, concat_arrays
 from repro.rdf.concurrency import CONCURRENCY, CountedRLock
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.errors import TermError
@@ -80,6 +83,8 @@ IdTriple = Tuple[int, int, int]
 _Index = Dict[int, Dict[int, Set[int]]]
 
 _WILD: IdPattern = (None, None, None)
+
+_NO_ROWS: IdArrays = (np.empty(0, dtype=np.int64),) * 3
 
 #: delta triples beyond which a mutation folds the overlay inline —
 #: scaled against the column generation so a stream of single adds
@@ -146,16 +151,158 @@ def _index_clone(index: _Index) -> _Index:
 
 
 def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
-    try:
-        level2 = index[a]
-        level3 = level2[b]
-        level3.discard(c)
-        if not level3:
-            del level2[b]
+    level2 = index[a]
+    level3 = level2[b]
+    level3.remove(c)
+    if not level3:
+        del level2[b]
         if not level2:
             del index[a]
-    except KeyError:
-        pass
+
+
+class _TripleIndex:
+    """A small mutable set of id triples behind three hash indexes
+    (``spo`` / ``pos`` / ``osp``, dict-of-dict-of-set) — the shape of
+    both mutable storage tiers, the delta overlay and the tombstones.
+    Membership and the ``(s, p, *)`` / ``(*, p, o)`` counts are O(1),
+    every other pattern shape O(matches)."""
+
+    __slots__ = ("spo", "pos", "osp", "size")
+
+    def __init__(self) -> None:
+        self.spo: _Index = {}
+        self.pos: _Index = {}
+        self.osp: _Index = {}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def has(self, s: int, p: int, o: int) -> bool:
+        by_predicate = self.spo.get(s)
+        return by_predicate is not None and o in by_predicate.get(p, ())
+
+    def add(self, s: int, p: int, o: int) -> None:
+        """Put in a triple the index does not hold."""
+        _index_add(self.spo, s, p, o)
+        _index_add(self.pos, p, o, s)
+        _index_add(self.osp, o, s, p)
+        self.size += 1
+
+    def discard(self, s: int, p: int, o: int) -> bool:
+        """Take a triple out; ``False`` when it was not there."""
+        if not self.has(s, p, o):
+            return False
+        _index_remove(self.spo, s, p, o)
+        _index_remove(self.pos, p, o, s)
+        _index_remove(self.osp, o, s, p)
+        self.size -= 1
+        return True
+
+    def clear(self) -> None:
+        self.spo.clear()
+        self.pos.clear()
+        self.osp.clear()
+        self.size = 0
+
+    def clone(self) -> "_TripleIndex":
+        twin = _TripleIndex()
+        twin.spo = _index_clone(self.spo)
+        twin.pos = _index_clone(self.pos)
+        twin.osp = _index_clone(self.osp)
+        twin.size = self.size
+        return twin
+
+    def ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
+        """The held triples matching ``pattern``, O(matches)."""
+        s, p, o = pattern
+        if s is not None:
+            by_predicate = self.spo.get(s)
+            if by_predicate is None:
+                return
+            if p is not None:
+                objects = by_predicate.get(p)
+                if objects is None:
+                    return
+                if o is not None:
+                    if o in objects:
+                        yield (s, p, o)
+                    return
+                for obj in objects:
+                    yield (s, p, obj)
+                return
+            for predicate, objects in by_predicate.items():
+                if o is not None:
+                    if o in objects:
+                        yield (s, predicate, o)
+                    continue
+                for obj in objects:
+                    yield (s, predicate, obj)
+            return
+        if p is not None:
+            by_object = self.pos.get(p)
+            if by_object is None:
+                return
+            if o is not None:
+                for subject in by_object.get(o, ()):
+                    yield (subject, p, o)
+                return
+            for obj, subjects in by_object.items():
+                for subject in subjects:
+                    yield (subject, p, obj)
+            return
+        if o is not None:
+            by_subject = self.osp.get(o)
+            if by_subject is None:
+                return
+            for subject, predicates in by_subject.items():
+                for predicate in predicates:
+                    yield (subject, predicate, o)
+            return
+        for subject, by_predicate in self.spo.items():
+            for predicate, objects in by_predicate.items():
+                for obj in objects:
+                    yield (subject, predicate, obj)
+
+    def count(self, pattern: IdPattern) -> int:
+        """How many held triples match ``pattern``, without iterating
+        them."""
+        s, p, o = pattern
+        if s is not None:
+            if p is not None:
+                objects = self.spo.get(s, {}).get(p)
+                if objects is None:
+                    return 0
+                if o is not None:
+                    return 1 if o in objects else 0
+                return len(objects)
+            if o is not None:
+                return len(self.osp.get(o, {}).get(s, ()))
+            by_predicate = self.spo.get(s)
+            if by_predicate is None:
+                return 0
+            return sum(map(len, by_predicate.values()))
+        if p is not None:
+            by_object = self.pos.get(p)
+            if by_object is None:
+                return 0
+            if o is not None:
+                return len(by_object.get(o, ()))
+            return sum(map(len, by_object.values()))
+        if o is not None:
+            by_subject = self.osp.get(o)
+            if by_subject is None:
+                return 0
+            return sum(map(len, by_subject.values()))
+        return self.size
+
+    def arrays(self, pattern: IdPattern = _WILD) -> IdArrays:
+        """:meth:`ids` as ``(S, P, O)`` id arrays."""
+        rows = list(self.ids(pattern))
+        if not rows:  # the common answer of a small tier: no numpy call
+            return _NO_ROWS
+        data = np.asarray(rows, dtype=np.int64)
+        return data[:, 0], data[:, 1], data[:, 2]
 
 
 class _GraphReadMixin:
@@ -230,17 +377,13 @@ class Graph(_GraphReadMixin):
         #: term ↔ id intern table; shared across a Dataset's graphs.
         self.dictionary = dictionary if dictionary is not None \
             else TermDictionary()
-        #: delta overlay: id-keyed hash indexes holding only the
-        #: triples written since the last compaction
-        self._spo: _Index = {}
-        self._pos: _Index = {}
-        self._osp: _Index = {}
+        #: delta overlay: the triples written since the last compaction
+        self._delta = _TripleIndex()
         #: the compacted, immutable sorted column generation (None
         #: until the first compaction folds the overlay)
         self._columns: Optional[TripleColumns] = None
         #: compacted triples that were removed but not yet folded away
-        self._tombstones: Set[IdTriple] = set()
-        self._delta_size = 0
+        self._tombstones = _TripleIndex()
         self._size = 0
         #: per-predicate cardinality / distinct-subject / distinct-object
         #: counters, maintained on every mutation (see repro.rdf.stats);
@@ -287,13 +430,11 @@ class Graph(_GraphReadMixin):
         forever), the graph continues on fresh copies.  O(graph size),
         but paid once per write-burst-after-pin, not per triple.
         """
-        self._spo = _index_clone(self._spo)
-        self._pos = _index_clone(self._pos)
-        self._osp = _index_clone(self._osp)
+        self._delta = self._delta.clone()
         # the column generation needs no clone — it is immutable, and
         # compaction *replaces* it, leaving the snapshot's reference
-        # untouched — but the tombstone set mutates in place
-        self._tombstones = set(self._tombstones)
+        # untouched — but the tombstones mutate in place
+        self._tombstones = self._tombstones.clone()
         self._shared = False
         CONCURRENCY.record_cow_copy()
 
@@ -316,7 +457,7 @@ class Graph(_GraphReadMixin):
             encode = self.dictionary.encode
             if self._add_ids(encode(s), encode(p), encode(o)):
                 self._mutated()
-                if self._outgrown(self._delta_size):
+                if self._outgrown(self._delta.size):
                     self._compact()
         return self
 
@@ -329,28 +470,21 @@ class Graph(_GraphReadMixin):
     def _add_ids(self, si: int, pi: int, oi: int) -> bool:
         """Put one encoded triple into the overlay; ``False`` when the
         graph already holds it (must hold the lock)."""
-        by_predicate = self._spo.get(si)
-        if by_predicate is not None and oi in by_predicate.get(pi, ()):
+        if self._delta.has(si, pi, oi):
             return False  # already present in the delta overlay
         columns = self._columns
-        if columns is not None and columns.contains(si, pi, oi):
-            if (si, pi, oi) not in self._tombstones:
-                return False  # already present in the columns
+        stored = columns is not None and columns.contains(si, pi, oi)
+        if stored and not self._tombstones.has(si, pi, oi):
+            return False  # already present in the columns
+        if self._shared:
+            self._unshare()
+        new_subject = not self._holds((si, pi, None))
+        new_object = not self._holds((None, pi, oi))
+        if stored:
             # re-adding a tombstoned triple: resurrect it in place
-            if self._shared:
-                self._unshare()
-            new_subject = not self._has_sp(si, pi)
-            new_object = not self._has_po(pi, oi)
-            self._tombstones.discard((si, pi, oi))
+            self._tombstones.discard(si, pi, oi)
         else:
-            if self._shared:
-                self._unshare()
-            new_subject = not self._has_sp(si, pi)
-            new_object = not self._has_po(pi, oi)
-            _index_add(self._spo, si, pi, oi)
-            _index_add(self._pos, pi, oi, si)
-            _index_add(self._osp, oi, si, pi)
-            self._delta_size += 1
+            self._delta.add(si, pi, oi)
         self._size += 1
         self.stats.record_add(pi, new_subject, new_object)
         if self._tracker is not None:
@@ -380,7 +514,7 @@ class Graph(_GraphReadMixin):
         """
         with self._lock:
             s, p, o = self._encoded(triples)
-            if self._outgrown(self._delta_size + len(s)):
+            if self._outgrown(self._delta.size + len(s)):
                 self._fold(s, p, o)
             elif sum(map(self._add_ids, s.tolist(), p.tolist(), o.tolist())):
                 self._mutated()
@@ -407,30 +541,48 @@ class Graph(_GraphReadMixin):
             ids = self._encode_pattern(pattern)
             if ids is None:
                 return 0
-            victims = list(self.triples_ids(ids))
-            if not victims:
+            rows = list(self.triples_ids(ids))
+            if not rows:
                 return 0
+            # the compacted victims come first: they are marked dead
+            # (the next compaction folds them away), the overlay's
+            # are taken out
+            stored = len(rows) - self._delta.count(ids)
             if self._shared:
                 self._unshare()
-            for si, pi, oi in victims:
-                if oi in self._spo.get(si, {}).get(pi, ()):
-                    _index_remove(self._spo, si, pi, oi)
-                    _index_remove(self._pos, pi, oi, si)
-                    _index_remove(self._osp, oi, si, pi)
-                    self._delta_size -= 1
-                else:
-                    # the triple lives in the compacted columns: mark
-                    # it dead; the next compaction folds it away
-                    self._tombstones.add((si, pi, oi))
-                self.stats.record_remove(
-                    pi,
-                    lost_subject=not self._has_sp(si, pi),
-                    lost_object=not self._has_po(pi, oi))
-            self._size -= len(victims)
+            for row in rows[:stored]:
+                self._tombstones.add(*row)
+            for row in rows[stored:]:
+                self._delta.discard(*row)
+            self._size -= len(rows)
+            self._record_removed(ids, rows)
             self._mutated()
-            if len(self._tombstones) >= TOMBSTONE_THRESHOLD:
+            if self._tombstones.size >= TOMBSTONE_THRESHOLD:
                 self._compact()
-            return len(victims)
+            return len(rows)
+
+    def _record_removed(self, pattern: IdPattern,
+                        rows: List[IdTriple]) -> None:
+        """Take ``rows`` — every match of ``pattern``, already gone
+        from both tiers — out of the statistics (must hold the lock).
+        A pattern that leaves the object unbound took every triple of
+        each (subject, predicate) pair it touched, so the predicate
+        lost that subject with them; with the object bound it took one
+        triple per pair, and the indexed count says whether another is
+        left.  Objects likewise, by whether the subject is bound."""
+        with_subject = {(si, pi) for si, pi, _ in rows}
+        with_object = {(pi, oi) for _, pi, oi in rows}
+        if pattern[2] is not None:
+            with_subject = {(si, pi) for si, pi in with_subject
+                            if not self._holds((si, pi, None))}
+        if pattern[0] is not None:
+            with_object = {(pi, oi) for pi, oi in with_object
+                           if not self._holds((None, pi, oi))}
+        lost_subjects = Counter(pi for _, pi in with_subject)
+        lost_objects = Counter(pi for pi, _ in with_object)
+        for pi, triples in Counter(pi for _, pi, _ in rows).items():
+            self.stats.record_remove(pi, triples, lost_subjects[pi],
+                                     lost_objects[pi])
 
     def clear(self) -> None:
         with self._lock:
@@ -448,7 +600,7 @@ class Graph(_GraphReadMixin):
     def tier_sizes(self) -> Tuple[int, int, int]:
         """``(column rows, overlay triples, pending tombstones)`` — the
         physical layout behind the content, for gates and telemetry."""
-        return self._column_size(), self._delta_size, len(self._tombstones)
+        return self._column_size(), self._delta.size, self._tombstones.size
 
     def folded_columns(self) -> TripleColumns:
         """The whole content as one immutable sorted generation: the
@@ -457,27 +609,23 @@ class Graph(_GraphReadMixin):
         :meth:`compact` is what installs the fold)."""
         base = self._columns if self._columns is not None \
             else TripleColumns.build(())
-        if self._delta_size or self._tombstones:
-            return base.merged(self._spo, self._tombstones)
+        if self._delta.size or self._tombstones.size:
+            return base.merged(self._delta.arrays(),
+                               self._tombstones.arrays())
         return base
 
-    def _has_sp(self, si: int, pi: int) -> bool:
-        """Does any triple ``(si, pi, *)`` exist (both tiers)?"""
-        return pi in self._spo.get(si, ()) \
-            or self._stored_count((si, pi, None)) > 0
-
-    def _has_po(self, pi: int, oi: int) -> bool:
-        """Does any triple ``(*, pi, oi)`` exist (both tiers)?"""
-        return oi in self._pos.get(pi, ()) \
-            or self._stored_count((None, pi, oi)) > 0
+    def _holds(self, pattern: IdPattern) -> bool:
+        """Does any triple matching ``pattern`` exist (both tiers)?"""
+        return self._delta.count(pattern) > 0 \
+            or self._stored_count(pattern) > 0
 
     def contains_id(self, si: int, pi: int, oi: int) -> bool:
         """Membership of one id triple, across both storage tiers."""
-        if oi in self._spo.get(si, {}).get(pi, ()):
+        if self._delta.has(si, pi, oi):
             return True
         columns = self._columns
         return (columns is not None
-                and (si, pi, oi) not in self._tombstones
+                and not self._tombstones.has(si, pi, oi)
                 and columns.contains(si, pi, oi))
 
     def compact(self) -> "Graph":
@@ -541,11 +689,9 @@ class Graph(_GraphReadMixin):
         keep their counters and value-aware summaries without any
         epoch-bump rescan.
         """
-        if not self._delta_size and not self._tombstones:
+        if not (self._delta.size or self._tombstones.size):
             return
-        touched = {pi for by_predicate in self._spo.values()
-                   for pi in by_predicate}
-        touched.update(pi for _, pi, _ in self._tombstones)
+        touched = set(self._delta.pos).union(self._tombstones.pos)
         self._install(self.folded_columns())
         CONCURRENCY.record_compaction()
         self._refresh_stats(touched)
@@ -553,22 +699,17 @@ class Graph(_GraphReadMixin):
     def _install(self, columns: Optional[TripleColumns]) -> None:
         """Make ``columns`` the whole stored content, the one place a
         generation is swapped in (must hold the lock).  A published
-        snapshot that still shares the overlay and the tombstone set
+        snapshot that still shares the overlay and the tombstones
         keeps them — the graph goes on with fresh empty ones;
         unshared, they are cleared in place."""
         if self._shared:
-            self._spo = {}
-            self._pos = {}
-            self._osp = {}
-            self._tombstones = set()
+            self._delta = _TripleIndex()
+            self._tombstones = _TripleIndex()
             self._shared = False
         else:
-            self._spo.clear()
-            self._pos.clear()
-            self._osp.clear()
+            self._delta.clear()
             self._tombstones.clear()
         self._columns = columns
-        self._delta_size = 0
 
     def _refresh_stats(self, touched) -> None:
         """Re-derive exact per-predicate counters (and any cached
@@ -577,12 +718,12 @@ class Graph(_GraphReadMixin):
         actually changed, instead of a whole-graph rescan."""
         stats = self.stats
         for pi in touched:
-            subject_counts, object_counts, cardinality = \
-                self._columns.predicate_value_counts(pi)
+            cardinality, subjects, objects = \
+                self._columns.predicate_counts(pi)
             if cardinality:
                 stats.cardinality[pi] = cardinality
-                stats.subjects[pi] = len(subject_counts)
-                stats.objects[pi] = len(object_counts)
+                stats.subjects[pi] = subjects
+                stats.objects[pi] = objects
             else:
                 stats.cardinality.pop(pi, None)
                 stats.subjects.pop(pi, None)
@@ -607,8 +748,8 @@ class Graph(_GraphReadMixin):
         published snapshot — and every query pinned to it — reads
         arrays, not dicts.
         """
-        if (self._tombstones
-                or self._delta_size >= max(COMPACT_PUBLISH_THRESHOLD,
+        if (self._tombstones.size
+                or self._delta.size >= max(COMPACT_PUBLISH_THRESHOLD,
                                            self._column_size() >> 6)):
             self._compact()
         snap = GraphSnapshot(self)
@@ -670,15 +811,15 @@ class Graph(_GraphReadMixin):
         """
         columns = self._columns
         if columns is not None:
-            if self._tombstones:
-                tombstones = self._tombstones
+            if self._tombstones.size:
+                dead = self._tombstones.has
                 for ids in columns.scan(pattern):
-                    if ids not in tombstones:
+                    if not dead(*ids):
                         yield ids
             else:
                 yield from columns.scan(pattern)
-        if self._delta_size:
-            yield from self._delta_ids(pattern)
+        if self._delta.size:
+            yield from self._delta.ids(pattern)
 
     def match_arrays(self, pattern: IdPattern = _WILD
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -693,72 +834,14 @@ class Graph(_GraphReadMixin):
         """
         parts = []
         if self._columns is not None:
-            parts.append(self._columns.arrays(pattern, self._dead(pattern)))
-        if self._delta_size:
-            delta = list(self._delta_ids(pattern))
-            if delta:
-                extra = np.asarray(delta, dtype=np.int64)
-                parts.append((extra[:, 0], extra[:, 1], extra[:, 2]))
+            dead = self._tombstones.arrays(pattern) \
+                if self._tombstones.size else None
+            parts.append(self._columns.arrays(pattern, dead))
+        if self._delta.size:
+            delta = self._delta.arrays(pattern)
+            if len(delta[0]):
+                parts.append(delta)
         return concat_arrays(parts)
-
-    def _dead(self, pattern: IdPattern) -> List[IdTriple]:
-        """The pending tombstones ``pattern`` matches — the one place
-        that says which compacted rows a read must not see."""
-        s, p, o = pattern
-        return [dead for dead in self._tombstones
-                if (s is None or dead[0] == s) and (p is None or dead[1] == p)
-                and (o is None or dead[2] == o)]
-
-    def _delta_ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
-        """Matches from the delta overlay's hash indexes only."""
-        s, p, o = pattern
-        if s is not None:
-            by_predicate = self._spo.get(s)
-            if by_predicate is None:
-                return
-            if p is not None:
-                objects = by_predicate.get(p)
-                if objects is None:
-                    return
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                    return
-                for obj in objects:
-                    yield (s, p, obj)
-                return
-            for predicate, objects in by_predicate.items():
-                if o is not None:
-                    if o in objects:
-                        yield (s, predicate, o)
-                    continue
-                for obj in objects:
-                    yield (s, predicate, obj)
-            return
-        if p is not None:
-            by_object = self._pos.get(p)
-            if by_object is None:
-                return
-            if o is not None:
-                for subject in by_object.get(o, ()):
-                    yield (subject, p, o)
-                return
-            for obj, subjects in by_object.items():
-                for subject in subjects:
-                    yield (subject, p, obj)
-            return
-        if o is not None:
-            by_subject = self._osp.get(o)
-            if by_subject is None:
-                return
-            for subject, predicates in by_subject.items():
-                for predicate in predicates:
-                    yield (subject, predicate, o)
-            return
-        for subject, by_predicate in self._spo.items():
-            for predicate, objects in by_predicate.items():
-                for obj in objects:
-                    yield (subject, predicate, obj)
 
     def count_ids(self, pattern: IdPattern) -> int:
         """Exact match count for an id pattern, without iterating.
@@ -767,8 +850,7 @@ class Graph(_GraphReadMixin):
         shape), the delta overlay from its index sizes; pending
         tombstones that match the pattern are subtracted.
         """
-        total = self._delta_count(pattern) if self._delta_size else 0
-        return total + self._stored_count(pattern)
+        return self._delta.count(pattern) + self._stored_count(pattern)
 
     def _stored_count(self, pattern: IdPattern) -> int:
         """Live matches in the column generation: the range width less
@@ -776,40 +858,9 @@ class Graph(_GraphReadMixin):
         if self._columns is None:
             return 0
         stored = self._columns.count(pattern)
-        if stored and self._tombstones:
-            stored -= len(self._dead(pattern))
+        if stored and self._tombstones.size:
+            stored -= self._tombstones.count(pattern)
         return stored
-
-    def _delta_count(self, pattern: IdPattern) -> int:
-        """Match count within the delta overlay's hash indexes."""
-        s, p, o = pattern
-        if s is not None:
-            if p is not None:
-                objects = self._spo.get(s, {}).get(p)
-                if objects is None:
-                    return 0
-                if o is not None:
-                    return 1 if o in objects else 0
-                return len(objects)
-            if o is not None:
-                return len(self._osp.get(o, {}).get(s, ()))
-            by_predicate = self._spo.get(s)
-            if by_predicate is None:
-                return 0
-            return sum(map(len, by_predicate.values()))
-        if p is not None:
-            by_object = self._pos.get(p)
-            if by_object is None:
-                return 0
-            if o is not None:
-                return len(by_object.get(o, ()))
-            return sum(map(len, by_object.values()))
-        if o is not None:
-            by_subject = self._osp.get(o)
-            if by_subject is None:
-                return 0
-            return sum(map(len, by_subject.values()))
-        return self._delta_size
 
     # -- query ---------------------------------------------------------------
 
@@ -852,25 +903,25 @@ class Graph(_GraphReadMixin):
         tombstones are pending — compaction restores exactness)."""
         columns = self._columns
         if columns is None:
-            return len(self._spo)
+            return len(self._delta.spo)
         return columns.n_subjects + sum(
-            1 for s in self._spo if not columns.has_subject(s))
+            1 for s in self._delta.spo if not columns.has_subject(s))
 
     def distinct_predicate_count(self) -> int:
         """Distinct predicates across both tiers (upper bound, as above)."""
         columns = self._columns
         if columns is None:
-            return len(self._pos)
+            return len(self._delta.pos)
         return columns.n_predicates + sum(
-            1 for p in self._pos if not columns.has_predicate(p))
+            1 for p in self._delta.pos if not columns.has_predicate(p))
 
     def distinct_object_count(self) -> int:
         """Distinct objects across both tiers (upper bound, as above)."""
         columns = self._columns
         if columns is None:
-            return len(self._osp)
+            return len(self._delta.osp)
         return columns.n_objects + sum(
-            1 for o in self._osp if not columns.has_object(o))
+            1 for o in self._delta.osp if not columns.has_object(o))
 
     def predicate_summary(self, predicate_id: int) -> PredicateSummary:
         """The value-aware summary for ``predicate_id`` (statistics v2).
@@ -956,13 +1007,10 @@ class Graph(_GraphReadMixin):
         with self._lock:
             clone = Graph(self.identifier, self.namespace_manager.copy(),
                           dictionary=self.dictionary)
-            clone._spo = _index_clone(self._spo)
-            clone._pos = _index_clone(self._pos)
-            clone._osp = _index_clone(self._osp)
+            clone._delta = self._delta.clone()
             #: the column generation is immutable — share it outright
             clone._columns = self._columns
-            clone._tombstones = set(self._tombstones)
-            clone._delta_size = self._delta_size
+            clone._tombstones = self._tombstones.clone()
             clone._size = self._size
             clone.stats.cardinality = dict(self.stats.cardinality)
             clone.stats.subjects = dict(self.stats.subjects)
@@ -1024,15 +1072,12 @@ class GraphSnapshot(Graph):
         self.identifier = graph.identifier
         self.namespace_manager = graph.namespace_manager
         self.dictionary = graph.dictionary
-        self._spo = graph._spo
-        self._pos = graph._pos
-        self._osp = graph._osp
         self._size = graph._size
         # columns are immutable — pinning the bulk tier is free; the
-        # delta dicts/tombstones above are COW-protected like before
+        # delta overlay and the tombstones are COW-protected
         self._columns = graph._columns
+        self._delta = graph._delta
         self._tombstones = graph._tombstones
-        self._delta_size = graph._delta_size
         stats = GraphStats()
         stats.cardinality = dict(graph.stats.cardinality)
         stats.subjects = dict(graph.stats.subjects)
@@ -1076,6 +1121,7 @@ class GraphSnapshot(Graph):
     add_all = _read_only
     bulk_load_ids = _read_only
     remove = _read_only
+    compact = _read_only
     clear = _read_only
     parse = _read_only
     bind = _read_only

@@ -310,26 +310,19 @@ class GraphStats:
             self.objects[predicate_id] = \
                 self.objects.get(predicate_id, 0) + 1
 
-    def record_remove(self, predicate_id: int,
-                      lost_subject: bool, lost_object: bool) -> None:
-        """One triple with predicate ``predicate_id`` was removed."""
-        remaining = self.cardinality.get(predicate_id, 0) - 1
-        if remaining > 0:
-            self.cardinality[predicate_id] = remaining
-        else:
-            self.cardinality.pop(predicate_id, None)
-        if lost_subject:
-            count = self.subjects.get(predicate_id, 0) - 1
-            if count > 0:
-                self.subjects[predicate_id] = count
+    def record_remove(self, predicate_id: int, triples: int,
+                      lost_subjects: int, lost_objects: int) -> None:
+        """``triples`` triples with predicate ``predicate_id`` were
+        removed, and with them the last of ``lost_subjects`` of its
+        subjects and of ``lost_objects`` of its objects."""
+        for counter, lost in ((self.cardinality, triples),
+                              (self.subjects, lost_subjects),
+                              (self.objects, lost_objects)):
+            remaining = counter.get(predicate_id, 0) - lost
+            if remaining > 0:
+                counter[predicate_id] = remaining
             else:
-                self.subjects.pop(predicate_id, None)
-        if lost_object:
-            count = self.objects.get(predicate_id, 0) - 1
-            if count > 0:
-                self.objects[predicate_id] = count
-            else:
-                self.objects.pop(predicate_id, None)
+                counter.pop(predicate_id, None)
 
     def clear(self) -> None:
         self.cardinality.clear()

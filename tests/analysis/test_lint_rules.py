@@ -43,14 +43,14 @@ FIXTURES = {
         """
         class Graph:
             def add(self, triple):
-                self._spo.add(triple)
+                self._delta.add(*triple)
         """,
         GRAPH,
         """
         class Graph:
             def add(self, triple):
                 with self._lock:
-                    self._spo.add(triple)
+                    self._delta.add(*triple)
 
             def _compact(self):
                 \"\"\"Fold the overlay down.  Caller must hold the lock.\"\"\"
@@ -206,7 +206,8 @@ FIXTURES = {
             if arrays is None:
                 return list(graph.triples_ids(pattern))
             if graph._tombstones:
-                return graph._columns.merged(graph._spo, graph._tombstones)
+                return graph._columns.merged(graph._delta.arrays(),
+                                             graph._tombstones.arrays())
             return arrays
         """,
         LIBRARY,
@@ -343,7 +344,7 @@ FIXTURES = {
         class Graph:
             def bulk_load_ids(self, s, p, o):
                 with self._lock:
-                    self._spo.clear()
+                    self._delta.clear()
                     self._columns = TripleColumns(s, p, o)
 
             def add_all(self, triples):
@@ -368,12 +369,37 @@ FIXTURES = {
 
             def _install(self, columns):
                 \"\"\"Must hold the lock.\"\"\"
-                self._spo.clear()
+                self._delta.clear()
                 self._columns = columns
 
         class GraphSnapshot(Graph):
             def __init__(self, graph):
                 self._columns = graph._columns
+        """,
+    ),
+    "incremental-compaction": (
+        """
+        class TripleColumns:
+            def merged(self, delta, dead):
+                s, p, o = self.arrays((None, None, None), dead)
+                perm = np.lexsort((o, p, s))
+                return s[perm], p[perm], o[perm]
+        """,
+        COLUMNAR,
+        """
+        class TripleColumns:
+            def __init__(self, s, p, o):
+                perm = np.lexsort((o, p, s))
+                self._orders = {"spo": (s[perm], p[perm], o[perm])}
+
+            def merged(self, delta, dead):
+                fresh = TripleColumns(*delta)
+                at, found = self._locate("spo", dead)
+                return fresh, at[found]
+
+            def count(self, pattern):
+                lo, hi = self._range(*self._route(pattern))
+                return hi - lo
         """,
     ),
 }
@@ -666,6 +692,85 @@ def test_a_generation_is_installed_in_one_place():
     assert "allow[single-generation-install]" not in source
     assert findings_for(source, GRAPH, rule) == []
     assert findings_for(source, GRAPH, "lock-discipline") == []
+
+
+def test_a_fold_never_re_sorts_or_searches_row_by_row():
+    """In ``rdf/columnar.py`` an ``np.lexsort`` is a finding in every
+    function but ``TripleColumns.__init__`` — another class's
+    ``__init__`` and a module-level helper included — and so is a
+    ``_range(`` call inside a loop; the real module is clean with no
+    pragma for this rule."""
+    rule = "incremental-compaction"
+    sort = """
+    class {owner}:
+        def {name}(self, s, p, o):
+            return np.lexsort((o, p, s))
+    """
+    for owner, name in (("TripleColumns", "merged"),
+                        ("TripleColumns", "arrays"),
+                        ("Other", "__init__")):
+        found = findings_for(sort.format(owner=owner, name=name),
+                             COLUMNAR, rule)
+        assert len(found) == 1 and "lexsort" in found[0].message
+    assert len(findings_for("def _sorted(s, p, o):\n"
+                            "    return np.lexsort((o, p, s))\n",
+                            COLUMNAR, rule)) == 1
+    assert findings_for(sort.format(owner="TripleColumns", name="__init__"),
+                        COLUMNAR, rule) == []
+    per_row = """
+    class TripleColumns:
+        def arrays(self, pattern, dead):
+            for triple in dead:
+                at, end = self._range("spo", triple)
+            return [self._range("spo", triple) for triple in dead]
+    """
+    found = findings_for(per_row, COLUMNAR, rule)
+    assert len(found) == 2 and all("_range" in f.message for f in found)
+    assert findings_for(per_row, LIBRARY, rule) == []
+    source = (ROOT / COLUMNAR).read_text(encoding="utf-8")
+    assert "allow[incremental-compaction]" not in source
+    assert findings_for(source, COLUMNAR, rule) == []
+
+
+def test_nothing_walks_every_tombstone():
+    """In ``rdf/graph.py`` a ``for`` statement or a comprehension over
+    anything read off ``_tombstones``, and a pattern-less ``.ids()`` /
+    ``.arrays()`` of it, is a finding everywhere but in ``_unshare``
+    and ``folded_columns``; asking the index with a pattern is not,
+    nor is a loop over the overlay."""
+    rule = "incremental-compaction"
+    scans = """
+    class Graph:
+        def {name}(self, pattern):
+            dead = [t for t in self._tombstones if t[1] == pattern[1]]
+            for by_predicate in self._tombstones.spo.values():
+                dead.append(by_predicate)
+            every = self._tombstones.arrays()
+            return dead, every, list(graph._tombstones.ids())
+    """
+    for name in ("_dead", "_stored_count", "remove", "_compact"):
+        assert len(findings_for(scans.format(name=name), GRAPH, rule)) == 4
+    for name in ("_unshare", "folded_columns"):
+        assert findings_for(scans.format(name=name), GRAPH, rule) == []
+    indexed = """
+    class Graph:
+        def _stored_count(self, pattern):
+            return self._columns.count(pattern) \\
+                - self._tombstones.count(pattern)
+
+        def match_arrays(self, pattern):
+            dead = self._tombstones.arrays(pattern)
+            for row in self._tombstones.ids(pattern):
+                yield row
+            return [row for row in self._delta.ids()], dead
+    """
+    found = findings_for(indexed, GRAPH, rule)
+    # the one loop left reads the index with a pattern, but it is
+    # still a loop over the tombstone structure
+    assert len(found) == 1 and "loop" in found[0].message
+    source = (ROOT / GRAPH).read_text(encoding="utf-8")
+    assert "allow[incremental-compaction]" not in source
+    assert findings_for(source, GRAPH, rule) == []
 
 
 def test_the_batch_path_does_not_loop_over_add():

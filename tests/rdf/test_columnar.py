@@ -14,6 +14,8 @@ import pytest
 from repro.rdf.columnar import TripleColumns, concat_arrays
 from repro.rdf.dictionary import OVERLAY_BASE
 
+from tests.rdf.reference_merged import id_arrays
+
 
 def reference_scan(triples, pattern):
     s, p, o = pattern
@@ -78,14 +80,12 @@ class TestPatternRouting:
 
 
 class TestMerge:
+    # merge ≡ rebuild, array for array, is tests/rdf/test_merge_compaction.py
     def test_delta_and_tombstones_fold(self, triples):
         base = TripleColumns.build(triples)
         victims = set(random.Random(1).sample(sorted(triples), 25))
-        delta = {}
         added = {(1000 + i, i % 4, 2000 + i) for i in range(50)}
-        for s, p, o in added:
-            delta.setdefault(s, {}).setdefault(p, set()).add(o)
-        merged = base.merged(delta, victims)
+        merged = base.merged(id_arrays(added), id_arrays(victims))
         expected = (triples - victims) | added
         assert sorted(merged.scan((None, None, None))) == sorted(expected)
         # the receiver is untouched (pinned snapshots keep reading it)
@@ -94,13 +94,13 @@ class TestMerge:
     def test_merge_empty_delta_drops_only_tombstones(self, triples):
         base = TripleColumns.build(triples)
         victim = next(iter(triples))
-        merged = base.merged({}, {victim})
+        merged = base.merged(id_arrays(()), id_arrays({victim}))
         assert len(merged) == len(triples) - 1
         assert not merged.contains(*victim)
 
     def test_tombstone_for_absent_triple_is_ignored(self, triples):
         base = TripleColumns.build(triples)
-        merged = base.merged({}, {(987654, 1, 2)})
+        merged = base.merged(id_arrays(()), id_arrays({(987654, 1, 2)}))
         assert len(merged) == len(base)
 
 
@@ -158,7 +158,7 @@ class TestDtypeAndCeiling:
         for pattern in all_patterns(triples):
             matches = list(columns.scan(pattern))
             dead = matches[::3]
-            s, p, o = columns.arrays(pattern, dead)
+            s, p, o = columns.arrays(pattern, id_arrays(dead))
             kept = list(zip(s.tolist(), p.tolist(), o.tolist()))
             assert kept == [m for m in matches if m not in set(dead)]
 
@@ -171,19 +171,13 @@ class TestEmptyAndHelpers:
         assert list(empty.scan((1, 2, 3))) == []
         assert empty.n_subjects == 0
 
-    def test_predicate_value_counts(self, columns, triples):
+    def test_predicate_counts(self, columns, triples):
         for pid in {t[1] for t in triples}:
-            subject_counts, object_counts, cardinality = \
-                columns.predicate_value_counts(pid)
             rows = [t for t in triples if t[1] == pid]
-            assert cardinality == len(rows)
-            assert subject_counts == {
-                s: sum(1 for t in rows if t[0] == s)
-                for s in {t[0] for t in rows}}
-            assert object_counts == {
-                o: sum(1 for t in rows if t[2] == o)
-                for o in {t[2] for t in rows}}
-        assert columns.predicate_value_counts(424242) == ({}, {}, 0)
+            assert columns.predicate_counts(pid) == (
+                len(rows), len({t[0] for t in rows}),
+                len({t[2] for t in rows}))
+        assert columns.predicate_counts(424242) == (0, 0, 0)
 
     def test_has_value_probes(self, columns, triples):
         some = next(iter(triples))

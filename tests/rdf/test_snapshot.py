@@ -79,6 +79,25 @@ class TestGraphSnapshot:
         with pytest.raises(TermError):
             snap.parse("")
 
+    def test_snapshot_rejects_compaction(self):
+        """Regression: ``GraphSnapshot`` inherited ``Graph.compact``,
+        which swapped the overlay and then the column generation of a
+        published, thread-shared snapshot in two steps — the layout
+        moved ``(0, 5, 0)`` → ``(5, 0, 0)`` under its readers.  A
+        folded view of a snapshot is ``folded_columns()``."""
+        g = build_graph()
+        snap = g.snapshot()
+        assert snap.tier_sizes() == (0, 5, 0)
+        with pytest.raises(TermError):
+            snap.compact()
+        assert snap.tier_sizes() == (0, 5, 0)
+        assert len(snap.folded_columns()) == 5
+        assert snap.tier_sizes() == (0, 5, 0)
+        g.compact()  # the live graph still may; the pin is untouched
+        assert g.tier_sizes() == (5, 0, 0)
+        assert snap.tier_sizes() == (0, 5, 0)
+        assert len(list(snap.triples_ids())) == 5
+
     def test_snapshot_statistics_are_frozen(self):
         g = build_graph(4)
         snap = g.snapshot()

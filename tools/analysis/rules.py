@@ -37,7 +37,7 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     graph/dataset/star-schema state, or parent module caches.
 ``storage-tiers-private``
     Under ``src/``, a graph's storage tiers (``_columns``,
-    ``_tombstones``, ``_spo`` / ``_pos`` / ``_osp``, ``_delta_size``)
+    ``_delta``, ``_tombstones``)
     are read only inside ``repro/rdf/graph.py``, and a
     ``match_arrays(...)`` result is never compared with ``None``.
 ``single-algebra-walker``
@@ -66,6 +66,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     In ``repro/rdf/graph.py`` a column generation is swapped in by one
     helper (``self._columns = …`` only in ``__init__`` and
     ``_install``), and no method of ``Graph`` loops over ``self.add(``.
+``incremental-compaction``
+    A write costs what it changes: in ``repro/rdf/columnar.py``
+    ``np.lexsort`` runs only in ``TripleColumns.__init__`` and no loop
+    calls ``_range``; in ``repro/rdf/graph.py`` nothing walks the whole
+    tombstone index but ``_unshare`` and the hand-off to ``merged``.
 """
 
 from __future__ import annotations
@@ -189,14 +194,11 @@ class LockDisciplineRule(Rule):
                  "breaks the atomic-batch guarantee of add_all/locked()")
 
     #: attributes making up Graph/Dataset index state
-    PROTECTED = {"_spo", "_pos", "_osp", "_tombstones", "_columns",
-                 "_delta_size", "_size", "_shared", "_snapshot", "epoch",
-                 "_graphs"}
+    PROTECTED = {"_delta", "_tombstones", "_columns", "_size", "_shared",
+                 "_snapshot", "epoch", "_graphs"}
     #: method calls that mutate their receiver
     MUTATORS = {"add", "discard", "remove", "clear", "update", "pop",
                 "setdefault", "append", "extend", "add_all"}
-    #: free functions that mutate an index passed as their first arg
-    INDEX_HELPERS = {"_index_add", "_index_remove"}
     #: docstring markers sanctioning a lock-holding helper
     LOCK_DOC_MARKERS = ("must hold the lock", "under the write lock",
                         "holding the lock", "lock is held",
@@ -258,13 +260,6 @@ class LockDisciplineRule(Rule):
                     if attr in self.PROTECTED:
                         flag(node, f"mutating call `.{func.attr}()` on "
                                    f"protected index state `{attr}`")
-                elif isinstance(func, ast.Name) \
-                        and func.id in self.INDEX_HELPERS:
-                    for arg in node.args[:1]:
-                        attr = _self_attr(arg)
-                        if attr in self.PROTECTED:
-                            flag(node, f"index helper `{func.id}` on "
-                                       f"protected state `{attr}`")
         return findings
 
 
@@ -477,7 +472,8 @@ class ColumnarDtypeSafetyRule(Rule):
     #: numpy constructors/ops that must not receive a dict tier
     NP_CONSUMERS = {"asarray", "array", "concatenate", "stack", "unique",
                     "sort", "lexsort", "searchsorted"}
-    OVERLAY_TIERS = {"_spo", "_pos", "_osp", "overlay", "_tombstones"}
+    OVERLAY_TIERS = {"_delta", "overlay", "_tombstones", "spo", "pos",
+                     "osp"}
 
     def applies_to(self, path: str) -> bool:
         return "repro/rdf/" in path or path.endswith(EVALUATOR_FAMILY)
@@ -807,8 +803,7 @@ class StorageTiersPrivateRule(Rule):
                  "None, re-creates the duplicate scan path ISSUE 15 "
                  "deleted")
 
-    TIERS = {"_columns", "_tombstones", "_spo", "_pos", "_osp",
-             "_delta_size"}
+    TIERS = {"_columns", "_delta", "_tombstones"}
 
     def applies_to(self, path: str) -> bool:
         return path.startswith("src/")
@@ -1268,6 +1263,119 @@ class SingleGenerationInstallRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# incremental-compaction
+# ---------------------------------------------------------------------------
+
+
+class IncrementalCompactionRule(Rule):
+    """A write costs what it changes, not what the graph holds.
+
+    ``TripleColumns.merged`` folds a delta and the tombstones into the
+    sorted generation by locating them (one vectorized binary search
+    per order) and copying once; the tombstones are a hash index, so a
+    read subtracts the dead rows of *its* pattern.  Until ISSUE 23 the
+    fold re-``lexsort``ed all three orders of the whole generation
+    (250 ms of a 570 ms refresh round to fold 3 060 rows into 180k),
+    located tombstones one ``_range`` call at a time, and every
+    ``remove`` scanned the whole tombstone set twice per victim.  Both
+    come back one innocent-looking line at a time: a second
+    ``np.lexsort`` in ``columnar.py``, a ``for`` over
+    ``self._tombstones`` in ``graph.py``.
+    """
+
+    id = "incremental-compaction"
+    title = "no whole-generation re-sort, no walk over all tombstones"
+    rationale = ("a lexsort of a whole generation, a per-row `_range` "
+                 "loop or a scan of every tombstone makes each write "
+                 "cost the size of the graph instead of the size of "
+                 "the change")
+
+    COLUMNAR = "repro/rdf/columnar.py"
+    #: the one function that sorts a generation from scratch
+    SORTER = ("TripleColumns", "__init__")
+    #: the functions of ``graph.py`` that may read every tombstone: the
+    #: COW clone and the hand-off to ``TripleColumns.merged``
+    WALKERS = {"_unshare", "folded_columns"}
+    #: whole-index reads when called with no pattern
+    READS = {"ids", "arrays"}
+    LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+    def applies_to(self, path: str) -> bool:
+        return path.endswith((self.COLUMNAR, "repro/rdf/graph.py"))
+
+    @staticmethod
+    def _iterables(loop: ast.AST) -> List[ast.AST]:
+        if isinstance(loop, ast.For):
+            return [loop.iter]
+        return [generator.iter for generator in loop.generators]
+
+    @staticmethod
+    def _reads_tombstones(node: ast.AST) -> bool:
+        return any(isinstance(inner, ast.Attribute)
+                   and inner.attr == "_tombstones"
+                   for inner in ast.walk(node))
+
+    def _check_columnar(self, path: str, tree: ast.AST,
+                        parents: Dict[ast.AST, ast.AST],
+                        lines: Sequence[str]) -> Iterator[Finding]:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "lexsort":
+                function = enclosing_function(node, parents)
+                owner = enclosing_class(node, parents)
+                if (owner and owner.name,
+                        function and function.name) != self.SORTER:
+                    yield self.finding(
+                        path, node,
+                        "`np.lexsort` outside `TripleColumns.__init__` "
+                        "(a fold sorts only its delta — build it as a "
+                        "`TripleColumns` — and merges it in by position)",
+                        lines)
+            elif node.func.attr == "_range" and any(
+                    isinstance(ancestor, self.LOOPS)
+                    for ancestor in ancestors(node, parents)):
+                yield self.finding(
+                    path, node,
+                    "`_range(` in a loop (locate many rows with one "
+                    "vectorized `_locate`, not a staged search each)",
+                    lines)
+
+    def _check_graph(self, path: str, tree: ast.AST,
+                     parents: Dict[ast.AST, ast.AST],
+                     lines: Sequence[str]) -> Iterator[Finding]:
+        for node in ast.walk(tree):
+            function = enclosing_function(node, parents)
+            if function is not None and function.name in self.WALKERS:
+                continue
+            if isinstance(node, self.LOOPS) and any(
+                    self._reads_tombstones(iterable)
+                    for iterable in self._iterables(node)):
+                yield self.finding(
+                    path, node,
+                    "loop over the tombstones (ask the index: "
+                    "`_tombstones.has` / `.count(pattern)` / "
+                    "`.ids(pattern)` answer in O(matches))", lines)
+            elif isinstance(node, ast.Call) and not node.args \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in self.READS \
+                    and self._reads_tombstones(node.func.value):
+                yield self.finding(
+                    path, node,
+                    f"`_tombstones.{node.func.attr}()` reads every "
+                    f"tombstone (pass the pattern being answered)", lines)
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        if path.endswith(self.COLUMNAR):
+            return list(self._check_columnar(path, tree, parents, lines))
+        return list(self._check_graph(path, tree, parents, lines))
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -1285,6 +1393,7 @@ ALL_RULES: List[Rule] = [
     ColumnarJoinStepRule(),
     SingleGroupingKernelRule(),
     SingleGenerationInstallRule(),
+    IncrementalCompactionRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
