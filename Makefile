@@ -132,11 +132,14 @@ perf-compare:
 ## workload up through benchmarks/perf/harness.py, one warm round (the
 ## verification), one round under cProfile, the cumulative table.
 ## `make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...]
-## [SETUP=1]`.  Finds candidates; WALL re-runs the round un-profiled and
-## prints the named functions' wall-clock share — what to size a claim
-## from; SETUP=1 puts harness.set_up (what `setup_s` is made of) in the
-## round's place; `make perf` / `make perf-compare` measure it.
+## [SETUP=1] [STEPS=1]`.  Finds candidates; WALL re-runs the round
+## un-profiled and prints the named functions' wall-clock share — what
+## to size a claim from; SETUP=1 puts harness.set_up (what `setup_s` is
+## made of) in the round's place; STEPS=1 prints the round's join steps
+## by shape instead, each timed as a range scan and as per-key probes;
+## `make perf` / `make perf-compare` measure it.
 TOP ?= 30
 profile:
 	python3 tools/profile_round.py --workload $(WORKLOAD) --top $(TOP) \
-		$(if $(WALL),--wall $(WALL)) $(if $(SETUP),--setup)
+		$(if $(WALL),--wall $(WALL)) $(if $(SETUP),--setup) \
+		$(if $(STEPS),--steps)

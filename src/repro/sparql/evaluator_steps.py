@@ -25,9 +25,20 @@ a chunk of a streamed leading scan — is :func:`join_table`:
    one scan of its whole index range or from one index probe per
    distinct join key, concatenated;
 2. mask out matches that disagree with a variable the pattern repeats;
-3. sort them by join key, stably (:func:`grouped`);
-4. binary-search every row's key in the sorted keys (:func:`located`)
-   — one ``searchsorted`` for the whole table;
+3. index them by join key (:func:`grouped`).  Interned ids are array
+   offsets: while the keys span at most :data:`DIRECTORY_FILL` slots
+   per entry and row, the index is a *key directory* —
+   ``slots[key - low + 1]`` = where the key's matches start, one
+   scatter; reading it back proves the keys distinct (every
+   observation star, every single-parent hop) and then nothing is
+   sorted, repeated keys are sorted stably first.  Sparse keys (a few
+   rows' ids spread over the dictionary, base ids mixed with overlay
+   ones) are sorted for a binary search;
+4. look every row's key up (:func:`located`): one clipped gather
+   through the directory or one ``searchsorted`` for the whole table,
+   then a gather of the run's length.  A composite key is first
+   reduced to one column of dense ranks, which always take the
+   directory;
 5. gather: a plain take when no row has two matches, ``np.repeat``
    plus run offsets otherwise.
 
@@ -44,8 +55,8 @@ loop as the oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
+    Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,16 +80,44 @@ Matches = Tuple[np.ndarray, ...]
 #: ``("d", first)`` a new variable repeated from position ``first``.
 Spec = List[Tuple[str, Optional[int]]]
 
-#: The build side of one join step, grouped by join key: the matches
-#: that passed the repeated-variable mask, then — see :func:`_runs` —
-#: the stable permutation that sorts them by key, the sorted key as one
-#: ``int64`` array, and each sorted position's distance to the end of
-#: its run of equal keys.  The last three are ``None`` without a single
-#: key column: no key at all (every row meets every match) or a
-#: composite one, which :func:`_ranked` reduces to one column together
-#: with the probe side.
-Build = Tuple[Matches, Optional[np.ndarray], Optional[np.ndarray],
-              Optional[np.ndarray]]
+#: A single-column build side is a key directory while its keys span at
+#: most this many slots per build entry and probe row — both already
+#: charged to the governor, so the directory (8 B a slot) stays a
+#: per-step transient of the order of the two sides.  Measured on the
+#: contract host, 20 000 rows against 20 000 entries: a slot costs
+#: ≈ 0.4 ns to fill, a binary search 46–110 ns a needle (52 to 20 000
+#: sorted keys) beside the 1.8 ms sort in front of it — directory and
+#: look-up 0.12 ms at one slot per entry, 0.19 ms at eight, sort and
+#: search 4.0 ms.  The directory would win far past 4; the constant
+#: bounds the memory, not the break-even.
+DIRECTORY_FILL = 4
+
+
+class Build(NamedTuple):
+    """The build side of one join step, indexed by join key — built by
+    :func:`grouped`, read by :func:`located`.  Without a single key
+    column (no key at all: every row meets every match; a composite
+    one, which :func:`_ranked` reduces to one column together with the
+    probe side) only ``matches`` is set."""
+
+    #: the matches that passed the repeated-variable mask
+    matches: Matches
+    #: the stable permutation that sorts the matches by key; ``None``:
+    #: as they stand (the keys are distinct, or there is no single key)
+    order: Optional[np.ndarray] = None
+    #: per position of ``order``, at the first entry of a key's run: the
+    #: run's length; one more position than matches, holding 0 — where
+    #: a key the build lacks is sent
+    spans: Optional[np.ndarray] = None
+    #: dense keys — ``slots[key - low + 1]`` is the position the key's
+    #: run starts at; an empty slot at either end takes the clipped
+    #: keys outside ``low .. low + len(slots) - 3``
+    slots: Optional[np.ndarray] = None
+    low: int = 0
+    #: sparse keys — the sorted keys, as ``int64`` (``searchsorted``
+    #: would otherwise promote, and copy, an ``int32`` storage column
+    #: on every call), then ``-1`` for the probe that lands past them
+    keys: Optional[np.ndarray] = None
 
 
 def _base_pattern(spec: Iterable[Tuple[str, Optional[int]]]) -> IdPattern:
@@ -108,26 +147,42 @@ def _agreeing(matches: Matches, checks: Sequence[Tuple[int, int]]
     return tuple(column[mask] for column in matches)
 
 
-def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, sorted keys, spans)`` of an ``int64`` key column: the
-    stable sort (the entries of one key keep their index order), the
-    keys in that order, and per sorted position how many entries from
-    there on hold the same key.  Both arrays end in a sentinel (key
-    ``-1``, span 0) for the probe that lands past the last key."""
+def grouped(matches: Matches, key_positions: Sequence[int],
+            rows: int) -> Build:
+    """``matches`` indexed by their join key, for ``rows`` probe rows
+    (which only bound the directory: any build serves any probe)."""
+    if len(key_positions) != 1:
+        return Build(matches)
+    keys = matches[key_positions[0]]
+    count = len(keys)
+    low = int(keys.min()) if count else 0
+    span = int(keys.max()) - low + 1 if count else 0
+    slots = None
+    if span <= DIRECTORY_FILL * (count + rows):
+        # offsets from one below ``low``: slot 0 stays empty
+        keys = np.subtract(keys, low - 1, dtype=np.int64)
+        slots = np.full(span + 2, count)
+        at = np.arange(count)
+        slots[keys] = at
+        if (slots[keys] == at).all():
+            # every entry read its own position back: the keys are
+            # distinct, and nothing needs sorting
+            spans = np.ones(count + 1, dtype=np.int64)
+            spans[count] = 0
+            return Build(matches, None, spans, slots, low)
+    else:
+        keys = keys.astype(np.int64)
+    # repeated keys (or sparse ones): sorted, stably, and indexed by
+    # the first entry of each run
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # sorted needles: one linear pass, not a binary search each
-    spans = np.searchsorted(keys, keys, "right") - np.arange(len(keys))
-    return order, np.append(keys, -1), np.append(spans, 0)
-
-
-def grouped(matches: Matches, key_positions: Sequence[int]) -> Build:
-    """``matches`` grouped by their join key."""
-    if len(key_positions) != 1:
-        return matches, None, None, None
-    # int64 once, here: searchsorted would otherwise promote (and copy)
-    # an int32 storage column on every call
-    return (matches, *_runs(matches[key_positions[0]].astype(np.int64)))
+    heads = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    spans = np.zeros(count + 1, dtype=np.int64)
+    spans[heads] = np.diff(np.append(heads, count))
+    if slots is None:
+        return Build(matches, order, spans, keys=np.append(keys, -1))
+    slots[keys[heads]] = heads
+    return Build(matches, order, spans, slots, low)
 
 
 def _distinct(columns: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
@@ -154,23 +209,27 @@ def _ranked(build: Sequence[np.ndarray], probe: Sequence[np.ndarray]
 def located(build: Build, key_positions: Sequence[int],
             probe: Sequence[np.ndarray], count: int
             ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Where each of ``count`` probe rows' matches sit in the sorted
-    build side: ``(order, low, counts)`` — row ``i`` matches
+    """Where each of ``count`` probe rows' matches sit in the build
+    side: ``(order, low, counts)`` — row ``i`` matches
     ``order[low[i]:low[i] + counts[i]]`` (``order`` ``None``: the
     matches as they stand)."""
-    matches, order, keys, spans = build
     if not key_positions:
         return (None, np.zeros(count, dtype=np.int64),
-                np.full(count, len(matches[0]), dtype=np.int64))
+                np.full(count, len(build.matches[0]), dtype=np.int64))
     key = probe[0]
-    if order is None:
+    if build.spans is None:
+        # dense ranks by construction: always a directory
         ranks, key = _ranked(
-            [matches[position] for position in key_positions], probe)
-        order, keys, spans = _runs(ranks)
-    # one binary search a row: where its key would start; it is there
-    # if the key at that place is the row's, for as long as its run
-    low = np.searchsorted(keys[:-1], key, "left")
-    return order, low, np.where(keys[low] == key, spans[low], 0)
+            [build.matches[position] for position in key_positions], probe)
+        build = grouped((ranks,), (0,), count)
+    if build.slots is not None:
+        low = build.slots.take(key - (build.low - 1), mode="clip")
+    else:
+        # one binary search a row: where its key's run would start; it
+        # does if the key at that place is the row's
+        low = np.searchsorted(build.keys[:-1], key, "left")
+        low[build.keys[low] != key] = len(build.spans) - 1
+    return build.order, low, build.spans[low]
 
 
 def _matched(build: Build, key_positions: Sequence[int],
@@ -257,14 +316,14 @@ def join_table(table: BindingTable, spec: Spec,
             build = grouped(_agreeing(
                 found[0] if len(found) == 1 else tuple(
                     np.concatenate(arrays) for arrays in zip(*found)),
-                checks), key_positions)
+                checks), key_positions, count)
         rows, picked = _matched(build, key_positions, probe, count)
         if rows is not None:
             part = [column[rows] for column in part]
             index = rows if index is None else index[rows]
         else:
             part = list(part)
-        matches = build[0]
+        matches = build.matches
         for slot, position in captures.items():
             part[slot] = matches[position][picked].astype(np.int64)
         part.extend(matches[position][picked].astype(np.int64)
@@ -287,9 +346,9 @@ class JoinSteps:
     """The BGP join steps: one triple or path pattern at a time, joined
     into a :class:`BindingTable` of interned term ids.
 
-    Every step is the one kernel, :func:`join_table`: group the pattern's
-    matches by join key (a stable sort), binary-search each row's key
-    in them, gather.  What a step chooses is only where its matches
+    Every step is the one kernel, :func:`join_table`: index the
+    pattern's matches by join key, look each row's key up in them,
+    gather.  What a step chooses is only where its matches
     come from — one scan of the pattern's whole index range ("hash",
     the name kept from the bucketed build it replaced) or one index
     probe per distinct key ("probe"); that choice
@@ -358,23 +417,26 @@ class JoinSteps:
                      rows: int) -> bool:
         """Join-strategy choice for one step: scan the pattern's whole
         range when it is small enough relative to the binding table,
-        probe per distinct key otherwise.  (Measured, the scan is worth
-        it up to ≈ 256 range entries per distinct key — see
-        docs/performance.md, "Range scan or per-key probes", for the
-        numbers and for why the rule still stands.)  Overridden by the
+        probe per distinct key otherwise.  (Measured with the sorted
+        build, the scan was worth it up to ≈ 256 range entries per
+        distinct key; the key directory made a scanned entry several
+        times cheaper, so that figure — the constant to recalibrate
+        — is stale in the scan's favour.  See docs/performance.md,
+        "Range scan or per-key probes", for the numbers on both sides
+        and for why the rule still stands.)  Overridden by the
         morsel workers, whose tables are small slices of a large scan
         and whose builds are cached."""
         return rows >= 64 and source.estimate_ids(base) <= 4 * rows
 
     def _hash_build(self, source: GraphSource, base: IdPattern,
                     key_positions: Sequence[int],
-                    checks: Sequence[Tuple[int, int]]) -> Build:
-        """The build side off one scan of ``base``'s range.  Read-only
-        to the probe side, so workers may reuse one build across
-        morsels."""
+                    checks: Sequence[Tuple[int, int]], rows: int) -> Build:
+        """The build side off one scan of ``base``'s range, for a table
+        of ``rows``.  Read-only to the probe side, so workers may reuse
+        one build across morsels."""
         return grouped(
             _agreeing(self._vector_matches(source, base), checks),
-            key_positions)
+            key_positions, rows)
 
     def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
                      table: BindingTable) -> BindingTable:
@@ -393,7 +455,7 @@ class JoinSteps:
         elif self._prefer_hash(source, base, len(table)):
             self._last_strategy = "hash"
             hashed = self._hash_build(source, base, key_positions,
-                                      _positions(spec, "d"))
+                                      _positions(spec, "d"), len(table))
         else:
             self._last_strategy = "probe"
         return join_table(

@@ -466,7 +466,8 @@ class PatternEvaluator(JoinSteps):
             # is the join kernel's anti-join — keep the matchless rows
             positions = range(len(shared))
             _order, _low, counts = located(
-                grouped(theirs, positions), positions, ours, len(left))
+                grouped(theirs, positions, len(left)), positions, ours,
+                len(left))
             return left.take(counts == 0)
         gov = self._gov
         left_slots = [left.slots[name] for name in shared]
@@ -623,7 +624,7 @@ def _join_relation(table: BindingTable, names: Sequence[str],
         spec = [("v", table.slots[name]) if name in table.slots
                 else ("n", None) for name in names]
         return join_table(table, spec, out_names, None, grouped(
-            columns, [index for _, index in shared]))
+            columns, [index for _, index in shared], len(table)))
     out_rows: List[tuple] = []
     for table_row in table.rows:
         for rel_row in relation:

@@ -100,7 +100,7 @@ _WORKER_COLUMNS: Dict[str, Tuple[object, TripleColumns]] = {}
 _WORKER_TERMS: Dict[str, TermDictionary] = {}
 
 #: Join build sides (the match arrays of a pattern's whole range,
-#: sorted by join key) keyed by (segment names, pattern, join spec):
+#: indexed by join key) keyed by (segment names, pattern, join spec):
 #: the build side scans the *whole* mapped columns, so one build serves
 #: every morsel of a step — and every later query against the same
 #: epoch.  Entries die with their segments (pruned per task).
@@ -209,10 +209,10 @@ class _WorkerEvaluator(PatternEvaluator):
     parent's ``estimate <= 4 * rows`` range-scan heuristic would send
     every morsel down the per-key index-probe path — quadratic across
     the fan-out.  Workers instead always build from the pattern's whole
-    range in the full mapped columns and keep the sorted build in
+    range in the full mapped columns and keep the indexed build in
     :data:`_WORKER_MEMOS`: the first morsel pays for the scan and the
-    sort once per worker, every later morsel (and every later query
-    against the same epoch) only binary-searches it.  The kernel never
+    index once per worker, every later morsel (and every later query
+    against the same epoch) only looks its keys up in it.  The kernel never
     writes to a build side, so sharing one across morsels cannot
     corrupt results.
     """
@@ -222,14 +222,17 @@ class _WorkerEvaluator(PatternEvaluator):
             return rows > 0
         return super()._prefer_hash(source, base, rows)
 
-    def _hash_build(self, source, base, key_positions, checks) -> Build:
+    def _hash_build(self, source, base, key_positions, checks,
+                    rows) -> Build:
         token = getattr(source, "cache_token", None)
         if token is None:
-            return super()._hash_build(source, base, key_positions, checks)
+            return super()._hash_build(
+                source, base, key_positions, checks, rows)
         key = (token, base, tuple(key_positions), tuple(checks))
         build = _WORKER_MEMOS.get(key)
         if build is None:
-            build = super()._hash_build(source, base, key_positions, checks)
+            build = super()._hash_build(
+                source, base, key_positions, checks, rows)
             _WORKER_MEMOS[key] = build
         return build
 

@@ -402,6 +402,22 @@ FIXTURES = {
                 return hi - lo
         """,
     ),
+    "single-locate": (
+        """
+        def _minus_table(left, removals):
+            keys = np.sort(removals.columns[0])
+            at = np.searchsorted(keys, left.columns[0])
+            return left.take(keys[at] != left.columns[0])
+        """,
+        WALKER,
+        """
+        def _minus_table(left, removals):
+            _order, _low, counts = located(
+                grouped(removals.columns, [0], len(left)), [0],
+                left.columns, len(left))
+            return left.take(counts == 0)
+        """,
+    ),
 }
 
 
@@ -666,6 +682,35 @@ def test_grouping_has_one_home():
     # the shared module is worker-side code, top to bottom
     worker = "def group(columns, count):\n    return PLAN_CACHE\n"
     assert findings_for(worker, home, "parallel-safety")
+
+
+def test_a_build_side_has_one_constructor_and_one_search():
+    """Under ``sparql/`` a ``Build(`` is a finding everywhere but in
+    ``evaluator_steps.grouped`` and an ``np.searchsorted`` everywhere
+    but in ``evaluator_steps.located`` — same-named functions of other
+    modules included; the storage layer searches freely, and the real
+    modules are clean without a pragma."""
+    rule = "single-locate"
+    call = """
+    def {name}(matches, keys, key):
+        return {callee}(matches, keys, key)
+    """
+    for callee, owner in (("Build", "grouped"),
+                          ("np.searchsorted", "located")):
+        assert findings_for(call.format(name=owner, callee=callee),
+                            STEPS, rule) == []
+        for name, path in (("_hash_build", STEPS), ("_runs", STEPS),
+                           (owner, PARALLEL), (owner, WALKER)):
+            found = findings_for(call.format(name=name, callee=callee),
+                                 path, rule)
+            assert len(found) == 1 and owner in found[0].message
+        for path in (COLUMNAR, LIBRARY, "tests/sparql/reference_join.py"):
+            assert findings_for(call.format(name="merged", callee=callee),
+                                path, rule) == []
+    for path in (STEPS, WALKER, PARALLEL):
+        source = (ROOT / path).read_text(encoding="utf-8")
+        assert "allow[single-locate]" not in source
+        assert findings_for(source, path, rule) == []
 
 
 def test_a_generation_is_installed_in_one_place():

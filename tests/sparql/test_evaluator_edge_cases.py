@@ -155,9 +155,10 @@ class TestBindChaining:
 
 
 class TestHashBuild:
-    """The join kernel's grouping (``grouped`` + ``located``) against
-    per-entry bucketing: same keys, same extension tuples, same order
-    within a key (the scan's order), and no run for an absent key."""
+    """The join kernel's pairing (``grouped`` + ``_matched``) against
+    per-entry bucketing: every probe key paired with exactly the
+    extension tuples of its entries, probe keys in their order and a
+    key's entries in the scan's, and no pair for an absent key."""
 
     @pytest.mark.parametrize("v_positions,n_positions,d_checks", [
         ([0], [2], []),          # the cube's shape: subject key, object out
@@ -173,7 +174,7 @@ class TestHashBuild:
 
         import numpy as np
 
-        from repro.sparql.evaluator_steps import _agreeing, grouped, located
+        from repro.sparql.evaluator_steps import _agreeing, _matched, grouped
 
         rng = random.Random(len(n_positions) * 7 + v_positions[0])
         for rows in (0, 1, 7, 300):
@@ -193,19 +194,16 @@ class TestHashBuild:
                                  for i in range(3)]]
             probe = [np.array([key[i] for key in keys], dtype=np.int64)
                      for i in range(len(v_positions))]
-            build = grouped(_agreeing(arrays, d_checks), v_positions)
-            order, low, counts = located(build, v_positions, probe,
-                                         len(keys))
-            found = {}
-            for key, at, count in zip(keys, low.tolist(), counts.tolist()):
-                picked = order[at:at + count]
-                if count:
-                    found[key] = [
-                        tuple(int(build[0][p][i]) for p in n_positions)
-                        for i in picked]
-            assert found == expected
-            if len(v_positions) == 1:  # sorted once, as int64
-                assert build[2].dtype == np.int64
+            build = grouped(_agreeing(arrays, d_checks), v_positions,
+                            len(keys))
+            paired, picked = _matched(build, v_positions, probe, len(keys))
+            if paired is None:  # every key exactly once
+                paired = np.arange(len(keys))
+            found = [(keys[row], tuple(int(build.matches[p][entry])
+                                       for p in n_positions))
+                     for row, entry in zip(paired.tolist(), picked.tolist())]
+            assert found == [(key, extension) for key in keys
+                             for extension in expected.get(key, [])]
 
 
 class TestDistinctBeforeDecode:

@@ -15,12 +15,24 @@ Graphs are generated with a compacted column tier, a delta overlay on
 top and pending tombstones, and — unioned — with a second graph that
 repeats some of the first one's triples, so "index order" is the
 storage layer's real one, not one the test makes up.
+
+The kernel indexes a build side by a key directory when its keys are
+dense and by a sorted search when they are not
+(``evaluator_steps.DIRECTORY_FILL``); a small dictionary only ever
+hands out dense ids, so a second differential runs both sides over
+:class:`ArraySource` — raw id arrays the test lays out around that
+rule.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import IRI, Dataset, Literal
+from repro.rdf.dictionary import OVERLAY_BASE
+from repro.sparql import evaluator_steps, evaluator_walker
 from repro.sparql.algebra import TriplePatternNode, Var
 from repro.sparql.bindings import BindingTable
 from repro.sparql.endpoint import LocalEndpoint
@@ -103,15 +115,23 @@ def governed():
 def run_both(dataset, names, term_rows, chain, use_hash):
     """Run ``chain`` through the kernel and the oracle; assert they
     agree after every step, and return the final rows."""
-    kernel_gov, oracle_gov = governed(), governed()
-    evaluator = Forced(DatasetContext(dataset, governor=kernel_gov))
-    evaluator.use_hash = use_hash
+    evaluator = Forced(DatasetContext(dataset, governor=governed()))
     encode = evaluator._dict.encode
     rows = [tuple(None if term is None else encode(term) for term in row)
             for row in term_rows]
-    source = evaluator.context.default_source()
+    return agree(evaluator, evaluator.context.default_source(),
+                 BindingTable(names, rows), chain, use_hash)
+
+
+def agree(evaluator, source, table, chain, use_hash):
+    """``chain`` over the id ``table`` and ``source`` through
+    ``evaluator`` (governed) and through the oracle: the same rows in
+    the same order, the same probe counts and the same governor
+    charges after every step.  Returns the final rows."""
+    kernel_gov, oracle_gov = evaluator._gov, governed()
+    evaluator.use_hash = use_hash
     oracle = ReferenceJoin(evaluator._dict, oracle_gov, use_hash)
-    ours = theirs = BindingTable(names, rows)
+    ours = theirs = table
     for pattern in chain:
         with PROBE_COUNTER as counter:
             ours = evaluator._step_triple(pattern, source, ours)
@@ -230,6 +250,191 @@ class TestNamedCases:
         assert len(rows) == 12
         assert [row[0] for row in rows[:4]] == [rows[0][0]] * 4
         assert [row[1:] for row in rows[:4]] == [row[1:] for row in rows[4:8]]
+
+
+class ArraySource:
+    """A source over raw ``(S, P, O)`` id arrays, in the index order
+    the test gives them: ids no small dictionary hands out — spread
+    out, at the ``int32`` ceiling, in the overlay range."""
+
+    def __init__(self, triples, dtype):
+        self.arrays = tuple(
+            np.array([triple[position] for triple in triples], dtype=dtype)
+            for position in range(3))
+        self.view = self
+
+    def match_arrays(self, pattern):
+        mask = np.ones(len(self.arrays[0]), dtype=bool)
+        for column, cell in zip(self.arrays, pattern):
+            if cell is not None:
+                mask &= column == cell
+        return tuple(column[mask] for column in self.arrays)
+
+    def triples_ids(self, pattern):
+        return zip(*(column.tolist()
+                     for column in self.match_arrays(pattern)))
+
+
+INT32_MAX = np.iinfo(np.int32).max
+PREDICATE, DECOY = PREDICATES[:2]
+
+
+@st.composite
+def directory_cases(draw):
+    """``(triples, dtype, names, rows)`` — a build side of one
+    predicate keyed on its subjects and a probe table, laid out around
+    the directory rule.  Keys: none, one or several; each held once
+    (nothing to sort) or in runs of 1, 2 and many; packed, spread until
+    their span sits exactly at / one past the bound of the range
+    scan's build, or half of them overlay ids; from a small id, from
+    one that ends the span on the ``int32`` ceiling, or all in the
+    overlay range.  Probe cells: held keys, keys in a gap, below the
+    lowest and above the highest, unbound."""
+    rows = draw(st.integers(1, 12))
+    runs = draw(st.lists(draw(st.sampled_from(
+        [st.just(1), st.sampled_from([1, 1, 2, 7])])), max_size=8))
+    count = len(runs)
+    bound = evaluator_steps.DIRECTORY_FILL * (sum(runs) + rows)
+    layout = draw(st.sampled_from(["packed", "at", "over", "mixed"]))
+    span = {"at": bound, "over": bound + 1}.get(layout, count)
+    # the first key at 0, the last at span - 1, the others between
+    offsets = [0][:count] if count < 2 else sorted([0, span - 1] + draw(
+        st.lists(st.integers(1, max(1, span - 2)), unique=True,
+                 min_size=count - 2, max_size=count - 2)))
+    low = draw(st.sampled_from(
+        [3, 1000] if layout == "mixed"
+        else [3, 1000, INT32_MAX - max(span, 1) + 1, OVERLAY_BASE]))
+    keys = [low + offset for offset in offsets]
+    if layout == "mixed":
+        keys[count // 2:] = [OVERLAY_BASE + offset
+                             for offset in offsets[count // 2:]]
+    triples = draw(st.permutations(
+        [(key, 0, 10 * index + copy)
+         for index, (key, run) in enumerate(zip(keys, runs))
+         for copy in range(run)]
+        + [(low, 1, 0), (low, 1, 1)]))
+    high = max(keys, default=low)
+    cell = st.one_of(
+        st.sampled_from(keys or [low]), st.sampled_from(keys or [low]),
+        st.integers(low, min(high, low + span)), st.none(),
+        st.sampled_from([low - 1, low - 3, high + 1, high + 7,
+                         OVERLAY_BASE + 5]))
+    names = draw(st.sampled_from([("x",), ("x",), ("x", "y"), ("w", "x")]))
+    other = st.one_of(st.integers(0, 80), st.none())
+    table = draw(st.lists(st.tuples(*(
+        cell if name == "x" else other for name in names)),
+        min_size=rows, max_size=rows))
+    return (triples, np.int32 if high <= INT32_MAX else np.int64, names,
+            table)
+
+
+def array_evaluator():
+    """A forced-strategy evaluator whose dictionary knows the two
+    predicates ``directory_cases`` stores as ids 0 and 1."""
+    dataset = Dataset()
+    assert [dataset.dictionary.encode(term)
+            for term in (PREDICATE, DECOY)] == [0, 1]
+    return Forced(DatasetContext(dataset, governor=governed()))
+
+
+class TestKeyDirectory:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(directory_cases(), st.booleans())
+    def test_dense_and_sparse_builds_equal_the_oracle(self, case,
+                                                      use_hash):
+        triples, dtype, names, rows = case
+        agree(array_evaluator(), ArraySource(triples, dtype),
+              BindingTable(names, rows),
+              [TriplePatternNode(Var("x"), PREDICATE, Var("y")),
+               TriplePatternNode(Var("x"), PREDICATE, Var("z"))], use_hash)
+
+    def calls(self, monkeypatch, triples, rows, names=("x",)):
+        """How often the kernel sorts and searches in one range-scan
+        step (checked against the oracle first):
+        ``{"argsort": n, "searchsorted": n}``."""
+        counts = {"argsort": 0, "searchsorted": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        evaluator = array_evaluator()
+        source = ArraySource(triples, np.int32)
+        table = BindingTable(names, rows)
+        pattern = TriplePatternNode(Var("x"), PREDICATE, Var("y"))
+        agree(evaluator, source, table, [pattern], True)
+        with monkeypatch.context() as patch:
+            for name in counts:
+                patch.setattr(np, name, counting(name, getattr(np, name)))
+            evaluator._step_triple(pattern, source, table)
+        return counts
+
+    def test_distinct_dense_keys_are_neither_sorted_nor_searched(
+            self, monkeypatch):
+        triples = [(100 + 3 * index, 0, index) for index in (4, 0, 2, 1, 3)]
+        rows = [(100,), (101,), (112,), (99,), (113,), (106,)]
+        assert self.calls(monkeypatch, triples, rows) == {
+            "argsort": 0, "searchsorted": 0}
+
+    def test_repeated_dense_keys_are_sorted_once_and_not_searched(
+            self, monkeypatch):
+        triples = [(100 + index % 3, 0, index) for index in range(7)]
+        assert self.calls(monkeypatch, triples, [(101,), (100,), (104,)]) \
+            == {"argsort": 1, "searchsorted": 0}
+
+    def test_a_composite_key_takes_the_directory(self, monkeypatch):
+        triples = [(100 + index % 3, 0, index) for index in range(7)]
+        assert self.calls(
+            monkeypatch, triples, [(101, 4), (100, 0), (101, 5), (104, 1)],
+            ("x", "y")) == {"argsort": 0, "searchsorted": 0}
+
+    def test_the_bound_is_where_the_path_changes(self, monkeypatch):
+        """6 entries + 4 rows: 40 slots are a directory, 41 a search."""
+        rows = [(100,), (139,), (140,), (120,)]
+        for last, searched in ((139, 0), (140, 1)):
+            triples = [(key, 0, key) for key in (100, 103, 104, 110, 111,
+                                                 last)]
+            assert self.calls(monkeypatch, triples, rows) == {
+                "argsort": searched, "searchsorted": searched}
+
+    @pytest.mark.parametrize("keys", [
+        [OVERLAY_BASE + 4, OVERLAY_BASE, OVERLAY_BASE + 9, OVERLAY_BASE + 4],
+        [7, OVERLAY_BASE + 4, 3, OVERLAY_BASE, 7],
+    ], ids=["overlay", "mixed"])
+    def test_a_relation_of_overlay_ids_never_allocates_their_span(
+            self, monkeypatch, keys):
+        """VALUES / sub-SELECT data joins through the same kernel.  A
+        relation of overlay ids alone is dense (a directory of a dozen
+        slots); one mixing base and overlay ids spans ``1 << 40`` and
+        must be searched — either way the step allocates of the order
+        of its two sides."""
+        built = []
+        original = evaluator_steps.grouped
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(evaluator_walker, "grouped", recording)
+        table = BindingTable(("a", "x"), [
+            (index, key) for index, key in enumerate(
+                [*keys, 5, OVERLAY_BASE + 5, OVERLAY_BASE - 1])])
+        relation = [(key, 100 + index) for index, key in enumerate(keys)]
+        tracemalloc.start()
+        try:
+            joined = evaluator_walker._join_relation(
+                table, ["x", "v"], relation)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert joined.rows == [
+            (index, key, value) for index, key in enumerate(keys)
+            for held, value in relation if held == key]
+        assert peak < 64 * 1024
+        (build,) = built
+        assert (build.slots is None) == (min(keys) < OVERLAY_BASE)
 
 
 #: id cells of a MINUS operand: few values, so rows collide

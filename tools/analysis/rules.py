@@ -71,6 +71,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     ``np.lexsort`` runs only in ``TripleColumns.__init__`` and no loop
     calls ``_range``; in ``repro/rdf/graph.py`` nothing walks the whole
     tombstone index but ``_unshare`` and the hand-off to ``merged``.
+``single-locate``
+    Under ``src/repro/sparql/`` one place indexes a join's build side
+    and one looks keys up in it: ``Build(`` is constructed only in
+    ``evaluator_steps.grouped``, ``np.searchsorted`` called only in
+    ``evaluator_steps.located``.
 """
 
 from __future__ import annotations
@@ -1376,6 +1381,64 @@ class IncrementalCompactionRule(Rule):
         return list(self._check_graph(path, tree, parents, lines))
 
 
+# ---------------------------------------------------------------------------
+# single-locate
+# ---------------------------------------------------------------------------
+
+
+class SingleLocateRule(Rule):
+    """One place indexes a build side, one place looks keys up in it.
+
+    ``evaluator_steps.grouped`` makes the :class:`Build` of a join step
+    — a key directory when the keys are dense, a sorted column when
+    they are not — and ``located`` reads it: one clipped gather or, for
+    sparse keys only, one ``searchsorted``.  Until ISSUE 26 every step
+    sorted its build and binary-searched every row (56 % of a roll-up
+    round).  A second ``np.searchsorted`` under ``sparql/`` is that
+    per-query sort-and-search coming back beside the kernel; a second
+    ``Build(`` constructor is a second layout for the readers (the
+    walker's MINUS and relation joins, the morsel workers' cache) to
+    drift from.
+    """
+
+    id = "single-locate"
+    title = "Build( only in grouped, np.searchsorted only in located"
+    rationale = ("a second place that sorts and searches a build side is "
+                 "the per-query work the key directory removed, and a "
+                 "second `Build(` constructor is a second layout for the "
+                 "workers' cache to drift from")
+
+    HOME = "repro/sparql/evaluator_steps.py"
+    #: call name -> the one function of ``HOME`` that may make it
+    OWNERS = {"Build": "grouped", "searchsorted": "located"}
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/repro/sparql/")
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            owner = self.OWNERS.get(name)
+            if owner is None:
+                continue
+            function = enclosing_function(node, parents)
+            if path.endswith(self.HOME) and function is not None \
+                    and function.name == owner:
+                continue
+            findings.append(self.finding(
+                path, node,
+                f"`{name}(` outside `evaluator_steps.{owner}` (index a "
+                f"build side through `grouped`, look keys up through "
+                f"`located` / `_matched`)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -1394,6 +1457,7 @@ ALL_RULES: List[Rule] = [
     SingleGroupingKernelRule(),
     SingleGenerationInstallRule(),
     IncrementalCompactionRule(),
+    SingleLocateRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -18,7 +18,9 @@ Usage::
         --wall repro.sparql.aggregation.partials,repro.olap.kernel.partials
     python tools/profile_round.py --workload rollup_20k --setup \\
         --wall repro.rdf.graph.Graph.add_all
-    make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...] [SETUP=1]
+    python tools/profile_round.py --workload rollup_20k --steps
+    make profile WORKLOAD=rollup_20k [TOP=30] [WALL=dotted.name,...] \\
+        [SETUP=1] [STEPS=1]
 
 ``cProfile`` charges every Python call but not the work inside native
 code, so the proportions lean against call-heavy code: find candidates
@@ -29,6 +31,14 @@ un-profiled, with a ``perf_counter`` wrapper around each named function
 the round's wall clock — the number a claim should be sized from
 (cProfile put ``aggregation.partials`` at 58 % of a roll-up; it is
 45 %).
+
+``--steps`` prints, in place of the profile, the round's join steps as
+a markdown table (docs/performance.md, "Range scan or per-key probes"):
+every shared-variable ``JoinSteps._step_triple`` call by shape — the
+strategy the rule picked, table rows, distinct join keys, range
+entries, rows out — with how often the shape occurs in the round, and
+the first step of each shape re-run both ways (range scan / per-key
+probes forced, ungoverned, best of ``--repeat``).
 """
 
 from __future__ import annotations
@@ -93,6 +103,68 @@ def timed(dotted: str, seconds: Dict[str, List[float]]
     return undo
 
 
+def step_table(subject: Callable[[], Any], repeat: int) -> None:
+    """Run ``subject`` with :meth:`JoinSteps._step_triple` wrapped, and
+    print its shared-variable steps by shape, each shape timed under
+    both strategies."""
+    from repro.sparql import evaluator_steps as steps
+
+    original = steps.JoinSteps._step_triple
+    #: shape -> [steps of that shape, range-scan ms, per-key ms]
+    shapes: Dict[tuple, List[float]] = {}
+
+    def best(evaluator: Any, forced: bool, *step: Any) -> float:
+        evaluator._prefer_hash = lambda *_: forced
+        clock = []
+        for _ in range(repeat):
+            started = time.perf_counter()
+            original(evaluator, *step)
+            clock.append(time.perf_counter() - started)
+        return min(clock) * 1e3
+
+    def recording(self: Any, pattern: Any, source: Any, table: Any) -> Any:
+        out = original(self, pattern, source, table)
+        strategy = self._last_strategy
+        spec, _names, _dead = self._compile_positions(
+            pattern.positions(), table)
+        slots = [slot for kind, slot in spec if kind == "v"]
+        if not slots or not table:
+            return out
+        shape = (strategy, len(table),
+                 len(set(zip(*(table.columns[slot].tolist()
+                               for slot in slots)))),
+                 source.estimate_ids(steps._base_pattern(spec)), len(out))
+        if shape not in shapes:
+            # the replay must neither spend the request's budget nor
+            # show in its trace
+            governor, self._gov = self._gov, None
+            try:
+                shapes[shape] = [0, best(self, True, pattern, source, table),
+                                 best(self, False, pattern, source, table)]
+            finally:
+                del self._prefer_hash
+                self._gov, self._last_strategy = governor, strategy
+        shapes[shape][0] += 1
+        return out
+
+    steps.JoinSteps._step_triple = recording  # type: ignore[method-assign]
+    try:
+        subject()
+    finally:
+        steps.JoinSteps._step_triple = original  # type: ignore[method-assign]
+    print("| rule picks | table rows | distinct keys | range entries "
+          "| rows out | steps | range scan + kernel, ms "
+          "| per-key probes + kernel, ms |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    for shape in sorted(shapes, key=lambda shape: shape[1:]):
+        count, scan, probe = shapes[shape]
+        print("| " + " | ".join(
+            [str(cell) for cell in shape] + [str(count), f"{scan:.3f}",
+                                             f"{probe:.3f}"]) + " |")
+    print(f"# {sum(int(count) for count, _, _ in shapes.values())} "
+          f"shared-variable steps, {len(shapes)} shapes, best of {repeat}")
+
+
 def main() -> int:
     import harness
     from spans import Tracer
@@ -108,10 +180,18 @@ def main() -> int:
                         help="rows of the cumulative table")
     parser.add_argument("--sort", default="cumulative",
                         help="pstats sort key (cumulative, tottime, ...)")
+    parser.add_argument("--steps", action="store_true",
+                        help="print the round's join steps by shape, each "
+                             "timed as a range scan and as per-key probes, "
+                             "instead of the profile")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timed replays per strategy of --steps")
     parser.add_argument("--wall", default="", metavar="FUNC[,FUNC...]",
                         help="dotted names of functions to time, callees "
                              "included, in one more, un-profiled round")
     args = parser.parse_args()
+    if args.steps and args.setup:
+        parser.error("--steps tabulates a round's join steps; set-up has none")
     named = [name for name in args.wall.split(",") if name]
 
     workload = WORKLOADS[args.workload]
@@ -139,6 +219,10 @@ def main() -> int:
             def subject() -> None:
                 for op in ops:
                     harness.run_op(cube, op)
+        if args.steps:
+            print(f"# {what} (seed {args.seed})")
+            step_table(subject, args.repeat)
+            return 0
         gc.collect()
         profile = cProfile.Profile()
         profile.enable()
