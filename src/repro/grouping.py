@@ -7,7 +7,9 @@ the merge of morsel partials), SPARQL ``GROUP BY``
 (:mod:`repro.sparql.evaluator_steps`), SELECT DISTINCT before decode
 (:mod:`repro.sparql.evaluator`) and the storage tier's triple dedup
 (:mod:`repro.rdf.graph`) all call it; the ``single-grouping-kernel``
-lint rule keeps it that way.
+lint rule keeps it that way.  Its one-column sibling :func:`distinct`
+serves whatever ``repro.sparql`` evaluates once per distinct id
+(:func:`repro.sparql.bindings.expression_column`, aggregate arguments).
 
 Keys are parallel integer columns of any width (``int8`` codes next to
 ``int64`` term ids).  They are compared column by column, never packed
@@ -25,6 +27,46 @@ from __future__ import annotations
 from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
+
+
+#: Interned ids are array offsets while they are dense: ids that span at
+#: most this many slots per row of input — :func:`distinct`'s column;
+#: the join kernel's build entries and probe rows, both already charged
+#: to the governor (:func:`repro.sparql.evaluator_steps.grouped`) — are
+#: indexed by ``id - min``, so the index (8 B a slot) stays a per-call
+#: transient of the order of its input.  Measured on the contract host,
+#: 20 000 rows against 20 000 entries: a slot costs ≈ 0.4 ns to fill, a
+#: binary search 46–110 ns a needle (52 to 20 000 sorted keys) beside
+#: the 1.8 ms sort in front of it — directory and look-up 0.12 ms at
+#: one slot per entry, 0.19 ms at eight, sort and search 4.0 ms.  The
+#: directory would win far past 4; the constant bounds the memory, not
+#: the break-even.
+DIRECTORY_FILL = 4
+
+
+def distinct(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, codes)`` of one integer column: its distinct values,
+    ascending, and every row's index into them (``ids[codes]`` is the
+    column) — what ``np.unique(column, return_inverse=True)`` answers.
+
+    Dense ids are **counted**, not sorted or hashed: while they span at
+    most :data:`DIRECTORY_FILL` slots a row, one scatter marks the ids
+    present, ``flatnonzero`` lists them, a second scatter numbers them
+    and one gather reads every row's number (0.05–0.19 ms on 20 000
+    rows where ``np.unique`` takes 0.28–0.43).  Sparse ids (base ids
+    next to overlay ones) go to ``np.unique``; their span is never
+    allocated."""
+    count = len(column)
+    low = int(column.min()) if count else 0
+    span = int(column.max()) - low + 1 if count else 0
+    if span > DIRECTORY_FILL * count:
+        return np.unique(column, return_inverse=True)
+    offsets = column - low
+    number = np.zeros(span, dtype=np.int64)
+    number[offsets] = 1
+    ids = np.flatnonzero(number)
+    number[ids] = np.arange(len(ids))
+    return ids + low, number[offsets]
 
 
 def sorted_runs(columns: Sequence[np.ndarray], count: int

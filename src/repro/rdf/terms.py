@@ -66,6 +66,8 @@ NUMERIC_DATATYPES = INTEGER_DATATYPES | {XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT}
 
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 _ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+#: what no IRI may hold: controls, space and ``<>"{}|^`` + backtick
+_ILLEGAL_IRI_RE = re.compile(r'[\x00-\x20<>"{}|^\x60]')
 
 
 class Term:
@@ -106,8 +108,7 @@ class IRI(Term):
             raise TermError(f"IRI requires a string, got {type(value).__name__}")
         if not value:
             raise TermError("IRI must not be empty")
-        if any(ch in value for ch in "<>\"{}|^`") or any(
-                ord(ch) <= 0x20 for ch in value):
+        if _ILLEGAL_IRI_RE.search(value):
             raise TermError(f"IRI contains illegal characters: {value!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash(("IRI", value)))
@@ -159,6 +160,14 @@ class IRI(Term):
             return NotImplemented
         return self.value < other.value
 
+
+#: The well-known datatype IRIs, validated once: most literals carry one
+#: of these, and none of them pays for an ``IRI`` of its own.
+_DATATYPES = {value: IRI(value) for value in (
+    XSD_STRING, XSD_BOOLEAN, XSD_INTEGER, XSD_INT, XSD_LONG, XSD_SHORT,
+    XSD_BYTE, XSD_NON_NEGATIVE_INTEGER, XSD_POSITIVE_INTEGER, XSD_DECIMAL,
+    XSD_DOUBLE, XSD_FLOAT, XSD_DATE, XSD_DATETIME, XSD_GYEAR,
+    XSD_GYEARMONTH, XSD_DURATION, XSD_ANYURI, RDF_LANGSTRING)}
 
 _bnode_counter = itertools.count(1)
 _bnode_lock = threading.Lock()
@@ -253,19 +262,20 @@ class Literal(Term):
             if not _LANG_TAG_RE.match(language):
                 raise TermError(f"malformed language tag: {language!r}")
             language = language.lower()
-            datatype_value = RDF_LANGSTRING
+            datatype = RDF_LANGSTRING
             lexical = self._lexical_of(value)
         elif datatype is not None:
-            datatype_value = datatype.value if isinstance(datatype, IRI) else str(datatype)
             lexical = self._lexical_of(value)
         else:
-            datatype_value, lexical = self._infer(value)
+            datatype, lexical = self._infer(value)
+        if not isinstance(datatype, IRI):
+            datatype = _DATATYPES.get(str(datatype)) or IRI(str(datatype))
         object.__setattr__(self, "lexical", lexical)
-        object.__setattr__(self, "datatype", IRI(datatype_value))
+        object.__setattr__(self, "datatype", datatype)
         object.__setattr__(self, "language", language)
         object.__setattr__(
             self, "_hash",
-            hash(("Literal", lexical, datatype_value, language)))
+            hash(("Literal", lexical, datatype.value, language)))
 
     @staticmethod
     def _lexical_of(value: Any) -> str:

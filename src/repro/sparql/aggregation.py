@@ -15,9 +15,9 @@ Terms are touched late: plain-variable group keys group on id tuples
 (the dictionary is a bijection) and decode once per group, and any
 other key or argument is a column of
 :func:`~repro.sparql.bindings.expression_column` — evaluated and lifted
-once per *distinct* id tuple of the variables it reads.  Worker-safe:
-the dictionary arrives as a ``decode`` function, nothing here touches
-an endpoint, a graph or a module cache.
+once per *distinct* key of the variables it reads.  Worker-safe: the
+dictionary arrives as a ``decode`` function, nothing here touches an
+endpoint, a graph or a module cache.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.rdf.terms import Literal, Term, XSD_STRING
 from repro.sparql.algebra import ProjectionItem, SelectQuery
 from repro.sparql.bindings import (
     BindingTable,
+    _row_at_a_time,
     column_cells,
     expression_column,
 )
@@ -272,12 +273,15 @@ class Plan:
 
     ``keys`` pairs each GROUP BY expression with the name it binds in
     the result (its ``AS`` alias, else the variable itself, else
-    ``None``); ``aggregates`` are the aggregate calls of HAVING and the
-    projection and ``folds`` their accumulators, which the states of
-    :data:`Partials` line up with.
+    ``None``).  ``readers`` holds, per distinct aggregate of HAVING and
+    the projection, every node of the query that reads its value, and
+    ``folds`` their accumulators, which the states of :data:`Partials`
+    line up with: calls that compute the same thing — ``SUM(?m)``
+    projected *and* tested in HAVING, which is what a measure dice
+    after a roll-up translates to — are one entry, one fold, one state.
     """
 
-    __slots__ = ("keys", "having", "projection", "aggregates", "folds")
+    __slots__ = ("keys", "having", "projection", "readers", "folds")
 
     def __init__(self, query: SelectQuery) -> None:
         self.keys: List[Tuple[Expression, Optional[str]]] = []
@@ -290,12 +294,25 @@ class Plan:
         self.projection: List[ProjectionItem] = [
             item for item in query.projection or []
             if item.expression is not None]
-        self.aggregates: List[Aggregate] = [
-            node for expression in self.having
-            + [item.expression for item in self.projection]
-            for node in subexpressions(expression)
-            if isinstance(node, Aggregate)]
+        # an expression's repr is what it computes, never where it
+        # lives — but an EXISTS pattern prints as a summary (``BGP(1
+        # patterns)``) and BNODE() mints per call: those share nothing
+        same: Dict[Any, List[Aggregate]] = {}
+        for expression in self.having + [
+                item.expression for item in self.projection]:
+            for node in subexpressions(expression):
+                if isinstance(node, Aggregate):
+                    apart = node.expression is not None \
+                        and _row_at_a_time(node.expression)
+                    same.setdefault(id(node) if apart else repr(node),
+                                    []).append(node)
+        self.readers: List[List[Aggregate]] = list(same.values())
         self.folds = [accumulator(call) for call in self.aggregates]
+
+    @property
+    def aggregates(self) -> List[Aggregate]:
+        """The distinct aggregate calls, one per fold."""
+        return [nodes[0] for nodes in self.readers]
 
     def fixed_size(self) -> bool:
         """Whether every state stays O(1) however many rows fed it —
@@ -309,14 +326,15 @@ def _key_column(expression: Expression, table: BindingTable,
     """One GROUP BY key as an integer column to group on: a plain
     variable's ids as they are (``None`` beside them), any other key's
     values numbered — equal terms are one key whatever ids they were
-    computed from — beside the values themselves."""
+    computed from — beside the distinct values the numbers index."""
     if isinstance(expression, VariableExpression) \
             and expression.name in table.slots:
         return table.columns[table.slots[expression.name]], None
-    values = expression_column(expression, table, decode, context)
+    values, codes = expression_column(expression, table, decode, context)
     number: Dict[Any, int] = {}
-    return np.array([number.setdefault(value, len(number))
-                     for value in values], dtype=np.int64), values
+    numbers = np.array([number.setdefault(value, len(number))
+                        for value in values], dtype=np.int64)
+    return numbers[codes], list(number)
 
 
 def _states(call: Aggregate, fold: _Accumulator, table: BindingTable,
@@ -336,7 +354,7 @@ def _states(call: Aggregate, fold: _Accumulator, table: BindingTable,
     slot = table.slots.get(expression.name) \
         if isinstance(expression, VariableExpression) else None
     if slot is None:
-        values: Iterable[Any] = expression_column(
+        lifted, codes = expression_column(
             expression, table, decode, context, fold.lift)
     else:
         column = table.columns[slot]
@@ -345,12 +363,12 @@ def _states(call: Aggregate, fold: _Accumulator, table: BindingTable,
             column, inverse = column[bound], inverse[bound]
         lifted = codes = None
         if fold.lift is not None:
-            distinct, codes = np.unique(column, return_inverse=True)
-            lifted = [fold.lift(decode(cell)) for cell in distinct.tolist()]
+            ids, codes = grouping.distinct(column)
+            lifted = [fold.lift(decode(cell)) for cell in ids.tolist()]
         states = fold.columns(inverse, groups, lifted, codes)
         if states is not None:
             return states
-        values = map(lifted.__getitem__, codes.tolist())
+    values = map(lifted.__getitem__, codes.tolist())
     states = [fold.start() for _ in range(groups)]
     step = fold.step
     # the general fold: what no array dtype holds (decimals, mixed
@@ -378,7 +396,7 @@ def partials(plan: Plan, table: BindingTable,
     # a group's key: the cells of its first row (a term id per
     # plain-variable key, a term per computed one, ``None`` unbound)
     cells = [column_cells(column[first]) if values is None
-             else [values[row] for row in first.tolist()]
+             else [values[number] for number in column[first].tolist()]
              for column, values in keys]
     return {key: [column[number] for column in states]
             for number, key in enumerate(zip(*cells) if cells else [()])}
@@ -433,12 +451,13 @@ def finalize(plan: Plan, groups: Partials, decode: Callable[[int], Term],
                     binding[name] = decode(cell) if isinstance(
                         expression, VariableExpression) else cell
             finished.clear()
-            for call, fold, state in zip(plan.aggregates, plan.folds,
-                                         states):
+            for nodes, fold, state in zip(plan.readers, plan.folds, states):
                 try:
-                    finished[call] = fold.finish(state)
+                    value = fold.finish(state)
                 except ExpressionError:
-                    pass  # an error wherever the group reads it
+                    continue  # an error wherever the group reads it
+                for node in nodes:
+                    finished[node] = value
             try:
                 keep = all(effective_boolean_value(condition.evaluate(
                     binding, context)) for condition in plan.having)

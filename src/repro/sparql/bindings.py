@@ -7,8 +7,10 @@ column per variable** whose cells are interned term ids (see
 variable is unbound, and an explicit row count (the zero-column unit
 table still has one row).  Every operator on the query's critical path
 — the join kernel of :mod:`repro.sparql.evaluator_steps`, FILTER, BIND,
-GROUP BY — reads and writes those columns whole: a join step is a sort,
-a binary search and a gather, never a Python object per solution.
+GROUP BY — reads and writes those columns whole: a join step is a
+scatter into a key directory and a gather, never a Python object per
+solution; where terms have to be looked at, :func:`expression_column`
+looks once per distinct key of the columns read.
 
 Columns are **immutable once a table holds them**: an operator that
 keeps every row hands the input's column objects on to its output, so
@@ -33,13 +35,15 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, \
 
 import numpy as np
 
+from repro import grouping
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
+    BooleanExpression,
     EvalContext,
     ExistsExpression,
     Expression,
     FunctionExpression,
-    VariableExpression,
+    effective_boolean_value,
     subexpressions,
 )
 
@@ -186,29 +190,24 @@ def _row_at_a_time(expression: Expression) -> bool:
 def expression_column(expression: Expression, table: BindingTable,
                       decode: Callable[[int], Any], context: EvalContext,
                       lift: Optional[Callable[[Any], Any]] = None
-                      ) -> List[Any]:
-    """``expression`` over every row of ``table``: the lifted value per
-    row, ``None`` where it is unbound or an :class:`ExpressionError`.
+                      ) -> Tuple[List[Any], np.ndarray]:
+    """``expression`` over every row of ``table`` as ``(values,
+    codes)``: row ``i`` holds ``values[codes[i]]`` — the lifted value,
+    ``None`` where it is unbound or an :class:`ExpressionError`.
 
-    The single term-level boundary of the id pipeline — FILTER (``lift``
-    is the effective boolean value), BIND (``encode``), an aggregate's
-    argument (its accumulator's ``lift``) and a computed group key
-    (nothing) all evaluate here.  The expression is evaluated and lifted
-    **once per distinct id tuple** of the columns it reads, decoding
-    only the cells that tuple holds: the dictionary is a bijection, so
-    equal id tuples are equal bindings (``1``, ``1.0`` and
-    ``"01"^^xsd:integer`` are distinct ids, evaluated separately).  A
-    plain variable nothing lifts stays the column of its ids.  Only an
-    expression :func:`_row_at_a_time` names sees every row, whole, with
+    The single term-level boundary of the id pipeline — a FILTER
+    conjunct (:func:`filter_mask`), BIND (``lift`` is ``encode``), an
+    aggregate's argument (its accumulator's ``lift``) and a computed
+    group key (nothing) all evaluate here.  The expression is evaluated
+    and lifted **once per distinct key** of the columns it reads,
+    decoding only the cells that key holds: the dictionary is a
+    bijection, so equal id tuples are equal bindings (``1``, ``1.0`` and
+    ``"01"^^xsd:integer`` are distinct ids, evaluated separately); the
+    keys are :func:`repro.grouping.distinct`'s of one column,
+    :func:`repro.grouping.group`'s of several.  Only an expression
+    :func:`_row_at_a_time` names sees every row, whole, with
     ``context.row`` at the row's index.
     """
-    count = len(table)
-    slots = table.slots
-    if lift is None and isinstance(expression, VariableExpression):
-        slot = slots.get(expression.name)
-        return [None] * count if slot is None \
-            else column_cells(table.columns[slot])
-
     def value_of(binding: Dict[str, Any]) -> Any:
         try:
             value = expression.evaluate(binding, context)
@@ -225,21 +224,47 @@ def expression_column(expression: Expression, table: BindingTable,
         for index, row in enumerate(table.rows):
             context.row = index
             values.append(value_of(decode_row(row)))
-        return values
+        return values, np.arange(len(table))
     variables = expression.variables()
     reads = [name for name in table.names if name in variables]
-    if not reads:
-        return [value_of({})] * count
-    columns = [column_cells(table.columns[slots[name]]) for name in reads]
-    # one column keys on its ids as they are: no tuple per row
-    single = len(columns) == 1
-    keys = columns[0] if single else list(zip(*columns))
-    memo = dict.fromkeys(keys)  # first-occurrence order, like the rows
-    for key in memo:
-        memo[key] = value_of({name: decode(cell) for name, cell
-                              in zip(reads, (key,) if single else key)
-                              if cell is not None})
-    return list(map(memo.__getitem__, keys))
+    columns = [table.columns[table.slots[name]] for name in reads]
+    if len(columns) == 1:
+        ids, codes = grouping.distinct(columns[0])
+        keys: Iterable[Tuple[int, ...]] = zip(ids.tolist())
+    else:  # reading no column at all is one key, evaluated once
+        first, codes = grouping.group(columns, len(table))
+        keys = zip(*(column[first].tolist() for column in columns)) \
+            if columns else [()]
+    return [value_of({name: decode(cell) for name, cell in zip(reads, key)
+                      if cell >= 0}) for key in keys], codes
+
+
+def _conjuncts(condition: Expression) -> Iterator[Expression]:
+    """The operands of ``condition``'s top-level ``&&`` chain."""
+    if isinstance(condition, BooleanExpression) and condition.op == "&&":
+        yield from _conjuncts(condition.left)
+        yield from _conjuncts(condition.right)
+    else:
+        yield condition
+
+
+def filter_mask(condition: Expression, table: BindingTable,
+                decode: Callable[[int], Any], context: EvalContext
+                ) -> np.ndarray:
+    """The indices of the rows ``FILTER(condition)`` keeps, ascending.
+
+    FILTER keeps a row iff the effective boolean value is true, and ``A
+    && B`` is true iff both are — an error or a false on either side
+    drops the row either way (SPARQL 17.2) — so each conjunct of the
+    top-level ``&&`` chain is evaluated over *its own* columns and the
+    verdicts are ANDed as arrays: ``?a = 1 && ?b = 2`` costs |a| + |b|
+    evaluations, not |pairs|.  ``||`` and ``!`` are not split."""
+    keep = np.ones(len(table), dtype=bool)
+    for conjunct in _conjuncts(condition):
+        verdicts, codes = expression_column(
+            conjunct, table, decode, context, effective_boolean_value)
+        keep &= np.array(verdicts, dtype=bool)[codes]  # None: not true
+    return np.flatnonzero(keep)
 
 
 def concat(tables: Iterable[BindingTable]) -> BindingTable:

@@ -60,7 +60,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
 
 import numpy as np
 
-from repro.grouping import group
+from repro.grouping import DIRECTORY_FILL, group
 from repro.sparql.algebra import PathPatternNode, TriplePatternNode, Var
 from repro.sparql.bindings import BindingTable, id_column
 from repro.sparql.evaluator_source import (
@@ -79,18 +79,6 @@ Matches = Tuple[np.ndarray, ...]
 #: variable the table has a column for, ``("n", None)`` a new variable,
 #: ``("d", first)`` a new variable repeated from position ``first``.
 Spec = List[Tuple[str, Optional[int]]]
-
-#: A single-column build side is a key directory while its keys span at
-#: most this many slots per build entry and probe row — both already
-#: charged to the governor, so the directory (8 B a slot) stays a
-#: per-step transient of the order of the two sides.  Measured on the
-#: contract host, 20 000 rows against 20 000 entries: a slot costs
-#: ≈ 0.4 ns to fill, a binary search 46–110 ns a needle (52 to 20 000
-#: sorted keys) beside the 1.8 ms sort in front of it — directory and
-#: look-up 0.12 ms at one slot per entry, 0.19 ms at eight, sort and
-#: search 4.0 ms.  The directory would win far past 4; the constant
-#: bounds the memory, not the break-even.
-DIRECTORY_FILL = 4
 
 
 class Build(NamedTuple):

@@ -11,9 +11,9 @@ sort-and-search join over id columns
 off a single index scan or off one index probe per distinct join value
 — never a fresh plan or a Python object per input row.  Terms are only
 decoded where an expression reads them
-(:func:`~repro.sparql.bindings.expression_column`: FILTER, BIND and
-aggregate arguments, once per distinct id tuple of the columns read)
-and at final projection; GROUP BY folds the id table itself
+(:func:`~repro.sparql.bindings.expression_column`: a FILTER conjunct,
+BIND and aggregate arguments, once per distinct key of the columns
+read) and at final projection; GROUP BY folds the id table itself
 (:mod:`repro.sparql.aggregation`).
 
 The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
@@ -82,6 +82,7 @@ from repro.sparql.bindings import (
     all_bound,
     concat as table_concat,
     expression_column,
+    filter_mask,
     id_column,
     row_decoder,
 )
@@ -97,7 +98,7 @@ from repro.sparql.evaluator_steps import (
     join_table,
     located,
 )
-from repro.sparql.expressions import EvalContext, effective_boolean_value
+from repro.sparql.expressions import EvalContext
 from repro.sparql.optimizer import get_plan
 
 
@@ -495,10 +496,9 @@ class PatternEvaluator(JoinSteps):
 
     def _filter_table(self, child: BindingTable, condition,
                       source: GraphSource) -> BindingTable:
-        keep = expression_column(
+        return child.take(filter_mask(
             condition, child, self._dict.decode,
-            self._context_for(source, child), effective_boolean_value)
-        return child.take(np.array(keep, dtype=bool))
+            self._context_for(source, child)))
 
     def _extend_table(self, node: Extend, child: BindingTable,
                       source: GraphSource) -> BindingTable:
@@ -510,12 +510,12 @@ class PatternEvaluator(JoinSteps):
             raise EvaluationError(
                 f"BIND would rebind already-bound variable ?{name}")
         # an error leaves the variable unbound per SPARQL error semantics
-        values = expression_column(
+        values, codes = expression_column(
             node.expression, child, self._dict.decode,
             self._context_for(source), self._dict.encode)
         return BindingTable.of(
             child.names[:slot] + (name,) + child.names[slot + 1:],
-            child.columns[:slot] + [id_column(values)]
+            child.columns[:slot] + [id_column(values)[codes]]
             + child.columns[slot + 1:], len(child))
 
     def _walk_graph(self, node: GraphNode, source: GraphSource,

@@ -960,7 +960,10 @@ class Aggregate(Expression):
 
     def __repr__(self) -> str:
         distinct = "DISTINCT " if self.distinct else ""
-        return f"Aggregate({self.name}({distinct}{self.expression!r}))"
+        separator = f"; SEPARATOR={self.separator!r}" \
+            if self.name == "GROUP_CONCAT" else ""
+        return (f"Aggregate({self.name}({distinct}{self.expression!r}"
+                f"{separator}))")
 
 
 def subexpressions(expression: Expression) -> Iterator[Expression]:

@@ -336,7 +336,7 @@ FIXTURES = {
             return [column[first] for column in columns], inverse
 
         def _distinct(column):
-            return np.unique(column, return_inverse=True)
+            return np.unique(column)
         """,
     ),
     "single-generation-install": (
@@ -660,7 +660,8 @@ def test_the_general_fold_is_the_only_per_row_step():
 def test_grouping_has_one_home():
     """``np.unique(axis=0)`` is a finding everywhere under ``src/``,
     the shared module included; ``np.lexsort`` everywhere but there;
-    a one-dimensional ``np.unique`` and code outside ``src/`` are
+    under ``sparql/`` so is ``np.unique(return_inverse=True)``; a
+    plain one-dimensional ``np.unique`` and code outside ``src/`` are
     free."""
     rule = "single-grouping-kernel"
     bad, _path, good = FIXTURES[rule]
@@ -679,6 +680,23 @@ def test_grouping_has_one_home():
     assert findings_for(lexsort, home, rule) == []
     for path in ("tests/olap/reference_group.py", "benchmarks/check_x.py"):
         assert findings_for(bad, path, rule) == []
+    # which distinct ids a column holds has the same home, under
+    # ``sparql/``: no sort-or-hash of one column
+    hand_rolled = """
+    def _states(column):
+        return np.unique(column, return_inverse=True)
+    """
+    for path in (STEPS, WALKER, PARALLEL, "src/repro/sparql/bindings.py"):
+        found = findings_for(hand_rolled, path, rule)
+        assert len(found) == 1 and "grouping.distinct" in found[0].message
+    for path in (LIBRARY, GRAPH, home, "tests/sparql/test_x.py"):
+        assert findings_for(hand_rolled, path, rule) == []
+    counted = """
+    def _states(column, names):
+        ids, codes = grouping.distinct(column)
+        return ids, codes, np.unique(column), dict.fromkeys(names)
+    """
+    assert findings_for(counted, STEPS, rule) == []
     # the shared module is worker-side code, top to bottom
     worker = "def group(columns, count):\n    return PLAN_CACHE\n"
     assert findings_for(worker, home, "parallel-safety")

@@ -1,5 +1,6 @@
 """``repro.grouping`` against the ``np.unique(axis=0)`` grouping it
-replaced (``reference_group``) and against a Python dict.
+replaced (``reference_group``) and against a Python dict; its
+one-column ``distinct`` against ``np.unique(return_inverse=True)``.
 
 Keys cover what the callers feed it: no key column at all, narrowed
 ``int8`` / ``int16`` / ``int32`` level codes beside ``int64`` term ids,
@@ -9,12 +10,13 @@ all-distinct columns, zero / one / many rows.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.grouping import fold, group, sorted_runs
+from repro.grouping import DIRECTORY_FILL, distinct, fold, group, sorted_runs
 
 from tests.olap.reference_group import reference_group
 
@@ -110,6 +112,87 @@ class TestGroup:
         assert order.tolist() == [] and starts.tolist() == []
 
 
+@st.composite
+def id_columns(draw):
+    """One id column: dense ids (some unbound), ids spread to the
+    counting bound and past it, base ids beside overlay ones; ``int32``
+    where the ids fit, as the storage tier narrows them."""
+    count = draw(st.sampled_from([0, 1, 2, 7, 40]))
+    low = draw(st.sampled_from([-1, 0, 5, 70_000, OVERLAY]))
+    width = draw(st.sampled_from([
+        1, 3, count, DIRECTORY_FILL * count, DIRECTORY_FILL * count + 1,
+        100 * count + 1, OVERLAY]))
+    cells = draw(st.lists(
+        st.one_of(st.just(-1), st.integers(low, low + width - 1),
+                  st.sampled_from([low, low + width - 1])),
+        min_size=count, max_size=count))
+    narrow = max(cells, default=0) < 2**31 and draw(st.booleans())
+    return np.array(cells, dtype=np.int32 if narrow else np.int64)
+
+
+def unique_calls(monkeypatch, call):
+    """How often ``call()`` sorts or hashes: ``np.unique`` +
+    ``np.lexsort`` calls."""
+    counts = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            counts.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("unique", "lexsort"):
+            patch.setattr(np, name, counting(getattr(np, name)))
+        call()
+    return len(counts)
+
+
+class TestDistinct:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(id_columns())
+    @example(np.array([-1, -1, -1]))
+    @example(np.array([OVERLAY + 4, 3, -1, OVERLAY + 4, 3]))
+    @example(np.array([2**31 - 1, -1, 2**31 - 2, 2**31 - 1],
+                      dtype=np.int32))
+    def test_ids_and_codes_are_np_unique(self, column):
+        ids, codes = distinct(column)
+        expected, inverse = np.unique(column, return_inverse=True)
+        assert ids.tolist() == expected.tolist()
+        assert codes.tolist() == inverse.tolist()
+        assert ids[codes].tolist() == column.tolist()
+
+    def test_the_bound_is_where_counting_stops(self, monkeypatch):
+        """Ten rows: ids spanning 40 slots are counted, 41 sorted."""
+        for last, sorted_once in ((139, 0), (140, 1)):
+            column = np.array([100, 103, 100, 110, last, 111, 103, 100,
+                               last, 104])
+            assert unique_calls(
+                monkeypatch, lambda: distinct(column)) == sorted_once
+
+    def test_sparse_ids_never_allocate_their_span(self):
+        column = np.array([7, OVERLAY + 4, 3, OVERLAY, 7, -1] * 50)
+        tracemalloc.start()
+        try:
+            ids, codes = distinct(column)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.tolist() == [-1, 3, 7, OVERLAY, OVERLAY + 4]
+        assert peak < 64 * 1024  # O(rows): 300 rows, 8 B cells
+
+    def test_dense_ids_stay_within_the_fill_bound(self):
+        column = np.arange(0, 4 * 5000, 4)  # 5000 rows at the bound
+        tracemalloc.start()
+        try:
+            distinct(column)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the numbering's slots plus a handful of row-sized arrays
+        assert peak < (DIRECTORY_FILL + 6) * 8 * len(column)
+
+
 class TestFold:
     def test_result_follows_the_values_dtype(self):
         inverse = np.array([0, 1, 0, 2])
@@ -149,5 +232,5 @@ def test_the_module_is_worker_side():
     import repro.grouping as module
 
     assert {name for name in vars(module) if not name.startswith("__")} \
-        >= {"group", "fold", "sorted_runs"}
+        >= {"group", "fold", "sorted_runs", "distinct"}
     assert pickle.loads(pickle.dumps(group)) is group

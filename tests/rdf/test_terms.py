@@ -48,6 +48,33 @@ class TestIRI:
             with pytest.raises(TermError):
                 IRI(bad)
 
+    def test_every_illegal_character_wherever_it_stands(self):
+        """``<>"{}|^``, the backtick and every code point up to the
+        space, at the start, in the middle and at the end — and nothing
+        else: the rest of ASCII and non-ASCII text are accepted."""
+        illegal = set('<>"{}|^`') | {chr(code) for code in range(0x21)}
+        for bad in sorted(illegal):
+            for value in (bad + "http://e/a", "http://e/" + bad + "a",
+                          "http://e/a" + bad):
+                with pytest.raises(TermError, match="illegal"):
+                    IRI(value)
+        for code in range(0x21, 0x80):
+            if chr(code) not in illegal:
+                assert IRI("http://e/a" + chr(code)).value[-1] == chr(code)
+        for text in ("http://e/é", "http://例え.jp/ネコ", "http://e/\x7f",
+                     "http://e/\x85\xa0\u2028", "http://e/\U0001f600"):
+            assert IRI(text).value == text
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for term in (IRI("http://e/é#x"), Literal(5),
+                     Literal("5", datatype=IRI("http://e/dt")),
+                     Literal("hola", language="es")):
+            copy = pickle.loads(pickle.dumps(term))
+            assert copy == term and hash(copy) == hash(term)
+            assert type(copy) is type(term)
+
     def test_rejects_non_string(self):
         with pytest.raises(TermError):
             IRI(42)
@@ -116,6 +143,20 @@ class TestLiteral:
     def test_malformed_language(self):
         with pytest.raises(TermError):
             Literal("x", language="not a tag!")
+
+    def test_inferred_and_named_datatypes_are_the_same_term(self):
+        assert Literal(5).datatype == IRI(XSD_INTEGER)
+        assert hash(Literal(5).datatype) == hash(IRI(XSD_INTEGER))
+        for other in (Literal("5", datatype=XSD_INTEGER),
+                      Literal("5", datatype=IRI(XSD_INTEGER))):
+            assert Literal(5) == other and hash(Literal(5)) == hash(other)
+        # a datatype handed in as an IRI is kept, any other is validated
+        custom = IRI("http://e/dt")
+        assert Literal("x", datatype=custom).datatype is custom
+        assert Literal("x", datatype="http://e/dt") \
+            == Literal("x", datatype=custom)
+        with pytest.raises(TermError):
+            Literal("x", datatype="http://e/d t")
 
     def test_integer_inference(self):
         lit = Literal(42)

@@ -1,12 +1,14 @@
-"""One evaluation per distinct id tuple ≡ one evaluation per row.
+"""One evaluation per distinct key ≡ one evaluation per row.
 
 ``repro.sparql.bindings.expression_column`` is the only place the id
-pipeline evaluates an expression (FILTER, BIND, aggregate arguments,
-computed group keys), and it evaluates once per *distinct id tuple* of
-the columns the expression reads.  Every query route runs it, so their
-agreement no longer checks it; these tests do, against the oracle that
-lives here: the row-at-a-time loops the evaluator had before, which
-decode the whole row for every row.
+pipeline evaluates an expression (a FILTER conjunct, BIND, aggregate
+arguments, computed group keys), and it evaluates once per *distinct
+key* of the columns the expression reads; ``filter_mask`` splits a
+FILTER's top-level ``&&`` chain so that every conjunct keys on its own
+columns.  Every query route runs them, so their agreement no longer
+checks them; these tests do, against the oracle that lives here: the
+row-at-a-time loops the evaluator had before, which decode the whole
+row for every row and evaluate the condition whole.
 
 Generated tables repeat ids heavily (so the memo is hit), leave cells
 unbound, and hold ill-typed numerics, dates, IRIs and literals that are
@@ -14,14 +16,19 @@ value-equal without being term-equal (``1``, ``"01"^^xsd:integer``,
 ``1.0``) — distinct ids the memo must keep apart.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf import Dataset, IRI, Literal
 from repro.rdf.terms import BNode, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from repro.sparql import LocalEndpoint
 from repro.sparql.algebra import Empty, Extend, Filter
-from repro.sparql.bindings import BindingTable, expression_column
+from repro.sparql.bindings import (
+    BindingTable,
+    expression_column,
+    filter_mask,
+)
 from repro.sparql.errors import EvaluationError, ExpressionError
 from repro.sparql.evaluator import DatasetContext, PatternEvaluator
 from repro.sparql.expressions import (
@@ -102,8 +109,10 @@ class Harness:
     """An evaluator over an empty dataset and an id table of its
     dictionary, plus the row-at-a-time reference loops."""
 
-    def __init__(self, rows, names=NAMES):
-        context = DatasetContext(Dataset())
+    def __init__(self, rows, names=NAMES, triples=()):
+        dataset = Dataset()
+        dataset.default.add_all(triples)
+        context = DatasetContext(dataset)
         self.evaluator = PatternEvaluator(context)
         self.source = context.default_source()
         self.encode = self.evaluator._dict.encode
@@ -169,9 +178,18 @@ class Harness:
         return self.evaluator._extend_table(
             Extend(Empty(), name, expression), self.table, self.source)
 
+    def mask(self, condition):
+        """The rows at the indices ``filter_mask`` answers."""
+        kept = filter_mask(
+            condition, self.table, self.decode,
+            self.evaluator._context_for(self.source, self.table))
+        assert kept.tolist() == sorted(set(kept.tolist()))
+        return [self.table.rows[index] for index in kept.tolist()]
+
     def values(self, expression):
-        return expression_column(
+        values, codes = expression_column(
             expression, self.table, self.decode, self.context)
+        return [values[code] for code in codes.tolist()]
 
 
 class TestMemoisedEqualsRowAtATime:
@@ -201,12 +219,8 @@ class TestMemoisedEqualsRowAtATime:
     @given(tables, expressions)
     def test_group_key_terms_are_the_same(self, rows, expression):
         harness = Harness(rows)
-        values = harness.values(expression)
-        if isinstance(expression, VariableExpression):
-            # a plain variable nothing lifts stays its id column
-            values = [None if cell is None else harness.decode(cell)
-                      for cell in values]
-        assert values == harness.reference_values(expression)
+        assert harness.values(expression) == harness.reference_values(
+            expression)
 
 
 class Counting(Expression):
@@ -239,6 +253,120 @@ def bind_of(text):
 
 
 ILL = Literal("abc", datatype=XSD_INTEGER)
+
+
+#: what the EXISTS conjuncts look at: ``:a :p 1``
+FACTS = [(IRI(EX + "a"), IRI(EX + "p"), Literal(1))]
+
+#: conjuncts ``expressions`` cannot draw: EXISTS — true for the rows
+#: whose ``?x`` is ``:a``, and through an inner FILTER for those whose
+#: ``?y`` equals 1, a variable ``variables()`` does not list — and
+#: ``BNODE()``, both of which see every row; constants (true, false, an
+#: error); a variable without a column, an error on every row
+special = st.sampled_from([
+    f"EXISTS {{ ?x <{EX}p> ?o }}",
+    f"NOT EXISTS {{ ?s <{EX}p> ?o FILTER(?o = ?y) }}",
+    f"?z = 2 || EXISTS {{ ?x <{EX}p> 1 }}",
+    "ISBLANK(BNODE())", "BOUND(?y) && ISIRI(BNODE())",
+    "true", "false", "'abc'^^<http://www.w3.org/2001/XMLSchema#integer>",
+    "?w = 1", "?w = 1 || ?x = 1"]).map(lambda text: condition_of(text))
+
+
+def both(pair):
+    return BooleanExpression("&&", *pair)
+
+
+#: ``&&`` chains nested either way, two to five conjuncts
+chains = st.recursive(
+    st.one_of(expressions, special),
+    lambda children: st.tuples(children, children).map(both),
+    max_leaves=5).filter(lambda node: isinstance(node, BooleanExpression))
+#: the same chains where they must not be split: under ``!`` and ``||``
+conditions = st.one_of(
+    chains, chains, st.builds(NotExpression, chains),
+    st.builds(BooleanExpression, st.just("||"), chains, chains))
+
+
+class TestMaskEqualsRowAtATime:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(tables, conditions)
+    @example([], both((condition_of("?x = 1"), condition_of("true"))))
+    @example([], both((condition_of("?x = 1"), condition_of("?y = ?z"))))
+    def test_mask_keeps_the_same_rows_in_order(self, rows, condition):
+        harness = Harness(rows, triples=FACTS)
+        expected = harness.reference_filter(condition)
+        assert harness.mask(condition) == expected
+        assert harness.filter(condition).rows == expected
+
+    def test_each_conjunct_runs_once_per_key_of_its_own_columns(self):
+        rows = [(Literal(x), Literal(y)) for x in (1, 2, 3)
+                for y in (1, 2, 3, 4)] * 2
+        harness = Harness(rows, names=("x", "y"))
+
+        def counted():
+            return (Counting(condition_of("?x < 3")),
+                    Counting(condition_of("?y < 4 && ?x > 0")))
+
+        one, other = counted()
+        expected = harness.reference_filter(both((one, other)))
+        assert len(expected) == 12
+        one, other = counted()
+        assert harness.mask(both((one, other))) == expected
+        assert (one.calls, other.calls) == (3, 12)
+        # under ``!`` and ``||`` the chain is one condition, run once
+        # per distinct (?x, ?y)
+        for whole in (NotExpression(NotExpression(both(counted()))),
+                      BooleanExpression("||", both(counted()),
+                                        condition_of("false"))):
+            assert harness.mask(whole) == expected
+            chain = whole.operand.operand if isinstance(
+                whole, NotExpression) else whole.left
+            assert (chain.left.calls, chain.right.calls) == (12, 12)
+
+    def test_an_erroring_conjunct_drops_the_rows_holding_its_key(self):
+        rows = [(Literal(1), Literal("a")), (ILL, Literal("a")),
+                (Literal(1), Literal("b")), (ILL, Literal("b")),
+                (None, Literal("a")), (Literal(1), None),
+                (Literal(1), Literal("a"))]
+        harness = Harness(rows, names=("x", "y"))
+        numeric = Counting(condition_of("?x < 2"))
+        tagged = Counting(condition_of("?y = 'a' || ?y = 1"))
+        assert harness.mask(both((numeric, tagged))) == [
+            harness.table.rows[0], harness.table.rows[6]]
+        # 1, the ill-typed literal, unbound; "a", "b", unbound
+        assert (numeric.calls, tagged.calls) == (3, 3)
+
+    def test_a_row_at_a_time_conjunct_does_not_drag_the_others(self):
+        rows = [(IRI(EX + name), Literal(value))
+                for name in "ab" for value in (1, 2, 3)] * 3
+        harness = Harness(rows, names=("x", "y"), triples=FACTS)
+        plain = Counting(condition_of("?y < 3"))
+        exists = Counting(condition_of(f"EXISTS {{ ?x <{EX}p> ?o }}"))
+        minted = Counting(condition_of("ISBLANK(BNODE())"))
+        kept = harness.mask(both((both((plain, exists)), minted)))
+        assert kept == [row for row in harness.table.rows
+                        if harness.decode(row[0]) == IRI(EX + "a")
+                        and harness.decode(row[1]).value < 3]
+        assert len(kept) == 6
+        assert (plain.calls, exists.calls, minted.calls) == (3, 18, 18)
+
+    def test_dense_ids_are_counted_not_sorted_or_hashed(self, monkeypatch):
+        """One column of dense ids: no ``np.unique``, no ``np.lexsort``;
+        an unbound cell beside overlay ids is past the counting bound
+        and sorts once; two columns are grouped by one ``lexsort``."""
+        from tests.olap.test_grouping import unique_calls
+
+        bound = [(Literal(value % 5), Literal("a")) for value in range(40)]
+        for rows, text, sorts in (
+                (bound, "?x < 3", 0), (bound, "?x < 3 && ?y = 'a'", 0),
+                (bound + [(None, None)], "?x < 3", 1),
+                (bound, "?x < 3 || ?y = 'a'", 1)):
+            harness = Harness(rows, names=("x", "y"))
+            condition = condition_of(text)
+            expected = harness.reference_filter(condition)
+            assert unique_calls(
+                monkeypatch, lambda: harness.mask(condition)) == sorts
+            assert harness.mask(condition) == expected
 
 
 class TestFixedCases:
@@ -342,11 +470,12 @@ class TestFixedCases:
             (Literal(2), Literal(0), Literal(1))]
 
 
-class TestOncePerDistinctTuple:
-    """The benchmark's three-way dice reads three attribute columns
-    whose id tuples repeat: the condition runs once per tuple."""
+class TestOncePerDistinctKey:
+    """The benchmark's three-way dice reads three attribute columns:
+    each conjunct runs once per distinct id of *its* attribute, not
+    once per distinct triple of them."""
 
-    def test_three_way_and_is_evaluated_once_per_attribute_tuple(
+    def test_three_way_and_is_evaluated_once_per_attribute_value(
             self, monkeypatch):
         from benchmarks.perf.workloads import DICE_PROGRAMS
         from repro.data import small_demo
@@ -360,18 +489,31 @@ class TestOncePerDistinctTuple:
         filtered = []
         original = PatternEvaluator._filter_table
 
+        def counted_chain(condition, conjuncts):
+            if isinstance(condition, BooleanExpression) \
+                    and condition.op == "&&":
+                return both((counted_chain(condition.left, conjuncts),
+                             counted_chain(condition.right, conjuncts)))
+            conjuncts.append(Counting(condition))
+            return conjuncts[-1]
+
         def counting(self, child, condition, source):
-            counted = Counting(condition)
-            filtered.append((child, counted))
-            return original(self, child, counted, source)
+            conjuncts = []
+            filtered.append((child, conjuncts))
+            return original(
+                self, child, counted_chain(condition, conjuncts), source)
 
         monkeypatch.setattr(PatternEvaluator, "_filter_table", counting)
         expected = session.endpoint.select(text)
         monkeypatch.undo()
         assert session.endpoint.select(text).rows == expected.rows
-        (child, counted), = filtered
-        assert counted.variables() == {"att0", "att1", "att2"}
+        (child, conjuncts), = filtered
+        assert len(child) > 1000
+        assert [conjunct.variables() for conjunct in conjuncts] == [
+            {"att0"}, {"att1"}, {"att2"}]
+        values = [len(np.unique(child.columns[child.slots[name]]))
+                  for name in ("att0", "att1", "att2")]
+        assert [conjunct.calls for conjunct in conjuncts] == values
         slots = [child.slots[name] for name in ("att0", "att1", "att2")]
         tuples = {tuple(row[slot] for slot in slots) for row in child.rows}
-        assert len(child.rows) > 1000
-        assert counted.calls == len(tuples) < len(child.rows) // 4
+        assert sum(values) < len(tuples) < len(child) // 4

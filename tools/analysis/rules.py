@@ -61,7 +61,9 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
 ``single-grouping-kernel``
     Under ``src/`` only ``repro/grouping.py`` groups rows by several
     key columns: no ``np.unique(..., axis=0)`` anywhere, no
-    ``np.lexsort`` outside it.
+    ``np.lexsort`` outside it.  Under ``src/repro/sparql/`` it also
+    says which distinct ids a column holds (``grouping.distinct``): no
+    ``np.unique(..., return_inverse=True)`` beside it.
 ``single-generation-install``
     In ``repro/rdf/graph.py`` a column generation is swapped in by one
     helper (``self._columns = …`` only in ``__init__`` and
@@ -1161,6 +1163,11 @@ class SingleGroupingKernelRule(Rule):
     neighbour diff is a second copy of the kernel.  A ``lexsort`` that
     orders rows without grouping them (an index order) says so beside
     its pragma.
+
+    The one-column case has the same home under ``repro/sparql/``:
+    ``grouping.distinct`` counts a column's dense ids where
+    ``np.unique(..., return_inverse=True)`` sorts or hashes them
+    (0.7 ms per SUM per op until ISSUE 27).
     """
 
     id = "single-grouping-kernel"
@@ -1175,24 +1182,37 @@ class SingleGroupingKernelRule(Rule):
     def applies_to(self, path: str) -> bool:
         return path.startswith("src/")
 
+    @staticmethod
+    def _passes(node: ast.Call, keyword: str, value: object) -> bool:
+        """Whether the call passes ``keyword=value`` (a constant)."""
+        return any(given.arg == keyword
+                   and isinstance(given.value, ast.Constant)
+                   and given.value.value == value
+                   for given in node.keywords)
+
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
         findings: List[Finding] = []
+        distinct_ids = path.startswith("src/repro/sparql/")
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = node.func.attr if isinstance(node.func, ast.Attribute) \
                 else getattr(node.func, "id", None)
-            if name == "unique" and any(
-                    keyword.arg == "axis"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value == 0
-                    for keyword in node.keywords):
+            if name == "unique" and self._passes(node, "axis", 0):
                 findings.append(self.finding(
                     path, node,
                     "`np.unique(..., axis=0)` sorts whole rows as one "
                     "void-dtype key (group the columns with "
                     "repro.grouping.group instead)", lines))
+            elif distinct_ids and name == "unique" \
+                    and self._passes(node, "return_inverse", True):
+                findings.append(self.finding(
+                    path, node,
+                    "the distinct ids of a column come from "
+                    "repro.grouping.distinct (it counts dense ids; "
+                    "`np.unique(..., return_inverse=True)` sorts or "
+                    "hashes them)", lines))
             elif name == "lexsort" and not path.endswith(self.HOME):
                 findings.append(self.finding(
                     path, node,

@@ -61,17 +61,26 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
 
 def _resolve(dotted: str) -> Any:
     """The object ``dotted`` names: its longest importable prefix, then
-    attributes."""
+    attributes.  A name that does not resolve is a :class:`LookupError`
+    saying how far it got and what that object offers instead."""
     parts = dotted.split(".")
     for cut in range(len(parts) - 1, 0, -1):
         try:
             found = importlib.import_module(".".join(parts[:cut]))
         except ImportError:
             continue
-        for name in parts[cut:]:
+        for at, name in enumerate(parts[cut:], cut):
+            if not hasattr(found, name):
+                offered = sorted(
+                    attr for attr in dir(found) if not attr.startswith("_")
+                    and callable(getattr(found, attr, None)))
+                raise LookupError(
+                    f"{dotted!r}: {'.'.join(parts[:at])!r} resolved, but "
+                    f"has no {name!r}; its public callables: "
+                    f"{', '.join(offered) or 'none'}")
             found = getattr(found, name)
         return found
-    raise SystemExit(f"--wall: cannot import {dotted!r}")
+    raise LookupError(f"{dotted!r}: no importable module in that name")
 
 
 def timed(dotted: str, seconds: Dict[str, List[float]]
@@ -193,6 +202,11 @@ def main() -> int:
     if args.steps and args.setup:
         parser.error("--steps tabulates a round's join steps; set-up has none")
     named = [name for name in args.wall.split(",") if name]
+    for name in named:  # a typo costs a usage line, not a set-up
+        try:
+            _resolve(name)
+        except LookupError as error:
+            parser.error(f"--wall {error}")
 
     workload = WORKLOADS[args.workload]
 
