@@ -6,21 +6,24 @@ from the Web, and loading them into traditional DWs for OLAP analysis"
 so the two engines answer from identical information — then
 dictionary-encodes facts into numpy arrays.
 
-The fact extractor never touches observations one at a time: each
-bottom property / measure is one ``match_arrays`` read of the
-dataset's union view, joined to fact rows and member codes with
-``np.searchsorted`` over sorted id arrays.  This is the ETL analogue
-of the evaluator's columnar scan path, and what makes the E9
-baseline's "pay ETL once" price honest at scale.  (The
-per-observation extractor it replaced is the test oracle now:
-``tests/olap/reference_etl.py``.)
+The extraction stays in id space and touches neither observations nor
+members one at a time: the dataset's observations are one POS read,
+every bottom property, measure, ``skos:broader`` hop and level
+attribute one ``match_arrays`` read of the union view.  Interned ids
+are array offsets (the idiom of :mod:`repro.sparql.evaluator_steps`):
+dense ids index a directory — one scatter, then one clipped gather
+per property — and sparse ids are sorted and binary-searched, their
+span never allocated.  This is what makes the E9 baseline's "pay ETL
+once" price honest at scale.  (The per-observation extractor it
+replaced is the test oracle now: ``tests/olap/reference_etl.py``.)
 
 Extraction is **deterministic**: when an observation carries several
 values for one dimension or measure property, the extractor keeps the
 *minimum term by sorted key* (:func:`deterministic_key`) instead of
 whatever a set yields first, and roll-up composition picks the
 smallest eligible ``skos:broader`` target the same way — so two ETL
-runs over the same data produce byte-identical fact tables.
+runs over the same data produce byte-identical fact tables.  Ties are
+settled only where they exist: a cube that keeps IC-12 never sorts.
 
 Missing values follow the SPARQL path's join semantics: a fact without
 a usable value carries ``-1`` (dimension code) or ``NaN`` (measure),
@@ -31,10 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.grouping import DIRECTORY_FILL, distinct
 from repro.rdf.graph import UnionView
 from repro.rdf.namespace import SKOS
 from repro.rdf.terms import IRI, Literal, Term
@@ -44,6 +49,10 @@ from repro.qb4olap import vocabulary as qb4o
 from repro.qb4olap.model import CubeSchema
 from repro.olap.star import DimensionTable, FactTable, StarSchema
 
+#: term ids → the numbers their terms were given (``-1``: given none)
+Locate = Callable[[np.ndarray], np.ndarray]
+_VALUE = attrgetter("value")
+
 
 @dataclass
 class ETLReport:
@@ -52,11 +61,6 @@ class ETLReport:
     seconds: float
     facts: int
     dimension_rows: int
-    #: SPARQL plan-cache misses observed while materializing.  The
-    #: member-at-a-time walks underneath share parameterized plans, so
-    #: this should stay near the number of distinct query *shapes*, not
-    #: the number of members (see docs/performance.md).
-    plan_cache_misses: int = 0
 
 
 def deterministic_key(term: Term) -> Tuple[str, str]:
@@ -72,8 +76,6 @@ def deterministic_key(term: Term) -> Tuple[str, str]:
 def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema
                         ) -> Tuple[StarSchema, ETLReport]:
     """Materialize the star schema for ``schema`` from ``endpoint``."""
-    from repro.sparql.optimizer import PLAN_CACHE
-    misses_before = PLAN_CACHE.misses
     started = time.perf_counter()
     graph = endpoint.dataset.union()
     star = StarSchema(dataset=schema.dataset,
@@ -94,22 +96,156 @@ def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema
     _extract_facts(graph, schema, star)
     elapsed = time.perf_counter() - started
     return star, ETLReport(seconds=elapsed, facts=star.facts.size,
-                           dimension_rows=dimension_rows,
-                           plan_cache_misses=PLAN_CACHE.misses
-                           - misses_before)
+                           dimension_rows=dimension_rows)
+
+
+# ---------------------------------------------------------------------------
+# the columnar kernel: number terms by value, locate ids, settle ties
+# ---------------------------------------------------------------------------
+
+
+def _locator(ids: np.ndarray, numbers: np.ndarray) -> Locate:
+    """From an id to the number its term was given: ``numbers[i]``
+    for ``ids[i]`` (distinct), ``-1`` for any other id.  Dense ids — at
+    most :data:`~repro.grouping.DIRECTORY_FILL` slots each — index a
+    directory, an empty slot either side catching what the gather
+    clips; sparse ones (observations interleaved with much else in the
+    dictionary) are searched, their span never allocated."""
+    count = len(ids)
+    low = int(ids.min()) - 1 if count else 0
+    span = int(ids.max()) - low if count else 0
+    if span <= DIRECTORY_FILL * count:
+        slots = np.full(span + 2, -1, dtype=np.int64)
+        slots[np.subtract(ids, low, dtype=np.int64)] = numbers
+        return lambda keys: slots.take(
+            np.subtract(keys, low, dtype=np.int64), mode="clip")
+    order = np.argsort(ids, kind="stable")
+    # one past the end answers -1 too
+    ordered, numbered = ids[order], np.append(numbers[order], -1)
+
+    def search(keys: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(ordered, keys)
+        at[ordered.take(at, mode="clip") != keys] = count
+        return numbered[at]
+    return search
+
+
+def _ranked(keys: List[Any]) -> Tuple[List[int], np.ndarray]:
+    """``(order, ranks)``: the positions of ``keys`` in sorted order,
+    and every key's rank — one sort, one scatter."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.arange(len(keys))
+    return order, ranks
+
+
+def _by_value(graph: UnionView, predicate: IRI, obj: Term
+              ) -> Tuple[List[Term], List[int], Locate]:
+    """The subjects of ``(?, predicate, obj)`` — a dataset's
+    observations, a level's members — numbered **by term value**, so
+    neither insertion nor id order shows in a fact table: ``(terms,
+    order, locate)``, where ``terms[order[k]]`` is number ``k`` and
+    ``locate`` finds the numbers by id."""
+    lookup = graph.dictionary.lookup
+    predicate_id, object_id = lookup(predicate), lookup(obj)
+    if predicate_id is None or object_id is None:
+        ids = np.empty(0, dtype=np.int64)
+    else:
+        # a triple reaches the view once, so the ids are distinct: one
+        # graph's POS range hands them out ascending, overlay rows or a
+        # second member graph append to it
+        ids = graph.match_arrays((None, predicate_id, object_id))[0]
+        if not (ids[1:] > ids[:-1]).all():
+            ids = np.sort(ids)
+    terms = list(map(graph.dictionary.decode, ids.tolist()))
+    try:
+        values = list(map(_VALUE, terms))
+    except AttributeError:  # a blank node has no value but its label
+        values = [str(getattr(term, "value", term)) for term in terms]
+    order, numbers = _ranked(values)
+    return terms, order, _locator(ids, numbers)
+
+
+def _assigned(rows: np.ndarray, codes: np.ndarray, count: int,
+              terms: Sequence[Term]) -> np.ndarray:
+    """One code for each of ``count`` rows out of ``(row, code)``
+    pairs: ``-1`` for a row no pair names, and for a row several name
+    the code of the minimum :func:`deterministic_key` term
+    (``terms[code]``) — what the reference extractor picks.  Ties are
+    settled only where they exist: every pair's position is scattered
+    to its row and read back, and if each reads its own the rows are
+    distinct — the codes are one more scatter, nothing is ranked."""
+    out = np.full(count, -1, dtype=np.int64)
+    at = np.arange(len(rows))
+    out[rows] = at
+    if not (out[rows] == at).all():
+        ranks = _ranked([deterministic_key(term) for term in terms])[1]
+        # each row's minimum over a second key, not a grouping by both
+        # repro: allow[single-grouping-kernel]
+        order = np.lexsort((ranks[codes], rows))
+        ordered = rows[order]
+        heads = order[np.append(True, ordered[1:] != ordered[:-1])]
+        rows, codes = rows[heads], codes[heads]
+    out[rows] = codes
+    return out
+
+
+def _pairs(graph: UnionView, predicate: IRI, row_of: Locate
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, objects)`` of the ``predicate`` triples whose subject
+    ``row_of`` locates: one read, one gather."""
+    predicate_id = graph.dictionary.lookup(predicate)
+    if predicate_id is None:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    subjects, _, objects = graph.match_arrays((None, predicate_id, None))
+    rows = row_of(subjects)
+    kept = rows >= 0
+    # a property only these rows carry is taken as it stands, uncopied
+    return (rows, objects) if kept.all() else (rows[kept], objects[kept])
+
+
+def _member_codes(graph: UnionView, predicate: IRI, row_of: Locate,
+                  count: int, code_of: Locate, members: Sequence[Term]
+                  ) -> np.ndarray:
+    """Per row the code of its ``predicate`` value among ``members``
+    (``code_of`` locates them); a value that is no member counts for
+    nothing."""
+    rows, objects = _pairs(graph, predicate, row_of)
+    codes = code_of(objects)
+    kept = codes >= 0
+    if not kept.all():
+        rows, codes = rows[kept], codes[kept]
+    return _assigned(rows, codes, count, members)
+
+
+def _value_codes(graph: UnionView, predicate: IRI, row_of: Locate,
+                 count: int) -> Tuple[List[Term], np.ndarray]:
+    """``(terms, codes)``: the distinct ``predicate`` values of the
+    located rows, decoded once each, and per row the index of its
+    value among them."""
+    rows, objects = _pairs(graph, predicate, row_of)
+    ids, codes = distinct(objects)
+    terms = list(map(graph.dictionary.decode, ids.tolist()))
+    return terms, _assigned(rows, codes, count, terms)
+
+
+def _level(graph: UnionView, level: IRI) -> Tuple[List[Term], Locate]:
+    """The members of ``level`` in code order, and their ids' codes."""
+    terms, order, code_of = _by_value(graph, qb4o.memberOf, level)
+    return [terms[at] for at in order], code_of
 
 
 def _extract_dimension(graph: UnionView, schema: CubeSchema,
                        dimension_iri: IRI, bottom: IRI) -> DimensionTable:
-    bottom_members = sorted(
-        graph.subjects(qb4o.memberOf, bottom),
-        key=lambda t: getattr(t, "value", str(t)))
+    bottom_members, bottom_code = _level(graph, bottom)
     table = DimensionTable(
         dimension=dimension_iri,
         bottom_level=bottom,
-        bottom_members=list(bottom_members),
+        bottom_members=bottom_members,
     )
-    _attach_attributes(graph, schema, table, bottom, bottom_members)
+    _attach_attributes(graph, schema, table, bottom, bottom_members,
+                       bottom_code)
 
     dimension = schema.require_dimension(dimension_iri)
     for hierarchy in dimension.hierarchies:
@@ -119,57 +255,45 @@ def _extract_dimension(graph: UnionView, schema: CubeSchema,
             path = hierarchy.path_up(bottom, level)
             if path is None:
                 continue
-            members, ancestor = _compose_rollups(graph, table, path)
+            members, code_of, ancestor = _compose_rollups(
+                graph, bottom_members, bottom_code, path)
             table.level_members[level] = members
             table.ancestor_maps[level] = ancestor
-            _attach_attributes(graph, schema, table, level, members)
+            _attach_attributes(graph, schema, table, level, members, code_of)
     return table
 
 
-def _compose_rollups(graph: UnionView, table: DimensionTable,
-                     path: List[IRI]) -> Tuple[List[Term], np.ndarray]:
-    """Compose skos:broader hops along ``path`` into one bottom→top map."""
-    current_members = table.bottom_members
-    current_map = np.arange(len(current_members), dtype=np.int64)
-    for child_level, parent_level in zip(path, path[1:]):
-        parent_members = sorted(
-            graph.subjects(qb4o.memberOf, parent_level),
-            key=lambda t: getattr(t, "value", str(t)))
-        parent_index = {member: code for code, member
-                        in enumerate(parent_members)}
-        hop = np.full(len(current_members), -1, dtype=np.int64)
-        for code, member in enumerate(current_members):
-            # a member with several eligible broader targets rolls up
-            # to the smallest by deterministic_key — never hash order
-            targets = [target for target
-                       in graph.objects(member, SKOS.broader)
-                       if target in parent_index]
-            if targets:
-                hop[code] = parent_index[min(targets,
-                                             key=deterministic_key)]
-        # compose: bottom → current → parent
-        composed = np.full_like(current_map, -1)
-        valid = current_map >= 0
-        composed[valid] = hop[current_map[valid]]
-        current_map = composed
-        current_members = parent_members
-    return current_members, current_map
+def _compose_rollups(graph: UnionView, members: List[Term], code_of: Locate,
+                     path: List[IRI]
+                     ) -> Tuple[List[Term], Locate, np.ndarray]:
+    """Compose skos:broader hops along ``path`` into one bottom→top
+    map; also the top level's members and their ids' codes."""
+    current_map = np.arange(len(members), dtype=np.int64)
+    for parent_level in path[1:]:
+        parents, parent_code = _level(graph, parent_level)
+        # a member with several eligible broader targets rolls up to
+        # the smallest by deterministic_key — never hash order
+        hop = _member_codes(graph, SKOS.broader, code_of, len(members),
+                            parent_code, parents)
+        # compose: bottom → current → parent (-1 reads the -1 appended)
+        current_map = np.append(hop, -1)[current_map]
+        members, code_of = parents, parent_code
+    return members, code_of, current_map
 
 
 def _attach_attributes(graph: UnionView, schema: CubeSchema,
                        table: DimensionTable, level: IRI,
-                       members: List[Term]) -> None:
+                       members: List[Term], code_of: Locate) -> None:
     attributes = schema.attributes_of(level)
     if not attributes:
         return
     per_level = table.attributes.setdefault(level, {})
     for attribute in attributes:
-        values: Dict[Term, Term] = {}
-        for member in members:
-            candidates = list(graph.objects(member, attribute))
-            if candidates:
-                values[member] = min(candidates, key=deterministic_key)
-        per_level[attribute] = values
+        terms, codes = _value_codes(graph, attribute, code_of, len(members))
+        held = np.flatnonzero(codes >= 0)
+        per_level[attribute] = dict(zip(
+            map(members.__getitem__, held.tolist()),
+            map(terms.__getitem__, codes[held].tolist())))
 
 
 def _measure_value(term: Term) -> float:
@@ -186,130 +310,29 @@ def _measure_value(term: Term) -> float:
     return float("nan")
 
 
-# ---------------------------------------------------------------------------
-# columnar fact extractor
-# ---------------------------------------------------------------------------
-
-
-def _gather_pairs(graph: UnionView, predicate: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``(subject, object)`` id pairs carrying ``predicate``."""
-    subjects, _, objects = graph.match_arrays((None, predicate, None))
-    return (subjects.astype(np.int64, copy=False),
-            objects.astype(np.int64, copy=False))
-
-
-def _rows_for(subjects: np.ndarray, obs_sorted: np.ndarray,
-              obs_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Join subject ids to fact row numbers (searchsorted membership).
-
-    Returns ``(keep_mask, rows)``: which gathered pairs belong to this
-    dataset's observations, and the fact row of each kept pair.
-    """
-    positions = np.searchsorted(obs_sorted, subjects)
-    positions_clipped = np.minimum(positions, len(obs_sorted) - 1)
-    keep = obs_sorted[positions_clipped] == subjects
-    return keep, obs_rows[positions_clipped[keep]]
-
-
-def _first_per_row(rows: np.ndarray, rank: np.ndarray,
-                   n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Pick, per fact row, the candidate with the smallest ``rank``.
-
-    The vectorized multi-value tie-break: sorting by ``(row, rank)``
-    and keeping each row's first entry selects exactly the minimum
-    deterministic-key term the reference extractor picks.
-    """
-    # each row's minimum over a second key, not a grouping by both
-    # repro: allow[single-grouping-kernel]
-    order = np.lexsort((rank, rows))
-    sorted_rows = rows[order]
-    firsts = np.ones(len(sorted_rows), dtype=bool)
-    firsts[1:] = sorted_rows[1:] != sorted_rows[:-1]
-    return sorted_rows[firsts], order[firsts]
-
-
 def _extract_facts(graph: UnionView, schema: CubeSchema,
                    star: StarSchema) -> None:
-    dictionary = graph.dictionary
-    lookup = dictionary.lookup
-    decode = dictionary.decode
-    dimension_order = sorted(star.dimensions, key=lambda iri: iri.value)
-    bottoms = {iri: schema.bottom_level(iri) for iri in dimension_order}
-
-    # -- fact rows: observations of this dataset, sorted by term value
-    dataset_id = lookup(schema.dataset)
-    predicate_id = lookup(qb.dataSet)
-    if dataset_id is None or predicate_id is None:
-        obs_ids = np.empty(0, dtype=np.int64)
-    else:
-        pairs_s, pairs_o = _gather_pairs(graph, predicate_id)
-        obs_ids = np.unique(pairs_s[pairs_o == dataset_id])
-    observations = [decode(int(obs)) for obs in obs_ids]
-    row_order = sorted(range(len(observations)),
-                       key=lambda i: getattr(observations[i], "value",
-                                             str(observations[i])))
-    n = len(obs_ids)
-    # obs_sorted is sorted by *id* for searchsorted joins; obs_rows maps
-    # each sorted position back to the value-ordered fact row number
-    obs_sorted = obs_ids  # np.unique output is already id-sorted
-    rows_by_value = np.empty(n, dtype=np.int64)
-    for row, index in enumerate(row_order):
-        rows_by_value[index] = row
-    obs_rows = rows_by_value
+    lookup = graph.dictionary.lookup
+    # fact rows: this dataset's observations, ordered by term value
+    observations, _, row_of = _by_value(graph, qb.dataSet, schema.dataset)
+    n = len(observations)
 
     coordinate_arrays: Dict[IRI, np.ndarray] = {}
-    for iri in dimension_order:
-        codes = np.full(n, -1, dtype=np.int64)
-        bottom_prop = lookup(bottoms[iri])
-        table = star.dimensions[iri]
-        if bottom_prop is not None and n and table.bottom_members:
-            subjects, objects = _gather_pairs(graph, bottom_prop)
-            keep, rows = _rows_for(subjects, obs_sorted, obs_rows)
-            objects = objects[keep]
-            # member id → bottom code: members are value-sorted, so the
-            # smallest code *is* the minimum deterministic-key member
-            member_ids = np.asarray(
-                [lookup(member) for member in table.bottom_members],
-                dtype=np.int64)
-            member_sort = np.argsort(member_ids, kind="stable")
-            members_sorted = member_ids[member_sort]
-            codes_sorted = np.arange(len(member_ids),
-                                     dtype=np.int64)[member_sort]
-            positions = np.searchsorted(members_sorted, objects)
-            positions = np.minimum(positions, len(members_sorted) - 1)
-            matched = members_sorted[positions] == objects
-            rows, objects = rows[matched], objects[matched]
-            member_codes = codes_sorted[positions[matched]]
-            if len(rows):
-                unique_rows, picks = _first_per_row(rows, member_codes, n)
-                codes[unique_rows] = member_codes[picks]
-        coordinate_arrays[iri] = codes
+    for iri in sorted(star.dimensions, key=str):
+        members = star.dimensions[iri].bottom_members
+        code_of = _locator(
+            np.asarray([lookup(member) for member in members],
+                       dtype=np.int64), np.arange(len(members)))
+        coordinate_arrays[iri] = _member_codes(
+            graph, schema.bottom_level(iri), row_of, n, code_of, members)
 
     measure_arrays: Dict[IRI, np.ndarray] = {}
     for measure in schema.measures:
-        values = np.full(n, np.nan, dtype=np.float64)
-        measure_prop = lookup(measure.iri)
-        if measure_prop is not None and n:
-            subjects, objects = _gather_pairs(graph, measure_prop)
-            keep, rows = _rows_for(subjects, obs_sorted, obs_rows)
-            objects = objects[keep]
-            if len(rows):
-                # decode each distinct literal once: its float payload
-                # and its deterministic-key rank for multi-value picks
-                unique_ids, inverse = np.unique(objects,
-                                                return_inverse=True)
-                terms = [decode(int(vid)) for vid in unique_ids]
-                floats = np.asarray([_measure_value(term)
-                                     for term in terms], dtype=np.float64)
-                key_order = sorted(range(len(terms)),
-                                   key=lambda i: deterministic_key(terms[i]))
-                ranks = np.empty(len(terms), dtype=np.int64)
-                for rank, index in enumerate(key_order):
-                    ranks[index] = rank
-                unique_rows, picks = _first_per_row(rows, ranks[inverse], n)
-                values[unique_rows] = floats[inverse[picks]]
-        measure_arrays[measure.iri] = values
+        terms, codes = _value_codes(graph, measure.iri, row_of, n)
+        # one NaN past the payloads: where a row's -1 reads
+        floats = np.asarray([_measure_value(term) for term in terms]
+                            + [np.nan], dtype=np.float64)
+        measure_arrays[measure.iri] = floats[codes]
 
     star.facts = FactTable(coordinates=coordinate_arrays,
                            measures=measure_arrays)

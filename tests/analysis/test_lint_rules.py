@@ -36,6 +36,7 @@ LIBRARY = "src/repro/olap/example.py"
 PARALLEL = "src/repro/sparql/parallel.py"
 WALKER = "src/repro/sparql/evaluator_walker.py"
 STEPS = "src/repro/sparql/evaluator_steps.py"
+ETL = "src/repro/olap/etl.py"
 
 #: rule id -> (bad fixture, claimed path, good fixture)
 FIXTURES = {
@@ -416,6 +417,46 @@ FIXTURES = {
                 grouped(removals.columns, [0], len(left)), [0],
                 left.columns, len(left))
             return left.take(counts == 0)
+        """,
+    ),
+    "columnar-etl": (
+        """
+        def _fact_rows(observations):
+            order = sorted(range(len(observations)),
+                           key=lambda at: observations[at].value)
+            rows = np.empty(len(order), dtype=np.int64)
+            for row, at in enumerate(order):
+                rows[at] = row
+            return rows
+
+        def _hop(graph, members, parent_index):
+            hop = np.full(len(members), -1, dtype=np.int64)
+            for code, member in enumerate(members):
+                targets = [target for target
+                           in graph.objects(member, SKOS.broader)
+                           if target in parent_index]
+                if targets:
+                    hop[code] = parent_index[min(targets)]
+            return hop
+        """,
+        ETL,
+        """
+        def _fact_rows(observations):
+            values = [term.value for term in observations]
+            rows = np.empty(len(values), dtype=np.int64)
+            rows[sorted(range(len(values)), key=values.__getitem__)] = \\
+                np.arange(len(values))
+            return rows
+
+        def _facts(graph, schema, star, row_of, n):
+            coordinates = {}
+            for iri in sorted(star.dimensions, key=str):
+                codes = np.full(n, -1, dtype=np.int64)
+                rows, members = _pairs(graph, schema.bottom_level(iri),
+                                       row_of)
+                codes[rows] = members
+                coordinates[iri] = codes
+            return coordinates
         """,
     ),
 }
@@ -868,6 +909,37 @@ def test_the_batch_path_does_not_loop_over_add():
     found = findings_for(loops, GRAPH, rule)
     assert [finding.line for finding in found] == [7, 10]
     assert all("add_all" in finding.message for finding in found)
+
+
+def test_columnar_etl_flags_each_per_row_shape_and_nothing_else():
+    """The three shapes ISSUE 28 removed are one finding each — the
+    lambda sort key, the element write per iteration, the term-level
+    read in a loop (a comprehension is one too) — and only in
+    ``olap/etl.py``; a vectorized write inside a loop over dimensions
+    is the module's shape."""
+    rule = "columnar-etl"
+    bad, path, good = FIXTURES[rule]
+    found = findings_for(bad, path, rule)
+    assert [finding.line for finding in found] == [3, 7, 14, 17]
+    assert ["sorted(" in finding.message for finding in found] \
+        == [True, False, False, False]
+    assert "`rows[…] = …`" in found[1].message
+    assert "`graph.objects(`" in found[2].message
+    assert "`hop[…] = …`" in found[3].message
+    assert findings_for(bad, "src/repro/olap/engine.py", rule) == []
+    augmented = """
+    def _totals(graph, levels, members):
+        totals = np.zeros(len(members))
+        for level in levels:
+            totals[0] += len(list(graph.subjects(MEMBER_OF, level)))
+            for code in range(len(members)):
+                totals[code] += 1
+        return totals
+    """
+    found = findings_for(augmented, path, rule)
+    # a constant index is no per-row write; the read and the inner
+    # loop's counter-indexed one are
+    assert [finding.line for finding in found] == [5, 7]
 
 
 def test_evaluator_rules_cover_the_whole_family():

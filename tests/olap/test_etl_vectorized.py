@@ -1,9 +1,14 @@
-"""Columnar-ETL tests: production/oracle equivalence, determinism
-regressions (hash-order multi-value picks, multi-target roll-ups),
+"""Columnar-ETL tests: production/oracle equivalence (the demo cube, a
+dirty cube, generated cubes in every physical state of the store),
+determinism regressions (hash-order multi-value picks, multi-target
+roll-ups, mixed-class members), what the clean path never calls,
 missing-value sentinels, and the FactColumns snapshot layout."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.qb import vocabulary as qb
 from repro.qb4olap import vocabulary as qb4o
@@ -14,12 +19,18 @@ from repro.qb4olap.model import (
     HierarchyStep,
     Measure,
 )
-from repro.rdf import IRI, Literal, Namespace
+from repro.rdf import BNode, IRI, Literal, Namespace
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespace import SKOS
 from repro.sparql import LocalEndpoint
-from repro.olap.etl import deterministic_key, extract_star_schema
+from repro.olap.etl import (
+    _extract_facts,
+    deterministic_key,
+    extract_star_schema,
+)
 from repro.olap.star import FactColumns, _code_dtype
 
+from tests.olap.reference_dimensions import reference_dimension
 from tests.olap.reference_etl import reference_star_schema
 
 EX = Namespace("http://example.org/etl/")
@@ -133,6 +144,28 @@ class TestDeterminism:
             assert members[ancestor[code_a]] == EX.regionX, order
             endpoint.close()
 
+    @pytest.mark.parametrize("extract", EXTRACTORS)
+    def test_mixed_class_members_pick_minimum_key(self, extract):
+        """Regression: the dimension pick took the smallest *code*.
+        Members are value-ordered, which is key order only within one
+        term class: ``"A:city" < "_:zzz"`` by value, but a blank node
+        sorts before an IRI by ``deterministic_key``."""
+        named, blank = IRI("A:city"), BNode("zzz")
+        for values in ([named, blank], [blank, named]):
+            endpoint = LocalEndpoint()
+            graph = endpoint.dataset.default
+            for member in (named, blank):
+                graph.add(member, qb4o.memberOf, EX.city)
+            graph.add(EX.obs1, qb.dataSet, EX.ds)
+            for value in values:
+                graph.add(EX.obs1, EX.city, value)
+            star = extract(endpoint, tiny_schema())
+            table = star.dimensions[EX.geoDim]
+            assert table.bottom_members == [named, blank]
+            code = star.facts.coordinates[EX.geoDim][0]
+            assert table.bottom_members[code] == blank, values
+            endpoint.close()
+
     def test_byte_identical_across_runs(self):
         first_endpoint = tiny_endpoint("forward")
         second_endpoint = tiny_endpoint("reversed")
@@ -170,6 +203,334 @@ class TestMissingValueSentinels:
         star = extract(endpoint, tiny_schema())
         assert star.facts.coordinates[EX.geoDim][2] == -1
         assert np.isnan(star.facts.measures[EX.amount][2])
+        endpoint.close()
+
+    def test_non_member_beside_a_member_counts_for_nothing(self):
+        """Production joins values to members before it picks, as the
+        SPARQL path's ``?obs :city ?m . ?m qb4o:memberOf :city`` does:
+        a stray value cannot hide the member beside it.  (The oracle
+        picks first and answers ``-1`` here.)"""
+        endpoint = tiny_endpoint()
+        graph = endpoint.dataset.default
+        graph.add(EX.obs2, EX.city, EX.aStray)  # sorts before cityB
+        star = production(endpoint, tiny_schema())
+        table = star.dimensions[EX.geoDim]
+        code = star.facts.coordinates[EX.geoDim][1]
+        assert table.bottom_members[code] == EX.cityB
+        assert oracle(endpoint, tiny_schema()) \
+            .facts.coordinates[EX.geoDim][1] == -1
+        endpoint.close()
+
+
+# -- generated cubes ----------------------------------------------------------
+
+CITIES = [EX.cityA, EX.cityB, BNode("cityC"), IRI("A:city")]
+REGIONS = [EX.regionX, EX.regionY, BNode("regionZ")]
+COUNTRIES = [EX.countryP, EX.countryQ]
+KINDS = [EX.kindK, EX.kindL, EX.kindM]
+SUBJECTS = [EX[f"obs{number}"] for number in range(8)] \
+    + [BNode("o1"), BNode("o2")]
+#: measure values with pairwise distinct deterministic keys: numbers,
+#: a string, both booleans, and a term that is no literal at all
+PAYLOADS = [Literal(3), Literal(7), Literal(2.5), Literal("abc"),
+            Literal(True), Literal(False), EX.notANumber]
+LABELS = [Literal("n1"), Literal("n2"), Literal(5), EX.thing]
+
+
+def wide_schema() -> CubeSchema:
+    """Two dimensions (one three levels deep, attributes on two of
+    them) and two measures."""
+    schema = CubeSchema(dsd=EX.dsd, dataset=EX.ds)
+    geo = Hierarchy(EX.geoHier, EX.geoDim,
+                    levels=[EX.city, EX.region, EX.country],
+                    steps=[HierarchyStep(EX.city, EX.region),
+                           HierarchyStep(EX.region, EX.country)])
+    kind = Hierarchy(EX.kindHier, EX.kindDim, levels=[EX.kind])
+    schema.dimensions += [Dimension(EX.geoDim, [geo]),
+                          Dimension(EX.kindDim, [kind])]
+    schema.dimension_levels.update({EX.geoDim: EX.city,
+                                    EX.kindDim: EX.kind})
+    schema.measures += [Measure(EX.amount, qb4o.SUM),
+                        Measure(EX.weight, qb4o.AVG)]
+    schema.level_attributes.update({EX.city: [EX.name],
+                                    EX.region: [EX.name, EX.code]})
+    return schema
+
+
+def some(pool, most):
+    return st.lists(st.sampled_from(pool), max_size=most, unique=True)
+
+
+def members_only_beside_members(cube):
+    """Where an observation carries members *and* other values for one
+    dimension, keep the members.  The one input the extractors disagree
+    on, since before the columnar one: production — like the SPARQL
+    join, like the roll-ups' eligible targets — never sees a value that
+    is no member, the oracle takes the minimum of all values and
+    answers ``-1`` when that is none
+    (``test_non_member_beside_a_member_counts_for_nothing``)."""
+    for observation in cube["observations"]:
+        for level in (EX.city, EX.kind):
+            members = [value for value in observation[level]
+                       if value in cube["members"][level]]
+            if members:
+                observation[level] = members
+    return cube
+
+
+OBSERVATIONS = st.lists(st.fixed_dictionaries({
+    "subject": st.sampled_from(SUBJECTS),
+    # observations of a second dataset share every predicate
+    "dataset": st.sampled_from([EX.ds, EX.ds, EX.ds, EX.other]),
+    EX.city: some(CITIES + [EX.nowhere], 3),
+    EX.kind: some(KINDS + [Literal("k")], 2),
+    EX.amount: some(PAYLOADS, 3),
+    EX.weight: some(PAYLOADS, 2),
+}), max_size=8, unique_by=lambda observation: observation["subject"])
+
+CUBES = st.fixed_dictionaries({
+    "observations": OBSERVATIONS,
+    "members": st.fixed_dictionaries({
+        EX.city: some(CITIES, 4), EX.region: some(REGIONS, 3),
+        EX.country: some(COUNTRIES, 2), EX.kind: some(KINDS, 3)}),
+    "broader": st.lists(st.tuples(
+        st.sampled_from(CITIES + REGIONS),
+        st.sampled_from(REGIONS + COUNTRIES + [EX.nowhere])),
+        max_size=10, unique=True),
+    "labels": st.lists(st.tuples(
+        st.sampled_from(CITIES + REGIONS),
+        st.sampled_from([EX.name, EX.code]), st.sampled_from(LABELS)),
+        max_size=8, unique=True),
+    # the store's physical states: how many observations are loaded
+    # before a compaction (the rest are overlay rows), which are
+    # restated in a second named graph (union dedup: unsorted
+    # subjects), which are removed at the end (tombstones), and how
+    # many terms are interned between observations (sparse ids)
+    "compacted": st.integers(0, 8),
+    "restated": st.sets(st.integers(0, 7)),
+    "removed": st.sets(st.integers(0, 7), max_size=2),
+    "filler": st.sampled_from([0, 0, 3, 40]),
+}).map(members_only_beside_members)
+
+
+def cube_endpoint(cube, flip: bool = False) -> LocalEndpoint:
+    """The generated cube in a fresh endpoint; ``flip`` reverses every
+    insertion order there is."""
+    def ordered(items):
+        return list(reversed(items)) if flip else list(items)
+
+    endpoint = LocalEndpoint()
+    graph = endpoint.dataset.graph(EX.facts)
+    second = endpoint.dataset.graph(EX.restated)
+    intern = endpoint.dataset.dictionary.encode
+    described = [(member, qb4o.memberOf, level)
+                 for level, members in cube["members"].items()
+                 for member in members]
+    described += [(child, SKOS.broader, parent)
+                  for child, parent in cube["broader"]]
+    described += cube["labels"]
+    for triple in ordered(described):
+        graph.add(*triple)
+    observations = ordered(list(enumerate(cube["observations"])))
+    for loaded, (number, observation) in enumerate(observations):
+        if loaded == cube["compacted"]:
+            graph.compact()
+        for filler in range(cube["filler"]):
+            intern(IRI(f"urn:filler:{number}:{filler}"))
+        subject = observation["subject"]
+        triples = [(subject, qb.dataSet, observation["dataset"])]
+        triples += [(subject, predicate, value)
+                    for predicate in (EX.city, EX.kind, EX.amount, EX.weight)
+                    for value in observation[predicate]]
+        for triple in ordered(triples):
+            graph.add(*triple)
+        if number in cube["restated"]:
+            for triple in triples[:2]:
+                second.add(*triple)
+    for number, observation in observations:
+        if number in cube["removed"]:
+            graph.remove((observation["subject"], None, None))
+    return endpoint
+
+
+def assert_same_bytes(left, right):
+    """Fact tables equal to the byte, dtype included."""
+    for ours, theirs in ((left.facts.coordinates, right.facts.coordinates),
+                         (left.facts.measures, right.facts.measures)):
+        assert list(ours) == list(theirs)
+        for iri, column in ours.items():
+            assert column.dtype == theirs[iri].dtype, iri
+            assert column.tobytes() == theirs[iri].tobytes(), iri
+
+
+def assert_same_dimension(left, right):
+    assert left.bottom_members == right.bottom_members
+    assert left.level_members == right.level_members
+    assert left.attributes == right.attributes
+    assert set(left.ancestor_maps) == set(right.ancestor_maps)
+    for level, ancestor in left.ancestor_maps.items():
+        assert ancestor.dtype == right.ancestor_maps[level].dtype
+        assert ancestor.tobytes() == right.ancestor_maps[level].tobytes()
+
+
+class TestGeneratedCubes:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(CUBES)
+    def test_equal_to_the_oracles_in_both_insertion_orders(self, cube):
+        schema = wide_schema()
+        stars = []
+        for flip in (False, True):
+            endpoint = cube_endpoint(cube, flip)
+            try:
+                star = production(endpoint, schema)
+                assert_same_bytes(star, oracle(endpoint, schema))
+                graph = endpoint.dataset.union()
+                for iri, table in star.dimensions.items():
+                    assert_same_dimension(table, reference_dimension(
+                        graph, schema, iri, schema.bottom_level(iri)))
+                rows = {observation["subject"]
+                        for number, observation
+                        in enumerate(cube["observations"])
+                        if observation["dataset"] == EX.ds
+                        and (number not in cube["removed"]
+                             or number in cube["restated"])}
+                assert star.facts.size == len(rows)
+                stars.append(star)
+            finally:
+                endpoint.close()
+        forward, flipped = stars
+        assert_same_bytes(forward, flipped)
+        for iri, table in forward.dimensions.items():
+            assert_same_dimension(table, flipped.dimensions[iri])
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_dimension_tables_equal_the_walk_on_the_dirty_cube(self, order):
+        endpoint = tiny_endpoint(order)
+        star = production(endpoint, tiny_schema())
+        assert_same_dimension(
+            star.dimensions[EX.geoDim],
+            reference_dimension(endpoint.dataset.union(), tiny_schema(),
+                                EX.geoDim, EX.city))
+        endpoint.close()
+
+    def test_dimension_tables_equal_the_walk_on_demo(self, endpoint, schema):
+        star = production(endpoint, schema)
+        graph = endpoint.dataset.union()
+        for iri, table in star.dimensions.items():
+            assert_same_dimension(table, reference_dimension(
+                graph, schema, iri, schema.bottom_level(iri)))
+
+
+# -- what the extractor calls -------------------------------------------------
+
+
+def counted(monkeypatch, owner, name, when=lambda *args: True):
+    """Count the calls of ``owner.name`` from here on (those whose
+    positional arguments satisfy ``when``)."""
+    original, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        if when(*args):
+            calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def counted_joins(monkeypatch):
+    """Count the ``np.searchsorted`` calls that look a whole column up:
+    the storage tier's range reads search for one scalar each."""
+    return counted(monkeypatch, np, "searchsorted",
+                   lambda _keys, needles, *_: np.ndim(needles) > 0)
+
+
+def clean_endpoint(doubled=None, filler: int = 0, rows: int = 40
+                   ) -> LocalEndpoint:
+    """``rows`` observations that keep IC-12 — one city, one amount
+    (``rows // 4`` distinct literals) each — but for ``doubled``, a
+    property the first observation then carries a second value of;
+    ``filler`` terms are interned ahead of every observation."""
+    endpoint = LocalEndpoint()
+    graph = endpoint.dataset.default
+    intern = endpoint.dataset.dictionary.encode
+    for member in (EX.cityA, EX.cityB):
+        graph.add(member, qb4o.memberOf, EX.city)
+    for number in range(rows):
+        for spare in range(filler):
+            intern(IRI(f"urn:filler:{number}:{spare}"))
+        subject = EX[f"obs{number:04d}"]
+        graph.add(subject, qb.dataSet, EX.ds)
+        graph.add(subject, EX.city, (EX.cityA, EX.cityB)[number % 2])
+        graph.add(subject, EX.amount, Literal(number % (rows // 4)))
+    if doubled == EX.city:
+        graph.add(EX.obs0000, EX.city, EX.cityB)
+    elif doubled == EX.amount:
+        graph.add(EX.obs0000, EX.amount, Literal(5))
+    graph.compact()
+    return endpoint
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("doubled, sorts", [
+        (None, 0), (EX.city, 1), (EX.amount, 1)])
+    def test_ties_are_settled_only_where_they_exist(self, monkeypatch,
+                                                    doubled, sorts):
+        """An IC-12-clean cube is never sorted, hashed or ranked, and
+        every term is decoded once; one doubled value costs the
+        minimum-key path on that property alone."""
+        endpoint = clean_endpoint(doubled)
+        schema = tiny_schema()
+        star, _ = extract_star_schema(endpoint, schema)
+        reference = oracle(endpoint, schema)
+        lexsorts = counted(monkeypatch, np, "lexsort")
+        uniques = counted(monkeypatch, np, "unique")
+        searches = counted_joins(monkeypatch)
+        decodes = counted(monkeypatch, TermDictionary, "decode")
+        _extract_facts(endpoint.dataset.union(), schema, star)
+        monkeypatch.undo()
+        assert len(lexsorts) == sorts
+        assert not uniques and not searches  # dense ids: directories
+        assert len(decodes) == 40 + 10  # observations + distinct amounts
+        assert_same_bytes(star, reference)
+        endpoint.close()
+
+    def test_the_demo_cube_takes_the_clean_path(self, monkeypatch,
+                                                endpoint, schema):
+        star, _ = extract_star_schema(endpoint, schema)
+        graph = endpoint.dataset.union()
+        literals = {value for measure in schema.measures
+                    for value in graph.objects(None, measure.iri)}
+        lexsorts = counted(monkeypatch, np, "lexsort")
+        uniques = counted(monkeypatch, np, "unique")
+        decodes = counted(monkeypatch, TermDictionary, "decode")
+        _extract_facts(graph, schema, star)
+        monkeypatch.undo()
+        assert not lexsorts and not uniques
+        assert len(decodes) == star.facts.size + len(literals)
+
+    def test_sparse_ids_are_searched_and_their_span_never_allocated(
+            self, monkeypatch):
+        """Observation ids far apart in the dictionary exceed the
+        directory bound: the join falls back to a sorted search, and
+        the extraction's memory follows the rows, not the id span."""
+        rows, filler = 400, 500
+        endpoint = clean_endpoint(filler=filler, rows=rows)
+        schema = tiny_schema()
+        star, _ = extract_star_schema(endpoint, schema)
+        reference = oracle(endpoint, schema)
+        graph = endpoint.dataset.union()
+        searches = counted_joins(monkeypatch)
+        tracemalloc.start()
+        try:
+            _extract_facts(graph, schema, star)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert len(searches) == 2  # the city's and the amount's subjects
+        span_bytes = 8 * rows * filler  # what a directory would take
+        assert peak < span_bytes // 8, (peak, span_bytes)
+        assert_same_bytes(star, reference)
         endpoint.close()
 
 

@@ -1,5 +1,6 @@
 """``tools/profile_round.py`` refuses a mistyped ``--wall`` name before
-it sets anything up."""
+it sets anything up, and reads ``--wall`` shares against the gated op
+kinds as well as the round."""
 
 import subprocess
 import sys
@@ -31,3 +32,45 @@ def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):
     assert "usage:" in done.stderr and "error: --wall" in done.stderr
     assert resolved in done.stderr and offered in done.stderr
     assert done.stdout == ""  # nothing was set up, nothing profiled
+
+
+def test_wall_shares_are_read_against_the_gated_time(monkeypatch):
+    """``ops_per_s`` pools only the gated op kinds, so a function's
+    share of the *round* undersizes a claim on a workload with ungated
+    ops (the ETL: 53 % of a ``star_50k`` round, 76 % of its gated
+    time): the footer prints both, and the round by op kind."""
+    from types import SimpleNamespace
+
+    monkeypatch.syspath_prepend(str(TOOL.parent))  # undone with the test
+    import profile_round
+    import harness  # profile_round put benchmarks/perf on the path
+
+    seconds = {"etl.facts": [], "engine.fold": []}
+    clock = {"etl": ("etl.facts", 0.06), "native": ("engine.fold", 0.01),
+             "parallel": ("engine.fold", 0.02)}
+
+    def run_op(op):
+        name, took = clock[op.kind]
+        seconds[name].append(took)
+
+    ops = [SimpleNamespace(kind=kind)
+           for kind in ("etl", "native", "parallel", "native", "parallel")]
+    by_kind, gated = profile_round.timed_round(
+        run_op, ops, seconds, harness.UNGATED_KINDS)
+    assert {kind: len(took) for kind, took in by_kind.items()} \
+        == {"etl": 1, "native": 2, "parallel": 2}
+    # the fold's calls under the two parallel ops are not gated time
+    assert gated == {"etl.facts": 0.06, "engine.fold": 0.02}
+
+    by_kind = {"etl": [0.06], "native": [0.01, 0.01], "parallel": [0.02, 0.02]}
+    lines = profile_round.wall_lines(0.12, seconds, by_kind, gated,
+                                     harness.UNGATED_KINDS)
+    facts, = [line for line in lines if line.endswith("etl.facts")]
+    assert "50.0% of the round" in facts
+    assert "75.0% of the gated time" in facts
+    starred = [line.split()[-2] for line in lines if line.endswith(" *")]
+    assert starred == sorted(harness.UNGATED_KINDS) == ["parallel"]
+    assert lines[-1].split()[:4] == ["80.0", "ms", "66.7%", "gated"]
+    # set-up has no ops: no split, no gated share
+    bare = profile_round.wall_lines(0.12, seconds, {}, {}, ())
+    assert len(bare) == 3 and "gated" not in "".join(bare)

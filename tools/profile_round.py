@@ -30,7 +30,12 @@ un-profiled, with a ``perf_counter`` wrapper around each named function
 (``module.function`` or ``module.Class.method``), and their share of
 the round's wall clock — the number a claim should be sized from
 (cProfile put ``aggregation.partials`` at 58 % of a roll-up; it is
-45 %).
+45 %).  Under it, the same round split by op kind, the kinds in
+``harness.UNGATED_KINDS`` starred: those ops run and are verified in
+every round but stay out of ``ops_per_s`` / ``cpu_ms_per_op``, so each
+function's share of the *gated* time stands beside its share of the
+round (the ETL is 53 % of a ``star_50k`` round and 76 % of what the
+contract's throughput pools).
 
 ``--steps`` prints, in place of the profile, the round's join steps as
 a markdown table (docs/performance.md, "Range scan or per-key probes"):
@@ -52,7 +57,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 # the harness modules import each other by bare name
@@ -110,6 +115,56 @@ def timed(dotted: str, seconds: Dict[str, List[float]]
         for holder in holders:
             setattr(holder, name, original)
     return undo
+
+
+def timed_round(run_op: Callable[[Any], Any], ops: Iterable[Any],
+                seconds: Dict[str, List[float]], ungated: Iterable[str]
+                ) -> Tuple[Dict[str, List[float]], Dict[str, float]]:
+    """Run ``ops`` one by one: ``(by_kind, gated)`` — each op's wall
+    clock under its ``kind``, and per :func:`timed` name the seconds
+    its calls took inside ops whose kind is not ``ungated``."""
+    ungated = frozenset(ungated)
+    by_kind: Dict[str, List[float]] = {}
+    gated = dict.fromkeys(seconds, 0.0)
+    for op in ops:
+        marks = {name: len(calls) for name, calls in seconds.items()}
+        started = time.perf_counter()
+        run_op(op)
+        by_kind.setdefault(op.kind, []).append(time.perf_counter() - started)
+        if op.kind not in ungated:
+            for name, calls in seconds.items():
+                gated[name] += sum(calls[marks[name]:])
+    return by_kind, gated
+
+
+def wall_lines(wall: float, seconds: Dict[str, List[float]],
+               by_kind: Dict[str, List[float]], gated: Dict[str, float],
+               ungated: Iterable[str]) -> List[str]:
+    """The ``--wall`` footer: per function its share of the round
+    (``wall`` seconds) and, where the round was run op by op, of the
+    gated time; then the round by op kind."""
+    ungated = frozenset(ungated)
+    gated_wall = sum(sum(took) for kind, took in by_kind.items()
+                     if kind not in ungated)
+    lines = [f"# the same again un-profiled: {wall * 1e3:.1f} ms wall "
+             f"clock; per function, callees included"]
+    for name, calls in seconds.items():
+        share = f"{sum(calls) / wall:6.1%} of the round"
+        if gated_wall:
+            share += f" {gated[name] / gated_wall:6.1%} of the gated time"
+        lines.append(f"{sum(calls) * 1e3:10.1f} ms {share} "
+                     f"{len(calls):6d} calls  {name}")
+    if by_kind:
+        lines.append("# by op kind (* = in harness.UNGATED_KINDS: run and "
+                     "verified, but outside ops_per_s / cpu_ms_per_op)")
+        for kind, took in sorted(by_kind.items(),
+                                 key=lambda item: -sum(item[1])):
+            lines.append(f"{sum(took) * 1e3:10.1f} ms {sum(took) / wall:6.1%} "
+                         f"{len(took):6d} ops    {kind}"
+                         f"{' *' if kind in ungated else ''}")
+        lines.append(f"{gated_wall * 1e3:10.1f} ms {gated_wall / wall:6.1%} "
+                     f"gated")
+    return lines
 
 
 def step_table(subject: Callable[[], Any], repeat: int) -> None:
@@ -244,11 +299,18 @@ def main() -> int:
         profile.disable()
         close(made)
         seconds: Dict[str, List[float]] = {}
+        by_kind: Dict[str, List[float]] = {}
+        gated: Dict[str, float] = {}
         if named:
             undo = [timed(name, seconds) for name in named]
             gc.collect()
             started = time.perf_counter()
-            made = subject()
+            if args.setup:
+                made = subject()
+            else:
+                by_kind, gated = timed_round(
+                    lambda op: harness.run_op(cube, op), ops, seconds,
+                    harness.UNGATED_KINDS)
             wall = time.perf_counter() - started
             close(made)
             for restore in undo:
@@ -259,12 +321,8 @@ def main() -> int:
     pstats.Stats(profile).strip_dirs().sort_stats(args.sort).print_stats(
         args.top)
     if named:
-        print(f"# the same again un-profiled: {wall * 1e3:.1f} ms wall "
-              f"clock; per function, callees included")
-        for name in named:
-            calls = seconds[name]
-            print(f"{sum(calls) * 1e3:10.1f} ms {sum(calls) / wall:6.1%} "
-                  f"{len(calls):6d} calls  {name}")
+        print("\n".join(wall_lines(wall, seconds, by_kind, gated,
+                                   harness.UNGATED_KINDS)))
     return 0
 
 
