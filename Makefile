@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	bench-baseline bench-plan bench-plan-baseline bench-stream \
 	bench-stream-baseline bench-concurrency bench-resilience \
 	bench-resilience-baseline bench-join bench-join-baseline \
-	bench-parallel bench-olap perf perf-compare profile
+	bench-olap perf perf-compare profile
 
 ## Tier-1 verification: static analysis + docs doctests + the full
 ## unit/integration suite.
@@ -99,18 +99,8 @@ bench-join:
 bench-join-baseline:
 	$(PYTHON) benchmarks/check_join.py --update
 
-## Parallel-execution gate: the morsel-driven executor must run the
-## paper-scale grouped aggregation across 4 workers (no silent
-## decline) with results identical to the serial path and zero leaked
-## shared-memory segments after close; serial / parallel times are
-## printed, not gated.
-bench-parallel:
-	REPRO_BENCH_OBS=100000 $(PYTHON) benchmarks/check_parallel.py
-
 ## Columnar-OLAP gate: star ETL >= 5x the per-observation test oracle
-## at 100k observations (byte-identical fact tables), the
-## SUM/AVG partial pushdown engaged and checksum-equal to serial on the
-## star-shaped grouped aggregate (times printed, not gated),
+## at 100k observations (byte-identical fact tables),
 ## shared-fact-snapshot cells identical to the serial native engine,
 ## zero leaked shared-memory segments after close.
 bench-olap:

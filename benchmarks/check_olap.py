@@ -1,22 +1,16 @@
 #!/usr/bin/env python
-"""Gate the columnar OLAP fact pipeline: ETL speedup, parallel
-aggregate push-down, cross-engine checksums, and shm hygiene.
+"""Gate the columnar OLAP fact pipeline: ETL speedup, cross-engine
+cells, and shm hygiene.
 
 Builds a paper-scale QB4OLAP cube (``REPRO_BENCH_OBS`` observations,
 default 100k; two-level geography dimension, one SUM measure) and
-checks the three legs of the pipeline:
+checks the two legs of the pipeline:
 
 * **columnar ETL** — ``extract_star_schema`` (dimension tables and
   facts) must take at most 1/``REPRO_BENCH_OLAP_ETL_FACTOR`` (default
   5.0) of the time the member-at-a-time oracle
   (``tests/olap/reference_etl.py``) needs for the fact table alone,
   with byte-identical coordinates and measures;
-* **parallel aggregation** — the morsel-parallel SPARQL executor's
-  SUM/AVG partial pushdown must answer the star-shaped grouped
-  aggregate checksum-equal to the serial evaluator and must actually
-  engage the pushdown (no silent full-row fallback); serial and
-  parallel times and their ratio are printed, not gated (both sides
-  aggregate on ids now, so the ratio measures only the extra cores);
 * **shared fact snapshot** — ``ParallelStarAggregator`` (workers map
   the pinned ``FactColumns`` export zero-copy) must produce cells
   identical to the serial ``NativeOLAPEngine``, and after ``close()``
@@ -34,23 +28,14 @@ import glob
 import math
 import os
 import sys
-import time
 
 OBSERVATIONS = int(os.environ.get("REPRO_BENCH_OBS", "100000"))
 WORKERS = int(os.environ.get("REPRO_BENCH_PARALLEL_WORKERS", "4"))
 ETL_FACTOR = float(os.environ.get("REPRO_BENCH_OLAP_ETL_FACTOR", "5.0"))
-RUNS = int(os.environ.get("REPRO_BENCH_PARALLEL_RUNS", "3"))
 CITIES = 240
 REGIONS = 24
 
 EX = "http://example.org/bench/olap/"
-
-QUERY = f"""
-    SELECT ?c (SUM(?v) AS ?total) (AVG(?v) AS ?mean) WHERE {{
-        ?o <{EX}city> ?c .
-        ?o <{EX}amount> ?v
-    }} GROUP BY ?c
-"""
 
 
 def build_cube():
@@ -91,19 +76,6 @@ def build_cube():
     return endpoint, schema
 
 
-def checksum(table) -> list:
-    return sorted(repr(row) for row in table.rows)
-
-
-def best_of(endpoint, runs: int = RUNS) -> float:
-    elapsed = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        endpoint.select(QUERY)
-        elapsed.append(time.perf_counter() - start)
-    return min(elapsed)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
@@ -115,7 +87,6 @@ def main(argv=None) -> int:
 
     from repro.rdf.concurrency import SHM_SEGMENTS
     from repro.rdf.shm import SEGMENT_PREFIX
-    from repro.sparql.endpoint import LocalEndpoint
     from repro.ql import QLBuilder, simplify
     from repro.olap import NativeOLAPEngine, extract_star_schema
     from repro.olap.parallel import ParallelStarAggregator
@@ -146,33 +117,7 @@ def main(argv=None) -> int:
     print(f"etl columnar: {fast_seconds * 1000:8.1f} ms")
     print(f"etl speedup: {etl_speedup:.2f}x (identical fact tables)")
 
-    # -- leg 2: parallel SPARQL aggregation -----------------------------------
-    serial = LocalEndpoint(endpoint.dataset)
-    parallel = LocalEndpoint(endpoint.dataset, parallel=WORKERS,
-                             parallel_threshold=1)
-    serial_table = serial.select(QUERY)       # warm-up + reference
-    parallel_table = parallel.select(QUERY)   # warm-up: export + attach
-    executor = parallel.parallel_executor
-    if executor.telemetry["queries"] == 0:
-        print(f"FAIL: query declined parallel execution "
-              f"({executor.last_decline})", file=sys.stderr)
-        return 1
-    if executor.telemetry["agg_pushdown"] == 0:
-        print("FAIL: aggregate pushdown did not engage", file=sys.stderr)
-        return 1
-    if checksum(parallel_table) != checksum(serial_table):
-        print("FAIL: parallel result diverged from serial", file=sys.stderr)
-        return 1
-    print(f"correctness: parallel == serial ({len(serial_table)} groups, "
-          f"SUM+AVG partials pushed down)")
-    serial_best = best_of(serial)
-    parallel_best = best_of(parallel)
-    speedup = serial_best / max(parallel_best, 1e-9)
-    print(f"serial   best: {serial_best * 1000:8.1f} ms")
-    print(f"parallel best: {parallel_best * 1000:8.1f} ms")
-    print(f"serial / parallel: {speedup:.2f}x (reported, not gated)")
-
-    # -- leg 3: shared fact snapshot ------------------------------------------
+    # -- leg 2: shared fact snapshot ------------------------------------------
     from repro.rdf.terms import IRI
 
     program = (QLBuilder(schema.dataset)
@@ -195,8 +140,6 @@ def main(argv=None) -> int:
     print(f"fact snapshot: {len(shared.cells)} cells identical via "
           f"{star.fact_columns().nbytes} shared bytes")
 
-    parallel.close()
-    serial.close()
     endpoint.close()
     if not SHM_SEGMENTS.empty:
         print(f"FAIL: leaked shared-memory registrations: "

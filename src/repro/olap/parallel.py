@@ -4,10 +4,9 @@ The fan-out of the pipeline the serial engine runs
 (:mod:`repro.olap.kernel`): the parent compiles the program once and
 exports one compressed :class:`~repro.olap.star.FactColumns`
 generation into shared memory (through the refcounted
-:data:`~repro.rdf.concurrency.SHM_SEGMENTS` registry, so lifetime
-rules match the SPARQL executor's); workers map the columns
-**zero-copy** and run ``kernel.partials`` over contiguous fact-row
-morsels; the parent merges the partials into the same
+:data:`~repro.rdf.concurrency.SHM_SEGMENTS` registry); workers map the
+columns **zero-copy** and run ``kernel.partials`` over contiguous
+fact-row morsels; the parent merges the partials into the same
 :class:`~repro.olap.engine.NativeResult` the serial engine produces.
 
 A task is small — the shm manifest, a row range and the compiled plan

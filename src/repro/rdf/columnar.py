@@ -159,11 +159,11 @@ class TripleColumns:
                            ) -> "TripleColumns":
         """Rebuild columns around *already sorted* order arrays.
 
-        This is the shared-memory attach path (:mod:`repro.rdf.shm`):
-        the arrays are zero-copy views over an exported generation, so
-        re-running the :meth:`__init__` lexsort would both waste the
-        work and force a private copy.  The caller asserts the arrays
-        came from :meth:`sorted_generation` — nothing is re-validated.
+        :meth:`merged` builds its result this way: the arrays it made
+        are sorted by construction, so re-running the :meth:`__init__`
+        lexsort would only waste the work.  The caller asserts the
+        arrays are sorted (as :meth:`sorted_generation` hands them out)
+        — nothing is re-validated.
         """
         columns = cls.__new__(cls)
         columns.size = int(size)
@@ -175,7 +175,7 @@ class TripleColumns:
 
     def sorted_generation(self) -> Tuple[OrderArrays, int,
                                          Tuple[int, int, int]]:
-        """The exportable state of this generation: the order arrays
+        """The whole state of this generation: the order arrays
         plus the metadata :meth:`from_sorted_orders` restores them
         with.  The arrays are the live ones (immutable by the module
         contract), not copies."""

@@ -229,13 +229,13 @@ class ShmRegistry:
     """Epoch-keyed registry of shared-memory segment groups with
     refcounted cleanup.
 
-    The parallel executor exports each graph generation (and each
-    dictionary high-water mark) into shared memory **once per epoch**
-    and keys the resulting group here.  Queries *pin* the group for
-    their duration (:meth:`pin_or_export` / :meth:`unpin`); when a new
-    epoch supersedes an old one the exporter *retires* the stale key
-    (:meth:`retire`), and the group's segments are closed + unlinked
-    as soon as the last pinned query drains — never underneath one.
+    The parallel star aggregator exports each fact generation into
+    shared memory **once per epoch** and keys the resulting group here.
+    Queries *pin* the group for their duration (:meth:`pin_or_export` /
+    :meth:`unpin`); when a new epoch supersedes an old one the exporter
+    *retires* the stale key (:meth:`retire`), and the group's segments
+    are closed + unlinked as soon as the last pinned query drains —
+    never underneath one.
 
     Segment handles are duck-typed (``name`` / ``close()`` /
     ``unlink()``), so this module stays free of any
@@ -336,7 +336,7 @@ class ShmRegistry:
 
 
 #: The process-wide exported-segment registry.  ``atexit`` retirement
-#: is a backstop for abnormal teardown; orderly code paths (endpoint
-#: ``close()``, test fixtures) drain it explicitly.
+#: is a backstop for abnormal teardown; orderly code paths (the
+#: aggregator's ``close()``, test fixtures) drain it explicitly.
 SHM_SEGMENTS = ShmRegistry()
 atexit.register(SHM_SEGMENTS.retire_all)

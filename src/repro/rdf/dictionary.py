@@ -111,30 +111,6 @@ class TermDictionary:
         """A discardable per-query view for computed-term interning."""
         return DictionaryOverlay(self)
 
-    # -- worker shipping (parallel execution) --------------------------------
-
-    def terms_up_to(self, mark: int) -> List[Term]:
-        """A copy of the first ``mark`` interned terms, in id order.
-
-        This is the shippable prefix of the table for a snapshot whose
-        high-water mark was ``mark``: the list only ever grows and ids
-        are positional, so the slice is safe without the intern lock
-        and :meth:`from_terms` on the result reproduces the exact same
-        encoding — which is what lets parallel workers resolve the
-        parent's pattern-constant ids against shared-memory columns.
-        """
-        return self._terms[:mark]
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "TermDictionary":
-        """Rebuild a dictionary from a shipped term sequence (worker
-        side; insertion order *is* the id assignment)."""
-        table = cls()
-        table._terms = list(terms)
-        table._ids = {term: term_id
-                      for term_id, term in enumerate(table._terms)}
-        return table
-
     def __len__(self) -> int:
         return len(self._terms)
 

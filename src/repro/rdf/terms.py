@@ -118,8 +118,7 @@ class IRI(Term):
 
     def __reduce__(self) -> tuple:
         # immutable __setattr__ defeats default slot-state pickling;
-        # reconstruct through the validating constructor instead (the
-        # parallel executor ships terms to worker processes)
+        # reconstruct through the validating constructor instead
         return (IRI, (self.value,))
 
     @property

@@ -1,23 +1,17 @@
-"""SPARQL grouped aggregation: one partial → merge → finalize.
+"""SPARQL grouped aggregation: partials → finalize.
 
 The only home of GROUP BY / aggregate / HAVING semantics under
 ``repro.sparql``.  A grouped SELECT folds the **id-level**
 :class:`~repro.sparql.bindings.BindingTable` its pattern solved into
-per-group accumulator states (:func:`partials`), the states of
-consecutive tables combine (:func:`merge`), and each group's states
-become one result binding (:func:`finalize`).  The serial evaluator
-runs one partial over its whole table; the parallel executor's workers
-run the same function over a morsel each — the distributive /
-algebraic split of OLAP aggregates (COUNT, SUM, MIN, MAX merge as
-themselves, AVG as SUM and COUNT).
+per-group accumulator states (:func:`partials`), and each group's
+states become one result binding and its ORDER BY terms
+(:func:`finalize`).
 
 Terms are touched late: plain-variable group keys group on id tuples
 (the dictionary is a bijection) and decode once per group, and any
 other key or argument is a column of
 :func:`~repro.sparql.bindings.expression_column` — evaluated and lifted
-once per *distinct* key of the variables it reads.  Worker-safe: the
-dictionary arrives as a ``decode`` function, nothing here touches an
-endpoint, a graph or a module cache.
+once per *distinct* key of the variables it reads.
 """
 
 from __future__ import annotations
@@ -62,11 +56,8 @@ Partials = Dict[Tuple[Any, ...], List[Any]]
 
 class _Accumulator:
     """One aggregate as ``start()`` / ``step(state, value)`` /
-    ``merge(left, right)`` / ``finish(state)`` over picklable states.
-
-    ``merge`` takes ``left`` from the earlier rows, so "first
-    encountered wins" holds across partials as within one; ``finish``
-    raises :class:`ExpressionError` where the aggregate has no value.
+    ``finish(state)``; ``finish`` raises :class:`ExpressionError` where
+    the aggregate has no value.
     """
 
     #: term → the value ``step`` folds, computed once per distinct
@@ -105,9 +96,6 @@ class _Count(_Accumulator):
     def columns(self, inverse: np.ndarray, groups: int,
                 lifted: None, codes: None) -> List[int]:
         return np.bincount(inverse, minlength=groups).tolist()
-
-    def merge(self, left: int, right: int) -> int:
-        return left + right
 
     def finish(self, state: int) -> Term:
         return Literal(state)
@@ -170,10 +158,6 @@ class _Sum(_Accumulator):
         return [(total if count else 0, count, False)
                 for total, count in zip(totals, counts)]
 
-    def merge(self, left: tuple, right: tuple) -> tuple:
-        total, other = promoted(left[0], right[0])
-        return (total + other, left[1] + right[1], left[2] or right[2])
-
     def finish(self, state: tuple) -> Term:
         total, count, failed = state
         if failed:
@@ -208,10 +192,6 @@ class _Extremum(_Accumulator):
             return value
         return state
 
-    def merge(self, left: Optional[tuple], right: Optional[tuple]
-              ) -> Optional[tuple]:
-        return left if right is None else self.step(left, right)
-
     def finish(self, state: Optional[tuple]) -> Term:
         if state is None:
             raise ExpressionError("MIN / MAX over empty group")
@@ -233,9 +213,6 @@ class _Values(_Accumulator):
     def step(self, state: List[Term], value: Term) -> List[Term]:
         state.append(value)
         return state
-
-    def merge(self, left: List[Term], right: List[Term]) -> List[Term]:
-        return left + right
 
     def finish(self, state: List[Term]) -> Term:
         call = self.call
@@ -268,20 +245,21 @@ def accumulator(call: Aggregate) -> _Accumulator:
 
 
 class Plan:
-    """What one grouped SELECT computes — picklable, so a worker runs
-    :func:`partials` from the object the parent finalizes with.
+    """What one grouped SELECT computes.
 
     ``keys`` pairs each GROUP BY expression with the name it binds in
     the result (its ``AS`` alias, else the variable itself, else
-    ``None``).  ``readers`` holds, per distinct aggregate of HAVING and
-    the projection, every node of the query that reads its value, and
-    ``folds`` their accumulators, which the states of :data:`Partials`
-    line up with: calls that compute the same thing — ``SUM(?m)``
-    projected *and* tested in HAVING, which is what a measure dice
-    after a roll-up translates to — are one entry, one fold, one state.
+    ``None``).  ``readers`` holds, per distinct aggregate of HAVING,
+    the projection and ORDER BY, every node of the query that reads its
+    value, and ``folds`` their accumulators, which the states of
+    :data:`Partials` line up with: calls that compute the same thing —
+    ``SUM(?m)`` projected *and* tested in HAVING, which is what a
+    measure dice after a roll-up translates to, or projected *and*
+    sorted on — are one entry, one fold, one state.
     """
 
-    __slots__ = ("keys", "having", "projection", "readers", "folds")
+    __slots__ = ("keys", "having", "projection", "order_by", "readers",
+                 "folds")
 
     def __init__(self, query: SelectQuery) -> None:
         self.keys: List[Tuple[Expression, Optional[str]]] = []
@@ -294,12 +272,14 @@ class Plan:
         self.projection: List[ProjectionItem] = [
             item for item in query.projection or []
             if item.expression is not None]
+        self.order_by = query.order_by
         # an expression's repr is what it computes, never where it
         # lives — but an EXISTS pattern prints as a summary (``BGP(1
         # patterns)``) and BNODE() mints per call: those share nothing
         same: Dict[Any, List[Aggregate]] = {}
         for expression in self.having + [
-                item.expression for item in self.projection]:
+                item.expression for item in self.projection] + [
+                expression for expression, _ascending in self.order_by]:
             for node in subexpressions(expression):
                 if isinstance(node, Aggregate):
                     apart = node.expression is not None \
@@ -313,11 +293,6 @@ class Plan:
     def aggregates(self) -> List[Aggregate]:
         """The distinct aggregate calls, one per fold."""
         return [nodes[0] for nodes in self.readers]
-
-    def fixed_size(self) -> bool:
-        """Whether every state stays O(1) however many rows fed it —
-        what makes shipping partials cheaper than shipping rows."""
-        return not any(isinstance(fold, _Values) for fold in self.folds)
 
 
 def _key_column(expression: Expression, table: BindingTable,
@@ -402,19 +377,6 @@ def partials(plan: Plan, table: BindingTable,
             for number, key in enumerate(zip(*cells) if cells else [()])}
 
 
-def merge(plan: Plan, parts: Sequence[Partials]) -> Partials:
-    """The partials of consecutive tables, in order, as the partials
-    of their concatenation."""
-    merged: Partials = {}
-    for part in parts:
-        for key, states in part.items():
-            into = merged.get(key)
-            merged[key] = states if into is None else [
-                fold.merge(left, right)
-                for fold, left, right in zip(plan.folds, into, states)]
-    return merged
-
-
 def apply_projection(projection: Optional[Sequence[ProjectionItem]],
                      binding: Binding, context: EvalContext) -> None:
     """Evaluate the ``(expr AS ?alias)`` items into ``binding``, in
@@ -429,18 +391,36 @@ def apply_projection(projection: Optional[Sequence[ProjectionItem]],
                 pass
 
 
+def order_terms(order_by: Sequence[Tuple[Expression, bool]],
+                binding: Binding, context: EvalContext
+                ) -> Tuple[Optional[Term], ...]:
+    """``binding``'s ORDER BY terms, ``None`` where one is an error."""
+    terms: List[Optional[Term]] = []
+    for expression, _ascending in order_by:
+        try:
+            terms.append(expression.evaluate(binding, context))
+        except ExpressionError:
+            terms.append(None)
+    return tuple(terms)
+
+
 def finalize(plan: Plan, groups: Partials, decode: Callable[[int], Term],
-             context: EvalContext) -> List[Binding]:
-    """One binding per group that passes HAVING: its keys, decoded
-    once, then the projection expressions.
+             context: EvalContext
+             ) -> Tuple[List[Binding], List[Tuple[Optional[Term], ...]]]:
+    """One binding per group that passes HAVING — its keys, decoded
+    once, then the projection expressions — and beside each its ORDER
+    BY terms.
 
     While a group is evaluated ``context.aggregates`` holds its
-    finished aggregate values for :meth:`Aggregate.evaluate` to read.
+    finished aggregate values for :meth:`Aggregate.evaluate` to read,
+    which is why the ORDER BY terms are computed here: an aggregate
+    there (``ORDER BY DESC(SUM(?m))``) has no value after the group.
     Without GROUP BY there is exactly one group, even over no rows.
     """
     if not plan.keys and not groups:
         groups = {(): [fold.start() for fold in plan.folds]}
     results: List[Binding] = []
+    terms: List[Tuple[Optional[Term], ...]] = []
     finished: Dict[Aggregate, Term] = {}
     context.aggregates = finished
     try:
@@ -466,6 +446,7 @@ def finalize(plan: Plan, groups: Partials, decode: Callable[[int], Term],
             if keep:
                 apply_projection(plan.projection, binding, context)
                 results.append(binding)
+                terms.append(order_terms(plan.order_by, binding, context))
     finally:
         context.aggregates = None
-    return results
+    return results, terms

@@ -186,9 +186,7 @@ class LocalEndpoint:
                  limits: Optional[EndpointLimits] = None,
                  default_as_union: bool = True,
                  keep_query_log: bool = False,
-                 governor: Optional[QueryGovernor] = None,
-                 parallel: Union[bool, int, None] = None,
-                 parallel_threshold: Optional[int] = None) -> None:
+                 governor: Optional[QueryGovernor] = None) -> None:
         self.dataset = dataset or Dataset()
         self.limits = limits or EndpointLimits()
         #: optional resource governance: default per-query limits plus
@@ -196,23 +194,6 @@ class LocalEndpoint:
         #: ``None`` the read path runs exactly as before, and per-call
         #: ``limits=`` arguments still govern individual queries
         self.governor = governor
-        #: optional morsel-driven parallel execution: ``parallel=N``
-        #: builds an N-worker pool, ``parallel=True`` picks the
-        #: default width; eligible SELECTs above the auto-enable
-        #: threshold fan out (see :mod:`repro.sparql.parallel`), and
-        #: everything else runs the unchanged serial path.  Call
-        #: :meth:`close` (or use the endpoint as a context manager)
-        #: to release the pool and its shared-memory segments.
-        self._parallel: Optional["ParallelExecutor"] = None
-        if parallel:
-            from repro.sparql.parallel import (AUTO_THRESHOLD,
-                                               DEFAULT_WORKERS,
-                                               ParallelExecutor)
-            workers = DEFAULT_WORKERS if parallel is True else int(parallel)
-            threshold = AUTO_THRESHOLD if parallel_threshold is None \
-                else int(parallel_threshold)
-            self._parallel = ParallelExecutor(workers=workers,
-                                              threshold=threshold)
         self.default_as_union = default_as_union
         self.keep_query_log = keep_query_log
         self.query_log: List[QueryLogEntry] = []
@@ -402,7 +383,7 @@ class LocalEndpoint:
             gov = self._governed(limits)
             snapshot = self._pin()
             context = DatasetContext(snapshot, self.default_as_union,
-                                     governor=gov, parallel=self._parallel)
+                                     governor=gov)
             stream_before = STREAM_TELEMETRY.snapshot()
             CONCURRENCY.reader_enter()
             try:
@@ -712,22 +693,13 @@ class LocalEndpoint:
         """
         from repro.sparql.explain import explain
         return explain(query_text, self.dataset.snapshot(),
-                       cache_stats=True, analyze=analyze,
-                       parallel=self._parallel)
-
-    @property
-    def parallel_executor(self):
-        """The endpoint's :class:`~repro.sparql.parallel.
-        ParallelExecutor`, or ``None`` when parallel execution is off
-        (telemetry and tuning access for tests and tooling)."""
-        return self._parallel
+                       cache_stats=True, analyze=analyze)
 
     def close(self) -> None:
-        """Release the parallel worker pool and every shared-memory
-        segment this endpoint exported.  Idempotent; a no-op for
-        endpoints without ``parallel=``."""
-        if self._parallel is not None:
-            self._parallel.close()
+        """A no-op: the endpoint holds no process, pool or shared
+        segment.  Kept so callers can treat every engine alike (the
+        star aggregator's ``close`` does release a pool), and for the
+        context-manager protocol."""
 
     def __enter__(self) -> "LocalEndpoint":
         return self

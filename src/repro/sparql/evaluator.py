@@ -32,7 +32,6 @@ from repro.sparql.algebra import (
 from repro.sparql.bindings import BindingTable
 from repro.sparql.errors import (
     EvaluationError,
-    ExpressionError,
     QueryTimeout,
     ResourceExhausted,
 )
@@ -200,34 +199,24 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
         # rows exist, instead of materializing the full binding table
         STREAM_TELEMETRY.record_query()
         return _stream_select(query, evaluator, source, eval_context)
-    # the one materialized tail: id rows (or worker partials) → the
-    # grouped or the plain projection → _finalize_select
-    table = parts = None
-    parallel = getattr(context, "parallel", None)
-    if parallel is not None and trace is None:
-        # morsel-driven parallel path: eligible BGP-only plans run
-        # across the worker pool; (None, None) means "stay serial"
-        table, parts = parallel.try_select(query, context, source, evaluator)
-    if table is None and parts is None:
-        table = evaluator.solve(query.pattern, source)
+    # the one materialized tail: id rows → the grouped or the plain
+    # projection → _finalize_select
+    table = evaluator.solve(query.pattern, source)
     if query.is_aggregate_query:
         plan = aggregation.Plan(query)
         decode = evaluator._dict.decode
-        if parts is None:
-            # the serial path: one partial, nothing to merge
-            parts = [aggregation.partials(plan, table, decode, eval_context)]
-        result_bindings = aggregation.finalize(
-            plan, aggregation.merge(plan, parts), decode, eval_context)
-    else:
-        if query.distinct and not query.order_by and all(
-                item.expression is None
-                for item in query.projection or ()):
-            # only the distinct output rows are worth decoding
-            table = _distinct_table(table, query.output_names())
-        result_bindings = evaluator.decoded(table)
-        for row in result_bindings:
-            aggregation.apply_projection(
-                query.projection, row, eval_context)
+        result_bindings, order_terms = aggregation.finalize(
+            plan, aggregation.partials(plan, table, decode, eval_context),
+            decode, eval_context)
+        return _finalize_select(query, result_bindings, eval_context,
+                                order_terms)
+    if query.distinct and not query.order_by and all(
+            item.expression is None for item in query.projection or ()):
+        # only the distinct output rows are worth decoding
+        table = _distinct_table(table, query.output_names())
+    result_bindings = evaluator.decoded(table)
+    for row in result_bindings:
+        aggregation.apply_projection(query.projection, row, eval_context)
     return _finalize_select(query, result_bindings, eval_context)
 
 
@@ -247,25 +236,32 @@ def _distinct_table(table: BindingTable, names: List[str]) -> BindingTable:
 
 
 def _finalize_select(query: SelectQuery, result_bindings: List[Binding],
-                     eval_context: EvalContext) -> ResultTable:
+                     eval_context: EvalContext,
+                     order_terms: Optional[List[Tuple[Optional[Term], ...]]]
+                     = None) -> ResultTable:
     """The materialized SELECT tail: ORDER BY, projection to named
     rows, DISTINCT/REDUCED, OFFSET and LIMIT.
 
-    Every materialized SELECT ends here, whichever way its solutions
-    were computed.
+    Every materialized SELECT ends here.  ``order_terms`` holds each
+    binding's ORDER BY terms when they had to be evaluated beside it —
+    a grouped query's, whose aggregates have values only while
+    :func:`aggregation.finalize` works on the group.
     """
     if query.order_by:
-        def sort_key(row: Binding):
-            key = []
-            for expression, ascending in query.order_by:
-                try:
-                    term = expression.evaluate(row, eval_context)
-                except ExpressionError:
-                    term = None
-                key.append((order_key(term), ascending))
+        if order_terms is None:
+            order_terms = [
+                aggregation.order_terms(query.order_by, row, eval_context)
+                for row in result_bindings]
+        directions = [ascending for _expression, ascending in query.order_by]
+
+        def sort_key(position: int):
             # encode descending by wrapping in a reversor
-            return tuple(_Reversed(k) if not asc else k for k, asc in key)
-        result_bindings = sorted(result_bindings, key=sort_key)
+            return tuple(
+                order_key(term) if ascending
+                else _Reversed(order_key(term))
+                for term, ascending in zip(order_terms[position], directions))
+        ranked = sorted(range(len(result_bindings)), key=sort_key)
+        result_bindings = [result_bindings[position] for position in ranked]
 
     names = query.output_names()
     rows: List[Tuple[Optional[Term], ...]] = []

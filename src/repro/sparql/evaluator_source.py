@@ -121,15 +121,12 @@ class DatasetContext:
                  default_as_union: bool = True,
                  from_graphs: Optional[List[IRI]] = None,
                  from_named: Optional[List[IRI]] = None,
-                 governor=None, parallel=None) -> None:
+                 governor=None) -> None:
         self.dataset = dataset
         self.default_as_union = default_as_union
         self.from_graphs = list(from_graphs) if from_graphs else []
         self.from_named = list(from_named) if from_named else []
         self.governor = governor
-        #: optional ParallelExecutor; when set, eligible SELECTs run
-        #: morsel-parallel (see repro.sparql.parallel)
-        self.parallel = parallel
 
     @property
     def has_dataset_clause(self) -> bool:
@@ -142,8 +139,7 @@ class DatasetContext:
             return self
         return DatasetContext(self.dataset, self.default_as_union,
                               from_graphs, from_named,
-                              governor=self.governor,
-                              parallel=self.parallel)
+                              governor=self.governor)
 
     def default_source(self, from_graphs: Optional[List[IRI]] = None
                        ) -> GraphSource:

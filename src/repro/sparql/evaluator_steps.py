@@ -339,10 +339,8 @@ class JoinSteps:
     gather.  What a step chooses is only where its matches
     come from — one scan of the pattern's whole index range ("hash",
     the name kept from the bucketed build it replaced) or one index
-    probe per distinct key ("probe"); that choice
-    (:meth:`_prefer_hash`) and the range build (:meth:`_hash_build`)
-    are methods so the morsel workers of :mod:`repro.sparql.parallel`
-    can override them.
+    probe per distinct key ("probe"); that choice is
+    :meth:`_prefer_hash`, the range build :meth:`_hash_build`.
     """
 
     def __init__(self, dictionary, governor) -> None:
@@ -411,17 +409,14 @@ class JoinSteps:
         times cheaper, so that figure — the constant to recalibrate
         — is stale in the scan's favour.  See docs/performance.md,
         "Range scan or per-key probes", for the numbers on both sides
-        and for why the rule still stands.)  Overridden by the
-        morsel workers, whose tables are small slices of a large scan
-        and whose builds are cached."""
+        and for why the rule still stands.)"""
         return rows >= 64 and source.estimate_ids(base) <= 4 * rows
 
     def _hash_build(self, source: GraphSource, base: IdPattern,
                     key_positions: Sequence[int],
                     checks: Sequence[Tuple[int, int]], rows: int) -> Build:
         """The build side off one scan of ``base``'s range, for a table
-        of ``rows``.  Read-only to the probe side, so workers may reuse
-        one build across morsels."""
+        of ``rows``."""
         return grouped(
             _agreeing(self._vector_matches(source, base), checks),
             key_positions, rows)

@@ -331,8 +331,7 @@ def _collect_traces(query: Query, context: DatasetContext
 
 def explain_query(query: Query,
                   dataset: Optional[Union[Dataset, DatasetSnapshot]] = None,
-                  cache_stats: bool = False, analyze: bool = False,
-                  parallel=None) -> str:
+                  cache_stats: bool = False, analyze: bool = False) -> str:
     """Render a parsed query's physical plan.
 
     Estimates appear when a dataset (or a pinned
@@ -340,10 +339,7 @@ def explain_query(query: Query,
     ``analyze=True`` additionally *executes* the query's pattern and
     annotates each join step with its actual row count and strategy;
     ``cache_stats=True`` appends the shared plan cache's hit/miss
-    counters and the snapshot-concurrency counters; ``parallel=`` (a
-    :class:`~repro.sparql.parallel.ParallelExecutor`) appends the
-    ``parallel:`` line — the planned worker/morsel fan-out, or why
-    the query would stay serial.
+    counters and the snapshot-concurrency counters.
     """
     source: Optional[GraphSource] = None
     traces: Optional[_TraceIndex] = None
@@ -371,8 +367,6 @@ def explain_query(query: Query,
     else:
         raise TypeError(f"cannot explain {type(query).__name__}")
     lines = printer.lines
-    if parallel is not None:
-        lines = lines + [parallel.describe(query, dataset)]
     if cache_stats:
         lines = lines + _cache_stats_lines()
     return "\n".join(lines)
@@ -380,9 +374,7 @@ def explain_query(query: Query,
 
 def explain(query_text: str,
             dataset: Optional[Union[Dataset, DatasetSnapshot]] = None,
-            cache_stats: bool = False, analyze: bool = False,
-            parallel=None) -> str:
+            cache_stats: bool = False, analyze: bool = False) -> str:
     """Parse ``query_text`` and render its plan."""
     return explain_query(parse_query(query_text), dataset,
-                         cache_stats=cache_stats, analyze=analyze,
-                         parallel=parallel)
+                         cache_stats=cache_stats, analyze=analyze)

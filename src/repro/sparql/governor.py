@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.sparql.errors import (
     EndpointOverloaded,
@@ -198,23 +198,6 @@ class GovernorContext:
                 f"{limits.max_binding_cells} binding cells",
                 telemetry=self.telemetry())
         self.check()
-
-    def charge_batches(self,
-                       charges: Iterable[Tuple[int, int]]) -> None:
-        """Replay a parallel worker's per-step charge log against this
-        (single) budget.
-
-        Workers never see the budget: each morsel records the
-        ``(rows, width)`` batches its join steps produced, and the
-        parent replays them here as results arrive.  That makes
-        ``max_rows`` / ``max_binding_cells`` **global across the
-        worker pool** — N workers share one allowance instead of
-        getting one each — and any verdict raised here trips the
-        query's shared control flag, which the remaining workers poll
-        at morsel boundaries.
-        """
-        for rows, width in charges:
-            self.charge_rows(rows, width)
 
     def charge_scan(self, entries: int) -> None:
         """Account ``entries`` scanned index entries at once (a scan

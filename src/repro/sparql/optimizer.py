@@ -386,21 +386,6 @@ class PhysicalPlan:
         """
         return bool(self.steps) and self.steps[0].stream_safe
 
-    @property
-    def parallel_safe(self) -> bool:
-        """Whether every step of this plan may run inside a morsel
-        worker.
-
-        This is the plan-IR flag the parallel executor consults: the
-        whole pipeline must consist of triple-pattern join steps
-        (scan / probe / hash), because those read only id columns and
-        the shipped dictionary.  Property-path steps are excluded —
-        their closure evaluation walks live graph adjacency and is not
-        part of the worker protocol.
-        """
-        return bool(self.steps) and all(
-            step.strategy != "path" for step in self.steps)
-
     def __repr__(self) -> str:
         return (f"<PhysicalPlan {self.order} cost {self.cost:.0f} "
                 f"est {self.est_rows:.0f} rows>")

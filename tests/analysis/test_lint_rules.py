@@ -33,7 +33,7 @@ EVALUATOR = "src/repro/sparql/evaluator.py"
 COLUMNAR = "src/repro/rdf/columnar.py"
 TESTFILE = "tests/test_example.py"
 LIBRARY = "src/repro/olap/example.py"
-PARALLEL = "src/repro/sparql/parallel.py"
+STAR_PARALLEL = "src/repro/olap/parallel.py"
 WALKER = "src/repro/sparql/evaluator_walker.py"
 STEPS = "src/repro/sparql/evaluator_steps.py"
 ETL = "src/repro/olap/etl.py"
@@ -181,23 +181,21 @@ FIXTURES = {
     ),
     "parallel-safety": (
         """
-        def _worker_run(task):
-            plan = get_plan(task["node"], frozenset(), None)
-            STREAM_TELEMETRY.record_query()
-            return plan
+        def _worker_star_partials(task):
+            facts = StarSchema.current().fact_columns()
+            SHM_SEGMENTS.retire_all()
+            return facts
         """,
-        PARALLEL,
+        STAR_PARALLEL,
         """
-        def _worker_run(task, evaluator, table):
-            for index in task["order"]:
-                table = evaluator._step_triple(
-                    task["patterns"][index], task["source"], table)
-            return table
+        def _worker_star_partials(task):
+            manifest, lo, hi, plan = task
+            _segment, views = shm.attach_arrays(manifest)
+            return kernel.partials(views, lo, hi, plan)
 
-        def dispatch(plan):
-            # parent-side code may touch the caches freely
-            PLAN_CACHE.statistics()
-            return plan
+        def close(aggregator):
+            # parent-side code may touch the registry freely
+            SHM_SEGMENTS.retire(aggregator.pinned)
         """,
     ),
     "storage-tiers-private": (
@@ -262,7 +260,7 @@ FIXTURES = {
                 return into + state
             return min(into, state) if kind == "MIN" else max(into, state)
         """,
-        PARALLEL,
+        EVALUATOR,
         """
         AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
@@ -459,6 +457,26 @@ FIXTURES = {
             return coordinates
         """,
     ),
+    "one-process-pool": (
+        """
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        def pool(workers):
+            return ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn"))
+        """,
+        "src/repro/sparql/parallel.py",
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.rdf import shm
+
+        def pool(workers):
+            \"\"\"The one pool of rdf/shm.py, not a multiprocessing one.\"\"\"
+            return shm.SpawnPool(workers), BrokenProcessPool
+        """,
+    ),
 }
 
 
@@ -594,7 +612,7 @@ def test_single_walker_lives_in_the_walker_module_only():
     _bad, _path, good = FIXTURES["single-algebra-walker"]
     rule = "single-algebra-walker"
     assert findings_for(good, WALKER, rule) == []
-    for elsewhere in (EVALUATOR, PARALLEL, ENDPOINT):
+    for elsewhere in (EVALUATOR, STEPS, ENDPOINT):
         found = findings_for(good, elsewhere, rule)
         assert len(found) == 1 and "_walk" in found[0].message
     for describer in ("src/repro/sparql/explain.py",
@@ -611,7 +629,7 @@ def test_aggregate_names_have_two_homes_and_one_set():
     it (the parent's ``_PARTIAL_AGGREGATES``) may not."""
     bad, _path, good = FIXTURES["single-sparql-aggregate"]
     rule = "single-sparql-aggregate"
-    assert len(findings_for(bad, PARALLEL, rule)) == 3
+    assert len(findings_for(bad, EVALUATOR, rule)) == 3
     for home in ("src/repro/sparql/aggregation.py",
                  "src/repro/sparql/tokenizer.py",
                  "src/repro/olap/kernel.py"):
@@ -637,7 +655,7 @@ def test_expression_loops_have_one_home_and_one_projection():
             values.append(expression.evaluate({}, context))
         return values
     """
-    for elsewhere in (WALKER, "src/repro/sparql/aggregation.py", PARALLEL):
+    for elsewhere in (WALKER, "src/repro/sparql/aggregation.py", STEPS):
         found = findings_for(statement, elsewhere, rule)
         assert len(found) == 1 and ".rows" in found[0].message
     for home in ("src/repro/sparql/bindings.py", "src/repro/olap/engine.py"):
@@ -727,7 +745,8 @@ def test_grouping_has_one_home():
     def _states(column):
         return np.unique(column, return_inverse=True)
     """
-    for path in (STEPS, WALKER, PARALLEL, "src/repro/sparql/bindings.py"):
+    for path in (STEPS, WALKER, "src/repro/sparql/aggregation.py",
+                 "src/repro/sparql/bindings.py"):
         found = findings_for(hand_rolled, path, rule)
         assert len(found) == 1 and "grouping.distinct" in found[0].message
     for path in (LIBRARY, GRAPH, home, "tests/sparql/test_x.py"):
@@ -759,14 +778,14 @@ def test_a_build_side_has_one_constructor_and_one_search():
         assert findings_for(call.format(name=owner, callee=callee),
                             STEPS, rule) == []
         for name, path in (("_hash_build", STEPS), ("_runs", STEPS),
-                           (owner, PARALLEL), (owner, WALKER)):
+                           (owner, EVALUATOR), (owner, WALKER)):
             found = findings_for(call.format(name=name, callee=callee),
                                  path, rule)
             assert len(found) == 1 and owner in found[0].message
         for path in (COLUMNAR, LIBRARY, "tests/sparql/reference_join.py"):
             assert findings_for(call.format(name="merged", callee=callee),
                                 path, rule) == []
-    for path in (STEPS, WALKER, PARALLEL):
+    for path in (STEPS, WALKER, EVALUATOR):
         source = (ROOT / path).read_text(encoding="utf-8")
         assert "allow[single-locate]" not in source
         assert findings_for(source, path, rule) == []
@@ -940,6 +959,27 @@ def test_columnar_etl_flags_each_per_row_shape_and_nothing_else():
     # a constant index is no per-row write; the read and the inner
     # loop's counter-indexed one are
     assert [finding.line for finding in found] == [5, 7]
+
+
+def test_one_process_pool_lives_in_shm_only():
+    """Imports and uses are each a finding anywhere under ``src/repro``
+    but ``rdf/shm.py``; tests and benchmarks spawn what they like, and
+    ``parallel-safety`` covers only the star aggregator's modules."""
+    rule = "one-process-pool"
+    bad, _path, _good = FIXTURES[rule]
+    for path in (LIBRARY, STAR_PARALLEL, EVALUATOR):
+        found = findings_for(bad, path, rule)
+        assert [finding.line for finding in found] == [2, 3, 6, 7]
+    segments = "from multiprocessing import shared_memory\n"
+    assert len(findings_for(segments, GRAPH, rule)) == 2
+    for path in ("src/repro/rdf/shm.py", "tests/olap/test_x.py",
+                 "benchmarks/check_x.py"):
+        assert findings_for(bad, path, rule) == []
+    worker = "def _worker_run(task):\n    return PLAN_CACHE\n"
+    for path in ("src/repro/sparql/parallel.py",
+                 "src/repro/sparql/aggregation.py"):
+        assert findings_for(worker, path, "parallel-safety") == []
+    assert findings_for(worker, STAR_PARALLEL, "parallel-safety")
 
 
 def test_evaluator_rules_cover_the_whole_family():

@@ -4,10 +4,10 @@ The enrichment pipeline is deterministic (seeded generators), so the
 session-scoped fixtures are safe to share; tests must not mutate the
 shared endpoint (tests that need mutation build their own).
 
-This file also enforces process hygiene for the parallel executor:
-after every test module, the shared-memory registry must be empty, no
-``/dev/shm`` segment created by this process may remain, and no worker
-process may outlive its pool.  A leak detected here names the module
+This file also enforces process hygiene for the parallel star
+aggregator: after every test module, the shared-memory registry must be
+empty, no ``/dev/shm`` segment created by this process may remain, and
+no worker process may outlive its pool.  A leak detected here names the module
 that caused it, instead of surfacing as a resource-tracker warning at
 interpreter exit.
 """
@@ -30,7 +30,7 @@ def parallel_hygiene(request):
     """Assert zero leaked SHM segments and zero orphaned workers.
 
     Module-scoped and autouse, so it tears down *after* any
-    module-scoped endpoint fixture has closed its executor — every
+    module-scoped fixture has closed its aggregator — every
     module gets the check for free.  Workers of a deliberately broken
     pool (chaos tests kill them mid-morsel) may still be exiting when
     the module ends, so lingering children get a short grace period

@@ -65,8 +65,8 @@ def test_rows_view_is_not_read_before_group_by(fresh, monkeypatch, name,
         patch.setattr(BindingTable, "rows", property(poisoned))
         table = evaluator.solve(query.pattern, source)
         parts = aggregation.partials(plan, table, decode, eval_context)
-    groups = aggregation.finalize(plan, aggregation.merge(plan, [parts]),
-                                  decode, eval_context)
+    groups, _order_terms = aggregation.finalize(plan, parts, decode,
+                                                eval_context)
     # the same groups the un-poisoned evaluator answers
     expected = evaluate_select(query, context)
     assert sorted(

@@ -18,7 +18,6 @@ from repro.data import small_demo
 from repro.demo import MARY_QL, enrich
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
 from repro.rdf import Dataset
-from repro.rdf.concurrency import SHM_SEGMENTS
 from repro.sparql import PROBE_COUNTER, LocalEndpoint
 from repro.sparql import evaluator as evaluator_module
 
@@ -27,14 +26,6 @@ from repro.sparql import evaluator as evaluator_module
 PROGRAMS = dict(PREDEFINED, mary=MARY_QL, **ROLLUP_PROGRAMS, **DICE_PROGRAMS)
 CASES = [(name, variant) for name in sorted(PROGRAMS)
          for variant in ("direct", "optimized")]
-
-#: a FILTER in the pattern: not a plain BGP, the executor declines
-FILTERED = {"mary", "africa_france", "asia_germany", "or_destinations",
-            "three_way_and"}
-#: a measure dice after the roll-up: HAVING, so the direct text takes
-#: the general parallel path (worker rows, one partial in the parent)
-HAVING = {"busy_destinations", "busy_continent_year",
-          "not_continent_and_measure"}
 
 
 @pytest.fixture(scope="module")
@@ -83,39 +74,24 @@ def test_streaming_switch_changes_nothing(fresh, monkeypatch, name, variant):
 
 
 @pytest.fixture(scope="module")
-def parallel(fresh):
-    """A 2-worker endpoint over the cube's union copied into one
-    compacted graph (morsels are per-member ranges, so the executor
-    declines an overlapping union), with one-row morsels so that
-    every fan-out has several partials to merge."""
-    merged = Dataset()
-    merged.default.add_all(fresh.endpoint.dataset.union())
-    merged.default.compact()
-    endpoint = LocalEndpoint(merged, parallel=2, parallel_threshold=1)
-    endpoint.parallel_executor.morsel_rows = 1
-    yield endpoint
-    endpoint.close()
-    assert SHM_SEGMENTS.empty
+def merged(fresh):
+    """The cube's distinct triples copied into one compacted graph: no
+    union left to deduplicate, one column generation to scan."""
+    dataset = Dataset()
+    dataset.default.add_all(fresh.endpoint.dataset.union())
+    dataset.default.compact()
+    return LocalEndpoint(dataset)
 
 
 @pytest.mark.parametrize("name,variant", CASES)
-def test_parallel_routes_change_nothing(fresh, parallel, name, variant):
-    """The generated SPARQL answers byte-identically through the
-    worker push-down (plain roll-ups, and the roll-up sub-SELECT every
-    optimized text wraps), the general parallel path (HAVING) and the
-    serial decline (FILTER) — counted as they were before aggregation
-    had one implementation."""
+def test_one_compacted_graph_changes_nothing(fresh, merged, name, variant):
+    """The generated SPARQL answers byte-identically over the
+    overlapping union and over the same triples stored once: the
+    union's deduplication is invisible to every query it serves."""
     text = getattr(fresh.engine.execute(
         PROGRAMS[name], variant=variant).translation, variant)
-    telemetry = parallel.parallel_executor.telemetry
-    before = dict(telemetry)
-    serial, fanned = fresh.endpoint.select(text), parallel.select(text)
-    assert (serial.vars, serial.rows) == (fanned.vars, fanned.rows)
-    ran = 0 if name in FILTERED else 1
-    pushed = 0 if variant == "direct" and name in HAVING else ran
-    assert telemetry["queries"] - before["queries"] == ran
-    assert telemetry["agg_pushdown"] - before["agg_pushdown"] == pushed
-    assert not ran or telemetry["morsels"] - before["morsels"] > 1
+    union, single = fresh.endpoint.select(text), merged.select(text)
+    assert (union.vars, union.rows) == (single.vars, single.rows)
 
 
 def test_limit_query_streams_over_the_overlapping_union(fresh, monkeypatch):

@@ -1,20 +1,15 @@
-"""SPARQL grouped aggregation's partial → merge → finalize algebra.
+"""SPARQL grouped aggregation: partials → finalize.
 
-The serial evaluator, the parallel push-down and the general parallel
-path all run ``repro.sparql.aggregation``, so their agreement no longer
-checks it; these tests do, against an oracle that lives here: merging
-the partials of *any* contiguous split of an id table equals the
-partials of the whole, and both equal a row-at-a-time reference
-(``reference_aggregate``) — cell for cell, bound or unbound, groups in
-first-occurrence order.
+Every grouped SELECT runs ``repro.sparql.aggregation``; these tests
+check it against a row-at-a-time oracle (``reference_aggregate``) —
+cell for cell, bound or unbound, groups in first-occurrence order.
 
 Decimals and doubles in the generated tables are small multiples of
 1/4, so every sum is exact in binary floating point and results can be
-compared with ``==`` however the additions associate.
+compared with ``==``.
 """
 
 import math
-import pickle
 import struct
 from decimal import Decimal
 
@@ -24,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.rdf import IRI, Literal
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_INTEGER
-from repro.sparql.aggregation import Plan, finalize, merge, partials
+from repro.sparql.aggregation import Plan, finalize, partials
 from repro.sparql.algebra import Empty, ProjectionItem, SelectQuery
 from repro.sparql.bindings import BindingTable
 from repro.sparql.errors import ExpressionError
@@ -79,15 +74,13 @@ def table_of(names, rows):
               for term in row) for row in rows])
 
 
-def aggregated(query, dictionary, table, cuts=()):
-    """The query's bindings, its table cut into pieces at ``cuts``."""
+def aggregated(query, dictionary, table):
+    """The query's bindings over ``table``."""
     plan = Plan(query)
-    edges = [0, *cuts, len(table.rows)]
-    pieces = [BindingTable(table.names, table.rows[lo:hi])
-              for lo, hi in zip(edges, edges[1:])]
-    return finalize(plan, merge(plan, [
-        partials(plan, piece, dictionary.decode, CTX)
-        for piece in pieces]), dictionary.decode, CTX)
+    bindings, _order_terms = finalize(
+        plan, partials(plan, table, dictionary.decode, CTX),
+        dictionary.decode, CTX)
+    return bindings
 
 
 def reference(calls, grouped, rows):
@@ -110,36 +103,24 @@ def reference(calls, grouped, rows):
     return results
 
 
-class TestSplitInvariance:
+class TestAgainstTheReference:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(GROUPS),
                               st.sampled_from(MEASURES)), max_size=24),
-           st.booleans(), st.data())
+           st.booleans())
     @example([(GROUPS[0], MEASURES[4]), (GROUPS[0], MEASURES[0]),
-              (GROUPS[0], MEASURES[1])], True, None)
-    def test_any_split_equals_the_whole_equals_the_reference(
-            self, rows, grouped, data):
-        cuts = [] if data is None else sorted(data.draw(
-            st.lists(st.integers(0, len(rows)), max_size=5)))
+              (GROUPS[0], MEASURES[1])], True)
+    def test_the_whole_table_equals_the_reference(self, rows, grouped):
         dictionary, table = table_of(("g", "v"), rows)
         query = query_over(CALLS, grouped)
-        whole = aggregated(query, dictionary, table)
-        assert whole == reference(CALLS, grouped, rows)
-        assert aggregated(query, dictionary, table, cuts) == whole
-        # each row its own partial: everything happens in merge
-        assert aggregated(query, dictionary, table,
-                          range(1, len(rows))) == whole
+        assert aggregated(query, dictionary, table) \
+            == reference(CALLS, grouped, rows)
 
 
-def select(text, names, rows, cuts=()):
-    """``text``'s grouped tail over an id table of ``rows``, checked to
-    be the same whole and cut at ``cuts`` (and at every row)."""
+def select(text, names, rows):
+    """``text``'s grouped tail over an id table of ``rows``."""
     dictionary, table = table_of(names, rows)
-    query = parse_query(text)
-    whole = aggregated(query, dictionary, table)
-    for split in (cuts, range(1, len(rows))):
-        assert aggregated(query, dictionary, table, split) == whole
-    return whole
+    return aggregated(parse_query(text), dictionary, table)
 
 
 EVERY = ("SELECT (COUNT(?v) AS ?n) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) "
@@ -153,14 +134,13 @@ class TestFixedCases:
         assert select(EVERY + " GROUP BY ?g", ("g", "v"), []) == []
 
     def test_all_unbound_argument(self):
-        assert select(EVERY, ("v",), [(None,), (None,)], [1]) == [
+        assert select(EVERY, ("v",), [(None,), (None,)]) == [
             {"n": Literal(0), "sum": Literal(0)}]
 
     def test_non_numeric_is_sticky_for_sum_and_avg_only(self):
         rows = [(Literal(4),), (Literal("n/a"),), (Literal(2),)]
-        for cuts in ([], [1], [2]):
-            assert select(EVERY, ("v",), rows, cuts) == [{
-                "n": Literal(3), "lo": Literal(2), "hi": Literal("n/a")}]
+        assert select(EVERY, ("v",), rows) == [{
+            "n": Literal(3), "lo": Literal(2), "hi": Literal("n/a")}]
 
     def test_having_mixes_a_group_key_and_an_aggregate(self):
         # busy_continent_year's shape: a dice on a level and a measure
@@ -169,7 +149,7 @@ class TestFixedCases:
         rows = [(Literal(c), Literal(y), Literal(m)) for c, y, m in [
             ("Asia", 2013, 7), ("Europe", 2013, 50), ("Asia", 2014, 3),
             ("Asia", 2013, 5), ("Africa", 2014, 11), ("Asia", 2014, 7)]]
-        assert select(text, ("c", "y", "m"), rows, [2, 4]) == [
+        assert select(text, ("c", "y", "m"), rows) == [
             {"c": Literal("Asia"), "y": Literal(2013), "total": Literal(12)},
             {"c": Literal("Africa"), "y": Literal(2014),
              "total": Literal(11)}]
@@ -180,7 +160,7 @@ class TestFixedCases:
         dates = ["2014-03-01", "2013-01-01", "2014-12-31"]
         rows = [(Literal(d, datatype=XSD_DATE),) for d in dates] \
             + [(Literal("not a date"),)]
-        assert select(text, ("d",), rows, [1, 3]) == [
+        assert select(text, ("d",), rows) == [
             {"y": Literal(2014), "n": Literal(2)},
             {"y": Literal(2013), "n": Literal(1)},
             {"n": Literal(1)}]  # the key is an error: unbound, one group
@@ -189,13 +169,13 @@ class TestFixedCases:
         text = "SELECT (SUM(?a * ?b) AS ?s) (COUNT(?a * ?b) AS ?n) WHERE {}"
         rows = [(Literal(2), Literal(3)), (Literal(4), None),
                 (Literal(5), Literal(1))]
-        assert select(text, ("a", "b"), rows, [1]) == [
+        assert select(text, ("a", "b"), rows) == [
             {"s": Literal(11), "n": Literal(2)}]
 
     def test_groups_come_in_first_occurrence_order(self):
         text = "SELECT ?g (COUNT(*) AS ?n) WHERE {} GROUP BY ?g"
         order = ["b", "c", "a", "c", "b", "d"]
-        result = select(text, ("g",), [(Literal(g),) for g in order], [3])
+        result = select(text, ("g",), [(Literal(g),) for g in order])
         assert [row["g"].lexical for row in result] == ["b", "c", "a", "d"]
 
 
@@ -218,10 +198,9 @@ class TestArrayFoldEdges:
     """Where the array fold of SUM / AVG / COUNT must hand over to the
     row-at-a-time ``step`` — or must not differ from it by a bit."""
 
-    def check(self, measures, groups=None, exact=True):
+    def check(self, measures, groups=None):
         """``ARRAY_CALLS`` over ``measures`` (grouped when ``groups``
-        names each row's group): the whole, the reference and — when
-        the sums are ``exact`` however they associate — any split
+        names each row's group): the whole table and the reference
         agree; the partial's states are builtin values equal to a
         left-to-right Python sum to the bit.  Returns the bindings."""
         grouped = groups is not None
@@ -231,13 +210,8 @@ class TestArrayFoldEdges:
         query = query_over(ARRAY_CALLS, grouped)
         whole = aggregated(query, dictionary, table)
         assert whole == reference(ARRAY_CALLS, grouped, rows)
-        for cuts in (range(1, len(rows)), [1, len(rows) - 1], [2]):
-            cuts = sorted(cut for cut in cuts if 0 <= cut <= len(rows))
-            assert not exact \
-                or aggregated(query, dictionary, table, cuts) == whole
         plan = Plan(query)
         part = partials(plan, table, dictionary.decode, CTX)
-        assert b"numpy" not in pickle.dumps(part)
         members = {}
         for group, measure in rows:
             members.setdefault(group if grouped else None, []).append(
@@ -291,8 +265,7 @@ class TestArrayFoldEdges:
                    [GROUPS[index % 2] for index in range(len(special))])
         # cancellation: any other order of additions gives another sum
         [row] = self.check([Literal(value) for value in
-                            (1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3)],
-                           exact=False)
+                            (1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3)])
         assert row["a0"] == Literal(((((((1e16 + 1.0) + -1e16) + 1.0)
                                        + 0.1) + 0.2) + 0.3))
 
@@ -349,7 +322,7 @@ class TestSharedFolds:
             (GROUPS[0], Literal(5)), (GROUPS[2], Literal(30)),
             (GROUPS[0], Literal(7)), (GROUPS[1], Literal(1))]
 
-    def counted(self, monkeypatch, text, cuts=()):
+    def counted(self, monkeypatch, text):
         """``text``'s bindings over ``ROWS`` and what computing them
         cost: ``(bindings, folds per partial, finishes per group)``."""
         from repro.sparql import aggregation
@@ -367,11 +340,10 @@ class TestSharedFolds:
         for accumulator in (aggregation._Sum, aggregation._Values):
             monkeypatch.setattr(accumulator, "finish",
                                 counting(accumulator.finish, finishes))
-        result = select(text, ("g", "v"), self.ROWS, cuts)
-        pieces = 1 + (len(cuts) + 1) + len(self.ROWS)  # select()'s splits
-        groups = 3 * 3  # three groups, finalized once per split
-        assert len(folds) % pieces == 0 and len(finishes) % groups == 0
-        return result, len(folds) // pieces, len(finishes) // groups
+        result = select(text, ("g", "v"), self.ROWS)
+        groups = 3
+        assert len(finishes) % groups == 0
+        return result, len(folds), len(finishes) // groups
 
     def expected(self, having=lambda total: True):
         """What the row-at-a-time oracle says of SUM(?v) and
@@ -384,7 +356,7 @@ class TestSharedFolds:
     def test_projection_and_having_share_one_fold(self, monkeypatch):
         text = ("SELECT ?g (SUM(?v) AS ?total) (SUM(?v) + 1 AS ?more) "
                 "WHERE {} GROUP BY ?g HAVING (SUM(?v) > 2 && SUM(?v) < 20)")
-        result, folds, finishes = self.counted(monkeypatch, text, [2, 4])
+        result, folds, finishes = self.counted(monkeypatch, text)
         assert result == [
             {"g": row["g"], "total": row["a0"],
              "more": Literal(row["a0"].value + 1)}
@@ -396,8 +368,7 @@ class TestSharedFolds:
             self, monkeypatch):
         """Through the endpoint, where ORDER BY runs: the one folded
         value is projected, passes two groups through HAVING and sorts
-        them.  (ORDER BY reads it through the alias — an aggregate
-        *expression* in ORDER BY is ignored at this commit, ROADMAP.)"""
+        them, read through the alias."""
         from repro.sparql import LocalEndpoint, aggregation
 
         endpoint = LocalEndpoint()
@@ -454,7 +425,7 @@ class TestSharedFolds:
                 "(GROUP_CONCAT(?v; SEPARATOR=',') AS ?comma) "
                 "(GROUP_CONCAT(?v; SEPARATOR='|') AS ?again) "
                 "WHERE {} GROUP BY ?g HAVING (SUM(DISTINCT ?v) > 0)")
-        result, folds, finishes = self.counted(monkeypatch, text, [3])
+        result, folds, finishes = self.counted(monkeypatch, text)
         assert [(row["g"], row["all"], row["once"]) for row in result] == [
             (row["g"], row["a0"], row["a1"]) for row in self.expected()]
         assert [row["once"] for row in result] == [
@@ -465,19 +436,77 @@ class TestSharedFolds:
         # SUM(DISTINCT) finishes as a plain SUM of its distinct values
         assert (folds, finishes) == (4, 4 + 1)
 
-    def test_the_plan_pickles_with_its_readers(self):
+    def test_one_fold_serves_every_reader(self):
         query = parse_query(
             "SELECT (SUM(?v) AS ?s) WHERE {} GROUP BY ?g "
-            "HAVING (SUM(?v) > 2)")
-        plan = pickle.loads(pickle.dumps(Plan(query)))
+            "HAVING (SUM(?v) > 2) ORDER BY DESC(SUM(?v))")
+        plan = Plan(query)
         assert len(plan.aggregates) == len(plan.folds) == 1
         [readers] = plan.readers
-        assert len(readers) == 2 and readers[0] is plan.aggregates[0]
+        assert len(readers) == 3 and readers[0] is plan.aggregates[0]
         dictionary, table = table_of(("g", "v"), self.ROWS)
-        assert finalize(plan, partials(plan, table, dictionary.decode, CTX),
-                        dictionary.decode, CTX) == [
+        assert aggregated(query, dictionary, table) == [
             {"g": GROUPS[0], "s": Literal(17)},
             {"g": GROUPS[2], "s": Literal(30)}]
+
+
+class TestOrderByAnAggregate:
+    """``ORDER BY DESC(SUM(?v))`` sorts as ``ORDER BY DESC(?s)`` over
+    ``(SUM(?v) AS ?s)`` does: the call reads its group's fold.  Through
+    the endpoint, where ORDER BY runs."""
+
+    #: group a: sum 2, count 3, min 0; b: 50, 1, 50; c: 24, 4, 6 —
+    #: every order below differs from the others and from a, b, c
+    DATA = ("PREFIX : <http://example.org/> INSERT DATA { "
+            ":a1 :g :a ; :v 0 . :a2 :g :a ; :v 1 . :a3 :g :a ; :v 1 . "
+            ":b1 :g :b ; :v 50 . "
+            ":c1 :g :c ; :v 6 . :c2 :g :c ; :v 6 . :c3 :g :c ; :v 6 . "
+            ":c4 :g :c ; :v 6 . }")
+    HEAD = "PREFIX : <http://example.org/> SELECT ?g "
+    BODY = " WHERE { ?s :g ?g ; :v ?v } GROUP BY ?g "
+
+    @pytest.fixture(scope="class")
+    def endpoint(self):
+        from repro.sparql import LocalEndpoint
+
+        endpoint = LocalEndpoint()
+        endpoint.update(self.DATA)
+        return endpoint
+
+    def groups(self, endpoint, projection, order):
+        result = endpoint.select(self.HEAD + projection + self.BODY
+                                 + "ORDER BY " + order)
+        return [row[0].local_name() for row in result.rows]
+
+    @pytest.mark.parametrize("call, direction, expected", [
+        ("SUM(?v)", "DESC", ["b", "c", "a"]),
+        ("SUM(?v)", "ASC", ["a", "c", "b"]),
+        ("COUNT(?v)", "DESC", ["c", "a", "b"]),
+        ("MIN(?v)", "ASC", ["a", "c", "b"]),
+    ])
+    def test_the_call_sorts_as_its_alias(self, endpoint, call, direction,
+                                         expected):
+        alias = self.groups(endpoint, f"({call} AS ?x)",
+                            f"{direction}(?x)")
+        assert alias == expected
+        # projected beside it, and not projected at all
+        assert self.groups(endpoint, f"({call} AS ?x)",
+                           f"{direction}({call})") == expected
+        assert self.groups(endpoint, "", f"{direction}({call})") == expected
+
+    def test_an_expression_over_aggregates(self, endpoint):
+        """The mean, never projected: a 2/3, b 50, c 6."""
+        assert self.groups(endpoint, "",
+                           "DESC(SUM(?v) / COUNT(?v)) ?g") == ["b", "c", "a"]
+        assert self.groups(endpoint, "(AVG(?v) AS ?m)",
+                           "DESC(?m)") == ["b", "c", "a"]
+
+    def test_the_sort_key_shares_the_projected_fold(self):
+        plan = Plan(parse_query(
+            self.HEAD + "(SUM(?v) AS ?s)" + self.BODY
+            + "ORDER BY DESC(SUM(?v)) ASC(COUNT(?v))"))
+        assert [call.name for call in plan.aggregates] == ["SUM", "COUNT"]
+        assert [len(readers) for readers in plan.readers] == [2, 1]
 
 
 class TestDistinctIdsOfTheArgument:
@@ -499,5 +528,5 @@ class TestDistinctIdsOfTheArgument:
             part = {}
             assert unique_calls(monkeypatch, lambda: part.update(partials(
                 plan, table, dictionary.decode, CTX))) == sorts
-            assert finalize(plan, part, dictionary.decode, CTX) == [
+            assert finalize(plan, part, dictionary.decode, CTX)[0] == [
                 {"s": Literal(21)}]

@@ -434,94 +434,3 @@ class TestResiliencePrimitives:
                                sleep=lambda _s: None)
         assert len(failures) == 2  # the open breaker blocked new attempts
 
-
-class TestGovernorUnderParallelism:
-    """Limits must govern the *query*, not each worker separately.
-
-    The morsel executor charges every worker's row production back
-    into the parent's single :class:`GovernorContext`, checks the
-    deadline between completion polls, and fans a cooperative
-    control flag out to workers on any verdict — so budgets are
-    global across workers, deadlines bind at morsel granularity, and
-    cancellation reaches in-flight morsels.
-    """
-
-    ROWS = 4000
-
-    @staticmethod
-    def parallel_endpoint(**governor_kwargs) -> LocalEndpoint:
-        dataset = Dataset()
-        dataset.default.add_all([
-            (IRI(f"{EX}s{index}"), IRI(f"{EX}p"), Literal(index))
-            for index in range(TestGovernorUnderParallelism.ROWS)])
-        dataset.default.compact()
-        governor = None
-        if governor_kwargs:
-            governor = QueryGovernor.for_serving(**governor_kwargs)
-        endpoint = LocalEndpoint(dataset, governor=governor,
-                                 parallel=2, parallel_threshold=1)
-        endpoint.parallel_executor.morsel_rows = 600
-        return endpoint
-
-    def assert_went_parallel(self, endpoint: LocalEndpoint) -> None:
-        executor = endpoint.parallel_executor
-        before = executor.telemetry["queries"]
-        assert len(endpoint.select(QUERY)) == self.ROWS
-        assert executor.telemetry["queries"] == before + 1, \
-            f"query stayed serial: {executor.last_decline}"
-
-    def test_row_budget_is_global_across_workers(self):
-        with self.parallel_endpoint() as endpoint:
-            # every single morsel (<= 600 rows) fits the budget; only
-            # the *sum* across workers exceeds it, so the failure
-            # proves charges land in one shared ledger rather than a
-            # fresh per-worker (or per-morsel) allowance
-            with pytest.raises(ResourceExhausted):
-                endpoint.select(QUERY, limits=QueryLimits(max_rows=2000))
-            self.assert_went_parallel(endpoint)
-
-    def test_row_budget_sized_for_the_query_passes(self):
-        with self.parallel_endpoint() as endpoint:
-            executor = endpoint.parallel_executor
-            before = executor.telemetry["queries"]
-            table = endpoint.select(
-                QUERY, limits=QueryLimits(max_rows=self.ROWS + 100))
-            assert len(table) == self.ROWS
-            assert executor.telemetry["queries"] == before + 1
-
-    def test_deadline_binds_at_morsel_granularity(self):
-        from repro.testing import faults
-
-        with self.parallel_endpoint() as endpoint:
-            executor = endpoint.parallel_executor
-            aborts = executor.telemetry["aborts"]
-            # each morsel dawdles for 0.3s in the worker; the parent's
-            # completion poll re-checks the deadline every few
-            # milliseconds, so the verdict lands during the first
-            # morsel instead of after the whole fan-out drains
-            with faults.failpoint("parallel.worker.delay", delay=0.3):
-                with pytest.raises(QueryTimeout):
-                    endpoint.select(QUERY, limits=QueryLimits(
-                        deadline_seconds=0.05))
-            assert executor.telemetry["aborts"] == aborts + 1
-            self.assert_went_parallel(endpoint)
-
-    def test_cancellation_reaches_inflight_workers(self):
-        from repro.testing import faults
-
-        with self.parallel_endpoint() as endpoint:
-            token = CancellationToken()
-            timer = threading.Timer(0.05, token.cancel)
-            timer.start()
-            try:
-                with faults.failpoint("parallel.worker.delay", delay=0.3):
-                    with pytest.raises(QueryCancelled):
-                        endpoint.select(QUERY,
-                                        limits=QueryLimits(token=token))
-            finally:
-                timer.cancel()
-            self.assert_went_parallel(endpoint)
-
-    def test_ungoverned_parallel_query_is_unlimited(self):
-        with self.parallel_endpoint() as endpoint:
-            self.assert_went_parallel(endpoint)

@@ -17,9 +17,9 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "profile_round.py"
      "PatternEvaluator"),
     ("repro.sparql.executor.QLExecutor.run",
      "'repro.sparql' resolved, but has no 'executor'", "LocalEndpoint"),
-    ("repro.sparql.aggregation.Plan.fixed_sized",
-     "'repro.sparql.aggregation.Plan' resolved, but has no 'fixed_sized'",
-     "fixed_size"),
+    ("repro.sparql.aggregation.finalise",
+     "'repro.sparql.aggregation' resolved, but has no 'finalise'",
+     "finalize"),
     ("nosuch.module.function", "no importable module", ""),
 ])
 def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):

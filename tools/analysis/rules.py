@@ -31,10 +31,11 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     No ``assert``-as-validation in non-test code (isinstance
     narrowing excepted).
 ``parallel-safety``
-    Worker-side parallel-executor code (``_worker*`` functions,
-    ``_Worker*`` classes, ``attach_*`` helpers, and every function of
-    the star-query kernel) must stay shared-nothing: no endpoint, live
-    graph/dataset/star-schema state, or parent module caches.
+    Worker-side code of the parallel star aggregator (``_worker*``
+    functions, ``_Worker*`` classes, ``attach_*`` helpers, and every
+    function of the star-query kernel and the grouping module) must
+    stay shared-nothing: no endpoint, live graph/dataset/star-schema
+    state, or parent module caches.
 ``storage-tiers-private``
     Under ``src/``, a graph's storage tiers (``_columns``,
     ``_delta``, ``_tombstones``)
@@ -83,6 +84,10 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     member: no ``sorted(…, key=<lambda>)``, no ``for`` that writes a
     numpy array one element per iteration, no ``graph.objects(`` /
     ``graph.subjects(`` read inside a loop.
+``one-process-pool``
+    Under ``src/repro`` only ``repro/rdf/shm.py`` names
+    ``multiprocessing``, ``shared_memory`` or ``ProcessPoolExecutor``:
+    one place builds worker processes and shared segments.
 """
 
 from __future__ import annotations
@@ -724,10 +729,11 @@ class ParallelSafetyRule(Rule):
     dictionary and the pattern list.  This rule flags any reference to
     parent-process state inside the worker-side scopes — functions
     named ``_worker*`` or ``attach_*`` and methods of ``_Worker*``
-    classes — of the parallel executors and the SHM mapping module,
-    and inside *every* function of the star-query kernel
-    (``olap/kernel.py``), which workers run end to end: it may see
-    arrays and the shipped plan, never the star schema.
+    classes — of the parallel star aggregator and the SHM mapping
+    module, and inside *every* function of the star-query kernel
+    (``olap/kernel.py``) and of ``grouping.py``, which workers run end
+    to end: they may see arrays and the shipped plan, never the star
+    schema.
     """
 
     id = "parallel-safety"
@@ -745,13 +751,10 @@ class ParallelSafetyRule(Rule):
                  "get_plan", "StarSchema", "NativeOLAPEngine"}
 
     #: modules that are worker-side from top to bottom
-    WORKER_MODULES = ("repro/olap/kernel.py",
-                      "repro/sparql/aggregation.py",
-                      "repro/grouping.py")
+    WORKER_MODULES = ("repro/olap/kernel.py", "repro/grouping.py")
 
     def applies_to(self, path: str) -> bool:
-        return path.endswith(("repro/sparql/parallel.py",
-                              "repro/olap/parallel.py",
+        return path.endswith(("repro/olap/parallel.py",
                               "repro/rdf/shm.py") + self.WORKER_MODULES)
 
     @staticmethod
@@ -801,7 +804,7 @@ class StorageTiersPrivateRule(Rule):
     ``Graph.match_arrays`` / ``triples_ids`` / ``count_ids`` /
     ``folded_columns`` answer for columns, overlay and tombstones
     together, in every physical state.  A second composition written
-    elsewhere (the statistics builder, the parallel exporter and the
+    elsewhere (the statistics builder, a parallel exporter and the
     ETL each had one) silently diverges the next time a tier changes,
     and a ``None`` test on ``match_arrays`` is the first line of a
     second scan path — the contract is total, there is no fallback to
@@ -951,8 +954,8 @@ class SingleAlgebraWalkerRule(Rule):
 class SingleSparqlAggregateRule(Rule):
     """One module says what the SPARQL aggregates compute.
 
-    ``repro/sparql/aggregation.py`` folds SUM / AVG / MIN / MAX for the
-    serial evaluator and for the parallel workers alike.  Code that
+    ``repro/sparql/aggregation.py`` folds SUM / AVG / MIN / MAX for
+    every grouped SELECT.  Code that
     branches on those names anywhere else under ``sparql/`` is a second
     statement of their int / decimal / double, empty-group and tie
     rules — ISSUE 17 deleted three, one of which had drifted.  The
@@ -1581,6 +1584,58 @@ class ColumnarEtlRule(Rule):
                             lines)
 
 
+# ---------------------------------------------------------------------------
+# one-process-pool
+# ---------------------------------------------------------------------------
+
+
+class OneProcessPoolRule(Rule):
+    """One module builds worker processes and shared segments.
+
+    ``rdf/shm.py`` holds :class:`SpawnPool` (``spawn``, rebuilt after a
+    dead worker) and the segment export / attach pair that keeps the
+    resource tracker balanced.  A ``multiprocessing`` import anywhere
+    else under ``src/repro`` is a second pool or segment lifecycle
+    starting, which has to re-learn all three.  Docstrings may name the
+    modules — only code counts.
+    """
+
+    id = "one-process-pool"
+    title = "process pools and shared memory live in rdf/shm.py only"
+    rationale = ("a second pool or segment lifecycle re-learns spawn vs "
+                 "fork, tracker registration and dead-worker recovery, "
+                 "and adds a fan-out no contract workload measures")
+
+    NAMES = {"multiprocessing", "shared_memory", "ProcessPoolExecutor"}
+    HOME = "repro/rdf/shm.py"
+
+    def applies_to(self, path: str) -> bool:
+        return path.startswith("src/repro/") and not path.endswith(self.HOME)
+
+    def check(self, path: str, tree: ast.AST,
+              lines: Sequence[str]) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named = {part for alias in node.names
+                         for part in alias.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                named = set((node.module or "").split(".")) | {
+                    alias.name for alias in node.names}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                named = {node.id if isinstance(node, ast.Name)
+                         else node.attr}
+            else:
+                continue
+            for name in sorted(named & self.NAMES):
+                findings.append(self.finding(
+                    path, node,
+                    f"`{name}` outside rdf/shm.py (take a "
+                    f"`shm.SpawnPool` and `shm.export_arrays` / "
+                    f"`attach_arrays`)", lines))
+        return findings
+
+
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
@@ -1601,6 +1656,7 @@ ALL_RULES: List[Rule] = [
     IncrementalCompactionRule(),
     SingleLocateRule(),
     ColumnarEtlRule(),
+    OneProcessPoolRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
