@@ -16,12 +16,11 @@ Columns are **immutable once a table holds them**: an operator that
 keeps every row hands the input's column objects on to its output, so
 nothing may write into one in place.
 
-:attr:`BindingTable.rows` is a derived view — the same solutions as a
-list of tuples with ``None`` for unbound, built on first use and
-cached — for the cold operators that are row-at-a-time by nature
-(OPTIONAL's left-outer pairing, the ``UNDEF``-tolerant joins, the
-streamed projection) and for tests, which also *build* tables from
-such tuples.
+Tables are built around columns (:meth:`BindingTable.of`) only.
+:attr:`BindingTable.rows` is a derived view — the same solutions as
+tuples, ``None`` for unbound, built on first use and cached — for what
+reads whole solutions: result decoding, the streamed projection and
+the EXISTS / ``BNODE()`` branch of :func:`expression_column`.
 
 Column names beginning with ``#`` are internal bookkeeping (e.g. the
 left-row provenance marker OPTIONAL evaluation threads through its
@@ -71,36 +70,16 @@ def column_cells(column: np.ndarray) -> List[Optional[int]]:
     return cells.tolist()
 
 
-def all_bound(columns: Iterable[np.ndarray]) -> bool:
-    """Whether no cell of ``columns`` is unbound."""
-    return not any((column < 0).any() for column in columns)
-
-
 class BindingTable:
     """An ordered bag of solution rows over a fixed variable schema."""
 
     __slots__ = ("names", "slots", "columns", "_count", "_rows")
 
-    def __init__(self, names: Sequence[str] = (),
-                 rows: Optional[List[IdRow]] = None) -> None:
-        """A table from row tuples (``None`` for unbound): what the
-        row-at-a-time operators and tests build; the join kernel builds
-        with :meth:`of`."""
-        self.names: Tuple[str, ...] = tuple(names)
-        self.slots: Dict[str, int] = {
-            name: index for index, name in enumerate(self.names)}
-        self._rows: Optional[List[IdRow]] = rows if rows is not None else []
-        self._count = len(self._rows)
-        self.columns: List[np.ndarray] = [
-            id_column(cells) for cells in zip(*self._rows)] \
-            if self._rows else [np.empty(0, dtype=np.int64)
-                                for _ in self.names]
-
     @classmethod
     def of(cls, names: Sequence[str], columns: Sequence[np.ndarray],
            count: int) -> "BindingTable":
         """A table of ``count`` rows around ``int64`` id ``columns``
-        (one per name, not copied)."""
+        (one per name, not copied) — the one way to build a table."""
         table = cls.__new__(cls)
         table.names = tuple(names)
         table.slots = {name: index for index, name in enumerate(table.names)}
@@ -117,7 +96,7 @@ class BindingTable:
     @classmethod
     def empty(cls, names: Sequence[str] = ()) -> "BindingTable":
         """No rows at all (the annihilator)."""
-        return cls(names, [])
+        return cls.of(names, [np.empty(0, dtype=np.int64) for _ in names], 0)
 
     @property
     def rows(self) -> List[IdRow]:
@@ -135,16 +114,6 @@ class BindingTable:
         count = int(np.count_nonzero(index)) if index.dtype == bool \
             else len(index)
         return BindingTable.of(self.names, columns, count)
-
-    def iter_onto(self, names: Sequence[str]) -> Iterator[IdRow]:
-        """Lazily project rows onto a target schema, for incremental
-        consumers (the streaming dedup operator) that may stop before
-        draining the batch."""
-        slots = self.slots
-        picks = [slots.get(name) for name in names]
-        for row in self.rows:
-            yield tuple(
-                None if pick is None else row[pick] for pick in picks)
 
     def __len__(self) -> int:
         return self._count

@@ -133,7 +133,10 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
         projection computes expressions, of term ids otherwise."""
         for table in evaluator.stream_tables(query.pattern, source, batch):
             if not has_expressions:
-                yield from table.iter_onto(names)
+                picks = [table.slots.get(name) for name in names]
+                for row in table.rows:
+                    yield tuple(None if pick is None else row[pick]
+                                for pick in picks)
             else:
                 for binding in evaluator.decoded(table):
                     aggregation.apply_projection(

@@ -51,6 +51,9 @@ the same five steps with those positions capturing the match's value
 instead of constraining it, and a stable sort on the source row index
 restores row order.  ``tests/sparql/reference_join.py`` keeps the old
 loop as the oracle.
+
+Two tables pair the same way (:func:`paired`): each pair of their
+unbound-cell partitions is steps 3–5 on the cells bound on both.
 """
 
 from __future__ import annotations
@@ -244,6 +247,59 @@ def _matched(build: Build, key_positions: Sequence[int],
     return rows, at if order is None else order[at]
 
 
+def _unbound_parts(columns: Sequence[np.ndarray],
+                   every: Optional[np.ndarray] = None
+                   ) -> List[Tuple[int, Optional[np.ndarray]]]:
+    """Rows partitioned by which of ``columns`` they leave unbound:
+    ``(code, index)`` per partition — bit ``i`` of ``code`` set where
+    column ``i`` is ``-1``, ``index`` its rows, ascending (``every``:
+    nothing is unbound)."""
+    unbound = [column < 0 for column in columns]
+    if not any(mask.any() for mask in unbound):
+        return [(0, every)]
+    code = sum(mask.astype(np.int64) << bit
+               for bit, mask in enumerate(unbound))
+    return [(int(value), np.flatnonzero(code == value))
+            for value in np.unique(code)]
+
+
+def paired(left: BindingTable, right: BindingTable, names: Sequence[str],
+           overlapping: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """The compatible pairs of ``left`` and ``right`` rows — where both
+    bind one of the shared ``names`` they agree; ``overlapping`` (MINUS):
+    on at least one bound cell — as ``(rows, picked)``, the left and the
+    right row of each pair **in left-row order, and within a row in
+    right index order**, as a loop over left × right yields them.  Each
+    pair of the two sides' unbound-cell partitions joins on the cells
+    bound on both (none: every row meets every row)."""
+    ours = [left.columns[left.slots[name]] for name in names]
+    theirs = [right.columns[right.slots[name]] for name in names]
+    empty = np.empty(0, dtype=np.int64)
+    pieces = [(empty, empty)]  # so that no pairs concatenate too
+    right_parts = _unbound_parts(theirs, np.arange(len(right)))
+    for left_code, left_rows in _unbound_parts(ours, np.arange(len(left))):
+        for right_code, right_rows in right_parts:
+            key = [bit for bit in range(len(names))
+                   if not (left_code | right_code) >> bit & 1]
+            if overlapping and not key:
+                continue
+            positions = range(len(key))
+            # the right rows ride along: what a keyless probe meets
+            build = grouped(
+                (*(theirs[bit][right_rows] for bit in key), right_rows),
+                positions, len(left_rows))
+            rows, picked = _matched(
+                build, positions, [ours[bit][left_rows] for bit in key],
+                len(left_rows))
+            pieces.append((left_rows if rows is None else left_rows[rows],
+                           right_rows[picked]))
+    rows, picked = (np.concatenate(side) for side in zip(*pieces))
+    if len(pieces) > 2:  # pairs are unique: one key orders them
+        order = np.argsort(rows * len(right) + picked)
+        rows, picked = rows[order], picked[order]
+    return rows, picked
+
+
 def join_table(table: BindingTable, spec: Spec,
                out_names: Tuple[str, ...],
                fetch: Optional[Callable[[List[Optional[int]]], Matches]],
@@ -265,15 +321,9 @@ def join_table(table: BindingTable, spec: Spec,
     repeats = _positions(spec, "d")
     template = [value if kind == "c" else None for kind, value in spec]
     columns = table.columns
-    parts: List[Tuple[int, Optional[np.ndarray]]] = [(0, None)]
-    unbound = [columns[slot] < 0 for _position, slot in shared]
-    if any(mask.any() for mask in unbound):
-        code = sum(mask.astype(np.int64) << bit
-                   for bit, mask in enumerate(unbound))
-        parts = [(int(value), np.flatnonzero(code == value))
-                 for value in np.unique(code)]
     pieces = []
-    for code, index in parts:
+    for code, index in _unbound_parts(
+            [columns[slot] for _position, slot in shared]):
         count = len(table) if index is None else len(index)
         part = columns if index is None \
             else [column[index] for column in columns]

@@ -9,7 +9,9 @@ per bound-variable signature* (through the LRU plan cache in
 sort-and-search join over id columns
 (:func:`~repro.sparql.evaluator_steps.join_table`), its matches read
 off a single index scan or off one index probe per distinct join value
-— never a fresh plan or a Python object per input row.  Terms are only
+— never a fresh plan or a Python object per input row; two tables
+(VALUES, sub-SELECT, ``GRAPH ?g``, MINUS) pair through the same kernel
+(:func:`~repro.sparql.evaluator_steps.paired`).  Terms are only
 decoded where an expression reads them
 (:func:`~repro.sparql.bindings.expression_column`: a FILTER conjunct,
 BIND and aggregate arguments, once per distinct key of the columns
@@ -59,6 +61,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, \
 
 import numpy as np
 
+from repro.grouping import group
 from repro.testing import faults as _faults
 from repro.sparql.algebra import (
     BGP,
@@ -78,8 +81,8 @@ from repro.sparql.algebra import (
     Var,
 )
 from repro.sparql.bindings import (
+    UNBOUND,
     BindingTable,
-    all_bound,
     concat as table_concat,
     expression_column,
     filter_mask,
@@ -92,12 +95,7 @@ from repro.sparql.evaluator_source import (
     DatasetContext,
     GraphSource,
 )
-from repro.sparql.evaluator_steps import (
-    JoinSteps,
-    grouped,
-    join_table,
-    located,
-)
+from repro.sparql.evaluator_steps import JoinSteps, paired
 from repro.sparql.expressions import EvalContext
 from repro.sparql.optimizer import get_plan
 
@@ -155,9 +153,6 @@ STREAM_TELEMETRY = StreamTelemetry()
 #: Index entries per window of a chunked leading scan.
 _CHUNK = 512
 
-#: Left rows between governor checks of the ``None``-tolerant MINUS.
-_MINUS_BATCH = 64
-
 
 class StepTrace:
     """One executed join step, for EXPLAIN's estimated-vs-actual view."""
@@ -195,7 +190,7 @@ class PatternEvaluator(JoinSteps):
         # per-query overlay: computed BIND/VALUES terms intern into a
         # discardable overflow id range, never into the base dictionary
         super().__init__(context.dataset.dictionary.overlay(), governor)
-        self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
+        self._subselect_tables: Dict[tuple, BindingTable] = {}
         self._marker_count = 0
         #: when set to a list, every executed join step appends a
         #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
@@ -245,12 +240,15 @@ class PatternEvaluator(JoinSteps):
                 break
         return found
 
-    def _seed_table(self, seed: Binding) -> BindingTable:
-        """The one-row table binding ``seed``'s variables."""
-        names = tuple(seed)
+    def _interned(self, names: Sequence[str], term_rows: Iterable[Sequence]
+                  ) -> BindingTable:
+        """Rows of terms over ``names`` (``None`` unbound) as an id
+        table, interned row by row."""
         encode = self._dict.encode
-        return BindingTable(
-            names, [tuple(encode(seed[name]) for name in names)])
+        ids = [[UNBOUND if term is None else encode(term) for term in row]
+               for row in term_rows]
+        grid = np.array(ids, dtype=np.int64).reshape(len(ids), len(names))
+        return BindingTable.of(names, list(grid.T.copy()), len(ids))
 
     def decoded(self, table: BindingTable) -> List[Binding]:
         """The rows of ``table`` as {var: term} dict bindings."""
@@ -312,15 +310,13 @@ class PatternEvaluator(JoinSteps):
             for child in self._walk(node.child, source, table, chunk):
                 yield self._extend_table(node, child, source)
         elif isinstance(node, ValuesNode):
-            encode = self._dict.encode
-            yield _join_relation(table, node.vars, [
-                tuple(None if value is None else encode(value)
-                      for value in row)
-                for row in node.rows])
+            # the algebra's inline terms, not a table's row view
+            # repro: allow[columnar-join-step]
+            yield _join_relation(table, self._interned(node.vars, node.rows))
         elif isinstance(node, GraphNode):
             yield from self._walk_graph(node, source, table, chunk)
         elif isinstance(node, SubSelectNode):
-            yield _join_relation(table, *self._subselect(node, source))
+            yield _join_relation(table, self._subselect(node, source))
         elif isinstance(node, Empty):
             yield table
         else:
@@ -420,79 +416,32 @@ class PatternEvaluator(JoinSteps):
 
     def _left_outer_extend(self, node: LeftJoin, source: GraphSource,
                            left: BindingTable) -> BindingTable:
-        """Extend solved required-side rows with the optional side.
-
-        The left-outer probe is row-local (each left row either gains
-        its matches or a ``None`` pad, independently of other rows), so
-        the walker calls this once per required-side piece.
-        """
+        """Extend solved required-side rows with the optional side, run
+        seeded with every row and a marker column numbering them
+        (row-local: called per required-side piece)."""
         if self._gov is not None:
             self._gov.check()
         marker, seeded = self._marked(left)
         right = self.solve(node.right, source, seeded)
-        right_rows = right.rows
-        if node.condition is not None and right_rows:
-            right_rows = self._filter_table(
-                right, node.condition, source).rows
-        marker_slot = right.slots[marker]
-        matched: Dict[int, list] = {}
-        for row in right_rows:
-            matched.setdefault(row[marker_slot], []).append(row)
-        out_names = tuple(name for name in right.names if name != marker)
-        right_picks = [right.slots[name] for name in out_names]
-        pad = (None,) * (len(out_names) - len(left.names))
-        out_rows: List[tuple] = []
-        for index, left_row in enumerate(left.rows):
-            hits = matched.get(index)
-            if hits:
-                for row in hits:
-                    out_rows.append(tuple(row[pick] for pick in right_picks))
-            else:
-                out_rows.append(left_row + pad)
-        return BindingTable(out_names, out_rows)
+        if node.condition is not None and right:
+            right = self._filter_table(right, node.condition, source)
+        return _left_outer(left, right, marker)
 
     def _minus_table(self, left: BindingTable,
                      removals: BindingTable) -> BindingTable:
         """``left`` without the rows a compatible, overlapping row of
-        ``removals`` excludes."""
+        ``removals`` excludes: those :func:`paired` pairs with one."""
         shared = [name for name in left.names
                   if name in removals.slots and not name.startswith("#")]
         if not removals or not shared:
             return left
-        ours = [left.columns[left.slots[name]] for name in shared]
-        theirs = tuple(removals.columns[removals.slots[name]]
-                       for name in shared)
-        if all_bound((*ours, *theirs)):
-            # every shared cell bound: compatible means equal, so this
-            # is the join kernel's anti-join — keep the matchless rows
-            positions = range(len(shared))
-            _order, _low, counts = located(
-                grouped(theirs, positions, len(left)), positions, ours,
-                len(left))
-            return left.take(counts == 0)
-        gov = self._gov
-        left_slots = [left.slots[name] for name in shared]
-        removal_rows = [tuple(row[removals.slots[name]] for name in shared)
-                        for row in removals.rows]
-        out_rows = []
-        for index, left_row in enumerate(left.rows):
-            if gov is not None and not index % _MINUS_BATCH:
-                gov.check()
-            cells = [left_row[slot] for slot in left_slots]
-            for removal in removal_rows:
-                overlap = False
-                for ours_value, theirs_value in zip(cells, removal):
-                    if ours_value is None or theirs_value is None:
-                        continue
-                    if ours_value != theirs_value:
-                        break
-                    overlap = True
-                else:
-                    if overlap:
-                        break  # compatible and overlapping: excluded
-            else:
-                out_rows.append(left_row)
-        return BindingTable(left.names, out_rows)
+        # distinct keys suffice: a bound row then pairs once per partition
+        first, _codes = group(
+            [removals.columns[removals.slots[name]] for name in shared],
+            len(removals))
+        rows, _picked = paired(left, removals.take(first), shared,
+                               overlapping=True)
+        return left.take(np.bincount(rows, minlength=len(left)) == 0)
 
     def _filter_table(self, child: BindingTable, condition,
                       source: GraphSource) -> BindingTable:
@@ -532,7 +481,7 @@ class PatternEvaluator(JoinSteps):
             for iri, graph in self.context.named_graphs():
                 # ?g is this graph: rows that bind it otherwise drop out
                 seeded = _join_relation(
-                    table, (name,), [(self._dict.encode(iri),)])
+                    table, self._interned((name,), [(iri,)]))
                 yield from self._walk(node.child, GraphSource(graph),
                                       seeded, chunk)
 
@@ -541,9 +490,9 @@ class PatternEvaluator(JoinSteps):
             table.names + (() if name in table.slots else (name,)))
 
     def _subselect(self, node: SubSelectNode, source: GraphSource
-                   ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """The sub-SELECT's result as ``(names, id rows)``, evaluated
-        once per evaluator and source."""
+                   ) -> BindingTable:
+        """The sub-SELECT's result as an id table, evaluated once per
+        evaluator and source."""
         # keyed by node *and* source: under GRAPH ?g the same subselect
         # evaluates once per named graph, not once globally
         cache_key = (id(node), source.cache_key())
@@ -555,12 +504,9 @@ class PatternEvaluator(JoinSteps):
             # nested plans with their actual cardinalities
             result = evaluate_select(node.query, self.context, source=source,
                                      trace=self.trace)
-            encode = self._dict.encode
-            sub_rows = [
-                tuple(None if value is None else encode(value)
-                      for value in row)
-                for row in result.rows]
-            cached = (tuple(result.vars), sub_rows)
+            # a result table's rows of terms, not a table's row view
+            # repro: allow[columnar-join-step]
+            cached = self._interned(result.vars, result.rows)
             self._subselect_tables[cache_key] = cached
         return cached
 
@@ -588,8 +534,8 @@ class PatternEvaluator(JoinSteps):
 
         def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
             if table is None:
-                return bool(self._exists_rows(
-                    pattern, source, self._seed_table(binding)))
+                return bool(self._exists_rows(pattern, source, self._interned(
+                    tuple(binding), [tuple(binding.values())])))
             hits = found.get(id(pattern))
             if hits is None:
                 hits = found[id(pattern)] = self._exists_rows(
@@ -600,57 +546,37 @@ class PatternEvaluator(JoinSteps):
         return context
 
 
-def _join_relation(table: BindingTable, names: Sequence[str],
-                   relation: List[tuple]) -> BindingTable:
-    """Join ``table`` with a constant relation (VALUES data, a cached
-    sub-SELECT result) of id rows over ``names``.
+def _left_outer(left: BindingTable, right: BindingTable, marker: str
+                ) -> BindingTable:
+    """``right`` — solutions whose ``marker`` column names the ``left``
+    row each extends — with one pad of unbound cells for every left row
+    none names, each row's solutions (or its pad) at the row's place:
+    a stable sort by marker."""
+    marks = right.columns[right.slots[marker]]
+    missed = np.flatnonzero(np.bincount(marks, minlength=len(left)) == 0)
+    order = np.argsort(np.concatenate((marks, missed)), kind="stable")
+    padded = table_concat([right, left.take(missed)])
+    names = tuple(name for name in right.names if name != marker)
+    return BindingTable.of(names, [padded.columns[padded.slots[name]][order]
+                                   for name in names], len(order))
 
-    A ``None`` cell on either side constrains nothing (``UNDEF``, an
-    unbound variable) and takes the other side's value.
-    """
-    shared = [(table.slots[name], index)
-              for index, name in enumerate(names) if name in table.slots]
-    new_indices = [index for index, name in enumerate(names)
-                   if name not in table.slots]
-    out_names = table.names + tuple(names[index] for index in new_indices)
+
+def _join_relation(table: BindingTable, relation: BindingTable
+                   ) -> BindingTable:
+    """Join ``table`` with a constant relation (VALUES data, a cached
+    sub-SELECT result, a graph name).  An unbound cell on either side
+    constrains nothing: a bound cell of ``table`` stays, an unbound one
+    takes the relation's."""
+    shared = [name for name in relation.names if name in table.slots]
+    new = tuple(name for name in relation.names if name not in table.slots)
     if not table or not relation:
-        return BindingTable.empty(out_names)
-    columns = tuple(id_column(cells) for cells in zip(*relation))
-    if names and all_bound(
-            column for slot, index in shared
-            for column in (table.columns[slot], columns[index])):
-        # every join cell bound on both sides: the relation is the
-        # build side of the join kernel, as it stands
-        spec = [("v", table.slots[name]) if name in table.slots
-                else ("n", None) for name in names]
-        return join_table(table, spec, out_names, None, grouped(
-            columns, [index for _, index in shared], len(table)))
-    out_rows: List[tuple] = []
-    for table_row in table.rows:
-        for rel_row in relation:
-            updates = None
-            ok = True
-            for slot, index in shared:
-                value = rel_row[index]
-                if value is None:
-                    continue
-                current = table_row[slot]
-                if current is None:
-                    if updates is None:
-                        updates = {}
-                    updates[slot] = value
-                elif current != value:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if updates:
-                cells = list(table_row)
-                for slot, value in updates.items():
-                    cells[slot] = value
-                base = tuple(cells)
-            else:
-                base = table_row
-            out_rows.append(base + tuple(
-                rel_row[index] for index in new_indices))
-    return BindingTable(out_names, out_rows)
+        return BindingTable.empty(table.names + new)
+    rows, picked = paired(table, relation, shared)
+    columns = [column[rows] for column in table.columns]
+    for name in shared:
+        ours = columns[table.slots[name]]
+        columns[table.slots[name]] = np.where(
+            ours < 0, relation.columns[relation.slots[name]][picked], ours)
+    columns.extend(relation.columns[relation.slots[name]][picked]
+                   for name in new)
+    return BindingTable.of(table.names + new, columns, len(rows))

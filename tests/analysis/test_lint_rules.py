@@ -688,7 +688,84 @@ def test_join_steps_and_column_reads_stay_columnar():
         assert findings_for(column_read.format(name="finalize"),
                             home, rule) == []
         assert findings_for(bad, home, rule) == []
-    assert findings_for(bad, WALKER, rule) == []
+    # the walker is in scope whole: its one read, the alias, is flagged
+    found = findings_for(bad, WALKER, rule)
+    assert len(found) == 1 and "`_step_triple`" in found[0].message
+    assert findings_for(bad, EVALUATOR, rule) == []
+
+
+#: (bad, good) — the walker pairing two tables a row at a time and
+#: building the result from tuples, and the same operator on columns
+WALKER_ROWS = (
+    """
+    class PatternEvaluator:
+        def _left_outer_extend(self, node, source, left):
+            marker, seeded = self._marked(left)
+            right = self.solve(node.right, source, seeded)
+            matched = {}
+            for row in right.rows:
+                matched.setdefault(row[-1], []).append(row[:-1])
+            out_rows = [hit for index, row in enumerate(left.rows)
+                        for hit in matched.get(index, [row])]
+            return BindingTable(right.names[:-1], out_rows)
+    """,
+    """
+    class PatternEvaluator:
+        def decoded(self, table):
+            return list(map(row_decoder(table.names, self._dict.decode),
+                            table.rows))
+
+        def _left_outer_extend(self, node, source, left):
+            marker, seeded = self._marked(left)
+            right = self.solve(node.right, source, seeded)
+            return _left_outer(left, right, marker)
+
+
+    class StreamTelemetry:
+        def snapshot(self):
+            return {"rows": self.rows}
+
+
+    def _left_outer(left, right, marker):
+        marks = right.columns[right.slots[marker]]
+        order = np.argsort(marks, kind="stable")
+        return BindingTable.of(right.names, [
+            column[order] for column in right.columns], len(order))
+    """,
+)
+
+
+def test_the_walker_reads_rows_only_to_decode():
+    """In the walker every ``.rows`` read is a finding, in a loop or
+    not, but in ``decoded`` and on ``self``; the same reads in another
+    evaluator module are not (the bad fixture's alias case is pinned
+    above).
+    ``BindingTable(`` is a finding anywhere under ``src/``,
+    ``BindingTable.of(`` nowhere, and tests build tables as they
+    like."""
+    rule = "columnar-join-step"
+    bad, good = WALKER_ROWS
+    found = findings_for(bad, WALKER, rule)
+    assert sorted(finding.message.split(" (")[0] for finding in found) == [
+        "`.rows` read in `_left_outer_extend`",
+        "`.rows` read in `_left_outer_extend`",
+        "`BindingTable(...)` builds a table from row tuples"]
+    assert findings_for(good, WALKER, rule) == []
+    outside = findings_for(bad, EVALUATOR, rule)
+    assert [finding.message.split(" (")[0] for finding in outside] == [
+        "`BindingTable(...)` builds a table from row tuples"]
+    built = """
+    def empty(names):
+        return bindings.BindingTable(names, [])
+    """
+    for path in (LIBRARY, "src/repro/sparql/bindings.py", STEPS):
+        assert len(findings_for(built, path, rule)) == 1
+    assert findings_for(built, "tests/sparql/tables.py", rule) == []
+    source = (ROOT / "src" / WALKER[len("src/"):]).read_text(
+        encoding="utf-8")
+    assert findings_for(source, WALKER, rule) == []
+    # VALUES data and a sub-SELECT's result are rows of terms, pragma'd
+    assert len(re.findall(r"allow\[columnar-join-step\]", source)) == 2
 
 
 def test_the_general_fold_is_the_only_per_row_step():

@@ -10,9 +10,16 @@ defines what the kernel must produce: the same rows **in the same
 order**, the same ``PROBE_COUNTER.entries``, the same governor scan
 charges.  ``tests/sparql/test_join_kernel.py`` drives both.
 
-:func:`reference_minus` is MINUS the same way: every left row against
-every removal row, ``None`` cells tolerated — the oracle of the
-kernel's anti-join.
+The walker's operators that pair two tables ran the same way until
+they went through ``evaluator_steps.paired`` too; their loops are
+here, each the oracle of its replacement, ``None`` cells tolerated:
+
+* :func:`reference_minus` — MINUS, every left row against every
+  removal row;
+* :func:`reference_join_relation` — VALUES / sub-SELECT / graph-name
+  joins, every table row against every relation row;
+* :func:`reference_left_outer` — OPTIONAL's padding, the optional
+  side's solutions bucketed by marker in a dict of tuples.
 """
 
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -26,6 +33,8 @@ from repro.sparql.evaluator_source import (
     GraphSource,
     IdPattern,
 )
+
+from tests.sparql.tables import id_table
 
 
 def _base_pattern(spec: Iterable[Tuple[str, Optional[int]]]) -> IdPattern:
@@ -229,7 +238,7 @@ class ReferenceJoin:
         out_names = table.names + tuple(new_names)
         rows = table.rows
         if dead or not rows:
-            return BindingTable(out_names, [])
+            return id_table(out_names, [])
         base = _base_pattern(spec)
         n_positions = [position for position, (kind, _) in enumerate(spec)
                        if kind == "n"]
@@ -240,7 +249,7 @@ class ReferenceJoin:
             # no shared variables: one scan, applied to every row
             exts = self._extension_tuples(
                 self._vector_matches(source, base), n_positions, d_checks)
-            return BindingTable(
+            return id_table(
                 out_names, [row + ext for row in rows for ext in exts])
 
         # shared-variable join.  Rows whose join-key cells are all bound
@@ -323,7 +332,7 @@ class ReferenceJoin:
                 raw_memo[key] = got
             if got:
                 emit(row, got, spec, out_rows)
-        return BindingTable(out_names, out_rows)
+        return id_table(out_names, out_rows)
 
 
 def reference_minus(left: BindingTable,
@@ -357,4 +366,68 @@ def reference_minus(left: BindingTable,
                 break
         if not excluded:
             out_rows.append(left_row)
-    return BindingTable(left.names, out_rows)
+    return id_table(left.names, out_rows)
+
+
+def reference_join_relation(table: BindingTable,
+                            relation: BindingTable) -> BindingTable:
+    """``table`` joined with a constant ``relation``: a ``None`` cell on
+    either side constrains nothing and takes the other side's value."""
+    names = relation.names
+    shared = [(table.slots[name], index)
+              for index, name in enumerate(names) if name in table.slots]
+    new_indices = [index for index, name in enumerate(names)
+                   if name not in table.slots]
+    out_names = table.names + tuple(names[index] for index in new_indices)
+    out_rows: List[tuple] = []
+    for table_row in table.rows:
+        for rel_row in relation.rows:
+            updates = None
+            ok = True
+            for slot, index in shared:
+                value = rel_row[index]
+                if value is None:
+                    continue
+                current = table_row[slot]
+                if current is None:
+                    if updates is None:
+                        updates = {}
+                    updates[slot] = value
+                elif current != value:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if updates:
+                cells = list(table_row)
+                for slot, value in updates.items():
+                    cells[slot] = value
+                base = tuple(cells)
+            else:
+                base = table_row
+            out_rows.append(base + tuple(
+                rel_row[index] for index in new_indices))
+    return id_table(out_names, out_rows)
+
+
+def reference_left_outer(left: BindingTable, right: BindingTable,
+                         marker: str) -> BindingTable:
+    """``right``'s solutions, each extending the ``left`` row its
+    ``marker`` cell names, with a ``None`` pad for every left row none
+    names — left-row order, a row's solutions in ``right`` order."""
+    marker_slot = right.slots[marker]
+    matched: Dict[int, list] = {}
+    for row in right.rows:
+        matched.setdefault(row[marker_slot], []).append(row)
+    out_names = tuple(name for name in right.names if name != marker)
+    right_picks = [right.slots[name] for name in out_names]
+    pad = (None,) * (len(out_names) - len(left.names))
+    out_rows: List[tuple] = []
+    for index, left_row in enumerate(left.rows):
+        hits = matched.get(index)
+        if hits:
+            for row in hits:
+                out_rows.append(tuple(row[pick] for pick in right_picks))
+        else:
+            out_rows.append(left_row + pad)
+    return id_table(out_names, out_rows)

@@ -21,7 +21,6 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from repro.sparql.aggregation import Plan, finalize, partials
 from repro.sparql.algebra import Empty, ProjectionItem, SelectQuery
-from repro.sparql.bindings import BindingTable
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     AGGREGATE_NAMES,
@@ -33,6 +32,7 @@ from repro.sparql.expressions import (
 from repro.sparql.parser import parse_query
 
 from tests.sparql.reference_aggregate import reference_apply
+from tests.sparql.tables import id_table
 
 CTX = EvalContext()
 
@@ -69,7 +69,7 @@ def query_over(calls, grouped):
 def table_of(names, rows):
     """An id table over ``names`` (plus its dictionary) from term rows."""
     dictionary = TermDictionary()
-    return dictionary, BindingTable(names, [
+    return dictionary, id_table(names, [
         tuple(None if term is None else dictionary.encode(term)
               for term in row) for row in rows])
 
@@ -523,7 +523,7 @@ class TestDistinctIdsOfTheArgument:
             for filler in range(fillers):
                 dictionary.encode(Literal(f"filler {filler}"))
             ids.append(dictionary.encode(Literal(4)))
-            table = BindingTable(("v",), [(ids[index % 2],)
+            table = id_table(("v",), [(ids[index % 2],)
                                           for index in range(6)])
             part = {}
             assert unique_calls(monkeypatch, lambda: part.update(partials(

@@ -24,11 +24,7 @@ from repro.rdf import Dataset, IRI, Literal
 from repro.rdf.terms import BNode, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from repro.sparql import LocalEndpoint
 from repro.sparql.algebra import Empty, Extend, Filter
-from repro.sparql.bindings import (
-    BindingTable,
-    expression_column,
-    filter_mask,
-)
+from repro.sparql.bindings import expression_column, filter_mask
 from repro.sparql.errors import EvaluationError, ExpressionError
 from repro.sparql.evaluator import DatasetContext, PatternEvaluator
 from repro.sparql.expressions import (
@@ -46,7 +42,9 @@ from repro.sparql.expressions import (
 )
 from repro.sparql.parser import parse_query
 
-EX = "http://example.org/"
+from tests.sparql.tables import id_table
+
+EX ="http://example.org/"
 
 #: cells: value-equal numerics of four lexical forms, an ill-typed
 #: numeric, strings that differ in case / language, dates, IRIs, a
@@ -118,7 +116,7 @@ class Harness:
         self.encode = self.evaluator._dict.encode
         self.decode = self.evaluator._dict.decode
         self.context = self.evaluator._context_for(self.source)
-        self.table = BindingTable(names, [
+        self.table = id_table(names, [
             tuple(None if term is None else self.encode(term)
                   for term in row) for row in rows])
 

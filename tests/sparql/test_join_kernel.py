@@ -34,7 +34,6 @@ from repro.rdf import IRI, Dataset, Literal
 from repro.rdf.dictionary import OVERLAY_BASE
 from repro.sparql import evaluator_steps, evaluator_walker
 from repro.sparql.algebra import TriplePatternNode, Var
-from repro.sparql.bindings import BindingTable
 from repro.sparql.endpoint import LocalEndpoint
 from repro.sparql.evaluator import (
     PROBE_COUNTER,
@@ -42,10 +41,15 @@ from repro.sparql.evaluator import (
     DatasetContext,
     PatternEvaluator,
 )
-from repro.sparql.errors import QueryTimeout
 from repro.sparql.governor import GovernorContext, QueryLimits
 
-from tests.sparql.reference_join import ReferenceJoin, reference_minus
+from tests.sparql.reference_join import (
+    ReferenceJoin,
+    reference_join_relation,
+    reference_left_outer,
+    reference_minus,
+)
+from tests.sparql.tables import id_table
 
 EX = "http://example.org/"
 NODES = [IRI(f"{EX}n{index}") for index in range(6)]
@@ -120,7 +124,7 @@ def run_both(dataset, names, term_rows, chain, use_hash):
     rows = [tuple(None if term is None else encode(term) for term in row)
             for row in term_rows]
     return agree(evaluator, evaluator.context.default_source(),
-                 BindingTable(names, rows), chain, use_hash)
+                 id_table(names, rows), chain, use_hash)
 
 
 def agree(evaluator, source, table, chain, use_hash):
@@ -344,7 +348,7 @@ class TestKeyDirectory:
                                                       use_hash):
         triples, dtype, names, rows = case
         agree(array_evaluator(), ArraySource(triples, dtype),
-              BindingTable(names, rows),
+              id_table(names, rows),
               [TriplePatternNode(Var("x"), PREDICATE, Var("y")),
                TriplePatternNode(Var("x"), PREDICATE, Var("z"))], use_hash)
 
@@ -362,7 +366,7 @@ class TestKeyDirectory:
 
         evaluator = array_evaluator()
         source = ArraySource(triples, np.int32)
-        table = BindingTable(names, rows)
+        table = id_table(names, rows)
         pattern = TriplePatternNode(Var("x"), PREDICATE, Var("y"))
         agree(evaluator, source, table, [pattern], True)
         with monkeypatch.context() as patch:
@@ -417,43 +421,95 @@ class TestKeyDirectory:
             built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(evaluator_walker, "grouped", recording)
-        table = BindingTable(("a", "x"), [
+        monkeypatch.setattr(evaluator_steps, "grouped", recording)
+        table = id_table(("a", "x"), [
             (index, key) for index, key in enumerate(
                 [*keys, 5, OVERLAY_BASE + 5, OVERLAY_BASE - 1])])
-        relation = [(key, 100 + index) for index, key in enumerate(keys)]
+        pairs = [(key, 100 + index) for index, key in enumerate(keys)]
+        relation = id_table(("x", "v"), pairs)
         tracemalloc.start()
         try:
-            joined = evaluator_walker._join_relation(
-                table, ["x", "v"], relation)
+            joined = evaluator_walker._join_relation(table, relation)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert joined.rows == [
             (index, key, value) for index, key in enumerate(keys)
-            for held, value in relation if held == key]
+            for held, value in pairs if held == key]
         assert peak < 64 * 1024
         (build,) = built
         assert (build.slots is None) == (min(keys) < OVERLAY_BASE)
 
 
-#: id cells of a MINUS operand: few values, so rows collide
-minus_cells = st.one_of(st.integers(0, 3), st.integers(0, 3), st.none())
+#: id cells of an operand: few values, so rows collide
+operand_cells = st.one_of(st.integers(0, 3), st.integers(0, 3), st.none())
 
 
 @st.composite
-def minus_operands(draw):
-    """Two id tables whose schemas overlap in zero to two columns."""
-    tables = []
-    for pool in (["a", "b", "c"], ["b", "c", "d", "#mark1"]):
-        names = draw(st.lists(st.sampled_from(pool), unique=True,
-                              min_size=1, max_size=3))
-        # one in three tables has no unbound cell at all
-        cell = draw(st.sampled_from([minus_cells, minus_cells,
-                                     st.integers(0, 3)]))
-        tables.append(BindingTable(names, draw(st.lists(
-            st.tuples(*[cell] * len(names)), max_size=10))))
-    return tables
+def id_tables(draw, pool, min_rows=0):
+    """An id table over up to four names of ``pool`` (none: rows of no
+    cells); one in three has no unbound cell at all."""
+    names = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+    cell = draw(st.sampled_from([operand_cells, operand_cells,
+                                 st.integers(0, 3)]))
+    return id_table(names, draw(st.lists(
+        st.tuples(*[cell] * len(names)), min_size=min_rows, max_size=10)))
+
+
+#: two tables whose user variables overlap in zero to three columns,
+#: either or both carrying a ``#mark`` column
+operands = st.tuples(id_tables(["a", "b", "c", "d", "#mark1"]),
+                     id_tables(["a", "b", "c", "e", "#mark1"]))
+
+
+@st.composite
+def outer_operands(draw):
+    """A required side of at least one row, and optional-side solutions
+    over it: its names, a ``#mark`` column naming one of its rows — in
+    any order, any row any number of times — and new names."""
+    left = draw(id_tables(["a", "b", "c", "#mark1"], min_rows=1))
+    new = draw(st.lists(st.sampled_from(["d", "e"]), unique=True))
+    names = (*left.names, "#mark2", *new)
+    mark = st.integers(0, len(left) - 1)
+    return left, id_table(names, draw(st.lists(st.tuples(*[
+        mark if name == "#mark2" else operand_cells for name in names]),
+        max_size=12)))
+
+
+class TestPairedOperators:
+    """The walker's operators over two tables against the loops they
+    replaced: the same names, rows and order."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(operands)
+    def test_relation_join_equals_the_pairwise_loop(self, pair):
+        table, relation = pair
+        result = evaluator_walker._join_relation(table, relation)
+        expected = reference_join_relation(table, relation)
+        assert result.names == expected.names
+        assert result.rows == expected.rows
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(outer_operands())
+    def test_left_outer_equals_the_marker_dict(self, pair):
+        left, right = pair
+        result = evaluator_walker._left_outer(left, right, "#mark2")
+        expected = reference_left_outer(left, right, "#mark2")
+        assert result.names == expected.names
+        assert result.rows == expected.rows
+
+    def test_undef_on_both_sides_keeps_the_loop_order(self):
+        """Rows that pair across several partitions come back in left-row
+        order, a row's pairs in relation order."""
+        table = id_table(("x", "y"), [(None, 2), (1, None), (1, 2)])
+        relation = id_table(("x", "y", "z"), [
+            (1, None, 10), (None, None, 11), (None, 2, 12), (1, 2, 13),
+            (3, None, 14)])
+        result = evaluator_walker._join_relation(table, relation)
+        assert result.rows == reference_join_relation(table, relation).rows
+        # ?x unbound meets 14 too; the two rows binding ?x = 1 do not
+        assert [row[2] for row in result.rows] == [
+            10, 11, 12, 13, 14, 10, 11, 12, 13, 10, 11, 12, 13]
 
 
 class TestMinus:
@@ -461,36 +517,38 @@ class TestMinus:
         return PatternEvaluator(DatasetContext(Dataset(), governor=governor))
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(minus_operands())
-    def test_anti_join_equals_the_pairwise_loop(self, operands):
-        left, removals = operands
+    @given(operands)
+    def test_anti_join_equals_the_pairwise_loop(self, pair):
+        left, removals = pair
         result = self.evaluator()._minus_table(left, removals)
         assert result.names == left.names
         assert result.rows == reference_minus(left, removals).rows
 
-    def test_unbound_cells_are_governed(self):
+    def test_unbound_cells_finish_inside_the_deadline(self):
         """2 000 x 2 000 rows that never exclude one another, with an
-        unbound cell on each side so the pairwise loop must run: about
-        a second of work, stopped by a 50 ms deadline."""
-        left = BindingTable(("a", "b"), [
+        unbound cell on each side: the pairwise loop took about a second
+        and had to be governed; pairing per partition is done long
+        before a 50 ms deadline."""
+        left = id_table(("a", "b"), [
             (index, None if index % 7 == 0 else index)
             for index in range(2000)])
-        removals = BindingTable(("a", "b"), [
+        removals = id_table(("a", "b"), [
             (None if index % 5 == 0 else 5000 + index, 9000 + index)
             for index in range(2000)])
         governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
-        with pytest.raises(QueryTimeout):
-            self.evaluator(governor)._minus_table(left, removals)
+        result = self.evaluator(governor)._minus_table(left, removals)
+        governor.check()  # QueryTimeout once the deadline has passed
+        assert result.rows == reference_minus(left, removals).rows
 
     def test_bound_cells_finish_inside_the_deadline(self):
-        """The same size with every shared cell bound is the kernel's
-        anti-join: done long before the deadline that stops the loop."""
-        left = BindingTable(("a", "b"), [
+        """The same size with every shared cell bound."""
+        left = id_table(("a", "b"), [
             (index, index % 50) for index in range(2000)])
-        removals = BindingTable(("a", "b"), [
+        removals = id_table(("a", "b"), [
             (2 * index, (2 * index) % 50) for index in range(2000)])
         governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
         result = self.evaluator(governor)._minus_table(left, removals)
+        governor.check()
         assert result.rows == [row for row in left.rows if row[0] % 2]
 
 

@@ -58,7 +58,9 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
 ``columnar-join-step``
     The join steps and the column readers of ``aggregation.py`` /
     ``bindings.py`` never loop over a ``.rows`` view, and the grouped
-    fold steps a row at a time only in its one general fallback.
+    fold steps a row at a time only in its one general fallback; the
+    walker reads ``.rows`` only in ``decoded``, and nothing under
+    ``src/`` calls ``BindingTable(`` (tables are built with ``of``).
 ``single-grouping-kernel``
     Under ``src/`` only ``repro/grouping.py`` groups rows by several
     key columns: no ``np.unique(..., axis=0)`` anywhere, no
@@ -1076,27 +1078,36 @@ class SingleExpressionLoopRule(Rule):
 
 
 class ColumnarJoinStepRule(Rule):
-    """The join steps and the column readers stay columnar.
+    """The join steps, the column readers and the walker stay columnar.
 
     A ``BindingTable`` holds one id column per variable; ``.rows`` is a
-    derived view for the operators that are row-at-a-time by nature.
-    A ``for`` over it inside a BGP join step re-creates the per-row
-    loop ISSUE 19 deleted (79 % of a roll-up), and a
-    ``[row[slot] for row in table.rows]`` column read in
-    ``aggregation.partials`` or ``bindings.expression_column``
-    rebuilds every row tuple to pick one cell of each.  The grouped
-    fold is columnar too: ``_Accumulator.columns`` folds an argument
-    column whole, and a loop calling ``step`` a row is the general
-    fallback for what no array dtype holds — there is one, pragma'd.
+    derived view for what reads whole solutions.  A ``for`` over it
+    inside a BGP join step re-creates the per-row join the kernel
+    replaced (79 % of a roll-up), and a ``[row[slot] for row in table.rows]``
+    column read in ``aggregation.partials`` or
+    ``bindings.expression_column`` rebuilds every row tuple to pick one
+    cell of each.  The grouped fold is columnar too:
+    ``_Accumulator.columns`` folds an argument column whole, and a loop
+    calling ``step`` a row is the general fallback for what no array
+    dtype holds — there is one, pragma'd.
+
+    The walker pairs tables through the kernel too (``paired`` replaced
+    the nested loops of MINUS and the ``UNDEF``-tolerant joins, and
+    OPTIONAL's dict of tuples), so there *any* ``.rows`` read is a
+    finding but in ``decoded``, the result decoding (``self.rows`` is
+    not a table's).  And a table is built around columns only:
+    ``BindingTable(`` anywhere under ``src/`` is the tuple constructor
+    that went with those loops.
     """
 
     id = "columnar-join-step"
-    title = "join steps and column reads do not loop over .rows"
+    title = "join steps, column reads and the walker do not read .rows"
     rationale = ("a Python loop over the row view inside a join step or "
                  "a column read costs an object per solution where the "
                  "column arrays cost one numpy call")
 
     STEPS = "repro/sparql/evaluator_steps.py"
+    WALKER = ("repro/sparql/evaluator_walker.py", "decoded")
     #: functions of other modules that read whole columns
     COLUMN_READERS = {
         "repro/sparql/aggregation.py": ("partials", "_key_column",
@@ -1104,7 +1115,7 @@ class ColumnarJoinStepRule(Rule):
         "repro/sparql/bindings.py": ("expression_column",)}
 
     def applies_to(self, path: str) -> bool:
-        return path.endswith((self.STEPS, *self.COLUMN_READERS))
+        return path.startswith("src/")
 
     @staticmethod
     def _reads_rows(node: ast.AST, aliases: Set[str]) -> bool:
@@ -1115,10 +1126,55 @@ class ColumnarJoinStepRule(Rule):
 
     def check(self, path: str, tree: ast.AST,
               lines: Sequence[str]) -> List[Finding]:
+        parents = parent_map(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (
+                    isinstance(func, ast.Name) and func.id == "BindingTable"
+                    or isinstance(func, ast.Attribute)
+                    and func.attr == "BindingTable"):
+                findings.append(self.finding(
+                    path, node,
+                    "`BindingTable(...)` builds a table from row tuples "
+                    "(build it around id columns: `BindingTable.of`)",
+                    lines))
+        if path.endswith(self.WALKER[0]):
+            findings.extend(self._walker_reads(path, tree, parents, lines))
+        elif path.endswith((self.STEPS, *self.COLUMN_READERS)):
+            findings.extend(self._row_loops(path, tree, parents, lines))
+        return findings
+
+    def _walker_reads(self, path: str, tree: ast.AST,
+                      parents: Dict[ast.AST, ast.AST],
+                      lines: Sequence[str]) -> List[Finding]:
+        """Every ``.rows`` read in the walker outside ``decoded``."""
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "rows"
+                    and isinstance(node.ctx, ast.Load)) \
+                    or _self_attr(node) is not None:
+                continue
+            function = enclosing_function(node, parents)
+            if function is not None and function.name == self.WALKER[1]:
+                continue
+            where = "module level" if function is None \
+                else f"`{function.name}`"
+            findings.append(self.finding(
+                path, node,
+                f"`.rows` read in {where} (the walker pairs tables "
+                f"through `evaluator_steps.paired` and reads columns; "
+                f"only `decoded` reads the row view)", lines))
+        return findings
+
+    def _row_loops(self, path: str, tree: ast.AST,
+                   parents: Dict[ast.AST, ast.AST],
+                   lines: Sequence[str]) -> List[Finding]:
+        """Loops over a ``.rows`` view in the join steps and the column
+        readers, and the per-row ``step`` of the grouped fold."""
         readers = next((names for home, names
                         in self.COLUMN_READERS.items()
                         if path.endswith(home)), None)
-        parents = parent_map(tree)
         findings: List[Finding] = []
         for node in ast.walk(tree):
             loops = [node] if isinstance(node, ast.For) \
