@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from repro.olap.star import DimensionTable, FactTable, StarSchema
 
 #: term ids → the numbers their terms were given (``-1``: given none)
 Locate = Callable[[np.ndarray], np.ndarray]
-_VALUE = attrgetter("value")
 
 
 @dataclass
@@ -77,10 +75,11 @@ def extract_star_schema(endpoint: LocalEndpoint, schema: CubeSchema
                         ) -> Tuple[StarSchema, ETLReport]:
     """Materialize the star schema for ``schema`` from ``endpoint``."""
     started = time.perf_counter()
-    graph = endpoint.dataset.union()
-    star = StarSchema(dataset=schema.dataset,
-                      epoch=max((g.epoch for g in endpoint.dataset.graphs()),
-                                default=0))
+    dataset = endpoint.dataset
+    graph = dataset.union()
+    # stamped as a DatasetSnapshot is: every write, to any graph, moves it
+    star = StarSchema(dataset=schema.dataset, epoch=sum(
+        member.epoch for member in (dataset.default, *dataset.graphs())))
     dimension_rows = 0
 
     for dimension in schema.dimensions:
@@ -130,40 +129,25 @@ def _locator(ids: np.ndarray, numbers: np.ndarray) -> Locate:
     return search
 
 
-def _ranked(keys: List[Any]) -> Tuple[List[int], np.ndarray]:
-    """``(order, ranks)``: the positions of ``keys`` in sorted order,
-    and every key's rank — one sort, one scatter."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[order] = np.arange(len(keys))
-    return order, ranks
-
-
 def _by_value(graph: UnionView, predicate: IRI, obj: Term
-              ) -> Tuple[List[Term], List[int], Locate]:
+              ) -> Tuple[np.ndarray, np.ndarray, Locate]:
     """The subjects of ``(?, predicate, obj)`` — a dataset's
     observations, a level's members — numbered **by term value**, so
-    neither insertion nor id order shows in a fact table: ``(terms,
-    order, locate)``, where ``terms[order[k]]`` is number ``k`` and
-    ``locate`` finds the numbers by id."""
+    neither insertion nor id order shows in a fact table: ``(ids,
+    order, locate)``, where ``ids[order[k]]`` is number ``k`` and
+    ``locate`` finds the numbers by id.  The dictionary's value ranks
+    order them; nothing is decoded."""
     lookup = graph.dictionary.lookup
     predicate_id, object_id = lookup(predicate), lookup(obj)
     if predicate_id is None or object_id is None:
         ids = np.empty(0, dtype=np.int64)
     else:
-        # a triple reaches the view once, so the ids are distinct: one
-        # graph's POS range hands them out ascending, overlay rows or a
-        # second member graph append to it
         ids = graph.match_arrays((None, predicate_id, object_id))[0]
-        if not (ids[1:] > ids[:-1]).all():
-            ids = np.sort(ids)
-    terms = list(map(graph.dictionary.decode, ids.tolist()))
-    try:
-        values = list(map(_VALUE, terms))
-    except AttributeError:  # a blank node has no value but its label
-        values = [str(getattr(term, "value", term)) for term in terms]
-    order, numbers = _ranked(values)
-    return terms, order, _locator(ids, numbers)
+    # a triple reaches the view once: distinct ids, so distinct ranks
+    order = np.argsort(graph.dictionary.value_ranks(ids))
+    numbers = np.empty(len(ids), dtype=np.int64)
+    numbers[order] = np.arange(len(ids))
+    return ids, order, _locator(ids, numbers)
 
 
 def _assigned(rows: np.ndarray, codes: np.ndarray, count: int,
@@ -179,7 +163,10 @@ def _assigned(rows: np.ndarray, codes: np.ndarray, count: int,
     at = np.arange(len(rows))
     out[rows] = at
     if not (out[rows] == at).all():
-        ranks = _ranked([deterministic_key(term) for term in terms])[1]
+        keys = [deterministic_key(term) for term in terms]
+        ranks = np.empty(len(keys), dtype=np.int64)
+        ranks[sorted(range(len(keys)), key=keys.__getitem__)] = \
+            np.arange(len(keys))
         # each row's minimum over a second key, not a grouping by both
         # repro: allow[single-grouping-kernel]
         order = np.lexsort((ranks[codes], rows))
@@ -232,8 +219,8 @@ def _value_codes(graph: UnionView, predicate: IRI, row_of: Locate,
 
 def _level(graph: UnionView, level: IRI) -> Tuple[List[Term], Locate]:
     """The members of ``level`` in code order, and their ids' codes."""
-    terms, order, code_of = _by_value(graph, qb4o.memberOf, level)
-    return [terms[at] for at in order], code_of
+    ids, order, code_of = _by_value(graph, qb4o.memberOf, level)
+    return list(map(graph.dictionary.decode, ids[order].tolist())), code_of
 
 
 def _extract_dimension(graph: UnionView, schema: CubeSchema,

@@ -22,8 +22,8 @@ Lock order (must be respected by any new code path):
    lock per :class:`~repro.rdf.graph.Dataset`, a private one per
    standalone :class:`~repro.rdf.graph.Graph`);
 2. the term dictionary's intern lock
-   (:class:`~repro.rdf.dictionary.TermDictionary`), taken inside graph
-   mutations when a new term is first seen;
+   (:class:`~repro.rdf.dictionary.TermDictionary`), taken when a new
+   term is first seen and while ``value_ranks`` extends its order;
 3. the telemetry lock in this module (leaf — never held while calling
    out).
 

@@ -9,7 +9,9 @@ and every index, join key and intermediate result is a machine word.
 * :meth:`lookup` resolves a term *without* interning (query constants
   that were never loaded simply have no id — and therefore no matches);
 * :meth:`decode` is a plain list index, so materializing results back
-  into terms costs one indexing operation per cell.
+  into terms costs one indexing operation per cell;
+* :meth:`value_ranks` orders IRIs and blank nodes by value without
+  decoding them — append-only, its order is never wrong, only short.
 
 A :class:`repro.rdf.graph.Dataset` owns one shared dictionary for all
 its graphs, which makes ids comparable across named graphs — the
@@ -33,7 +35,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.rdf.terms import Term
+import numpy as np
+
+from repro.rdf.terms import BNode, IRI, Term
 
 __all__ = ["DictionaryOverlay", "OVERLAY_BASE", "TermDictionary"]
 
@@ -61,12 +65,16 @@ class TermDictionary:
     indexes, so a pattern constant holding one simply matches nothing.
     """
 
-    __slots__ = ("_ids", "_terms", "_lock")
+    __slots__ = ("_ids", "_terms", "_lock", "_rank")
 
     def __init__(self) -> None:
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
         self._lock = threading.Lock()
+        #: ``(mark, rank, keys)``, replaced whole: a rank per id below
+        #: ``mark``, ``-1`` at ``rank[mark]``; the ranked keys, sorted
+        self._rank: Tuple[int, np.ndarray, np.ndarray] = (
+            0, np.full(1, -1, dtype=np.int64), np.empty(0, dtype=object))
 
     def encode(self, term: Term) -> int:
         """The id for ``term``, interning it on first sight."""
@@ -106,6 +114,41 @@ class TermDictionary:
         terms = self._terms
         return tuple(
             None if term_id is None else terms[term_id] for term_id in ids)
+
+    def value_ranks(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's place in the value order of the dictionary's IRIs
+        and blank nodes — ``IRI.value`` / ``str(BNode)``, equal keys in
+        id order — and ``-1`` for a literal or an id not interned (an
+        overlay id among them).  Built on first request; a later one
+        merges the new terms' sorted keys in.  Lock-free readers take
+        the published order whole."""
+        if self._rank[0] < len(self._terms):
+            with self._lock:  # interning waits, and a mark never goes back
+                if self._rank[0] < len(self._terms):
+                    self._extend_rank()
+        # ids at or past the mark clip to its -1
+        return self._rank[1].take(ids, mode="clip")
+
+    def _extend_rank(self) -> None:
+        """Merge the terms interned since the mark into the order and
+        publish it (caller holds ``_lock``)."""
+        mark, rank, keys = self._rank
+        terms, end = self._terms, len(self._terms)
+        fresh_ids = [at for at in range(mark, end)
+                     if isinstance(terms[at], (IRI, BNode))]
+        fresh = [terms[at].value if isinstance(terms[at], IRI)
+                 else str(terms[at]) for at in fresh_ids]
+        ordered = np.array(sorted(range(len(fresh)), key=fresh.__getitem__),
+                           dtype=np.int64)
+        added = np.array(fresh, dtype=object)[ordered]
+        # a new key goes after the old keys equal to it: ids rise
+        places = np.searchsorted(keys, added, side="right")
+        old = rank[:mark]
+        rank = np.full(end + 1, -1, dtype=np.int64)
+        rank[:mark] = old + np.searchsorted(places, old, side="right")
+        rank[np.asarray(fresh_ids, dtype=np.int64)[ordered]] = \
+            places + np.arange(len(places))
+        self._rank = (end, rank, np.insert(keys, places, added))
 
     def overlay(self) -> "DictionaryOverlay":
         """A discardable per-query view for computed-term interning."""

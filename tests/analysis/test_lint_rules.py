@@ -1038,6 +1038,60 @@ def test_columnar_etl_flags_each_per_row_shape_and_nothing_else():
     assert [finding.line for finding in found] == [5, 7]
 
 
+#: (bad, good) — subjects numbered by decoding every id a
+#: ``match_arrays`` read returned, and by the dictionary's value ranks
+ETL_DECODES = (
+    """
+    def _by_value(graph, predicate, obj):
+        ids = graph.match_arrays((None, predicate, obj))[0]
+        ids = np.sort(ids)
+        terms = list(map(graph.dictionary.decode, ids.tolist()))
+        order, numbers = _ranked([term.value for term in terms])
+        return terms, order, _locator(ids, numbers)
+
+    def _level(graph, level):
+        decode = graph.dictionary.decode
+        members = graph.match_arrays((None, MEMBER_OF, level))[0]
+        terms = [decode(member) for member in members.tolist()]
+        return sorted(terms, key=str)
+    """,
+    """
+    def _by_value(graph, predicate, obj):
+        ids = graph.match_arrays((None, predicate, obj))[0]
+        order = np.argsort(graph.dictionary.value_ranks(ids))
+        numbers = np.empty(len(ids), dtype=np.int64)
+        numbers[order] = np.arange(len(ids))
+        return ids, order, _locator(ids, numbers)
+
+    def _level(graph, level):
+        ids, order, code_of = _by_value(graph, MEMBER_OF, level)
+        return list(map(graph.dictionary.decode, ids[order].tolist()))
+
+    def _distinct_values(graph, predicate):
+        ids = distinct(graph.match_arrays((None, predicate, None))[2])[0]
+        return list(map(graph.dictionary.decode, ids.tolist()))
+    """,
+)
+
+
+def test_numbering_decodes_no_id_a_read_returned():
+    """In ``_by_value`` / ``_level`` a decode mapped over a read's ids,
+    or called in a comprehension over them through an alias, is a
+    finding; ``_level`` decoding what ``_by_value`` returned is not,
+    and neither is decoding a read's distinct values anywhere else."""
+    rule = "columnar-etl"
+    bad, good = ETL_DECODES
+    found = findings_for(bad, ETL, rule)
+    assert [finding.line for finding in found] == [5, 12]
+    assert all("`dictionary.decode` over the ids" in finding.message
+               for finding in found)
+    assert "in `_level`" in found[1].message
+    assert findings_for(good, ETL, rule) == []
+    assert findings_for(bad, "src/repro/olap/engine.py", rule) == []
+    source = (ROOT / "src" / ETL[len("src/"):]).read_text(encoding="utf-8")
+    assert findings_for(source, ETL, rule) == []
+
+
 def test_one_process_pool_lives_in_shm_only():
     """Imports and uses are each a finding anywhere under ``src/repro``
     but ``rdf/shm.py``; tests and benchmarks spawn what they like, and

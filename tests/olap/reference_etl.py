@@ -8,20 +8,46 @@ requires the production extractor to be byte-identical to it, and
 ``benchmarks/check_olap.py`` gates the production extractor's speed-up
 against it.  Dimension tables come from the production code — only the
 fact walk is independent.
+
+:func:`reference_by_value` is the numbering ``_by_value`` shipped
+before the dictionary kept value ranks: decode every subject, sort the
+values in Python.
 """
 
 import time
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.olap.etl import (
+    Locate,
+    _locator,
     _measure_value,
     deterministic_key,
     extract_star_schema,
 )
 from repro.olap.star import FactTable, StarSchema
 from repro.qb import vocabulary as qb
+
+
+def reference_by_value(graph, predicate, obj
+                       ) -> Tuple[List, List[int], Locate]:
+    """``(terms, order, locate)``: the subjects of ``(?, predicate,
+    obj)`` decoded in id order, ``terms[order[k]]`` numbered ``k`` by
+    term value (a blank node's value is its ``str``), and the numbers
+    found by id."""
+    lookup = graph.dictionary.lookup
+    predicate_id, object_id = lookup(predicate), lookup(obj)
+    if predicate_id is None or object_id is None:
+        ids = np.empty(0, dtype=np.int64)
+    else:
+        ids = np.sort(graph.match_arrays((None, predicate_id, object_id))[0])
+    terms = list(map(graph.dictionary.decode, ids.tolist()))
+    values = [str(getattr(term, "value", term)) for term in terms]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    numbers = np.empty(len(values), dtype=np.int64)
+    numbers[order] = np.arange(len(values))
+    return terms, order, _locator(ids, numbers)
 
 
 def reference_facts(graph, schema, star: StarSchema) -> FactTable:

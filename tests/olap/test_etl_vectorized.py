@@ -2,9 +2,11 @@
 dirty cube, generated cubes in every physical state of the store),
 determinism regressions (hash-order multi-value picks, multi-target
 roll-ups, mixed-class members), what the clean path never calls,
-missing-value sentinels, and the FactColumns snapshot layout."""
+missing-value sentinels, the epoch stamp, and the FactColumns
+snapshot layout."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from repro.qb4olap.model import (
     Measure,
 )
 from repro.rdf import BNode, IRI, Literal, Namespace
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import OVERLAY_BASE, TermDictionary
 from repro.rdf.namespace import SKOS
 from repro.sparql import LocalEndpoint
 from repro.olap.etl import (
+    _by_value,
     _extract_facts,
     deterministic_key,
     extract_star_schema,
@@ -31,7 +34,7 @@ from repro.olap.etl import (
 from repro.olap.star import FactColumns, _code_dtype
 
 from tests.olap.reference_dimensions import reference_dimension
-from tests.olap.reference_etl import reference_star_schema
+from tests.olap.reference_etl import reference_by_value, reference_star_schema
 
 EX = Namespace("http://example.org/etl/")
 
@@ -363,6 +366,20 @@ def assert_same_bytes(left, right):
             assert column.tobytes() == theirs[iri].tobytes(), iri
 
 
+def assert_numbered_as_the_oracle(graph, predicate, obj):
+    """``_by_value``'s order and ``locate`` equal the decode-and-sort
+    oracle's: the same terms in number order, the same number for every
+    interned id, for ids past the last one and for an overlay id."""
+    ids, order, locate = _by_value(graph, predicate, obj)
+    terms, expected_order, expected_locate = reference_by_value(
+        graph, predicate, obj)
+    decode = graph.dictionary.decode
+    assert [decode(term_id) for term_id in ids[order].tolist()] \
+        == [terms[at] for at in expected_order]
+    probe = np.append(np.arange(len(graph.dictionary) + 3), OVERLAY_BASE)
+    assert locate(probe).tolist() == expected_locate(probe).tolist()
+
+
 def assert_same_dimension(left, right):
     assert left.bottom_members == right.bottom_members
     assert left.level_members == right.level_members
@@ -385,6 +402,9 @@ class TestGeneratedCubes:
                 star = production(endpoint, schema)
                 assert_same_bytes(star, oracle(endpoint, schema))
                 graph = endpoint.dataset.union()
+                assert_numbered_as_the_oracle(graph, qb.dataSet, EX.ds)
+                for level in cube["members"]:
+                    assert_numbered_as_the_oracle(graph, qb4o.memberOf, level)
                 for iri, table in star.dimensions.items():
                     assert_same_dimension(table, reference_dimension(
                         graph, schema, iri, schema.bottom_level(iri)))
@@ -421,6 +441,67 @@ class TestGeneratedCubes:
                 graph, schema, iri, schema.bottom_level(iri)))
 
 
+#: members sharing prefixes, non-ASCII ones, and an IRI whose value is
+#: a blank node's ``str`` (``IRI("_:x")`` beside ``BNode("x")``)
+MEMBERS = st.one_of(
+    st.builds(lambda tail: EX[f"m/{tail}"], st.text("ab/é中", max_size=3)),
+    st.builds(BNode, st.text("xzé", min_size=1, max_size=2)),
+    st.sampled_from([IRI("_:x"), BNode("x"), IRI("A:city"), IRI("_:zzz"),
+                     BNode("zzz")]))
+#: batches of (term, made a member?): literals and non-members are only
+#: interned, between the members
+BATCHES = st.lists(st.lists(st.tuples(
+    st.one_of(MEMBERS, st.builds(Literal, st.integers(0, 9))),
+    st.booleans()), max_size=8), min_size=1, max_size=4)
+
+
+class TestByValue:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(BATCHES, st.booleans())
+    def test_equal_to_the_decode_and_sort_oracle(self, batches, named):
+        """Numbered after every batch: the first builds the
+        dictionary's value ranks, each later one extends them."""
+        endpoint = LocalEndpoint()
+        dataset = endpoint.dataset
+        graph = dataset.graph(EX.members) if named else dataset.default
+        for batch in batches:
+            for term, member in batch:
+                if member and not isinstance(term, Literal):
+                    graph.add(term, qb4o.memberOf, EX.city)
+                else:
+                    dataset.dictionary.encode(term)
+            assert_numbered_as_the_oracle(dataset.union(), qb4o.memberOf,
+                                          EX.city)
+        endpoint.close()
+
+
+class TestEpochStamp:
+    """The stamp keys the star aggregator's segment and
+    ``FactColumns.epoch``: it is the dataset snapshot's epoch, so any
+    write moves it."""
+
+    def test_a_default_graph_write_raises_the_stamp(self):
+        endpoint = tiny_endpoint()
+        before = production(endpoint, tiny_schema()).epoch
+        assert before == endpoint.dataset.snapshot().epoch > 0
+        endpoint.dataset.default.add(EX.obs3, qb.dataSet, EX.ds)
+        after = production(endpoint, tiny_schema()).epoch
+        assert after == endpoint.dataset.snapshot().epoch > before
+        endpoint.close()
+
+    def test_alternating_named_graph_writes_each_raise_the_stamp(self):
+        endpoint = LocalEndpoint()
+        graphs = [endpoint.dataset.graph(EX.first),
+                  endpoint.dataset.graph(EX.second)]
+        stamps = [production(endpoint, tiny_schema()).epoch]
+        for number in range(6):
+            graphs[number % 2].add(EX[f"obs{number}"], qb.dataSet, EX.ds)
+            stamps.append(production(endpoint, tiny_schema()).epoch)
+        assert all(earlier < later
+                   for earlier, later in zip(stamps, stamps[1:])), stamps
+        endpoint.close()
+
+
 # -- what the extractor calls -------------------------------------------------
 
 
@@ -444,12 +525,14 @@ def counted_joins(monkeypatch):
                    lambda _keys, needles, *_: np.ndim(needles) > 0)
 
 
-def clean_endpoint(doubled=None, filler: int = 0, rows: int = 40
-                   ) -> LocalEndpoint:
+def clean_endpoint(doubled=None, filler: int = 0, rows: int = 40,
+                   amounts: int = 0) -> LocalEndpoint:
     """``rows`` observations that keep IC-12 — one city, one amount
-    (``rows // 4`` distinct literals) each — but for ``doubled``, a
-    property the first observation then carries a second value of;
-    ``filler`` terms are interned ahead of every observation."""
+    (``amounts`` distinct literals, ``rows // 4`` unless given) each —
+    but for ``doubled``, a property the first observation then carries
+    a second value of; ``filler`` terms are interned ahead of every
+    observation."""
+    amounts = amounts or rows // 4
     endpoint = LocalEndpoint()
     graph = endpoint.dataset.default
     intern = endpoint.dataset.dictionary.encode
@@ -461,7 +544,7 @@ def clean_endpoint(doubled=None, filler: int = 0, rows: int = 40
         subject = EX[f"obs{number:04d}"]
         graph.add(subject, qb.dataSet, EX.ds)
         graph.add(subject, EX.city, (EX.cityA, EX.cityB)[number % 2])
-        graph.add(subject, EX.amount, Literal(number % (rows // 4)))
+        graph.add(subject, EX.amount, Literal(number % amounts))
     if doubled == EX.city:
         graph.add(EX.obs0000, EX.city, EX.cityB)
     elif doubled == EX.amount:
@@ -476,7 +559,7 @@ class TestCallCounts:
     def test_ties_are_settled_only_where_they_exist(self, monkeypatch,
                                                     doubled, sorts):
         """An IC-12-clean cube is never sorted, hashed or ranked, and
-        every term is decoded once; one doubled value costs the
+        no observation is decoded; one doubled value costs the
         minimum-key path on that property alone."""
         endpoint = clean_endpoint(doubled)
         schema = tiny_schema()
@@ -490,9 +573,39 @@ class TestCallCounts:
         monkeypatch.undo()
         assert len(lexsorts) == sorts
         assert not uniques and not searches  # dense ids: directories
-        assert len(decodes) == 40 + 10  # observations + distinct amounts
+        assert len(decodes) == 10  # the distinct amounts
         assert_same_bytes(star, reference)
         endpoint.close()
+
+    @pytest.mark.parametrize("rows", [40, 400])
+    def test_observations_are_never_decoded(self, monkeypatch, rows):
+        """Ten times the observations, the same decodes: the two city
+        members and the ten distinct amounts."""
+        endpoint = clean_endpoint(rows=rows, amounts=10)
+        decodes = counted(monkeypatch, TermDictionary, "decode")
+        star, _ = extract_star_schema(endpoint, tiny_schema())
+        monkeypatch.undo()
+        assert star.facts.size == rows
+        assert len(decodes) == 2 + 10
+        endpoint.close()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(CUBES)
+    def test_decodes_are_bounded_by_members_and_distinct_values(self, cube):
+        """Members (a level on two roll-up paths is read twice), the
+        attribute values and the distinct measure values — never a
+        number that grows with the observations."""
+        members = sum(map(len, cube["members"].values()))
+        values = sum(
+            len({value for observation in cube["observations"]
+                 for value in observation[measure]})
+            for measure in (EX.amount, EX.weight))
+        endpoint = cube_endpoint(cube)
+        with mock.patch.object(TermDictionary, "decode", autospec=True,
+                               side_effect=TermDictionary.decode) as decode:
+            extract_star_schema(endpoint, wide_schema())
+        endpoint.close()
+        assert decode.call_count <= 2 * members + len(cube["labels"]) + values
 
     def test_the_demo_cube_takes_the_clean_path(self, monkeypatch,
                                                 endpoint, schema):
@@ -506,7 +619,7 @@ class TestCallCounts:
         _extract_facts(graph, schema, star)
         monkeypatch.undo()
         assert not lexsorts and not uniques
-        assert len(decodes) == star.facts.size + len(literals)
+        assert len(decodes) == len(literals)
 
     def test_sparse_ids_are_searched_and_their_span_never_allocated(
             self, monkeypatch):

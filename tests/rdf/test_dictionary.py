@@ -1,8 +1,15 @@
-"""Term interning, exact counts, and the read-only union view."""
+"""Term interning, value ranks, exact counts, and the read-only union
+view."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdf import (
+    BNode,
     Dataset,
     Graph,
     IRI,
@@ -11,6 +18,7 @@ from repro.rdf import (
     TermDictionary,
     TermError,
 )
+from repro.rdf.dictionary import OVERLAY_BASE
 
 EX = Namespace("http://example.org/")
 
@@ -85,6 +93,127 @@ class TestDictionaryOverlay:
         x_id = overlay.encode(Literal("x"))
         assert overlay.decode_row([a_id, None, x_id]) == \
             (EX.a, None, Literal("x"))
+
+
+def value_key(term):
+    """What a subject term is ordered by: an IRI's value, a blank
+    node's ``str``."""
+    return term.value if isinstance(term, IRI) else str(term)
+
+
+def expected_ranks(dictionary):
+    """The value order spelled out: every IRI and blank node by key,
+    equal keys by id; ``-1`` for a literal."""
+    terms = [dictionary.decode(term_id) for term_id in range(len(dictionary))]
+    keyed = sorted((value_key(term), term_id) for term_id, term
+                   in enumerate(terms) if not isinstance(term, Literal))
+    ranks = [-1] * len(terms)
+    for rank, (_key, term_id) in enumerate(keyed):
+        ranks[term_id] = rank
+    return ranks
+
+
+#: subjects sharing prefixes, non-ASCII ones, and an IRI whose value is
+#: a blank node's ``str`` (``IRI("_:x")`` beside ``BNode("x")``)
+SUBJECTS = st.one_of(
+    st.builds(lambda tail: IRI(f"http://example.org/obs/{tail}"),
+              st.text("ab/é中", max_size=3)),
+    st.builds(BNode, st.text("xyé", min_size=1, max_size=2)),
+    st.sampled_from([IRI("_:x"), BNode("x"), IRI("A:city"), IRI("_:"),
+                     IRI("http://example.org/")]))
+TERMS = st.one_of(SUBJECTS, st.builds(Literal, st.integers(0, 3)),
+                  st.builds(Literal, st.sampled_from(["_:x", "a", "é"])))
+
+
+class TestValueRanks:
+    def test_subjects_by_value_literals_unranked(self):
+        d = TermDictionary()
+        d.encode_all([EX.b, Literal("a"), BNode("zzz"), IRI("A:city"),
+                      IRI("_:x"), BNode("x")])
+        # "A:city" < "_:x" (IRI, id 4) < "_:x" (blank node, id 5)
+        # < "_:zzz" < "http://example.org/b"
+        assert d.value_ranks(np.arange(6)).tolist() == [4, -1, 3, 0, 1, 2]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.lists(TERMS, max_size=8), min_size=1, max_size=4))
+    def test_ranks_after_any_appends_equal_a_fresh_build(self, batches):
+        grown = TermDictionary()
+        for batch in batches:
+            grown.encode_all(batch)
+            # the first batch builds the order, each later one extends it
+            grown.value_ranks(np.arange(len(grown)))
+        fresh = TermDictionary()
+        fresh.encode_all(term for batch in batches for term in batch)
+        ids = np.arange(len(fresh) + 2)
+        assert grown.value_ranks(ids).tolist() \
+            == fresh.value_ranks(ids).tolist() \
+            == expected_ranks(fresh) + [-1, -1]
+
+    def test_overlay_ids_and_ids_past_the_mark_are_never_ranked(self):
+        d = TermDictionary()
+        d.encode_all([EX.b, EX.a, Literal(1)])
+        overlay = d.overlay()
+        computed = overlay.encode(EX.c)
+        assert computed >= OVERLAY_BASE
+        probe = np.array([0, 1, 2, 3, 100, computed])
+        assert d.value_ranks(probe).tolist() == [1, 0, -1, -1, -1, -1]
+        mark, rank, keys = d._rank
+        assert (mark, len(rank), rank[mark], len(keys)) == (3, 4, -1, 2)
+        # interning moves the mark: the next request ranks the new id
+        d.encode(EX.aa)
+        assert d.value_ranks(probe).tolist() == [2, 0, -1, 1, -1, -1]
+
+    def test_readers_beside_an_interning_thread_see_whole_orders(self):
+        """Every ``(mark, rank, keys)`` a lock-free reader picks up is a
+        complete order of the ids below its mark, and no reader sees a
+        mark go back, while a writer keeps interning and three readers'
+        own requests keep extending the order — more threads than the
+        host has cores, switching every 10 µs."""
+        d = TermDictionary()
+        terms = [Literal(n) if n % 3 == 0 else
+                 IRI(f"http://example.org/t/{n * 7919 % 3000:04d}")
+                 for n in range(3000)]
+        interned = threading.Event()
+        seen = [[], [], []]
+        broken = []
+
+        def intern():
+            for start in range(0, len(terms), 100):
+                d.encode_all(terms[start:start + 100])
+                interned.wait(0.001)
+            interned.set()
+
+        def read(marks):
+            while not interned.is_set():
+                mark, rank, keys = d._rank
+                ranked = np.flatnonzero(rank[:mark] >= 0)
+                if len(rank) != mark + 1 or rank[mark] != -1 \
+                        or sorted(rank[ranked].tolist()) \
+                        != list(range(len(keys))) \
+                        or keys[rank[ranked]].tolist() != [
+                            value_key(d.decode(term_id))
+                            for term_id in ranked.tolist()]:
+                    broken.append(mark)
+                marks.append(mark)
+                d.value_ranks(np.arange(len(d)))
+
+        threads = [threading.Thread(target=intern)] + [
+            threading.Thread(target=read, args=(marks,)) for marks in seen]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            interned.set()
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not broken
+        assert all(marks == sorted(marks) for marks in seen)
+        assert len(set().union(*seen)) > 1
+        assert d.value_ranks(np.arange(len(d))).tolist() == expected_ranks(d)
 
 
 class TestCountFromIndexes:

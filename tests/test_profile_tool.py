@@ -37,7 +37,7 @@ def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):
 def test_wall_shares_are_read_against_the_gated_time(monkeypatch):
     """``ops_per_s`` pools only the gated op kinds, so a function's
     share of the *round* undersizes a claim on a workload with ungated
-    ops (the ETL: 53 % of a ``star_50k`` round, 76 % of its gated
+    ops (the ETL: 15 % of a ``star_50k`` round, 36 % of its gated
     time): the footer prints both, and the round by op kind."""
     from types import SimpleNamespace
 

@@ -34,8 +34,8 @@ the round's wall clock — the number a claim should be sized from
 ``harness.UNGATED_KINDS`` starred: those ops run and are verified in
 every round but stay out of ``ops_per_s`` / ``cpu_ms_per_op``, so each
 function's share of the *gated* time stands beside its share of the
-round (the ETL is 53 % of a ``star_50k`` round and 76 % of what the
-contract's throughput pools).
+round (on a 2-vCPU host the ETL is 15 % of a ``star_50k`` round and
+36 % of what the contract's throughput pools).
 
 ``--steps`` prints, in place of the profile, the round's join steps as
 a markdown table (docs/performance.md, "Range scan or per-key probes"):
