@@ -12,22 +12,14 @@ ever reaches a wall clock.
 The default run also gates **constant-aware planning** (statistics
 v2): a skewed-constant query family — the same shape probed with the
 *hottest* and a *cold* destination member — must (a) plan different
-join orders or trigger a bracket replan, and (b) touch measurably
-fewer index entries under value-aware costing than under the
-average-only model it replaced.  Skew results are written to
-``benchmarks/results/skew_planning.txt``.
+first join steps, and (b) touch measurably fewer index entries under
+value-aware costing than under the average-only model it replaced.
+Skew results are written to ``benchmarks/results/skew_planning.txt``.
 
 Usage::
 
     PYTHONPATH=src REPRO_BENCH_OBS=2000 python benchmarks/check_plans.py
     PYTHONPATH=src python benchmarks/check_plans.py --update  # re-baseline
-    PYTHONPATH=src python benchmarks/check_plans.py --sharing-report
-
-``--sharing-report`` additionally measures what parameterized plan
-sharing is worth during cube materialization: it replays the
-per-member-IRI query workload of the enrichment phase with the plan
-cache keyed on exact constants vs. constant-lifted signatures, and
-writes the miss counts to ``benchmarks/results/plan_sharing.txt``.
 """
 
 from __future__ import annotations
@@ -160,13 +152,12 @@ def skew_gate(demo, skew=None) -> list:
 
     Returns a list of failure strings (empty = pass).  Checks:
 
-    * hot and cold constants on the same shape produce different join
-      orders, or at least a bracket-triggered replan (two cache
-      entries for one shape);
+    * hot and cold constants on the same shape get different first
+      join steps;
     * executing the hot-constant query touches measurably fewer index
       entries than the same query planned by the average-only model
-      (the pre-statistics-v2 baseline, replayed via
-      ``optimizer.CONSTANT_AWARE = False``).
+      (the pre-statistics-v2 baseline, replayed by patching
+      ``optimizer._constant_base`` to find no value-aware estimate).
     """
     from repro.sparql import optimizer
     from repro.sparql.explain import explain
@@ -179,19 +170,18 @@ def skew_gate(demo, skew=None) -> list:
     optimizer.PLAN_CACHE.clear()
     hot_plan = explain(hot_text, dataset)
     cold_plan = explain(cold_text, dataset)
-    replans = optimizer.PLAN_CACHE.bracket_replans
     orders_differ = _first_step(hot_plan) != _first_step(cold_plan)
-    if not orders_differ and replans == 0:
+    if not orders_differ:
         failures.append(
-            "skew: hot and cold constants got identical plans and no "
-            "bracket replan was recorded")
+            "skew: hot and cold constants got the same first join step")
 
     optimizer.PLAN_CACHE.clear()
-    optimizer.CONSTANT_AWARE = False
+    constant_base = optimizer._constant_base
+    optimizer._constant_base = lambda pattern, stats: None
     try:
         avg_probes = _count_probes(endpoint, hot_text)
     finally:
-        optimizer.CONSTANT_AWARE = True
+        optimizer._constant_base = constant_base
     optimizer.PLAN_CACHE.clear()
     aware_probes = _count_probes(endpoint, hot_text)
     if aware_probes >= avg_probes:
@@ -205,8 +195,7 @@ def skew_gate(demo, skew=None) -> list:
         "hot vs cold constant on one query shape (destination member)",
         f"{'hot member':34s} {hot}",
         f"{'cold member':34s} {cold}",
-        f"{'join orders differ':34s} {str(orders_differ):>8s}",
-        f"{'bracket replans':34s} {replans:8d}",
+        f"{'first join steps differ':34s} {str(orders_differ):>8s}",
         f"{'hot probes, average-only model':34s} {avg_probes:8d}",
         f"{'hot probes, constant-aware model':34s} {aware_probes:8d}",
         f"{'probe reduction':34s} "
@@ -220,74 +209,18 @@ def skew_gate(demo, skew=None) -> list:
     return failures
 
 
-def sharing_report(demo) -> int:
-    """Measure plan-cache misses of the materialization workload with
-    and without parameterized plan sharing; write the committed report."""
-    from repro.enrichment.instances import (
-        collect_bottom_members, member_properties)
-    from repro.sparql.optimizer import PLAN_CACHE
-
-    # the enrichment phase's member-at-a-time property walk — the
-    # workload the paper describes as "a query is run for each level
-    # instance" — replayed over every dimension of the demo cube
-    members = []
-    for dimension in demo.schema.dimensions:
-        bottom = demo.schema.bottom_level(dimension.iri)
-        members.extend(collect_bottom_members(
-            demo.endpoint, demo.schema.dataset, bottom))
-
-    def run(parameterized: bool) -> dict:
-        PLAN_CACHE.clear()
-        PLAN_CACHE.parameterized = parameterized
-        for member in members:
-            member_properties(demo.endpoint, member)
-        stats = PLAN_CACHE.statistics()
-        PLAN_CACHE.parameterized = True
-        return stats
-
-    exact = run(parameterized=False)
-    shared = run(parameterized=True)
-    improvement = exact["misses"] / max(1, shared["misses"])
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    lines = [
-        f"# plan_sharing — observations={OBSERVATIONS}",
-        "cube-materialization member walk: plan-cache misses",
-        f"{'member queries issued':34s} {len(members):8d}",
-        f"{'misses, exact-constant plans':34s} {exact['misses']:8d}",
-        f"{'misses, parameterized plans':34s} {shared['misses']:8d}",
-        f"{'parameterized hits':34s} "
-        f"{shared['hits_parameterized']:8d}",
-        f"{'miss reduction':34s} {improvement:7.1f}x",
-    ]
-    path = RESULTS_DIR / "plan_sharing.txt"
-    path.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"\nwritten to {path}")
-    if improvement < 10.0:
-        print("FAIL: parameterized sharing below the 10x target",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=pathlib.Path,
                         default=BASELINE_PATH)
     parser.add_argument("--update", action="store_true",
                         help="write the fresh costs as the new baseline")
-    parser.add_argument("--sharing-report", action="store_true",
-                        help="write benchmarks/results/plan_sharing.txt")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
     from repro.demo import prepare_enriched_demo
 
     demo = prepare_enriched_demo(observations=OBSERVATIONS, seed=SEED)
-
-    if args.sharing_report:
-        return sharing_report(demo)
 
     skew = skew_queries(demo)  # discovered once, shared by both gates
     fresh = measure(demo, skew)

@@ -47,9 +47,8 @@ class ExecutionReport:
     sparql_lines: int = 0
     simplification: Optional[SimplificationReport] = None
     #: SPARQL plan-cache activity during execution: a repeated OLAP
-    #: session should show hits (exact or parameterized), not misses
+    #: session should show hits, not misses
     plan_cache_hits: int = 0
-    plan_cache_parameterized_hits: int = 0
     plan_cache_misses: int = 0
     #: streaming-pipeline activity during execution: SELECT evaluations
     #: (incl. sub-SELECTs) served by the streaming LIMIT path and the
@@ -202,9 +201,6 @@ class QLEngine:
         report.truncated = bool(getattr(table, "truncated", False))
         cache_after = PLAN_CACHE.statistics()
         report.plan_cache_hits = cache_after["hits"] - cache_before["hits"]
-        report.plan_cache_parameterized_hits = (
-            cache_after["hits_parameterized"]
-            - cache_before["hits_parameterized"])
         report.plan_cache_misses = (
             cache_after["misses"] - cache_before["misses"])
         stream_after = STREAM_TELEMETRY.snapshot()

@@ -25,9 +25,8 @@ Selectivity summaries derive from the three per-predicate counters:
 * ``cardinality(p) / distinct_objects(p)`` — the average fan-in of one
   object (matches of ``(?s, p, o)`` for a typical bound ``o``).
 
-These averages are what make plans *parameterizable*: they cost a
-pattern with a bound-but-unknown constant without looking at the
-constant, so one plan can serve every member IRI of a cube level.
+These averages cost a pattern whose position is bound by an earlier
+join step (a variable: its value is not known at planning time).
 
 Statistics **v2** adds value-aware summaries on top of the counters,
 because averages hide skew (one hot continent holding 60% of the
@@ -50,9 +49,7 @@ observations costs the same as a cold one holding 0.1%):
 The point lookups *could* be answered exactly from the id-keyed
 indexes on this engine, but the planner deliberately reads only the
 bounded-size summaries: they are the interface a remote or compressed
-backend would expose, and their band structure is what keeps the
-plan-cache key space small (see ``selectivity bands`` in
-:mod:`repro.sparql.optimizer`).
+backend would expose.
 """
 
 from __future__ import annotations
@@ -232,7 +229,7 @@ def _split_mcv(counts: Dict[int, int]
     """Split per-key counts into (MCV dict, remaining items).
 
     Ties break on term id so two builds of the same graph state produce
-    identical summaries (plan-cache keys depend on the derived bands).
+    identical summaries (and so identical plans).
     """
     if len(counts) <= MCV_SIZE:
         return dict(counts), []

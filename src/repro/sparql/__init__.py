@@ -23,12 +23,12 @@ the tests exercise):
   ``DROP``, with ``GRAPH`` blocks.
 * **Result formats** (:mod:`repro.sparql.serializers`): SPARQL 1.1
   JSON (round-trippable), XML, CSV and TSV.
-* **Plans**: BGPs are planned by a cost-based optimizer (DP join
+* **Plans**: BGPs are planned by a cost-based optimizer (greedy join
   ordering over the O(1) statistics layer in :mod:`repro.rdf.stats`)
-  into cached, *parameterized* :class:`~repro.sparql.optimizer.
-  PhysicalPlan`\\ s; :func:`repro.sparql.explain.explain` renders the
-  plan tree with estimated — and, with ``analyze=True``, actual —
-  per-step cardinalities.
+  into cached :class:`~repro.sparql.optimizer.PhysicalPlan`\\ s;
+  :func:`repro.sparql.explain.explain` renders the plan tree with
+  estimated — and, with ``analyze=True``, actual — per-step
+  cardinalities.
 * **Dataset clauses**: ``FROM`` / ``FROM NAMED`` with W3C scoping on
   all four query forms.
 

@@ -7,12 +7,10 @@ order through the methods here, re-validating each step's
 hash-vs-probe choice against the *actual* table size (estimates can
 still be wrong, so mis-estimates must degrade safely), and — when a
 trace list is installed — records per-step actual cardinalities for
-``EXPLAIN ... analyze``.  Because every ``get_plan`` call passes the
-BGP node with its *actual* constants, the band-keyed plan cache
-transparently swaps in a constant-specialized plan when a bound
-constant's value-aware estimate (MCV / histogram, statistics v2) falls
-outside the brackets of the cached one — the evaluator itself never
-needs to reason about skew, and each executed step's
+``EXPLAIN ... analyze``.  Plans are cached per BGP as written, so
+every constant was costed from its own value-aware estimate (MCV /
+histogram, statistics v2) — the evaluator itself never needs to reason
+about skew, and each executed step's
 :class:`~repro.sparql.optimizer.PlanStep` carries the estimator label
 and average-only estimate that the trace threads to EXPLAIN.
 

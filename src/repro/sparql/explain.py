@@ -8,16 +8,13 @@ cardinality estimate that justified it, plus the plan's total cost
 (Σ of estimated intermediate rows).  Steps whose constants were costed
 from the value-aware statistics (MCV lists / equi-depth histograms,
 see :mod:`repro.rdf.stats`) are labelled with the estimator and the
-constant-independent figure it overrode — ``(est. 480 [mcv], avg 65,
-bracket [64, 512))`` — and a BGP planned under non-trivial selectivity
-bands shows the band vector on its header.  With ``analyze=True`` the
-query's pattern is actually executed and every step line gains the
-*actual* row count and strategy, so remaining estimate errors are
-directly visible next to what the average-only model would have
-guessed.  A plan ordered by the greedy fallback (BGPs above the DP
-pattern limit) says so on its header instead of falling back silently.  This is the debugging surface the
-paper's users get from ``EXPLAIN`` on a production endpoint (Virtuoso
-prints a similar operator tree).
+constant-independent figure it overrode — ``(est. 480 [mcv], avg
+65)``.  With ``analyze=True`` the query's pattern is actually executed
+and every step line gains the *actual* row count and strategy, so
+remaining estimate errors are directly visible next to what the
+average-only model would have guessed.  This is the debugging surface
+the paper's users get from ``EXPLAIN`` on a production endpoint
+(Virtuoso prints a similar operator tree).
 
 >>> from repro.rdf.graph import Dataset
 >>> from repro.sparql.explain import explain
@@ -144,17 +141,9 @@ class _PlanPrinter:
         if node_traces:
             # render the plan the evaluator actually executed: its
             # step order (planned under the real bound variables) can
-            # differ from an unseeded replan.  Plan-level annotations
-            # (bands, greedy fallback) hold for any plan of this BGP,
-            # so the unseeded plan supplies them for the header too.
-            plan = get_plan(node, frozenset(), self.source)
-            header = f"BGP ({len(node.patterns)} patterns) [analyzed"
-            if plan.bands:
-                header += f", bands {plan.bands}"
-            header += "]"
-            if plan.fallback:
-                header += f"  !{plan.fallback}"
-            self.emit(header, depth)
+            # differ from an unseeded replan
+            self.emit(f"BGP ({len(node.patterns)} patterns) [analyzed]",
+                      depth)
             executed = set()
             for position in sorted(node_traces):
                 step, _rows_in, rows_out, strategy = node_traces[position]
@@ -172,24 +161,15 @@ class _PlanPrinter:
                               f"(not executed)", depth + 1)
             return
         plan = get_plan(node, frozenset(), self.source)
-        header = f"BGP ({len(node.patterns)} patterns) [cost {plan.cost:.0f}"
-        if plan.bands:
-            header += f", bands {plan.bands}"
-        header += "]"
-        if plan.fallback:
-            header += f"  !{plan.fallback}"
-        self.emit(header, depth)
+        self.emit(f"BGP ({len(node.patterns)} patterns) "
+                  f"[cost {plan.cost:.0f}]", depth)
         for position, step in enumerate(plan.steps):
             pattern = node.patterns[step.index]
             text = _pattern_text(pattern)
             if isinstance(pattern, PathPatternNode):
                 text += "  (path)"
-            detail = _step_estimate(step)
-            if step.bracket is not None:
-                low, high = step.bracket
-                detail += f", bracket [{low:.0f}, {high:.0f})"
             self.emit(f"[{position}] {text}  "
-                      f"({detail}) [{step.strategy}]",
+                      f"({_step_estimate(step)}) [{step.strategy}]",
                       depth + 1)
 
     def walk(self, node: PatternNode, depth: int) -> None:
@@ -269,13 +249,7 @@ class _PlanPrinter:
 
 
 def plan_cache_statistics() -> dict:
-    """Hit/miss/size counters of the shared BGP plan cache.
-
-    ``hits_exact`` counts lookups that found a plan built from the very
-    same constants (same query re-run); ``hits_parameterized`` counts
-    plans reused across *different* constants — the per-member-IRI
-    sharing that keeps cube materialization from re-planning.
-    """
+    """Hit/miss/size counters of the shared BGP plan cache."""
     return PLAN_CACHE.statistics()
 
 
@@ -286,10 +260,7 @@ def _cache_stats_lines() -> List[str]:
     governor = GOVERNOR.snapshot()
     return [
         f"plan cache: entries={stats['entries']} hits={stats['hits']} "
-        f"(exact={stats['hits_exact']}, "
-        f"parameterized={stats['hits_parameterized']}) "
-        f"misses={stats['misses']} evictions={stats['evictions']} "
-        f"bracket_replans={stats['bracket_replans']}",
+        f"misses={stats['misses']} evictions={stats['evictions']}",
         f"concurrency: active_readers={concurrency['active_readers']} "
         f"peak={concurrency['peak_readers']} "
         f"snapshot_pins={concurrency['snapshot_pins']} "

@@ -1,4 +1,4 @@
-"""Cost-based join planning and parameterized plan caching for BGPs.
+"""Cost-based join planning and plan caching for BGPs.
 
 The engine evaluates a BGP as a pipeline of batch join steps (see
 :mod:`repro.sparql.evaluator`).  This module decides the pipeline:
@@ -12,35 +12,19 @@ The engine evaluates a BGP as a pipeline of batch join steps (see
   histogram bucket's depth otherwise, falling back to the average only
   when no summary applies.  Skewed constants therefore get different
   join orders than cold ones — the E3 "busy destinations" fix.
-* **Selectivity bands and brackets** — constant-aware plans are cached
-  per *selectivity band*: every constant-bearing pattern's estimated
-  cardinality is bucketed into a logarithmic band
-  (:func:`selectivity_band`, base :data:`SELECTIVITY_BAND_BASE`), and
-  the band vector joins the cache key.  A cached plan carries, per
-  step, the cardinality *bracket* (band bounds) it was costed under;
-  when a later execution binds a constant whose estimate falls outside
-  the bracket, the lookup misses that entry and triggers a
-  constant-specialized replan — one cache entry per shape × bracket,
-  counted by :attr:`PlanCache.bracket_replans`.
-* **Join ordering** — BGPs of up to :data:`DP_PATTERN_LIMIT` patterns
-  are planned with a Selinger-style dynamic program over pattern
-  subsets (left-deep, connected-first, minimizing the classic
-  Σ-of-intermediate-results cost); larger BGPs fall back to a greedy
-  walk driven by the same cost model — the fallback is logged and
-  recorded on :attr:`PhysicalPlan.fallback` so ``EXPLAIN`` can show
-  it.  The result is an explicit
-  :class:`PhysicalPlan`: ordered :class:`PlanStep`\\ s carrying the
-  chosen join strategy (hash join / memoized index probe / scan) and
-  the cardinality estimates that justified them.
-* **Parameterized plan cache** — BGPs are canonicalized into a
-  *constant-lifted signature*: subject/object constants become numbered
-  parameter slots (predicates stay concrete, since statistics hang off
-  them).  Structurally identical BGPs that differ only in those
-  constants — e.g. the one-query-per-member-IRI workload of cube
-  materialization — share a single :class:`PLAN_CACHE` entry; the
-  actual constants are supplied by the evaluator at execution time.
-  Cache keys still include the source graphs' mutation epochs, so an
-  update naturally retires plans costed from stale statistics.
+* **Join ordering** — one greedy walk over that cost model
+  (:func:`_greedy_cost_order`): each step joins the cheapest pattern
+  still connected to the variables bound so far, and a pattern that
+  shares none joins only when nothing connected remains.  The result
+  is an explicit :class:`PhysicalPlan`: ordered :class:`PlanStep`\\ s
+  carrying the chosen join strategy (hash join / memoized index probe
+  / scan) and the cardinality estimates that justified them.
+* **Plan cache** — plans are keyed on the BGP as written (its patterns
+  with their constants), the variables already bound when it runs and
+  the source graphs' identity + mutation epochs (:data:`PLAN_CACHE`).
+  A repeated query text re-uses its plan; a new constant is planned
+  from its own estimate; an update retires plans costed from stale
+  statistics.
 
 A stale or mis-estimated plan can never produce wrong results
 (execution always applies the *actual* patterns); the worst case is a
@@ -50,15 +34,12 @@ estimated-vs-actual gap (:mod:`repro.sparql.explain`).
 
 from __future__ import annotations
 
-import logging
-import math
 import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.stats import StatisticsView
-from repro.rdf.terms import IRI, Literal, Term
 from repro.sparql.algebra import (
     BGP,
     Empty,
@@ -77,24 +58,6 @@ from repro.sparql.algebra import (
     Var,
 )
 
-_LOG = logging.getLogger(__name__)
-
-#: BGPs up to this size are planned with the exact subset DP; larger
-#: ones use the greedy walk over the same cost model.
-DP_PATTERN_LIMIT = 12
-
-#: Kill switch for value-aware (MCV/histogram) constant costing.
-#: When False, constants are costed from averages exactly as before
-#: statistics v2 — benchmarks flip this to measure what the
-#: constant-aware planner is worth (``check_plans.py --skew``).
-CONSTANT_AWARE = True
-
-#: Base of the logarithmic selectivity bands: constants whose
-#: estimated cardinalities fall within the same power-of-8 range share
-#: one cached plan, so the cache grows per *order of magnitude* of
-#: skew, not per constant.
-SELECTIVITY_BAND_BASE = 8
-
 #: Debug flag: verify every freshly planned :class:`PhysicalPlan`
 #: against the IR well-formedness conditions before it enters the plan
 #: cache (:mod:`repro.sparql.plan_verifier`).  Off by default — CI
@@ -103,25 +66,6 @@ SELECTIVITY_BAND_BASE = 8
 #: other than ``0``) to pay one verification per cache insert.
 VERIFY_PLANS = os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
 
-
-def selectivity_band(estimate: float) -> int:
-    """The logarithmic band of an estimated cardinality.
-
-    Band 0 covers [0, 8), band 1 [8, 64), band 2 [64, 512) … — wide
-    enough that uniform data lands in one band (plans keep being
-    shared across every member IRI of a level), narrow enough that a
-    hot key an order of magnitude off the average lands in another.
-    """
-    if estimate < SELECTIVITY_BAND_BASE:
-        return 0
-    return int(math.log(estimate, SELECTIVITY_BAND_BASE))
-
-
-def band_bracket(band: int) -> Tuple[float, float]:
-    """The ``[low, high)`` cardinality range covered by ``band``."""
-    low = 0.0 if band == 0 else float(SELECTIVITY_BAND_BASE ** band)
-    return low, float(SELECTIVITY_BAND_BASE ** (band + 1))
-
 #: Static path-pattern pricing by number of known endpoints (paths are
 #: deliberately priced above plain patterns of the same boundness so
 #: the planner binds their endpoints first when it can).
@@ -129,7 +73,7 @@ _PATH_ESTIMATES = {2: 64.0, 1: 4096.0, 0: float(1 << 41)}
 
 
 # ---------------------------------------------------------------------------
-# Cost model (statistics-driven, constant-independent)
+# Cost model (statistics-driven; constants costed by value)
 # ---------------------------------------------------------------------------
 
 
@@ -145,12 +89,10 @@ class _PatternCost:
     the skew the averages would have hidden.  ``s_sel`` / ``o_sel`` /
     ``p_sel`` are the multipliers applied when the respective
     *variable* position is already bound; ``None`` marks a constant
-    position.  ``bracket`` is the cardinality band the constant
-    estimate fell into (``None`` when the pattern has no value-aware
-    constant) — the validity range of any plan built from this cost.
+    position.
     """
 
-    __slots__ = ("base", "base_avg", "est_source", "bracket",
+    __slots__ = ("base", "base_avg", "est_source",
                  "s_name", "s_sel", "o_name", "o_sel",
                  "p_name", "p_sel", "is_path", "vars", "endpoint_names")
 
@@ -158,7 +100,6 @@ class _PatternCost:
         self.base = 0.0
         self.base_avg = 0.0
         self.est_source = "avg"
-        self.bracket: Optional[Tuple[float, float]] = None
         self.s_name: Optional[str] = None
         self.s_sel = 1.0
         self.o_name: Optional[str] = None
@@ -243,12 +184,9 @@ def _compile_cost(pattern, stats: StatisticsView) -> _PatternCost:
     else:
         base *= o_sel
     cost.base = cost.base_avg = base
-    if CONSTANT_AWARE:
-        aware = _constant_base(pattern, stats)
-        if aware is not None:
-            cost.base, cost.base_avg, cost.est_source = aware
-            if cost.est_source != "avg":
-                cost.bracket = band_bracket(selectivity_band(cost.base))
+    aware = _constant_base(pattern, stats)
+    if aware is not None:
+        cost.base, cost.base_avg, cost.est_source = aware
     return cost
 
 
@@ -305,22 +243,17 @@ class PlanStep:
     per-row estimate while keeping the value-aware ``est_in`` of the
     steps before it — it isolates the per-step skew the averages hid,
     not a full replay of the pre-v2 planner (which might also have
-    chosen a different order); ``bracket`` is the
-    ``[low, high)`` cardinality band of the step's constant estimate —
-    the range of constants this plan stays valid for.  A bound
-    constant outside the bracket re-keys the plan-cache lookup and
-    triggers a constant-specialized replan (:func:`get_plan`).
+    chosen a different order).
     """
 
     __slots__ = ("index", "strategy", "est_in", "est_out", "est_scan",
-                 "stream_safe", "est_avg", "est_source", "bracket")
+                 "stream_safe", "est_avg", "est_source")
 
     def __init__(self, index: int, strategy: str, est_in: float,
                  est_out: float, est_scan: float,
                  stream_safe: bool = True,
                  est_avg: Optional[float] = None,
-                 est_source: str = "avg",
-                 bracket: Optional[Tuple[float, float]] = None) -> None:
+                 est_source: str = "avg") -> None:
         self.index = index
         self.strategy = strategy
         self.est_in = est_in
@@ -329,7 +262,6 @@ class PlanStep:
         self.stream_safe = stream_safe
         self.est_avg = est_out if est_avg is None else est_avg
         self.est_source = est_source
-        self.bracket = bracket
 
     def __repr__(self) -> str:
         return (f"<PlanStep [{self.index}] {self.strategy} "
@@ -343,28 +275,16 @@ class PhysicalPlan:
     Iterating the plan yields the pattern indices in join order (which
     keeps it drop-in for code that only needs the ordering); ``steps``
     carries the full per-step metadata for execution and EXPLAIN.
-
-    ``bands`` is the selectivity-band vector of the constants the plan
-    was costed under (set by :func:`get_plan`; ``()`` when the BGP has
-    no value-aware constants) — together with the per-step
-    :attr:`PlanStep.bracket` it describes when this plan may be reused
-    for other constants.  ``fallback`` records a non-exhaustive
-    ordering decision (the greedy walk above :data:`DP_PATTERN_LIMIT`)
-    so EXPLAIN can surface what used to be a silent fallback.
     """
 
-    __slots__ = ("order", "steps", "est_rows", "cost", "bands", "fallback")
+    __slots__ = ("order", "steps", "est_rows", "cost")
 
     def __init__(self, order: List[int], steps: List[PlanStep],
-                 est_rows: float, cost: float,
-                 bands: tuple = (),
-                 fallback: Optional[str] = None) -> None:
+                 est_rows: float, cost: float) -> None:
         self.order = order
         self.steps = steps
         self.est_rows = est_rows
         self.cost = cost
-        self.bands = bands
-        self.fallback = fallback
 
     def __iter__(self):
         return iter(self.order)
@@ -391,41 +311,15 @@ class PhysicalPlan:
                 f"est {self.est_rows:.0f} rows>")
 
 
-def _dp_order(costs: List[_PatternCost], bound0: frozenset, n: int
-              ) -> Tuple[float, float, Tuple[int, ...]]:
-    """Exact left-deep DP over pattern subsets (Selinger-style).
-
-    ``dp[mask]`` holds the cheapest way to have joined exactly the
-    patterns in ``mask``: (Σ intermediate rows, current rows, order,
-    bound vars).  Disconnected extensions are only considered when no
-    connected pattern remains, mirroring the executor's aversion to
-    Cartesian products.
-    """
-    full = (1 << n) - 1
-    dp: Dict[int, Tuple[float, float, Tuple[int, ...], frozenset]] = {
-        0: (0.0, 1.0, (), bound0)}
-    for mask in range(full):
-        entry = dp.get(mask)
-        if entry is None:
-            continue
-        total, rows, order, bound = entry
-        remaining = [i for i in range(n) if not mask >> i & 1]
-        connected = [i for i in remaining if _connected(costs[i], bound)]
-        for i in (connected or remaining):
-            out_rows = rows * _estimate(costs[i], bound)
-            new_total = total + out_rows
-            new_mask = mask | (1 << i)
-            old = dp.get(new_mask)
-            if old is None or new_total < old[0]:
-                dp[new_mask] = (new_total, out_rows, order + (i,),
-                                bound | frozenset(costs[i].vars))
-    total, rows, order, _ = dp[full]
-    return total, rows, order
-
-
 def _greedy_cost_order(costs: List[_PatternCost], bound0: frozenset, n: int
                        ) -> Tuple[float, float, Tuple[int, ...]]:
-    """Greedy fallback for large BGPs, driven by the same cost model."""
+    """The join order: a greedy walk over the cost model.
+
+    Each step takes the pattern with the fewest expected matches per
+    input row among those sharing a variable with what is bound so far
+    (a Cartesian product only when no connected pattern remains), and
+    ``total`` sums the estimated intermediate rows — the plan's cost.
+    """
     bound: Set[str] = set(bound0)
     remaining = list(range(n))
     order: List[int] = []
@@ -464,8 +358,7 @@ def _build_steps(order: Sequence[int], costs: List[_PatternCost],
         steps.append(PlanStep(index, strategy, rows, out_rows, scan,
                               stream_safe=bool(steps) or not cost.is_path,
                               est_avg=rows * _estimate(cost, bound, avg=True),
-                              est_source=cost.est_source,
-                              bracket=cost.bracket))
+                              est_source=cost.est_source))
         rows = out_rows
         bound |= cost.vars
     return steps
@@ -484,32 +377,9 @@ def plan_physical(patterns: Sequence, source,
         return PhysicalPlan([], [], 1.0, 0.0)
     stats = source.statistics()
     costs = [_compile_cost(pattern, stats) for pattern in patterns]
-    fallback = None
-    if n <= DP_PATTERN_LIMIT:
-        total, rows, order = _dp_order(costs, bound0, n)
-    else:
-        total, rows, order = _greedy_cost_order(costs, bound0, n)
-        fallback = (f"greedy ordering: {n} patterns exceed the DP limit "
-                    f"of {DP_PATTERN_LIMIT}")
-        _LOG.info(
-            "BGP with %d patterns exceeds DP_PATTERN_LIMIT=%d; "
-            "falling back to greedy join ordering", n, DP_PATTERN_LIMIT)
+    total, rows, order = _greedy_cost_order(costs, bound0, n)
     return PhysicalPlan(list(order), _build_steps(order, costs, bound0),
-                        est_rows=rows, cost=total, fallback=fallback)
-
-
-def plan_order(patterns: Sequence, source,
-               bound_vars: Optional[set] = None) -> List[int]:
-    """A full cost-based join ordering, as pattern indices."""
-    return plan_physical(patterns, source,
-                         frozenset(bound_vars or ())).order
-
-
-def static_order(patterns: Sequence[TriplePatternNode], source,
-                 bound_vars: Optional[set] = None) -> List[TriplePatternNode]:
-    """A full ordering computed once (used for tooling and tests)."""
-    return [patterns[index]
-            for index in plan_order(patterns, source, bound_vars)]
+                        est_rows=rows, cost=total)
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +467,21 @@ def estimate_pattern(node: PatternNode, source,
 
 
 # ---------------------------------------------------------------------------
-# Parameterized plan cache
+# Plan cache
 # ---------------------------------------------------------------------------
 
 
 class PlanCache:
     """A process-wide LRU cache of BGP physical plans.
 
-    Keys combine the BGP's *constant-lifted* structural signature, the
-    bound-variable signature it is planned under, and the source
-    graphs' identity + mutation epochs.  Entries remember the constant
-    parameters present when the plan was built, so hits are classified
-    as **exact** (same constants — e.g. the same query text re-run) or
-    **parameterized** (same shape, different constants — e.g. the next
-    member IRI of a cube level reusing the plan of the previous one).
+    Keys combine the BGP's signature (its patterns as written,
+    constants included), the bound-variable set it is planned under,
+    and the source graphs' identity + mutation epochs, so a plan is
+    only ever re-used for the query it was costed for.
 
     A stale plan can never produce wrong results (execution always
     applies the *actual* patterns); caching merely skips re-running the
-    planner.  Set :attr:`parameterized` to ``False`` to key plans on
-    their exact constants again (used by benchmarks to measure what the
-    sharing is worth).
+    planner.
 
     The cache is **thread-safe**: every lookup/insert takes a small
     internal mutex (the LRU's ``OrderedDict`` reordering is not safe
@@ -626,66 +491,30 @@ class PlanCache:
     valid, and no lock is held while planning.
     """
 
-    __slots__ = ("maxsize", "_entries", "hits_exact", "hits_parameterized",
-                 "misses", "evictions", "parameterized",
-                 "bracket_replans", "_shape_bands", "_lock")
+    __slots__ = ("maxsize", "_entries", "hits", "misses", "evictions",
+                 "_lock")
 
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Tuple[PhysicalPlan, tuple]]" = \
-            OrderedDict()
-        self.hits_exact = 0
-        self.hits_parameterized = 0
+        self._entries: "OrderedDict[tuple, PhysicalPlan]" = OrderedDict()
+        self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: when False, plans are keyed on their exact constants (no
-        #: sharing across parameter values); diagnostic use only.
-        self.parameterized = True
-        #: misses caused by a bound constant whose selectivity band
-        #: differs from every plan cached for the same shape — i.e.
-        #: bracket-triggered constant-specialized replans.
-        self.bracket_replans = 0
-        #: shape key -> set of band vectors already planned (bounded;
-        #: diagnostic backing for ``bracket_replans``).
-        self._shape_bands: Dict[tuple, set] = {}
         self._lock = threading.Lock()
 
-    def note_bands(self, shape_key: tuple, bands: tuple) -> None:
-        """Record that ``shape_key`` is being (re)planned under
-        ``bands``; counts a bracket replan when the same shape was
-        already planned under a different band vector."""
+    def get(self, key: tuple) -> Optional[PhysicalPlan]:
         with self._lock:
-            if len(self._shape_bands) > 4 * self.maxsize:
-                self._shape_bands.clear()
-            seen = self._shape_bands.get(shape_key)
-            if seen is None:
-                self._shape_bands[shape_key] = {bands}
-            elif bands not in seen:
-                seen.add(bands)
-                self.bracket_replans += 1
-
-    @property
-    def hits(self) -> int:
-        return self.hits_exact + self.hits_parameterized
-
-    def get(self, key: tuple, params: tuple = ()) -> Optional[PhysicalPlan]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            plan = self._entries.get(key)
+            if plan is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            plan, build_params = entry
-            if params == build_params:
-                self.hits_exact += 1
-            else:
-                self.hits_parameterized += 1
+            self.hits += 1
             return plan
 
-    def put(self, key: tuple, plan: PhysicalPlan,
-            params: tuple = ()) -> None:
+    def put(self, key: tuple, plan: PhysicalPlan) -> None:
         with self._lock:
-            self._entries[key] = (plan, params)
+            self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -697,188 +526,67 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits_exact = 0
-            self.hits_parameterized = 0
+            self.hits = 0
             self.misses = 0
             self.evictions = 0
-            self.bracket_replans = 0
-            self._shape_bands.clear()
 
     def statistics(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
-                "hits_exact": self.hits_exact,
-                "hits_parameterized": self.hits_parameterized,
+                # no plan is shared across constants; kept at 0 for
+                # benchmarks/perf/harness.py, which reads it
+                "hits_parameterized": 0,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "bracket_replans": self.bracket_replans,
             }
 
     def __repr__(self) -> str:
         return (f"<PlanCache {len(self._entries)}/{self.maxsize} entries, "
-                f"{self.hits} hits ({self.hits_parameterized} parameterized), "
-                f"{self.misses} misses>")
+                f"{self.hits} hits, {self.misses} misses>")
 
 
 #: The shared plan cache used by the evaluator.
 PLAN_CACHE = PlanCache()
 
 
-def _term_kind(term: Term) -> tuple:
-    """The plan-relevant kind of a lifted constant.
+def bgp_signature(node: BGP) -> tuple:
+    """The plan-cache key of a BGP's patterns, constants included.
 
-    Parameter slots must not conflate terms of different kinds: a
-    literal constant can never match a subject position, a plain
-    ``"5"`` and an integer ``5`` are different RDF terms with different
-    index neighbourhoods, and future value-aware statistics (per-
-    datatype histograms) will hang off exactly this distinction.  Two
-    queries whose constants differ only in *value* still share a slot
-    kind — and therefore a plan.
-    """
-    if isinstance(term, Literal):
-        return ("lit", term.datatype.value, term.language or "")
-    if isinstance(term, IRI):
-        return ("iri",)
-    return ("bnode",)
-
-
-def _signature_and_params(node: BGP) -> Tuple[tuple, tuple]:
-    """The constant-lifted structural key of a BGP plus its parameters.
-
-    Subject/object constants (and path endpoints) are replaced by
-    numbered ``("$", slot, kind)`` parameter markers — the same
-    constant repeating maps to the same slot, so equality constraints
-    between positions stay visible in the signature, and the marker
-    carries the constant's term kind (IRI / bnode / literal datatype +
-    language) so e.g. ``"5"``, ``5`` and ``<5>`` never collide on one
-    cached plan.  Predicate constants stay concrete: the cost model's
-    statistics hang off them, so two BGPs with different predicates
-    genuinely need different plans.
+    Predicates and path expressions key as written and subject /
+    object positions as their :class:`Var` or RDF term, so ``"5"``,
+    ``5`` and ``<5>`` never share a plan.  Memoized on the node, so
+    two executions of one parsed query (the endpoint's parse cache)
+    build it once.
     """
     cached = getattr(node, "_plan_signature", None)
-    if cached is not None:
-        return cached
-    parts: List[tuple] = []
-    params: List[Term] = []
-    slot_of: Dict[Term, int] = {}
-
-    def lift(term: Term) -> tuple:
-        slot = slot_of.get(term)
-        if slot is None:
-            slot = len(params)
-            slot_of[term] = slot
-            params.append(term)
-        return ("$", slot, _term_kind(term))
-
-    def position_key(position) -> tuple:
-        if isinstance(position, Var):
-            return ("v", position.name)
-        return lift(position)
-
-    for pattern in node.patterns:
-        if isinstance(pattern, PathPatternNode):
-            parts.append(("p", position_key(pattern.subject),
-                          pattern.path.to_sparql(),
-                          position_key(pattern.object)))
-        else:
-            predicate = pattern.predicate
-            predicate_key = (("v", predicate.name)
-                             if isinstance(predicate, Var)
-                             else ("c", predicate.n3()))
-            parts.append(("t", position_key(pattern.subject), predicate_key,
-                          position_key(pattern.object)))
-    result = (tuple(parts), tuple(params))
-    node._plan_signature = result
-    return result
-
-
-def bgp_signature(node: BGP) -> tuple:
-    """The constant-lifted structural key for a BGP.
-
-    Two parses of the same query text share plans through this key —
-    and so do parses of *different* texts that differ only in
-    subject/object constants (the parameterized-plan property).
-    """
-    return _signature_and_params(node)[0]
-
-
-def bgp_parameters(node: BGP) -> tuple:
-    """The lifted constants of a BGP, in first-occurrence order."""
-    return _signature_and_params(node)[1]
-
-
-def constant_bands(node: BGP, stats: StatisticsView) -> tuple:
-    """The selectivity-band vector of a BGP's value-aware constants.
-
-    One band per pattern that has a constant subject/object under a
-    concrete predicate, in pattern order — the coordinates the plan
-    cache distinguishes brackets by.  ``()`` when value-aware costing
-    is off or no pattern qualifies, so band-free shapes keep exactly
-    the pre-v2 cache behaviour.
-    """
-    if not CONSTANT_AWARE:
-        return ()
-    bands: List[int] = []
-    for pattern in node.patterns:
-        if isinstance(pattern, PathPatternNode):
-            continue
-        aware = _constant_base(pattern, stats)
-        if aware is not None and aware[2] != "avg":
-            bands.append(selectivity_band(aware[0]))
-    return tuple(bands)
+    if cached is None:
+        cached = node._plan_signature = tuple(
+            (pattern.subject, pattern.path.to_sparql(), pattern.object)
+            if isinstance(pattern, PathPatternNode)
+            else pattern.positions()
+            for pattern in node.patterns)
+    return cached
 
 
 def get_plan(node: BGP, bound_names: frozenset, source) -> PhysicalPlan:
     """The cached (or freshly computed) physical plan for ``node`` when
-    the variables in ``bound_names`` are already bound.
-
-    The cache key joins the constant-lifted shape with the *selectivity
-    bands* of the actual constants: binding a constant whose estimated
-    cardinality falls outside the brackets of every cached plan for
-    this shape misses and replans with the constant's real statistics —
-    one entry per shape × bracket, so hot and cold members of the same
-    level can hold different join orders side by side while everything
-    in one band keeps sharing.
-    """
-    signature, params = _signature_and_params(node)
+    the variables in ``bound_names`` are already bound."""
     relevant = frozenset(bound_names & node.variables())
     source_key = getattr(source, "cache_key", None)
     if callable(source_key):
         source_key = source_key()
     else:
         source_key = (id(source), getattr(source, "epoch", None))
-    # per-node bands memo, keyed by source identity+epoch so a BGP
-    # evaluated against several sources (GRAPH iteration) keeps every
-    # source's bands hot; bounded because epochs retire old keys.
-    # Parsed trees are shared across concurrent queries (endpoint parse
-    # cache): the point reads/writes here are GIL-atomic, and two
-    # threads racing to fill a key derive the same value.
-    bands_cache = getattr(node, "_bands_cache", None)
-    if bands_cache is None:
-        bands_cache = node._bands_cache = {}
-    bands_key = (source_key, CONSTANT_AWARE)
-    bands = bands_cache.get(bands_key)
-    if bands is None:
-        bands = constant_bands(node, source.statistics())
-        if len(bands_cache) >= 8:
-            bands_cache.clear()
-        bands_cache[bands_key] = bands
-    if PLAN_CACHE.parameterized:
-        shape_key = (signature, relevant, source_key)
-    else:
-        shape_key = (signature, params, relevant, source_key)
-    key = shape_key + (bands,)
-    plan = PLAN_CACHE.get(key, params)
+    key = (bgp_signature(node), relevant, source_key)
+    plan = PLAN_CACHE.get(key)
     if plan is None:
         plan = plan_physical(node.patterns, source, relevant)
-        plan.bands = bands
         if VERIFY_PLANS:
             # debug-flag hook: verify the IR before the plan becomes
             # reusable state (one check per cache insert, not per query)
             from repro.sparql.plan_verifier import verify_plan
             verify_plan(plan, node.patterns, relevant)
-        PLAN_CACHE.note_bands(shape_key, bands)
-        PLAN_CACHE.put(key, plan, params)
+        PLAN_CACHE.put(key, plan)
     return plan

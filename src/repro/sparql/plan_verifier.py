@@ -1,13 +1,13 @@
 """Static verifier for the :class:`PhysicalPlan` IR.
 
 The optimizer's plan objects are a small intermediate representation
-(ordered :class:`PlanStep`\\ s with strategies, chained estimates,
-stream flags and selectivity bands) that the evaluator *trusts*: a
-malformed plan does not crash — it silently joins in a wrong order,
-streams a non-streamable step, or reuses a cached plan for constants
-it was never costed for.  This module checks the IR's well-formedness
-conditions mechanically, in the spirit of QB4OLAP's well-formedness
-rules over cube schemas, applied to our own plan algebra:
+(ordered :class:`PlanStep`\\ s with strategies, chained estimates
+and stream flags) that the evaluator *trusts*: a malformed plan does
+not crash — it silently joins in a wrong order, joins on a key no
+earlier step bound, or streams a non-streamable step.  This module
+checks the IR's well-formedness conditions mechanically, in the spirit
+of QB4OLAP's well-formedness rules over cube schemas, applied to our
+own plan algebra:
 
 * **shape** — ``order`` is a duplicate-free permutation of the pattern
   indices and ``steps`` mirrors it one-to-one;
@@ -25,8 +25,6 @@ rules over cube schemas, applied to our own plan algebra:
 * **stream flags** — only the leading step may be stream-unsafe, and
   only when it is a path closure; ``plan.streamable`` must agree with
   the flags;
-* **band vector / brackets** — ``bands`` is a tuple of non-negative
-  ints, each ``bracket`` is ``None`` or an ordered numeric pair;
 * **totals** — ``est_rows`` matches the final ``est_out`` and ``cost``
   is a finite non-negative number.
 
@@ -59,8 +57,8 @@ class PlanVerificationError(SPARQLError):
     """A physical plan violated an IR well-formedness condition.
 
     ``step`` is the 0-based position of the offending step in the plan
-    (``None`` for plan-level violations such as a malformed band
-    vector); ``check`` names the violated condition machine-readably.
+    (``None`` for plan-level violations such as a wrong total);
+    ``check`` names the violated condition machine-readably.
     """
 
     def __init__(self, message: str, *, step: Optional[int] = None,
@@ -198,26 +196,6 @@ def collect_violations(plan, patterns: Optional[Sequence] = None,
         flag(f"plan.streamable is {plan.streamable!r} but the step "
              f"flags imply {streamable!r}", check="stream-flags")
 
-    # -- band vector / brackets ----------------------------------------------
-    if not isinstance(plan.bands, tuple):
-        flag(f"bands is {type(plan.bands).__name__}, expected a tuple",
-             check="bands")
-    else:
-        for slot, band in enumerate(plan.bands):
-            if not isinstance(band, int) or isinstance(band, bool) \
-                    or band < 0:
-                flag(f"band[{slot}] is {band!r}, expected a "
-                     f"non-negative int", check="bands")
-    for position, step in enumerate(steps):
-        bracket = step.bracket
-        if bracket is None:
-            continue
-        if (not isinstance(bracket, tuple) or len(bracket) != 2
-                or not all(_finite(bound) for bound in bracket)
-                or bracket[0] > bracket[1]):
-            flag(f"bracket {bracket!r} is not an ordered numeric "
-                 f"(low, high) pair", step=position, check="bands")
-
     # -- totals --------------------------------------------------------------
     if not _finite(plan.est_rows) or plan.est_rows < 0:
         flag(f"est_rows is {plan.est_rows!r}", check="totals")
@@ -227,9 +205,6 @@ def collect_violations(plan, patterns: Optional[Sequence] = None,
              f"step's est_out {steps[-1].est_out!r}", check="totals")
     if not _finite(plan.cost) or plan.cost < 0:
         flag(f"cost is {plan.cost!r}", check="totals")
-    if plan.fallback is not None and not isinstance(plan.fallback, str):
-        flag(f"fallback is {plan.fallback!r}, expected None or str",
-             check="totals")
 
     return out
 

@@ -2,8 +2,8 @@
 
 A valid :class:`PhysicalPlan` is built by the real planner over a
 small populated endpoint; each test then corrupts one IR invariant —
-an undefined join variable, a wrong ``stream_safe`` flag, a malformed
-band vector, a broken estimate chain — and asserts the verifier
+an undefined join variable, a wrong ``stream_safe`` flag, an unknown
+strategy, a broken estimate chain — and asserts the verifier
 raises a typed :class:`PlanVerificationError` naming the offending
 step and check.
 """
@@ -71,7 +71,7 @@ def test_valid_plan_verifies(valid, patterns):
 
 
 def test_error_is_typed(valid, patterns):
-    valid.bands = [1]  # list, not tuple
+    valid.cost = float("nan")
     with pytest.raises(SPARQLError):
         verify_plan(valid, patterns)
 
@@ -113,20 +113,21 @@ def test_streamable_must_agree_with_flags(valid, patterns):
     assert "def-before-use" in checks
 
 
-def test_malformed_band_vector(valid, patterns):
-    valid.bands = (2, -1)
+def test_plan_level_violation_names_no_step(valid, patterns):
+    valid.cost = -1.0
     with pytest.raises(PlanVerificationError) as info:
         verify_plan(valid, patterns)
-    assert info.value.check == "bands"
-    assert "band[1]" in str(info.value)
+    assert info.value.check == "totals"
+    assert info.value.step is None
+    assert "cost is -1.0" in str(info.value)
 
 
-def test_malformed_bracket_names_the_step(valid, patterns):
-    valid.steps[0].bracket = (512.0, 64.0)  # inverted range
+def test_unknown_strategy_names_the_step(valid, patterns):
+    valid.steps[1].strategy = "nested-loop"
     with pytest.raises(PlanVerificationError) as info:
         verify_plan(valid, patterns)
-    assert info.value.check == "bands"
-    assert info.value.step == 0
+    assert info.value.check == "strategy"
+    assert info.value.step == 1
 
 
 def test_broken_estimate_chain(valid, patterns):

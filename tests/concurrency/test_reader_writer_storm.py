@@ -231,8 +231,8 @@ class TestStorm:
     def test_plan_cache_invariants_hold(self, storm_result):
         stats = PLAN_CACHE.statistics()
         assert 0 <= stats["entries"] <= PLAN_CACHE.maxsize
-        assert stats["hits"] == (stats["hits_exact"]
-                                 + stats["hits_parameterized"])
+        # every entry and every eviction went in through a miss
+        assert stats["entries"] + stats["evictions"] <= stats["misses"]
         assert all(value >= 0 for value in stats.values())
 
     def test_graph_statistics_invariants_hold(self, storm_result):

@@ -2,7 +2,7 @@
 
 from repro.rdf import Graph, Literal, Namespace
 from repro.sparql.algebra import TriplePatternNode, Var
-from repro.sparql.optimizer import static_order
+from repro.sparql.optimizer import plan_physical
 
 EX = Namespace("http://example.org/")
 
@@ -15,6 +15,11 @@ def build_graph():
         g.add(EX[f"obs{i}"], EX.inGroup, EX[f"g{i % 3}"])
     g.add(EX.g0, EX.name, Literal("zero"))
     return g
+
+
+def static_order(patterns, source):
+    return [patterns[index]
+            for index in plan_physical(patterns, source).order]
 
 
 class TestStaticOrder:

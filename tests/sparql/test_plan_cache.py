@@ -8,7 +8,7 @@ from repro.sparql.optimizer import (
     PLAN_CACHE,
     bgp_signature,
     get_plan,
-    plan_order,
+    plan_physical,
 )
 from repro.sparql.parser import parse_query
 
@@ -143,7 +143,7 @@ class TestPlanShape:
             TriplePatternNode(Var("g"), EX.name, Var("n")),
             TriplePatternNode(Var("o"), EX.inGroup, Var("g")),
         ]
-        order = plan_order(patterns, ep.dataset.default)
+        order = plan_physical(patterns, ep.dataset.default).order
         assert order[0] == 1           # most selective first
         assert order[1] == 2           # connected via ?g
         assert order[2] == 0           # joins through ?o, never a product
