@@ -195,17 +195,19 @@ def measure_stream() -> dict:
     """
     import repro.sparql.evaluator as evaluator_module
     from repro.data import small_demo
-    from repro.sparql.evaluator import PROBE_COUNTER, STREAM_TELEMETRY
+    from repro.sparql.evaluator import PROBE_COUNTER
 
     endpoint = small_demo(observations=OBSERVATIONS).endpoint
+    stats = endpoint.statistics
     metrics: dict = {}
     for name, query in STREAM_QUERIES.items():
-        before = STREAM_TELEMETRY.snapshot()
+        stats.reset()
         with PROBE_COUNTER as counter:
             streamed = endpoint.select(query)
         # PROBE_COUNTER is a singleton: save entries before reusing it
         streamed_probes = counter.entries
-        after = STREAM_TELEMETRY.snapshot()
+        streamed_selects, rows_pulled = (stats.streamed_selects,
+                                         stats.streamed_rows)
         evaluator_module.STREAMING_ENABLED = False
         try:
             with PROBE_COUNTER as counter:
@@ -215,11 +217,9 @@ def measure_stream() -> dict:
         if streamed.rows != materialized.rows:
             raise AssertionError(
                 f"streamed and materialized rows differ for {name}")
-        metrics[f"stream/{name}/streamed"] = after["queries"] - \
-            before["queries"]
+        metrics[f"stream/{name}/streamed"] = streamed_selects
         metrics[f"stream/{name}/probes"] = streamed_probes
-        metrics[f"stream/{name}/rows_pulled"] = after["rows"] - \
-            before["rows"]
+        metrics[f"stream/{name}/rows_pulled"] = rows_pulled
         metrics[f"stream/{name}/full_probes"] = counter.entries
     return metrics
 

@@ -14,10 +14,9 @@ the behaviour the two-translation design exists for.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Union
 
-from repro.rdf.terms import IRI
 from repro.sparql.endpoint import LocalEndpoint
 from repro.sparql.errors import EndpointError, GovernedQueryError
 from repro.sparql.governor import QueryLimits
@@ -46,17 +45,6 @@ class ExecutionReport:
     rows: int = 0
     sparql_lines: int = 0
     simplification: Optional[SimplificationReport] = None
-    #: SPARQL plan-cache activity during execution: a repeated OLAP
-    #: session should show hits, not misses
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    #: streaming-pipeline activity during execution: SELECT evaluations
-    #: (incl. sub-SELECTs) served by the streaming LIMIT path and the
-    #: batches / rows it pulled (early termination keeps
-    #: ``streamed_rows`` far below a full evaluation)
-    streamed_queries: int = 0
-    streamed_batches: int = 0
-    streamed_rows: int = 0
     #: the dataset snapshot epoch the (last) SPARQL execution was
     #: pinned to — the consistency boundary this result observed; a
     #: session can compare epochs across executions to tell whether
@@ -66,14 +54,6 @@ class ExecutionReport:
     #: caller opted into partial results (``allow_partial``): the cube
     #: is built from an incomplete row set
     truncated: bool = False
-    #: endpoint governor activity during this execution (deltas of the
-    #: endpoint's ``governor_*`` statistics): admissions, sheds and
-    #: governed verdicts attributable to this QL program's queries
-    governor_admitted: int = 0
-    governor_shed: int = 0
-    governor_timeouts: int = 0
-    governor_budget_kills: int = 0
-    governor_truncated_serves: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -152,14 +132,6 @@ class QLEngine:
         (_, simplified, _, translation, report) = self.prepare(program)
         self._check_cancelled(limits)  # before the expensive stage
 
-        from repro.sparql.evaluator import STREAM_TELEMETRY
-        from repro.sparql.optimizer import PLAN_CACHE
-        cache_before = PLAN_CACHE.statistics()
-        stream_before = STREAM_TELEMETRY.snapshot()
-        stats = self.endpoint.statistics
-        gov_before = (stats.governor_admitted, stats.governor_shed,
-                      stats.governor_timeouts, stats.governor_budget_kills,
-                      stats.governor_truncated_serves)
         started = time.perf_counter()
         try:
             if variant == "direct":
@@ -187,28 +159,9 @@ class QLEngine:
                     report.sparql_lines = translation.optimized_lines
         finally:
             report.execute_seconds = time.perf_counter() - started
-            report.governor_admitted = (
-                stats.governor_admitted - gov_before[0])
-            report.governor_shed = stats.governor_shed - gov_before[1]
-            report.governor_timeouts = (
-                stats.governor_timeouts - gov_before[2])
-            report.governor_budget_kills = (
-                stats.governor_budget_kills - gov_before[3])
-            report.governor_truncated_serves = (
-                stats.governor_truncated_serves - gov_before[4])
         report.rows = len(table)
         report.snapshot_epoch = table.snapshot_epoch
-        report.truncated = bool(getattr(table, "truncated", False))
-        cache_after = PLAN_CACHE.statistics()
-        report.plan_cache_hits = cache_after["hits"] - cache_before["hits"]
-        report.plan_cache_misses = (
-            cache_after["misses"] - cache_before["misses"])
-        stream_after = STREAM_TELEMETRY.snapshot()
-        report.streamed_queries = (
-            stream_after["queries"] - stream_before["queries"])
-        report.streamed_batches = (
-            stream_after["batches"] - stream_before["batches"])
-        report.streamed_rows = stream_after["rows"] - stream_before["rows"]
+        report.truncated = table.truncated
 
         cube = ResultCube(table, translation.metadata)
         return QLResult(cube=cube, table=table, translation=translation,

@@ -206,7 +206,7 @@ class ConcurrencyTelemetry:
                 f"cow={self.cow_copies} waits={self.writer_waits}>")
 
 
-#: The process-wide concurrency counters (like ``STREAM_TELEMETRY``).
+#: The process-wide concurrency counters.
 CONCURRENCY = ConcurrencyTelemetry()
 
 

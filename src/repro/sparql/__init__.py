@@ -52,7 +52,6 @@ from repro.sparql.errors import (
 from repro.sparql.bindings import BindingTable
 from repro.sparql.evaluator import (
     PROBE_COUNTER,
-    STREAM_TELEMETRY,
     DatasetContext,
     evaluate_query,
     would_stream,
@@ -87,7 +86,6 @@ __all__ = [
     "LocalEndpoint",
     "PLAN_CACHE",
     "PROBE_COUNTER",
-    "STREAM_TELEMETRY",
     "PhysicalPlan",
     "PlanCache",
     "PlanStep",

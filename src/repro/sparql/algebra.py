@@ -12,7 +12,7 @@ what the test suite exercises:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import IRI, Term
 from repro.sparql.expressions import Aggregate, Expression
@@ -411,42 +411,34 @@ class DescribeQuery:
 Query = SelectQuery | AskQuery | ConstructQuery | DescribeQuery
 
 
-def collect_triple_patterns(node: PatternNode) -> List[TriplePatternNode]:
-    """All plain triple patterns anywhere under ``node`` (for analysis)."""
-    result: List[TriplePatternNode] = []
+def pattern_nodes(node: PatternNode) -> Iterator[PatternNode]:
+    """``node`` and every pattern node under it, sub-SELECT patterns
+    included (right operands before left ones)."""
     stack: List[PatternNode] = [node]
     while stack:
         current = stack.pop()
-        if isinstance(current, BGP):
-            result.extend(p for p in current.patterns
-                          if isinstance(p, TriplePatternNode))
-        elif isinstance(current, (Join, LeftJoin, Union, Minus)):
+        yield current
+        if isinstance(current, (Join, LeftJoin, Union, Minus)):
             stack.append(current.left)
             stack.append(current.right)
         elif isinstance(current, (Filter, Extend, GraphNode)):
             stack.append(current.child)
         elif isinstance(current, SubSelectNode):
             stack.append(current.query.pattern)
-    return result
+
+
+def collect_triple_patterns(node: PatternNode) -> List[TriplePatternNode]:
+    """All plain triple patterns anywhere under ``node`` (for analysis)."""
+    return [pattern for current in pattern_nodes(node)
+            if isinstance(current, BGP) for pattern in current.patterns
+            if isinstance(pattern, TriplePatternNode)]
 
 
 def collect_path_patterns(node: PatternNode) -> List[PathPatternNode]:
     """All path patterns anywhere under ``node`` (for analysis/tests)."""
-    result: List[PathPatternNode] = []
-    stack: List[PatternNode] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, BGP):
-            result.extend(p for p in current.patterns
-                          if isinstance(p, PathPatternNode))
-        elif isinstance(current, (Join, LeftJoin, Union, Minus)):
-            stack.append(current.left)
-            stack.append(current.right)
-        elif isinstance(current, (Filter, Extend, GraphNode)):
-            stack.append(current.child)
-        elif isinstance(current, SubSelectNode):
-            stack.append(current.query.pattern)
-    return result
+    return [pattern for current in pattern_nodes(node)
+            if isinstance(current, BGP) for pattern in current.patterns
+            if isinstance(pattern, PathPatternNode)]
 
 
 class SubSelectNode(PatternNode):

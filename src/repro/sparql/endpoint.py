@@ -22,7 +22,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.rdf.concurrency import CONCURRENCY
@@ -33,8 +33,11 @@ from repro.sparql.algebra import (
     AskQuery,
     ConstructQuery,
     DescribeQuery,
+    Query,
     SelectQuery,
+    SubSelectNode,
     Var,
+    pattern_nodes,
 )
 from repro.sparql.errors import (
     EndpointError,
@@ -47,14 +50,12 @@ from repro.sparql.errors import (
     UpdateError,
 )
 from repro.sparql.governor import (
-    GOVERNOR,
     GovernorContext,
     QueryGovernor,
     QueryLimits,
 )
 from repro.testing import faults as _faults
 from repro.sparql.evaluator import (
-    STREAM_TELEMETRY,
     DatasetContext,
     PatternEvaluator,
     evaluate_ask,
@@ -99,7 +100,7 @@ class EndpointLimits:
 class QueryLogEntry:
     """One executed request, for statistics and benchmark reporting."""
 
-    kind: str  # "select" | "ask" | "update"
+    kind: str  # "select" | "ask" | "construct" | "describe" | "update"
     text: str
     seconds: float
     rows: int = 0
@@ -126,13 +127,11 @@ class EndpointStatistics:
     #: pinned to (sum of member-graph epochs; ``None`` before the
     #: first query) — the QL execution report copies it out
     last_snapshot_epoch: Optional[int] = None
-    #: governor counters (this endpoint only; the process-wide view is
-    #: :data:`repro.sparql.governor.GOVERNOR`): requests admitted by
-    #: the slot controller, the subset that waited in the bounded
-    #: queue, requests shed with ``EndpointOverloaded``, governed
-    #: verdicts (deadline / budget / cancellation), partial results
-    #: served under ``allow_partial``, and raw engine exceptions
-    #: mapped into ``QueryExecutionError``
+    #: governor counters: requests admitted by the slot controller,
+    #: the subset that waited in the bounded queue, requests shed with
+    #: ``EndpointOverloaded``, governed verdicts (deadline / budget /
+    #: cancellation), partial results served under ``allow_partial``,
+    #: and raw engine exceptions mapped into ``QueryExecutionError``
     governor_admitted: int = 0
     governor_queued: int = 0
     governor_shed: int = 0
@@ -143,34 +142,44 @@ class EndpointStatistics:
     governor_internal_errors: int = 0
 
     def reset(self) -> None:
-        self.selects = 0
-        self.asks = 0
-        self.updates = 0
-        self.triples_inserted = 0
-        self.triples_deleted = 0
-        self.total_seconds = 0.0
-        self.parse_cache_hits = 0
-        self.parse_cache_misses = 0
-        self.streamed_selects = 0
-        self.streamed_batches = 0
-        self.streamed_rows = 0
-        self.last_snapshot_epoch = None
-        self.governor_admitted = 0
-        self.governor_queued = 0
-        self.governor_shed = 0
-        self.governor_timeouts = 0
-        self.governor_budget_kills = 0
-        self.governor_cancelled = 0
-        self.governor_truncated_serves = 0
-        self.governor_internal_errors = 0
+        """Every field back to its default, in place: holders of this
+        object keep reading the live counters."""
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
+
+
+#: per read form: the evaluator entry point, the statistics counter a
+#: request bumps (CONSTRUCT and DESCRIBE count as selects) and the
+#: query-log kind, which is also the name of its read method
+_READS = {
+    SelectQuery: (evaluate_select, "selects", "select"),
+    AskQuery: (evaluate_ask, "asks", "ask"),
+    ConstructQuery: (evaluate_construct, "selects", "construct"),
+    DescribeQuery: (evaluate_describe, "selects", "describe"),
+}
+
+#: governed verdicts and the statistics counter each one bumps
+_VERDICTS = ((QueryTimeout, "governor_timeouts"),
+             (ResourceExhausted, "governor_budget_kills"),
+             (QueryCancelled, "governor_cancelled"))
+
+
+def _uses_having(query: Query) -> bool:
+    """Whether ``query`` or any sub-SELECT in its pattern has HAVING."""
+    if getattr(query, "having", None):
+        return True
+    pattern = getattr(query, "pattern", None)
+    return pattern is not None and any(
+        isinstance(node, SubSelectNode) and node.query.having
+        for node in pattern_nodes(pattern))
 
 
 class LocalEndpoint:
     """An in-process SPARQL 1.1 endpoint over a named-graph dataset.
 
     The read path (:meth:`select` / :meth:`ask` / :meth:`construct` /
-    :meth:`describe` / :meth:`query`) is **thread-safe and
-    snapshot-isolated**: each request pins a
+    :meth:`describe` / :meth:`query`, all through :meth:`_read`) is
+    **thread-safe and snapshot-isolated**: each request pins a
     :class:`~repro.rdf.graph.DatasetSnapshot` at its current epoch and
     evaluates entirely against that frozen view, so parallel SELECTs
     never block each other and a concurrent :meth:`update` /
@@ -208,33 +217,32 @@ class LocalEndpoint:
         #: counters (both shared mutable state under parallel queries);
         #: never held while a query evaluates.
         self._stats_lock = threading.Lock()
-        #: per-thread flag: query() dispatch suppresses the inner
-        #: parse-count its re-read would cause (thread-local, since
-        #: parallel requests must not suppress each other's counts)
-        self._tls = threading.local()
+
+    def _count(self, counter: str) -> None:
+        """Bump one statistics counter."""
+        with self._stats_lock:
+            setattr(self.statistics, counter,
+                    getattr(self.statistics, counter) + 1)
 
     def _parsed(self, query_text: str):
         """Parse ``query_text`` through the endpoint's LRU parse cache.
 
-        Hit/miss statistics count once per request: :meth:`query`'s
-        dispatch suppresses the inner re-read it causes.  Parsing a
-        miss happens outside the lock; two threads racing on the same
-        new text both parse, and the second insert harmlessly wins.
+        Hit/miss statistics count once per request.  Parsing a miss
+        happens outside the lock; two threads racing on the same new
+        text both parse, and the second insert harmlessly wins.
         """
-        count = not getattr(self._tls, "suppress_parse_count", False)
         with self._stats_lock:
             cached = self._parse_cache.get(query_text)
             if cached is not None:
                 self._parse_cache.move_to_end(query_text)
-                if count:
-                    self.statistics.parse_cache_hits += 1
+                self.statistics.parse_cache_hits += 1
                 return cached
-        if _faults.ACTIVE:
-            _faults.fire("endpoint.parse")
-        query = parse_query(query_text)
+        with self._mapped_errors(query_text):
+            if _faults.ACTIVE:
+                _faults.fire("endpoint.parse")
+            query = parse_query(query_text)
         with self._stats_lock:
-            if count:
-                self.statistics.parse_cache_misses += 1
+            self.statistics.parse_cache_misses += 1
             self._parse_cache[query_text] = query
             while len(self._parse_cache) > self._parse_cache_size:
                 self._parse_cache.popitem(last=False)
@@ -279,17 +287,11 @@ class LocalEndpoint:
         except EndpointOverloaded as error:
             if error.query is None:
                 error.query = query_text
-            GOVERNOR.record("shed")
-            with self._stats_lock:
-                self.statistics.governor_shed += 1
+            self._count("governor_shed")
             raise
-        GOVERNOR.record("admitted")
-        if slot.waited:
-            GOVERNOR.record("queued")
         with self._stats_lock:
             self.statistics.governor_admitted += 1
-            if slot.waited:
-                self.statistics.governor_queued += 1
+            self.statistics.governor_queued += slot.waited
         try:
             yield
         finally:
@@ -313,27 +315,17 @@ class LocalEndpoint:
         except EndpointError as error:
             if error.query is None:
                 error.query = query_text
-            counter = None
-            if isinstance(error, QueryTimeout):
-                counter = ("timeouts", "governor_timeouts")
-            elif isinstance(error, ResourceExhausted):
-                counter = ("budget_kills", "governor_budget_kills")
-            elif isinstance(error, QueryCancelled):
-                counter = ("cancelled", "governor_cancelled")
-            if counter is not None:
-                GOVERNOR.record(counter[0])
-                with self._stats_lock:
-                    setattr(self.statistics, counter[1],
-                            getattr(self.statistics, counter[1]) + 1)
+            for verdict, counter in _VERDICTS:
+                if isinstance(error, verdict):
+                    self._count(counter)
+                    break
             raise
         except SPARQLError:
             raise  # parse/expression errors are already typed
         # This handler IS the sanctioned taxonomy boundary: the one
         # place untyped engine failures become QueryExecutionError.
         except Exception as error:  # repro: allow[error-taxonomy]
-            GOVERNOR.record("mapped_internal_errors")
-            with self._stats_lock:
-                self.statistics.governor_internal_errors += 1
+            self._count("governor_internal_errors")
             raise QueryExecutionError(
                 f"internal error evaluating query: "
                 f"{type(error).__name__}: {error}",
@@ -341,17 +333,61 @@ class LocalEndpoint:
                 telemetry=gov.telemetry() if gov is not None else {},
             ) from error
 
-    def _served_truncated(self, gov: Optional[GovernorContext],
-                          table: ResultTable) -> None:
-        """Count a partial serve and flag the table if the governor
-        truncated this streamable query under ``allow_partial``."""
-        if gov is not None and gov.truncated:
-            table.truncated = True
-            GOVERNOR.record("truncated_serves")
-            with self._stats_lock:
-                self.statistics.governor_truncated_serves += 1
-
     # -- read path -------------------------------------------------------------
+
+    def _read(self, query: Query, query_text: str,
+              limits: Optional[QueryLimits], form: Optional[type] = None):
+        """The one read path every read method runs.
+
+        ``query`` (parsed from ``query_text``) must be of ``form``
+        (``None`` takes any read form) and pass the endpoint's limits;
+        it then takes an admission slot, gets its governor context,
+        pins a snapshot and evaluates against it as a counted reader.
+        Statistics — the streaming pipeline's tally of this request
+        included — and the query log are updated once it has answered.
+        """
+        if form is not None and not isinstance(query, form):
+            name = _READS[form][2]
+            raise EndpointError(
+                f"{name}() requires the {name.upper()} query form")
+        if self.limits.forbid_having and _uses_having(query):
+            raise EndpointError(
+                "this endpoint does not support HAVING clauses")
+        evaluate, counter, kind = _READS[type(query)]
+        started = time.perf_counter()
+        with self._admitted(query_text):
+            gov = self._governed(limits)
+            snapshot = self._pin()
+            context = DatasetContext(snapshot, self.default_as_union,
+                                     governor=gov)
+            CONCURRENCY.reader_enter()
+            try:
+                with self._mapped_errors(query_text, gov):
+                    result = evaluate(query, context)
+            finally:
+                CONCURRENCY.reader_exit()
+        elapsed = time.perf_counter() - started
+        streamed = context.streamed
+        with self._stats_lock:
+            stats = self.statistics
+            setattr(stats, counter, getattr(stats, counter) + 1)
+            stats.total_seconds += elapsed
+            stats.streamed_selects += streamed.selects
+            stats.streamed_batches += streamed.batches
+            stats.streamed_rows += streamed.rows
+            # only a streamed SELECT under allow_partial truncates
+            stats.governor_truncated_serves += \
+                gov is not None and gov.truncated
+        self._log(kind, query_text, elapsed,
+                  int(result) if isinstance(result, bool) else len(result))
+        if isinstance(result, ResultTable):
+            result.snapshot_epoch = snapshot.epoch
+            if (self.limits.max_result_rows is not None
+                    and len(result) > self.limits.max_result_rows):
+                raise EndpointError(
+                    f"result size {len(result)} exceeds endpoint limit "
+                    f"{self.limits.max_result_rows}")
+        return result
 
     def select(self, query_text: str,
                limits: Optional[QueryLimits] = None) -> ResultTable:
@@ -369,123 +405,26 @@ class LocalEndpoint:
         streamable query, return the rows gathered so far flagged
         ``table.truncated``.
         """
-        import re as _re
-        if self.limits.forbid_having and _re.search(
-                r"\bHAVING\b", query_text, _re.IGNORECASE):
-            raise EndpointError(
-                "this endpoint does not support HAVING clauses")
-        started = time.perf_counter()
-        with self._mapped_errors(query_text):
-            query = self._parsed(query_text)
-        if not isinstance(query, SelectQuery):
-            raise EndpointError("select() requires a SELECT query")
-        with self._admitted(query_text):
-            gov = self._governed(limits)
-            snapshot = self._pin()
-            context = DatasetContext(snapshot, self.default_as_union,
-                                     governor=gov)
-            stream_before = STREAM_TELEMETRY.snapshot()
-            CONCURRENCY.reader_enter()
-            try:
-                with self._mapped_errors(query_text, gov):
-                    table = evaluate_select(query, context)
-            finally:
-                CONCURRENCY.reader_exit()
-        self._served_truncated(gov, table)
-        table.snapshot_epoch = snapshot.epoch
-        elapsed = time.perf_counter() - started
-        stream_after = STREAM_TELEMETRY.snapshot()
-        with self._stats_lock:
-            self.statistics.selects += 1
-            self.statistics.total_seconds += elapsed
-            self.statistics.streamed_selects += (
-                stream_after["queries"] - stream_before["queries"])
-            self.statistics.streamed_batches += (
-                stream_after["batches"] - stream_before["batches"])
-            self.statistics.streamed_rows += (
-                stream_after["rows"] - stream_before["rows"])
-        self._log("select", query_text, elapsed, len(table))
-        if (self.limits.max_result_rows is not None
-                and len(table) > self.limits.max_result_rows):
-            raise EndpointError(
-                f"result size {len(table)} exceeds endpoint limit "
-                f"{self.limits.max_result_rows}")
-        return table
+        return self._read(self._parsed(query_text), query_text, limits,
+                          SelectQuery)
 
     def ask(self, query_text: str,
             limits: Optional[QueryLimits] = None) -> bool:
         """Run an ASK query (snapshot-pinned like :meth:`select`)."""
-        started = time.perf_counter()
-        with self._mapped_errors(query_text):
-            query = self._parsed(query_text)
-        if not isinstance(query, AskQuery):
-            raise EndpointError("ask() requires an ASK query")
-        with self._admitted(query_text):
-            gov = self._governed(limits)
-            context = DatasetContext(self._pin(), self.default_as_union,
-                                     governor=gov)
-            CONCURRENCY.reader_enter()
-            try:
-                with self._mapped_errors(query_text, gov):
-                    result = evaluate_ask(query, context)
-            finally:
-                CONCURRENCY.reader_exit()
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self.statistics.asks += 1
-            self.statistics.total_seconds += elapsed
-        self._log("ask", query_text, elapsed, int(result))
-        return result
+        return self._read(self._parsed(query_text), query_text, limits,
+                          AskQuery)
 
     def construct(self, query_text: str,
                   limits: Optional[QueryLimits] = None) -> Graph:
         """Run a CONSTRUCT query and return the built graph."""
-        started = time.perf_counter()
-        with self._mapped_errors(query_text):
-            query = self._parsed(query_text)
-        if not isinstance(query, ConstructQuery):
-            raise EndpointError("construct() requires a CONSTRUCT query")
-        with self._admitted(query_text):
-            gov = self._governed(limits)
-            context = DatasetContext(self._pin(), self.default_as_union,
-                                     governor=gov)
-            CONCURRENCY.reader_enter()
-            try:
-                with self._mapped_errors(query_text, gov):
-                    graph = evaluate_construct(query, context)
-            finally:
-                CONCURRENCY.reader_exit()
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self.statistics.selects += 1
-            self.statistics.total_seconds += elapsed
-        self._log("construct", query_text, elapsed, len(graph))
-        return graph
+        return self._read(self._parsed(query_text), query_text, limits,
+                          ConstructQuery)
 
     def describe(self, query_text: str,
                  limits: Optional[QueryLimits] = None) -> Graph:
         """Run a DESCRIBE query and return the description graph."""
-        started = time.perf_counter()
-        with self._mapped_errors(query_text):
-            query = self._parsed(query_text)
-        if not isinstance(query, DescribeQuery):
-            raise EndpointError("describe() requires a DESCRIBE query")
-        with self._admitted(query_text):
-            gov = self._governed(limits)
-            context = DatasetContext(self._pin(), self.default_as_union,
-                                     governor=gov)
-            CONCURRENCY.reader_enter()
-            try:
-                with self._mapped_errors(query_text, gov):
-                    graph = evaluate_describe(query, context)
-            finally:
-                CONCURRENCY.reader_exit()
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self.statistics.selects += 1
-            self.statistics.total_seconds += elapsed
-        self._log("describe", query_text, elapsed, len(graph))
-        return graph
+        return self._read(self._parsed(query_text), query_text, limits,
+                          DescribeQuery)
 
     def query(self, query_text: str,
               limits: Optional[QueryLimits] = None):
@@ -493,24 +432,9 @@ class LocalEndpoint:
 
         Returns a :class:`ResultTable` for SELECT, ``bool`` for ASK and
         a :class:`Graph` for CONSTRUCT/DESCRIBE — mirroring what a
-        protocol client gets back from a real endpoint.  Safe to call
-        from many threads at once: each dispatch suppresses only its
-        own thread's duplicate parse count.  ``limits`` pass through to
-        the dispatched method.
+        protocol client gets back from a real endpoint.
         """
-        with self._mapped_errors(query_text):
-            query = self._parsed(query_text)
-        self._tls.suppress_parse_count = True
-        try:
-            if isinstance(query, SelectQuery):
-                return self.select(query_text, limits=limits)
-            if isinstance(query, AskQuery):
-                return self.ask(query_text, limits=limits)
-            if isinstance(query, ConstructQuery):
-                return self.construct(query_text, limits=limits)
-            return self.describe(query_text, limits=limits)
-        finally:
-            self._tls.suppress_parse_count = False
+        return self._read(self._parsed(query_text), query_text, limits)
 
     # -- write path --------------------------------------------------------------
 
@@ -693,7 +617,7 @@ class LocalEndpoint:
         """
         from repro.sparql.explain import explain
         return explain(query_text, self.dataset.snapshot(),
-                       cache_stats=True, analyze=analyze)
+                       cache_stats=self.statistics, analyze=analyze)
 
     def close(self) -> None:
         """A no-op: the endpoint holds no process, pool or shared

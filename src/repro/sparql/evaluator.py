@@ -9,8 +9,8 @@ OFFSET / LIMIT — streamed and materialized) and re-exports the rest of
 the evaluator family, which is split along its seams:
 
 * :mod:`repro.sparql.evaluator_source` — the storage adapter
-  (:class:`GraphSource`), dataset scoping (:class:`DatasetContext`) and
-  the probe counter;
+  (:class:`GraphSource`), dataset scoping (:class:`DatasetContext`,
+  which carries the request's stream tally) and the probe counter;
 * :mod:`repro.sparql.evaluator_steps` — the BGP join steps;
 * :mod:`repro.sparql.evaluator_walker` — the walker and its operators.
 """
@@ -45,10 +45,8 @@ from repro.sparql.evaluator_source import (  # noqa: F401  (re-exports)
     ProbeCounter,
 )
 from repro.sparql.evaluator_walker import (  # noqa: F401  (re-exports)
-    STREAM_TELEMETRY,
     PatternEvaluator,
     StepTrace,
-    StreamTelemetry,
 )
 from repro.sparql.expressions import EvalContext, order_key
 from repro.sparql.optimizer import get_plan, leading_bgp, stream_shape
@@ -200,7 +198,7 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
     if STREAMING_ENABLED and trace is None and would_stream(query, source):
         # LIMIT pushdown: pull join batches only until enough output
         # rows exist, instead of materializing the full binding table
-        STREAM_TELEMETRY.record_query()
+        context.streamed.selects += 1
         return _stream_select(query, evaluator, source, eval_context)
     # the one materialized tail: id rows → the grouped or the plain
     # projection → _finalize_select

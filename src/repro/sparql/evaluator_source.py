@@ -53,6 +53,23 @@ class ProbeCounter:
 PROBE_COUNTER = ProbeCounter()
 
 
+class StreamTally:
+    """What one request's streaming LIMIT pipeline did: SELECT
+    evaluations that streamed (nested sub-SELECTs count separately),
+    the solution batches they pulled and the rows those carried.
+
+    One request evaluates on one thread, so the walker bumps it with no
+    lock; the endpoint folds it into its statistics afterwards.
+    """
+
+    __slots__ = ("selects", "batches", "rows")
+
+    def __init__(self) -> None:
+        self.selects = 0
+        self.batches = 0
+        self.rows = 0
+
+
 
 class GraphSource:
     """The join pipeline's one view of storage: a single graph, or the
@@ -114,7 +131,8 @@ class DatasetContext:
     :class:`~repro.sparql.governor.GovernorContext`: when set, the
     evaluator checks it cooperatively at every batch boundary (and
     sub-queries inherit it through :meth:`scoped`), so one limits
-    object governs the whole request tree.
+    object governs the whole request tree.  ``streamed`` is the
+    request's :class:`StreamTally`, shared the same way.
     """
 
     def __init__(self, dataset: Dataset,
@@ -127,6 +145,7 @@ class DatasetContext:
         self.from_graphs = list(from_graphs) if from_graphs else []
         self.from_named = list(from_named) if from_named else []
         self.governor = governor
+        self.streamed = StreamTally()
 
     @property
     def has_dataset_clause(self) -> bool:
@@ -137,9 +156,11 @@ class DatasetContext:
         """This context restricted by a query's dataset clauses."""
         if not from_graphs and not from_named:
             return self
-        return DatasetContext(self.dataset, self.default_as_union,
-                              from_graphs, from_named,
-                              governor=self.governor)
+        scoped = DatasetContext(self.dataset, self.default_as_union,
+                                from_graphs, from_named,
+                                governor=self.governor)
+        scoped.streamed = self.streamed
+        return scoped
 
     def default_source(self, from_graphs: Optional[List[IRI]] = None
                        ) -> GraphSource:

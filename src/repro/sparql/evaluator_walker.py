@@ -54,7 +54,6 @@ dictionary only grows with *stored* data.
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set, Tuple
@@ -98,56 +97,6 @@ from repro.sparql.evaluator_source import (
 from repro.sparql.evaluator_steps import JoinSteps, paired
 from repro.sparql.expressions import EvalContext
 from repro.sparql.optimizer import get_plan
-
-
-class StreamTelemetry:
-    """Counters for the streaming pipeline (always on, O(1) per batch).
-
-    ``queries`` counts SELECT evaluations that took the streaming path
-    — including nested sub-SELECTs, so one request can contribute more
-    than one — ``batches`` the solution batches pulled through it and
-    ``rows`` the solutions those batches carried.  The endpoint and the
-    QL execution report read deltas of these around each request, so
-    callers can verify a workload streamed (and how much it pulled)
-    without enabling the probe counter.
-
-    Updates go through :meth:`record_query` / :meth:`record_batch`
-    under a small mutex (one acquisition per *batch*, not per row):
-    the snapshot-isolated endpoint streams several SELECTs in
-    parallel, and unsynchronized ``+=`` would silently drop counts.
-    """
-
-    __slots__ = ("queries", "batches", "rows", "_lock")
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.batches = 0
-        self.rows = 0
-        self._lock = threading.Lock()
-
-    def record_query(self) -> None:
-        with self._lock:
-            self.queries += 1
-
-    def record_batch(self, rows: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.rows += rows
-
-    def reset(self) -> None:
-        with self._lock:
-            self.queries = 0
-            self.batches = 0
-            self.rows = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {"queries": self.queries, "batches": self.batches,
-                    "rows": self.rows}
-
-
-#: The shared streaming-telemetry counters.
-STREAM_TELEMETRY = StreamTelemetry()
 
 
 #: Index entries per window of a chunked leading scan.
@@ -404,10 +353,12 @@ class PatternEvaluator(JoinSteps):
 
     def stream_tables(self, node: PatternNode, source: GraphSource,
                       batch: int = _CHUNK) -> Iterator[BindingTable]:
-        """Solution batches for a streamable subtree, with telemetry."""
-        telemetry = STREAM_TELEMETRY
+        """Solution batches for a streamable subtree, counted on the
+        request's :class:`~repro.sparql.evaluator_source.StreamTally`."""
+        tally = self.context.streamed
         for table in self._walk(node, source, BindingTable.unit(), batch):
-            telemetry.record_batch(len(table))
+            tally.batches += 1
+            tally.rows += len(table)
             if _faults.ACTIVE:
                 _faults.fire("evaluator.batch")
             yield table

@@ -21,10 +21,11 @@ endpoint down**.  This module is that resource-governance layer:
   an admission controller;
 * :class:`CircuitBreaker` and :func:`retry_with_backoff` — the
   resilience primitives the enrichment layer wraps external fetches in
-  (bounded exponential backoff, fail-fast once a source is known bad);
-* :data:`GOVERNOR` — process-wide telemetry (admitted / queued / shed /
-  timeouts / budget kills / truncated serves), rendered by ``EXPLAIN``
-  next to the concurrency line.
+  (bounded exponential backoff, fail-fast once a source is known bad).
+
+What the governor did is counted per endpoint, in the ``governor_*``
+fields of :class:`~repro.sparql.endpoint.EndpointStatistics` (rendered
+by that endpoint's ``EXPLAIN``).
 
 Cancellation is **cooperative**: nothing is preempted mid-batch, so a
 check cadence of one deadline read per batch (and one per
@@ -52,9 +53,7 @@ __all__ = [
     "CancellationToken",
     "CircuitBreaker",
     "CircuitOpenError",
-    "GOVERNOR",
     "GovernorContext",
-    "GovernorTelemetry",
     "QueryGovernor",
     "QueryLimits",
     "retry_with_backoff",
@@ -330,51 +329,6 @@ class QueryGovernor:
         if limits is None:
             return self.defaults
         return limits.merged_over(self.defaults)
-
-
-class GovernorTelemetry:
-    """Process-wide governor counters (like ``CONCURRENCY``).
-
-    ``admitted`` counts requests that got a slot (or ran ungoverned by
-    admission), ``queued`` the subset that waited in the bounded queue
-    first, ``shed`` requests rejected with ``EndpointOverloaded``,
-    ``timeouts`` / ``cancelled`` / ``budget_kills`` the governed
-    verdicts, ``truncated_serves`` partial results returned under
-    ``allow_partial``, and ``mapped_internal_errors`` raw engine
-    exceptions wrapped into :class:`QueryExecutionError`.
-    """
-
-    FIELDS = ("admitted", "queued", "shed", "timeouts", "cancelled",
-              "budget_kills", "truncated_serves", "mapped_internal_errors")
-
-    __slots__ = ("_lock",) + FIELDS
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
-    def record(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {field: getattr(self, field) for field in self.FIELDS}
-
-    def reset(self) -> None:
-        with self._lock:
-            for field in self.FIELDS:
-                setattr(self, field, 0)
-
-    def __repr__(self) -> str:
-        return (f"<GovernorTelemetry admitted={self.admitted} "
-                f"shed={self.shed} timeouts={self.timeouts} "
-                f"budget_kills={self.budget_kills}>")
-
-
-#: The process-wide governor counters (rendered by ``EXPLAIN``).
-GOVERNOR = GovernorTelemetry()
 
 
 # ---------------------------------------------------------------------------

@@ -721,7 +721,7 @@ WALKER_ROWS = (
             return _left_outer(left, right, marker)
 
 
-    class StreamTelemetry:
+    class Tally:
         def snapshot(self):
             return {"rows": self.rows}
 

@@ -155,6 +155,30 @@ class TestEndpointInterface:
                 "PREFIX ex: <http://example.org/> "
                 "SELECT ?v WHERE { ex:a ex:p ?v }")
 
+    def test_every_read_form_takes_the_one_read_path(self):
+        """Each read method and ``query()`` parse once, count under
+        their form's counter (CONSTRUCT / DESCRIBE as selects) and log
+        their kind."""
+        ep = LocalEndpoint(keep_query_log=True)
+        ep.update("PREFIX ex: <http://example.org/> "
+                  "INSERT DATA { ex:a ex:p 1 }")
+        texts = {
+            "select": "SELECT ?s WHERE { ?s ?p ?o }",
+            "ask": "ASK { ?s ?p ?o }",
+            "construct": "CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }",
+            "describe": "DESCRIBE <http://example.org/a>",
+        }
+        for kind, text in texts.items():
+            getattr(ep, kind)(text)
+            ep.query(text)
+            with pytest.raises(EndpointError):
+                (ep.ask if kind == "select" else ep.select)(text)
+        stats = ep.statistics
+        assert (stats.parse_cache_misses, stats.parse_cache_hits) == (4, 8)
+        assert (stats.selects, stats.asks) == (6, 2)
+        assert [entry.kind for entry in ep.query_log[1:]] == [
+            kind for kind in texts for _twice in range(2)]
+
     def test_forbid_having_limit(self):
         ep = LocalEndpoint(limits=EndpointLimits(forbid_having=True))
         with pytest.raises(EndpointError):
@@ -162,5 +186,12 @@ class TestEndpointInterface:
             SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o }
             GROUP BY ?s HAVING(COUNT(?o) > 1)
             """)
-        # plain queries still work
+        with pytest.raises(EndpointError):
+            ep.query("""
+            SELECT ?s WHERE { { SELECT ?s WHERE { ?s ?p ?o }
+                                GROUP BY ?s HAVING(COUNT(?o) > 1) } }
+            """)
+        # plain queries still work, a "having" literal included
         assert len(ep.select("SELECT * WHERE { ?s ?p ?o }")) == 0
+        assert len(ep.select(
+            'SELECT ?x WHERE { ?x <http://ex/p> "having" }')) == 0

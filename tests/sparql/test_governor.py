@@ -1,24 +1,21 @@
 """The query governor: limits, cancellation, degradation, admission.
 
 Every test builds its own small endpoint (the shared session fixture
-must stay unmutated and ungoverned), and the process-wide ``GOVERNOR``
-telemetry is read as deltas so parallel suites don't interfere.
+must stay unmutated and ungoverned), and governor activity is read off
+that endpoint's own statistics.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal
-from repro.sparql.endpoint import LocalEndpoint
-from repro.sparql.evaluator import (
-    STREAM_TELEMETRY,
-    DatasetContext,
-    evaluate_select,
-)
+from repro.sparql.endpoint import EndpointStatistics, LocalEndpoint
+from repro.sparql.evaluator import DatasetContext, evaluate_select
 from repro.sparql.errors import (
     EndpointOverloaded,
     GovernedQueryError,
@@ -27,7 +24,6 @@ from repro.sparql.errors import (
     ResourceExhausted,
 )
 from repro.sparql.governor import (
-    GOVERNOR,
     AdmissionController,
     CancellationToken,
     CircuitBreaker,
@@ -94,12 +90,11 @@ class TestLimits:
         two scan windows (1024 entries), so any budget from 1024 up
         passes — as it did before the step loop was shared."""
         endpoint = make_endpoint(rows=3000)
-        before = STREAM_TELEMETRY.snapshot()["queries"]
         for budget in (1024, 1100, 1500):
             table = endpoint.select(QUERY + " LIMIT 1000",
                                     limits=QueryLimits(max_rows=budget))
             assert len(table) == 1000
-        assert STREAM_TELEMETRY.snapshot()["queries"] == before + 3
+        assert endpoint.statistics.streamed_selects == 3
         with pytest.raises(ResourceExhausted) as info:
             endpoint.select(QUERY + " LIMIT 1000",
                             limits=QueryLimits(max_rows=1023))
@@ -288,9 +283,8 @@ class TestAdmission:
 
 
 class TestTelemetry:
-    def test_statistics_and_global_counters(self):
+    def test_statistics_count_governor_activity(self):
         endpoint = make_endpoint(max_concurrent=4)
-        before = GOVERNOR.snapshot()
         endpoint.select(QUERY)
         with pytest.raises(QueryTimeout):
             endpoint.select(QUERY, limits=QueryLimits(deadline_seconds=1e-9))
@@ -298,42 +292,47 @@ class TestTelemetry:
             endpoint.select(QUERY, limits=QueryLimits(max_rows=1))
         endpoint.select(QUERY + " LIMIT 40",
                         limits=QueryLimits(max_rows=10, allow_partial=True))
-        after = GOVERNOR.snapshot()
         stats = endpoint.statistics
         assert stats.governor_admitted == 4
         assert stats.governor_timeouts == 1
         assert stats.governor_budget_kills == 1
         assert stats.governor_truncated_serves == 1
-        assert after["admitted"] - before["admitted"] == 4
-        assert after["timeouts"] - before["timeouts"] == 1
-        assert after["budget_kills"] - before["budget_kills"] == 1
-        assert after["truncated_serves"] - before["truncated_serves"] == 1
+        assert stats.governor_shed == stats.governor_cancelled == 0
 
     def test_statistics_reset_zeroes_governor_counters(self):
+        """``reset`` puts every field back to its default in place, so
+        whoever holds the statistics object sees the reset too."""
         endpoint = make_endpoint(max_concurrent=2)
         endpoint.select(QUERY)
+        held = endpoint.statistics
+        assert held.governor_admitted == 1
+        for counter in dataclasses.fields(held):
+            setattr(held, counter.name, 7)
         endpoint.reset_statistics()
-        assert endpoint.statistics.governor_admitted == 0
+        assert endpoint.statistics is held
+        assert held == EndpointStatistics()
 
     def test_explain_renders_governor_line(self):
-        endpoint = make_endpoint()
+        """The ``governor:`` line is the explaining endpoint's own
+        count: another endpoint's sheds and verdicts do not show."""
+        endpoint = make_endpoint(max_concurrent=2)
+        other = make_endpoint(max_concurrent=2)
+        endpoint.select(QUERY)
+        with pytest.raises(QueryTimeout):
+            other.select(QUERY, limits=QueryLimits(deadline_seconds=1e-9))
         plan = endpoint.explain(QUERY)
         governor_lines = [line for line in plan.splitlines()
                           if line.startswith("governor:")]
-        assert len(governor_lines) == 1
-        line = governor_lines[0]
-        for key in ("admitted=", "shed=", "timeouts=", "budget_kills=",
-                    "truncated=", "internal="):
-            assert key in line
+        assert governor_lines == [
+            "governor: admitted=1 queued=0 shed=0 timeouts=0 cancelled=0 "
+            "budget_kills=0 truncated=0 internal=0"]
 
 
 class TestQLIntegration:
-    def test_ql_report_carries_governor_fields(self, engine):
+    def test_ql_report_carries_truncated_flag(self, engine):
         from repro.demo import MARY_QL
         result = engine.execute(MARY_QL)
         assert result.report.truncated is False
-        assert result.report.governor_timeouts == 0
-        assert result.report.governor_shed == 0
 
     def test_ql_does_not_fall_back_on_governed_error(self, engine,
                                                      enriched):

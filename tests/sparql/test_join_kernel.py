@@ -37,7 +37,6 @@ from repro.sparql.algebra import TriplePatternNode, Var
 from repro.sparql.endpoint import LocalEndpoint
 from repro.sparql.evaluator import (
     PROBE_COUNTER,
-    STREAM_TELEMETRY,
     DatasetContext,
     PatternEvaluator,
 )
@@ -574,15 +573,14 @@ def test_streamed_limit_returns_the_first_rows_of_the_row_pipeline():
         graph.add(IRI(f"{EX}s{index}"), IRI(f"{EX}p"),
                   IRI(f"{EX}late{index}"))
     endpoint = LocalEndpoint(dataset)
-    before = STREAM_TELEMETRY.snapshot()
     with PROBE_COUNTER as counter:
         result = endpoint.select(
             f"SELECT ?s ?o ?v WHERE {{ ?s <{EX}p> ?o . ?s <{EX}q> ?v }} "
             f"OFFSET 3 LIMIT 8")
         assert counter.entries == 128
-    after = STREAM_TELEMETRY.snapshot()
-    assert {name: after[name] - before[name] for name in after} == {
-        "queries": 1, "batches": 1, "rows": 66}
+    stats = endpoint.statistics
+    assert (stats.streamed_selects, stats.streamed_batches,
+            stats.streamed_rows) == (1, 1, 66)
     assert [(s.value[len(EX):], o.value[len(EX):], v.lexical)
             for s, o, v in result.rows] == [
         ("s272", "o1", "100"), ("s108", "o7", "100"), ("s244", "o2", "100"),

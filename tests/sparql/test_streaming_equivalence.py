@@ -17,7 +17,7 @@ import pytest
 from repro.rdf import Literal, Namespace
 from repro.sparql import LocalEndpoint
 import repro.sparql.evaluator as evaluator_module
-from repro.sparql.evaluator import PROBE_COUNTER, STREAM_TELEMETRY
+from repro.sparql.evaluator import PROBE_COUNTER
 
 EX = Namespace("http://example.org/")
 
@@ -185,24 +185,19 @@ class TestStreamingDoesLessWork:
     def test_path_first_query_is_not_counted_as_streamed(self, endpoint):
         """A path-first plan cannot scan incrementally: the query must
         fall back to materialization *and* not report itself streamed."""
-        before = STREAM_TELEMETRY.snapshot()
+        before = endpoint.statistics.streamed_selects
         table = endpoint.select(
             "SELECT ?a ?b WHERE { ?a <http://example.org/citizen>+ ?b } "
             "LIMIT 5")
-        after = STREAM_TELEMETRY.snapshot()
         assert len(table) == 5
-        assert after["queries"] == before["queries"]
+        assert endpoint.statistics.streamed_selects == before
 
     def test_streamed_telemetry_reported(self, endpoint):
         endpoint.reset_statistics()
-        before = STREAM_TELEMETRY.snapshot()
         table = endpoint.select(
             "SELECT DISTINCT ?m WHERE { "
             "?o <http://example.org/citizen> ?m } LIMIT 4")
         assert len(table) == 4
-        after = STREAM_TELEMETRY.snapshot()
-        assert after["queries"] == before["queries"] + 1
-        assert after["batches"] > before["batches"]
         assert endpoint.statistics.streamed_selects == 1
         assert endpoint.statistics.streamed_batches >= 1
         # early termination: far fewer solutions pulled than the 400
@@ -219,14 +214,3 @@ class TestStreamingDoesLessWork:
         assert len(streamed) == 5
         assert streamed.rows == materialized.rows
 
-
-class TestExecutionReportTelemetry:
-    def test_ql_report_carries_streaming_counters(self):
-        """The QL engine reports streamed queries when the translated
-        SPARQL takes the streaming path."""
-        from repro.ql.executor import ExecutionReport
-
-        report = ExecutionReport(variant="direct")
-        assert report.streamed_queries == 0
-        assert report.streamed_batches == 0
-        assert report.streamed_rows == 0

@@ -726,7 +726,7 @@ class ParallelSafetyRule(Rule):
 
     A morsel worker is a *spawned* process: module globals it touches
     are its own private copies, so reading the parent's caches
-    (``PLAN_CACHE``, ``STREAM_TELEMETRY``) silently yields stale or
+    (``PLAN_CACHE``, ``CONCURRENCY``) silently yields stale or
     empty state, and touching endpoint / live-graph classes implies a
     heap that simply is not there.  Everything a worker may use
     arrives through its task dict: SHM manifests, the shipped
@@ -750,8 +750,8 @@ class ParallelSafetyRule(Rule):
     #: parent-process state a worker must never reference: the serving
     #: layer, live graph state, and the parent's module-level caches
     FORBIDDEN = {"LocalEndpoint", "Graph", "Dataset", "DatasetSnapshot",
-                 "GraphSnapshot", "PLAN_CACHE", "STREAM_TELEMETRY",
-                 "GOVERNOR", "CONCURRENCY", "SHM_SEGMENTS", "FAILPOINTS",
+                 "GraphSnapshot", "PLAN_CACHE", "CONCURRENCY",
+                 "SHM_SEGMENTS", "FAILPOINTS",
                  "get_plan", "StarSchema", "NativeOLAPEngine"}
 
     #: modules that are worker-side from top to bottom
