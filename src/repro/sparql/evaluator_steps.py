@@ -69,6 +69,7 @@ from repro.sparql.evaluator_source import (
     GraphSource,
     IdPattern,
 )
+from repro.sparql.optimizer import HASH_MIN_ROWS, HASH_SCAN_FACTOR
 from repro.sparql.paths import evaluate_path
 
 #: One array per pattern position — ``(S, P, O)`` of a triple pattern's
@@ -458,7 +459,8 @@ class JoinSteps:
         — is stale in the scan's favour.  See docs/performance.md,
         "Range scan or per-key probes", for the numbers on both sides
         and for why the rule still stands.)"""
-        return rows >= 64 and source.estimate_ids(base) <= 4 * rows
+        return rows >= HASH_MIN_ROWS \
+            and source.estimate_ids(base) <= HASH_SCAN_FACTOR * rows
 
     def _hash_build(self, source: GraphSource, base: IdPattern,
                     key_positions: Sequence[int],

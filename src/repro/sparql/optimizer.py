@@ -34,7 +34,6 @@ estimated-vs-actual gap (:mod:`repro.sparql.explain`).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -58,13 +57,12 @@ from repro.sparql.algebra import (
     Var,
 )
 
-#: Debug flag: verify every freshly planned :class:`PhysicalPlan`
-#: against the IR well-formedness conditions before it enters the plan
-#: cache (:mod:`repro.sparql.plan_verifier`).  Off by default — CI
-#: exercises the same checks offline over a generated corpus; set the
-#: ``REPRO_VERIFY_PLANS`` environment variable (any non-empty value
-#: other than ``0``) to pay one verification per cache insert.
-VERIFY_PLANS = os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
+#: The hash-build rule: a step with a bound join variable scans its
+#: pattern's whole range once when the binding table has at least
+#: ``HASH_MIN_ROWS`` rows and the range is at most ``HASH_SCAN_FACTOR``
+#: times the table; otherwise it probes per key.
+HASH_MIN_ROWS = 64
+HASH_SCAN_FACTOR = 4
 
 #: Static path-pattern pricing by number of known endpoints (paths are
 #: deliberately priced above plain patterns of the same boundness so
@@ -351,7 +349,7 @@ def _build_steps(order: Sequence[int], costs: List[_PatternCost],
             strategy = "path"
         elif not (cost.vars & bound):
             strategy = "scan"
-        elif rows >= 64 and scan <= 4 * rows:
+        elif rows >= HASH_MIN_ROWS and scan <= HASH_SCAN_FACTOR * rows:
             strategy = "hash"
         else:
             strategy = "probe"
@@ -583,10 +581,5 @@ def get_plan(node: BGP, bound_names: frozenset, source) -> PhysicalPlan:
     plan = PLAN_CACHE.get(key)
     if plan is None:
         plan = plan_physical(node.patterns, source, relevant)
-        if VERIFY_PLANS:
-            # debug-flag hook: verify the IR before the plan becomes
-            # reusable state (one check per cache insert, not per query)
-            from repro.sparql.plan_verifier import verify_plan
-            verify_plan(plan, node.patterns, relevant)
         PLAN_CACHE.put(key, plan)
     return plan

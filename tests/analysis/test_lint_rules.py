@@ -19,7 +19,8 @@ if str(ROOT / "tools") not in sys.path:
     sys.path.insert(0, str(ROOT / "tools"))
 
 from analysis.lint import Baseline, Finding, lint_source  # noqa: E402
-from analysis.rules import ALL_RULES, RULES_BY_ID  # noqa: E402
+from analysis.rules import (  # noqa: E402
+    ALL_RULES, PINS, RULES_BY_ID, PinnedRule)
 
 
 def findings_for(source: str, path: str, rule_id: str):
@@ -480,9 +481,58 @@ FIXTURES = {
 }
 
 
+#: (claimed path, bad snippet) — one per row of ``PINS``, each flagged
+#: by that row alone
+ROW_FIXTURES = [
+    (LIBRARY, "import multiprocessing\n"),
+    (STEPS, "def join(matches):\n    return Build(matches)\n"),
+    (STEPS, "def join(keys, x):\n    return np.searchsorted(keys, x)\n"),
+    (LIBRARY, "def rows(keys):\n    return np.unique(keys, axis=0)\n"),
+    (STEPS, "def ids(c):\n    return np.unique(c, return_inverse=True)\n"),
+    (LIBRARY, "def order(keys):\n    return np.lexsort(keys)\n"),
+    (EVALUATOR, 'KIND = "SUM"\n'),
+    (EVALUATOR, "decode_row = row_decoder(names, decode)\n"),
+    (EVALUATOR, "def keep(table, condition, context):\n"
+                "    return [condition.evaluate(row, context)\n"
+                "            for row in table.rows]\n"),
+    (LIBRARY, "table = BindingTable(names, rows)\n"),
+    (WALKER, "def solve(table):\n    return table.rows\n"),
+    (GRAPH, "class Graph:\n    def clear(self):\n"
+            "        self._columns = None\n"),
+    (GRAPH, "class Graph:\n    def load(self, triples):\n"
+            "        for triple in triples:\n            self.add(triple)\n"),
+    (COLUMNAR, "def merged(s, p, o):\n"
+               "    # repro: allow[single-grouping-kernel]\n"
+               "    return np.lexsort((o, p, s))\n"),
+    (COLUMNAR, "def locate(self, rows):\n"
+               "    return [self._range(row) for row in rows]\n"),
+    (LIBRARY, "def size(graph):\n    return len(graph._delta)\n"),
+    (EVALUATOR, "def scan(source, pattern):\n"
+                "    return list(source.match(pattern))\n"),
+    (ETL, "def hops(graph, members):\n"
+          "    return [graph.objects(m, BROADER) for m in members]\n"),
+    (ETL, "order = sorted(rows, key=lambda row: row[0])\n"),
+]
+
+
+def one_row(pin):
+    rule = PinnedRule(pin.rule)
+    rule.pins = [pin]
+    return rule
+
+
 def test_every_rule_has_a_fixture_pair():
     assert set(FIXTURES) == set(RULES_BY_ID)
     assert len(ALL_RULES) >= 6
+    # every row of the pin table, not just every rule id, has a bad
+    # snippet that it alone flags
+    rows = [one_row(pin) for pin in PINS]
+    flagged_by = [[index for index, rule in enumerate(rows)
+                   if lint_source(source, path, [rule])]
+                  for path, source in ROW_FIXTURES]
+    assert all(len(flagging) == 1 for flagging in flagged_by), flagged_by
+    assert sorted(flagging[0] for flagging in flagged_by) \
+        == list(range(len(PINS)))
 
 
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
@@ -617,7 +667,6 @@ def test_single_walker_lives_in_the_walker_module_only():
         assert len(found) == 1 and "_walk" in found[0].message
     for describer in ("src/repro/sparql/explain.py",
                       "src/repro/sparql/optimizer.py",
-                      "src/repro/sparql/plan_verifier.py",
                       "src/repro/sparql/algebra.py",
                       "src/repro/olap/engine.py"):
         assert findings_for(good, describer, rule) == []

@@ -24,10 +24,12 @@ import repro.sparql.optimizer as optimizer
 from repro.sparql.algebra import BGP, TriplePatternNode, Var
 from repro.sparql.errors import SPARQLError
 from repro.sparql.optimizer import PhysicalPlan, PlanStep, plan_physical
-from repro.sparql.plan_verifier import (
+from analysis import plan_verifier
+from analysis.plan_verifier import (
     PlanVerificationError,
     collect_violations,
     verify_plan,
+    verifying,
 )
 
 EX = Namespace("http://example.org/")
@@ -171,18 +173,21 @@ def test_empty_plan_is_valid():
     verify_plan(PhysicalPlan([], [], 1.0, 0.0), [])
 
 
-def test_runtime_hook_fires(endpoint, patterns, monkeypatch):
-    import repro.sparql.plan_verifier as core
+def test_runtime_hook_fires(endpoint, patterns):
+    optimizer.PLAN_CACHE.clear()
+    with verifying() as verified:
+        plan = optimizer.get_plan(BGP(patterns), frozenset(),
+                                  endpoint.dataset.default)
+    assert verified == [plan], "the planner wrapper did not verify it"
+    assert optimizer.plan_physical is plan_physical  # unwrapped again
 
-    calls = []
-    real = core.verify_plan
 
-    def recording(plan, pats=None, bound=frozenset()):
-        calls.append(plan)
-        real(plan, pats, bound)
-
-    monkeypatch.setattr(core, "verify_plan", recording)
-    monkeypatch.setattr(optimizer, "VERIFY_PLANS", True)
-    node = BGP(patterns)
-    optimizer.get_plan(node, frozenset(), endpoint.dataset.default)
-    assert calls, "REPRO_VERIFY_PLANS hook did not verify the fresh plan"
+def test_corpus_runs_each_query_as_its_own_form(monkeypatch):
+    """An ASK naming ``<http://ex/selected>`` and a CONSTRUCT around a
+    sub-SELECT both spell "SELECT"; neither is sent to ``select``."""
+    monkeypatch.setattr(plan_verifier, "corpus", lambda: [
+        "ASK { <http://ex/selected> ?p ?o }",
+        "CONSTRUCT { ?s ?p ?o } WHERE "
+        "{ { SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 1 } }"])
+    queries, plans, failures = plan_verifier.run_corpus()
+    assert (queries, failures) == (2, []) and plans >= 1

@@ -6,6 +6,7 @@ the engine's actual behaviour.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,16 @@ def test_docs_examples_execute():
         cwd=str(ROOT))
     assert result.returncode == 0, (
         f"docs examples failed:\n{result.stdout}\n{result.stderr}")
+
+
+def test_rule_table_lists_every_lint_rule_once():
+    if str(ROOT / "tools") not in sys.path:
+        sys.path.insert(0, str(ROOT / "tools"))
+    from analysis.rules import RULES_BY_ID
+
+    text = (ROOT / "docs" / "analysis.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\| `([a-z0-9-]+)` \|", text, re.MULTILINE)
+    assert sorted(listed) == sorted(RULES_BY_ID)
 
 
 def test_required_docs_exist():

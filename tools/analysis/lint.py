@@ -58,20 +58,18 @@ class Finding:
 class Rule:
     """Base class for one lint rule.
 
-    Subclasses set ``id`` / ``title`` / ``rationale`` and implement
-    :meth:`check`; :meth:`applies_to` scopes the rule to the files it
-    understands (repo-relative posix paths).
+    Subclasses set ``id``, say why the rule exists in their docstring
+    and implement :meth:`check`; :meth:`applies_to` scopes the rule to
+    the files it understands (repo-relative posix paths).
     """
 
     id: str = ""
-    title: str = ""
-    rationale: str = ""
 
     def applies_to(self, path: str) -> bool:
         raise NotImplementedError
 
     def check(self, path: str, tree: ast.AST,
-              lines: Sequence[str]) -> List[Finding]:
+              lines: Sequence[str]) -> Iterable[Finding]:
         raise NotImplementedError
 
     def finding(self, path: str, node: ast.AST, message: str,
@@ -101,7 +99,7 @@ def allowed_lines(lines: Sequence[str]) -> Dict[int, Set[str]]:
 
 def _suppressed(finding: Finding, allowed: Dict[int, Set[str]]) -> bool:
     ids = allowed.get(finding.line)
-    return ids is not None and (finding.rule in ids or "*" in ids)
+    return ids is not None and finding.rule in ids
 
 
 def lint_file(path: pathlib.Path, rules: Sequence[Rule],
