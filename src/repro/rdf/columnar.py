@@ -54,12 +54,19 @@ before touching numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.grouping import sorted_runs
+
 IdTriple = Tuple[int, int, int]
 IdPattern = Tuple[Optional[int], Optional[int], Optional[int]]
+#: ``None``, an id, or an **array cell**: distinct keys, ascending (zipped
+#: with other array cells), matching what each key does, key by key.
+Cell = Union[None, int, np.ndarray]
+KeyedPattern = Tuple[Cell, Cell, Cell]
 
 #: The per-order positional column sets — the whole sorted payload of
 #: one generation, keyed ``"spo"`` / ``"pos"`` / ``"osp"``.
@@ -68,8 +75,8 @@ OrderArrays = Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 #: Triples as three parallel ``(S, P, O)`` id arrays.
 IdArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-__all__ = ["IdArrays", "OrderArrays", "TripleColumns", "concat_arrays",
-           "value_counts"]
+__all__ = ["IdArrays", "KeyedPattern", "OrderArrays", "TripleColumns",
+           "concat_arrays", "key_patterns", "value_counts"]
 
 #: positional column index of each order's sort-key sequence
 _ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
@@ -80,18 +87,30 @@ def _dtype_for(max_id: int) -> type:
     return np.int32 if max_id < np.iinfo(np.int32).max else np.int64
 
 
-def concat_arrays(parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate ``(S, P, O)`` array triples, in order (storage tiers
-    of one graph, member graphs of a union); no parts is no rows."""
+def key_patterns(pattern: Tuple[Cell, ...]) -> List[Tuple[Cell, ...]]:
+    """The one-key patterns of ``pattern``'s array cells, in order."""
+    if not any(isinstance(cell, np.ndarray) for cell in pattern):
+        return [pattern]
+    return list(zip(*(cell.tolist() if isinstance(cell, np.ndarray)
+                      else repeat(cell) for cell in pattern)))
+
+
+def concat_arrays(parts: List[IdArrays],
+                  pattern: KeyedPattern = (None, None, None)) -> IdArrays:
+    """Concatenate ``(S, P, O)`` array triples in order (tiers of one
+    graph, members of a union; read with array cells, key by key)."""
     if not parts:
         empty = np.empty(0, dtype=np.int32)
         return empty, empty, empty
     if len(parts) == 1:
         return parts[0]
-    return (np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]))
+    s, p, o = (np.concatenate(column) for column in zip(*parts))
+    keys = [column for column, cell in zip((s, p, o), pattern)
+            if isinstance(cell, np.ndarray)]
+    if keys:
+        order = sorted_runs(keys, len(s))[0]
+        s, p, o = s[order], p[order], o[order]
+    return s, p, o
 
 
 class TripleColumns:
@@ -200,9 +219,9 @@ class TripleColumns:
             return fresh
         orders: OrderArrays = {}
         for name in _ORDER_KEYS:
-            at, found = self._locate(name, dead)
+            at, end = self._locate(name, dead)
             keep = np.ones(self.size, dtype=bool)
-            keep[at[found]] = False
+            keep[at[end > at]] = False
             gone = np.flatnonzero(~keep)
             # a delta row goes where the first stored row not below it
             # stands, moved left by the dead rows before that one and
@@ -237,7 +256,7 @@ class TripleColumns:
 
     # -- range location ------------------------------------------------------
 
-    def _route(self, pattern: IdPattern) -> Tuple[str, Tuple[int, ...]]:
+    def _route(self, pattern: KeyedPattern) -> Tuple[str, Tuple[Cell, ...]]:
         """The ``(order, bound key prefix)`` answering ``pattern``."""
         s, p, o = pattern
         if s is not None:
@@ -247,6 +266,11 @@ class TripleColumns:
                 return "spo", (s,)
             if o is None:
                 return "spo", (s, p)
+            # any order holds a key's one row: put the scalars first
+            if isinstance(s, np.ndarray) and not isinstance(p, np.ndarray):
+                return "pos", (p, o, s)
+            if isinstance(p, np.ndarray) and not isinstance(o, np.ndarray):
+                return "osp", (o, s, p)
             return "spo", (s, p, o)
         if p is not None:
             if o is None:
@@ -278,69 +302,88 @@ class TripleColumns:
                 return lo, lo
         return lo, hi
 
-    def _locate(self, order: str, rows: IdArrays
+    def _bounds(self, order: str, prefix: Tuple[Cell, ...]
                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Where each ``(S, P, O)`` row stands in ``order``: the index
-        of the first stored row not below it, and whether that stored
-        row equals it.  One binary search over all the rows at once —
-        the first key by :func:`numpy.searchsorted`, the other two by
-        bisecting every row's range in step, compared key by key
-        (never packed into one word)."""
-        if not self.size:
-            nowhere = np.zeros(len(rows[0]), dtype=np.int64)
-            return nowhere, nowhere.astype(bool)
-        (first, a), (second, b), (third, c) = (
-            (self._orders[order][key], rows[key])
-            for key in _ORDER_KEYS[order])
-        if len(a) and a.dtype != first.dtype \
-                and 0 <= a.min() and a.max() <= self._ceiling:
-            # searchsorted would widen — and copy — the stored column
-            # instead; in range, so the cast cannot overflow
-            a = a.astype(first.dtype)
-        lo = np.searchsorted(first, a, "left")
-        hi = np.searchsorted(first, a, "right")
+        """Per key of ``prefix``'s array cells, its ``[lo, hi)``: the scalar
+        cells before them narrow a segment (:meth:`_range`), the first
+        array cell searches it for all keys, later ones bisect in step."""
+        stage = next(stage for stage, cell in enumerate(prefix)
+                     if isinstance(cell, np.ndarray))
+        lo, hi = self._range(order, prefix[:stage])
+        keys, columns = _ORDER_KEYS[order], self._orders[order]
+        segment = columns[keys[stage]][lo:hi]
+        # cast as ``_range`` does; past the ceiling ``ceiling + 1``
+        needle = np.minimum(prefix[stage], np.int64(self._ceiling + 1)
+                            ).astype(segment.dtype)
+        left = lo + np.searchsorted(segment, needle, "left")
+        right = lo + np.searchsorted(segment, needle, "right")
+        # both ends in one bisection: the first half seeks the first
+        # row not below the key, the second the first row above it
+        rest = [(columns[key], np.concatenate((value, value))
+                 if isinstance(value, np.ndarray) else value)
+                for key, value in zip(keys[stage + 1:], prefix[stage + 1:])]
+        if not rest:
+            return left, right
+        lo, hi = np.tile(left, 2), np.tile(right, 2)
+        inclusive = np.repeat([False, True], len(needle))
         last = self.size - 1
         while True:
             unsettled = lo < hi
             if not unsettled.any():
-                break
+                return np.split(lo, 2)
             mid = (lo + hi) >> 1
             probe = np.minimum(mid, last)  # settled rows may sit at the end
-            below = (second[probe] < b) \
-                | ((second[probe] == b) & (third[probe] < c))
+            below = inclusive
+            for column, value in reversed(rest):
+                held = column[probe]
+                below = (held < value) | ((held == value) & below)
             lo = np.where(unsettled & below, mid + 1, lo)
             hi = np.where(unsettled & ~below, mid, hi)
-        probe = np.minimum(lo, last)
-        found = (lo <= last) & (first[probe] == a) \
-            & (second[probe] == b) & (third[probe] == c)
-        return lo, found
+
+    def _locate(self, order: str, rows: IdArrays
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per ``(S, P, O)`` row, its ``[lo, hi)`` in ``order``."""
+        return self._bounds(order, tuple(rows[k] for k in _ORDER_KEYS[order]))
 
     # -- reads ---------------------------------------------------------------
 
     def count(self, pattern: IdPattern) -> int:
         """Exact match count — staged binary search, never a scan."""
-        order, prefix = self._route(pattern)
-        lo, hi = self._range(order, prefix)
+        lo, hi = self._range(*self._route(pattern))
         return hi - lo
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        return self.count((s, p, o)) > 0
+        lo, hi = self._range("spo", (s, p, o))
+        return lo < hi
 
-    def arrays(self, pattern: IdPattern, dead: Optional[IdArrays] = None
-               ) -> IdArrays:
+    def arrays(self, pattern: KeyedPattern,
+               dead: Optional[IdArrays] = None) -> IdArrays:
         """The matching rows as positional ``(S, P, O)`` column views
-        (zero-copy slices of the chosen order).  ``dead`` holds stored
-        triples matching ``pattern`` to leave out (the owning graph's
-        tombstones) as ``(S, P, O)`` id arrays: they are located by
-        one vectorized binary search and masked, so the survivors keep
-        their sorted order."""
+        (zero-copy slices of the chosen order; with array cells, every
+        key's range gathered).  ``dead`` holds stored triples matching
+        ``pattern`` to leave out (the owning graph's tombstones) as
+        ``(S, P, O)`` id arrays, located by one vectorized search and
+        masked, so the survivors keep their order."""
         order, prefix = self._route(pattern)
-        lo, hi = self._range(order, prefix)
-        s, p, o = (column[lo:hi] for column in self._orders[order])
+        columns = self._orders[order]
+        if not any(isinstance(cell, np.ndarray) for cell in prefix):
+            lo, hi = self._range(order, prefix)
+            at = None
+            s, p, o = (column[lo:hi] for column in columns)
+        else:
+            lo, hi = self._bounds(order, prefix)
+            counts = hi - lo
+            at = np.arange(int(counts.sum())) \
+                + np.repeat(lo - np.cumsum(counts) + counts, counts)
+            s, p, o = (column[at] for column in columns)
         if dead is not None and len(dead[0]):
-            at, found = self._locate(order, dead)
-            keep = np.ones(hi - lo, dtype=bool)
-            keep[at[found] - lo] = False
+            first, end = self._locate(order, dead)
+            gone = first[end > first]
+            if at is None:
+                keep = np.ones(hi - lo, dtype=bool)
+                keep[gone - lo] = False
+            else:
+                keep = ~np.isin(at, gone)
             s, p, o = s[keep], p[keep], o[keep]
         return s, p, o
 

@@ -61,7 +61,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro.grouping import sorted_runs
-from repro.rdf.columnar import IdArrays, TripleColumns, concat_arrays
+from repro.rdf.columnar import (IdArrays, KeyedPattern, TripleColumns,
+                                concat_arrays, key_patterns)
 from repro.rdf.concurrency import CONCURRENCY, CountedRLock
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.errors import TermError
@@ -296,9 +297,12 @@ class _TripleIndex:
             return sum(map(len, by_subject.values()))
         return self.size
 
-    def arrays(self, pattern: IdPattern = _WILD) -> IdArrays:
-        """:meth:`ids` as ``(S, P, O)`` id arrays."""
-        rows = list(self.ids(pattern))
+    def arrays(self, pattern: KeyedPattern = _WILD) -> IdArrays:
+        """:meth:`ids` of each key in turn as ``(S, P, O)`` id arrays."""
+        if any(type(cell) is int and cell not in index  # held by no key
+               for cell, index in zip(pattern, (self.spo, self.pos, self.osp))):
+            return _NO_ROWS
+        rows = [ids for key in key_patterns(pattern) for ids in self.ids(key)]
         if not rows:  # the common answer of a small tier: no numpy call
             return _NO_ROWS
         data = np.asarray(rows, dtype=np.int64)
@@ -821,10 +825,10 @@ class Graph(_GraphReadMixin):
         if self._delta.size:
             yield from self._delta.ids(pattern)
 
-    def match_arrays(self, pattern: IdPattern = _WILD
+    def match_arrays(self, pattern: KeyedPattern = _WILD
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matching triples as positional ``(S, P, O)`` numpy
-        arrays — the same triples, in the same order, as
+        arrays — the same triples, in the same order (key by key), as
         :meth:`triples_ids`, whatever the graph's physical state.
 
         Column ranges are zero-copy views (pending tombstones are
@@ -841,7 +845,7 @@ class Graph(_GraphReadMixin):
             delta = self._delta.arrays(pattern)
             if len(delta[0]):
                 parts.append(delta)
-        return concat_arrays(parts)
+        return concat_arrays(parts, pattern)
 
     def count_ids(self, pattern: IdPattern) -> int:
         """Exact match count for an id pattern, without iterating.
@@ -1189,16 +1193,16 @@ class UnionView(_GraphReadMixin):
                     seen.add(ids)
                     yield ids
 
-    def match_arrays(self, pattern: IdPattern = _WILD
+    def match_arrays(self, pattern: KeyedPattern = _WILD
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`triples_ids` as positional ``(S, P, O)`` arrays (same
-        triples, same order): member arrays concatenated, then a
-        stable first-occurrence dedup when the rule above calls for
-        one."""
+        triples, same order; key by key): member arrays concatenated,
+        then a stable first-occurrence dedup when the rule above calls
+        for one."""
         parts = [part for part in (graph.match_arrays(pattern)
                                    for graph in self.members())
                  if len(part[0])]
-        s, p, o = concat_arrays(parts)
+        s, p, o = concat_arrays(parts, pattern)
         if len(parts) < 2 or self._dataset.graphs_disjoint:
             return s, p, o
         # the sort is stable, so the first entry of a run of equal

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.rdf.graph import Dataset, Graph, UnionView
+from repro.rdf.graph import Dataset, Graph, KeyedPattern, UnionView
 from repro.rdf.stats import StatisticsView
 from repro.rdf.terms import IRI, Term, Triple
 
@@ -79,9 +79,9 @@ class GraphSource:
     all live in :mod:`repro.rdf.graph`.  It offers a term-level API
     (``match`` / ``estimate``, used by property paths and DESCRIBE),
     an id-level one (``match_arrays`` — a pattern's matches as
-    ``(S, P, O)`` arrays, whether the pattern is a whole range or one
-    join key's probe — and ``estimate_ids``), and what the planner keys
-    on (``cache_key``, ``statistics``).
+    ``(S, P, O)`` arrays, whether the pattern is a whole range or a
+    join step's keys as array cells — and ``estimate_ids``), and what
+    the planner keys on (``cache_key``, ``statistics``).
     """
 
     __slots__ = ("view", "graphs")
@@ -95,8 +95,8 @@ class GraphSource:
     def match(self, pattern) -> Iterator[Triple]:
         return self.view.triples(pattern)
 
-    def match_arrays(self, pattern: IdPattern):
-        """The matches as positional ``(S, P, O)`` numpy arrays."""
+    def match_arrays(self, pattern: KeyedPattern):
+        """The matches as positional ``(S, P, O)`` arrays, key by key."""
         return self.view.match_arrays(pattern)
 
     def estimate_ids(self, pattern: IdPattern) -> int:

@@ -20,8 +20,8 @@ property path, the cross product of a pattern that shares no variable,
 a chunk of a streamed leading scan — is :func:`join_table`:
 
 1. take the pattern's matches as position arrays (``(S, P, O)``), from
-   one scan of its whole index range or from one index probe per
-   distinct join key, concatenated;
+   one scan of its whole index range or from one read of all its
+   distinct join keys at once (array cells), key by key;
 2. mask out matches that disagree with a variable the pattern repeats;
 3. index them by join key (:func:`grouped`).  Interned ids are array
    offsets: while the keys span at most :data:`DIRECTORY_FILL` slots
@@ -61,7 +61,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
 
 import numpy as np
 
-from repro.grouping import DIRECTORY_FILL, group
+from repro.grouping import DIRECTORY_FILL, distinct, group
+from repro.rdf.columnar import Cell, key_patterns
 from repro.sparql.algebra import PathPatternNode, TriplePatternNode, Var
 from repro.sparql.bindings import BindingTable, id_column
 from repro.sparql.evaluator_source import (
@@ -175,15 +176,18 @@ def grouped(matches: Matches, key_positions: Sequence[int],
     return Build(matches, order, spans, slots, low)
 
 
-def _distinct(columns: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
-    """The distinct rows of ``columns`` as tuples; of no columns, the
-    one empty tuple."""
-    if not columns:
-        return [()]
-    if len(columns) == 1:
-        return [(key,) for key in np.unique(columns[0]).tolist()]
-    first, _inverse = group(columns, len(columns[0]))
-    return list(zip(*(column[first].tolist() for column in columns)))
+def _probed(fetch: Callable[[List[Cell]], Matches], template: List[Cell],
+            key_positions: Sequence[int], probe: Sequence[np.ndarray],
+            checks: Sequence[Tuple[int, int]], rows: int) -> Build:
+    """The build side off one read of all the ``probe`` keys as cells."""
+    ids: List[Cell] = list(template)
+    if len(probe) == 1:
+        ids[key_positions[0]] = distinct(probe[0])[0]
+    elif probe:
+        first, _inverse = group(probe, rows)
+        for position, column in zip(key_positions, probe):
+            ids[position] = column[first]
+    return grouped(_agreeing(fetch(ids), checks), key_positions, rows)
 
 
 def _ranked(build: Sequence[np.ndarray], probe: Sequence[np.ndarray]
@@ -301,20 +305,20 @@ def paired(left: BindingTable, right: BindingTable, names: Sequence[str],
 
 def join_table(table: BindingTable, spec: Spec,
                out_names: Tuple[str, ...],
-               fetch: Optional[Callable[[List[Optional[int]]], Matches]],
+               fetch: Callable[[List[Cell]], Matches],
                hashed: Optional[Build] = None) -> BindingTable:
     """The join kernel: ``table`` (not empty) extended by the
     matches of the pattern ``spec`` compiles.
 
     ``fetch(ids)`` answers the match arrays of the pattern with
-    ``ids`` (``None`` = wildcard) at its positions.  Rows are
-    partitioned by *which* of their shared cells are unbound; for
-    each partition the bound shared positions are the join key and
+    ``ids`` (:data:`~repro.rdf.columnar.Cell` values) at its positions.
+    Rows are partitioned by *which* of their shared cells are unbound;
+    for each partition the bound shared positions are the join key and
     the unbound ones capture the match's value into the row, like a
     new variable.  ``hashed`` — the whole range grouped on every
-    shared position — serves the partition with nothing unbound;
-    any other build side is fetched per distinct key.  Output order
-    is row order, and within a row match index order.
+    shared position — serves the partition with nothing unbound; any
+    other build side is one fetch of all its distinct keys.  Output
+    order is row order, and within a row match index order.
     """
     shared = _positions(spec, "v")
     repeats = _positions(spec, "d")
@@ -339,21 +343,8 @@ def join_table(table: BindingTable, spec: Spec,
                 checks.append((position, captures[slot]))
             else:
                 captures[slot] = position
-        if hashed is not None and not code:
-            build = hashed
-        else:
-            # one fetch per distinct key; without a key, the pattern
-            # as it stands
-            found = []
-            for key in _distinct(probe):
-                ids = list(template)
-                for position, cell in zip(key_positions, key):
-                    ids[position] = cell
-                found.append(fetch(ids))
-            build = grouped(_agreeing(
-                found[0] if len(found) == 1 else tuple(
-                    np.concatenate(arrays) for arrays in zip(*found)),
-                checks), key_positions, count)
+        build = hashed if hashed is not None and not code else _probed(
+            fetch, template, key_positions, probe, checks, count)
         rows, picked = _matched(build, key_positions, probe, count)
         if rows is not None:
             part = [column[rows] for column in part]
@@ -387,8 +378,8 @@ class JoinSteps:
     pattern's matches by join key, look each row's key up in them,
     gather.  What a step chooses is only where its matches
     come from — one scan of the pattern's whole index range ("hash",
-    the name kept from the bucketed build it replaced) or one index
-    probe per distinct key ("probe"); that choice is
+    the name kept from the bucketed build it replaced) or one read of
+    its distinct keys ("probe"); that choice is
     :meth:`_prefer_hash`, the range build :meth:`_hash_build`.
     """
 
@@ -452,12 +443,12 @@ class JoinSteps:
                      rows: int) -> bool:
         """Join-strategy choice for one step: scan the pattern's whole
         range when it is small enough relative to the binding table,
-        probe per distinct key otherwise.  (Measured with the sorted
+        read its distinct keys otherwise.  (Measured with the sorted
         build, the scan was worth it up to ≈ 256 range entries per
         distinct key; the key directory made a scanned entry several
         times cheaper, so that figure — the constant to recalibrate
         — is stale in the scan's favour.  See docs/performance.md,
-        "Range scan or per-key probes", for the numbers on both sides
+        "Range scan or keyed probe", for the numbers on both sides
         and for why the rule still stands.)"""
         return rows >= HASH_MIN_ROWS \
             and source.estimate_ids(base) <= HASH_SCAN_FACTOR * rows
@@ -509,12 +500,14 @@ class JoinSteps:
         if not table:
             return BindingTable.empty(out_names)
 
-        def fetch(ids: List[Optional[int]]) -> Matches:
-            start, end = (
-                constant if kind == "c"
-                else None if cell is None else decode(cell)
-                for (kind, _), constant, cell in zip(spec, ends, ids))
-            pairs = list(evaluate_path(source, pattern.path, start, end))
+        def fetch(ids: List[Cell]) -> Matches:
+            # paths match decoded terms: the one read taken key by key
+            pairs = [pair for key in key_patterns(ids)
+                     for pair in evaluate_path(source, pattern.path, *(
+                         constant if kind == "c"
+                         else None if cell is None else decode(cell)
+                         for (kind, _), constant, cell
+                         in zip(spec, ends, key)))]
             return (id_column(encode(first) for first, _last in pairs),
                     id_column(encode(last) for _first, last in pairs))
 

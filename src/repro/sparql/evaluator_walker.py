@@ -8,7 +8,7 @@ per bound-variable signature* (through the LRU plan cache in
 :mod:`repro.sparql.optimizer`), and each step is one vectorized
 sort-and-search join over id columns
 (:func:`~repro.sparql.evaluator_steps.join_table`), its matches read
-off a single index scan or off one index probe per distinct join value
+off a single index scan or off one read of its distinct join keys
 — never a fresh plan or a Python object per input row; two tables
 (VALUES, sub-SELECT, ``GRAPH ?g``, MINUS) pair through the same kernel
 (:func:`~repro.sparql.evaluator_steps.paired`).  Terms are only

@@ -17,7 +17,7 @@ The engine evaluates a BGP as a pipeline of batch join steps (see
   still connected to the variables bound so far, and a pattern that
   shares none joins only when nothing connected remains.  The result
   is an explicit :class:`PhysicalPlan`: ordered :class:`PlanStep`\\ s
-  carrying the chosen join strategy (hash join / memoized index probe
+  carrying the chosen join strategy (hash join / keyed index probe
   / scan) and the cardinality estimates that justified them.
 * **Plan cache** — plans are keyed on the BGP as written (its patterns
   with their constants), the variables already bound when it runs and
@@ -223,8 +223,8 @@ class PlanStep:
     """One join step of a physical plan.
 
     ``strategy`` is the planner's estimate-based choice — ``"hash"``
-    (bucket one index scan by the join key), ``"probe"`` (memoized
-    per-distinct-key index probes), ``"scan"`` (no shared variables:
+    (bucket one index scan by the join key), ``"probe"`` (one read of
+    the distinct join keys), ``"scan"`` (no shared variables:
     one scan cross-applied) or ``"path"``.  The evaluator re-validates
     hash-vs-probe against the *actual* table size at execution time, so
     a mis-estimate degrades to the safe choice rather than a blowup.

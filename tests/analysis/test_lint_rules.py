@@ -394,8 +394,8 @@ FIXTURES = {
 
             def merged(self, delta, dead):
                 fresh = TripleColumns(*delta)
-                at, found = self._locate("spo", dead)
-                return fresh, at[found]
+                at, end = self._locate("spo", dead)
+                return fresh, at[end > at]
 
             def count(self, pattern):
                 lo, hi = self._range(*self._route(pattern))
@@ -497,6 +497,8 @@ ROW_FIXTURES = [
                 "            for row in table.rows]\n"),
     (LIBRARY, "table = BindingTable(names, rows)\n"),
     (WALKER, "def solve(table):\n    return table.rows\n"),
+    (STEPS, "def build(fetch, keys):\n"
+            "    return [fetch(key) for key in keys]\n"),
     (GRAPH, "class Graph:\n    def clear(self):\n"
             "        self._columns = None\n"),
     (GRAPH, "class Graph:\n    def load(self, triples):\n"
@@ -741,6 +743,34 @@ def test_join_steps_and_column_reads_stay_columnar():
     found = findings_for(bad, WALKER, rule)
     assert len(found) == 1 and "`_step_triple`" in found[0].message
     assert findings_for(bad, EVALUATOR, rule) == []
+
+
+def test_a_join_step_reads_storage_once():
+    """In the steps module a ``fetch(`` or ``match_arrays(`` call in a
+    loop — the per-key probe, as a statement or a comprehension — is a
+    finding; one call a step (or a partition's helper) is not, nor is
+    the same loop elsewhere.  The real module is clean."""
+    rule = "columnar-join-step"
+    per_key = """
+    def join_table(table, spec, fetch, keys):
+        found = []
+        for key in keys:
+            found.append(fetch(key))
+        return found + [source.match_arrays(key) for key in keys]
+    """
+    found = findings_for(per_key, STEPS, rule)
+    assert len(found) == 2
+    assert all("one keyed read a step" in f.message for f in found)
+    assert findings_for(per_key, WALKER, rule) == []
+    assert findings_for("""
+    def _probed(fetch, template, keys):
+        return fetch(template + [keys])
+
+    def join_table(table, parts, fetch):
+        return [_probed(fetch, part, table) for part in parts]
+    """, STEPS, rule) == []
+    source = (ROOT / STEPS).read_text(encoding="utf-8")
+    assert findings_for(source, STEPS, rule) == []
 
 
 #: (bad, good) — the walker pairing two tables a row at a time and

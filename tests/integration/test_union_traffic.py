@@ -20,6 +20,9 @@ from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
 from repro.rdf import Dataset
 from repro.sparql import PROBE_COUNTER, LocalEndpoint
 from repro.sparql import evaluator as evaluator_module
+from repro.sparql.evaluator import GraphSource
+
+from tests.sparql.reference_join import reference_keyed_matches
 
 #: E3's predefined programs plus E6's demo query and the contract
 #: benchmark's five roll-ups and five dices, both translations
@@ -71,6 +74,26 @@ def test_streaming_switch_changes_nothing(fresh, monkeypatch, name, variant):
         materialized = fresh.engine.execute(program, variant=variant)
         assert counter.entries == probes
     assert streamed.table.rows == materialized.table.rows
+
+
+@pytest.mark.parametrize("name,variant", CASES)
+def test_keyed_reads_count_what_reads_per_key_counted(fresh, monkeypatch,
+                                                      name, variant):
+    """A probe step reads all its keys at once; read one key at a time
+    instead (the oracle), every query pulls exactly as many index
+    entries and answers the same rows."""
+    program = PROGRAMS[name]
+    with PROBE_COUNTER as counter:
+        keyed = fresh.engine.execute(program, variant=variant)
+        entries = counter.entries
+    monkeypatch.setattr(
+        GraphSource, "match_arrays",
+        lambda source, pattern: reference_keyed_matches(
+            source.view.match_arrays, pattern))
+    with PROBE_COUNTER as counter:
+        per_key = fresh.engine.execute(program, variant=variant)
+        assert counter.entries == entries
+    assert keyed.table.rows == per_key.table.rows
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,9 @@ here, each the oracle of its replacement, ``None`` cells tolerated:
   joins, every table row against every relation row;
 * :func:`reference_left_outer` — OPTIONAL's padding, the optional
   side's solutions bucketed by marker in a dict of tuples.
+
+:func:`reference_keyed_matches` is the storage read a probe step made
+before it read all its keys at once: one ``match_arrays`` per key.
 """
 
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -333,6 +336,28 @@ class ReferenceJoin:
             if got:
                 emit(row, got, spec, out_rows)
         return id_table(out_names, out_rows)
+
+
+def reference_keyed_matches(read, pattern) -> Tuple[np.ndarray, ...]:
+    """What ``read`` (a ``match_arrays``) answers for ``pattern`` with
+    array cells, one key at a time: the per-key loop a probe step ran
+    before one keyed read replaced it — each key's own scalar read,
+    concatenated key by key.  ``PROBE_COUNTER.entries`` counts what it
+    returns, so swapping it in must leave every count as it was."""
+    positions = [position for position, cell in enumerate(pattern)
+                 if isinstance(cell, np.ndarray)]
+    if not positions:
+        return read(pattern)
+    found = []
+    for key in zip(*(pattern[position].tolist() for position in positions)):
+        ids = list(pattern)
+        for position, cell in zip(positions, key):
+            ids[position] = cell
+        found.append(read(tuple(ids)))
+    if not found:
+        return (np.empty(0, dtype=np.int64),) * 3
+    return found[0] if len(found) == 1 else tuple(
+        np.concatenate(arrays) for arrays in zip(*found))
 
 
 def reference_minus(left: BindingTable,

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import EndpointStatistics, LocalEndpoint
-from repro.sparql.evaluator import DatasetContext, evaluate_select
+from repro.sparql.evaluator import DatasetContext, GraphSource, \
+    evaluate_select
 from repro.sparql.errors import (
+    EndpointError,
     EndpointOverloaded,
     GovernedQueryError,
     QueryCancelled,
@@ -179,6 +183,42 @@ class TestLimits:
         assert issubclass(QueryTimeout, GovernedQueryError)
         assert issubclass(ResourceExhausted, GovernedQueryError)
         assert issubclass(EndpointOverloaded, GovernedQueryError)
+
+    def test_deadline_inside_a_keyed_probe_step(self, monkeypatch):
+        """40 rows probe 40 keys at once: one keyed read of 4 000
+        entries, charged as one scan.  The deadline runs out inside
+        that read; the scan meter, crossing its stride, raises the
+        typed error — no partial table — and the endpoint serves the
+        next request in full."""
+        dataset = Dataset()
+        for index in range(40):
+            dataset.default.add(IRI(f"{EX}s{index}"), IRI(f"{EX}p"),
+                                IRI(f"{EX}o{index}"))
+            for value in range(100):
+                dataset.default.add(IRI(f"{EX}o{index}"), IRI(f"{EX}q"),
+                                    Literal(value))
+        endpoint = LocalEndpoint(dataset)
+        query = (f"SELECT ?s ?v WHERE {{ ?s <{EX}p> ?o . "
+                 f"?o <{EX}q> ?v }}")
+        read = GraphSource.match_arrays
+        keyed = []
+
+        def slow(source, pattern):
+            if any(isinstance(cell, np.ndarray) for cell in pattern):
+                keyed.append(len(next(cell for cell in pattern
+                                      if cell is not None)))
+                time.sleep(0.3)  # the deadline passes inside the step
+            return read(source, pattern)
+
+        monkeypatch.setattr(GraphSource, "match_arrays", slow)
+        with pytest.raises(QueryTimeout) as info:
+            endpoint.select(query, limits=QueryLimits(deadline_seconds=0.2))
+        assert isinstance(info.value, EndpointError)
+        assert keyed == [40]
+        assert info.value.telemetry["entries_scanned"] == 40 + 4000
+        monkeypatch.undo()
+        assert len(endpoint.select(query)) == 4000
+        assert endpoint.statistics.governor_timeouts == 1
 
 
 class TestDegradation:

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import IRI, Dataset, Literal
+from repro.rdf.columnar import key_patterns
 from repro.rdf.dictionary import OVERLAY_BASE
 from repro.sparql import evaluator_steps, evaluator_walker
 from repro.sparql.algebra import TriplePatternNode, Var
@@ -267,11 +268,17 @@ class ArraySource:
         self.view = self
 
     def match_arrays(self, pattern):
-        mask = np.ones(len(self.arrays[0]), dtype=bool)
-        for column, cell in zip(self.arrays, pattern):
-            if cell is not None:
-                mask &= column == cell
-        return tuple(column[mask] for column in self.arrays)
+        """Each key's matches in turn (``pattern`` may hold array
+        cells, zipped), in the index order of ``arrays``."""
+        picked = []
+        for key in key_patterns(pattern):
+            mask = np.ones(len(self.arrays[0]), dtype=bool)
+            for column, cell in zip(self.arrays, key):
+                if cell is not None:
+                    mask &= column == cell
+            picked.append(np.flatnonzero(mask))
+        at = np.concatenate(picked)
+        return tuple(column[at] for column in self.arrays)
 
     def triples_ids(self, pattern):
         return zip(*(column.tolist()

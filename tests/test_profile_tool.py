@@ -1,6 +1,6 @@
 """``tools/profile_round.py`` refuses a mistyped ``--wall`` name before
-it sets anything up, and reads ``--wall`` shares against the gated op
-kinds as well as the round."""
+it sets anything up, reads ``--wall`` shares against the gated op
+kinds as well as the round, and replays ``--steps`` both ways."""
 
 import subprocess
 import sys
@@ -74,3 +74,36 @@ def test_wall_shares_are_read_against_the_gated_time(monkeypatch):
     # set-up has no ops: no split, no gated share
     bare = profile_round.wall_lines(0.12, seconds, {}, {}, ())
     assert len(bare) == 3 and "gated" not in "".join(bare)
+
+
+def test_steps_replay_a_probe_step_as_a_scan_and_as_one_keyed_read(
+        monkeypatch, capsys):
+    """A 40-row table probing 40 keys is one shape, replayed with
+    either strategy forced; the columns say what each replay read."""
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import profile_round
+    from repro.rdf import IRI, Dataset, Literal
+    from repro.sparql import LocalEndpoint
+
+    ex = "http://example.org/"
+    dataset = Dataset()
+    for index in range(40):
+        dataset.default.add(IRI(f"{ex}s{index}"), IRI(f"{ex}p"),
+                            IRI(f"{ex}o{index}"))
+        for value in range(3):
+            dataset.default.add(IRI(f"{ex}o{index}"), IRI(f"{ex}q"),
+                                Literal(value))
+    endpoint = LocalEndpoint(dataset)
+    query = f"SELECT * WHERE {{ ?s <{ex}p> ?o . ?o <{ex}q> ?v }}"
+    profile_round.step_table(lambda: endpoint.select(query), 1)
+    header, rule, *rows, footer = capsys.readouterr().out.splitlines()
+    assert header.split(" | ")[-2:] == ["range scan + kernel, ms",
+                                        "keyed probe + kernel, ms |"]
+    assert rule.count("---") == 8
+    (row,) = rows
+    picks, table_rows, keys, entries, out, steps = row.strip("| ").split(
+        " | ")[:6]
+    assert (picks, table_rows, keys, out, steps) \
+        == ("probe", "40", "40", "120", "1")
+    assert footer.startswith("# 1 shared-variable steps, 1 shapes")
+    assert len(endpoint.select(query)) == 120

@@ -213,6 +213,10 @@ PINS: Tuple[Pin, ...] = (
         message="`.rows` read in {where} (the walker pairs tables through "
                 "`evaluator_steps.paired` and reads columns; only "
                 "`decoded` reads the row view)"),
+    Pin("columnar-join-step", "call", ("fetch", "match_arrays"),
+        scope=(STEPS,), in_loop=True,
+        message="`{name}(` in a loop: one keyed read a step (hand storage "
+                "the step's distinct keys as array cells)"),
     Pin("single-generation-install", "assign", ("_columns",),
         scope=(GRAPH,), homes=((GRAPH, "__init__"), (GRAPH, "_install")),
         message="`self._columns` assigned outside `_install` (swap a "

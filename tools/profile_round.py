@@ -38,12 +38,15 @@ round (on a 2-vCPU host the ETL is 15 % of a ``star_50k`` round and
 36 % of what the contract's throughput pools).
 
 ``--steps`` prints, in place of the profile, the round's join steps as
-a markdown table (docs/performance.md, "Range scan or per-key probes"):
+a markdown table (docs/performance.md, "Range scan or keyed probe"):
 every shared-variable ``JoinSteps._step_triple`` call by shape — the
 strategy the rule picked, table rows, distinct join keys, range
 entries, rows out — with how often the shape occurs in the round, and
-the first step of each shape re-run both ways (range scan / per-key
-probes forced, ungoverned, best of ``--repeat``).
+the first step of each shape replayed on its own table and source both
+ways, ungoverned, best of ``--repeat``: "range scan" is the step with
+``hash`` forced (one read of the pattern's whole range), "keyed probe"
+with ``probe`` forced (one read of all its distinct keys as array
+cells); both columns include the join kernel.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
     from repro.sparql import evaluator_steps as steps
 
     original = steps.JoinSteps._step_triple
-    #: shape -> [steps of that shape, range-scan ms, per-key ms]
+    #: shape -> [steps of that shape, range-scan ms, keyed-probe ms]
     shapes: Dict[tuple, List[float]] = {}
 
     def best(evaluator: Any, forced: bool, *step: Any) -> float:
@@ -218,7 +221,7 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
         steps.JoinSteps._step_triple = original  # type: ignore[method-assign]
     print("| rule picks | table rows | distinct keys | range entries "
           "| rows out | steps | range scan + kernel, ms "
-          "| per-key probes + kernel, ms |")
+          "| keyed probe + kernel, ms |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for shape in sorted(shapes, key=lambda shape: shape[1:]):
         count, scan, probe = shapes[shape]
@@ -246,7 +249,7 @@ def main() -> int:
                         help="pstats sort key (cumulative, tottime, ...)")
     parser.add_argument("--steps", action="store_true",
                         help="print the round's join steps by shape, each "
-                             "timed as a range scan and as per-key probes, "
+                             "timed as a range scan and as a keyed probe, "
                              "instead of the profile")
     parser.add_argument("--repeat", type=int, default=5,
                         help="timed replays per strategy of --steps")
