@@ -86,9 +86,7 @@ bench-resilience:
 bench-resilience-baseline:
 	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_resilience.py --update
 
-## Columnar-storage gate: match_arrays column scans >=5x the throughput
-## of walking triples_ids tuples on a dict-tier-only graph at 100k
-## observations, compaction latency under its ceiling, and a
+## Columnar-storage gate: compaction latency under its ceiling, and a
 ## 1M-observation bulk load + E3-shaped aggregation inside the
 ## governor's default deadline.  Throughput history lands in
 ## benchmarks/join_baseline.json.

@@ -1,22 +1,16 @@
 #!/usr/bin/env python
-"""Gate the columnar storage tier: scan speedup, join throughput,
-compaction latency, and the 1M-observation load.
+"""Gate the columnar storage tier: join throughput, compaction latency,
+and the 1M-observation load.
 
-Three checks, all over synthetic observation-shaped data (one
+Two checks, all over synthetic observation-shaped data (one
 ``qb:Observation``-like subject with a measure literal and a group
-IRI, the shape every E1–E11 workload scans):
+IRI, the shape every E1–E11 workload scans), at
+``REPRO_BENCH_JOIN_OBS`` (default 100 000) observations:
 
-1. **Scan speedup** — ``match_arrays`` scan throughput of the compacted
-   columnar backend must be at least ``REPRO_BENCH_JOIN_FACTOR``
-   (default 5x) that of walking ``triples_ids`` tuples on a
-   dict-tier-only graph at ``REPRO_BENCH_JOIN_OBS`` (default 100 000)
-   observations, across the
-   bound-predicate, bound-subject, bound-object and fully-bound
-   pattern shapes.
-2. **Compaction latency** — folding a 25%-of-base delta overlay into a
+1. **Compaction latency** — folding a 25%-of-base delta overlay into a
    fresh column generation must finish within
    ``REPRO_BENCH_COMPACT_CEILING`` seconds (default 5).
-3. **1M gate** — a 1 000 000-observation bulk load plus an E3-shaped
+2. **1M gate** — a 1 000 000-observation bulk load plus an E3-shaped
    grouped aggregation over the resulting two-million-triple graph
    must complete within the governor's default deadline
    (``REPRO_BENCH_JOIN_DEADLINE``, default 60 s; the query runs under
@@ -27,8 +21,8 @@ IRI, the shape every E1–E11 workload scans):
 Merge-join throughput and compaction latency are recorded alongside
 ``baseline.json`` in ``benchmarks/join_baseline.json`` (``--update``
 refreshes it); the recorded numbers are informational history — the
-pass/fail gates above are ratio- and ceiling-based, so a fresh
-checkout gates identically with or without the baseline file.
+pass/fail gates above are ceiling-based, so a fresh checkout gates
+identically with or without the baseline file.
 
 Usage::
 
@@ -51,7 +45,6 @@ import numpy as np
 BASELINE_PATH = pathlib.Path(__file__).parent / "join_baseline.json"
 OBSERVATIONS = int(os.environ.get("REPRO_BENCH_JOIN_OBS", "100000"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "42"))
-SPEEDUP_FACTOR = float(os.environ.get("REPRO_BENCH_JOIN_FACTOR", "5"))
 COMPACT_CEILING = float(os.environ.get("REPRO_BENCH_COMPACT_CEILING", "5"))
 DEADLINE_SECONDS = float(os.environ.get("REPRO_BENCH_JOIN_DEADLINE", "60"))
 FULL_GATE = os.environ.get("REPRO_BENCH_JOIN_FULL", "1") != "0"
@@ -90,30 +83,6 @@ def observation_ids(graph, observations: int):
     return s, p, o, p_value, p_group
 
 
-def dict_backend(observations: int):
-    """A graph on the legacy dict tier only (compaction disabled)."""
-    from repro.rdf import graph as graph_module
-    from repro.rdf.graph import Graph
-
-    graph = Graph()
-    s, p, o, p_value, p_group = observation_ids(graph, observations)
-    never = 1 << 60
-    saved = (graph_module.COMPACT_WRITE_THRESHOLD,
-             graph_module.COMPACT_PUBLISH_THRESHOLD)
-    graph_module.COMPACT_WRITE_THRESHOLD = never
-    graph_module.COMPACT_PUBLISH_THRESHOLD = never
-    try:
-        decode = graph.dictionary.decode
-        graph.add_all((decode(si), decode(pi), decode(oi))
-                      for si, pi, oi in zip(s.tolist(), p.tolist(),
-                                            o.tolist()))
-    finally:
-        (graph_module.COMPACT_WRITE_THRESHOLD,
-         graph_module.COMPACT_PUBLISH_THRESHOLD) = saved
-    assert graph.tier_sizes()[0] == 0, "dict backend unexpectedly compacted"
-    return graph, p_value, p_group
-
-
 def columnar_backend(observations: int):
     """The same content bulk-loaded into the columnar tier."""
     from repro.rdf.graph import Dataset
@@ -125,53 +94,6 @@ def columnar_backend(observations: int):
     graph.bulk_load_ids(s, p, o)
     load_seconds = time.perf_counter() - started
     return dataset, graph, p_value, p_group, load_seconds
-
-
-def scan_patterns(graph, p_value, p_group):
-    """The gated triple-pattern shapes, as id patterns."""
-    some_subject, _, some_object = next(
-        iter(graph.triples_ids((None, p_group, None))))
-    return {
-        "bound_predicate": (None, p_value, None),
-        "bound_subject": (some_subject, None, None),
-        "bound_object": (None, None, some_object),
-        "bound_pair": (None, p_group, some_object),
-    }
-
-
-def scan_throughput(graph, patterns, per_entry: bool = False,
-                    rounds: int = 3):
-    """Best-of-``rounds`` scanned triples/second across ``patterns``,
-    where every matched entry is both produced and consumed.
-
-    Consumption is a full pass over all three positions of every match
-    (an id checksum).  The columnar leg reads ``match_arrays`` — a
-    binary-search range served as positional columns and reduced in
-    bulk, the whole-column form the evaluator's scan/hash-build/mask
-    steps operate on; the dict-tier leg (``per_entry``) walks
-    ``triples_ids`` tuples, which is all that tier could do before
-    ``match_arrays`` answered in every state.  That asymmetry *is* the
-    gate.  The checksum is returned alongside the rate so the caller
-    can assert both legs scanned the identical match set.
-    """
-    best = 0.0
-    checksum = 0
-    for _ in range(rounds):
-        scanned = 0
-        checksum = 0
-        started = time.perf_counter()
-        for pattern in patterns.values():
-            if per_entry:
-                for si, pi, oi in graph.triples_ids(pattern):
-                    scanned += 1
-                    checksum += si + pi + oi
-            else:
-                arrays = graph.match_arrays(pattern)
-                scanned += len(arrays[0])
-                checksum += sum(int(column.sum()) for column in arrays)
-        elapsed = time.perf_counter() - started
-        best = max(best, scanned / elapsed)
-    return best, checksum
 
 
 def join_throughput(dataset, observations: int) -> float:
@@ -253,28 +175,9 @@ def main(argv=None) -> int:
     failures = []
     metrics: dict = {"observations": OBSERVATIONS}
 
-    print(f"building dict backend at {OBSERVATIONS} observations ...")
-    dict_graph, p_value, p_group = dict_backend(OBSERVATIONS)
     print(f"building columnar backend at {OBSERVATIONS} observations ...")
     dataset, col_graph, _, _, load_seconds = columnar_backend(OBSERVATIONS)
     metrics["load/bulk_load_seconds"] = round(load_seconds, 3)
-
-    patterns = scan_patterns(col_graph, p_value, p_group)
-    dict_tps, dict_sum = scan_throughput(dict_graph, patterns,
-                                         per_entry=True)
-    col_tps, col_sum = scan_throughput(col_graph, patterns)
-    assert dict_sum == col_sum, "backends scanned different match sets"
-    speedup = col_tps / dict_tps
-    metrics["scan/dict_triples_per_s"] = round(dict_tps)
-    metrics["scan/columnar_triples_per_s"] = round(col_tps)
-    metrics["scan/speedup"] = round(speedup, 2)
-    flag = ""
-    if speedup < SPEEDUP_FACTOR:
-        flag = "  BELOW GATE"
-        failures.append(
-            f"scan speedup {speedup:.2f}x < {SPEEDUP_FACTOR:.1f}x")
-    print(f"scan throughput: dict {dict_tps:,.0f}/s, "
-          f"columnar {col_tps:,.0f}/s -> {speedup:.2f}x{flag}")
 
     rows_per_s = join_throughput(dataset, OBSERVATIONS)
     metrics["join/rows_per_s"] = round(rows_per_s)

@@ -194,11 +194,6 @@ QUARTERS: List[str] = sorted({month_to_quarter(m) for m in MONTHS})
 YEARS: List[str] = sorted({quarter_to_year(q) for q in QUARTERS})
 
 
-def citizenship_by_code() -> Dict[str, Country]:
-    """Citizenship countries indexed by their dictionary code."""
-    return {country.code: country for country in CITIZENSHIP_COUNTRIES}
-
-
 def destination_by_code() -> Dict[str, Country]:
     """Destination countries indexed by their dictionary code."""
     return {country.code: country for country in DESTINATION_COUNTRIES}

@@ -22,7 +22,7 @@ every property and classifies it as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.rdf.terms import IRI, Literal, Term
 from repro.enrichment.config import EnrichmentConfig
@@ -186,13 +186,3 @@ def discover_candidates(
         candidates.append(Candidate(profile.prop, kind, profile))
     candidates.sort(key=lambda c: (-c.score, c.prop.value))
     return candidates
-
-
-def level_candidates(candidates: Sequence[Candidate]) -> List[Candidate]:
-    """Only the level-kind candidates of a discovery run."""
-    return [c for c in candidates if c.kind == LEVEL]
-
-
-def attribute_candidates(candidates: Sequence[Candidate]) -> List[Candidate]:
-    """Only the attribute-kind candidates of a discovery run."""
-    return [c for c in candidates if c.kind == ATTRIBUTE]

@@ -41,7 +41,7 @@ from repro.ql.drillacross import (
     drill_across,
     execute_drill_across,
 )
-from repro.ql.executor import ExecutionReport, QLEngine, QLResult, execute_ql
+from repro.ql.executor import ExecutionReport, QLEngine, QLResult
 from repro.ql.parser import parse_ql
 from repro.ql.simplifier import (
     SimplificationReport,
@@ -87,7 +87,6 @@ __all__ = [
     "any_of",
     "attr",
     "check_program",
-    "execute_ql",
     "measure",
     "negate",
     "parse_ql",

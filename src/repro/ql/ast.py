@@ -111,7 +111,9 @@ class Comparison(DiceCondition):
             # the QL parser unescapes with the same rules.  QL's surface
             # syntax has no datatype/language annotations, so those are
             # not representable here (they do not occur in dice values).
-            value = Literal(self.value.lexical).n3()
+            # A bare ``”`` would end the string early (the parser takes
+            # ``"…”`` as the paper's typographic quotes), so it is escaped.
+            value = Literal(self.value.lexical).n3().replace("”", "\\u201D")
         return f"{operand} {self.op} {value}"
 
     def __str__(self) -> str:

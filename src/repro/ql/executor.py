@@ -174,11 +174,3 @@ class QLEngine:
             "direct": self.execute(program, variant="direct"),
             "optimized": self.execute(program, variant="optimized"),
         }
-
-
-def execute_ql(endpoint: LocalEndpoint, schema: CubeSchema,
-               text: str, variant: str = "auto",
-               limits: Optional[QueryLimits] = None) -> QLResult:
-    """One-call convenience used by examples."""
-    return QLEngine(endpoint, schema).execute(text, variant=variant,
-                                              limits=limits)

@@ -46,8 +46,8 @@ before touching numpy.
 >>> cols = TripleColumns.build([(0, 1, 2), (0, 1, 3), (4, 1, 2)])
 >>> cols.count((0, 1, None)), cols.count((None, 1, 2))
 (2, 2)
->>> list(cols.scan((None, None, 2)))
-[(0, 1, 2), (4, 1, 2)]
+>>> [column.tolist() for column in cols.arrays((None, None, 2))]
+[[0, 4], [1, 1], [2, 2]]
 >>> cols.contains(4, 1, 2), cols.contains(4, 1, 3)
 (True, False)
 """
@@ -55,7 +55,7 @@ before touching numpy.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -386,11 +386,6 @@ class TripleColumns:
                 keep = ~np.isin(at, gone)
             s, p, o = s[keep], p[keep], o[keep]
         return s, p, o
-
-    def scan(self, pattern: IdPattern) -> Iterator[IdTriple]:
-        """Matching ``(s, p, o)`` triples as plain-int tuples."""
-        s, p, o = self.arrays(pattern)
-        return zip(s.tolist(), p.tolist(), o.tolist())
 
     # -- statistics support --------------------------------------------------
 

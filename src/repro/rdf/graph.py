@@ -29,9 +29,11 @@ Pattern positions use ``None`` as the wildcard:
 >>> len(list(g.triples((None, IRI("http://e/p"), None))))
 1
 
-Raw id-level iteration (:meth:`Graph.triples_ids`) is the fast path the
-SPARQL evaluator's columnar join pipeline uses: it yields plain
-``(s, p, o)`` integer tuples with no :class:`Triple` allocation.
+Storage answers a pattern one way: :meth:`Graph.match_arrays`, the
+matches as positional ``(S, P, O)`` id arrays (plus ``count_ids`` and
+``contains_id``).  The SPARQL evaluator's join pipeline reads it
+directly; the term-level reads (``triples``, ``objects``, iteration)
+decode its rows.
 
 **Concurrency (snapshot epochs).**  Graphs follow a reader-writer
 protocol built on the mutation epoch: writers take an exclusive lock
@@ -73,8 +75,7 @@ from repro.rdf.stats import (
     StatisticsView,
     build_predicate_summary,
 )
-from repro.rdf.terms import (BNode, IRI, Literal, Term, Triple, check_triple,
-                             make_triple)
+from repro.rdf.terms import IRI, Term, Triple, check_triple, make_triple
 from repro.testing import faults as _faults
 
 TriplePattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
@@ -310,33 +311,85 @@ class _TripleIndex:
 
 
 class _GraphReadMixin:
-    """Derived read operations shared by :class:`Graph` and the
-    read-only :class:`UnionView` — everything here is expressed in
-    terms of ``triples``."""
+    """The term-level reads of :class:`Graph` and the read-only
+    :class:`UnionView`, written once: each encodes its pattern, asks
+    ``match_arrays`` / ``count_ids`` and decodes what came back."""
+
+    def _encode_pattern(self, pattern: TriplePattern) -> Optional[IdPattern]:
+        """Translate a term pattern to ids; ``None`` when a bound term
+        was never interned (and therefore cannot match anything)."""
+        s, p, o = pattern
+        lookup = self.dictionary.lookup
+        if s is not None:
+            s = lookup(s)
+            if s is None:
+                return None
+        if p is not None:
+            p = lookup(p)
+            if p is None:
+                return None
+        if o is not None:
+            o = lookup(o)
+            if o is None:
+                return None
+        return (s, p, o)
+
+    def triples(self, pattern: TriplePattern = (None, None, None)
+                ) -> Iterator[Triple]:
+        """Yield all triples matching a pattern with ``None`` wildcards,
+        decoded a slice of rows at a time."""
+        ids = self._encode_pattern(pattern)
+        if ids is None:
+            return
+        decode = self.dictionary.decode
+        s, p, o = self.match_arrays(ids)
+        step = 1024  # rows decoded at once: never a whole graph's terms
+        for start in range(0, len(s), step):
+            window = slice(start, start + step)
+            for si, pi, oi in zip(s[window].tolist(), p[window].tolist(),
+                                  o[window].tolist()):
+                yield Triple(decode(si), decode(pi), decode(oi))
+
+    def count(self, pattern: TriplePattern = (None, None, None)) -> int:
+        """Number of triples matching ``pattern``, never iterating them."""
+        ids = self._encode_pattern(pattern)
+        return 0 if ids is None else self.count_ids(ids)
+
+    def _distinct(self, position: int,
+                  pattern: TriplePattern) -> Iterator[Term]:
+        """The distinct terms at ``position`` of the matches, in order of
+        first occurrence."""
+        ids = self._encode_pattern(pattern)
+        if ids is None:
+            return
+        column = self.match_arrays(ids)[position]
+        if None in ids[:position] + ids[position + 1:]:  # two bound: distinct
+            column = column[np.sort(np.unique(column, return_index=True)[1])]
+        yield from map(self.dictionary.decode, column.tolist())
 
     def subjects(self, predicate: Optional[Term] = None,
                  obj: Optional[Term] = None) -> Iterator[Term]:
-        seen: Set[Term] = set()
-        for triple in self.triples((None, predicate, obj)):
-            if triple.subject not in seen:
-                seen.add(triple.subject)
-                yield triple.subject
+        return self._distinct(0, (None, predicate, obj))
 
     def predicates(self, subject: Optional[Term] = None,
                    obj: Optional[Term] = None) -> Iterator[Term]:
-        seen: Set[Term] = set()
-        for triple in self.triples((subject, None, obj)):
-            if triple.predicate not in seen:
-                seen.add(triple.predicate)
-                yield triple.predicate
+        return self._distinct(1, (subject, None, obj))
 
     def objects(self, subject: Optional[Term] = None,
                 predicate: Optional[Term] = None) -> Iterator[Term]:
-        seen: Set[Term] = set()
-        for triple in self.triples((subject, predicate, None)):
-            if triple.object not in seen:
-                seen.add(triple.object)
-                yield triple.object
+        return self._distinct(2, (subject, predicate, None))
+
+    def subject_predicates(self, subject: Term) -> Dict[Term, Set[Term]]:
+        """All (predicate → objects) for one subject, as plain dicts."""
+        ids = self._encode_pattern((subject, None, None))
+        if ids is None:
+            return {}
+        _, p, o = self.match_arrays(ids)
+        decode = self.dictionary.decode
+        merged: Dict[Term, Set[Term]] = {}
+        for pi, oi in zip(p.tolist(), o.tolist()):
+            merged.setdefault(decode(pi), set()).add(decode(oi))
+        return merged
 
     def value(self, subject: Optional[Term] = None,
               predicate: Optional[Term] = None,
@@ -361,7 +414,11 @@ class _GraphReadMixin:
 
     def __contains__(self, triple: Tuple) -> bool:
         s, p, o = triple
-        return next(iter(self.triples((s, p, o))), None) is not None
+        ids = self._encode_pattern((s, p, o))
+        return ids is not None and self.count_ids(ids) > 0
+
+    def __iter__(self) -> Iterator[Triple]:
+        return self.triples()
 
     def qname(self, iri: IRI) -> str:
         """Compact form when possible, else the ``<...>`` N-Triples form."""
@@ -397,9 +454,6 @@ class Graph(_GraphReadMixin):
         #: plan caches key on it so stale statistics age out, and the
         #: snapshot layer uses it as its consistency boundary.
         self.epoch = 0
-        #: the :class:`Dataset` that tracks cross-graph disjointness and
-        #: is told of every new triple (``_track_add`` / ``_track_batch``)
-        self._tracker = None
         #: the exclusive write lock (shared across a Dataset's member
         #: graphs so multi-graph snapshots are consistent); mutations
         #: and snapshot publication both take it, reads never do.
@@ -491,8 +545,6 @@ class Graph(_GraphReadMixin):
             self._delta.add(si, pi, oi)
         self._size += 1
         self.stats.record_add(pi, new_subject, new_object)
-        if self._tracker is not None:
-            self._tracker._track_add(self, si, pi, oi)
         return True
 
     def _mutated(self) -> None:
@@ -545,9 +597,10 @@ class Graph(_GraphReadMixin):
             ids = self._encode_pattern(pattern)
             if ids is None:
                 return 0
-            rows = list(self.triples_ids(ids))
-            if not rows:
+            s, p, o = self.match_arrays(ids)
+            if not len(s):
                 return 0
+            rows = list(zip(s.tolist(), p.tolist(), o.tolist()))
             # the compacted victims come first: they are marked dead
             # (the next compaction folds them away), the overlay's
             # are taken out
@@ -676,10 +729,7 @@ class Graph(_GraphReadMixin):
         self._size = len(kept)
         CONCURRENCY.record_compaction()
         self._mutated()
-        s, p, o = (column[fresh] for column in merged)
-        self._refresh_stats(np.unique(p).tolist())
-        if self._tracker is not None:
-            self._tracker._track_batch(self, s, p, o)
+        self._refresh_stats(np.unique(merged[1][fresh]).tolist())
 
     def _compact(self) -> None:
         """The fold of what the graph already holds (must hold the lock).
@@ -783,53 +833,15 @@ class Graph(_GraphReadMixin):
         """
         return _pin_published_snapshot(self)
 
-    # -- id-level fast paths -------------------------------------------------
-
-    def _encode_pattern(self, pattern: TriplePattern) -> Optional[IdPattern]:
-        """Translate a term pattern to ids; ``None`` when a bound term
-        was never interned (and therefore cannot match anything)."""
-        s, p, o = pattern
-        lookup = self.dictionary.lookup
-        if s is not None:
-            s = lookup(s)
-            if s is None:
-                return None
-        if p is not None:
-            p = lookup(p)
-            if p is None:
-                return None
-        if o is not None:
-            o = lookup(o)
-            if o is None:
-                return None
-        return (s, p, o)
-
-    def triples_ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
-        """Yield raw ``(s, p, o)`` id tuples matching an id pattern.
-
-        This is the allocation-free iteration path: no :class:`Triple`
-        objects are built and no terms are decoded.  Compacted triples
-        come first (columnar range scan, sorted order), then the delta
-        overlay's — a triple lives in exactly one tier, so the chain
-        never duplicates.
-        """
-        columns = self._columns
-        if columns is not None:
-            if self._tombstones.size:
-                dead = self._tombstones.has
-                for ids in columns.scan(pattern):
-                    if not dead(*ids):
-                        yield ids
-            else:
-                yield from columns.scan(pattern)
-        if self._delta.size:
-            yield from self._delta.ids(pattern)
+    # -- reads ---------------------------------------------------------------
 
     def match_arrays(self, pattern: KeyedPattern = _WILD
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matching triples as positional ``(S, P, O)`` numpy
-        arrays — the same triples, in the same order (key by key), as
-        :meth:`triples_ids`, whatever the graph's physical state.
+        arrays, whatever the graph's physical state: the columns'
+        matches first, in index order, then the overlay's (key by key
+        for array cells).  A triple lives in exactly one tier, so
+        nothing repeats.
 
         Column ranges are zero-copy views (pending tombstones are
         masked out of them); delta-overlay matches are materialized
@@ -865,38 +877,6 @@ class Graph(_GraphReadMixin):
         if stored and self._tombstones.size:
             stored -= self._tombstones.count(pattern)
         return stored
-
-    # -- query ---------------------------------------------------------------
-
-    def triples(self, pattern: TriplePattern = (None, None, None)
-                ) -> Iterator[Triple]:
-        """Yield all triples matching a pattern with ``None`` wildcards."""
-        ids = self._encode_pattern(pattern)
-        if ids is None:
-            return
-        decode = self.dictionary.decode
-        for si, pi, oi in self.triples_ids(ids):
-            yield Triple(decode(si), decode(pi), decode(oi))
-
-    def count(self, pattern: TriplePattern = (None, None, None)) -> int:
-        """Number of triples matching ``pattern``.
-
-        Answered from index sizes for every pattern shape — bound
-        subject, predicate, object or any combination — without ever
-        iterating the matches.
-        """
-        ids = self._encode_pattern(pattern)
-        if ids is None:
-            return 0
-        return self.count_ids(ids)
-
-    def estimate(self, pattern: TriplePattern) -> int:
-        """Cardinality estimate for ``pattern`` (join ordering).
-
-        With id-keyed indexes every shape is answered exactly from
-        index sizes; this never iterates matches.
-        """
-        return self.count(pattern)
 
     def statistics(self) -> StatisticsView:
         """The planner's O(1) statistics view over this graph."""
@@ -963,34 +943,8 @@ class Graph(_GraphReadMixin):
 
     # -- convenience ---------------------------------------------------------
 
-    def objects(self, subject: Optional[Term] = None,
-                predicate: Optional[Term] = None) -> Iterator[Term]:
-        if subject is not None and predicate is not None:
-            ids = self._encode_pattern((subject, predicate, None))
-            if ids is None:
-                return
-            decode = self.dictionary.decode
-            for _, _, oi in self.triples_ids((ids[0], ids[1], None)):
-                yield decode(oi)
-            return
-        yield from _GraphReadMixin.objects(self, subject, predicate)
-
-    def subject_predicates(self, subject: Term) -> Dict[Term, Set[Term]]:
-        """All (predicate → objects) for one subject, as plain dicts."""
-        si = self.dictionary.lookup(subject)
-        if si is None:
-            return {}
-        decode = self.dictionary.decode
-        merged: Dict[Term, Set[Term]] = {}
-        for _, pi, oi in self.triples_ids((si, None, None)):
-            merged.setdefault(decode(pi), set()).add(decode(oi))
-        return merged
-
     def __len__(self) -> int:
         return self._size
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
 
     def __iadd__(self, other: Iterable[Triple]) -> "Graph":
         return self.add_all(other)
@@ -1066,7 +1020,7 @@ class GraphSnapshot(Graph):
     the snapshot cannot appear in its frozen indexes.
 
     The snapshot inherits every read path from :class:`Graph`
-    (``triples`` / ``triples_ids`` / ``count`` / ``statistics`` /
+    (``match_arrays`` / ``triples`` / ``count`` / ``statistics`` /
     ``predicate_summary`` — value-aware summaries are rebuilt lazily
     against the frozen indexes and cached per snapshot); mutation
     entry points raise :class:`~repro.rdf.errors.TermError`.
@@ -1100,7 +1054,6 @@ class GraphSnapshot(Graph):
         self.epoch = graph.epoch
         #: ids below this were interned when the snapshot was taken
         self.dictionary_mark = len(graph.dictionary)
-        self._tracker = None
         self._lock = graph._lock
         self._shared = True
         self._snapshot = None
@@ -1140,22 +1093,19 @@ class GraphSnapshot(Graph):
 class UnionView(_GraphReadMixin):
     """A **read-only** merged view of several graphs of one dataset —
     the only place union semantics live: member order, duplicate
-    suppression (of id tuples and of id arrays), exact counts,
-    summed statistics.
+    suppression, exact counts, summed statistics.
 
     ``graphs`` fixes the members (a ``FROM`` merge); without it the
     view ranges over the dataset's default graph plus every named
     graph, read at call time.  ``dataset`` may be a live
-    :class:`Dataset` or a pinned :class:`DatasetSnapshot`; its
-    ``graphs_disjoint`` flag is read per call too, so a view can never
-    skip a dedup the data has come to need.  Building the view is
-    O(1); callers that need a mutable merge call :meth:`copy`.
+    :class:`Dataset` or a pinned :class:`DatasetSnapshot`.  Building
+    the view is O(1); callers that need a mutable merge call
+    :meth:`copy`.
 
     **The dedup rule.**  Members are read in order and the first
-    occurrence of a triple wins.  Suppression is skipped when the
-    dataset's graphs are disjoint or when fewer than two members match
-    the pattern — both observable per call, so there is nothing to
-    configure.
+    occurrence of a triple wins.  A read deduplicates when two or more
+    members matched its pattern, decided from what matched, so there
+    is nothing to track or configure.
     """
 
     def __init__(self, dataset: Union["Dataset", "DatasetSnapshot"],
@@ -1180,30 +1130,16 @@ class UnionView(_GraphReadMixin):
 
     # -- reads ---------------------------------------------------------------
 
-    def triples_ids(self, pattern: IdPattern = _WILD) -> Iterator[IdTriple]:
-        graphs = self.members()
-        if len(graphs) == 1 or self._dataset.graphs_disjoint:
-            for graph in graphs:
-                yield from graph.triples_ids(pattern)
-            return
-        seen: Set[IdTriple] = set()
-        for graph in graphs:
-            for ids in graph.triples_ids(pattern):
-                if ids not in seen:
-                    seen.add(ids)
-                    yield ids
-
     def match_arrays(self, pattern: KeyedPattern = _WILD
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`triples_ids` as positional ``(S, P, O)`` arrays (same
-        triples, same order; key by key): member arrays concatenated,
-        then a stable first-occurrence dedup when the rule above calls
-        for one."""
+        """The matches as positional ``(S, P, O)`` arrays (key by key):
+        member arrays concatenated in member order, then a stable
+        first-occurrence dedup when two or more members matched."""
         parts = [part for part in (graph.match_arrays(pattern)
                                    for graph in self.members())
                  if len(part[0])]
         s, p, o = concat_arrays(parts, pattern)
-        if len(parts) < 2 or self._dataset.graphs_disjoint:
+        if len(parts) < 2:
             return s, p, o
         # the sort is stable, so the first entry of a run of equal
         # triples is their first occurrence
@@ -1218,46 +1154,16 @@ class UnionView(_GraphReadMixin):
         """Exact number of distinct matching triples."""
         counts = [count for count in (graph.count_ids(pattern)
                                       for graph in self.members()) if count]
-        if len(counts) < 2 or self._dataset.graphs_disjoint:
+        if len(counts) < 2:
             return sum(counts)
         return len(self.match_arrays(pattern)[0])
-
-    def triples(self, pattern: TriplePattern = (None, None, None)
-                ) -> Iterator[Triple]:
-        ids = self._dataset.default._encode_pattern(pattern)
-        if ids is None:
-            return
-        decode = self._dataset.dictionary.decode
-        for si, pi, oi in self.triples_ids(ids):
-            yield Triple(decode(si), decode(pi), decode(oi))
-
-    def count(self, pattern: TriplePattern = (None, None, None)) -> int:
-        ids = self._dataset.default._encode_pattern(pattern)
-        return 0 if ids is None else self.count_ids(ids)
-
-    def estimate(self, pattern: TriplePattern) -> int:
-        """Summed member counts — an upper bound, never a scan."""
-        ids = self._dataset.default._encode_pattern(pattern)
-        if ids is None:
-            return 0
-        return sum(g.count_ids(ids) for g in self.members())
 
     def statistics(self) -> StatisticsView:
         """The planner's O(1) statistics view over all member graphs."""
         return StatisticsView(self.members())
 
-    def subject_predicates(self, subject: Term) -> Dict[Term, Set[Term]]:
-        merged: Dict[Term, Set[Term]] = {}
-        for graph in self.members():
-            for predicate, objects in graph.subject_predicates(subject).items():
-                merged.setdefault(predicate, set()).update(objects)
-        return merged
-
     def __len__(self) -> int:
         return self.count_ids(_WILD)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
 
     def __bool__(self) -> bool:
         return any(len(g) for g in self.members())
@@ -1305,9 +1211,7 @@ class Dataset:
 
     All member graphs share one :class:`TermDictionary`, so term ids are
     comparable across graphs — the evaluator's columnar joins and the
-    O(1) :meth:`union` view depend on this.  The dataset also tracks
-    whether its graphs are pairwise **disjoint** (no triple stored in
-    two graphs); while they are, union reads skip duplicate suppression.
+    O(1) :meth:`union` view depend on this.
     """
 
     def __init__(self) -> None:
@@ -1318,7 +1222,6 @@ class Dataset:
         #: (see :meth:`snapshot`) and keeps the lock order flat.
         self._lock = CountedRLock()
         self._named: Dict[IRI, Graph] = {}
-        self._disjoint = True
         #: the latest *published* snapshot; readers take it lock-free.
         self._snapshot: Optional["DatasetSnapshot"] = None
         #: True when any member graph mutated (or membership changed)
@@ -1349,13 +1252,6 @@ class Dataset:
         graph._lock = self._lock
         graph._owner = self
         self._dirty = True
-        if graph._tracker is None:
-            graph._tracker = self
-        else:
-            # the graph reports adds to another dataset's tracker, so
-            # overlaps here would go unseen — stay conservative and
-            # keep duplicate suppression on
-            self._disjoint = False
 
     def locked(self) -> CountedRLock:
         """The dataset-wide write lock, as a context manager.
@@ -1379,7 +1275,6 @@ class Dataset:
                     graph = Graph(iri, self.namespace_manager,
                                   dictionary=self.dictionary,
                                   lock=self._lock)
-                    graph._tracker = self
                     graph._owner = self
                     self._named[iri] = graph
                     self._dirty = True
@@ -1396,41 +1291,6 @@ class Dataset:
     def graphs(self) -> Iterator[Graph]:
         """All named graphs (the default graph is not included)."""
         return iter(self._named.values())
-
-    @property
-    def graphs_disjoint(self) -> bool:
-        """True while no triple has been added to two member graphs.
-
-        Maintained on every add (a handful of probes against the
-        sibling graphs) and every folded batch (one sort per non-empty
-        sibling); once an overlap appears the flag stays
-        conservative-False.
-        """
-        return self._disjoint
-
-    def _track_add(self, graph: Graph, si: int, pi: int, oi: int) -> None:
-        if not self._disjoint:
-            return
-        for other in (self._default, *self._named.values()):
-            if other is not graph and other.contains_id(si, pi, oi):
-                self._disjoint = False
-                return
-
-    def _track_batch(self, graph: Graph, s: np.ndarray, p: np.ndarray,
-                     o: np.ndarray) -> None:
-        """:meth:`_track_add` for the distinct new triples a fold gave
-        ``graph``: a sibling holds one of them exactly when sorting the
-        sibling's content together with them finds two equal rows."""
-        if not self._disjoint:
-            return
-        for other in (self._default, *self._named.values()):
-            if other is graph or not len(other):
-                continue
-            held = other.match_arrays(_WILD)
-            merged = concat_arrays([held, (s, p, o)])
-            if not sorted_runs(merged, len(merged[0]))[1].all():
-                self._disjoint = False
-                return
 
     def union(self) -> UnionView:
         """A read-only merged view of the default plus all named graphs.
@@ -1485,7 +1345,7 @@ class DatasetSnapshot:
 
     Exposes the read surface :class:`~repro.sparql.evaluator.DatasetContext`
     consumes — ``default`` / ``graph()`` / ``graphs()`` /
-    ``graphs_disjoint`` / ``dictionary`` — backed by per-graph
+    ``dictionary`` — backed by per-graph
     :class:`GraphSnapshot`\\ s pinned at one instant, so a whole query
     (including every streamed batch it pulls) evaluates against exactly
     one epoch vector no matter what writers do meanwhile.
@@ -1496,7 +1356,7 @@ class DatasetSnapshot:
     """
 
     __slots__ = ("namespace_manager", "dictionary", "dictionary_mark",
-                 "graphs_disjoint", "epochs", "epoch", "_default",
+                 "epochs", "epoch", "_default",
                  "_named", "_empty")
 
     def __init__(self, dataset: Dataset) -> None:  # called under the lock
@@ -1507,7 +1367,6 @@ class DatasetSnapshot:
         self._named: Dict[IRI, GraphSnapshot] = {
             iri: graph.snapshot()
             for iri, graph in dataset._named.items()}
-        self.graphs_disjoint = dataset._disjoint
         self.epochs = dataset._epoch_vector()
         self.epoch = sum(epoch for _, epoch in self.epochs)
         #: lazily built, shared empty view for unknown identifiers

@@ -25,7 +25,7 @@ import itertools
 import re
 import threading
 from decimal import Decimal, InvalidOperation
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.rdf.errors import TermError
 
@@ -433,9 +433,3 @@ def triple_sort_key(triple: Triple) -> tuple:
         term_sort_key(triple.predicate),
         term_sort_key(triple.object),
     )
-
-
-def fresh_bnodes() -> Iterator[BNode]:
-    """An endless stream of fresh blank nodes."""
-    while True:
-        yield BNode()

@@ -18,7 +18,7 @@ sorted, predicates sorted with ``rdf:type`` first — stable golden files.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.errors import ParseError
 from repro.rdf.graph import Graph
@@ -400,8 +400,3 @@ def _collect_used_prefixes(graph: Graph) -> List[Tuple[str, str]]:
         visit(p)
         visit(o)
     return sorted(used.items())
-
-
-def iter_turtle(text: str) -> Iterator:
-    """Convenience: parse and iterate the resulting triples."""
-    return iter(parse_turtle(text))

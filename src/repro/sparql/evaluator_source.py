@@ -77,7 +77,7 @@ class GraphSource:
 
     A thin adapter — storage semantics (tiers, tombstones, union dedup)
     all live in :mod:`repro.rdf.graph`.  It offers a term-level API
-    (``match`` / ``estimate``, used by property paths and DESCRIBE),
+    (``match``, used by property paths and DESCRIBE),
     an id-level one (``match_arrays`` — a pattern's matches as
     ``(S, P, O)`` arrays, whether the pattern is a whole range or a
     join step's keys as array cells — and ``estimate_ids``), and what
@@ -176,7 +176,8 @@ class DatasetContext:
                     distinct.append(iri)
             return GraphSource(UnionView(
                 self.dataset,
-                [self.dataset.graph(iri) for iri in distinct]))
+                [self.dataset.graph(iri) for iri in distinct
+                 if iri in self.dataset]))
         if self.from_named:
             # FROM NAMED without FROM: the default graph is empty
             return GraphSource(UnionView(self.dataset, []))
@@ -184,15 +185,21 @@ class DatasetContext:
             return GraphSource(UnionView(self.dataset))
         return GraphSource(self.dataset.default)
 
+    def _named(self, iri: IRI) -> Union[Graph, UnionView]:
+        """The graph named ``iri``, never created by the read: one the
+        dataset lacks reads as an empty union."""
+        if iri in self.dataset:
+            return self.dataset.graph(iri)
+        return UnionView(self.dataset, [])
+
     def named_source(self, iri: IRI) -> GraphSource:
         if self.has_dataset_clause and iri not in self.from_named:
             return GraphSource(UnionView(self.dataset, []))
-        return GraphSource(self.dataset.graph(iri))
+        return GraphSource(self._named(iri))
 
-    def named_graphs(self) -> List[Tuple[IRI, Graph]]:
+    def named_graphs(self) -> List[Tuple[IRI, Union[Graph, UnionView]]]:
         if self.has_dataset_clause:
-            return [(iri, self.dataset.graph(iri))
-                    for iri in self.from_named]
+            return [(iri, self._named(iri)) for iri in self.from_named]
         return [(graph.identifier, graph)
                 for graph in self.dataset.graphs()
                 if graph.identifier is not None]

@@ -25,7 +25,7 @@ and IC-20/21 check hierarchical code lists with ``<p>*`` and ``^``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import IRI, Term
 
@@ -36,10 +36,6 @@ from repro.rdf.terms import IRI, Term
 
 class Path:
     """Base class for property-path expressions."""
-
-    def iris(self) -> Set[IRI]:
-        """All IRIs mentioned anywhere in the path (for analysis)."""
-        raise NotImplementedError
 
     def to_sparql(self) -> str:
         """Round-trippable SPARQL surface syntax."""
@@ -64,9 +60,6 @@ class LinkPath(Path):
     def __init__(self, iri: IRI) -> None:
         self.iri = iri
 
-    def iris(self) -> Set[IRI]:
-        return {self.iri}
-
     def to_sparql(self) -> str:
         return self.iri.n3()
 
@@ -78,9 +71,6 @@ class InversePath(Path):
 
     def __init__(self, child: Path) -> None:
         self.child = child
-
-    def iris(self) -> Set[IRI]:
-        return self.child.iris()
 
     def to_sparql(self) -> str:
         return f"^({self.child.to_sparql()})"
@@ -94,12 +84,6 @@ class SequencePath(Path):
             raise ValueError("sequence path needs at least two steps")
         self.steps = list(steps)
 
-    def iris(self) -> Set[IRI]:
-        result: Set[IRI] = set()
-        for step in self.steps:
-            result |= step.iris()
-        return result
-
     def to_sparql(self) -> str:
         return "/".join(f"({step.to_sparql()})" for step in self.steps)
 
@@ -111,12 +95,6 @@ class AlternativePath(Path):
         if len(choices) < 2:
             raise ValueError("alternative path needs at least two choices")
         self.choices = list(choices)
-
-    def iris(self) -> Set[IRI]:
-        result: Set[IRI] = set()
-        for choice in self.choices:
-            result |= choice.iris()
-        return result
 
     def to_sparql(self) -> str:
         return "|".join(f"({choice.to_sparql()})" for choice in self.choices)
@@ -130,9 +108,6 @@ class ZeroOrOnePath(Path):
     def __init__(self, child: Path) -> None:
         self.child = child
 
-    def iris(self) -> Set[IRI]:
-        return self.child.iris()
-
     def to_sparql(self) -> str:
         return f"({self.child.to_sparql()})?"
 
@@ -145,9 +120,6 @@ class ZeroOrMorePath(Path):
     def __init__(self, child: Path) -> None:
         self.child = child
 
-    def iris(self) -> Set[IRI]:
-        return self.child.iris()
-
     def to_sparql(self) -> str:
         return f"({self.child.to_sparql()})*"
 
@@ -159,9 +131,6 @@ class OneOrMorePath(Path):
 
     def __init__(self, child: Path) -> None:
         self.child = child
-
-    def iris(self) -> Set[IRI]:
-        return self.child.iris()
 
     def to_sparql(self) -> str:
         return f"({self.child.to_sparql()})+"
@@ -179,9 +148,6 @@ class NegatedPropertySet(Path):
             raise ValueError("negated property set cannot be empty")
         self.forward = list(forward)
         self.inverse = list(inverse)
-
-    def iris(self) -> Set[IRI]:
-        return set(self.forward) | set(self.inverse)
 
     def to_sparql(self) -> str:
         parts = [iri.n3() for iri in self.forward]

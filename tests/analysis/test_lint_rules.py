@@ -509,6 +509,8 @@ ROW_FIXTURES = [
     (COLUMNAR, "def locate(self, rows):\n"
                "    return [self._range(row) for row in rows]\n"),
     (LIBRARY, "def size(graph):\n    return len(graph._delta)\n"),
+    (LIBRARY, "class Dataset:\n    def _track_add(self, graph):\n"
+              "        return self.graphs_disjoint\n"),
     (EVALUATOR, "def scan(source, pattern):\n"
                 "    return list(source.match(pattern))\n"),
     (ETL, "def hops(graph, members):\n"

@@ -26,6 +26,8 @@ from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import LocalEndpoint
 
+from tests.rdf.rows import id_rows
+
 EX = "http://example.org/colstorm/"
 VALUE = IRI(EX + "value")
 GROUP = IRI(EX + "group")
@@ -89,8 +91,7 @@ class TestPinnedSnapshotStability:
 
         first_rows = endpoint.select(AGG_QUERY).rows
         snap = dataset.snapshot()
-        pinned_triples = sorted(
-            snap.default.triples_ids((None, None, None)))
+        pinned_triples = sorted(id_rows(snap.default))
 
         errors = []
         stop = threading.Event()
@@ -98,8 +99,7 @@ class TestPinnedSnapshotStability:
         def reader():
             try:
                 while not stop.is_set():
-                    again = sorted(
-                        snap.default.triples_ids((None, None, None)))
+                    again = sorted(id_rows(snap.default))
                     if again != pinned_triples:
                         errors.append("pinned snapshot drifted")
                         return
@@ -135,7 +135,7 @@ class TestPinnedSnapshotStability:
 
         # the pin still answers with the pre-storm state, the live
         # graph with the post-storm state
-        assert sorted(snap.default.triples_ids((None, None, None))) == \
+        assert sorted(id_rows(snap.default)) == \
             pinned_triples
         live = endpoint.select(AGG_QUERY).rows
         assert sorted(map(repr, live)) != sorted(map(repr, first_rows))
@@ -155,7 +155,7 @@ class TestPinnedSnapshotStability:
             snap = dataset.snapshot()
             rows = frozenset(
                 (si, pi, oi) for si, pi, oi
-                in snap.default.triples_ids((None, None, None)))
+                in id_rows(snap.default))
             with epoch_lock:
                 epochs[snap.default.epoch] = rows
 
@@ -169,7 +169,7 @@ class TestPinnedSnapshotStability:
                     snap = dataset.snapshot()
                     seen = frozenset(
                         (si, pi, oi) for si, pi, oi
-                        in snap.default.triples_ids((None, None, None)))
+                        in id_rows(snap.default))
                     with epoch_lock:
                         recorded = epochs.get(snap.default.epoch)
                     if recorded is not None and recorded != seen:
@@ -245,8 +245,8 @@ class TestPinnedSnapshotStability:
 
         stormed = run(concurrent=True)
         serial = run(concurrent=False)
-        assert sorted(stormed.default.triples_ids((None, None, None))) \
-            == sorted(serial.default.triples_ids((None, None, None)))
+        assert sorted(id_rows(stormed.default)) \
+            == sorted(id_rows(serial.default))
         endpoint_a = LocalEndpoint(stormed)
         endpoint_b = LocalEndpoint(serial)
         assert sorted(map(repr, endpoint_a.select(AGG_QUERY).rows)) == \

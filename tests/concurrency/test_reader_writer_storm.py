@@ -24,6 +24,8 @@ from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import LocalEndpoint
 from repro.sparql.optimizer import PLAN_CACHE
 
+from tests.rdf.rows import id_rows
+
 EX = "http://example.org/storm/"
 DIM = IRI(EX + "dim")
 VAL = IRI(EX + "val")
@@ -242,7 +244,7 @@ class TestStorm:
         # distinct counters match the distinct objects actually stored
         for pid, distinct in graph.stats.objects.items():
             actual = len({oi for _, _, oi
-                          in graph.triples_ids((None, pid, None))})
+                          in id_rows(graph, (None, pid, None))})
             assert distinct == actual
 
     def test_endpoint_statistics_counted_every_query(self, storm_result):

@@ -44,7 +44,6 @@ def native(fresh):
 
 def test_generated_cube_overlaps_and_mixes_tiers(fresh):
     dataset = fresh.endpoint.dataset
-    assert not dataset.graphs_disjoint
     pinned = dataset.snapshot()
     members = [pinned.default, *pinned.graphs()]
     stored = sum(len(graph) for graph in members)

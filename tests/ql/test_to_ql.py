@@ -1,7 +1,7 @@
 """QL pretty-printer round-trip tests (program.to_ql())."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf.terms import IRI, Literal
 from repro.ql.ast import (
@@ -113,6 +113,7 @@ class TestRoundTrip:
         assert_round_trip(program_of(operations))
 
     @given(st.text(max_size=25))
+    @example("”")  # the closing typographic quote
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_dice_strings_round_trip(self, value):
         try:

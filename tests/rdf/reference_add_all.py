@@ -4,11 +4,10 @@ write path.
 This is the loop the two-phase ``add_all`` replaced, moved here whole:
 one ``Graph.add`` per element under the write lock — each one
 validating, interning, probing both tiers, updating the statistics a
-triple at a time, reporting to the dataset's disjointness tracker and
-compacting inline when the overlay outgrows the write threshold — and,
-when an element fails, the reverse ``remove`` of everything added so
-far plus the epoch restore.  It defines what a batch must leave behind:
-the same content, the same statistics, the same ``graphs_disjoint``.
+triple at a time and compacting inline when the overlay outgrows the
+write threshold — and, when an element fails, the reverse ``remove`` of
+everything added so far plus the epoch restore.  It defines what a
+batch must leave behind: the same content, the same statistics.
 (It moves the epoch once per new triple where the batch path moves it
 once per batch; both move it exactly when something new was added.)
 ``tests/rdf/test_batch_write.py`` drives both.

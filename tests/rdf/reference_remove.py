@@ -19,6 +19,8 @@ import repro.rdf.graph as graph_module
 from repro.rdf import Graph
 from repro.rdf.graph import IdPattern, IdTriple, TriplePattern
 
+from tests.rdf.reference_reads import reference_ids
+
 
 def _dead(graph: Graph, pattern: IdPattern) -> List[IdTriple]:
     s, p, o = pattern
@@ -51,7 +53,7 @@ def reference_remove(graph: Graph, pattern: TriplePattern) -> int:
         ids = graph._encode_pattern(pattern)
         if ids is None:
             return 0
-        victims = list(graph.triples_ids(ids))
+        victims = list(reference_ids(graph, ids))
         if not victims:
             return 0
         if graph._shared:

@@ -8,11 +8,10 @@ through ``Graph.bulk_load_ids``, with the write threshold patched so
 that both placements of a batch (fold into the columns, land in the
 overlay) run.  They must agree on
 
-* the content (``triples_ids``, ``len``) and its one sorted form
+* the content (``match_arrays``, ``len``) and its one sorted form
   (``folded_columns()``: all three orders byte for byte, dtype
   included);
 * the per-predicate statistics;
-* the dataset's ``graphs_disjoint``;
 
 and each on its own must move ``epoch`` / raise the dataset's dirty
 flag exactly when the batch held something new, leave a snapshot pinned
@@ -30,6 +29,7 @@ from repro.rdf.errors import TermError
 from repro.testing import faults
 
 from tests.rdf.reference_add_all import reference_add_all
+from tests.rdf.rows import id_rows
 
 EX = "http://example.org/"
 SUBJECTS = [IRI(f"{EX}s{index}") for index in range(5)] + [BNode("b0")]
@@ -76,9 +76,8 @@ class World:
     def observed(self):
         """What a failed or empty batch must leave exactly as it was."""
         graph = self.graph
-        return (set(graph.triples_ids()), len(graph), graph.epoch,
-                graph.tier_sizes(), statistics(graph),
-                self.dataset.graphs_disjoint, self.dataset._dirty)
+        return (set(id_rows(graph)), len(graph), graph.epoch,
+                graph.tier_sizes(), statistics(graph), self.dataset._dirty)
 
 
 def statistics(graph):
@@ -96,11 +95,10 @@ def generation(graph):
 
 
 def agree(left: World, right: World) -> None:
-    assert set(left.graph.triples_ids()) == set(right.graph.triples_ids())
+    assert set(id_rows(left.graph)) == set(id_rows(right.graph))
     assert len(left.graph) == len(right.graph)
     assert generation(left.graph) == generation(right.graph)
     assert statistics(left.graph) == statistics(right.graph)
-    assert left.dataset.graphs_disjoint == right.dataset.graphs_disjoint
 
 
 @pytest.fixture
@@ -123,7 +121,7 @@ class TestAgainstThePerTripleLoop:
         worlds = [World(state, stored, beside) for _ in range(3)]
         batched, oracle, bulk = worlds
         before = [world.observed() for world in worlds]
-        frozen = batched.pinned and (set(batched.pinned.triples_ids()),
+        frozen = batched.pinned and (set(id_rows(batched.pinned)),
                                      len(batched.pinned),
                                      generation(batched.pinned))
         compactions = CONCURRENCY.compactions
@@ -151,7 +149,7 @@ class TestAgainstThePerTripleLoop:
             assert compactions == 0
         if frozen:
             pinned = batched.pinned
-            assert (set(pinned.triples_ids()), len(pinned),
+            assert (set(id_rows(pinned)), len(pinned),
                     generation(pinned)) == frozen
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -216,26 +214,12 @@ class TestPlacement:
                 rebuilt.distinct_objects) == (graph.epoch, 12, 2)
         assert graph.predicate_summary(other) is kept  # restamped, not rebuilt
 
-    def test_bulk_ids_keep_the_disjointness_claim_without_an_overlap(self):
-        world = World("columns", [(SUBJECTS[0], PREDICATES[0], OBJECTS[0])],
-                      [(SUBJECTS[1], PREDICATES[0], OBJECTS[0])])
-        encode = world.graph.dictionary.encode
-        fresh = [encode(SUBJECTS[2]), encode(PREDICATES[0]),
-                 encode(OBJECTS[0])]
-        world.graph.bulk_load_ids(*([term_id] for term_id in fresh))
-        assert world.dataset.graphs_disjoint
-        overlap = [encode(SUBJECTS[1]), encode(PREDICATES[0]),
-                   encode(OBJECTS[0])]
-        world.graph.bulk_load_ids(*([term_id] for term_id in overlap))
-        assert not world.dataset.graphs_disjoint
-
-
     def test_a_snapshot_rejects_the_id_level_entry_too(self):
         world = World("pinned", GOOD[:4], [])
-        before = set(world.pinned.triples_ids())
+        before = set(id_rows(world.pinned))
         with pytest.raises(TermError):
             world.pinned.bulk_load_ids([0], [1], [2])
-        assert set(world.pinned.triples_ids()) == before
+        assert set(id_rows(world.pinned)) == before
 
 
 GOOD = [(SUBJECTS[i % 5], PREDICATES[i % 3], OBJECTS[i % 6])

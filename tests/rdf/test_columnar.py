@@ -15,6 +15,7 @@ from repro.rdf.columnar import TripleColumns, concat_arrays
 from repro.rdf.dictionary import OVERLAY_BASE
 
 from tests.rdf.reference_merged import id_arrays
+from tests.rdf.rows import rows
 
 
 def reference_scan(triples, pattern):
@@ -55,14 +56,8 @@ class TestPatternRouting:
     def test_every_shape_matches_reference(self, columns, triples):
         for pattern in all_patterns(triples):
             expected = reference_scan(triples, pattern)
-            assert sorted(columns.scan(pattern)) == expected, pattern
+            assert sorted(rows(columns.arrays(pattern))) == expected, pattern
             assert columns.count(pattern) == len(expected), pattern
-
-    def test_arrays_agree_with_scan(self, columns, triples):
-        for pattern in all_patterns(triples):
-            s, p, o = columns.arrays(pattern)
-            rows = sorted(zip(s.tolist(), p.tolist(), o.tolist()))
-            assert rows == sorted(columns.scan(pattern))
 
     def test_contains(self, columns, triples):
         some = next(iter(triples))
@@ -87,7 +82,8 @@ class TestMerge:
         added = {(1000 + i, i % 4, 2000 + i) for i in range(50)}
         merged = base.merged(id_arrays(added), id_arrays(victims))
         expected = (triples - victims) | added
-        assert sorted(merged.scan((None, None, None))) == sorted(expected)
+        assert sorted(rows(merged.arrays((None, None, None)))) \
+            == sorted(expected)
         # the receiver is untouched (pinned snapshots keep reading it)
         assert len(base) == len(triples)
 
@@ -156,10 +152,9 @@ class TestDtypeAndCeiling:
         """``arrays(pattern, dead)`` leaves out exactly the named
         stored triples and keeps the survivors' sorted order."""
         for pattern in all_patterns(triples):
-            matches = list(columns.scan(pattern))
+            matches = rows(columns.arrays(pattern))
             dead = matches[::3]
-            s, p, o = columns.arrays(pattern, id_arrays(dead))
-            kept = list(zip(s.tolist(), p.tolist(), o.tolist()))
+            kept = rows(columns.arrays(pattern, id_arrays(dead)))
             assert kept == [m for m in matches if m not in set(dead)]
 
 
@@ -168,7 +163,7 @@ class TestEmptyAndHelpers:
         empty = TripleColumns.build([])
         assert len(empty) == 0
         assert empty.count((None, None, None)) == 0
-        assert list(empty.scan((1, 2, 3))) == []
+        assert rows(empty.arrays((1, 2, 3))) == []
         assert empty.n_subjects == 0
 
     def test_predicate_counts(self, columns, triples):

@@ -242,7 +242,6 @@ class TestCountFromIndexes:
                       for part in pattern)
         assert graph.count(terms) == expected
         assert graph.count(terms) == len(list(graph.triples(terms)))
-        assert graph.estimate(terms) == expected
 
     def test_unknown_term_counts_zero(self, graph):
         assert graph.count((EX.never_seen, None, None)) == 0
@@ -285,11 +284,9 @@ class TestUnionView:
         assert view.value(EX.c, EX.p, None) == EX.d
         assert view.count((None, EX.p, None)) == 3
 
-    def test_disjoint_tracking(self, dataset):
-        assert dataset.graphs_disjoint
+    def test_union_dedups_an_overlap(self, dataset):
         # duplicate a default-graph triple into a named graph
         dataset.graph("http://e/g1").add(EX.a, EX.p, EX.b)
-        assert not dataset.graphs_disjoint
         # the union view deduplicates: still 3 distinct triples
         assert len(dataset.union()) == 3
 

@@ -127,23 +127,23 @@ class TestGraphQuery:
         assert clone != graph
 
 
-class TestGraphEstimate:
-    def test_estimates_exact_for_bound_shapes(self, graph):
-        assert graph.estimate((EX.a, EX.knows, EX.b)) == 1
-        assert graph.estimate((EX.a, EX.knows, EX.z)) == 0
-        assert graph.estimate((EX.a, EX.knows, None)) == 2
-        assert graph.estimate((None, EX.knows, EX.c)) == 2
+class TestGraphCount:
+    def test_counts_exact_for_bound_shapes(self, graph):
+        assert graph.count((EX.a, EX.knows, EX.b)) == 1
+        assert graph.count((EX.a, EX.knows, EX.z)) == 0
+        assert graph.count((EX.a, EX.knows, None)) == 2
+        assert graph.count((None, EX.knows, EX.c)) == 2
 
-    def test_estimates_never_underestimate_to_zero_when_present(self, graph):
-        assert graph.estimate((EX.a, None, None)) >= 3
-        assert graph.estimate((None, EX.knows, None)) >= 3
-        assert graph.estimate((None, None, EX.c)) >= 2
-        assert graph.estimate((None, None, None)) == 4
+    def test_counts_never_zero_when_present(self, graph):
+        assert graph.count((EX.a, None, None)) >= 3
+        assert graph.count((None, EX.knows, None)) >= 3
+        assert graph.count((None, None, EX.c)) >= 2
+        assert graph.count((None, None, None)) == 4
 
-    def test_estimate_zero_for_absent_terms(self, graph):
-        assert graph.estimate((EX.z, None, None)) == 0
-        assert graph.estimate((None, EX.unknown, None)) == 0
-        assert graph.estimate((None, None, EX.z)) == 0
+    def test_count_zero_for_absent_terms(self, graph):
+        assert graph.count((EX.z, None, None)) == 0
+        assert graph.count((None, EX.unknown, None)) == 0
+        assert graph.count((None, None, EX.z)) == 0
 
 
 class TestDataset:
@@ -244,14 +244,11 @@ def test_graph_behaves_like_a_set(to_add, to_remove):
 
 @settings(max_examples=40)
 @given(st.lists(triples, max_size=30))
-def test_estimate_upper_bounds_are_sane(entries):
+def test_counts_agree_with_iteration(entries):
     g = Graph()
     for s, p, o in entries:
         g.add(s, p, o)
-    # fully-wildcard estimate is exact; single-bound shapes are ≥ truth
-    assert g.estimate((None, None, None)) == len(g)
+    assert g.count((None, None, None)) == len(g)
     for s, p, o in entries:
-        assert g.estimate((s, p, None)) == \
-            g.count((s, p, None))
-        assert g.estimate((None, p, o)) == g.count((None, p, o))
-        assert g.estimate((s, None, None)) >= g.count((s, None, None))
+        for pattern in ((s, p, None), (None, p, o), (s, None, None)):
+            assert g.count(pattern) == len(list(g.triples(pattern)))

@@ -1,19 +1,25 @@
 """``match_arrays`` is total: in every physical state of a graph, and
 over a union of graphs, it answers with exactly the triples — in
-exactly the order — that ``triples_ids`` yields.
+exactly the order — that the per-tier tuple walk yields
+(``reference_reads.reference_ids``, the oracle).
 
 The states a graph moves through are built explicitly (overlay only;
 columns only; columns + overlay; columns + tombstones; a tombstoned
 triple re-added; after ``compact()``), because the array read composes
 a different mix of tiers in each.  The union cases check the dedup
-rule: first occurrence kept, member order preserved, ``count`` /
-``len`` exact.
+rule — a read deduplicates when two or more members matched: first
+occurrence kept, member order preserved, ``count`` / ``len`` exact,
+over overlapping and over disjoint members.  The term-level reads
+(``triples``, ``count``, ``in``) decode the same rows.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Dataset, Graph, IRI
+from repro.rdf import Dataset, Graph, IRI, Triple
 from repro.rdf.graph import UnionView
+
+from tests.rdf.reference_reads import reference_ids
+from tests.rdf.rows import id_rows
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -75,7 +81,7 @@ def patterns_over(graph) -> list:
     probes = [tuple(lookup(term(i)) for i in triple)
               for triple in [(0, 1, 2), (1, 1, 1), (5, 0, 3)]]
     probes = [probe for probe in probes if None not in probe]
-    probes.extend(list(graph.triples_ids())[:3])
+    probes.extend(id_rows(graph)[:3])
     out = [(None, None, None)]
     for s, p, o in probes:
         for mask in range(1, 8):
@@ -86,11 +92,23 @@ def patterns_over(graph) -> list:
 
 def assert_same_reads(view) -> None:
     for pattern in patterns_over(view):
-        expected = list(view.triples_ids(pattern))
-        s, p, o = view.match_arrays(pattern)
-        assert list(zip(s.tolist(), p.tolist(), o.tolist())) == expected, \
-            pattern
+        expected = list(reference_ids(view, pattern))
+        assert id_rows(view, pattern) == expected, pattern
         assert view.count_ids(pattern) == len(expected), pattern
+
+
+def assert_same_terms(view) -> None:
+    """``triples()`` is ``match_arrays`` decoded, for every shape; so
+    are ``count`` and membership."""
+    decode = view.dictionary.decode
+    for pattern in patterns_over(view):
+        terms = tuple(None if cell is None else decode(cell)
+                      for cell in pattern)
+        expected = [Triple(*map(decode, ids))
+                    for ids in id_rows(view, pattern)]
+        assert list(view.triples(terms)) == expected, pattern
+        assert view.count(terms) == len(expected), pattern
+        assert (terms in view) == bool(expected), pattern
 
 
 @SETTINGS
@@ -99,6 +117,8 @@ def test_graph_arrays_equal_ids_in_every_state(first, second, state):
     graph = in_state(Graph(), state, first, second)
     assert_same_reads(graph)
     assert_same_reads(graph.snapshot())
+    assert_same_terms(graph)
+    assert_same_terms(graph.snapshot())
 
 
 def test_every_state_is_actually_reached():
@@ -137,21 +157,50 @@ def test_union_arrays_equal_ids(members, overlapping):
             first = [(s, 10 + index, o) for s, _, o in first]
             second = [(s, 10 + index, o) for s, _, o in second]
         in_state(graph, state, first, second)
-    if not overlapping:
-        assert dataset.graphs_disjoint
     for view in (dataset.union(), UnionView(dataset.snapshot()),
                  UnionView(dataset, graphs[1:])):
         assert_same_reads(view)
-        distinct = {ids for graph in view.members()
-                    for ids in graph.triples_ids()}
-        everything = list(view.triples_ids())
-        assert len(everything) == len(distinct) == len(view)
-        # first occurrence, member order: the union reads as the
-        # members read one after another, minus what was already seen
-        seen, expected = set(), []
-        for graph in view.members():
-            for ids in graph.triples_ids():
-                if ids not in seen:
-                    seen.add(ids)
-                    expected.append(ids)
-        assert everything == expected
+        assert_same_terms(view)
+        assert_first_occurrences(view)
+
+
+def assert_first_occurrences(view) -> None:
+    """The union reads as its members read one after another, minus
+    what was already seen; ``len`` and ``count`` are exact."""
+    seen, expected = set(), []
+    for graph in view.members():
+        for ids in id_rows(graph):
+            if ids not in seen:
+                seen.add(ids)
+                expected.append(ids)
+    assert id_rows(view) == expected
+    assert len(view) == view.count() == len(expected)
+
+
+def test_disjoint_members_matching_together_concatenate():
+    """Members that share no triple but all match the pattern: the
+    read deduplicates (two or more matched), finds nothing to drop and
+    answers the members' rows in member order."""
+    dataset = Dataset()
+    graphs = [dataset.default, dataset.graph("http://example.org/g1"),
+              dataset.graph("http://example.org/g2")]
+    add(graphs[0], [(0, 1, 2), (3, 1, 4)])
+    graphs[0].compact()
+    add(graphs[1], [(5, 1, 2), (0, 1, 4)])
+    add(graphs[2], [(3, 1, 2), (0, 2, 2)])
+    graphs[2].compact()
+    add(graphs[2], [(4, 1, 1)])
+    p1 = dataset.dictionary.lookup(term(1))
+    for view in (dataset.union(), UnionView(dataset.snapshot()),
+                 UnionView(dataset, graphs[::-1])):
+        assert sum(graph.count_ids((None, p1, None)) > 0
+                   for graph in view.members()) == 3
+        member_rows = [ids for graph in view.members()
+                       for ids in id_rows(graph, (None, p1, None))]
+        assert id_rows(view, (None, p1, None)) == member_rows
+        assert view.count_ids((None, p1, None)) == len(member_rows) == 6
+        assert view.count((None, term(1), None)) == 6
+        assert len(view) == 7
+        assert_first_occurrences(view)
+        assert_same_reads(view)
+        assert_same_terms(view)

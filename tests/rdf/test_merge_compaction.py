@@ -16,6 +16,7 @@ from repro.rdf import Graph, IRI
 from repro.rdf.columnar import TripleColumns
 
 from tests.rdf.reference_merged import id_arrays, reference_merged
+from tests.rdf.rows import id_rows, rows
 
 #: ids at and beyond the int32 ceiling need the wide dtype
 WIDE = int(np.iinfo(np.int32).max)
@@ -61,7 +62,7 @@ class TestAgainstTheRebuild:
         shuffle.shuffle(delta)
         shuffle.shuffle(dead)
         merged = assert_same_fold(stored, delta, dead)
-        assert set(merged.scan((None, None, None))) \
+        assert set(rows(merged.arrays((None, None, None)))) \
             == (stored - removed) | set(delta)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -82,7 +83,7 @@ class TestPinnedCases:
 
     def test_empty_base(self):
         merged = assert_same_fold([], [(3, 1, 2), (1, 1, 2)], [])
-        assert list(merged.scan((None, None, None))) \
+        assert rows(merged.arrays((None, None, None))) \
             == [(1, 1, 2), (3, 1, 2)]
 
     def test_empty_base_and_nothing_to_fold(self):
@@ -104,22 +105,22 @@ class TestPinnedCases:
 
     def test_every_row_dead_but_the_delta(self):
         merged = assert_same_fold(self.STORED, [(1, 1, 1)], self.STORED)
-        assert list(merged.scan((None, None, None))) == [(1, 1, 1)]
+        assert rows(merged.arrays((None, None, None))) == [(1, 1, 1)]
 
     def test_delta_before_the_first_row(self):
         merged = assert_same_fold(self.STORED, [(0, 0, 0), (1, 9, 9)], [])
-        assert next(merged.scan((None, None, None))) == (0, 0, 0)
+        assert rows(merged.arrays((None, None, None)))[0] == (0, 0, 0)
 
     def test_delta_after_the_last_row(self):
         merged = assert_same_fold(self.STORED, [(9, 9, 9), (6, 3, 10)], [])
-        assert list(merged.scan((None, None, None)))[-1] == (9, 9, 9)
+        assert rows(merged.arrays((None, None, None)))[-1] == (9, 9, 9)
 
     def test_delta_inside_a_run(self):
         # between two rows that share subject and predicate, and next
         # to a dead row of the same run
         merged = assert_same_fold(self.STORED, [(2, 1, 6), (4, 1, 4)],
                                   [(2, 1, 7)])
-        assert list(merged.scan((2, 1, None))) == [(2, 1, 5), (2, 1, 6)]
+        assert rows(merged.arrays((2, 1, None))) == [(2, 1, 5), (2, 1, 6)]
 
     def test_a_delta_id_past_the_int32_ceiling_widens(self):
         merged = assert_same_fold(self.STORED, [(2, 1, WIDE)], [])
@@ -157,14 +158,14 @@ class TestThroughTheGraph:
 
     def test_a_pinned_snapshot_still_reads_its_generation(self, graph):
         pinned = graph.snapshot()
-        before = (list(pinned.triples_ids()),
+        before = (id_rows(pinned),
                   generation(pinned.folded_columns()))
         graph.remove((IRI("http://e/s3"), None, None))
         graph.add(IRI("http://e/s3"), IRI("http://e/p9"), IRI("http://e/o1"))
         assert graph.tier_sizes() == (40, 1, 4)
         graph.compact()
         assert graph.tier_sizes() == (37, 0, 0)
-        assert (list(pinned.triples_ids()),
+        assert (id_rows(pinned),
                 generation(pinned.folded_columns())) == before
         assert pinned.tier_sizes() == (40, 0, 0)
 
@@ -172,8 +173,8 @@ class TestThroughTheGraph:
         graph.remove((None, IRI("http://e/p1"), None))
         graph.add(IRI("http://e/new"), IRI("http://e/p1"), IRI("http://e/o0"))
         folded = generation(graph.folded_columns())
-        content = set(graph.triples_ids())
+        content = set(id_rows(graph))
         graph.compact()
         assert generation(graph.folded_columns()) == folded
-        assert set(graph.triples_ids()) == content
+        assert set(id_rows(graph)) == content
         assert generation(TripleColumns.build(content)) == folded

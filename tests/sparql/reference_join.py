@@ -37,6 +37,7 @@ from repro.sparql.evaluator_source import (
     IdPattern,
 )
 
+from tests.rdf.reference_reads import reference_ids
 from tests.sparql.tables import id_table
 
 
@@ -61,7 +62,7 @@ class ReferenceJoin:
         """``source``'s per-entry id scan, every entry bumping the
         probe counter and the governor's scan meter."""
         def match_ids(pattern):
-            for ids in source.view.triples_ids(pattern):
+            for ids in reference_ids(source.view, pattern):
                 if PROBE_COUNTER.active:
                     PROBE_COUNTER.entries += 1
                 if self._gov is not None:

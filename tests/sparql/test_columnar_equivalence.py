@@ -16,7 +16,8 @@ Three layers of coverage:
   backend (and cross-checked against the dict backend's materialized
   answers as multisets);
 * randomized triple-pattern fuzzing straight against the storage API
-  (``triples_ids`` / ``count_ids`` / ``match_arrays``), including a
+  (``match_arrays`` / ``count_ids``, against the per-tier tuple walk
+  of ``tests/rdf/reference_reads.py``), including a
   post-compaction write burst so the delta overlay and tombstones sit
   on top of live columns on one side only.
 """
@@ -30,6 +31,8 @@ import repro.rdf.graph as graph_module
 from repro.sparql import LocalEndpoint
 import repro.sparql.evaluator as evaluator_module
 
+from tests.rdf.reference_reads import reference_ids
+from tests.rdf.rows import id_rows
 from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
 
 EX = Namespace("http://example.org/")
@@ -196,7 +199,7 @@ class TestPatternFuzzing:
     """Randomized id-pattern agreement straight at the storage API."""
 
     def ids(self, graph):
-        spo = list(graph.triples_ids((None, None, None)))
+        spo = id_rows(graph)
         subjects = sorted({t[0] for t in spo})
         predicates = sorted({t[1] for t in spo})
         objects = sorted({t[2] for t in spo})
@@ -221,16 +224,13 @@ class TestPatternFuzzing:
 
     def assert_agree(self, legacy_graph, columnar_graph, patterns):
         for pattern in patterns:
-            expected = sorted(legacy_graph.triples_ids(pattern))
-            assert sorted(columnar_graph.triples_ids(pattern)) == \
-                expected, pattern
+            expected = sorted(reference_ids(legacy_graph, pattern))
+            assert sorted(id_rows(legacy_graph, pattern)) == expected, \
+                pattern
+            assert sorted(id_rows(columnar_graph, pattern)) == expected, \
+                pattern
             assert columnar_graph.count_ids(pattern) == len(expected)
             assert legacy_graph.count_ids(pattern) == len(expected)
-            arrays = columnar_graph.match_arrays(pattern)
-            if arrays is not None:
-                rows = sorted(zip(arrays[0].tolist(), arrays[1].tolist(),
-                                  arrays[2].tolist()))
-                assert rows == expected, pattern
 
     def test_compacted_graph_agrees(self, backends):
         legacy, columnar = backends

@@ -4,6 +4,8 @@ import pytest
 
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import LocalEndpoint
+from repro.sparql.evaluator import evaluate_query
+from repro.sparql.parser import parse_query
 
 EX = "http://example.org/"
 G1 = IRI(EX + "g1")
@@ -109,3 +111,30 @@ class TestOtherQueryForms:
             DESCRIBE <{EX}a> FROM <{G2.value}>
         """)
         assert len(graph) == 0  # a's triples live in g1 only
+
+
+class TestReadsCreateNothing:
+    """A graph IRI the dataset lacks reads as empty: a query naming it
+    in FROM, FROM NAMED or GRAPH adds no graph and dirties nothing."""
+
+    NOPE = "http://example.org/nope"
+
+    @pytest.mark.parametrize("query,rows", [
+        (f"SELECT * FROM <{NOPE}> WHERE {{ ?s ?p ?o }}", 0),
+        (f"SELECT * FROM <{G1.value}> FROM <{NOPE}> WHERE {{ ?s ?p ?o }}", 1),
+        (f"SELECT * FROM NAMED <{NOPE}> WHERE {{ GRAPH ?g {{ ?s ?p ?o }} }}",
+         0),
+        (f"SELECT * WHERE {{ GRAPH <{NOPE}> {{ ?s ?p ?o }} }}", 0),
+        (f"SELECT ?g FROM NAMED <{NOPE}> WHERE {{ GRAPH ?g {{ }} }}", 1),
+    ])
+    def test_live_dataset_is_unchanged(self, endpoint, query, rows):
+        dataset = endpoint.dataset
+        pinned = dataset.snapshot()
+        before = ([graph.identifier for graph in dataset.graphs()],
+                  len(dataset), pinned.epoch)
+        table = evaluate_query(parse_query(query), dataset)
+        assert len(table) == rows
+        assert IRI(self.NOPE) not in dataset
+        assert ([graph.identifier for graph in dataset.graphs()],
+                len(dataset), dataset.snapshot().epoch) == before
+        assert dataset.snapshot() is pinned  # the dirty flag stayed down

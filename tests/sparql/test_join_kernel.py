@@ -280,10 +280,6 @@ class ArraySource:
         at = np.concatenate(picked)
         return tuple(column[at] for column in self.arrays)
 
-    def triples_ids(self, pattern):
-        return zip(*(column.tolist()
-                     for column in self.match_arrays(pattern)))
-
 
 INT32_MAX = np.iinfo(np.int32).max
 PREDICATE, DECOY = PREDICATES[:2]

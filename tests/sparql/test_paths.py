@@ -225,9 +225,6 @@ class TestPathEvaluation:
             def match(self, pattern):
                 return source_graph.triples(pattern)
 
-            def estimate(self, pattern):
-                return source_graph.estimate(pattern)
-
         pairs = set(evaluate_path(
             Source(), OneOrMorePath(LinkPath(iri("parent"))),
             iri("alice"), None))

@@ -40,9 +40,6 @@ class _Source:
     def match(self, pattern):
         return self.graph.triples(pattern)
 
-    def estimate(self, pattern):
-        return self.graph.estimate(pattern)
-
 
 def build_source(p_edges, q_edges=()):
     graph = Graph()

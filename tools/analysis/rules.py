@@ -133,11 +133,11 @@ class Pin(NamedTuple):
 
     ``kind`` says what ``names`` are: ``call`` (the callee — a dotted
     name matches exactly, a bare one the last attribute), ``name`` (a
-    name, an attribute or an import), ``attr`` (an attribute read, a
-    ``self.<attr>`` aside), ``assign`` (a ``self.<attr> = …``) or
-    ``const`` (a string literal).  A match inside ``scope`` and in no
-    home is a finding; ``message`` may say ``{name}`` and ``{where}``
-    (the enclosing function).
+    name, an attribute, an import or a definition), ``attr`` (an
+    attribute read, a ``self.<attr>`` aside), ``assign`` (a
+    ``self.<attr> = …``) or ``const`` (a string literal).  A match
+    inside ``scope`` and in no home is a finding; ``message`` may say
+    ``{name}`` and ``{where}`` (the enclosing function).
     """
 
     rule: str
@@ -239,8 +239,15 @@ PINS: Tuple[Pin, ...] = (
     Pin("storage-tiers-private", "name", ("_columns", "_delta", "_tombstones"),
         scope=("src/",), homes=(GRAPH,),
         message="storage tier `{name}` read outside repro/rdf/graph.py "
-                "(ask the graph: match_arrays / triples_ids / count_ids / "
+                "(ask the graph: match_arrays / count_ids / contains_id / "
                 "folded_columns / tier_sizes)"),
+    Pin("storage-tiers-private", "name",
+        ("triples_ids", "graphs_disjoint", "_track_add", "_track_batch"),
+        scope=("src/",),
+        message="`{name}` is a second read path or a disjointness tracker "
+                "(storage answers through match_arrays / count_ids / "
+                "contains_id; a union dedups when two or more members "
+                "matched)"),
     Pin("single-algebra-walker", "call", ("source.match",),
         scope=tuple("src/" + member for member in EVALUATOR_FAMILY),
         message="term-level scan `source.match(...)` in the evaluator "
@@ -320,6 +327,9 @@ def _candidates(node: ast.AST, kind: str) -> List[Optional[str]]:
             + [alias.name for alias in node.names]
     if isinstance(node, ast.Name):
         return [node.id]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
     return [node.attr] if isinstance(node, ast.Attribute) else []
 
 
@@ -518,7 +528,7 @@ class GovernorDisciplineRule(Rule):
 
     Deadlines and budgets are enforced at batch boundaries, so a
     function calling an uncharged producer (``match_ids`` /
-    ``match_arrays`` / ``triples_ids``) must reference the governor.
+    ``match_arrays``) must reference the governor.
     Producers that charge internally (``_scan_chunks``,
     ``_vector_matches``, ``stream_tables``) need nothing more, and a
     same-named delegation wrapper is exempt.
@@ -526,7 +536,7 @@ class GovernorDisciplineRule(Rule):
 
     id = "governor-discipline"
 
-    BATCH_PRODUCERS = {"match_arrays", "triples_ids", "match_ids"}
+    BATCH_PRODUCERS = {"match_arrays", "match_ids"}
     GOVERNOR_MARKS = {"charge_rows", "charge_scan", "tick_scan", "check",
                       "metered", "_gov", "governor"}
 
