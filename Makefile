@@ -1,11 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline docs-check bench bench-smoke \
-	bench-baseline bench-plan bench-plan-baseline bench-stream \
-	bench-stream-baseline bench-concurrency bench-resilience \
-	bench-resilience-baseline bench-join bench-join-baseline \
-	bench-olap perf perf-compare profile
+.PHONY: test lint lint-baseline docs-check bench perf perf-compare profile
 
 ## Tier-1 verification: static analysis + docs doctests + the full
 ## unit/integration suite.
@@ -33,82 +29,21 @@ lint-baseline:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
-## Full paper-scale benchmark suite (slow; REPRO_BENCH_OBS=80000 for
-## the paper's complete demo subset).
+## The paper's experiments E1-E11 under pytest-benchmark (slow;
+## REPRO_BENCH_OBS=80000 for the paper's complete demo subset).  Timing
+## claims are judged by `make perf` / `make perf-compare` instead; the
+## deterministic checks (plan shapes, entries read, typed errors,
+## cross-engine cells) are tier-1 tests.
 bench:
-	$(PYTHON) -m pytest benchmarks -q
-
-## Fast regression gate over the querying hot path: runs the E3/E6
-## workload at a small scale and fails on >20% slowdown vs the
-## committed baseline (benchmarks/baseline.json).
-bench-smoke:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_regression.py
-
-## Refresh the committed smoke baseline after an intentional change.
-bench-baseline:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_regression.py --update
-
-## Plan-quality gate: estimated plan cost of every E3/E6 query must
-## stay within 2x of the committed baseline (benchmarks/plan_baseline.json).
-bench-plan:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_plans.py
-
-## Refresh the committed plan baseline after an intentional change.
-bench-plan-baseline:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_plans.py --update
-
-## Streaming gate: probe / streamed-row counts of a DISTINCT-LIMIT and
-## an OPTIONAL-LIMIT query must stay within 2x of the committed
-## baseline (and results must match materialized execution exactly).
-bench-stream:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_regression.py --stream
-
-## Refresh the committed streaming baseline after an intentional change.
-bench-stream-baseline:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_regression.py --stream --update
-
-## Concurrency gate: 8 interactive readers + 1 bulk writer under a
-## wall-clock budget; snapshot isolation must deliver >= 2x the
-## aggregate read throughput of a serialized-lock control, with
-## concurrent results identical to single-threaded execution.
-bench-concurrency:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_concurrency.py
-
-## Resilience gate: healthy readers share the endpoint with injected
-## hanging queries, a crashing bulk writer and an admission burst;
-## every fault must surface as a typed governed error, healthy p99
-## must stay within 3x of fault-free, crashed batches must roll back
-## completely, and concurrent results must match single-threaded.
-bench-resilience:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_resilience.py
-
-## Refresh the committed resilience reference numbers.
-bench-resilience-baseline:
-	REPRO_BENCH_OBS=2000 $(PYTHON) benchmarks/check_resilience.py --update
-
-## Columnar-storage gate: compaction latency under its ceiling, and a
-## 1M-observation bulk load + E3-shaped aggregation inside the
-## governor's default deadline.  Throughput history lands in
-## benchmarks/join_baseline.json.
-bench-join:
-	$(PYTHON) benchmarks/check_join.py
-
-## Refresh the recorded join/compaction throughput history.
-bench-join-baseline:
-	$(PYTHON) benchmarks/check_join.py --update
-
-## Columnar-OLAP gate: star ETL >= 5x the per-observation test oracle
-## at 100k observations (byte-identical fact tables),
-## shared-fact-snapshot cells identical to the serial native engine,
-## zero leaked shared-memory segments after close.
-bench-olap:
-	REPRO_BENCH_OBS=100000 $(PYTHON) benchmarks/check_olap.py
+	$(PYTHON) -m pytest benchmarks/bench_e*.py -q
 
 ## The contract benchmark (BENCHMARK.json), the A/B a perf claim is
 ## judged by: `make perf OUT=a.json [RUNS=10]` records one set of runs
 ## (every workload, RUNS fresh processes each) of the tree it runs in;
 ## `make perf-compare BASE=a.json CHANGE=b.json` reads two sets under
-## the contract's bounds and the nine-of-ten-pairs rule.
+## the contract's bounds and the nine-of-ten-pairs rule.  An
+## off-contract 1M run: `python3 benchmarks/perf/run.py --workload
+## rollup_20k --observations 1000000`.
 RUNS ?= 10
 perf:
 	python3 benchmarks/perf/record.py --runs $(RUNS) --out $(OUT)

@@ -25,6 +25,9 @@ from typing import List, Optional
 from repro.data.namespaces import SCHEMA
 from repro.demo import MARY_QL, prepare_enriched_demo
 from repro.enrichment import EnrichmentConfig
+from repro.ql.ast import QLSyntaxError
+from repro.ql.checker import QLSemanticError
+from repro.sparql.errors import SPARQLError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -324,7 +327,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (SPARQLError, QLSyntaxError, QLSemanticError, OSError) as error:
+        # a malformed query or program, or an unreadable file: the
+        # typed error's message is the whole story, not a traceback
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,84 +22,24 @@ prefix header, default graph first, named graphs sorted by IRI.
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.rdf.errors import ParseError
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI
 from repro.rdf.turtle import (
     _TurtleParser,
     _collect_used_prefixes,
     serialize_turtle,
 )
 
-# The Turtle token table, extended with `{`/`}` and the GRAPH keyword.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
-  | (?P<LONG_STRING>\"\"\"(?:[^"\\]|\\.|"(?!""))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*''')
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | (?P<PREFIX_DECL>@prefix\b|@base\b)
-  | (?P<LANGTAG>@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)
-  | (?P<DOUBLE>[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+))
-  | (?P<DECIMAL>[+-]?\d*\.\d+)
-  | (?P<INTEGER>[+-]?\d+)
-  | (?P<HATHAT>\^\^)
-  | (?P<BNODE>_:[A-Za-z0-9][A-Za-z0-9_.\-]*)
-  | (?P<PNAME>[A-Za-z][\w\-]*(?:\.[\w\-]+)*:[\w\-.%]*[\w\-%]|[A-Za-z][\w\-]*(?:\.[\w\-]+)*:|:[\w\-.%]*[\w\-%]|:)
-  | (?P<KEYWORD>\ba\b|\btrue\b|\bfalse\b|\bPREFIX\b|\bBASE\b|\bprefix\b|\bbase\b|\bGRAPH\b|\bgraph\b)
-  | (?P<PUNCT>[;,.\[\](){}])
-    """,
-    re.VERBOSE,
-)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind: str, text: str, line: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.line = line
-
-    def __repr__(self) -> str:
-        return f"_Token({self.kind}, {self.text!r}, line={self.line})"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    pos = 0
-    line = 1
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        kind = match.lastgroup or ""
-        chunk = match.group()
-        line += chunk.count("\n")
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, chunk, line))
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line))
-    return tokens
-
 
 class _TrigParser(_TurtleParser):
     """Extends the Turtle parser with graph blocks over a Dataset."""
 
     def __init__(self, text: str, dataset: Dataset) -> None:
-        # deliberately not calling super().__init__: the token stream
-        # comes from the TriG tokenizer and the target is a dataset
-        self.tokens = _tokenize(text)
-        self.position = 0
+        super().__init__(text, dataset.default)
         self.dataset = dataset
-        self.graph = dataset.default
-        self.base: Optional[str] = None
-        self.prefixes: Dict[str, str] = {}
-        self._bnode_map = {}
 
     # -- grammar ---------------------------------------------------------------
 

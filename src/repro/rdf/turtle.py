@@ -41,6 +41,8 @@ from repro.rdf.terms import (
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Shared with TriG, whose graph blocks add `{`, `}` and the GRAPH
+# keyword; Turtle's grammar rejects them as unexpected tokens.
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
@@ -56,8 +58,8 @@ _TOKEN_RE = re.compile(
   | (?P<HATHAT>\^\^)
   | (?P<BNODE>_:[A-Za-z0-9][A-Za-z0-9_.\-]*)
   | (?P<PNAME>[A-Za-z][\w\-]*(?:\.[\w\-]+)*:[\w\-.%]*[\w\-%]|[A-Za-z][\w\-]*(?:\.[\w\-]+)*:|:[\w\-.%]*[\w\-%]|:)
-  | (?P<KEYWORD>\ba\b|\btrue\b|\bfalse\b|\bPREFIX\b|\bBASE\b|\bprefix\b|\bbase\b)
-  | (?P<PUNCT>[;,.\[\]()])
+  | (?P<KEYWORD>\ba\b|\btrue\b|\bfalse\b|\bPREFIX\b|\bBASE\b|\bprefix\b|\bbase\b|\bGRAPH\b|\bgraph\b)
+  | (?P<PUNCT>[;,.\[\](){}])
     """,
     re.VERBOSE,
 )

@@ -52,20 +52,16 @@ from repro.sparql.expressions import EvalContext, order_key
 from repro.sparql.optimizer import get_plan, leading_bgp, stream_shape
 from repro.sparql.results import ResultTable
 
-#: Kill switch for the streaming SELECT path (differential tests flip
-#: it off to compare streamed against fully materialized execution).
-STREAMING_ENABLED = True
-
 
 def would_stream(query: SelectQuery,
                  source: Optional[GraphSource] = None) -> bool:
     """Whether :func:`evaluate_select` takes the streaming path.
 
-    Ignores the module kill switch and trace installation — this is
-    the query's *eligibility*: a LIMIT, no ORDER BY (a total sort
-    needs every row), no aggregation (a group needs every member), and
-    a streamable pattern shape.  DISTINCT / REDUCED queries stream
-    through the incremental dedup operator.
+    Ignores trace installation — this is the query's *eligibility*: a
+    LIMIT, no ORDER BY (a total sort needs every row), no aggregation
+    (a group needs every member), and a streamable pattern shape.
+    DISTINCT / REDUCED queries stream through the incremental dedup
+    operator.
 
     With a ``source``, the leading BGP's (cached) plan is consulted
     too: a path-first plan cannot scan incrementally, so such a query
@@ -195,7 +191,7 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
     evaluator = PatternEvaluator(context)
     evaluator.trace = trace
     eval_context = evaluator._context_for(source)
-    if STREAMING_ENABLED and trace is None and would_stream(query, source):
+    if trace is None and would_stream(query, source):
         # LIMIT pushdown: pull join batches only until enough output
         # rows exist, instead of materializing the full binding table
         context.streamed.selects += 1

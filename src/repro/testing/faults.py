@@ -4,8 +4,9 @@ Production engines earn their resilience claims by *exercising* every
 failure path, not by hoping.  This module provides **failpoints**:
 named hooks compiled into the engine's hot paths (the evaluator's batch
 loops, ``Graph.add_all``, the endpoint's parse step, external fetches)
-that tests and the ``bench-resilience`` gate arm to inject latency,
-exceptions or partial batches — deterministically, under a seed.
+that tests arm to inject latency, exceptions or partial batches —
+deterministically, under a seed (``tests/concurrency/`` drives them
+under load).
 
 Design constraints:
 

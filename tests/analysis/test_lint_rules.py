@@ -655,7 +655,7 @@ def test_storage_tiers_are_the_graphs_own():
     """
     found = findings_for(source, GRAPH, "storage-tiers-private")
     assert len(found) == 1 and "None" in found[0].message
-    assert findings_for(source, "benchmarks/check_join.py",
+    assert findings_for(source, "benchmarks/bench_e3_querying.py",
                         "storage-tiers-private") == []
 
 

@@ -17,6 +17,8 @@ import pytest
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.endpoint import LocalEndpoint
+from repro.sparql.errors import QueryTimeout
+from repro.sparql.governor import QueryLimits
 from repro.testing import faults
 
 EX = "http://example.org/faultstorm/"
@@ -102,6 +104,38 @@ class TestAtomicAddAllRollback:
             ])
         assert len(graph) == 0
         assert graph.epoch == epoch_before
+
+
+class TestThreadScopedStall:
+    def test_stalled_reader_times_out_beside_a_healthy_one(self):
+        """A join-step stall armed for one thread: its query outlives
+        its deadline and ends as ``QueryTimeout``, while a reader on
+        another thread — whose deadline the stall would also break —
+        answers exactly what a single-threaded run answers."""
+        endpoint = seed_endpoint()
+        expected = endpoint.select(PAIR_QUERY).rows
+        outcomes = {}
+
+        def read(role: str, deadline: float) -> None:
+            try:
+                outcomes[role] = endpoint.select(
+                    PAIR_QUERY,
+                    limits=QueryLimits(deadline_seconds=deadline)).rows
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcomes[role] = error
+
+        stalled = threading.Thread(target=read, args=("stalled", 0.05))
+        healthy = threading.Thread(target=read, args=("healthy", 1.0))
+        with faults.failpoint("evaluator.step", delay=1.5,
+                              only_threads=[stalled]) as point:
+            stalled.start()
+            healthy.start()
+            healthy.join(timeout=30)
+            stalled.join(timeout=30)
+        assert not stalled.is_alive() and not healthy.is_alive()
+        assert isinstance(outcomes["stalled"], QueryTimeout)
+        assert outcomes["healthy"] == expected
+        assert point.fired == 1
 
 
 class TestWriterCrashStorm:

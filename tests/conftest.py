@@ -20,9 +20,16 @@ import os
 import time
 
 import pytest
+from hypothesis import settings
 
 from repro.data import small_demo
 from repro.demo import EnrichedDemo, enrich
+
+# Every Hypothesis test draws the same examples on every run, so a
+# failure replays; a fuzzer's find is pinned with ``@example``.  Each
+# test's own ``@settings`` inherits this profile.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True, scope="module")

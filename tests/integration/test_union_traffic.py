@@ -19,10 +19,10 @@ from repro.demo import MARY_QL, enrich
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
 from repro.rdf import Dataset
 from repro.sparql import PROBE_COUNTER, LocalEndpoint
-from repro.sparql import evaluator as evaluator_module
 from repro.sparql.evaluator import GraphSource
 
 from tests.sparql.reference_join import reference_keyed_matches
+from tests.sparql.test_streaming_equivalence import materialized, run_both
 
 #: E3's predefined programs plus E6's demo query and the contract
 #: benchmark's five roll-ups and five dices, both translations
@@ -63,16 +63,15 @@ def test_ql_agrees_with_native_engine(fresh, native, name, variant):
 
 
 @pytest.mark.parametrize("name,variant", CASES)
-def test_streaming_switch_changes_nothing(fresh, monkeypatch, name, variant):
+def test_streaming_switch_changes_nothing(fresh, name, variant):
     program = PROGRAMS[name]
     with PROBE_COUNTER as counter:
         streamed = fresh.engine.execute(program, variant=variant)
         probes = counter.entries
-    monkeypatch.setattr(evaluator_module, "STREAMING_ENABLED", False)
-    with PROBE_COUNTER as counter:
-        materialized = fresh.engine.execute(program, variant=variant)
+    with materialized(), PROBE_COUNTER as counter:
+        full = fresh.engine.execute(program, variant=variant)
         assert counter.entries == probes
-    assert streamed.table.rows == materialized.table.rows
+    assert streamed.table.rows == full.table.rows
 
 
 @pytest.mark.parametrize("name,variant", CASES)
@@ -116,12 +115,11 @@ def test_one_compacted_graph_changes_nothing(fresh, merged, name, variant):
     assert (union.vars, union.rows) == (single.vars, single.rows)
 
 
-def test_limit_query_streams_over_the_overlapping_union(fresh, monkeypatch):
+def test_limit_query_streams_over_the_overlapping_union(fresh):
     """The streaming first-step scan reads the deduplicated union too."""
     query = """
         PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
         SELECT ?s ?c WHERE { ?s rdf:type ?c } LIMIT 40"""
-    streamed = fresh.endpoint.select(query)
-    monkeypatch.setattr(evaluator_module, "STREAMING_ENABLED", False)
-    assert streamed.rows == fresh.endpoint.select(query).rows
+    streamed, full = run_both(fresh.endpoint, query)
+    assert streamed.rows == full.rows
     assert len(set(streamed.rows)) == len(streamed.rows) == 40

@@ -4,17 +4,16 @@ This is the member-at-a-time walk ``repro.olap.etl`` shipped before the
 columnar extractor replaced it (``subject_predicates`` per observation,
 minimum :func:`~repro.olap.etl.deterministic_key` term per property).
 It is the *semantics reference*: ``tests/olap/test_etl_vectorized.py``
-requires the production extractor to be byte-identical to it, and
-``benchmarks/check_olap.py`` gates the production extractor's speed-up
-against it.  Dimension tables come from the production code — only the
-fact walk is independent.
+requires the production extractor to be byte-identical to it.  Its
+speed is not compared with anything (the extractor's is on the record
+as ``star_50k``'s ``olap.etl_ms``).  Dimension tables come from the
+production code — only the fact walk is independent.
 
 :func:`reference_by_value` is the numbering ``_by_value`` shipped
 before the dictionary kept value ranks: decode every subject, sort the
 values in Python.
 """
 
-import time
 from typing import List, Tuple
 
 import numpy as np
@@ -83,12 +82,9 @@ def reference_facts(graph, schema, star: StarSchema) -> FactTable:
                      measures=measure_arrays)
 
 
-def reference_star_schema(endpoint, schema) -> Tuple[StarSchema, float]:
-    """``(star, seconds)``: the production dimension tables with the
-    fact table rebuilt by the per-observation walk, and how long that
-    walk took."""
+def reference_star_schema(endpoint, schema) -> StarSchema:
+    """The production dimension tables with the fact table rebuilt by
+    the per-observation walk."""
     star, _ = extract_star_schema(endpoint, schema)
-    graph = endpoint.dataset.union()
-    started = time.perf_counter()
-    star.facts = reference_facts(graph, schema, star)
-    return star, time.perf_counter() - started
+    star.facts = reference_facts(endpoint.dataset.union(), schema, star)
+    return star

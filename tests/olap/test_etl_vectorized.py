@@ -87,7 +87,7 @@ def production(endpoint, schema):
 
 
 def oracle(endpoint, schema):
-    return reference_star_schema(endpoint, schema)[0]
+    return reference_star_schema(endpoint, schema)
 
 
 #: the production extractor and the per-observation oracle must obey
@@ -391,7 +391,7 @@ def assert_same_dimension(left, right):
 
 
 class TestGeneratedCubes:
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(CUBES)
     def test_equal_to_the_oracles_in_both_insertion_orders(self, cube):
         schema = wide_schema()
@@ -456,7 +456,7 @@ BATCHES = st.lists(st.lists(st.tuples(
 
 
 class TestByValue:
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(BATCHES, st.booleans())
     def test_equal_to_the_decode_and_sort_oracle(self, batches, named):
         """Numbered after every batch: the first builds the
@@ -589,7 +589,7 @@ class TestCallCounts:
         assert len(decodes) == 2 + 10
         endpoint.close()
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(CUBES)
     def test_decodes_are_bounded_by_members_and_distinct_values(self, cube):
         """Members (a level on two roll-up paths is read twice), the

@@ -55,7 +55,7 @@ def distinct_rows(columns, first):
 
 
 class TestGroup:
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(key_columns())
     @example(([np.array([OVERLAY + 1, 1, OVERLAY + 1]),
                np.array([0, OVERLAY, 0])], 3))
@@ -77,7 +77,7 @@ class TestGroup:
                 inverse.tolist().index(number)
                 for number in range(len(first))]
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(key_columns())
     def test_first_occurrence_order_is_a_dict(self, keyed):
         columns, count = keyed
@@ -149,7 +149,7 @@ def unique_calls(monkeypatch, call):
 
 
 class TestDistinct:
-    @settings(derandomize=True, max_examples=600, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(id_columns())
     @example(np.array([-1, -1, -1]))
     @example(np.array([OVERLAY + 4, 3, -1, OVERLAY + 4, 3]))

@@ -105,7 +105,7 @@ ALL_DROPPED = ({"c:0": np.array([-1, 0], dtype=np.int8),
 
 
 class TestPartialMergeAlgebra:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(star_queries())
     @example(ZERO_ROWS)      # scalar over zero facts: one group
     @example(ALL_DROPPED)    # axes but zero kept rows: no group
@@ -118,7 +118,7 @@ class TestPartialMergeAlgebra:
         assert as_mapping(merge([], plan)) == \
             reference(views, plan, 0)  # no morsels at all: no facts
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(star_queries(), st.randoms(use_true_random=False))
     def test_row_permutation_invariance(self, query, rng):
         views, plan, rows, cuts = query

@@ -109,7 +109,7 @@ def threshold(monkeypatch):
 
 
 class TestAgainstThePerTripleLoop:
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(state=st.sampled_from(STATES),
            stored=st.lists(triples, max_size=14),
            beside=st.lists(triples, max_size=3),
@@ -152,7 +152,7 @@ class TestAgainstThePerTripleLoop:
             assert (set(id_rows(pinned)), len(pinned),
                     generation(pinned)) == frozen
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(stored=st.lists(triples, min_size=1, max_size=10),
            state=st.sampled_from(STATES[1:]))
     def test_adding_a_graph_to_itself_changes_nothing(self, stored, state):

@@ -24,7 +24,7 @@ from repro.rdf.graph import UnionView
 from tests.rdf.test_match_arrays import add, drop, term
 from tests.sparql.reference_join import reference_keyed_matches
 
-SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=80, deadline=None)
 
 #: small ids collide across positions; the pattern draws its keys from
 #: these offsets into the stored range

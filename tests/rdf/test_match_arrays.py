@@ -21,7 +21,7 @@ from repro.rdf.graph import UnionView
 from tests.rdf.reference_reads import reference_ids
 from tests.rdf.rows import id_rows
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60, deadline=None)
 
 #: a small id universe so subjects, predicates and objects collide
 ids = st.integers(min_value=0, max_value=5)

@@ -47,7 +47,7 @@ def assert_same_fold(stored, delta, dead):
 
 
 class TestAgainstTheRebuild:
-    @settings(derandomize=True, max_examples=600, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(stored=st.sets(triples, max_size=30),
            added=st.sets(triples, max_size=12),
            removed=st.sets(triples, max_size=12),
@@ -65,7 +65,7 @@ class TestAgainstTheRebuild:
         assert set(rows(merged.arrays((None, None, None)))) \
             == (stored - removed) | set(delta)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(stored=st.sets(st.tuples(st.sampled_from([0, 3, WIDE - 1, WIDE,
                                                      WIDE + 5]),
                                     ids, ids), max_size=12),

@@ -129,7 +129,7 @@ class World:
 
 
 class TestAgainstThePerVictimLoop:
-    @settings(derandomize=True, max_examples=500, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(stored=st.lists(triples, max_size=16),
            beside=st.lists(triples, max_size=2),
            steps=st.lists(operations, max_size=12),
@@ -170,7 +170,7 @@ class TestStatisticsStayExact:
     by an unbound position and asks the index otherwise: the counters
     must equal a recount after every shape."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(stored=st.lists(triples, min_size=1, max_size=20),
            late=st.lists(triples, max_size=6),
            removals=st.lists(patterns, min_size=1, max_size=4))

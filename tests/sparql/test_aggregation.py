@@ -104,7 +104,7 @@ def reference(calls, grouped, rows):
 
 
 class TestAgainstTheReference:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(GROUPS),
                               st.sampled_from(MEASURES)), max_size=24),
            st.booleans())

@@ -29,11 +29,13 @@ import pytest
 from repro.rdf import Literal, Namespace
 import repro.rdf.graph as graph_module
 from repro.sparql import LocalEndpoint
-import repro.sparql.evaluator as evaluator_module
 
 from tests.rdf.reference_reads import reference_ids
 from tests.rdf.rows import id_rows
-from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
+from tests.sparql.test_streaming_equivalence import (
+    DIFFERENTIAL_QUERIES,
+    run_both,
+)
 
 EX = Namespace("http://example.org/")
 
@@ -176,13 +178,7 @@ class TestStreamedSuiteOnColumnar:
     @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
     def test_streamed_equals_materialized(self, backends, query):
         _, columnar = backends
-        assert evaluator_module.STREAMING_ENABLED
-        streamed = columnar.select(query)
-        evaluator_module.STREAMING_ENABLED = False
-        try:
-            materialized = columnar.select(query)
-        finally:
-            evaluator_module.STREAMING_ENABLED = True
+        streamed, materialized = run_both(columnar, query)
         assert streamed.vars == materialized.vars
         assert streamed.rows == materialized.rows
 

@@ -191,7 +191,7 @@ class Harness:
 
 
 class TestMemoisedEqualsRowAtATime:
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(tables, expressions)
     def test_filter_keeps_the_same_rows_in_order(self, rows, condition):
         harness = Harness(rows)
@@ -199,7 +199,7 @@ class TestMemoisedEqualsRowAtATime:
         assert result.names == NAMES
         assert result.rows == harness.reference_filter(condition)
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(tables, expressions, st.sampled_from(["b", "z"]))
     def test_bind_encodes_the_same_values_or_refuses_alike(
             self, rows, expression, name):
@@ -213,7 +213,7 @@ class TestMemoisedEqualsRowAtATime:
         result = harness.extend(name, expression)
         assert (result.names, result.rows) == expected
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(tables, expressions)
     def test_group_key_terms_are_the_same(self, rows, expression):
         harness = Harness(rows)
@@ -286,7 +286,7 @@ conditions = st.one_of(
 
 
 class TestMaskEqualsRowAtATime:
-    @settings(derandomize=True, max_examples=600, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(tables, conditions)
     @example([], both((condition_of("?x = 1"), condition_of("true"))))
     @example([], both((condition_of("?x = 1"), condition_of("?y = ?z"))))

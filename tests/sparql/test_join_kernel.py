@@ -154,7 +154,7 @@ def agree(evaluator, source, table, chain, use_hash):
 
 
 class TestKernelEqualsRowAtATime:
-    @settings(derandomize=True, max_examples=600, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(st.lists(triples, max_size=25), st.lists(triples, max_size=8),
            st.lists(triples, max_size=4), st.lists(triples, max_size=6),
            seed_tables(), st.lists(patterns, min_size=1, max_size=3),
@@ -344,7 +344,7 @@ def array_evaluator():
 
 
 class TestKeyDirectory:
-    @settings(derandomize=True, max_examples=500, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(directory_cases(), st.booleans())
     def test_dense_and_sparse_builds_equal_the_oracle(self, case,
                                                       use_hash):
@@ -482,7 +482,7 @@ class TestPairedOperators:
     """The walker's operators over two tables against the loops they
     replaced: the same names, rows and order."""
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(operands)
     def test_relation_join_equals_the_pairwise_loop(self, pair):
         table, relation = pair
@@ -491,7 +491,7 @@ class TestPairedOperators:
         assert result.names == expected.names
         assert result.rows == expected.rows
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(outer_operands())
     def test_left_outer_equals_the_marker_dict(self, pair):
         left, right = pair
@@ -518,7 +518,7 @@ class TestMinus:
     def evaluator(self, governor=None):
         return PatternEvaluator(DatasetContext(Dataset(), governor=governor))
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(operands)
     def test_anti_join_equals_the_pairwise_loop(self, pair):
         left, removals = pair

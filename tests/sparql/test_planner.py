@@ -190,6 +190,83 @@ class TestConstantAwarePlanning:
         assert "[mcv]" not in plan
         assert "[hist]" not in plan
 
+    def test_value_aware_costing_reads_fewer_entries(self, monkeypatch):
+        """The hot constant, executed: value-aware costing leads with
+        the month and probes the 500-row member, average-only costing
+        scans the member first — pinned as ``(aware, average)``."""
+        from repro.sparql import optimizer
+        ep = build_skewed_endpoint()
+
+        def entries():
+            PLAN_CACHE.clear()
+            with PROBE_COUNTER as counter:
+                ep.select(_skew_query("DE"))
+            return counter.entries
+
+        aware = entries()
+        monkeypatch.setattr(optimizer, "_constant_base",
+                            lambda pattern, stats: None)
+        assert (aware, entries()) == (126, 605)
+
+
+#: ``[(step.index, step.strategy) …]`` of every BGP of E3's five
+#: programs, both translations, on the 2 000-observation enriched demo
+#: cube, planned with nothing bound.  E3's ``mary`` is ``MARY_QL``, so
+#: E6's direct query is its ``direct`` row.
+S, H, P = "scan", "hash", "probe"
+PLAN_SHAPES = {
+    ("busy_destinations", "direct"): [[(0, S), (1, H), (2, H)]],
+    ("busy_destinations", "optimized"): [[(0, S), (1, H), (2, H)]],
+    ("continent_by_year", "direct"): [[
+        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
+        (2, P), (3, P), (4, P), (11, P)]],
+    ("continent_by_year", "optimized"): [[
+        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
+        (2, P), (3, P), (4, P), (11, P)]],
+    ("mary", "direct"): [[
+        (11, S), (10, P), (9, P), (8, P), (7, P), (6, P), (0, P), (1, P),
+        (2, P), (3, P), (4, P), (5, P), (12, P), (13, P), (14, P)]],
+    ("mary", "optimized"): [[
+        (14, S), (13, P), (12, P), (11, P), (10, P), (9, P), (3, P),
+        (4, P), (5, P), (6, P), (0, P), (7, P), (1, P), (8, P), (2, P),
+        (15, P)]],
+    ("political", "direct"): [[
+        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
+        (2, P), (3, P), (4, P), (11, P)]],
+    ("political", "optimized"): [[
+        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
+        (2, P), (3, P), (4, P), (11, P)]],
+    ("quarterly_by_sex", "direct"): [[
+        (5, S), (4, P), (3, P), (2, P), (0, H), (1, H), (6, H)]],
+    ("quarterly_by_sex", "optimized"): [[
+        (5, S), (4, P), (3, P), (2, P), (0, H), (1, H), (6, H)]],
+}
+
+
+class TestPlanShapes:
+    """Join order and strategy of the paper's E3 / E6 queries, exactly:
+    a change to the cost model or the strategy rule that moves one is
+    a deliberate edit of :data:`PLAN_SHAPES`."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        from repro.demo import prepare_enriched_demo
+        return prepare_enriched_demo(observations=2000, seed=42)
+
+    @pytest.mark.parametrize("name,variant", sorted(PLAN_SHAPES))
+    def test_plan_shape(self, demo, name, variant):
+        from benchmarks.bench_e3_querying import PREDEFINED
+        from repro.sparql.algebra import BGP, pattern_nodes
+        from repro.sparql.evaluator import DatasetContext
+
+        text = getattr(demo.engine.prepare(PREDEFINED[name])[3], variant)
+        source = DatasetContext(demo.endpoint.dataset).default_source()
+        shapes = [[(step.index, step.strategy)
+                   for step in plan_physical(node.patterns, source).steps]
+                  for node in pattern_nodes(parse_query(text).pattern)
+                  if isinstance(node, BGP)]
+        assert shapes == PLAN_SHAPES[name, variant]
+
 
 @st.composite
 def connected_bgps(draw):
@@ -229,7 +306,7 @@ _HYPOTHESIS_ENDPOINT = build_endpoint(n=60, groups=3)
 
 
 class TestGreedyOrdering:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(patterns=connected_bgps(), seeded=st.booleans())
     def test_plan_covers_every_pattern_and_scans_only_when_forced(
             self, patterns, seeded):

@@ -3,17 +3,23 @@
 The streaming pipeline (incremental dedup for DISTINCT/REDUCED, the
 left-outer probe for OPTIONAL, OFFSET/LIMIT truncation) must be
 observationally equivalent to full materialization.  These tests run
-the same query down both paths — flipping the module kill switch — and
-compare results, over a fixture graph shaped like the translated
-E3/E6 workload: observations pointing at dimension members, members
-carrying (sometimes missing) labels, a level hierarchy above them.
+the same query down both paths — :func:`materialized` makes every query
+ineligible for streaming — and compare results, over a fixture graph
+shaped like the translated E3/E6 workload: observations pointing at
+dimension members, members carrying (sometimes missing) labels, a level
+hierarchy above them.
 
 The probe-counter assertions then check streaming is not equivalence
-by accident: the streamed run must touch strictly fewer index entries.
+by accident: the streamed run must touch strictly fewer index entries,
+and on the demo cube exactly as many as pinned.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+from repro.data import small_demo
 from repro.rdf import Literal, Namespace
 from repro.sparql import LocalEndpoint
 import repro.sparql.evaluator as evaluator_module
@@ -43,16 +49,21 @@ def endpoint() -> LocalEndpoint:
     return ep
 
 
+@contextmanager
+def materialized():
+    """Every SELECT inside runs materialized: no query is eligible for
+    streaming (EXPLAIN imports its own ``would_stream`` and is
+    unaffected)."""
+    with mock.patch.object(evaluator_module, "would_stream",
+                           lambda query, source=None: False):
+        yield
+
+
 def run_both(endpoint: LocalEndpoint, query: str):
     """(streamed, materialized) result tables for one query text."""
-    assert evaluator_module.STREAMING_ENABLED
     streamed = endpoint.select(query)
-    evaluator_module.STREAMING_ENABLED = False
-    try:
-        materialized = endpoint.select(query)
-    finally:
-        evaluator_module.STREAMING_ENABLED = True
-    return streamed, materialized
+    with materialized():
+        return streamed, endpoint.select(query)
 
 
 DIFFERENTIAL_QUERIES = [
@@ -135,12 +146,9 @@ class TestStreamedMaterializedEquivalence:
                  "?m <http://example.org/inLevel> ?l } ")
         reduced = endpoint.select(
             "SELECT REDUCED ?l " + where + "LIMIT 9")
-        evaluator_module.STREAMING_ENABLED = False
-        try:
+        with materialized():
             distinct_rows = endpoint.select("SELECT DISTINCT ?l " + where)
             full = endpoint.select("SELECT ?l " + where)
-        finally:
-            evaluator_module.STREAMING_ENABLED = True
         # REDUCED may eliminate any number of duplicates: between the
         # DISTINCT cardinality (3 levels) and the LIMIT
         assert len(distinct_rows) <= len(reduced) <= 9
@@ -156,16 +164,17 @@ class TestStreamedMaterializedEquivalence:
         assert len(streamed) == 1
 
 
-class TestStreamingDoesLessWork:
-    def probes(self, endpoint, query, streaming):
-        evaluator_module.STREAMING_ENABLED = streaming
-        try:
-            with PROBE_COUNTER as counter:
-                table = endpoint.select(query)
-        finally:
-            evaluator_module.STREAMING_ENABLED = True
-        return counter.entries, table
+def entries_both(endpoint: LocalEndpoint, query: str):
+    """``(entries, table)`` of the streamed and the materialized run."""
+    with PROBE_COUNTER as counter:
+        streamed = endpoint.select(query)
+    streamed_entries = counter.entries
+    with materialized(), PROBE_COUNTER as counter:
+        full = endpoint.select(query)
+    return (streamed_entries, streamed), (counter.entries, full)
 
+
+class TestStreamingDoesLessWork:
     @pytest.mark.parametrize("query", [
         "SELECT DISTINCT ?m WHERE { ?o <http://example.org/citizen> ?m } "
         "LIMIT 3",
@@ -177,10 +186,10 @@ class TestStreamingDoesLessWork:
         "?o <http://example.org/value> ?v } LIMIT 5",
     ])
     def test_streaming_touches_strictly_fewer_entries(self, endpoint, query):
-        streamed_probes, streamed = self.probes(endpoint, query, True)
-        full_probes, materialized = self.probes(endpoint, query, False)
-        assert streamed.rows == materialized.rows
-        assert streamed_probes < full_probes
+        (streamed_entries, streamed), (full_entries, full) = \
+            entries_both(endpoint, query)
+        assert streamed.rows == full.rows
+        assert streamed_entries < full_entries
 
     def test_path_first_query_is_not_counted_as_streamed(self, endpoint):
         """A path-first plan cannot scan incrementally: the query must
@@ -214,3 +223,43 @@ class TestStreamingDoesLessWork:
         assert len(streamed) == 5
         assert streamed.rows == materialized.rows
 
+
+#: The two algebra shapes the translated E3 / E6 / E8 queries lean on —
+#: a DISTINCT dimension walk and an OPTIONAL label lookup, both under
+#: LIMIT — with what each reads on the 2 000-observation demo cube:
+#: ``(streamed entries, materialized entries, streamed rows pulled)``.
+#: A change to the join strategy rule or the streaming batch size moves
+#: them on purpose.
+DEMO_STREAM_QUERIES = {
+    "distinct_limit": ("""
+        SELECT DISTINCT ?c WHERE {
+            ?obs <http://eurostat.linked-statistics.org/property#citizen> ?c
+        } LIMIT 10""", (1600, 2000, 1600)),
+    "optional_limit": ("""
+        SELECT ?obs ?label WHERE {
+            ?obs <http://eurostat.linked-statistics.org/property#citizen> ?c
+            OPTIONAL {
+                ?c <http://www.w3.org/2000/01/rdf-schema#label> ?label
+            }
+        } LIMIT 50""", (150, 2086, 64)),
+}
+
+
+@pytest.fixture(scope="module")
+def demo_endpoint() -> LocalEndpoint:
+    return small_demo(observations=2000).endpoint
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STREAM_QUERIES))
+def test_demo_stream_reads_pinned_entries(demo_endpoint, name):
+    """The demo-scale stream: one streamed SELECT, the materialized
+    rows, and exactly the pinned entries and rows pulled."""
+    query, pinned = DEMO_STREAM_QUERIES[name]
+    demo_endpoint.reset_statistics()
+    (streamed_entries, streamed), (full_entries, full) = \
+        entries_both(demo_endpoint, query)
+    statistics = demo_endpoint.statistics
+    assert statistics.streamed_selects == 1
+    assert streamed.rows == full.rows
+    assert (streamed_entries, full_entries,
+            statistics.streamed_rows) == pinned

@@ -169,3 +169,44 @@ class TestNewSubcommands:
         out = capsys.readouterr().out
         assert out.startswith("digraph instances {")
         assert "cluster_0" in out
+
+
+class TestMalformedInput:
+    """A bad query, program or path ends in one line on stderr and
+    exit code 2, never a traceback."""
+
+    def fails(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    def test_malformed_sparql(self, tmp_path, capsys):
+        query = tmp_path / "bad.rq"
+        query.write_text("SELECT ?s WHERE { ?s ?p")
+        err = self.fails(capsys, ["sparql", "--query", str(query), *ARGS])
+        assert err.startswith("repro sparql: error: ")
+
+    def test_malformed_ql(self, tmp_path, capsys):
+        program = tmp_path / "bad.ql"
+        program.write_text("QUERY\n$C1 := SLICE (")
+        err = self.fails(capsys, ["query", "--ql", str(program), *ARGS])
+        assert err.startswith("repro query: error: ")
+
+    def test_ql_naming_no_dimension(self, tmp_path, capsys):
+        program = tmp_path / "unknown.ql"
+        program.write_text("""
+PREFIX data: <http://eurostat.linked-statistics.org/data/>;
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>;
+QUERY
+$C1 := SLICE (data:migr_asyappctzm, schema:noSuchDim);
+""")
+        err = self.fails(capsys, ["query", "--ql", str(program), *ARGS])
+        assert "noSuchDim" in err
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.rq"
+        err = self.fails(capsys, ["sparql", "--query", str(missing), *ARGS])
+        assert err.startswith("repro sparql: error: ")
+        assert "missing.rq" in err
