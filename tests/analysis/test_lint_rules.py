@@ -490,6 +490,8 @@ ROW_FIXTURES = [
     (LIBRARY, "def rows(keys):\n    return np.unique(keys, axis=0)\n"),
     (STEPS, "def ids(c):\n    return np.unique(c, return_inverse=True)\n"),
     (LIBRARY, "def order(keys):\n    return np.lexsort(keys)\n"),
+    (LIBRARY, "def sums(out, inverse, values):\n"
+              "    np.add.at(out, inverse, values)\n"),
     (EVALUATOR, 'KIND = "SUM"\n'),
     (EVALUATOR, "decode_row = row_decoder(names, decode)\n"),
     (EVALUATOR, "def keep(table, condition, context):\n"
@@ -895,6 +897,16 @@ def test_grouping_has_one_home():
         found = findings_for(lexsort, path, rule)
         assert len(found) == 1 and "lexsort" in found[0].message
     assert findings_for(lexsort, home, rule) == []
+    # so is every unbuffered per-group accumulation: ``ufunc.at``
+    first_rows = """
+    def _first(code, slots, count):
+        np.minimum.at(slots, code, np.arange(count))
+    """
+    for path in (LIBRARY, STEPS, "src/repro/olap/kernel.py"):
+        found = findings_for(first_rows, path, rule)
+        assert len(found) == 1 and "ufunc.at" in found[0].message
+    assert findings_for(first_rows, home, rule) == []
+    assert findings_for(first_rows, "tests/olap/test_x.py", rule) == []
     for path in ("tests/olap/reference_group.py", "benchmarks/check_x.py"):
         assert findings_for(bad, path, rule) == []
     # which distinct ids a column holds has the same home, under

@@ -351,14 +351,17 @@ class TestMaskEqualsRowAtATime:
     def test_dense_ids_are_counted_not_sorted_or_hashed(self, monkeypatch):
         """One column of dense ids: no ``np.unique``, no ``np.lexsort``;
         an unbound cell beside overlay ids is past the counting bound
-        and sorts once; two columns are grouped by one ``lexsort``."""
+        and sorts once.  Two dense columns are counted as one key; a
+        second column too wide for the directory (an unbound cell
+        beside overlay ids) makes the key sort once."""
         from tests.olap.test_grouping import unique_calls
 
         bound = [(Literal(value % 5), Literal("a")) for value in range(40)]
         for rows, text, sorts in (
                 (bound, "?x < 3", 0), (bound, "?x < 3 && ?y = 'a'", 0),
                 (bound + [(None, None)], "?x < 3", 1),
-                (bound, "?x < 3 || ?y = 'a'", 1)):
+                (bound, "?x < 3 || ?y = 'a'", 0),
+                (bound + [(Literal(1), None)], "?x < 3 || ?y = 'a'", 1)):
             harness = Harness(rows, names=("x", "y"))
             condition = condition_of(text)
             expected = harness.reference_filter(condition)

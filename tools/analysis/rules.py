@@ -188,6 +188,11 @@ PINS: Tuple[Pin, ...] = (
         message="`np.lexsort` outside repro/grouping.py (group through "
                 "repro.grouping.group / sorted_runs; a sort that is not a "
                 "grouping carries a pragma saying so)"),
+    Pin("single-grouping-kernel", "call", ("at",),
+        scope=("src/",), homes=("src/repro/grouping.py",),
+        message="`ufunc.at` outside repro/grouping.py (fold values per "
+                "group through repro.grouping.fold; first rows come from "
+                "repro.grouping.group)"),
     Pin("single-sparql-aggregate", "const", ("SUM", "AVG", "MIN", "MAX"),
         scope=(SPARQL,),
         homes=(SPARQL + "aggregation.py", SPARQL + "tokenizer.py",
