@@ -76,7 +76,7 @@ OrderArrays = Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 IdArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = ["IdArrays", "KeyedPattern", "OrderArrays", "TripleColumns",
-           "concat_arrays", "key_patterns", "value_counts"]
+           "concat_arrays", "key_patterns"]
 
 #: positional column index of each order's sort-key sequence
 _ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
@@ -292,10 +292,12 @@ class TripleColumns:
             segment = cols[key_index][lo:hi]
             # a Python int would make searchsorted promote — and copy —
             # the whole segment to int64 on every probe; in range by
-            # the ceiling check above, so the cast cannot overflow
+            # the ceiling check above, so the cast cannot overflow.  The
+            # method, not ``np.searchsorted``: the function's dispatch
+            # wrapper costs more than one scalar search of the segment
             value = segment.dtype.type(value)
-            left = int(np.searchsorted(segment, value, "left"))
-            right = int(np.searchsorted(segment, value, "right"))
+            left = int(segment.searchsorted(value, "left"))
+            right = int(segment.searchsorted(value, "right"))
             hi = lo + right
             lo = lo + left
             if lo >= hi:
@@ -412,12 +414,6 @@ class TripleColumns:
     def __repr__(self) -> str:
         dtype = self._orders["spo"][0].dtype
         return f"<TripleColumns {self.size} triples, dtype {dtype}>"
-
-
-def value_counts(ids: np.ndarray) -> Dict[int, int]:
-    """``{id: occurrences}`` of an id array (one ``np.unique``)."""
-    values, tallies = np.unique(ids, return_counts=True)
-    return dict(zip(values.tolist(), tallies.tolist()))
 
 
 def _run_count(sorted_array: np.ndarray) -> int:

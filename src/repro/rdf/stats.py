@@ -54,10 +54,12 @@ backend would expose.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple
 
-from repro.rdf.columnar import value_counts
+import numpy as np
+
 from repro.rdf.terms import Term
 
 if TYPE_CHECKING:  # import cycle: graph.py imports this module
@@ -125,38 +127,28 @@ class Histogram:
                 f"{sum(self.rows)} rows>")
 
 
-def _build_histogram(items: List[Tuple[int, int]]) -> Optional[Histogram]:
-    """Equi-depth histogram from ``(term_id, count)`` pairs.
-
-    ``items`` must not include the MCV entries (those are estimated
-    exactly); buckets close once they hold ``total/buckets`` rows, so
-    depth — not width — is equalized.
+def _build_histogram(ids: np.ndarray, counts: np.ndarray) -> Histogram:
+    """Equi-depth histogram over ascending term ``ids`` (at least one)
+    with their row ``counts``, the MCV entries left out (those are
+    estimated exactly): buckets close once they hold ``total/buckets``
+    rows, so depth — not width — is equalized.  Rows are whole, so one
+    ``searchsorted`` of the running total a bucket closes it at the
+    first id reaching the previous bucket's end plus the ceiling of that
+    depth; what is left after the last full bucket is one more bucket.
     """
-    if not items:
-        return None
-    items = sorted(items)
-    total = sum(count for _, count in items)
-    buckets = min(HISTOGRAM_BUCKETS, len(items))
-    target = total / buckets
-    bounds: List[int] = []
-    rows: List[int] = []
-    distinct: List[int] = []
-    acc_rows = 0
-    acc_distinct = 0
-    for term_id, count in items:
-        acc_rows += count
-        acc_distinct += 1
-        if acc_rows >= target:
-            bounds.append(term_id)
-            rows.append(acc_rows)
-            distinct.append(acc_distinct)
-            acc_rows = 0
-            acc_distinct = 0
-    if acc_distinct:
-        bounds.append(items[-1][0])
-        rows.append(acc_rows)
-        distinct.append(acc_distinct)
-    return Histogram(items[0][0], bounds, rows, distinct)
+    running = np.cumsum(counts)
+    depth = math.ceil(int(running[-1]) / min(HISTOGRAM_BUCKETS, len(ids)))
+    ends: List[int] = []
+    end = int(running.searchsorted(depth))
+    while end < len(ids):
+        ends.append(end)
+        end = int(running.searchsorted(running[end] + depth))
+    if ends[-1:] != [len(ids) - 1]:
+        ends.append(len(ids) - 1)
+    closed = np.array(ends)
+    return Histogram(int(ids[0]), ids[closed].tolist(),
+                     np.diff(running[closed], prepend=0).tolist(),
+                     np.diff(closed, prepend=-1).tolist())
 
 
 class PredicateSummary:
@@ -224,18 +216,24 @@ class PredicateSummary:
                 f"{len(self.subject_mcv)}+{len(self.object_mcv)} MCVs>")
 
 
-def _split_mcv(counts: Dict[int, int]
-               ) -> Tuple[Dict[int, int], List[Tuple[int, int]]]:
-    """Split per-key counts into (MCV dict, remaining items).
+def _summarize(ids: np.ndarray
+               ) -> Tuple[int, Dict[int, int], Optional[Histogram]]:
+    """One side of a summary: ``(distinct ids, MCV dict, histogram of
+    the rest)`` — the histogram is ``None`` when the MCV list holds
+    every id.
 
     Ties break on term id so two builds of the same graph state produce
-    identical summaries (and so identical plans).
+    identical summaries (and so identical plans): ``np.unique`` answers
+    the ids ascending, and a stable sort on the negated counts keeps
+    that order among equal counts.
     """
-    if len(counts) <= MCV_SIZE:
-        return dict(counts), []
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    mcv = dict(ranked[:MCV_SIZE])
-    return mcv, ranked[MCV_SIZE:]
+    values, tallies = np.unique(ids, return_counts=True)
+    ranked = np.argsort(-tallies, kind="stable")[:MCV_SIZE]
+    mcv = dict(zip(values[ranked].tolist(), tallies[ranked].tolist()))
+    rest = np.ones(len(values), dtype=bool)
+    rest[ranked] = False
+    return len(values), mcv, (_build_histogram(values[rest], tallies[rest])
+                              if rest.any() else None)
 
 
 def build_predicate_summary(graph: "Graph",
@@ -243,23 +241,23 @@ def build_predicate_summary(graph: "Graph",
     """Build the value-aware summary for one predicate of ``graph``.
 
     One ``(?, p, ?)`` read of the graph (which composes its own
-    storage tiers) and a vectorized group-count per side — O(cardinality
-    of the predicate), touching no other index.
+    storage tiers), then per side one ``np.unique`` count, one stable
+    sort of the counts for the MCV list and one ``searchsorted`` per
+    histogram bucket — O(cardinality of the predicate), touching no
+    other index, and no Python loop over the ids.
     """
     subjects, _, objects = graph.match_arrays((None, predicate_id, None))
-    subject_counts = value_counts(subjects)
-    object_counts = value_counts(objects)
-    subject_mcv, subject_rest = _split_mcv(subject_counts)
-    object_mcv, object_rest = _split_mcv(object_counts)
+    distinct_subjects, subject_mcv, subject_histogram = _summarize(subjects)
+    distinct_objects, object_mcv, object_histogram = _summarize(objects)
     return PredicateSummary(
         epoch=graph.epoch,
         cardinality=len(subjects),
-        distinct_subjects=len(subject_counts),
-        distinct_objects=len(object_counts),
+        distinct_subjects=distinct_subjects,
+        distinct_objects=distinct_objects,
         subject_mcv=subject_mcv,
         object_mcv=object_mcv,
-        subject_histogram=_build_histogram(subject_rest),
-        object_histogram=_build_histogram(object_rest))
+        subject_histogram=subject_histogram,
+        object_histogram=object_histogram)
 
 
 class GraphStats:

@@ -1,12 +1,21 @@
 """Incremental graph statistics: the planner's O(1) summaries."""
 
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
 from repro.rdf import Dataset, Graph, Literal, Namespace
+from repro.rdf.dictionary import OVERLAY_BASE
 from repro.rdf.stats import (
+    HISTOGRAM_BUCKETS,
     MCV_SIZE,
     PredicateSummary,
     StatisticsView,
     build_predicate_summary,
 )
+
+from tests.rdf.reference_stats import reference_summary
 
 EX = Namespace("http://example.org/")
 
@@ -243,3 +252,127 @@ class TestAggregatedViews:
         ds.graph(EX.g1).remove((None, EX.p, EX.hot))
         estimate, _ = view.object_constant_estimate(EX.p, EX.hot)
         assert estimate == 20.0
+
+
+def summary_fields(summary):
+    """Every field of a summary, histograms as their four fields."""
+    def histogram(h):
+        return None if h is None else (h.low, h.bounds, h.rows, h.distinct)
+    return (summary.epoch, summary.cardinality, summary.distinct_subjects,
+            summary.distinct_objects, summary.subject_mcv,
+            summary.object_mcv, histogram(summary.subject_histogram),
+            histogram(summary.object_histogram))
+
+
+def pairs_of(subjects, objects):
+    """Subject and object id lists as one predicate's ``(s, o)`` pairs."""
+    return list(zip(subjects, objects, strict=True))
+
+
+def tallied(counts, start=0):
+    """Ids ``start, start + 1, ...`` occurring ``counts[i]`` times each."""
+    return [start + at for at, count in enumerate(counts)
+            for _ in range(count)]
+
+
+#: ids the base dictionary hands out next to query-local overlay ids
+ids = st.one_of(st.integers(0, 40),
+                st.integers(OVERLAY_BASE, OVERLAY_BASE + 8))
+
+
+class TestArrayBuildMatchesTheOracle:
+    """``build_predicate_summary`` (one ``np.unique``, a stable sort,
+    one ``searchsorted`` a bucket) answers the summary the dict-and-sort
+    builder of ``tests/rdf/reference_stats.py`` answers, field for
+    field — so no estimate and no plan moves."""
+
+    @staticmethod
+    def both(pairs):
+        subjects = np.array([s for s, _ in pairs], dtype=np.int64)
+        objects = np.array([o for _, o in pairs], dtype=np.int64)
+        graph = SimpleNamespace(
+            epoch=7, match_arrays=lambda pattern: (
+                subjects, np.full(len(pairs), pattern[1]), objects))
+        return (build_predicate_summary(graph, 3),
+                reference_summary(graph, 3))
+
+    @given(pairs=st.lists(st.tuples(ids, ids), max_size=300))
+    @settings(max_examples=300)
+    @example(pairs=[])  # empty
+    @example(pairs=pairs_of([3, 3, 5, 7], [1, 1, 1, 2]))  # complete MCV
+    @example(pairs=pairs_of(tallied([2] + [1] * MCV_SIZE),
+                            tallied([1] * MCV_SIZE + [2])))  # MCV_SIZE + 1
+    @example(pairs=pairs_of(tallied([2] * 30), tallied([1] * 60)))  # tied
+    @example(pairs=pairs_of([5] * 60 + list(range(10, 50)),
+                            tallied([1] * 100)))  # one hot key
+    @example(pairs=pairs_of(  # fewer rest ids than buckets
+        tallied([4] * MCV_SIZE + [1, 2, 1, 3, 1]),
+        tallied([1] * (4 * MCV_SIZE + 8))))
+    @example(pairs=pairs_of(  # 37 rest rows over 16 buckets: 2.3125 deep
+        tallied([9] * MCV_SIZE + [3] * 5 + [2] * 11),
+        tallied([1] * (9 * MCV_SIZE + 37))))
+    @example(pairs=pairs_of(  # overlay-range ids beside base ids
+        tallied([3] * 12) + tallied([2] * 12, OVERLAY_BASE),
+        tallied([1] * 60, OVERLAY_BASE - 30)))
+    def test_every_field_matches(self, pairs):
+        new, old = self.both(pairs)
+        assert summary_fields(new) == summary_fields(old)
+        for histogram in (new.subject_histogram, new.object_histogram):
+            if histogram is not None:
+                assert all(type(value) is int for value in [
+                    histogram.low, *histogram.bounds, *histogram.rows,
+                    *histogram.distinct])
+
+    def test_the_pinned_cases_reach_their_shapes(self):
+        """Each ``@example`` above is the case its comment names."""
+        new, _ = self.both(pairs_of(tallied([2] * 30), tallied([1] * 60)))
+        assert sorted(new.subject_mcv) == list(range(MCV_SIZE))  # ids win
+        assert sorted(new.object_mcv) == list(range(MCV_SIZE))
+        new, _ = self.both(pairs_of(
+            tallied([4] * MCV_SIZE + [1, 2, 1, 3, 1]),
+            tallied([1] * (4 * MCV_SIZE + 8))))
+        assert 1 < len(new.subject_histogram) < HISTOGRAM_BUCKETS
+        new, _ = self.both(pairs_of(
+            tallied([9] * MCV_SIZE + [3] * 5 + [2] * 11),
+            tallied([1] * (9 * MCV_SIZE + 37))))
+        assert sum(new.subject_histogram.rows) == 37
+        assert new.subject_histogram.rows[-1] < 37 / HISTOGRAM_BUCKETS
+        new, _ = self.both(pairs_of(
+            tallied([3] * 12) + tallied([2] * 12, OVERLAY_BASE),
+            tallied([1] * 60, OVERLAY_BASE - 30)))
+        assert new.subject_histogram.bounds[-1] >= OVERLAY_BASE
+
+    @given(stored=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2),
+                                     st.integers(0, 12)),
+                           min_size=1, max_size=120),
+           gone=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           added=st.lists(st.tuples(st.integers(20, 50), st.integers(0, 2),
+                                    st.integers(5, 20)),
+                          min_size=1, max_size=40))
+    @settings(max_examples=60)
+    def test_a_graph_with_tombstones_and_overlay_triples(
+            self, stored, gone, added):
+        graph = Graph()
+        graph.add_all((EX[f"s{s}"], EX[f"p{p}"], EX[f"o{o}"])
+                      for s, p, o in stored)
+        graph.compact()
+        for o in gone:
+            graph.remove((None, None, EX[f"o{o}"]))
+        graph.add_all((EX[f"s{s}"], EX[f"p{p}"], EX[f"o{o}"])
+                      for s, p, o in added)
+        for pid in graph.stats.cardinality:
+            assert summary_fields(build_predicate_summary(graph, pid)) \
+                == summary_fields(reference_summary(graph, pid))
+
+    def test_the_graph_case_reaches_every_tier(self):
+        graph = Graph()
+        graph.add_all((EX[f"s{i}"], EX.p, EX[f"o{i % 13}"])
+                      for i in range(60))
+        graph.compact()
+        graph.remove((None, EX.p, EX.o0))
+        graph.add_all((EX[f"t{i}"], EX.p, EX[f"o{i % 5}"]) for i in range(9))
+        column_rows, overlay, tombstones = graph.tier_sizes()
+        assert column_rows and overlay and tombstones
+        pid = graph.dictionary.lookup(EX.p)
+        assert summary_fields(build_predicate_summary(graph, pid)) \
+            == summary_fields(reference_summary(graph, pid))

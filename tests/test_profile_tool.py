@@ -1,6 +1,8 @@
-"""``tools/profile_round.py`` refuses a mistyped ``--wall`` name before
-it sets anything up, reads ``--wall`` shares against the gated op
-kinds as well as the round, and replays ``--steps`` both ways."""
+"""``tools/profile_round.py`` refuses a mistyped ``--wall`` name — or
+one it could not time — before it sets anything up, times static and
+class methods as well as functions, reads ``--wall`` shares against
+the gated op kinds as well as the round, and replays ``--steps`` both
+ways."""
 
 import subprocess
 import sys
@@ -9,6 +11,19 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "profile_round.py"
+
+
+@pytest.fixture
+def profile_round(monkeypatch):
+    """The tool as a module.  Importing it puts ``src`` and
+    ``benchmarks/perf`` on the path, but only the first import does: the
+    paths are put back here, so whichever test imports it first, all of
+    them find ``harness``, and the test's undo takes them off again."""
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    monkeypatch.syspath_prepend(str(TOOL.parent.parent / "benchmarks"
+                                    / "perf"))
+    import profile_round
+    return profile_round
 
 
 @pytest.mark.parametrize("name, resolved, offered", [
@@ -21,6 +36,10 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "profile_round.py"
      "'repro.sparql.aggregation' resolved, but has no 'finalise'",
      "finalize"),
     ("nosuch.module.function", "no importable module", ""),
+    # resolves, but wrapping it would time nothing: ``Graph.__dict__``
+    # holds no ``triples`` (the mixin does), and a constant is no call
+    ("repro.rdf.graph.Graph.triples", "an inherited method", ""),
+    ("repro.rdf.stats.MCV_SIZE", "not a function", ""),
 ])
 def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):
     done = subprocess.run(
@@ -34,16 +53,49 @@ def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):
     assert done.stdout == ""  # nothing was set up, nothing profiled
 
 
-def test_wall_shares_are_read_against_the_gated_time(monkeypatch):
+def test_static_and_class_methods_are_timed_in_kind(profile_round):
+    """A class dict holds the ``staticmethod`` / ``classmethod`` object,
+    not the function ``getattr`` answers: the wrapper goes back in as
+    the same kind of descriptor, and every call through it counts."""
+    from repro.rdf import IRI, Dataset, Literal
+    from repro.rdf.columnar import TripleColumns
+    from repro.sparql import LocalEndpoint
+    from repro.sparql.aggregation import _Sum
+
+    lift = "repro.sparql.aggregation._Sum.lift"
+    build = "repro.rdf.columnar.TripleColumns.build"
+    stored = _Sum.__dict__["lift"], TripleColumns.__dict__["build"]
+    ex = "http://example.org/"
+    dataset = Dataset()
+    for index in range(5):
+        dataset.default.add(IRI(f"{ex}s{index}"), IRI(f"{ex}v"),
+                            Literal(index))
+    endpoint = LocalEndpoint(dataset)
+    seconds = {}
+    undo = [profile_round.timed(name, seconds) for name in (lift, build)]
+    try:
+        assert isinstance(_Sum.__dict__["lift"], staticmethod)
+        assert isinstance(TripleColumns.__dict__["build"], classmethod)
+        table = endpoint.select(
+            f"SELECT (SUM(?v) AS ?t) WHERE {{ ?s <{ex}v> ?v }}")
+        columns = TripleColumns.build([(0, 1, 2), (3, 1, 2)])
+    finally:
+        for restore in undo:
+            restore()
+    assert len(seconds[lift]) == 5  # once per distinct value summed
+    assert len(seconds[build]) == 1 and len(columns) == 2
+    assert len(table) == 1
+    assert (_Sum.__dict__["lift"], TripleColumns.__dict__["build"]) == stored
+
+
+def test_wall_shares_are_read_against_the_gated_time(profile_round):
     """``ops_per_s`` pools only the gated op kinds, so a function's
     share of the *round* undersizes a claim on a workload with ungated
     ops (the ETL: 15 % of a ``star_50k`` round, 36 % of its gated
     time): the footer prints both, and the round by op kind."""
     from types import SimpleNamespace
 
-    monkeypatch.syspath_prepend(str(TOOL.parent))  # undone with the test
-    import profile_round
-    import harness  # profile_round put benchmarks/perf on the path
+    import harness
 
     seconds = {"etl.facts": [], "engine.fold": []}
     clock = {"etl": ("etl.facts", 0.06), "native": ("engine.fold", 0.01),
@@ -77,11 +129,9 @@ def test_wall_shares_are_read_against_the_gated_time(monkeypatch):
 
 
 def test_steps_replay_a_probe_step_as_a_scan_and_as_one_keyed_read(
-        monkeypatch, capsys):
+        profile_round, capsys):
     """A 40-row table probing 40 keys is one shape, replayed with
     either strategy forced; the columns say what each replay read."""
-    monkeypatch.syspath_prepend(str(TOOL.parent))
-    import profile_round
     from repro.rdf import IRI, Dataset, Literal
     from repro.sparql import LocalEndpoint
 

@@ -27,15 +27,16 @@ code, so the proportions lean against call-heavy code: find candidates
 here, measure them with ``make perf`` / ``make perf-compare``.
 ``--wall`` sizes a candidate before that: the same round once more,
 un-profiled, with a ``perf_counter`` wrapper around each named function
-(``module.function`` or ``module.Class.method``), and their share of
-the round's wall clock — the number a claim should be sized from
-(cProfile put ``aggregation.partials`` at 58 % of a roll-up; it is
-45 %).  Under it, the same round split by op kind, the kinds in
-``harness.UNGATED_KINDS`` starred: those ops run and are verified in
-every round but stay out of ``ops_per_s`` / ``cpu_ms_per_op``, so each
-function's share of the *gated* time stands beside its share of the
-round (on a 2-vCPU host the ETL is 15 % of a ``star_50k`` round and
-36 % of what the contract's throughput pools).
+(``module.function`` or ``module.Class.method``, static and class
+methods included; the class must define the method, not inherit it),
+and their share of the round's wall clock — the number a claim should
+be sized from (cProfile put ``aggregation.partials`` at 58 % of a
+roll-up; it is 45 %).  Under it, the same round split by op kind, the
+kinds in ``harness.UNGATED_KINDS`` starred: those ops run and are
+verified in every round but stay out of ``ops_per_s`` /
+``cpu_ms_per_op``, so each function's share of the *gated* time stands
+beside its share of the round (on a 2-vCPU host the ETL is 15 % of a
+``star_50k`` round and 36 % of what the contract's throughput pools).
 
 ``--steps`` prints, in place of the profile, the round's join steps as
 a markdown table (docs/performance.md, "Range scan or keyed probe"):
@@ -91,14 +92,45 @@ def _resolve(dotted: str) -> Any:
     raise LookupError(f"{dotted!r}: no importable module in that name")
 
 
+def _holders(dotted: str) -> List[Tuple[Any, Any]]:
+    """``(holder, stored)`` for each place ``dotted``'s function is
+    called through: its owner and every loaded module that imported it
+    by name, with what that namespace holds under the name — the
+    function itself, or the ``staticmethod`` / ``classmethod`` around
+    it.  A name that is no function, or that nothing holds (an
+    inherited method: the class that defines it does), is a
+    :class:`LookupError` — wrapping it would time nothing."""
+    found = _resolve(dotted)
+    if not callable(found):
+        raise LookupError(f"{dotted!r} resolved to {found!r}, not a "
+                          f"function")
+    function = getattr(found, "__func__", found)  # a classmethod binds
+    owner, _, name = dotted.rpartition(".")
+    held = []
+    for holder in [_resolve(owner), *sys.modules.values()]:
+        stored = getattr(holder, "__dict__", {}).get(name)
+        if stored is function or isinstance(
+                stored, (staticmethod, classmethod)) \
+                and stored.__func__ is function:
+            held.append((holder, stored))
+    if not held:
+        raise LookupError(
+            f"{dotted!r} resolved to {found!r}, which no module or class "
+            f"holds as {name!r} (an inherited method: name the class that "
+            f"defines it)")
+    return held
+
+
 def timed(dotted: str, seconds: Dict[str, List[float]]
           ) -> Callable[[], None]:
     """Put a ``perf_counter`` wrapper in place of the function
     ``dotted`` names — on its owner and in every loaded module that
-    imported it by name — appending each call's wall clock (callees
-    included) to ``seconds[dotted]``.  Returns the undo."""
-    original = _resolve(dotted)
-    name = dotted.rpartition(".")[2]
+    imported it by name, a static or class method re-wrapped as one —
+    appending each call's wall clock (callees included) to
+    ``seconds[dotted]``.  Returns the undo."""
+    held = _holders(dotted)
+    stored = held[0][1]
+    original = getattr(stored, "__func__", stored)
     calls = seconds.setdefault(dotted, [])
 
     def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -108,15 +140,15 @@ def timed(dotted: str, seconds: Dict[str, List[float]]
         finally:
             calls.append(time.perf_counter() - started)
 
-    holders = [holder for holder in [_resolve(dotted.rpartition(".")[0]),
-                                     *sys.modules.values()]
-               if getattr(holder, "__dict__", {}).get(name) is original]
-    for holder in holders:
-        setattr(holder, name, wrapper)
+    name = dotted.rpartition(".")[2]
+    for holder, stored in held:
+        setattr(holder, name, type(stored)(wrapper)
+                if isinstance(stored, (staticmethod, classmethod))
+                else wrapper)
 
     def undo() -> None:
-        for holder in holders:
-            setattr(holder, name, original)
+        for holder, stored in held:
+            setattr(holder, name, stored)
     return undo
 
 
@@ -262,7 +294,7 @@ def main() -> int:
     named = [name for name in args.wall.split(",") if name]
     for name in named:  # a typo costs a usage line, not a set-up
         try:
-            _resolve(name)
+            _holders(name)
         except LookupError as error:
             parser.error(f"--wall {error}")
 
