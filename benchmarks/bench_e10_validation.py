@@ -1,4 +1,4 @@
-"""E10 — ablation: spec-fidelity validation vs native validation.
+"""E10 — ablation: the spec's pairwise IC-12 vs the linear check.
 
 The W3C Data Cube spec defines well-formedness as 21 SPARQL ASK queries
 over the *normalized* graph (§10/§11); QB2OLAP must validate its input
@@ -11,9 +11,9 @@ cube before enrichment.  This bench regenerates three series:
   ``qb:dataSet/qb:structure/qb:component/...`` per observation)
   dominate;
 * the IC-12 ablation: the spec's pairwise SPARQL formulation is
-  quadratic in observations, the native hash-based duplicate check
-  linear — the reason ``check_graph`` skips the SPARQL form on big
-  graphs and delegates to :mod:`repro.qb.validator`.
+  quadratic in observations, the value-keyed duplicate check
+  (:func:`repro.qb.constraints.has_duplicate_observations`) linear —
+  the reason ``check_graph`` answers IC-12 with code.
 """
 
 import time
@@ -22,12 +22,13 @@ import pytest
 
 from repro.data.eurostat import GeneratorConfig, build_qb_graph
 from repro.qb.constraints import (
-    STATIC_CONSTRAINTS,
+    IC12_PAIRWISE,
+    ConstraintCheck,
+    all_constraint_checks,
     check_constraint,
-    check_graph,
+    has_duplicate_observations,
 )
 from repro.qb.normalize import normalize_graph
-from repro.qb.validator import check_ic12_no_duplicate_observations
 
 NORMALIZE_SIZES = [500, 2_000, 8_000]
 IC12_SIZES = [100, 200, 400]
@@ -75,7 +76,7 @@ def test_e10_ic_suite_cost(benchmark, save_rows, observations):
 
     def run():
         rows = []
-        for check in STATIC_CONSTRAINTS:
+        for check in all_constraint_checks(graph):
             if check.expensive:
                 continue
             started = time.perf_counter()
@@ -93,42 +94,42 @@ def test_e10_ic_suite_cost(benchmark, save_rows, observations):
     ]
     save_rows(f"E10_ic_costs_{observations}",
               f"per-constraint cost, {observations}-observation cube "
-              f"(IC-12/17 delegated to native checks)", rows)
+              f"(IC-17 skipped)", rows)
     # the raw synthetic cube reproduces the real dump's metadata gap:
     # dimensions lack rdfs:range (IC-4)
     violated_ics = {ic for ic, _, violated, _ in timings if violated}
     assert violated_ics == {"IC-4"}
 
 
-def test_e10_ic12_native_vs_sparql(benchmark, save_rows):
-    ic12 = next(c for c in STATIC_CONSTRAINTS if c.ic == "IC-12")
+def test_e10_ic12_linear_vs_pairwise(benchmark, save_rows):
+    pairwise = ConstraintCheck("IC-12", "pairwise", [IC12_PAIRWISE])
 
     def sweep():
         rows = []
         for size in IC12_SIZES:
             graph, _ = normalized_cube(size)
             started = time.perf_counter()
-            sparql_violated = check_constraint(graph, ic12)
+            sparql_violated = check_constraint(graph, pairwise)
             sparql_seconds = time.perf_counter() - started
             started = time.perf_counter()
-            native = check_ic12_no_duplicate_observations(graph)
-            native_seconds = time.perf_counter() - started
-            assert sparql_violated == bool(native)
-            rows.append((size, sparql_seconds, native_seconds))
+            linear_violated = has_duplicate_observations(graph)
+            linear_seconds = time.perf_counter() - started
+            assert sparql_violated == linear_violated
+            rows.append((size, sparql_seconds, linear_seconds))
         return rows
 
     timings = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = [
         f"obs={size:5d}  spec-SPARQL={sparql_seconds:8.3f}s  "
-        f"native={native_seconds:7.4f}s  "
-        f"ratio={sparql_seconds / max(native_seconds, 1e-9):8.0f}x"
-        for size, sparql_seconds, native_seconds in timings
+        f"linear={linear_seconds:7.4f}s  "
+        f"ratio={sparql_seconds / max(linear_seconds, 1e-9):8.0f}x"
+        for size, sparql_seconds, linear_seconds in timings
     ]
     save_rows("E10_ic12_ablation",
-              "IC-12 duplicate detection: spec SPARQL vs native", rows)
+              "IC-12 duplicate detection: spec SPARQL vs linear", rows)
 
-    # shape: the SPARQL form grows superlinearly, the native one stays
-    # cheap; at the largest size native wins by a wide margin
+    # shape: the SPARQL form grows superlinearly, the linear one stays
+    # cheap; at the largest size the linear check wins by a wide margin
     last = timings[-1]
     assert last[1] > last[2] * 10
     # quadratic-ish growth of the SPARQL form between first and last

@@ -11,7 +11,7 @@ Subcommands::
     python -m repro explore                 # catalog + clusters + stats
     python -m repro query  [--ql FILE] [--variant direct|optimized|auto]
     python -m repro sparql --query FILE     # raw SPARQL on the endpoint
-    python -m repro validate                # QB + QB4OLAP validators
+    python -m repro validate                # W3C IC suite + QB4OLAP checks
 
 All subcommands accept ``--observations`` (default 5000) and ``--seed``.
 """
@@ -169,26 +169,20 @@ def cmd_sparql(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Run the QB/QB4OLAP validators (optionally the W3C IC suite)."""
+    """Run the QB validator (the W3C IC suite on a normalized copy) and
+    the QB4OLAP schema and instance checks; exit 1 if any fails."""
     from repro.data.namespaces import QB_GRAPH
-    from repro.qb import check_graph, validate_graph
-    from repro.qb.normalize import normalize_graph
+    from repro.qb import check_graph, normalize_graph
     from repro.qb4olap import validate_instances, validate_schema
 
     demo = _prepare(args)
-    qb_violations = validate_graph(demo.endpoint.graph(QB_GRAPH))
-    print(f"QB integrity constraints: {len(qb_violations)} violations")
-    for violation in qb_violations[:10]:
-        print(f"  {violation}")
-    if args.ic_suite:
-        probe = demo.endpoint.graph(QB_GRAPH).copy()
-        added = normalize_graph(probe)
-        print(f"W3C IC suite (after normalization, +{added} triples):")
-        report = check_graph(probe)
-        for line in str(report).splitlines():
-            print(f"  {line}")
-        if not report.well_formed:
-            return 1
+    probe = demo.endpoint.graph(QB_GRAPH).copy()
+    added = normalize_graph(probe)
+    qb_report = check_graph(probe)
+    print(f"QB integrity constraints: {len(qb_report.violations)} "
+          f"violations (after normalization, +{added} triples)")
+    for line in str(qb_report).splitlines():
+        print(f"  {line}")
     schema_violations = validate_schema(demo.schema)
     print(f"QB4OLAP schema checks:    {len(schema_violations)} violations")
     union = demo.endpoint.dataset.union()
@@ -197,7 +191,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"QB4OLAP instance checks:  {len(report.violations)} violations")
     for violation in report.violations[:10]:
         print(f"  {violation}")
-    return 1 if (qb_violations or schema_violations
+    return 1 if (qb_report.violations or schema_violations
                  or report.violations) else 0
 
 
@@ -297,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.0,
         help="functional tolerance for instance validation "
              "(independent of the discovery threshold)")
-    validate_parser.add_argument(
-        "--ic-suite", action="store_true",
-        help="additionally run the 21 W3C integrity constraints as "
-             "SPARQL ASK queries (normalizes a copy of the graph first)")
     validate_parser.set_defaults(handler=cmd_validate)
 
     drill_parser = subparsers.add_parser(

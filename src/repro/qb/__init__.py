@@ -1,14 +1,11 @@
 """The W3C RDF Data Cube (QB) layer.
 
-Models plain-QB statistical data sets — the *input* of QB2OLAP: data
-structure definitions, data sets with observations, the normalization
-algorithm (spec §10, :mod:`repro.qb.normalize`), and two validators:
-
-* :mod:`repro.qb.validator` — native linear-time checks for the
-  constraints that matter at 80k-observation scale;
-* :mod:`repro.qb.constraints` — the spec's 21 integrity constraints as
-  literal SPARQL ``ASK`` queries run on the in-repo engine (IC-20/21
-  template expansion included).
+QB2OLAP's *input* is a plain-QB statistical data set.  This package
+holds the QB vocabulary (:mod:`repro.qb.vocabulary`), the normalization
+algorithm (spec §10, :mod:`repro.qb.normalize`) and the validator: the
+spec's 21 integrity constraints, run on a normalized graph as literal
+SPARQL ``ASK`` queries on the in-repo engine, with IC-12 answered in
+linear time and two adjunct checks (:mod:`repro.qb.constraints`).
 """
 
 from repro.qb.constraints import (
@@ -17,39 +14,13 @@ from repro.qb.constraints import (
     check_constraint,
     check_graph,
 )
-from repro.qb.dataset import Observation, QBDataSet, find_datasets
-from repro.qb.dsd import (
-    ComponentSpecification,
-    DataStructureDefinition,
-    QBSchemaError,
-    dsd_for_dataset,
-    find_dsds,
-)
 from repro.qb.normalize import is_normalized, normalize_graph
-from repro.qb.validator import (
-    ALL_CHECKS,
-    Violation,
-    is_well_formed,
-    validate_graph,
-)
 
 __all__ = [
-    "ALL_CHECKS",
-    "ComponentSpecification",
     "ConstraintCheck",
     "ConstraintReport",
-    "DataStructureDefinition",
-    "Observation",
-    "QBDataSet",
-    "QBSchemaError",
-    "Violation",
     "check_constraint",
     "check_graph",
-    "dsd_for_dataset",
-    "find_datasets",
-    "find_dsds",
     "is_normalized",
-    "is_well_formed",
     "normalize_graph",
-    "validate_graph",
 ]

@@ -1,8 +1,9 @@
 """Terms of the W3C RDF Data Cube vocabulary (QB).
 
-Convenience constants over :data:`repro.rdf.namespace.QB` so that model
-code reads like the spec: ``qb.DataStructureDefinition``,
-``qb.component``, ``qb.dimension`` and so on.
+Convenience constants over :data:`repro.rdf.namespace.QB` so that code
+reads like the spec: ``qb.DataStructureDefinition``, ``qb.component``,
+``qb.dimension`` and so on — the terms the generators, the ETL and
+the QB4OLAP reader / writer use.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ from repro.rdf.namespace import QB
 DataSet = QB.DataSet
 DataStructureDefinition = QB.DataStructureDefinition
 Observation = QB.Observation
-ComponentSpecification = QB.ComponentSpecification
 DimensionProperty = QB.DimensionProperty
 MeasureProperty = QB.MeasureProperty
 AttributeProperty = QB.AttributeProperty
-CodedProperty = QB.CodedProperty
 SliceClass = QB.Slice
-SliceKey = QB.SliceKey
 
 # -- properties ----------------------------------------------------------------
 
@@ -28,17 +26,6 @@ structure = QB.structure
 component = QB.component
 dimension = QB.dimension
 measure = QB.measure
-attribute = QB.attribute
 componentProperty = QB.componentProperty
-componentRequired = QB.componentRequired
-componentAttachment = QB.componentAttachment
 order = QB.order
 dataSet = QB.dataSet
-observation = QB.observation
-codeList = QB.codeList
-concept = QB.concept
-sliceStructure = QB.sliceStructure
-sliceKey = QB.sliceKey
-
-#: The three component kinds a component specification can carry.
-COMPONENT_KINDS = ("dimension", "measure", "attribute")

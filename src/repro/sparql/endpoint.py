@@ -524,7 +524,7 @@ class LocalEndpoint:
                      bnode_map: Dict[str, BNode]) -> Optional[Tuple]:
         graph_iri, s, p, o = quad
         terms: List[Term] = []
-        for position in (s, p, o):
+        for index, position in enumerate((s, p, o)):
             if isinstance(position, Var):
                 if position.name.startswith("_:"):
                     label = position.name[2:]
@@ -535,6 +535,10 @@ class LocalEndpoint:
                 value = binding.get(position.name)
                 if value is None:
                     return None  # unbound var: skip this instantiation
+                if (index == 0 and isinstance(value, Literal)) or \
+                        (index == 1 and not isinstance(value, IRI)):
+                    # no RDF triple: left out (SPARQL 1.1 Update §3.1.3)
+                    return None
                 terms.append(value)
             else:
                 terms.append(position)

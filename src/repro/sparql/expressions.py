@@ -514,6 +514,15 @@ def _string_literal_pair(term: Term, name: str) -> tuple[str, Optional[str]]:
     return term.lexical, term.language
 
 
+def _simple_literal(term: Term, name: str) -> str:
+    """The lexical form of a string literal without a language tag —
+    what STRDT, STRLANG and LANGMATCHES take."""
+    lexical, language = _string_literal_pair(term, name)
+    if language:
+        raise ExpressionError(f"{name} expects a simple literal, got {term!r}")
+    return lexical
+
+
 def _fn_bound(args, binding, context):
     _require(args, 1, "BOUND")
     variable = args[0]
@@ -564,8 +573,7 @@ def _fn_bnode(args, binding, context):
 
 def _fn_strdt(args, binding, context):
     _require(args, 2, "STRDT")
-    lexical, _ = _string_literal_pair(
-        args[0].evaluate(binding, context), "STRDT")
+    lexical = _simple_literal(args[0].evaluate(binding, context), "STRDT")
     datatype = args[1].evaluate(binding, context)
     if not isinstance(datatype, IRI):
         raise ExpressionError("STRDT expects a datatype IRI")
@@ -574,10 +582,8 @@ def _fn_strdt(args, binding, context):
 
 def _fn_strlang(args, binding, context):
     _require(args, 2, "STRLANG")
-    lexical, _ = _string_literal_pair(
-        args[0].evaluate(binding, context), "STRLANG")
-    tag, _ = _string_literal_pair(
-        args[1].evaluate(binding, context), "STRLANG")
+    lexical = _simple_literal(args[0].evaluate(binding, context), "STRLANG")
+    tag = _simple_literal(args[1].evaluate(binding, context), "STRLANG")
     return Literal(lexical, language=tag)
 
 
@@ -694,9 +700,8 @@ def _fn_concat(args, binding, context):
 
 def _fn_langmatches(args, binding, context):
     _require(args, 2, "LANGMATCHES")
-    tag, _ = _string_literal_pair(
-        args[0].evaluate(binding, context), "LANGMATCHES")
-    pattern, _ = _string_literal_pair(
+    tag = _simple_literal(args[0].evaluate(binding, context), "LANGMATCHES")
+    pattern = _simple_literal(
         args[1].evaluate(binding, context), "LANGMATCHES")
     if pattern == "*":
         return boolean(bool(tag))

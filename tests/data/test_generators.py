@@ -13,6 +13,7 @@ from repro.data import (
     small_demo,
 )
 from repro.data import geography as geo
+from repro.data.eurostat import DSD_IRI
 from repro.data.namespaces import (
     DIC_CITIZEN,
     PROPERTY,
@@ -20,7 +21,8 @@ from repro.data.namespaces import (
     REF_PROP,
     REFERENCE_GRAPH,
 )
-from repro.qb import QBDataSet, is_well_formed
+from repro.qb import check_graph, normalize_graph
+from repro.qb import vocabulary as qb
 from repro.rdf import IRI
 from repro.rdf.ntriples import serialize_ntriples
 
@@ -65,26 +67,31 @@ class TestQBGenerator:
 
     def test_observation_count(self):
         graph = build_qb_graph(GeneratorConfig(observations=500, seed=1))
-        ds = QBDataSet(graph, DATASET_IRI)
-        assert ds.observation_count() == 500
+        assert len(list(graph.subjects(qb.dataSet, DATASET_IRI))) == 500
 
     def test_qb_well_formed(self):
+        # IC-4 only: the dimensions declare no rdfs:range, as in the
+        # real Eurostat dump
         graph = build_qb_graph(GeneratorConfig(observations=400, seed=9))
-        assert is_well_formed(graph)
+        normalize_graph(graph)
+        assert check_graph(graph).violations == ["IC-4"]
 
     def test_six_dimensions_one_measure(self):
         graph = build_qb_graph(GeneratorConfig(observations=50, seed=1))
-        ds = QBDataSet(graph, DATASET_IRI)
-        assert len(ds.dsd.dimension_properties()) == 6
-        assert len(ds.dsd.measure_properties()) == 1
-        assert tuple(ds.dsd.dimension_properties()) == DIMENSION_PROPERTIES
+        components = list(graph.objects(DSD_IRI, qb.component))
+        dimensions = sorted(
+            (graph.value(node, qb.order, None).value, prop)
+            for node in components
+            for prop in graph.objects(node, qb.dimension))
+        measures = [prop for node in components
+                    for prop in graph.objects(node, qb.measure)]
+        assert tuple(prop for _, prop in dimensions) == DIMENSION_PROPERTIES
+        assert len(measures) == 1
 
     def test_skew_syria_dominates(self):
         graph = build_qb_graph(GeneratorConfig(observations=3000, seed=4))
-        ds = QBDataSet(graph, DATASET_IRI)
         counts = {}
-        for obs in ds.observations():
-            member = obs.dimensions[PROPERTY.citizen]
+        for _, _, member in graph.triples((None, PROPERTY.citizen, None)):
             counts[member] = counts.get(member, 0) + 1
         top = max(counts, key=counts.get)
         assert top == DIC_CITIZEN.SY
@@ -142,10 +149,9 @@ class TestLoaders:
 
     def test_small_demo_strata(self):
         demo = small_demo(observations=200)
-        from repro.qb import QBDataSet
         graph = demo.endpoint.graph(QB_GRAPH)
-        ds = QBDataSet(graph, demo.dataset)
-        members = ds.dimension_members(PROPERTY.citizen)
+        members = {member for _, _, member
+                   in graph.triples((None, PROPERTY.citizen, None))}
         continents = set()
         by_code = {c.code: c.continent for c in geo.CITIZENSHIP_COUNTRIES}
         for member in members:

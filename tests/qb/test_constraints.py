@@ -2,16 +2,20 @@
 
 Each constraint gets (at least) one violating graph and the shared
 well-formed cube must pass the whole suite — the spec's definition of
-well-formedness.
+well-formedness.  IC-12 is answered by code; every IC-12 graph here is
+also run through the spec's pairwise text, its oracle.
 """
 
 import pytest
 
 from repro.qb.constraints import (
+    IC12_PAIRWISE,
     STATIC_CONSTRAINTS,
+    ConstraintCheck,
     all_constraint_checks,
     check_constraint,
     check_graph,
+    has_duplicate_observations,
     hierarchy_constraint_checks,
 )
 from repro.qb.normalize import normalize_graph
@@ -52,6 +56,19 @@ def violated(graph: Graph) -> set:
     return set(report.violations)
 
 
+def pairwise_ic12(graph: Graph) -> bool:
+    """The spec's IC-12 text, run as an ASK: the oracle."""
+    return check_constraint(
+        graph, ConstraintCheck("IC-12", "pairwise", [IC12_PAIRWISE]))
+
+
+def ic12(graph: Graph) -> bool:
+    """The linear IC-12 verdict, asserted equal to the oracle's."""
+    verdict = has_duplicate_observations(graph)
+    assert verdict == pairwise_ic12(graph)
+    return verdict
+
+
 def ic(graph: Graph, name: str) -> bool:
     for check in all_constraint_checks(graph):
         if check.ic == name:
@@ -70,6 +87,24 @@ class TestWellFormed:
         text = str(check_graph(graph, include_expensive=True))
         assert "IC-1: ok" in text
         assert "VIOLATED" not in text
+
+    def test_report_orders_w3c_ids_then_adjuncts(self):
+        graph = normalized_graph(WELL_FORMED)
+        lines = str(check_graph(graph, include_expensive=False)).splitlines()
+        ids = [line.split(":")[0] for line in lines]
+        assert ids == [f"IC-{i}" for i in range(1, 17)] + [
+            "IC-18", "IC-19", "IC-DIM", "IC-MEAS", "IC-17"]
+        assert lines[-1] == "IC-17: skipped"
+
+    def test_generated_eurostat_cube_lacks_only_ranges(self):
+        """The synthetic cube, like the real dump, declares no
+        rdfs:range on its dimensions (IC-4); nothing else fails."""
+        from repro.data.eurostat import GeneratorConfig, build_qb_graph
+
+        graph = build_qb_graph(GeneratorConfig(observations=300, seed=3))
+        normalize_graph(graph)
+        report = check_graph(graph, include_expensive=True)
+        assert report.violations == ["IC-4"]
 
 
 class TestDataSetConstraints:
@@ -198,10 +233,27 @@ class TestObservationConstraints:
         graph = normalized_graph(
             WELL_FORMED + "ex:o3 qb:dataSet ex:ds ; ex:dim ex:a1 ; ex:val 9 .")
         assert "IC-12" in violated(graph)
+        assert ic12(graph)
 
     def test_ic12_distinct_coordinates_pass(self):
         graph = normalized_graph(WELL_FORMED)
         assert not ic(graph, "IC-12")
+        assert not ic12(graph)
+
+    def test_ic12_value_equal_coordinates_duplicate(self):
+        graph = normalized_graph(WELL_FORMED + """
+            ex:o3 qb:dataSet ex:ds ; ex:dim "01"^^xsd:integer ; ex:val 5 .
+            ex:o4 qb:dataSet ex:ds ; ex:dim "1.0"^^xsd:decimal ; ex:val 6 .
+        """)
+        assert ic12(graph)
+
+    def test_ic12_observation_without_dimension_is_no_duplicate(self):
+        graph = normalized_graph(WELL_FORMED + """
+            ex:o3 qb:dataSet ex:ds ; ex:val 5 .
+            ex:o4 qb:dataSet ex:ds ; ex:val 6 .
+        """)
+        assert not ic12(graph)
+        assert "IC-11" in violated(graph)
 
     def test_ic13_missing_required_attribute(self):
         graph = normalized_graph(WELL_FORMED + """
@@ -214,6 +266,26 @@ class TestObservationConstraints:
         graph = normalized_graph(
             WELL_FORMED + "ex:o3 qb:dataSet ex:ds ; ex:dim ex:a3 .")
         assert "IC-14" in violated(graph)
+
+
+class TestAdjunctConstraints:
+    def test_measure_value_must_be_literal(self):
+        graph = normalized_graph(WELL_FORMED + """
+            ex:o3 qb:dataSet ex:ds ; ex:dim ex:a3 ; ex:val ex:notALiteral .
+        """)
+        assert violated(graph) == {"IC-MEAS"}
+
+    def test_dimension_must_be_an_iri(self):
+        # normalization's INSERT skips the ill-formed `"x" a
+        # qb:DimensionProperty` instead of failing on it
+        graph = normalized_graph(
+            WELL_FORMED + 'ex:dsd qb:component [ qb:dimension "x" ] .')
+        assert violated(graph) == {"IC-DIM"}
+
+    def test_well_formed_cube_passes_adjuncts(self):
+        graph = normalized_graph(WELL_FORMED)
+        assert not ic(graph, "IC-DIM")
+        assert not ic(graph, "IC-MEAS")
 
 
 class TestMeasureDimensionConstraints:
@@ -365,16 +437,30 @@ class TestSuiteMechanics:
 
     def test_expensive_constraints_flagged(self):
         expensive = {c.ic for c in STATIC_CONSTRAINTS if c.expensive}
-        assert expensive == {"IC-12", "IC-17"}
+        assert expensive == {"IC-17"}
 
     def test_expensive_skipped_on_large_graphs(self):
         graph = normalized_graph(WELL_FORMED)
         report = check_graph(graph, expensive_limit=1)
-        assert set(report.skipped) == {"IC-12", "IC-17"}
-        assert "IC-12" not in report.results
+        assert set(report.skipped) == {"IC-17"}
+        assert "IC-12" in report.results
 
     def test_explicit_include_overrides_limit(self):
         graph = normalized_graph(WELL_FORMED)
         report = check_graph(graph, include_expensive=True,
                              expensive_limit=1)
         assert report.skipped == []
+
+
+class TestDemoScale:
+    def test_ic12_answered_on_the_20k_cube(self):
+        """IC-12 runs in linear time, so a big cube gets it too; only
+        the quadratic IC-17 is skipped."""
+        from repro.data.eurostat import GeneratorConfig, build_qb_graph
+
+        graph = build_qb_graph(GeneratorConfig(observations=20_000, seed=42))
+        normalize_graph(graph)
+        report = check_graph(graph)
+        assert report.violations == ["IC-4"]
+        assert report.skipped == ["IC-17"]
+        assert report.results["IC-12"] is False

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.rdf import IRI, BNode, Literal
 from repro.rdf.terms import XSD_DATE, XSD_DATETIME, XSD_DECIMAL, \
-    XSD_DOUBLE, XSD_INTEGER
+    XSD_DOUBLE, XSD_FLOAT, XSD_INTEGER
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     Aggregate,
@@ -252,6 +252,40 @@ class TestBuiltins:
         assert fn("XSD:BOOLEAN", lit("true")).value is True
         with pytest.raises(ExpressionError):
             fn("XSD:INTEGER", lit("not-a-number"))
+
+    def test_xsd_float_cast(self):
+        result = fn("XSD:FLOAT", lit("2.5"))
+        assert result.datatype.value == XSD_FLOAT
+        assert result.value == 2.5
+        with pytest.raises(ExpressionError):
+            fn("XSD:FLOAT", lit("not-a-number"))
+
+    @pytest.mark.parametrize("name,args,expected", [
+        ("STRDT", (lit("12"), IRI(XSD_INTEGER)),
+         Literal("12", datatype=XSD_INTEGER)),
+        ("STRLANG", (lit("chat"), lit("fr")), Literal("chat", language="fr")),
+        ("LANGMATCHES", (lit("en-GB"), lit("en")), lit(True)),
+        ("LANGMATCHES", (lit("en"), lit("*")), lit(True)),
+        ("LANGMATCHES", (lit(""), lit("*")), lit(False)),
+        ("LANGMATCHES", (lit("fr"), lit("en")), lit(False)),
+    ])
+    def test_simple_literal_builtins(self, name, args, expected):
+        assert fn(name, *args) == expected
+
+    @pytest.mark.parametrize("name,args", [
+        # the spec's signatures take simple literals: a language tag on
+        # any string argument is a type error
+        ("STRLANG", (lit("chat", language="en"), lit("fr"))),
+        ("STRLANG", (lit("chat"), lit("fr", language="en"))),
+        ("STRDT", (lit("12", language="en"), IRI(XSD_INTEGER))),
+        ("LANGMATCHES", (lit("en", language="fr"), lit("en"))),
+        ("LANGMATCHES", (lit("en"), lit("en", language="fr"))),
+        ("STRDT", (lit("12"), lit("not an IRI"))),
+        ("STRLANG", (IRI("http://e/a"), lit("fr"))),
+    ])
+    def test_simple_literal_builtins_reject(self, name, args):
+        with pytest.raises(ExpressionError):
+            fn(name, *args)
 
     def test_bound(self):
         expr = FunctionExpression("BOUND", [VariableExpression("x")])

@@ -56,6 +56,35 @@ class TestUpdateSequences:
         """)
         assert n == 0
 
+    def test_modify_skips_ill_formed_instantiation(self, endpoint):
+        # SPARQL 1.1 Update §3.1.3: an instantiated triple with a literal
+        # subject is left out; the rest of the template still goes in
+        endpoint.update("""
+        PREFIX ex: <http://example.org/>
+        INSERT DATA { ex:a ex:p "x" . ex:b ex:p ex:c }
+        """)
+        n = endpoint.update("""
+        PREFIX ex: <http://example.org/>
+        INSERT { ?v a ex:Thing . ?x ex:q ?v } WHERE { ?x ex:p ?v }
+        """)
+        assert n == 3  # ex:c a ex:Thing; ex:a ex:q "x"; ex:b ex:q ex:c
+        assert endpoint.ask(
+            "PREFIX ex: <http://example.org/> ASK { ex:c a ex:Thing }")
+
+    def test_modify_skips_literal_predicate(self, endpoint):
+        # a predicate bound to a literal is no RDF triple either, in an
+        # INSERT template as in a DELETE one
+        endpoint.update("""
+        PREFIX ex: <http://example.org/>
+        INSERT DATA { ex:a ex:p "x" }
+        """)
+        n = endpoint.update("""
+        PREFIX ex: <http://example.org/>
+        DELETE { ?x ?v ex:b } INSERT { ?x ?v ex:b } WHERE { ?x ex:p ?v }
+        """)
+        assert n == 0
+        assert len(endpoint.dataset) == 1
+
     def test_insert_across_named_graphs(self, endpoint):
         endpoint.update("""
         PREFIX ex: <http://example.org/>
