@@ -8,167 +8,42 @@ DBpedia stand-in built by :mod:`repro.data.reference`), and
 :func:`import_member_triples` copies the triples describing a member
 set into the local endpoint so later phases are self-contained.
 
-**Resilience.**  Real remote endpoints hang, flap and rate-limit.
-Every fetch therefore runs under a :class:`FetchPolicy`: a per-attempt
-deadline (enforced cooperatively through the query governor's
-:class:`~repro.sparql.governor.QueryLimits`), bounded
-exponential-backoff retries, and a per-source
-:class:`~repro.sparql.governor.CircuitBreaker` that fails fast once
-the source is known bad instead of burning a worker per doomed call.
-Failures surface as :class:`ExternalFetchError` (or
-:class:`~repro.sparql.governor.CircuitOpenError` while the breaker is
-open) — never as a hung thread.  The ``external.fetch`` /
-``external.fetch.rows`` failpoints let tests inject latency, faults
-and partial batches deterministically.
+A source-side failure reaches the caller as the source endpoint's typed
+:class:`~repro.sparql.errors.EndpointError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term, Triple
 from repro.sparql.endpoint import LocalEndpoint
-from repro.sparql.errors import EndpointError
-from repro.sparql.governor import (
-    CircuitBreaker,
-    CircuitOpenError,
-    QueryLimits,
-    retry_with_backoff,
-)
-from repro.testing import faults as _faults
 from repro.data.namespaces import REFERENCE_GRAPH
-
-
-class ExternalFetchError(RuntimeError):
-    """A fetch from an external source failed after all retries."""
-
-    code = "external_fetch_failed"
-
-    def __init__(self, message: str, *, source: str = "",
-                 attempts: int = 0) -> None:
-        super().__init__(message)
-        self.source = source
-        self.attempts = attempts
-
-
-@dataclass
-class FetchPolicy:
-    """How aggressively to pursue one external source.
-
-    ``attempts`` bounds retries per fetch; ``base_delay`` /
-    ``max_delay`` shape the exponential backoff between them;
-    ``attempt_deadline`` is the per-attempt wall-clock budget (enforced
-    through the governor — the simulated remote query is cancelled
-    cooperatively, exactly as a socket timeout would cut a real one);
-    ``breaker_threshold`` / ``breaker_cooldown`` configure the
-    per-source circuit breaker.
-    """
-
-    attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 1.0
-    attempt_deadline: Optional[float] = 5.0
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
 
 
 @dataclass
 class ExternalSource:
-    """A remote linked-data endpoint (simulated locally).
-
-    Fetches go through the source's :class:`FetchPolicy` and circuit
-    breaker; pass ``policy=None``-defaults for the old trusting
-    behavior in unit fixtures.
-    """
+    """A remote linked-data endpoint (simulated locally)."""
 
     name: str
     endpoint: LocalEndpoint
-    policy: FetchPolicy = field(default_factory=FetchPolicy)
-    breaker: Optional[CircuitBreaker] = None
-    #: injectable sleep used between retry attempts (tests pass a
-    #: recorder so backoff schedules are asserted without waiting)
-    sleep: object = None
-
-    def __post_init__(self) -> None:
-        if self.breaker is None:
-            self.breaker = CircuitBreaker(
-                failure_threshold=self.policy.breaker_threshold,
-                cooldown_seconds=self.policy.breaker_cooldown)
 
     @classmethod
-    def from_graph(cls, name: str, graph: Graph,
-                   policy: Optional[FetchPolicy] = None) -> "ExternalSource":
+    def from_graph(cls, name: str, graph: Graph) -> "ExternalSource":
         endpoint = LocalEndpoint()
         endpoint.insert_triples(graph)
-        return cls(name, endpoint, policy=policy or FetchPolicy())
-
-    def _fetch(self, query: str):
-        """One governed fetch attempt (the unit retries wrap).
-
-        The attempt's wall-clock budget covers the *whole* attempt:
-        latency spent before the query runs (connection setup here,
-        simulated by the ``external.fetch`` failpoint's ``delay``)
-        eats into the deadline the query itself gets, exactly as a
-        socket timeout would.
-        """
-        import time as _time
-        started = _time.monotonic()
-        if _faults.ACTIVE:
-            _faults.fire(f"external.fetch.{self.name}")
-            _faults.fire("external.fetch")
-        limits = None
-        deadline = self.policy.attempt_deadline
-        if deadline is not None:
-            remaining = deadline - (_time.monotonic() - started)
-            if remaining <= 0:
-                from repro.sparql.errors import QueryTimeout
-                raise QueryTimeout(
-                    f"fetch from {self.name!r} exceeded its "
-                    f"{deadline:.3f}s attempt deadline before the "
-                    f"query could run")
-            limits = QueryLimits(deadline_seconds=remaining)
-        return self.endpoint.select(query, limits=limits)
-
-    def fetch(self, query: str):
-        """Run ``query`` against the source with retries + breaker.
-
-        Raises :class:`CircuitOpenError` instantly while the breaker is
-        open, :class:`ExternalFetchError` once retries are exhausted.
-        """
-        kwargs = {}
-        if self.sleep is not None:
-            kwargs["sleep"] = self.sleep
-        try:
-            return retry_with_backoff(
-                lambda: self._fetch(query),
-                attempts=self.policy.attempts,
-                base_delay=self.policy.base_delay,
-                max_delay=self.policy.max_delay,
-                retry_on=(EndpointError, _faults.FaultInjected),
-                breaker=self.breaker,
-                **kwargs)
-        except CircuitOpenError:
-            raise
-        except (EndpointError, _faults.FaultInjected) as error:
-            raise ExternalFetchError(
-                f"fetch from {self.name!r} failed after "
-                f"{self.policy.attempts} attempts: {error}",
-                source=self.name,
-                attempts=self.policy.attempts) from error
+        return cls(name, endpoint)
 
     def describe_member(self, member: Term) -> List[Triple]:
         """All triples with ``member`` as subject (a CBD-lite)."""
         if not isinstance(member, IRI):
             return []
-        table = self.fetch(
+        table = self.endpoint.select(
             f"SELECT ?p ?v WHERE {{ <{member.value}> ?p ?v }}")
-        rows = list(table)
-        if _faults.ACTIVE:
-            rows = _faults.clip("external.fetch.rows", rows)
         triples: List[Triple] = []
-        for row in rows:
+        for row in table:
             predicate = row.get("p")
             value = row.get("v")
             if isinstance(predicate, IRI) and value is not None:

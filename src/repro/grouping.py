@@ -35,9 +35,9 @@ import numpy as np
 #: Interned ids are array offsets while they are dense: keys that span
 #: at most this many slots per row of input — :func:`distinct`'s column,
 #: :func:`group`'s code, the join kernel's build entries and probe rows
-#: (:func:`repro.sparql.evaluator_steps.grouped`, charged to the
-#: governor) — are indexed by ``key - min``, so the directory (8 B a
-#: slot) stays a per-call transient of the order of its input.  Measured
+#: (:func:`repro.sparql.evaluator_steps.grouped`) — are indexed by
+#: ``key - min``, so the directory (8 B a slot) stays a per-call
+#: transient of the order of its input.  Measured
 #: on the contract host, 20 000 rows against 20 000 entries: a slot
 #: costs ≈ 0.4 ns to fill, a binary search 46–110 ns a needle (52 to
 #: 20 000 sorted keys) beside the 1.8 ms sort in front of it — directory

@@ -3,9 +3,9 @@
 The native engine sits on the same serving path as the SPARQL
 endpoint (E9 comparisons, the :mod:`repro.olap.compare` oracle, and —
 through the QL executor — user-facing query evaluation), so its
-failures follow the same contract established by the governor layer:
-every error a caller can see is an :class:`~repro.sparql.errors.
-EndpointError` subclass with a stable machine-readable ``code``.
+failures follow the same contract as the endpoint's: every error a
+caller can see is an :class:`~repro.sparql.errors.EndpointError`
+subclass with a stable machine-readable ``code``.
 
 Two raise sites used to leak raw ``ValueError``:
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.sparql.endpoint import LocalEndpoint
-from repro.sparql.errors import EndpointError, GovernedQueryError
-from repro.sparql.governor import QueryLimits
+from repro.sparql.errors import EndpointError, QueryExecutionError
 from repro.sparql.results import ResultTable
 from repro.qb4olap.model import CubeSchema
 from repro.ql.ast import QLProgram
@@ -50,10 +49,6 @@ class ExecutionReport:
     #: session can compare epochs across executions to tell whether
     #: enrichment wrote to the endpoint in between
     snapshot_epoch: Optional[int] = None
-    #: ``True`` when the governor cut the execution short and the
-    #: caller opted into partial results (``allow_partial``): the cube
-    #: is built from an incomplete row set
-    truncated: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -81,15 +76,6 @@ class QLEngine:
 
     # -- pipeline stages ----------------------------------------------------------
 
-    @staticmethod
-    def _check_cancelled(limits: Optional[QueryLimits]) -> None:
-        """Observe a caller-held cancellation token between stages."""
-        if limits is not None and limits.token is not None \
-                and limits.token.cancelled:
-            from repro.sparql.errors import QueryCancelled
-            raise QueryCancelled(
-                f"QL execution cancelled: {limits.token.reason}")
-
     def parse(self, text: str) -> QLProgram:
         return parse_ql(text)
 
@@ -114,54 +100,44 @@ class QLEngine:
         return program, simplified, simplification, translation, report
 
     def execute(self, program: Union[str, QLProgram],
-                variant: str = "auto",
-                limits: Optional[QueryLimits] = None) -> QLResult:
+                variant: str = "auto") -> QLResult:
         """Run a QL program; ``variant`` ∈ direct/optimized/auto.
 
-        ``limits`` govern the SPARQL execution (deadline, budgets,
-        cancellation token — see
-        :class:`~repro.sparql.governor.QueryLimits`).  Governed
-        verdicts are **final**: a query killed by its deadline or
-        budget is *not* retried through the alternative translation
-        (the endpoint didn't reject the query's shape — the governor
-        rejected its cost, and the alternative would pay it again).
+        ``auto`` falls back to the alternative translation when the
+        endpoint rejects the direct one, but not on a
+        :class:`~repro.sparql.errors.QueryExecutionError`: an engine
+        failure is not a capability limit, and the alternative query
+        would only reach it again.
         """
         if variant not in ("direct", "optimized", "auto"):
             raise ValueError(f"unknown variant {variant!r}")
-        self._check_cancelled(limits)
         (_, simplified, _, translation, report) = self.prepare(program)
-        self._check_cancelled(limits)  # before the expensive stage
 
         started = time.perf_counter()
         try:
             if variant == "direct":
-                table = self.endpoint.select(translation.direct,
-                                             limits=limits)
+                table = self.endpoint.select(translation.direct)
                 report.variant = "direct"
                 report.sparql_lines = translation.direct_lines
             elif variant == "optimized":
-                table = self.endpoint.select(translation.optimized,
-                                             limits=limits)
+                table = self.endpoint.select(translation.optimized)
                 report.variant = "optimized"
                 report.sparql_lines = translation.optimized_lines
             else:
                 try:
-                    table = self.endpoint.select(translation.direct,
-                                                 limits=limits)
+                    table = self.endpoint.select(translation.direct)
                     report.variant = "direct"
                     report.sparql_lines = translation.direct_lines
-                except GovernedQueryError:
-                    raise  # a governed verdict is final, not a workaround cue
+                except QueryExecutionError:
+                    raise  # an engine failure, not a workaround cue
                 except EndpointError:
-                    table = self.endpoint.select(translation.optimized,
-                                                 limits=limits)
+                    table = self.endpoint.select(translation.optimized)
                     report.variant = "optimized (fallback)"
                     report.sparql_lines = translation.optimized_lines
         finally:
             report.execute_seconds = time.perf_counter() - started
         report.rows = len(table)
         report.snapshot_epoch = table.snapshot_epoch
-        report.truncated = table.truncated
 
         cube = ResultCube(table, translation.metadata)
         return QLResult(cube=cube, table=table, translation=translation,

@@ -13,6 +13,10 @@ The endpoint also reproduces two operational aspects the paper leans on:
 * optional **result-size limits** (``EndpointLimits``) emulating the
   public-endpoint restrictions that motivate the Querying module's
   alternative translation.
+
+Every failure reaches the caller typed: a raw engine exception escaping
+a read or an update becomes a
+:class:`~repro.sparql.errors.QueryExecutionError`.
 """
 
 from __future__ import annotations
@@ -41,18 +45,9 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.errors import (
     EndpointError,
-    EndpointOverloaded,
-    QueryCancelled,
     QueryExecutionError,
-    QueryTimeout,
-    ResourceExhausted,
     SPARQLError,
     UpdateError,
-)
-from repro.sparql.governor import (
-    GovernorContext,
-    QueryGovernor,
-    QueryLimits,
 )
 from repro.testing import faults as _faults
 from repro.sparql.evaluator import (
@@ -127,19 +122,8 @@ class EndpointStatistics:
     #: pinned to (sum of member-graph epochs; ``None`` before the
     #: first query) — the QL execution report copies it out
     last_snapshot_epoch: Optional[int] = None
-    #: governor counters: requests admitted by the slot controller,
-    #: the subset that waited in the bounded queue, requests shed with
-    #: ``EndpointOverloaded``, governed verdicts (deadline / budget /
-    #: cancellation), partial results served under ``allow_partial``,
-    #: and raw engine exceptions mapped into ``QueryExecutionError``
-    governor_admitted: int = 0
-    governor_queued: int = 0
-    governor_shed: int = 0
-    governor_timeouts: int = 0
-    governor_budget_kills: int = 0
-    governor_cancelled: int = 0
-    governor_truncated_serves: int = 0
-    governor_internal_errors: int = 0
+    #: raw engine exceptions mapped into ``QueryExecutionError``
+    internal_errors: int = 0
 
     def reset(self) -> None:
         """Every field back to its default, in place: holders of this
@@ -157,11 +141,6 @@ _READS = {
     ConstructQuery: (evaluate_construct, "selects", "construct"),
     DescribeQuery: (evaluate_describe, "selects", "describe"),
 }
-
-#: governed verdicts and the statistics counter each one bumps
-_VERDICTS = ((QueryTimeout, "governor_timeouts"),
-             (ResourceExhausted, "governor_budget_kills"),
-             (QueryCancelled, "governor_cancelled"))
 
 
 def _uses_having(query: Query) -> bool:
@@ -194,15 +173,9 @@ class LocalEndpoint:
     def __init__(self, dataset: Optional[Dataset] = None,
                  limits: Optional[EndpointLimits] = None,
                  default_as_union: bool = True,
-                 keep_query_log: bool = False,
-                 governor: Optional[QueryGovernor] = None) -> None:
+                 keep_query_log: bool = False) -> None:
         self.dataset = dataset or Dataset()
         self.limits = limits or EndpointLimits()
-        #: optional resource governance: default per-query limits plus
-        #: admission control (see :mod:`repro.sparql.governor`); with
-        #: ``None`` the read path runs exactly as before, and per-call
-        #: ``limits=`` arguments still govern individual queries
-        self.governor = governor
         self.default_as_union = default_as_union
         self.keep_query_log = keep_query_log
         self.query_log: List[QueryLogEntry] = []
@@ -255,96 +228,46 @@ class LocalEndpoint:
             self.statistics.last_snapshot_epoch = snapshot.epoch
         return snapshot
 
-    # -- governance --------------------------------------------------------------
-
-    def _governed(self, limits: Optional[QueryLimits]) -> Optional[GovernorContext]:
-        """Build the per-request :class:`GovernorContext`, or ``None``.
-
-        Per-call ``limits`` merge field-by-field over the endpoint
-        governor's defaults; a request with no effective limit at all
-        runs the exact pre-governor fast path (no context object, no
-        batch-boundary checks).
-        """
-        if self.governor is not None:
-            effective = self.governor.effective(limits)
-        else:
-            effective = limits
-        if effective is None or effective.unlimited:
-            return None
-        return GovernorContext(effective)
-
     @contextmanager
-    def _admitted(self, query_text: str):
-        """Take an admission slot for one read request (if the endpoint
-        has an :class:`AdmissionController`); sheds with
-        :class:`EndpointOverloaded` when slots and queue are full."""
-        admission = self.governor.admission if self.governor else None
-        if admission is None:
-            yield
-            return
-        try:
-            slot = admission.admit()
-        except EndpointOverloaded as error:
-            if error.query is None:
-                error.query = query_text
-            self._count("governor_shed")
-            raise
-        with self._stats_lock:
-            self.statistics.governor_admitted += 1
-            self.statistics.governor_queued += slot.waited
-        try:
-            yield
-        finally:
-            slot.release()
+    def _mapped_errors(self, request_text: str):
+        """Map everything escaping one request into the typed taxonomy.
 
-    @contextmanager
-    def _mapped_errors(self, query_text: str,
-                       gov: Optional[GovernorContext] = None):
-        """Map everything escaping one read evaluation into the typed
-        taxonomy.
-
-        Governed verdicts pass through (with the query text attached
-        and their counters bumped); any *raw* engine exception — a
-        ``KeyError`` from a malformed plan, a ``RecursionError`` from a
-        pathological expression — is wrapped into
-        :class:`QueryExecutionError` so callers always catch
-        :class:`SPARQLError` subclasses, never bare internals.
+        Endpoint errors pass through with the request text attached;
+        any *raw* engine exception — a ``KeyError`` from a malformed
+        plan, a ``RecursionError`` from a pathological expression — is
+        wrapped into :class:`QueryExecutionError` so callers always
+        catch :class:`SPARQLError` subclasses, never bare internals.
         """
         try:
             yield
         except EndpointError as error:
             if error.query is None:
-                error.query = query_text
-            for verdict, counter in _VERDICTS:
-                if isinstance(error, verdict):
-                    self._count(counter)
-                    break
+                error.query = request_text
             raise
         except SPARQLError:
-            raise  # parse/expression errors are already typed
+            raise  # parse/expression/update errors are already typed
         # This handler IS the sanctioned taxonomy boundary: the one
         # place untyped engine failures become QueryExecutionError.
         except Exception as error:  # repro: allow[error-taxonomy]
-            self._count("governor_internal_errors")
+            self._count("internal_errors")
             raise QueryExecutionError(
-                f"internal error evaluating query: "
+                f"internal error evaluating request: "
                 f"{type(error).__name__}: {error}",
-                query=query_text,
-                telemetry=gov.telemetry() if gov is not None else {},
+                query=request_text,
             ) from error
 
     # -- read path -------------------------------------------------------------
 
     def _read(self, query: Query, query_text: str,
-              limits: Optional[QueryLimits], form: Optional[type] = None):
+              form: Optional[type] = None):
         """The one read path every read method runs.
 
         ``query`` (parsed from ``query_text``) must be of ``form``
         (``None`` takes any read form) and pass the endpoint's limits;
-        it then takes an admission slot, gets its governor context,
-        pins a snapshot and evaluates against it as a counted reader.
-        Statistics — the streaming pipeline's tally of this request
-        included — and the query log are updated once it has answered.
+        it then pins a snapshot and evaluates against it as a counted
+        reader.  Statistics — the streaming pipeline's tally of this
+        request included — and the query log are updated once it has
+        answered.
         """
         if form is not None and not isinstance(query, form):
             name = _READS[form][2]
@@ -355,17 +278,14 @@ class LocalEndpoint:
                 "this endpoint does not support HAVING clauses")
         evaluate, counter, kind = _READS[type(query)]
         started = time.perf_counter()
-        with self._admitted(query_text):
-            gov = self._governed(limits)
-            snapshot = self._pin()
-            context = DatasetContext(snapshot, self.default_as_union,
-                                     governor=gov)
-            CONCURRENCY.reader_enter()
-            try:
-                with self._mapped_errors(query_text, gov):
-                    result = evaluate(query, context)
-            finally:
-                CONCURRENCY.reader_exit()
+        snapshot = self._pin()
+        context = DatasetContext(snapshot, self.default_as_union)
+        CONCURRENCY.reader_enter()
+        try:
+            with self._mapped_errors(query_text):
+                result = evaluate(query, context)
+        finally:
+            CONCURRENCY.reader_exit()
         elapsed = time.perf_counter() - started
         streamed = context.streamed
         with self._stats_lock:
@@ -375,9 +295,6 @@ class LocalEndpoint:
             stats.streamed_selects += streamed.selects
             stats.streamed_batches += streamed.batches
             stats.streamed_rows += streamed.rows
-            # only a streamed SELECT under allow_partial truncates
-            stats.governor_truncated_serves += \
-                gov is not None and gov.truncated
         self._log(kind, query_text, elapsed,
                   int(result) if isinstance(result, bool) else len(result))
         if isinstance(result, ResultTable):
@@ -389,62 +306,54 @@ class LocalEndpoint:
                     f"{self.limits.max_result_rows}")
         return result
 
-    def select(self, query_text: str,
-               limits: Optional[QueryLimits] = None) -> ResultTable:
+    def select(self, query_text: str) -> ResultTable:
         """Run a SELECT query and return its result table.
 
         The query is pinned to one dataset snapshot for its whole
         evaluation (every streamed batch included), runs without any
         lock, and the table it returns carries the pinned epoch as
         ``table.snapshot_epoch``.
-
-        ``limits`` govern this call (merged over the endpoint
-        governor's defaults when one is configured): deadline, row and
-        memory budgets raise the typed taxonomy of
-        :mod:`repro.sparql.errors` — or, with ``allow_partial`` on a
-        streamable query, return the rows gathered so far flagged
-        ``table.truncated``.
         """
-        return self._read(self._parsed(query_text), query_text, limits,
+        return self._read(self._parsed(query_text), query_text,
                           SelectQuery)
 
-    def ask(self, query_text: str,
-            limits: Optional[QueryLimits] = None) -> bool:
+    def ask(self, query_text: str) -> bool:
         """Run an ASK query (snapshot-pinned like :meth:`select`)."""
-        return self._read(self._parsed(query_text), query_text, limits,
-                          AskQuery)
+        return self._read(self._parsed(query_text), query_text, AskQuery)
 
-    def construct(self, query_text: str,
-                  limits: Optional[QueryLimits] = None) -> Graph:
+    def construct(self, query_text: str) -> Graph:
         """Run a CONSTRUCT query and return the built graph."""
-        return self._read(self._parsed(query_text), query_text, limits,
+        return self._read(self._parsed(query_text), query_text,
                           ConstructQuery)
 
-    def describe(self, query_text: str,
-                 limits: Optional[QueryLimits] = None) -> Graph:
+    def describe(self, query_text: str) -> Graph:
         """Run a DESCRIBE query and return the description graph."""
-        return self._read(self._parsed(query_text), query_text, limits,
+        return self._read(self._parsed(query_text), query_text,
                           DescribeQuery)
 
-    def query(self, query_text: str,
-              limits: Optional[QueryLimits] = None):
+    def query(self, query_text: str):
         """Run any read query; dispatches on the parsed query form.
 
         Returns a :class:`ResultTable` for SELECT, ``bool`` for ASK and
         a :class:`Graph` for CONSTRUCT/DESCRIBE — mirroring what a
         protocol client gets back from a real endpoint.
         """
-        return self._read(self._parsed(query_text), query_text, limits)
+        return self._read(self._parsed(query_text), query_text)
 
     # -- write path --------------------------------------------------------------
 
     def update(self, update_text: str) -> int:
-        """Run an update request; returns net triples touched."""
+        """Run an update request; returns net triples touched.
+
+        A raw engine exception raised while the operations run reaches
+        the caller as :class:`QueryExecutionError`, as on the read
+        path.
+        """
         started = time.perf_counter()
-        operations = parse_update(update_text)
         touched = 0
-        for operation in operations:
-            touched += self._apply(operation)
+        with self._mapped_errors(update_text):
+            for operation in parse_update(update_text):
+                touched += self._apply(operation)
         elapsed = time.perf_counter() - started
         with self._stats_lock:
             self.statistics.updates += 1
@@ -621,7 +530,7 @@ class LocalEndpoint:
         """
         from repro.sparql.explain import explain
         return explain(query_text, self.dataset.snapshot(),
-                       cache_stats=self.statistics, analyze=analyze)
+                       cache_stats=True, analyze=analyze)
 
     def close(self) -> None:
         """A no-op: the endpoint holds no process, pool or shared

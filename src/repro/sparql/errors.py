@@ -1,22 +1,16 @@
 """Exception hierarchy for the SPARQL engine.
 
-Every endpoint-level error carries a **machine-readable code**
-(``error.code``), the offending query text when known (``error.query``)
-and the telemetry the governor had gathered when the query died
-(``error.telemetry``) — callers can branch on codes instead of parsing
-messages, and operators see how far a killed query got.
-
-The governed sub-taxonomy (:class:`QueryTimeout`,
-:class:`QueryCancelled`, :class:`ResourceExhausted`,
-:class:`EndpointOverloaded`, :class:`QueryExecutionError`) shares the
-:class:`GovernedQueryError` base: these are *final* verdicts about one
-request — the QL executor's auto-fallback must re-raise them instead of
-retrying the alternative translation.
+Every error carries a **machine-readable code** (``error.code``) and
+every endpoint-level error the offending request text when known
+(``error.query``), so callers can branch on codes instead of parsing
+messages.  :class:`QueryExecutionError` is the one boundary for engine
+internals: the endpoint wraps any raw exception escaping a read or an
+update in it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 
 class SPARQLError(Exception):
@@ -71,68 +65,28 @@ class EndpointError(SPARQLError):
 
     ``code`` identifies the error class machine-readably; ``query`` is
     the offending request text (filled in by the endpoint when the
-    raise site did not know it); ``telemetry`` is whatever progress the
-    governor had recorded — rows produced, index entries scanned,
-    elapsed seconds — so a killed query reports how far it got.
+    raise site did not know it).
     """
 
     code = "endpoint_error"
 
     def __init__(self, message: str, *, code: Optional[str] = None,
-                 query: Optional[str] = None,
-                 telemetry: Optional[Dict[str, object]] = None) -> None:
+                 query: Optional[str] = None) -> None:
         super().__init__(message)
         if code is not None:
             self.code = code
         self.query = query
-        self.telemetry = dict(telemetry) if telemetry else {}
 
 
-class GovernedQueryError(EndpointError):
-    """A final, per-request verdict from the query governor.
-
-    The QL executor's ``variant="auto"`` fallback retries the
-    alternative translation on *capability* failures (e.g. the HAVING
-    restriction) but re-raises these: a timed-out or shed query would
-    only fail again, slower.
-    """
-
-    code = "governed_error"
-
-
-class QueryTimeout(GovernedQueryError):
-    """The query exceeded its wall-clock deadline."""
-
-    code = "query_timeout"
-
-
-class QueryCancelled(GovernedQueryError):
-    """The query's cancellation token was triggered by the caller."""
-
-    code = "query_cancelled"
-
-
-class ResourceExhausted(GovernedQueryError):
-    """The query exceeded a row or binding-memory budget."""
-
-    code = "resource_exhausted"
-
-
-class EndpointOverloaded(GovernedQueryError):
-    """Admission control shed the query: every concurrent-query slot
-    was busy and the bounded wait queue was full (or the queue wait
-    timed out).  Clients should back off and retry."""
-
-    code = "endpoint_overloaded"
-
-
-class QueryExecutionError(GovernedQueryError):
+class QueryExecutionError(EndpointError):
     """A raw parser/evaluator exception escaped the engine.
 
     The endpoint maps bare ``KeyError`` / ``RecursionError`` / ... into
     this typed wrapper (original exception chained as ``__cause__``),
     so callers always see the endpoint taxonomy, never an engine
-    internal.
+    internal.  It is final: the QL executor's ``variant="auto"``
+    fallback re-raises it instead of retrying the alternative
+    translation.
     """
 
     code = "internal_error"

@@ -30,11 +30,7 @@ from repro.sparql.algebra import (
     Var,
 )
 from repro.sparql.bindings import BindingTable
-from repro.sparql.errors import (
-    EvaluationError,
-    QueryTimeout,
-    ResourceExhausted,
-)
+from repro.sparql.errors import EvaluationError
 from repro.sparql.evaluator_source import (  # noqa: F401  (re-exports)
     PROBE_COUNTER,
     Binding,
@@ -118,9 +114,6 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
     batch = max(64, min(512, needed))
     has_expressions = any(item.expression is not None
                           for item in query.projection or [])
-    gov = evaluator._gov
-    allow_partial = gov is not None and gov.limits.allow_partial
-    truncated = False
 
     def projected() -> Iterator[tuple]:
         """Projected rows in pipeline order: of terms when the
@@ -139,36 +132,24 @@ def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
 
     seen: set = set()
     last: object = _NO_ROW
-    try:
-        for row in projected():
-            if distinct:
-                if row in seen:
-                    continue
-                seen.add(row)
-            elif reduced:
-                if row == last:
-                    continue
-                last = row
-            rows.append(row)
-            if len(rows) >= needed:
-                break
-    except (QueryTimeout, ResourceExhausted):
-        # graceful degradation (opt-in, streamable queries only): the
-        # rows gathered so far are each individually correct — serve
-        # them flagged as truncated instead of discarding the work
-        if not allow_partial:
-            raise
-        truncated = True
-        gov.truncated = True
+    for row in projected():
+        if distinct:
+            if row in seen:
+                continue
+            seen.add(row)
+        elif reduced:
+            if row == last:
+                continue
+            last = row
+        rows.append(row)
+        if len(rows) >= needed:
+            break
     rows = rows[query.offset:]
     if not has_expressions:
         decode = evaluator._dict.decode
         rows = [tuple(None if cell is None else decode(cell)
                       for cell in row) for row in rows]
-    result = ResultTable(names, rows)
-    if truncated:
-        result.truncated = True
-    return result
+    return ResultTable(names, rows)
 
 
 def evaluate_select(query: SelectQuery, context: DatasetContext,

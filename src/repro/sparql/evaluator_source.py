@@ -127,24 +127,19 @@ class DatasetContext:
     snapshot-isolated read path passes the latter, so every source this
     context hands out reads one frozen epoch).
 
-    ``governor`` is the optional per-request
-    :class:`~repro.sparql.governor.GovernorContext`: when set, the
-    evaluator checks it cooperatively at every batch boundary (and
-    sub-queries inherit it through :meth:`scoped`), so one limits
-    object governs the whole request tree.  ``streamed`` is the
-    request's :class:`StreamTally`, shared the same way.
+    ``streamed`` is the request's :class:`StreamTally`; sub-queries
+    inherit it through :meth:`scoped`, so one tally covers the whole
+    request tree.
     """
 
     def __init__(self, dataset: Dataset,
                  default_as_union: bool = True,
                  from_graphs: Optional[List[IRI]] = None,
-                 from_named: Optional[List[IRI]] = None,
-                 governor=None) -> None:
+                 from_named: Optional[List[IRI]] = None) -> None:
         self.dataset = dataset
         self.default_as_union = default_as_union
         self.from_graphs = list(from_graphs) if from_graphs else []
         self.from_named = list(from_named) if from_named else []
-        self.governor = governor
         self.streamed = StreamTally()
 
     @property
@@ -157,8 +152,7 @@ class DatasetContext:
         if not from_graphs and not from_named:
             return self
         scoped = DatasetContext(self.dataset, self.default_as_union,
-                                from_graphs, from_named,
-                                governor=self.governor)
+                                from_graphs, from_named)
         scoped.streamed = self.streamed
         return scoped
 

@@ -383,14 +383,10 @@ class JoinSteps:
     :meth:`_prefer_hash`, the range build :meth:`_hash_build`.
     """
 
-    def __init__(self, dictionary, governor) -> None:
+    def __init__(self, dictionary) -> None:
         #: where pattern constants are looked up and computed terms
         #: interned
         self._dict = dictionary
-        #: per-request governor (deadline/budget/cancellation checks at
-        #: batch boundaries); ``None`` on ungoverned requests, so the
-        #: fast path costs one ``is not None`` test per boundary
-        self._gov = governor
         #: how the last :meth:`_step_triple` / :meth:`_step_path` joined
         self._last_strategy = "scan"
 
@@ -429,14 +425,11 @@ class JoinSteps:
     def _vector_matches(self, source: GraphSource, base: IdPattern
                         ) -> Matches:
         """The ``(S, P, O)`` match arrays for ``base``, accounted: every
-        matched index entry bumps the probe counter and the governor's
-        scan meter."""
+        matched index entry bumps the probe counter."""
         arrays = source.match_arrays(base)
         entries = int(len(arrays[0]))
         if PROBE_COUNTER.active:
             PROBE_COUNTER.entries += entries
-        if self._gov is not None:
-            self._gov.charge_scan(entries)
         return arrays
 
     def _prefer_hash(self, source: GraphSource, base: IdPattern,
@@ -523,10 +516,9 @@ class JoinSteps:
         names = table.names + tuple(new_names)
         arrays = source.match_arrays(_base_pattern(spec))
         # windowed so early termination (LIMIT, ASK) leaves the tail
-        # undecoded and unaccounted: probes and governor charges land
-        # per consumed window only
+        # undecoded and unaccounted: probes land per consumed window
+        # only
         counter = PROBE_COUNTER
-        gov = self._gov
         total = int(len(arrays[0]))
         # each window multiplies with every seed row: keep a piece near
         # ``batch`` rows however many rows seed it
@@ -535,8 +527,6 @@ class JoinSteps:
             stop = min(start + batch, total)
             if counter.active:
                 counter.entries += stop - start
-            if gov is not None:
-                gov.charge_scan(stop - start)
             window = tuple(column[start:stop] for column in arrays)
             piece = join_table(table, spec, names, lambda _ids: window)
             if piece:

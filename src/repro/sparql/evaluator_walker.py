@@ -42,9 +42,8 @@ query forms differ only in how they drain it:
   row has been seen in a solution.
 
 Every drain runs BGPs through the same :meth:`PatternEvaluator._walk_bgp`,
-so its ``evaluator.step`` failpoint, the governor's per-step row charge
-(the only row charge — draining adds none) and the step trace apply to
-all of them alike.
+so its ``evaluator.step`` failpoint and the step trace apply to all of
+them alike.
 
 Computed terms (BIND results, VALUES literals, seed bindings) intern
 into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
@@ -129,16 +128,9 @@ class PatternEvaluator(JoinSteps):
 
     def __init__(self, context: DatasetContext) -> None:
         self.context = context
-        governor = getattr(context, "governor", None)
-        if governor is not None:
-            # a dead-on-arrival request (cancelled token, expired
-            # deadline) dies here, before any evaluation work — this
-            # also covers early-exit paths (ASK) that may finish
-            # without ever reaching a batch boundary
-            governor.check()
         # per-query overlay: computed BIND/VALUES terms intern into a
         # discardable overflow id range, never into the base dictionary
-        super().__init__(context.dataset.dictionary.overlay(), governor)
+        super().__init__(context.dataset.dictionary.overlay())
         self._subselect_tables: Dict[tuple, BindingTable] = {}
         self._marker_count = 0
         #: when set to a list, every executed join step appends a
@@ -323,7 +315,6 @@ class PatternEvaluator(JoinSteps):
                 # one feed through the remaining steps
                 feeds = self._scan_chunks(first, source, table, chunk)
         trace = self.trace
-        gov = self._gov
         for feed in feeds:
             current = table
             for position, step in enumerate(steps):
@@ -338,11 +329,6 @@ class PatternEvaluator(JoinSteps):
                     current = self._step_path(pattern, source, current)
                 else:
                     current = self._step_triple(pattern, source, current)
-                if gov is not None:
-                    # batch-boundary governance: account the produced
-                    # binding cells, then check deadline/cancellation
-                    gov.charge_rows(len(current),
-                                    max(1, len(current.names)))
                 if trace is not None:
                     trace.append(StepTrace(node, position, step, rows_in,
                                            len(current),
@@ -370,8 +356,6 @@ class PatternEvaluator(JoinSteps):
         """Extend solved required-side rows with the optional side, run
         seeded with every row and a marker column numbering them
         (row-local: called per required-side piece)."""
-        if self._gov is not None:
-            self._gov.check()
         marker, seeded = self._marked(left)
         right = self.solve(node.right, source, seeded)
         if node.condition is not None and right:
@@ -476,7 +460,7 @@ class PatternEvaluator(JoinSteps):
         for rows whose ``&&`` / ``||`` operands would short-circuit
         before reaching the EXISTS, so a cheap selective guard in the
         same FILTER (``?o = x && NOT EXISTS {…}``) does not shrink the
-        seeded walk or its governor charge.  The IC suite has no such
+        seeded walk.  The IC suite has no such
         guard; a query that does can put the guard in a FILTER of its
         own ahead of the EXISTS one (filters of a group apply in
         textual order).

@@ -26,7 +26,7 @@ SELECT [?s]
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.rdf.concurrency import CONCURRENCY
 from repro.rdf.graph import Dataset, DatasetSnapshot
@@ -61,9 +61,6 @@ from repro.sparql.evaluator import (
 )
 from repro.sparql.optimizer import PLAN_CACHE, estimate_pattern, get_plan
 from repro.sparql.parser import parse_query
-
-if TYPE_CHECKING:
-    from repro.sparql.endpoint import EndpointStatistics
 
 
 def _term_text(position) -> str:
@@ -256,7 +253,7 @@ def plan_cache_statistics() -> dict:
     return PLAN_CACHE.statistics()
 
 
-def _cache_stats_lines(endpoint: EndpointStatistics) -> List[str]:
+def _cache_stats_lines() -> List[str]:
     stats = PLAN_CACHE.statistics()
     concurrency = CONCURRENCY.snapshot()
     return [
@@ -270,14 +267,6 @@ def _cache_stats_lines(endpoint: EndpointStatistics) -> List[str]:
         f"stale={concurrency['stale_serves']}) "
         f"cow_copies={concurrency['cow_copies']} "
         f"writer_waits={concurrency['writer_waits']}",
-        f"governor: admitted={endpoint.governor_admitted} "
-        f"queued={endpoint.governor_queued} "
-        f"shed={endpoint.governor_shed} "
-        f"timeouts={endpoint.governor_timeouts} "
-        f"cancelled={endpoint.governor_cancelled} "
-        f"budget_kills={endpoint.governor_budget_kills} "
-        f"truncated={endpoint.governor_truncated_serves} "
-        f"internal={endpoint.governor_internal_errors}",
     ]
 
 
@@ -304,7 +293,7 @@ def _collect_traces(query: Query, context: DatasetContext
 
 def explain_query(query: Query,
                   dataset: Optional[Union[Dataset, DatasetSnapshot]] = None,
-                  cache_stats: Optional[EndpointStatistics] = None,
+                  cache_stats: bool = False,
                   analyze: bool = False) -> str:
     """Render a parsed query's physical plan.
 
@@ -312,10 +301,8 @@ def explain_query(query: Query,
     :class:`~repro.rdf.graph.DatasetSnapshot`) is supplied;
     ``analyze=True`` additionally *executes* the query's pattern and
     annotates each join step with its actual row count and strategy;
-    ``cache_stats`` — the statistics of the endpoint rendering the
-    plan — appends the shared plan cache's hit/miss counters, the
-    snapshot-concurrency counters and that endpoint's governor
-    counters.
+    ``cache_stats`` appends the shared plan cache's hit/miss counters
+    and the snapshot-concurrency counters.
     """
     source: Optional[GraphSource] = None
     traces: Optional[_TraceIndex] = None
@@ -343,14 +330,14 @@ def explain_query(query: Query,
     else:
         raise TypeError(f"cannot explain {type(query).__name__}")
     lines = printer.lines
-    if cache_stats is not None:
-        lines = lines + _cache_stats_lines(cache_stats)
+    if cache_stats:
+        lines = lines + _cache_stats_lines()
     return "\n".join(lines)
 
 
 def explain(query_text: str,
             dataset: Optional[Union[Dataset, DatasetSnapshot]] = None,
-            cache_stats: Optional[EndpointStatistics] = None,
+            cache_stats: bool = False,
             analyze: bool = False) -> str:
     """Parse ``query_text`` and render its plan."""
     return explain_query(parse_query(query_text), dataset,

@@ -30,11 +30,6 @@ class ResultTable:
     #: dataset snapshot epoch this result was evaluated against
     snapshot_epoch: Optional[int] = None
 
-    #: ``True`` when the governor cut a streamable query short (the
-    #: caller opted into partial results with ``allow_partial``): the
-    #: rows present are each correct, but the set is incomplete
-    truncated: bool = False
-
     def __init__(self, variables: Sequence[str],
                  rows: Sequence[Sequence[Optional[Term]]]) -> None:
         self.vars: List[str] = list(variables)

@@ -3,10 +3,9 @@
 Production engines earn their resilience claims by *exercising* every
 failure path, not by hoping.  This module provides **failpoints**:
 named hooks compiled into the engine's hot paths (the evaluator's batch
-loops, ``Graph.add_all``, the endpoint's parse step, external fetches)
-that tests arm to inject latency, exceptions or partial batches —
-deterministically, under a seed (``tests/concurrency/`` drives them
-under load).
+loops, ``Graph.add_all``, the endpoint's parse step) that tests arm to
+inject latency or exceptions — deterministically, under a seed
+(``tests/concurrency/`` drives them under load).
 
 Design constraints:
 
@@ -36,10 +35,6 @@ Call sites are instrumented as::
 
     if faults.ACTIVE:
         faults.fire("graph.add_all.step")
-
-and batch producers that can be truncated use :func:`clip`::
-
-    rows = faults.clip("external.fetch.rows", rows)
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-__all__ = ["ACTIVE", "FAILPOINTS", "FaultInjected", "failpoint", "fire",
-           "clip"]
+__all__ = ["ACTIVE", "FAILPOINTS", "FaultInjected", "failpoint", "fire"]
 
 #: Fast-path guard: ``True`` iff at least one failpoint is armed.
 #: Instrumented call sites read this before calling :func:`fire`.
@@ -66,7 +60,7 @@ class _Failpoint:
 
     __slots__ = ("name", "raises", "delay", "probability", "rng",
                  "skip_first", "max_hits", "hits", "fired", "only_threads",
-                 "keep_rows", "callback")
+                 "callback")
 
     def __init__(self, name: str, *,
                  raises: Optional[object] = None,
@@ -76,7 +70,6 @@ class _Failpoint:
                  skip_first: int = 0,
                  max_hits: Optional[int] = None,
                  only_threads: Optional[Sequence[threading.Thread]] = None,
-                 keep_rows: Optional[int] = None,
                  callback: Optional[Callable[[], None]] = None) -> None:
         self.name = name
         self.raises = raises
@@ -89,7 +82,6 @@ class _Failpoint:
         self.fired = 0      # times an effect was actually injected
         self.only_threads: Optional[Set[threading.Thread]] = (
             set(only_threads) if only_threads is not None else None)
-        self.keep_rows = keep_rows
         self.callback = callback
 
     def _should_fire(self) -> bool:
@@ -122,11 +114,6 @@ class _Failpoint:
             if isinstance(exc, BaseException):
                 raise exc
             raise FaultInjected(f"failpoint {self.name!r} fired: {exc}")
-
-    def clip(self, rows: list) -> list:
-        if self.keep_rows is None or not self._should_fire():
-            return rows
-        return rows[: self.keep_rows]
 
 
 class FailpointRegistry:
@@ -171,12 +158,6 @@ class FailpointRegistry:
         if point is not None:
             point.trigger()
 
-    def clip(self, name: str, rows: list) -> list:
-        point = self._points.get(name)
-        if point is None:
-            return rows
-        return point.clip(rows)
-
     def armed(self) -> List[str]:
         with self._lock:
             return sorted(self._points)
@@ -190,14 +171,6 @@ def fire(name: str) -> None:
     """Trigger failpoint ``name`` if armed (call sites guard on
     :data:`ACTIVE` first, so this is never reached when disarmed)."""
     FAILPOINTS.fire(name)
-
-
-def clip(name: str, rows: list) -> list:
-    """Truncate ``rows`` per an armed ``keep_rows`` failpoint (partial
-    batch injection); returns ``rows`` unchanged when disarmed."""
-    if not ACTIVE:
-        return rows
-    return FAILPOINTS.clip(name, rows)
 
 
 class failpoint:

@@ -80,29 +80,6 @@ FIXTURES = {
                 return apply(self.dataset, query)
         """,
     ),
-    "governor-discipline": (
-        """
-        class Evaluator:
-            def count_matches(self, source, pattern):
-                total = 0
-                for ids in source.match_ids(pattern):
-                    total += 1
-                return total
-        """,
-        EVALUATOR,
-        """
-        class Evaluator:
-            def count_matches(self, source, pattern):
-                total = 0
-                for ids in source.match_ids(pattern):
-                    self._gov.tick_scan()
-                    total += 1
-                return total
-
-            def match_ids(self, pattern):
-                return self.graph.match_ids(pattern)
-        """,
-    ),
     "error-taxonomy": (
         """
         def serve(query):
@@ -606,7 +583,7 @@ def test_snapshot_discipline_allows_write_paths():
 def test_error_taxonomy_allows_typed_raises():
     source = """
     def serve(query):
-        raise QueryTimeout("deadline")
+        raise EndpointError("result too large")
     """
     assert findings_for(source, ENDPOINT, "error-taxonomy") == []
 
@@ -1219,9 +1196,8 @@ def test_evaluator_rules_cover_the_whole_family():
     narrowing = "def narrow(ids, np):\n    return ids.astype(np.int32)\n"
     for member in EVALUATOR_FAMILY:
         path = "src/" + member
-        for rule_id in ("governor-discipline", "error-taxonomy"):
-            bad, _path, _good = FIXTURES[rule_id]
-            assert findings_for(bad, path, rule_id), (rule_id, member)
+        bad, _path, _good = FIXTURES["error-taxonomy"]
+        assert findings_for(bad, path, "error-taxonomy"), member
         assert findings_for(narrowing, path, "columnar-dtype-safety")
 
 

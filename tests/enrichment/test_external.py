@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Graph, IRI, Literal, Namespace
-from repro.sparql import LocalEndpoint
+from repro.sparql import EndpointError, LocalEndpoint
 from repro.data import small_demo
 from repro.data.namespaces import PROPERTY, REF_PROP, REFERENCE_GRAPH
 from repro.demo import PAPER_DIMENSION_NAMES
@@ -40,6 +40,15 @@ class TestExternalSource:
 
     def test_describe_literal_member_is_empty(self):
         assert external_source().describe_member(Literal("x")) == []
+
+    def test_source_failure_is_a_typed_endpoint_error(self):
+        from repro.data.namespaces import DIC_CITIZEN
+        from repro.testing import faults
+        source = external_source()
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(EndpointError) as info:
+                source.describe_member(DIC_CITIZEN.SY)
+        assert info.value.code == "internal_error"
 
 
 class TestImport:

@@ -109,8 +109,7 @@ def row_at_a_time(self, pattern, source, table):
     the kernel would have chosen."""
     spec, _names, _dead = self._compile_positions(pattern.positions(), table)
     return ReferenceJoin(
-        self._dict, self._gov,
-        self._prefer_hash(source, _base_pattern(spec), len(table))
+        self._dict, self._prefer_hash(source, _base_pattern(spec), len(table))
     )._step_triple(pattern, source, table)
 
 

@@ -4,7 +4,7 @@ The typed-error tests feed the engine *simplified* programs with rogue
 dices appended after checking — conditions the QL checker would reject
 up front — because the engine is a public evaluation surface and must
 fail typed even when handed a program the checker never saw
-(defense in depth, per the governor error contract).
+(defense in depth, per the endpoint error contract).
 """
 
 import copy

@@ -6,7 +6,9 @@ from repro.data.namespaces import PROPERTY, REF_PROP, SCHEMA
 from repro.demo import CONTINENT_LEVEL, MARY_QL, YEAR_LEVEL
 from repro.rdf.namespace import SDMX_MEASURE
 from repro.sparql import EndpointLimits
+from repro.sparql.errors import QueryExecutionError
 from repro.ql import QLBuilder, QLEngine, attr, measure
+from repro.testing import faults
 
 
 def rows_as_set(table):
@@ -76,6 +78,14 @@ class TestExecution:
             assert rows_as_set(result.table) == rows_as_set(baseline.table)
         finally:
             enriched.endpoint.limits.forbid_having = False
+
+    def test_auto_does_not_fall_back_on_an_internal_error(self, engine):
+        """An engine failure is not a capability limit: ``auto``
+        re-raises it and runs no second translation."""
+        with faults.failpoint("evaluator.step", raises=KeyError) as point:
+            with pytest.raises(QueryExecutionError):
+                engine.execute(MARY_QL, variant="auto")
+        assert point.fired == 1
 
 
 class TestResultCube:

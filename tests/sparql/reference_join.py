@@ -7,8 +7,8 @@ extension tuples (built off one range scan — "hash" — or filled by one
 index probe per distinct key — "probe"), and for rows with an unbound
 join cell apply every raw match through ``_emit``'s capture rules.  It
 defines what the kernel must produce: the same rows **in the same
-order**, the same ``PROBE_COUNTER.entries``, the same governor scan
-charges.  ``tests/sparql/test_join_kernel.py`` drives both.
+order**, the same ``PROBE_COUNTER.entries``.
+``tests/sparql/test_join_kernel.py`` drives both.
 
 The walker's operators that pair two tables ran the same way until
 they went through ``evaluator_steps.paired`` too; their loops are
@@ -53,20 +53,17 @@ class ReferenceJoin:
     """``_step_triple`` as it stood before the kernel, with the
     hash / probe choice forced by the caller (``use_hash``)."""
 
-    def __init__(self, dictionary, governor, use_hash: bool) -> None:
+    def __init__(self, dictionary, use_hash: bool) -> None:
         self._dict = dictionary
-        self._gov = governor
         self.use_hash = use_hash
 
     def _metered(self, source: GraphSource):
         """``source``'s per-entry id scan, every entry bumping the
-        probe counter and the governor's scan meter."""
+        probe counter."""
         def match_ids(pattern):
             for ids in reference_ids(source.view, pattern):
                 if PROBE_COUNTER.active:
                     PROBE_COUNTER.entries += 1
-                if self._gov is not None:
-                    self._gov.charge_scan(1)
                 yield ids
         return match_ids
 
@@ -149,13 +146,11 @@ class ReferenceJoin:
     def _vector_matches(self, source: GraphSource, base: IdPattern):
         """The ``(S, P, O)`` match arrays for ``base``, accounted like
         the point probes: every matched index entry bumps the probe
-        counter and the governor's scan meter."""
+        counter."""
         arrays = source.match_arrays(base)
         entries = int(len(arrays[0]))
         if PROBE_COUNTER.active:
             PROBE_COUNTER.entries += entries
-        if self._gov is not None:
-            self._gov.charge_scan(entries)
         return arrays
 
     @staticmethod

@@ -1,9 +1,16 @@
 """Endpoint behaviour: updates, statistics, limits, logs."""
 
+import dataclasses
+
 import pytest
 
 from repro.rdf import IRI, Literal, Namespace, Triple
-from repro.sparql import EndpointError, EndpointLimits, LocalEndpoint
+from repro.sparql import (
+    EndpointError,
+    EndpointLimits,
+    EndpointStatistics,
+    LocalEndpoint,
+)
 
 EX = Namespace("http://example.org/")
 
@@ -131,6 +138,19 @@ class TestEndpointInterface:
         assert (stats.selects, stats.asks, stats.updates) == (1, 1, 1)
         endpoint.reset_statistics()
         assert endpoint.statistics.selects == 0
+
+    def test_statistics_reset_in_place(self, endpoint):
+        """``reset`` puts every field back to its default in place, so
+        whoever holds the statistics object sees the reset too."""
+        endpoint.select("SELECT * WHERE { ?s ?p ?o }")
+        held = endpoint.statistics
+        assert held.selects == 1
+        for counter in dataclasses.fields(held):
+            setattr(held, counter.name, 7)
+        endpoint.reset_statistics()
+        assert endpoint.statistics is held
+        assert held == EndpointStatistics()
+        assert (held.selects, held.internal_errors) == (0, 0)
 
     def test_query_log(self):
         ep = LocalEndpoint(keep_query_log=True)

@@ -1,9 +1,9 @@
-"""No raw engine exception escapes the endpoint's read path.
+"""No raw engine exception escapes the endpoint's read or write path.
 
 Failpoints force deterministic raw exceptions (``KeyError``,
 ``RecursionError``, ``ValueError``) out of the parser and evaluator;
 every one must reach the caller as :class:`QueryExecutionError` with
-its machine-readable code, the offending query text and the original
+its machine-readable code, the offending request text and the original
 exception chained as ``__cause__``.
 """
 
@@ -19,6 +19,7 @@ from repro.sparql.errors import (
     QueryExecutionError,
     QuerySyntaxError,
     SPARQLError,
+    UpdateError,
 )
 from repro.testing import faults
 
@@ -98,7 +99,7 @@ class TestEvaluatorExceptionMapping:
         with faults.failpoint("evaluator.step", raises=KeyError):
             with pytest.raises(QueryExecutionError):
                 endpoint.select(QUERY)
-        assert endpoint.statistics.governor_internal_errors == 1
+        assert endpoint.statistics.internal_errors == 1
 
 
 class TestParserExceptionMapping:
@@ -122,10 +123,35 @@ class TestTypedErrorsPassThrough:
         # a wrong-form request is an EndpointError, not an internal one
         assert not isinstance(info.value, QueryExecutionError)
 
-    def test_mapped_error_query_attached_even_without_governor(
-            self, endpoint):
+    def test_mapped_error_query_attached(self, endpoint):
         with faults.failpoint("evaluator.step", raises=KeyError):
             with pytest.raises(QueryExecutionError) as info:
                 endpoint.select(QUERY)
         assert info.value.query == QUERY
-        assert info.value.telemetry == {}  # ungoverned: no progress data
+
+
+class TestUpdateExceptionMapping:
+    """``update()`` runs its operations inside the same boundary as
+    the read path."""
+
+    @pytest.mark.parametrize("update", [
+        f"INSERT {{ ?s <{EX}q> ?o }} WHERE {{ ?s <{EX}p> ?o }}",
+        f"DELETE {{ ?s <{EX}p> ?o }} WHERE {{ ?s <{EX}p> ?o }}",
+    ], ids=["insert-where", "delete-where"])
+    def test_raw_evaluator_exception_is_wrapped(self, endpoint, update):
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(QueryExecutionError) as info:
+                endpoint.update(update)
+        error = info.value
+        assert error.code == "internal_error"
+        assert error.query == update
+        assert isinstance(error.__cause__, KeyError)
+        assert endpoint.statistics.internal_errors == 1
+
+    def test_typed_errors_pass_through(self, endpoint):
+        with faults.failpoint("evaluator.step", raises=UpdateError):
+            with pytest.raises(UpdateError) as info:
+                endpoint.update(f"INSERT {{ ?s <{EX}q> ?o }} "
+                                f"WHERE {{ ?s <{EX}p> ?o }}")
+        assert not isinstance(info.value, QueryExecutionError)
+        assert endpoint.statistics.internal_errors == 0

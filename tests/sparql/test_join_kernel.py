@@ -8,8 +8,7 @@ step on
 
 * the rows, **in the same order** (probe-row order, a row's matches in
   index order), unbound cells included;
-* ``PROBE_COUNTER.entries`` — every index entry read, once;
-* the governor's scan meter and its row / cell meters.
+* ``PROBE_COUNTER.entries`` — every index entry read, once.
 
 Graphs are generated with a compacted column tier, a delta overlay on
 top and pending tombstones, and — unioned — with a second graph that
@@ -24,6 +23,7 @@ hands out dense ids, so a second differential runs both sides over
 rule.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,7 +41,6 @@ from repro.sparql.evaluator import (
     DatasetContext,
     PatternEvaluator,
 )
-from repro.sparql.governor import GovernorContext, QueryLimits
 
 from tests.sparql.reference_join import (
     ReferenceJoin,
@@ -112,14 +111,10 @@ def build_dataset(compacted, overlaid, removed, other):
     return dataset
 
 
-def governed():
-    return GovernorContext(QueryLimits(max_rows=10 ** 9))
-
-
 def run_both(dataset, names, term_rows, chain, use_hash):
     """Run ``chain`` through the kernel and the oracle; assert they
     agree after every step, and return the final rows."""
-    evaluator = Forced(DatasetContext(dataset, governor=governed()))
+    evaluator = Forced(DatasetContext(dataset))
     encode = evaluator._dict.encode
     rows = [tuple(None if term is None else encode(term) for term in row)
             for row in term_rows]
@@ -129,12 +124,11 @@ def run_both(dataset, names, term_rows, chain, use_hash):
 
 def agree(evaluator, source, table, chain, use_hash):
     """``chain`` over the id ``table`` and ``source`` through
-    ``evaluator`` (governed) and through the oracle: the same rows in
-    the same order, the same probe counts and the same governor
-    charges after every step.  Returns the final rows."""
-    kernel_gov, oracle_gov = evaluator._gov, governed()
+    ``evaluator`` and through the oracle: the same rows in the same
+    order and the same probe counts after every step.  Returns the
+    final rows."""
     evaluator.use_hash = use_hash
-    oracle = ReferenceJoin(evaluator._dict, oracle_gov, use_hash)
+    oracle = ReferenceJoin(evaluator._dict, use_hash)
     ours = theirs = table
     for pattern in chain:
         with PROBE_COUNTER as counter:
@@ -146,10 +140,6 @@ def agree(evaluator, source, table, chain, use_hash):
         assert ours.names == theirs.names
         assert ours.rows == theirs.rows, pattern
         assert len(ours) == len(theirs.rows)
-        for gov, table in ((kernel_gov, ours), (oracle_gov, theirs)):
-            gov.charge_rows(len(table.rows), max(1, len(table.names)))
-        assert (kernel_gov.scanned, kernel_gov.rows, kernel_gov.cells) == (
-            oracle_gov.scanned, oracle_gov.rows, oracle_gov.cells)
     return ours.rows
 
 
@@ -159,7 +149,7 @@ class TestKernelEqualsRowAtATime:
            st.lists(triples, max_size=4), st.lists(triples, max_size=6),
            seed_tables(), st.lists(patterns, min_size=1, max_size=3),
            st.booleans())
-    def test_same_rows_same_order_same_charges(
+    def test_same_rows_same_order_same_probes(
             self, compacted, overlaid, removed, other, seed, chain,
             use_hash):
         dataset = build_dataset(compacted, overlaid, removed, other)
@@ -340,7 +330,7 @@ def array_evaluator():
     dataset = Dataset()
     assert [dataset.dictionary.encode(term)
             for term in (PREDICATE, DECOY)] == [0, 1]
-    return Forced(DatasetContext(dataset, governor=governed()))
+    return Forced(DatasetContext(dataset))
 
 
 class TestKeyDirectory:
@@ -515,8 +505,8 @@ class TestPairedOperators:
 
 
 class TestMinus:
-    def evaluator(self, governor=None):
-        return PatternEvaluator(DatasetContext(Dataset(), governor=governor))
+    def evaluator(self):
+        return PatternEvaluator(DatasetContext(Dataset()))
 
     @settings(max_examples=400, deadline=None)
     @given(operands)
@@ -528,18 +518,18 @@ class TestMinus:
 
     def test_unbound_cells_finish_inside_the_deadline(self):
         """2 000 x 2 000 rows that never exclude one another, with an
-        unbound cell on each side: the pairwise loop took about a second
-        and had to be governed; pairing per partition is done long
-        before a 50 ms deadline."""
+        unbound cell on each side: the pairwise loop took about a
+        second; pairing per partition is done long before 50 ms."""
         left = id_table(("a", "b"), [
             (index, None if index % 7 == 0 else index)
             for index in range(2000)])
         removals = id_table(("a", "b"), [
             (None if index % 5 == 0 else 5000 + index, 9000 + index)
             for index in range(2000)])
-        governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
-        result = self.evaluator(governor)._minus_table(left, removals)
-        governor.check()  # QueryTimeout once the deadline has passed
+        started = time.perf_counter()
+        result = self.evaluator()._minus_table(left, removals)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05
         assert result.rows == reference_minus(left, removals).rows
 
     def test_bound_cells_finish_inside_the_deadline(self):
@@ -548,9 +538,10 @@ class TestMinus:
             (index, index % 50) for index in range(2000)])
         removals = id_table(("a", "b"), [
             (2 * index, (2 * index) % 50) for index in range(2000)])
-        governor = GovernorContext(QueryLimits(deadline_seconds=0.05))
-        result = self.evaluator(governor)._minus_table(left, removals)
-        governor.check()
+        started = time.perf_counter()
+        result = self.evaluator()._minus_table(left, removals)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05
         assert result.rows == [row for row in left.rows if row[0] % 2]
 
 

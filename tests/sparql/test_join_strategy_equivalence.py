@@ -17,8 +17,7 @@ Coverage layers:
 * the streamed corpus (LIMIT/OFFSET/DISTINCT/REDUCED edges);
 * multi-pattern joins, each shown to take both forced strategies;
 * grouped and scalar aggregates, including ORDER BY ties in MIN/MAX;
-* the governor's row budget and ``explain(analyze=True)``'s strategy
-  annotations.
+* ``explain(analyze=True)``'s strategy annotations.
 
 Every query runs on one compacted dataset, and both strategies gather
 a step's matches in table-row order, so results compare row for row,
@@ -26,7 +25,7 @@ not just as multisets.
 """
 
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -34,9 +33,7 @@ import pytest
 from repro.rdf import Literal
 from repro.rdf.terms import XSD_DECIMAL, XSD_INTEGER
 from repro.sparql import LocalEndpoint
-from repro.sparql.errors import ResourceExhausted
 from repro.sparql.evaluator_steps import JoinSteps
-from repro.sparql.governor import QueryLimits
 
 from tests.sparql.test_columnar_equivalence import CORPUS, EX, populate
 from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
@@ -254,33 +251,6 @@ class TestStrategyFuzz:
                     assert endpoint.select(query).rows == rows
             flips.extend(given)
         assert True in flips and False in flips
-
-
-class TestGovernor:
-    """The row budget charges what a step produces, not how the step
-    found its matches."""
-
-    QUERY = JOINED[4]
-
-    def test_row_budget_binds_the_same_under_both(self, endpoint):
-        produced = []
-        for scan in (None, True, False):
-            with nullcontext() if scan is None else forced(lambda: scan):
-                with pytest.raises(ResourceExhausted) as info:
-                    endpoint.select(self.QUERY,
-                                    limits=QueryLimits(max_rows=500))
-            produced.append(info.value.telemetry["rows_produced"])
-        assert produced[0] > 500
-        assert produced == [produced[0]] * 3
-
-    def test_row_budget_sized_for_the_query_passes_under_both(
-            self, endpoint):
-        limits = QueryLimits(max_rows=10 ** 6)
-        expected = endpoint.select(self.QUERY).rows
-        for scan in (True, False):
-            with forced(lambda: scan):
-                assert endpoint.select(self.QUERY,
-                                       limits=limits).rows == expected
 
 
 class TestExplainIntegration:

@@ -75,12 +75,6 @@ class TestEffects:
                 faults.fire("s")
         assert seen == [1]
 
-    def test_clip_truncates_rows(self):
-        rows = list(range(10))
-        with faults.failpoint("s", keep_rows=3):
-            assert faults.clip("s", rows) == [0, 1, 2]
-        assert faults.clip("s", rows) == rows  # disarmed: untouched
-
 
 class TestDeterminism:
     def test_skip_first_window_is_exact(self):

@@ -3,7 +3,7 @@
 The engine (:mod:`analysis.lint`) walks the repository's Python files
 with stdlib :mod:`ast` visitors and applies the repo-aware rule set in
 :mod:`analysis.rules` — discipline checks the hand-written conventions
-of the concurrency, governor and columnar layers rely on.  Findings are
+of the concurrency and columnar layers rely on.  Findings are
 suppressible per line with ``# repro: allow[rule-id]`` and gated
 against a checked-in baseline (``tools/analysis/baseline.json``), so
 pre-existing accepted findings never block CI while new violations

@@ -5,7 +5,7 @@ The suite has two shapes.  Most of it pins a finished unification:
 module Z (function F)".  Each such pin is one row of :data:`PINS`, and
 one visitor (:meth:`PinnedRule.pinned`) evaluates every row; the next
 unification adds a row, not a class.  The checks no row can state —
-lock, snapshot, governor and error discipline, dtype safety,
+lock, snapshot and error discipline, dtype safety,
 determinism, row loops, taint — are visitor classes, each scoped to the
 files whose conventions it understands.  Rule ids are the
 ``# repro: allow[...]`` suppression keys; one id may own rows and a
@@ -528,48 +528,6 @@ class SnapshotDisciplineRule(Rule):
                 f"`.snapshot()` instead)", lines)
 
 
-class GovernorDisciplineRule(Rule):
-    """Evaluator code that pulls raw batches charges the governor.
-
-    Deadlines and budgets are enforced at batch boundaries, so a
-    function calling an uncharged producer (``match_ids`` /
-    ``match_arrays``) must reference the governor.
-    Producers that charge internally (``_scan_chunks``,
-    ``_vector_matches``, ``stream_tables``) need nothing more, and a
-    same-named delegation wrapper is exempt.
-    """
-
-    id = "governor-discipline"
-
-    BATCH_PRODUCERS = {"match_arrays", "match_ids"}
-    GOVERNOR_MARKS = {"charge_rows", "charge_scan", "tick_scan", "check",
-                      "metered", "_gov", "governor"}
-
-    def applies_to(self, path: str) -> bool:
-        return path.endswith(EVALUATOR_FAMILY)
-
-    def check(self, path: str, tree: ast.AST,
-              lines: Sequence[str]) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if node.name in self.BATCH_PRODUCERS:
-                continue  # delegation wrapper, charged by its consumer
-            produced = called_names(node) & self.BATCH_PRODUCERS
-            if not produced:
-                continue
-            names = dotted_names(node) | called_names(node)
-            if names & self.GOVERNOR_MARKS:
-                continue
-            yield self.finding(
-                path, node,
-                f"`{node.name}` consumes scan/match batches "
-                f"({', '.join(sorted(produced))}) without charging the "
-                f"governor (charge_rows/charge_scan/tick_scan or "
-                f"metered())", lines)
-
-
 class ErrorTaxonomyRule(Rule):
     """Typed errors only on the serving path.
 
@@ -585,7 +543,6 @@ class ErrorTaxonomyRule(Rule):
 
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/endpoint.py",
-                              "repro/sparql/governor.py",
                               "repro/olap/engine.py",
                               "repro/olap/kernel.py")
                              + EVALUATOR_FAMILY)
@@ -909,7 +866,7 @@ class SingleAlgebraWalkerRule(PinnedRule):
     """``PatternEvaluator._walk`` is the one function that dispatches
     over the pattern-node classes: a second dispatch is a second
     interpreter, whose operators drift from the walker's and escape its
-    governor charges, failpoints and traces.  Modules that describe
+    failpoints and traces.  Modules that describe
     trees without evaluating them are exempt."""
 
     id = "single-algebra-walker"
@@ -1188,7 +1145,6 @@ class ColumnarEtlRule(PinnedRule):
 ALL_RULES: List[Rule] = [
     LockDisciplineRule(),
     SnapshotDisciplineRule(),
-    GovernorDisciplineRule(),
     ErrorTaxonomyRule(),
     ColumnarDtypeSafetyRule(),
     TestDeterminismRule(),

@@ -1,8 +1,8 @@
 """Strict-typing gate for the core modules.
 
-The concurrency, governor, columnar and statistics layers are the
-code whose bugs surface as data corruption rather than stack traces,
-so they carry the strictest typing bar in the repo:
+The concurrency, columnar and statistics layers are the code whose
+bugs surface as data corruption rather than stack traces, so they
+carry the strictest typing bar in the repo:
 
 * when **mypy** is installed, the gate runs ``mypy --strict`` over the
   core module set and fails on any error;
@@ -33,7 +33,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 CORE_MODULES = (
     "src/repro/rdf/columnar.py",
     "src/repro/rdf/concurrency.py",
-    "src/repro/sparql/governor.py",
     "src/repro/rdf/stats.py",
     "src/repro/olap/kernel.py",
 )

@@ -234,15 +234,13 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
                                for slot in slots)))),
                  source.estimate_ids(steps._base_pattern(spec)), len(out))
         if shape not in shapes:
-            # the replay must neither spend the request's budget nor
-            # show in its trace
-            governor, self._gov = self._gov, None
+            # the replay must not show in the request's trace
             try:
                 shapes[shape] = [0, best(self, True, pattern, source, table),
                                  best(self, False, pattern, source, table)]
             finally:
                 del self._prefer_hash
-                self._gov, self._last_strategy = governor, strategy
+                self._last_strategy = strategy
         shapes[shape][0] += 1
         return out
 
