@@ -50,6 +50,26 @@ class TestExternalSource:
                 source.describe_member(DIC_CITIZEN.SY)
         assert info.value.code == "internal_error"
 
+    def test_failure_carries_the_source_query(self):
+        from repro.data.namespaces import DIC_CITIZEN
+        from repro.testing import faults
+        source = external_source()
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(EndpointError) as info:
+                source.describe_member(DIC_CITIZEN.SY)
+        assert f"<{DIC_CITIZEN.SY.value}>" in info.value.query
+        assert source.endpoint.statistics.internal_errors == 1
+
+    def test_source_answers_after_a_failure(self):
+        from repro.data.namespaces import DIC_CITIZEN
+        from repro.testing import faults
+        source = external_source()
+        expected = source.describe_member(DIC_CITIZEN.SY)
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(EndpointError):
+                source.describe_member(DIC_CITIZEN.SY)
+        assert source.describe_member(DIC_CITIZEN.SY) == expected
+
 
 class TestImport:
     def test_import_copies_and_follows_objects(self):
@@ -71,6 +91,23 @@ class TestImport:
         count = import_member_triples(
             local, source, [DIC_CITIZEN.SY], follow_objects=False)
         assert count == 1
+
+    def test_failed_import_writes_nothing(self):
+        """Every description is fetched before the one local insert, so
+        a source failure on the second hop leaves the local endpoint
+        untouched."""
+        from repro.data.namespaces import DIC_CITIZEN
+        from repro.testing import faults
+        source = external_source()
+        local = LocalEndpoint()
+        with faults.failpoint("evaluator.step", raises=KeyError,
+                              skip_first=1):
+            with pytest.raises(EndpointError):
+                import_member_triples(local, source, [DIC_CITIZEN.SY],
+                                      target_graph=REFERENCE_GRAPH)
+        assert len(local.dataset) == 0
+        assert local.statistics.triples_inserted == 0
+        assert local.statistics.internal_errors == 0
 
 
 class TestSessionWithExternal:

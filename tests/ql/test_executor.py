@@ -87,6 +87,25 @@ class TestExecution:
                 engine.execute(MARY_QL, variant="auto")
         assert point.fired == 1
 
+    @pytest.mark.parametrize("variant", ["direct", "optimized"])
+    def test_explicit_variant_raises_an_internal_error(self, engine,
+                                                       variant):
+        with faults.failpoint("evaluator.step", raises=ValueError):
+            with pytest.raises(QueryExecutionError) as info:
+                engine.execute(MARY_QL, variant=variant)
+        translation = engine.prepare(MARY_QL)[3]
+        assert info.value.query == getattr(translation, variant)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_engine_answers_after_an_internal_error(self, engine):
+        expected = rows_as_set(engine.execute(MARY_QL, variant="auto").table)
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(QueryExecutionError):
+                engine.execute(MARY_QL, variant="auto")
+        result = engine.execute(MARY_QL, variant="auto")
+        assert result.report.variant == "direct"
+        assert rows_as_set(result.table) == expected
+
 
 class TestResultCube:
     def test_cube_axes_and_cells(self, engine, schema):

@@ -128,3 +128,58 @@ class TestDeterminism:
             victim.start()
             victim.join()
         assert outcomes["victim"] == "faulted"
+
+
+def _reach_parse(endpoint):
+    endpoint.select("SELECT ?s WHERE { ?s ?p ?o }")
+
+
+def _reach_step(endpoint):
+    endpoint.ask("ASK { ?s ?p ?o }")
+
+
+def _reach_batch(endpoint):
+    endpoint.select("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
+
+
+def _reach_add_all(endpoint):
+    from repro.rdf import IRI, Literal
+    endpoint.insert_triples([(IRI("http://example.org/b"),
+                              IRI("http://example.org/p"), Literal(2))])
+
+
+#: every failpoint compiled into the engine, with a request reaching it
+SITES = {
+    "endpoint.parse": _reach_parse,
+    "evaluator.step": _reach_step,
+    "evaluator.batch": _reach_batch,
+    "graph.add_all.step": _reach_add_all,
+}
+
+
+class TestInstrumentedSites:
+    @pytest.mark.parametrize("name", SITES)
+    def test_site_is_reached(self, name):
+        from repro.rdf import IRI, Literal
+        from repro.sparql import LocalEndpoint
+        endpoint = LocalEndpoint()
+        endpoint.insert_triples([(IRI("http://example.org/a"),
+                                  IRI("http://example.org/p"), Literal(1))])
+        with faults.failpoint(name) as point:
+            SITES[name](endpoint)
+        assert point.hits >= 1
+
+    def test_sites_are_the_listed_ones(self):
+        """The engine's sources call ``fire`` with exactly the names
+        above; a site added or dropped shows up here."""
+        import pathlib
+        import re
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        named = set()
+        for path in root.rglob("*.py"):
+            if path.parent.name == "testing":
+                continue
+            named.update(re.findall(r'_faults\.fire\("([^"]+)"\)',
+                                    path.read_text()))
+        assert named == set(SITES)
