@@ -264,9 +264,12 @@ class _QLParser:
         if token.kind == "STRING":
             body = token.text
             if body.startswith('"') and body.endswith('"'):
-                from repro.rdf.ntriples import unescape_string
-                return Literal(unescape_string(body[1:-1], token.line),
-                               datatype=XSD_STRING)
+                from repro.sparql.tokenizer import unescape_string
+                try:
+                    lexical = unescape_string(body[1:-1])
+                except ValueError as error:
+                    raise QLSyntaxError(str(error), token.line) from None
+                return Literal(lexical, datatype=XSD_STRING)
             # tolerate typographic quotes as printed in the paper's PDF
             body = body.strip('"').strip("“”")
             return Literal(body.replace('\\"', '"'), datatype=XSD_STRING)

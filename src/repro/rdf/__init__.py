@@ -3,7 +3,8 @@
 This package replaces the Jena library used by the paper's Java
 implementation.  It provides exactly what QB2OLAP needs from an RDF
 stack: immutable terms, an indexed in-memory graph with pattern
-matching, named-graph datasets, and Turtle / N-Triples round-tripping.
+matching, named-graph datasets, and Turtle / TriG / N-Triples writers
+(the SPARQL parser reads those documents back).
 
 Quick tour:
 
@@ -21,7 +22,7 @@ from repro.rdf.concurrency import (
     CountedRLock,
 )
 from repro.rdf.dictionary import DictionaryOverlay, TermDictionary
-from repro.rdf.errors import ParseError, RDFError, SerializationError, TermError
+from repro.rdf.errors import RDFError, SerializationError, TermError
 from repro.rdf.graph import (
     Dataset,
     DatasetSnapshot,
@@ -49,7 +50,7 @@ from repro.rdf.namespace import (
     SKOS,
     XSD,
 )
-from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
+from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.stats import GraphStats, StatisticsView
 from repro.rdf.terms import (
     BNode,
@@ -61,8 +62,8 @@ from repro.rdf.terms import (
     term_sort_key,
     triple_sort_key,
 )
-from repro.rdf.trig import parse_trig, serialize_trig
-from repro.rdf.turtle import parse_turtle, serialize_turtle
+from repro.rdf.trig import serialize_trig
+from repro.rdf.turtle import serialize_turtle
 
 __all__ = [
     "BNode",
@@ -83,7 +84,6 @@ __all__ = [
     "Namespace",
     "NamespaceManager",
     "OWL",
-    "ParseError",
     "QB",
     "QB4O",
     "RDF",
@@ -105,9 +105,6 @@ __all__ = [
     "UnionView",
     "XSD",
     "make_triple",
-    "parse_ntriples",
-    "parse_trig",
-    "parse_turtle",
     "serialize_ntriples",
     "serialize_trig",
     "serialize_turtle",

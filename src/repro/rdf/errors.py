@@ -1,8 +1,9 @@
 """Exception hierarchy for the RDF substrate.
 
 Every error raised by :mod:`repro.rdf` derives from :class:`RDFError`, so
-callers can catch substrate problems with a single ``except`` clause while
-still being able to distinguish term-level problems from syntax problems.
+callers can catch substrate problems with a single ``except`` clause.
+RDF text is read by the SPARQL parser, so a syntax error in a document
+is a :class:`repro.sparql.errors.QuerySyntaxError`.
 """
 
 from __future__ import annotations
@@ -18,24 +19,6 @@ class TermError(RDFError):
     Examples: a literal used as a triple subject, an IRI built from a
     non-string, a malformed language tag.
     """
-
-
-class ParseError(RDFError):
-    """A serialized RDF document (Turtle, N-Triples) could not be parsed.
-
-    Carries the line and column of the offending token when known so that
-    test fixtures and user files can be debugged positionally.
-    """
-
-    def __init__(self, message: str, line: int | None = None,
-                 column: int | None = None) -> None:
-        self.line = line
-        self.column = column
-        if line is not None:
-            location = f" (line {line}" + (
-                f", column {column})" if column is not None else ")")
-            message = message + location
-        super().__init__(message)
 
 
 class SerializationError(RDFError):

@@ -982,7 +982,7 @@ class Graph(_GraphReadMixin):
         name = self.identifier.value if self.identifier else "default"
         return f"<Graph {name} ({self._size} triples)>"
 
-    # -- serialization entry points (implemented in sibling modules) ---------
+    # -- serialization entry point (implemented in sibling modules) ----------
 
     def serialize(self, format: str = "turtle") -> str:
         """Serialize to ``turtle`` or ``ntriples`` text."""
@@ -993,18 +993,6 @@ class Graph(_GraphReadMixin):
             from repro.rdf.ntriples import serialize_ntriples
             return serialize_ntriples(self)
         raise TermError(f"unknown serialization format: {format!r}")
-
-    def parse(self, text: str, format: str = "turtle") -> "Graph":
-        """Parse RDF text into this graph; returns the graph."""
-        if format in ("turtle", "ttl"):
-            from repro.rdf.turtle import parse_turtle
-            parse_turtle(text, self)
-            return self
-        if format in ("ntriples", "nt"):
-            from repro.rdf.ntriples import parse_ntriples
-            parse_ntriples(text, self)
-            return self
-        raise TermError(f"unknown parse format: {format!r}")
 
 
 class GraphSnapshot(Graph):
@@ -1080,7 +1068,6 @@ class GraphSnapshot(Graph):
     remove = _read_only
     compact = _read_only
     clear = _read_only
-    parse = _read_only
     bind = _read_only
     __iadd__ = _read_only
 
@@ -1193,7 +1180,6 @@ class UnionView(_GraphReadMixin):
     add_all = _read_only
     remove = _read_only
     clear = _read_only
-    parse = _read_only
     bind = _read_only
     #: ``view += triples`` must raise the same clear error as ``add``,
     #: not fall through to a confusing TypeError.

@@ -1,26 +1,14 @@
-"""N-Triples 1.1 serialization and parsing.
+"""N-Triples 1.1 serialization.
 
 N-Triples is the line-oriented exchange format: one triple per line, full
-IRIs, no prefixes.  It is the simplest round-trip format and the one the
-property-based tests lean on.
+IRIs, no prefixes.  Being a subset of Turtle, it is read by the SPARQL
+parser's triples grammar (``LocalEndpoint.load_trig``).
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterator, Optional, Tuple
-
-from repro.rdf.errors import ParseError
 from repro.rdf.graph import Graph
-from repro.rdf.terms import (
-    BNode,
-    IRI,
-    Literal,
-    Term,
-    Triple,
-    XSD_STRING,
-    triple_sort_key,
-)
+from repro.rdf.terms import triple_sort_key
 
 
 def serialize_ntriples(graph: Graph, sort: bool = True) -> str:
@@ -34,105 +22,3 @@ def serialize_ntriples(graph: Graph, sort: bool = True) -> str:
         triples.sort(key=triple_sort_key)
     lines = [triple.n3() for triple in triples]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-_IRI_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_BNODE_RE = re.compile(r"_:([A-Za-z0-9][A-Za-z0-9_.\-]*)")
-_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_LANG_RE = re.compile(r"@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)")
-
-_ESCAPES = {
-    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-    '"': '"', "'": "'", "\\": "\\",
-}
-
-
-def unescape_string(text: str, line: Optional[int] = None) -> str:
-    """Resolve N-Triples/Turtle string escapes (``\\n``, ``\\uXXXX``, ...)."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise ParseError("dangling escape at end of string", line)
-        nxt = text[i + 1]
-        if nxt in _ESCAPES:
-            out.append(_ESCAPES[nxt])
-            i += 2
-        elif nxt == "u":
-            if i + 6 > len(text):
-                raise ParseError("truncated \\u escape", line)
-            out.append(chr(int(text[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            if i + 10 > len(text):
-                raise ParseError("truncated \\U escape", line)
-            out.append(chr(int(text[i + 2:i + 10], 16)))
-            i += 10
-        else:
-            raise ParseError(f"unknown escape: \\{nxt}", line)
-    return "".join(out)
-
-
-def _parse_term(text: str, line: int) -> Tuple[Term, str]:
-    """Parse one term from the front of ``text``; return (term, rest)."""
-    text = text.lstrip()
-    if text.startswith("<"):
-        match = _IRI_RE.match(text)
-        if not match:
-            raise ParseError(f"malformed IRI near {text[:40]!r}", line)
-        return IRI(match.group(1)), text[match.end():]
-    if text.startswith("_:"):
-        match = _BNODE_RE.match(text)
-        if not match:
-            raise ParseError(f"malformed blank node near {text[:40]!r}", line)
-        return BNode(match.group(1)), text[match.end():]
-    if text.startswith('"'):
-        match = _LITERAL_RE.match(text)
-        if not match:
-            raise ParseError(f"malformed literal near {text[:40]!r}", line)
-        lexical = unescape_string(match.group(1), line)
-        rest = text[match.end():]
-        if rest.startswith("^^"):
-            dt_match = _IRI_RE.match(rest[2:])
-            if not dt_match:
-                raise ParseError("malformed datatype IRI", line)
-            datatype = dt_match.group(1)
-            return Literal(lexical, datatype=datatype), rest[2 + dt_match.end():]
-        lang_match = _LANG_RE.match(rest)
-        if lang_match:
-            return (Literal(lexical, language=lang_match.group(1)),
-                    rest[lang_match.end():])
-        return Literal(lexical, datatype=XSD_STRING), rest
-    raise ParseError(f"unexpected term near {text[:40]!r}", line)
-
-
-def iter_ntriples(text: str) -> Iterator[Triple]:
-    """Yield triples from N-Triples text, skipping comments and blanks."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        subject, rest = _parse_term(stripped, line_no)
-        predicate, rest = _parse_term(rest, line_no)
-        obj, rest = _parse_term(rest, line_no)
-        rest = rest.strip()
-        if rest != ".":
-            raise ParseError(f"expected terminating '.', got {rest!r}", line_no)
-        if isinstance(subject, Literal):
-            raise ParseError("literal in subject position", line_no)
-        if not isinstance(predicate, IRI):
-            raise ParseError("predicate must be an IRI", line_no)
-        yield Triple(subject, predicate, obj)
-
-
-def parse_ntriples(text: str, graph: Optional[Graph] = None) -> Graph:
-    """Parse N-Triples ``text`` into ``graph`` (a new one by default)."""
-    target = graph if graph is not None else Graph()
-    for triple in iter_ntriples(text):
-        target.add(triple)
-    return target

@@ -67,6 +67,7 @@ from repro.sparql.parser import (
     ModifyOp,
     Quad,
     UpdateOperation,
+    parse_document,
     parse_query,
     parse_update,
 )
@@ -503,17 +504,19 @@ class LocalEndpoint:
         return serialize_trig(self.dataset)
 
     def load_trig(self, text: str) -> int:
-        """Restore/merge a TriG snapshot into this endpoint's dataset.
+        """Restore/merge a TriG snapshot (or any Turtle / N-Triples
+        document) into this endpoint's dataset.
 
-        Returns the number of triples added.
+        The SPARQL parser reads it (:func:`parse_document`), its quads
+        go in as INSERT DATA's do, blank nodes fresh, and its prefixes
+        are bound in the dataset's namespace manager.  Returns the
+        number of triples added.
         """
-        from repro.rdf.trig import parse_trig
-        before = len(self.dataset)
-        parse_trig(text, self.dataset)
-        added = len(self.dataset) - before
-        with self._stats_lock:
-            self.statistics.triples_inserted += added
-        return added
+        with self._mapped_errors(text):
+            quads, prefixes = parse_document(text)
+            for prefix, namespace in prefixes.items():
+                self.dataset.namespace_manager.bind(prefix, namespace)
+            return self._insert_quads(quads, {})
 
     # -- introspection ---------------------------------------------------------
 

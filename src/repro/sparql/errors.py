@@ -21,10 +21,8 @@ class SPARQLError(Exception):
 
 
 class QuerySyntaxError(SPARQLError):
-    """The query text could not be parsed.
-
-    Mirrors :class:`repro.rdf.errors.ParseError` with positional info.
-    """
+    """The query, update or RDF document text could not be parsed;
+    ``line`` is the offending token's line when known."""
 
     code = "syntax_error"
 

@@ -5,6 +5,9 @@ Entry points:
 * :func:`parse_query` — SELECT and ASK queries.
 * :func:`parse_update` — INSERT DATA / DELETE DATA / CLEAR / CREATE /
   DROP / ``[WITH] DELETE/INSERT ... WHERE`` requests.
+* :func:`parse_document` — an RDF document (Turtle, N-Triples, or TriG
+  with ``GRAPH`` blocks), read with the same triples grammar as
+  INSERT DATA's quad data.
 
 The parser lowers directly into :mod:`repro.sparql.algebra` nodes and
 :mod:`repro.sparql.expressions` trees; there is no separate AST stage.
@@ -13,11 +16,12 @@ The parser lowers directly into :mod:`repro.sparql.algebra` nodes and
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.namespace import DEFAULT_PREFIXES, RDF
-from repro.rdf.ntriples import unescape_string
 from repro.rdf.terms import (
+    BNode,
     IRI,
     Literal,
     Term,
@@ -76,7 +80,7 @@ from repro.sparql.expressions import (
     UnaryMinusExpression,
     VariableExpression,
 )
-from repro.sparql.tokenizer import Token, tokenize
+from repro.sparql.tokenizer import Token, tokenize, unescape_string
 
 _XSD_CAST_IRIS = {
     "http://www.w3.org/2001/XMLSchema#integer": "XSD:INTEGER",
@@ -174,6 +178,12 @@ class _Parser:
             prefix: ns.base for prefix, ns in DEFAULT_PREFIXES.items()}
         self.base: Optional[str] = None
         self._bnode_vars: Dict[str, Var] = {}
+        #: the blank node each ``_:`` variable of quad data stands for,
+        #: fresh to this request
+        self._bnodes: Dict[str, BNode] = {}
+        #: inside a quad or CONSTRUCT template, where a predicate is an
+        #: IRI or a variable, never a property path
+        self._template = False
         self._fresh = itertools.count(1)
 
     # -- token plumbing ------------------------------------------------------
@@ -218,26 +228,41 @@ class _Parser:
 
     # -- prologue -------------------------------------------------------------
 
-    def parse_prologue(self) -> None:
+    def parse_prologue(self, turtle: bool = False) -> None:
+        """``PREFIX`` / ``BASE`` declarations; with ``turtle`` also the
+        ``@prefix … .`` / ``@base … .`` forms (lexed as language tags)."""
         while True:
             token = self.peek()
-            if token.is_keyword("PREFIX"):
-                self.next()
-                name_token = self.next()
-                if name_token.kind != "PNAME" or not name_token.text.endswith(":"):
-                    raise self.error("expected prefix name", name_token)
-                iri_token = self.next()
-                if iri_token.kind != "IRIREF":
-                    raise self.error("expected IRI after PREFIX", iri_token)
-                self.prefixes[name_token.text[:-1]] = iri_token.text[1:-1]
-            elif token.is_keyword("BASE"):
-                self.next()
-                iri_token = self.next()
-                if iri_token.kind != "IRIREF":
-                    raise self.error("expected IRI after BASE", iri_token)
-                self.base = iri_token.text[1:-1]
+            if token.is_keyword("PREFIX", "BASE"):
+                which = token.upper
+            elif turtle and token.text in ("@prefix", "@base"):
+                which = token.text[1:].upper()
             else:
                 return
+            self.next()
+            name_token = self.next() if which == "PREFIX" else None
+            if name_token is not None and (
+                    name_token.kind != "PNAME"
+                    or not name_token.text.endswith(":")):
+                raise self.error("expected prefix name", name_token)
+            iri_token = self.next()
+            if iri_token.kind != "IRIREF":
+                raise self.error(f"expected IRI after {which}", iri_token)
+            iri = self._resolve(iri_token.text[1:-1])
+            if name_token is not None:
+                self.prefixes[name_token.text[:-1]] = iri
+            else:
+                self.base = iri
+            if token.kind == "LANGTAG":
+                self.expect_punct(".")
+
+    def _resolve(self, iri: str) -> str:
+        """Resolve an IRI reference against the ``BASE`` in force."""
+        if self.base is None or re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", iri):
+            return iri
+        if not iri or iri.startswith("#"):
+            return self.base + iri
+        return self.base.rsplit("/", 1)[0] + "/" + iri
 
     # -- terms -----------------------------------------------------------------
 
@@ -252,15 +277,17 @@ class _Parser:
     def parse_iri(self) -> IRI:
         token = self.next()
         if token.kind == "IRIREF":
-            return IRI(token.text[1:-1])
+            return IRI(self._resolve(token.text[1:-1]))
         if token.kind == "PNAME":
             return self._expand_pname(token.text, token)
         raise self.error("expected an IRI", token)
 
     def _string_token_value(self, token: Token) -> str:
-        if token.kind == "LONG_STRING":
-            return unescape_string(token.text[3:-3], token.line)
-        return unescape_string(token.text[1:-1], token.line)
+        quotes = 3 if token.kind == "LONG_STRING" else 1
+        try:
+            return unescape_string(token.text[quotes:-quotes])
+        except ValueError as error:
+            raise QuerySyntaxError(str(error), token.line) from None
 
     def parse_literal(self) -> Literal:
         token = self.next()
@@ -286,7 +313,9 @@ class _Parser:
         raise self.error("expected a literal", token)
 
     def fresh_var(self) -> Var:
-        return Var(f"_:anon{next(self._fresh)}")
+        # '#' starts no blank-node label: `_:anon1` in the text stays
+        # its own node
+        return Var(f"_:#{next(self._fresh)}")
 
     def parse_pattern_term(self, allow_literal: bool = True) -> PatternTerm:
         """A var, IRI, literal or blank-node label in a pattern position."""
@@ -367,16 +396,12 @@ class _Parser:
 
     def _parse_construct_template(self) -> List[TriplePatternNode]:
         self.expect_punct("{")
+        self._template = True
         patterns: List = []
-        while not self.peek().is_punct("}"):
-            block = self._parse_triples_block()
-            for item in block:
-                if isinstance(item, PathPatternNode):
-                    raise self.error(
-                        "property paths are not allowed in templates")
-                patterns.append(item)
+        while not self.accept_punct("}"):
+            patterns.extend(self._parse_triples_block())
             self.accept_punct(".")
-        self.next()  # consume }
+        self._template = False
         return patterns
 
     def parse_describe(self) -> "DescribeQuery":
@@ -645,9 +670,7 @@ class _Parser:
                     other = self.parse_group_graph_pattern()
                     sub = UnionNode(sub, other)
                 join_with(sub)
-            elif (token.kind in _TERM_START_KINDS
-                  or token.is_punct("[")
-                  or token.is_keyword("TRUE", "FALSE")):
+            elif self._at_subject():
                 patterns = self._parse_triples_block()
                 join_with(BGP(patterns))
             else:
@@ -707,23 +730,19 @@ class _Parser:
     def _parse_triples_block(self) -> List:
         patterns: List = []
         while True:
+            # a ``[ … ]`` or ``( … )`` subject may stand alone
+            bare = not self.peek().is_punct("[", "(")
             subject = self._parse_node_with_properties(patterns,
                                                        as_subject=True)
-            if not (self.peek().is_punct(";") or self._at_verb()):
-                # subject came from a [...] that already carried its
-                # predicate-object list
-                pass
-            if self._at_verb():
+            if bare or self._at_verb():
                 self._parse_predicate_object_list(subject, patterns)
-            token = self.peek()
-            if token.is_punct("."):
-                self.next()
-                nxt = self.peek()
-                if (nxt.kind in _TERM_START_KINDS or nxt.is_punct("[")
-                        or nxt.is_keyword("TRUE", "FALSE")):
-                    continue
+            if not self.accept_punct(".") or not self._at_subject():
                 return patterns
-            return patterns
+
+    def _at_subject(self) -> bool:
+        token = self.peek()
+        return (token.kind in _TERM_START_KINDS or token.is_punct("[", "(")
+                or token.is_keyword("TRUE", "FALSE"))
 
     def _at_verb(self) -> bool:
         token = self.peek()
@@ -741,6 +760,8 @@ class _Parser:
         path = self._parse_path()
         if isinstance(path, LinkPath):
             return path.iri
+        if self._template:
+            raise self.error("property paths are not allowed in templates")
         return path
 
     # -- property paths --------------------------------------------------------
@@ -862,7 +883,9 @@ class _Parser:
 
     def _parse_node_with_properties(self, patterns: List,
                                     as_subject: bool = False) -> PatternTerm:
-        """Parse a subject/object node; expands ``[ ... ]`` in place."""
+        """Parse a subject/object node; expands ``[ ... ]`` and the
+        collection ``( ... )`` (``rdf:first`` / ``rdf:rest`` cells ending
+        in ``rdf:nil``) in place."""
         token = self.peek()
         if token.is_punct("["):
             self.next()
@@ -871,6 +894,18 @@ class _Parser:
                 self._parse_predicate_object_list(node, patterns)
             self.expect_punct("]")
             return node
+        if token.is_punct("("):
+            self.next()
+            items: List[PatternTerm] = []
+            while not self.accept_punct(")"):
+                items.append(self._parse_node_with_properties(patterns))
+            head: PatternTerm = RDF.nil
+            for item in reversed(items):
+                cell = self.fresh_var()
+                patterns.append(TriplePatternNode(cell, RDF.first, item))
+                patterns.append(TriplePatternNode(cell, RDF.rest, head))
+                head = cell
+            return head
         return self.parse_pattern_term(allow_literal=not as_subject)
 
     def _parse_predicate_object_list(self, subject: PatternTerm,
@@ -1096,7 +1131,7 @@ class _Parser:
         if token.is_keyword("INSERT"):
             self.next()
             if self.accept_keyword("DATA"):
-                return InsertDataOp(self._parse_quad_data())
+                return InsertDataOp(self._parse_quad_data(blank_nodes=True))
             insert_quads = self._parse_quad_pattern()
             self.expect_keyword("WHERE")
             pattern = self.parse_group_graph_pattern()
@@ -1104,7 +1139,7 @@ class _Parser:
         if token.is_keyword("DELETE"):
             self.next()
             if self.accept_keyword("DATA"):
-                return DeleteDataOp(self._parse_quad_data())
+                return DeleteDataOp(self._parse_quad_data(blank_nodes=False))
             if self.peek().is_keyword("WHERE"):
                 self.next()
                 pattern_quads = self._parse_quad_pattern()
@@ -1162,40 +1197,71 @@ class _Parser:
             return "ALL"
         raise self.error("expected GRAPH/DEFAULT/NAMED/ALL")
 
-    def _parse_quad_data(self) -> List[Quad]:
-        """Ground quads for INSERT DATA / DELETE DATA."""
-        quads = self._parse_quad_pattern()
-        for graph, s, p, o in quads:
-            if any(isinstance(term, Var) for term in (s, p, o)):
-                raise self.error("variables are not allowed in DATA blocks")
-        return quads
+    def _parse_quad_data(self, blank_nodes: bool) -> List[Quad]:
+        """Ground quads for INSERT DATA (``blank_nodes``) / DELETE DATA."""
+        return self._ground(self._parse_quad_pattern(), blank_nodes)
+
+    def _ground(self, quads: List[Quad], blank_nodes: bool) -> List[Quad]:
+        """Quad data: ``_:b`` and ``[ … ]`` are blank nodes fresh to the
+        request, one per label (SPARQL 1.1 Update §3.1.1); DELETE DATA
+        takes none (§3.1.2), and no block takes a variable."""
+        ground: List[Quad] = []
+        for graph, *triple in quads:
+            terms: List[PatternTerm] = []
+            for term in triple:
+                if isinstance(term, Var):
+                    if not term.name.startswith("_:"):
+                        raise self.error(
+                            "variables are not allowed in DATA blocks")
+                    if not blank_nodes:
+                        raise self.error(
+                            "blank nodes are not allowed in DELETE DATA")
+                    if term.name not in self._bnodes:
+                        self._bnodes[term.name] = BNode()
+                    term = self._bnodes[term.name]
+                terms.append(term)
+            ground.append((graph, terms[0], terms[1], terms[2]))
+        return ground
 
     def _parse_quad_pattern(self) -> List[Quad]:
         self.expect_punct("{")
         quads: List[Quad] = []
-
-        def extend(graph: Optional[IRI], patterns: List) -> None:
-            for p in patterns:
-                if isinstance(p, PathPatternNode):
-                    raise self.error(
-                        "property paths are not allowed in templates")
-                quads.append((graph, p.subject, p.predicate, p.object))
-
-        while not self.peek().is_punct("}"):
-            if self.peek().is_keyword("GRAPH"):
-                self.next()
-                graph = self.parse_iri()
-                self.expect_punct("{")
-                while not self.peek().is_punct("}"):
-                    extend(graph, self._parse_triples_block())
-                    self.accept_punct(".")
-                self.next()  # consume }
-                self.accept_punct(".")
-            else:
-                extend(None, self._parse_triples_block())
-                self.accept_punct(".")
-        self.next()  # consume }
+        while not self.accept_punct("}"):
+            self._parse_quads(quads)
         return quads
+
+    def _parse_quads(self, quads: List[Quad]) -> None:
+        """One statement of a quad template: triples for the default
+        graph, or a ``GRAPH <g> { … }`` block, and an optional ``.``."""
+        self._template = True
+        graph: Optional[IRI] = None
+        if self.accept_keyword("GRAPH"):
+            graph = self.parse_iri()
+            self.expect_punct("{")
+            patterns: List = []
+            while not self.accept_punct("}"):
+                patterns.extend(self._parse_triples_block())
+                self.accept_punct(".")
+        else:
+            patterns = self._parse_triples_block()
+        self.accept_punct(".")
+        self._template = False
+        quads.extend((graph, p.subject, p.predicate, p.object)
+                     for p in patterns)
+
+    def parse_document(self) -> Tuple[List[Quad], Dict[str, str]]:
+        """An RDF document: directives (``@prefix`` forms too) and
+        statements up to EOF, each top-level triples block ended by a
+        ``.``.  Answers its ground quads and the prefixes it declares."""
+        self.prefixes = {}
+        quads: List[Quad] = []
+        while True:
+            self.parse_prologue(turtle=True)
+            if self.peek().kind == "EOF":
+                return self._ground(quads, blank_nodes=True), self.prefixes
+            self._parse_quads(quads)
+            if not self.tokens[self.position - 1].is_punct(".", "}"):
+                raise self.error("expected '.'")
 
 
 # ---------------------------------------------------------------------------
@@ -1211,3 +1277,9 @@ def parse_query(text: str) -> Query:
 def parse_update(text: str) -> List[UpdateOperation]:
     """Parse an update request into a list of operations."""
     return _Parser(text).parse_update()
+
+
+def parse_document(text: str) -> Tuple[List[Quad], Dict[str, str]]:
+    """Parse an RDF document (Turtle, N-Triples, or TriG with ``GRAPH``
+    blocks) into ground quads and the prefixes it declares."""
+    return _Parser(text).parse_document()

@@ -105,3 +105,37 @@ def tokenize(text: str) -> List[Token]:
         pos = match.end()
     tokens.append(Token("EOF", "", line))
     return tokens
+
+
+_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+
+def unescape_string(text: str) -> str:
+    """Resolve the string escapes of a quoted literal's body (``\\n``,
+    ``\\uXXXX``, ...); raises :class:`ValueError` on a bad one, which
+    each parser reports as its own syntax error."""
+    out: List[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        nxt = text[i + 1:i + 2]
+        if nxt in _ESCAPES:
+            out.append(_ESCAPES[nxt])
+            i += 2
+        elif nxt in ("u", "U"):
+            width = 4 if nxt == "u" else 8
+            digits = text[i + 2:i + 2 + width]
+            if len(digits) != width:
+                raise ValueError(f"truncated \\{nxt} escape")
+            out.append(chr(int(digits, 16)))
+            i += 2 + width
+        else:
+            raise ValueError(f"unknown escape: \\{nxt}")
+    return "".join(out)

@@ -455,6 +455,21 @@ FIXTURES = {
             return shm.SpawnPool(workers), BrokenProcessPool
         """,
     ),
+    "one-rdf-reader": (
+        """
+        from repro.sparql.tokenizer import unescape_string
+
+        def parse_ntriples(text):
+            return [unescape_string(line) for line in text.splitlines()]
+        """,
+        "src/repro/rdf/ntriples.py",
+        """
+        from repro.sparql.parser import parse_document
+
+        def quads(text):
+            return parse_document(text)[0]
+        """,
+    ),
 }
 
 
@@ -492,6 +507,7 @@ ROW_FIXTURES = [
               "        return self.graphs_disjoint\n"),
     (EVALUATOR, "def scan(source, pattern):\n"
                 "    return list(source.match(pattern))\n"),
+    ("src/repro/rdf/trig.py", "def parse_trig(text):\n    return text\n"),
     (ETL, "def hops(graph, members):\n"
           "    return [graph.objects(m, BROADER) for m in members]\n"),
     (ETL, "order = sorted(rows, key=lambda row: row[0])\n"),

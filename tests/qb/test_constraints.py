@@ -21,6 +21,7 @@ from repro.qb.constraints import (
 from repro.qb.normalize import normalize_graph
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace
+from repro.sparql.endpoint import LocalEndpoint
 
 EX = Namespace("http://example.org/")
 
@@ -46,7 +47,9 @@ ex:o2 qb:dataSet ex:ds ; ex:dim ex:a2 ; ex:val 4 .
 
 
 def normalized_graph(turtle: str) -> Graph:
-    graph = Graph().parse(PREFIXES + turtle)
+    endpoint = LocalEndpoint()
+    endpoint.load_trig(PREFIXES + turtle)
+    graph = endpoint.dataset.default
     normalize_graph(graph)
     return graph
 

@@ -25,7 +25,9 @@ PREFIXES = """\
 
 
 def graph_of(turtle: str) -> Graph:
-    return Graph().parse(PREFIXES + turtle)
+    endpoint = LocalEndpoint()
+    endpoint.load_trig(PREFIXES + turtle)
+    return endpoint.dataset.default
 
 
 class TestPhase1:
@@ -135,8 +137,7 @@ class TestAlgorithm:
 
     def test_endpoint_entry_point(self):
         endpoint = LocalEndpoint()
-        endpoint.dataset.default.parse(
-            PREFIXES + "ex:o1 qb:dataSet ex:ds .")
+        endpoint.load_trig(PREFIXES + "ex:o1 qb:dataSet ex:ds .")
         added = normalize_endpoint(endpoint)
         assert added == 2
         assert endpoint.ask("""

@@ -155,6 +155,14 @@ class TestErrors:
             with pytest.raises(QLSyntaxError):
                 parse_ql(bad)
 
+    def test_bad_string_escape(self):
+        with pytest.raises(QLSyntaxError, match=r"unknown escape: \\q"):
+            parse_ql("""
+            PREFIX ex: <http://example.org/>
+            QUERY
+            $C1 := DICE (ex:cube, ex:a = "\\q");
+            """)
+
     def test_unknown_comparison_operator(self):
         with pytest.raises(QLSyntaxError):
             parse_ql("""

@@ -197,8 +197,6 @@ class TestDataset:
             lambda: view.add_all([(EX.x, EX.p, EX.y)]),
             lambda: view.remove((EX.a, EX.p, None)),
             lambda: view.clear(),
-            lambda: view.parse("<http://e/x> <http://e/p> <http://e/y> .",
-                               format="ntriples"),
             lambda: view.bind("ex", "http://example.org/"),
         ]
         for write in writes:

@@ -1,4 +1,5 @@
-"""N-Triples round-trip and parsing tests."""
+"""N-Triples serialization, and N-Triples read back through
+``LocalEndpoint.load_trig``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,18 @@ from repro.rdf import (
     IRI,
     Literal,
     Namespace,
-    ParseError,
-    parse_ntriples,
     serialize_ntriples,
 )
+from repro.sparql import LocalEndpoint, QuerySyntaxError
 
 EX = Namespace("http://example.org/")
+
+
+def parse_ntriples(text: str) -> Graph:
+    """The default graph an endpoint holds after loading ``text``."""
+    endpoint = LocalEndpoint()
+    endpoint.load_trig(text)
+    return endpoint.dataset.default
 
 
 class TestSerialize:
@@ -49,10 +56,12 @@ class TestParse:
         assert values[IRI("http://e/q")].language == "da"
 
     def test_bnodes(self):
-        g = parse_ntriples("_:x <http://e/p> _:y .\n")
+        g = parse_ntriples("_:x <http://e/p> _:y .\n_:y <http://e/p> _:x .\n")
         triple = next(iter(g))
         assert isinstance(triple.subject, BNode)
-        assert triple.subject.label == "x"
+        assert isinstance(triple.object, BNode)
+        assert triple.subject != triple.object
+        assert (triple.object, triple.predicate, triple.subject) in g
 
     def test_comments_and_blank_lines(self):
         g = parse_ntriples("# comment\n\n<http://e/s> <http://e/p> <http://e/o> .")
@@ -67,18 +76,22 @@ class TestParse:
         g = parse_ntriples('<http://e/s> <http://e/p> "\\u00e9" .')
         assert next(iter(g)).object.lexical == "é"
 
+    def test_bad_escape(self):
+        with pytest.raises(QuerySyntaxError, match=r"unknown escape: \\q"):
+            parse_ntriples('<http://e/s> <http://e/p> "\\q" .')
+
     def test_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_ntriples("<http://e/s> <http://e/p> <http://e/o>")  # no dot
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_ntriples('"literal" <http://e/p> <http://e/o> .')
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_ntriples("<http://e/s> _:b <http://e/o> .")
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_ntriples("garbage")
 
     def test_error_reports_line(self):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(QuerySyntaxError) as info:
             parse_ntriples("<http://e/s> <http://e/p> <http://e/o> .\nbroken")
         assert "line 2" in str(info.value)
 

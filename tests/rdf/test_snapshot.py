@@ -76,8 +76,6 @@ class TestGraphSnapshot:
             snap.clear()
         with pytest.raises(TermError):
             snap += [(iri("a"), iri("p"), iri("b"))]
-        with pytest.raises(TermError):
-            snap.parse("")
 
     def test_snapshot_rejects_compaction(self):
         """Regression: ``GraphSnapshot`` inherited ``Graph.compact``,

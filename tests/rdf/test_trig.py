@@ -1,18 +1,26 @@
-"""TriG (named-graph dataset) parsing and serialization tests."""
+"""TriG (named-graph dataset) serialization, and TriG read back
+through ``LocalEndpoint.load_trig``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf.errors import ParseError
 from repro.rdf.graph import Dataset
 from repro.rdf.namespace import Namespace
 from repro.rdf.terms import IRI, Literal
-from repro.rdf.trig import parse_trig, serialize_trig
+from repro.rdf.trig import serialize_trig
 from repro.sparql.endpoint import LocalEndpoint
+from repro.sparql.errors import QuerySyntaxError
 
 EX = Namespace("http://example.org/")
 G1 = IRI("http://example.org/graphs/one")
 G2 = IRI("http://example.org/graphs/two")
+
+
+def parse_trig(text: str) -> Dataset:
+    """The dataset an endpoint holds after loading ``text``."""
+    endpoint = LocalEndpoint()
+    endpoint.load_trig(text)
+    return endpoint.dataset
 
 
 class TestParsing:
@@ -26,27 +34,27 @@ class TestParsing:
         assert (EX.a, EX.p, EX.b) in dataset.graph(G1)
         assert len(dataset.default) == 0
 
-    def test_label_without_keyword(self):
-        dataset = parse_trig("""
-            @prefix ex: <http://example.org/> .
-            <http://example.org/graphs/one> { ex:a ex:p ex:b . }
-        """)
-        assert (EX.a, EX.p, EX.b) in dataset.graph(G1)
+    def test_label_without_keyword_is_not_read(self):
+        with pytest.raises(QuerySyntaxError):
+            parse_trig("""
+                @prefix ex: <http://example.org/> .
+                <http://example.org/graphs/one> { ex:a ex:p ex:b . }
+            """)
 
     def test_prefixed_graph_label(self):
         dataset = parse_trig("""
             @prefix ex: <http://example.org/> .
             @prefix g: <http://example.org/graphs/> .
-            g:one { ex:a ex:p ex:b . }
+            GRAPH g:one { ex:a ex:p ex:b . }
         """)
         assert (EX.a, EX.p, EX.b) in dataset.graph(G1)
 
-    def test_default_graph_block(self):
-        dataset = parse_trig("""
-            @prefix ex: <http://example.org/> .
-            { ex:a ex:p ex:b . }
-        """)
-        assert (EX.a, EX.p, EX.b) in dataset.default
+    def test_default_graph_block_is_not_read(self):
+        with pytest.raises(QuerySyntaxError):
+            parse_trig("""
+                @prefix ex: <http://example.org/> .
+                { ex:a ex:p ex:b . }
+            """)
 
     def test_top_level_triples_go_to_default(self):
         dataset = parse_trig("""
@@ -89,11 +97,13 @@ class TestParsing:
         assert len(graph) == 5
 
     def test_unterminated_block_raises(self):
-        with pytest.raises(ParseError, match="unterminated"):
+        with pytest.raises(QuerySyntaxError):
             parse_trig("GRAPH <http://e/g> { <http://e/a> <http://e/p> 1 .")
 
     def test_literal_graph_label_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
+            parse_trig('GRAPH "nope" { <http://e/a> <http://e/p> 1 . }')
+        with pytest.raises(QuerySyntaxError):
             parse_trig('"nope" { <http://e/a> <http://e/p> 1 . }')
 
 
@@ -123,7 +133,7 @@ class TestSerialization:
 
     def test_graphs_sorted_by_iri(self):
         text = serialize_trig(self.make_dataset())
-        assert 0 < text.find("g:one {") < text.find("g:two {")
+        assert 0 < text.find("GRAPH g:one {") < text.find("GRAPH g:two {")
 
     def test_empty_graphs_omitted(self):
         dataset = self.make_dataset()
@@ -133,7 +143,7 @@ class TestSerialization:
 
     def test_compact_graph_labels_with_header_prefix(self):
         text = serialize_trig(self.make_dataset())
-        assert "g:one {" in text
+        assert "GRAPH g:one {" in text
         assert "@prefix g: <http://example.org/graphs/> ." in text
 
     def test_empty_dataset(self):
@@ -172,6 +182,23 @@ class TestEndpointPersistence:
         assert added == 2
         assert restored.ask(
             f"ASK {{ GRAPH <{G1.value}> {{ <{EX.a}> <{EX.p}> <{EX.b}> }} }}")
+        assert restored.statistics.triples_inserted == 2
+        assert restored.dataset.namespace_manager.namespace_for("ex") \
+            == EX.base
+
+    def test_dump_body_is_insert_data(self):
+        """Past its prefix header, a dump is INSERT DATA's quad data."""
+        endpoint = LocalEndpoint()
+        endpoint.dataset.namespace_manager.bind("ex", EX)
+        endpoint.insert_triples([(EX.a, EX.p, Literal("x", language="en"))],
+                                graph=G1)
+        endpoint.insert_triples([(EX.c, EX.p, Literal(1))])
+        header, _, body = endpoint.dump_trig().partition("\n\n")
+        prologue = header.replace("@prefix", "PREFIX").replace("> .", ">")
+        restored = LocalEndpoint()
+        assert restored.update(f"{prologue}\nINSERT DATA {{ {body} }}") == 2
+        assert restored.dataset.default == endpoint.dataset.default
+        assert restored.dataset.graph(G1) == endpoint.dataset.graph(G1)
 
     def test_demo_endpoint_round_trips(self):
         from repro.data import small_demo

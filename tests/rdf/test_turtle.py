@@ -1,4 +1,6 @@
-"""Turtle parser/serializer tests, including the paper's own snippets."""
+"""Turtle read through ``LocalEndpoint.load_trig`` (the SPARQL
+parser's triples grammar) and the Turtle serializer, including the
+paper's own snippets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +11,21 @@ from repro.rdf import (
     IRI,
     Literal,
     Namespace,
-    ParseError,
     QB,
     QB4O,
     RDF,
-    parse_turtle,
     serialize_turtle,
 )
+from repro.sparql import LocalEndpoint, QuerySyntaxError
 
 EX = Namespace("http://example.org/")
+
+
+def parse_turtle(text: str) -> Graph:
+    """The default graph an endpoint holds after loading ``text``."""
+    endpoint = LocalEndpoint()
+    endpoint.load_trig(text)
+    return endpoint.dataset.default
 
 
 class TestParseBasics:
@@ -111,6 +119,15 @@ class TestParseBasics:
         """)
         assert (EX.a, EX.list, RDF.nil) in g
 
+    def test_collection_as_subject(self):
+        g = parse_turtle("""
+        @prefix ex: <http://example.org/> .
+        (ex:x) ex:p ex:o .
+        """)
+        head = next(iter(g.subjects(EX.p, EX.o)))
+        assert (head, RDF.first, EX.x) in g
+        assert (head, RDF.rest, RDF.nil) in g
+
     def test_shared_bnode_labels(self):
         g = parse_turtle("""
         @prefix ex: <http://example.org/> .
@@ -119,13 +136,44 @@ class TestParseBasics:
         """)
         assert len(set(g.subjects())) == 1
 
+    def test_bnode_labels_are_fresh_per_document(self):
+        endpoint = LocalEndpoint()
+        document = "_:n <http://example.org/p> <http://example.org/a> ."
+        endpoint.load_trig(document)
+        endpoint.load_trig(document)
+        assert len(set(endpoint.dataset.default.subjects())) == 2
+
+    def test_prefixes_are_bound(self):
+        endpoint = LocalEndpoint()
+        endpoint.load_trig("@prefix zz: <http://zz.example/> .\n"
+                           "PREFIX yy: <http://yy.example/>\n"
+                           "zz:a yy:p zz:b .")
+        manager = endpoint.dataset.namespace_manager
+        assert manager.namespace_for("zz") == "http://zz.example/"
+        assert manager.namespace_for("yy") == "http://yy.example/"
+        assert endpoint.statistics.triples_inserted == 1
+
     def test_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_turtle("ex:a ex:p ex:b .")  # undefined prefix
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_turtle("@prefix ex: <http://e/> . ex:a ex:p ex:b")  # no dot
-        with pytest.raises(ParseError):
+        with pytest.raises(QuerySyntaxError):
             parse_turtle('@prefix ex: <http://e/> . "lit" ex:p ex:b .')
+        with pytest.raises(QuerySyntaxError):
+            parse_turtle("@prefix ex: <http://e/> ex:a ex:p ex:b .")
+        with pytest.raises(QuerySyntaxError):
+            parse_turtle("<http://e/a> .")  # no predicate
+        with pytest.raises(QuerySyntaxError):
+            parse_turtle("<http://e/a> ?p <http://e/b> .")  # variable
+
+    def test_failed_document_loads_nothing(self):
+        endpoint = LocalEndpoint()
+        with pytest.raises(QuerySyntaxError, match="line 2"):
+            endpoint.load_trig("<http://e/a> <http://e/p> 1 .\n"
+                               "<http://e/a> <http://e/p> .")
+        assert len(endpoint.dataset) == 0
+        assert endpoint.statistics.triples_inserted == 0
 
 
 class TestPaperSnippets:

@@ -28,6 +28,7 @@ from repro.sparql.parser import (
     DropOp,
     InsertDataOp,
     ModifyOp,
+    parse_document,
     parse_query,
     parse_update,
 )
@@ -293,3 +294,33 @@ class TestUpdateParsing:
     def test_empty_update_rejected(self):
         with pytest.raises(QuerySyntaxError):
             parse_update("   ")
+
+
+class TestDocumentParsing:
+    def test_quads_and_declared_prefixes(self):
+        quads, prefixes = parse_document("""
+        @prefix ex: <http://example.org/> .
+        PREFIX g: <http://example.org/graphs/>
+        ex:a ex:p 1 .
+        GRAPH g:one { ex:a ex:p 2 }
+        """)
+        assert prefixes == {"ex": "http://example.org/",
+                            "g": "http://example.org/graphs/"}
+        assert [(graph, o) for graph, _s, _p, o in quads] == [
+            (None, Literal(1)),
+            (IRI("http://example.org/graphs/one"), Literal(2))]
+
+    def test_no_default_prefixes(self):
+        with pytest.raises(QuerySyntaxError, match="undefined prefix"):
+            parse_document("rdf:a rdf:p rdf:b .")
+
+    def test_collection_pattern_shape(self):
+        query = parse_query("SELECT ?s WHERE { ?s <http://e/p> (1 ?x) }")
+        patterns = collect_triple_patterns(query.pattern)
+        assert len(patterns) == 5
+        assert sum(isinstance(p.object, Var) and p.object.name == "x"
+                   for p in patterns) == 1
+
+    def test_queries_take_no_turtle_prologue(self):
+        with pytest.raises(QuerySyntaxError):
+            parse_query("@prefix ex: <http://e/> . SELECT * { ?s ?p ?o }")

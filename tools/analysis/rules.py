@@ -33,6 +33,7 @@ SPARQL = "src/repro/sparql/"
 STEPS = "src/repro/sparql/evaluator_steps.py"
 WALKER = "src/repro/sparql/evaluator_walker.py"
 GRAPH = "src/repro/rdf/graph.py"
+QL_PARSER = "src/repro/ql/parser.py"
 COLUMNAR = "src/repro/rdf/columnar.py"
 ETL = "src/repro/olap/etl.py"
 
@@ -261,6 +262,15 @@ PINS: Tuple[Pin, ...] = (
         scope=(ETL,), in_loop=True,
         message="`{name}(` in a loop (one `match_arrays` read of the "
                 "predicate, joined through `_locator`)"),
+    Pin("one-rdf-reader", "name",
+        ("unescape_string", "parse_turtle", "parse_trig", "parse_ntriples",
+         "iter_ntriples"),
+        scope=("src/",),
+        homes=(SPARQL + "tokenizer.py", SPARQL + "parser.py",
+               (QL_PARSER, "_value")),
+        message="`{name}` outside sparql/tokenizer.py and sparql/parser.py "
+                "(RDF text is read by the SPARQL parser's triples grammar: "
+                "`parse_document`, through `LocalEndpoint.load_trig`)"),
     Pin("columnar-etl", "call", ("sorted",),
         scope=(ETL,), keyword=("key", ast.Lambda),
         message="`sorted(…, key=<lambda>)` (take the keys once as a list "
@@ -1162,6 +1172,7 @@ ALL_RULES: List[Rule] = [
     PinnedRule("single-locate"),
     ColumnarEtlRule(),
     PinnedRule("one-process-pool"),
+    PinnedRule("one-rdf-reader"),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
