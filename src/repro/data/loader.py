@@ -51,16 +51,12 @@ def build_demo_endpoint(observations: int = 80_000,
 
     qb_graph = build_qb_graph(GeneratorConfig(
         observations=observations, seed=seed))
-    loaded = endpoint.insert_triples(qb_graph, graph=QB_GRAPH)
+    endpoint.insert_triples(qb_graph, graph=QB_GRAPH)
 
     if include_reference:
         reference = build_reference_graph(
             ReferenceConfig(noise_rate=noise_rate))
         endpoint.insert_triples(reference, graph=REFERENCE_GRAPH)
-
-    observation_count = endpoint.graph(QB_GRAPH).count(
-        (None, None, None))  # cheap sanity touch
-    del observation_count, loaded
     return DemoData(
         endpoint=endpoint,
         dataset=DATASET_IRI,

@@ -10,7 +10,7 @@ workload profile as the paper's tool against Virtuoso.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from repro.rdf.terms import IRI, Term
 from repro.sparql.endpoint import LocalEndpoint
@@ -63,16 +63,3 @@ def collect_member_property_table(
         for predicate, values in member_properties(endpoint, member).items():
             table.setdefault(predicate, {})[member] = values
     return table
-
-
-def observation_count(endpoint: LocalEndpoint, dataset: IRI) -> int:
-    """Number of observations the endpoint holds for a data set."""
-    query = f"""
-    PREFIX qb: <http://purl.org/linked-data/cube#>
-    SELECT (COUNT(?obs) AS ?n) WHERE {{
-        ?obs qb:dataSet <{dataset.value}> .
-    }}
-    """
-    table = endpoint.select(query)
-    rows = table.to_python()
-    return int(rows[0]["n"]) if rows else 0

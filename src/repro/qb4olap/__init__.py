@@ -15,7 +15,7 @@ from repro.qb4olap.model import (
     Measure,
     SchemaError,
 )
-from repro.qb4olap.reader import list_cubes, read_cube_schema
+from repro.qb4olap.reader import read_cube_schema
 from repro.qb4olap.validator import (
     InstanceReport,
     SchemaViolation,
@@ -34,7 +34,6 @@ __all__ = [
     "Measure",
     "SchemaError",
     "SchemaViolation",
-    "list_cubes",
     "member_triples",
     "read_cube_schema",
     "schema_triples",

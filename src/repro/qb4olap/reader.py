@@ -122,19 +122,3 @@ def read_cube_schema(graph: Graph, dataset: IRI,
 
     schema.dimensions.sort(key=lambda d: d.iri.value)
     return schema
-
-
-def list_cubes(graph: Graph) -> List[IRI]:
-    """Data sets in ``graph`` whose DSD carries QB4OLAP level components."""
-    cubes: List[IRI] = []
-    for dataset in graph.subjects(RDF.type, qb.DataSet):
-        if not isinstance(dataset, IRI):
-            continue
-        dsd = graph.value(dataset, qb.structure, None)
-        if dsd is None:
-            continue
-        for component in graph.objects(dsd, qb.component):
-            if graph.value(component, qb4o.level, None) is not None:
-                cubes.append(dataset)
-                break
-    return sorted(cubes, key=lambda iri: iri.value)

@@ -1333,8 +1333,8 @@ class DatasetSnapshot:
     consumes — ``default`` / ``graph()`` / ``graphs()`` /
     ``dictionary`` — backed by per-graph
     :class:`GraphSnapshot`\\ s pinned at one instant, so a whole query
-    (including every streamed batch it pulls) evaluates against exactly
-    one epoch vector no matter what writers do meanwhile.
+    evaluates against exactly one epoch vector no matter what writers
+    do meanwhile.
 
     ``epoch`` is the sum of the member graphs' epochs — the scalar the
     endpoint reports as a query's *snapshot epoch* — and ``epochs`` is

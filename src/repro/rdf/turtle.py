@@ -9,6 +9,7 @@ Turtle is read by the SPARQL parser's triples grammar
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Tuple
 
 from repro.rdf.graph import Graph
@@ -24,14 +25,21 @@ from repro.rdf.terms import (
     term_sort_key,
 )
 
-_NUMERIC_SHORTHAND = {XSD_INTEGER, XSD_DECIMAL, XSD_BOOLEAN}
+#: per datatype, Turtle's INTEGER / DECIMAL / BooleanLiteral production:
+#: a lexical form it matches is written bare and reads back as that type
+_BARE = {
+    XSD_INTEGER: re.compile(r"[+-]?[0-9]+"),
+    XSD_DECIMAL: re.compile(r"[+-]?[0-9]*\.[0-9]+"),
+    XSD_BOOLEAN: re.compile(r"true|false"),
+}
 
 
 def _render_term(term: Term, graph: Graph) -> str:
     if isinstance(term, IRI):
         return graph.qname(term)
     if isinstance(term, Literal):
-        if term.language is None and term.datatype.value in _NUMERIC_SHORTHAND:
+        bare = _BARE.get(term.datatype.value)
+        if bare is not None and bare.fullmatch(term.lexical):
             return term.lexical
         if term.language is None and term.datatype.value != XSD_STRING:
             quoted = term.n3().rsplit("^^", 1)[0]

@@ -54,7 +54,6 @@ from repro.sparql.evaluator import (
     PROBE_COUNTER,
     DatasetContext,
     evaluate_query,
-    would_stream,
 )
 from repro.sparql.explain import explain, plan_cache_statistics
 from repro.sparql.optimizer import (
@@ -106,5 +105,4 @@ __all__ = [
     "results_to_json",
     "results_to_tsv",
     "results_to_xml",
-    "would_stream",
 ]

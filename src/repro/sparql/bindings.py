@@ -19,8 +19,8 @@ nothing may write into one in place.
 Tables are built around columns (:meth:`BindingTable.of`) only.
 :attr:`BindingTable.rows` is a derived view — the same solutions as
 tuples, ``None`` for unbound, built on first use and cached — for what
-reads whole solutions: result decoding, the streamed projection and
-the EXISTS / ``BNODE()`` branch of :func:`expression_column`.
+reads whole solutions: result decoding and the EXISTS / ``BNODE()``
+branch of :func:`expression_column`.
 
 Column names beginning with ``#`` are internal bookkeeping (e.g. the
 left-row provenance marker OPTIONAL evaluation threads through its

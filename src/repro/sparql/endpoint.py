@@ -112,13 +112,6 @@ class EndpointStatistics:
     total_seconds: float = 0.0
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
-    #: SELECT evaluations served by the streaming LIMIT pipeline
-    #: (nested sub-SELECTs count separately), and the batches /
-    #: solution rows it pulled — early termination shows up here as
-    #: row counts far below the materialized result sizes
-    streamed_selects: int = 0
-    streamed_batches: int = 0
-    streamed_rows: int = 0
     #: the dataset snapshot epoch the most recent read query was
     #: pinned to (sum of member-graph epochs; ``None`` before the
     #: first query) — the QL execution report copies it out
@@ -163,7 +156,7 @@ class LocalEndpoint:
     :class:`~repro.rdf.graph.DatasetSnapshot` at its current epoch and
     evaluates entirely against that frozen view, so parallel SELECTs
     never block each other and a concurrent :meth:`update` /
-    :meth:`insert_triples` can never tear a streamed result — the next
+    :meth:`insert_triples` can never tear a result — the next
     query simply pins the next epoch.  The pinned epoch is recorded on
     the returned :class:`ResultTable` (``snapshot_epoch``) and in
     :attr:`EndpointStatistics.last_snapshot_epoch`; process-wide
@@ -266,8 +259,7 @@ class LocalEndpoint:
         ``query`` (parsed from ``query_text``) must be of ``form``
         (``None`` takes any read form) and pass the endpoint's limits;
         it then pins a snapshot and evaluates against it as a counted
-        reader.  Statistics — the streaming pipeline's tally of this
-        request included — and the query log are updated once it has
+        reader.  Statistics and the query log are updated once it has
         answered.
         """
         if form is not None and not isinstance(query, form):
@@ -288,14 +280,10 @@ class LocalEndpoint:
         finally:
             CONCURRENCY.reader_exit()
         elapsed = time.perf_counter() - started
-        streamed = context.streamed
         with self._stats_lock:
             stats = self.statistics
             setattr(stats, counter, getattr(stats, counter) + 1)
             stats.total_seconds += elapsed
-            stats.streamed_selects += streamed.selects
-            stats.streamed_batches += streamed.batches
-            stats.streamed_rows += streamed.rows
         self._log(kind, query_text, elapsed,
                   int(result) if isinstance(result, bool) else len(result))
         if isinstance(result, ResultTable):
@@ -311,9 +299,8 @@ class LocalEndpoint:
         """Run a SELECT query and return its result table.
 
         The query is pinned to one dataset snapshot for its whole
-        evaluation (every streamed batch included), runs without any
-        lock, and the table it returns carries the pinned epoch as
-        ``table.snapshot_epoch``.
+        evaluation, runs without any lock, and the table it returns
+        carries the pinned epoch as ``table.snapshot_epoch``.
         """
         return self._read(self._parsed(query_text), query_text,
                           SelectQuery)

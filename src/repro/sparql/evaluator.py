@@ -1,23 +1,26 @@
 """SPARQL query evaluation over in-memory graphs: the query forms.
 
-SELECT, ASK, CONSTRUCT and DESCRIBE each drain the one algebra walker
-(:class:`~repro.sparql.evaluator_walker.PatternEvaluator`) their own
-way and apply their own tail; this module holds those entry points, the
-SELECT tail (projection — grouped queries through
+SELECT, ASK, CONSTRUCT and DESCRIBE each solve their pattern with the
+one algebra walker
+(:class:`~repro.sparql.evaluator_walker.PatternEvaluator`) and apply
+their own tail; this module holds those entry points, the one SELECT
+tail (projection — grouped queries through
 :mod:`repro.sparql.aggregation` — ORDER BY, DISTINCT / REDUCED,
-OFFSET / LIMIT — streamed and materialized) and re-exports the rest of
-the evaluator family, which is split along its seams:
+OFFSET / LIMIT) and re-exports the rest of the evaluator family, which
+is split along its seams:
 
 * :mod:`repro.sparql.evaluator_source` — the storage adapter
-  (:class:`GraphSource`), dataset scoping (:class:`DatasetContext`,
-  which carries the request's stream tally) and the probe counter;
+  (:class:`GraphSource`), dataset scoping (:class:`DatasetContext`) and
+  the probe counter;
 * :mod:`repro.sparql.evaluator_steps` — the BGP join steps;
 * :mod:`repro.sparql.evaluator_walker` — the walker and its operators.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.grouping import group
 from repro.rdf.graph import Dataset, Graph
@@ -45,34 +48,7 @@ from repro.sparql.evaluator_walker import (  # noqa: F401  (re-exports)
     StepTrace,
 )
 from repro.sparql.expressions import EvalContext, order_key
-from repro.sparql.optimizer import get_plan, leading_bgp, stream_shape
 from repro.sparql.results import ResultTable
-
-
-def would_stream(query: SelectQuery,
-                 source: Optional[GraphSource] = None) -> bool:
-    """Whether :func:`evaluate_select` takes the streaming path.
-
-    Ignores trace installation — this is the query's *eligibility*: a
-    LIMIT, no ORDER BY (a total sort needs every row), no aggregation
-    (a group needs every member), and a streamable pattern shape.
-    DISTINCT / REDUCED queries stream through the incremental dedup
-    operator.
-
-    With a ``source``, the leading BGP's (cached) plan is consulted
-    too: a path-first plan cannot scan incrementally, so such a query
-    is *not* streamed — and must not be counted or rendered as if it
-    were.  Without a source the answer is shape-only.
-    """
-    if (query.limit is None or query.order_by
-            or query.is_aggregate_query
-            or not stream_shape(query.pattern)):
-        return False
-    if source is not None:
-        bgp = leading_bgp(query.pattern)
-        if bgp is not None and bgp.patterns:
-            return get_plan(bgp, frozenset(), source).streamable
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -84,74 +60,6 @@ def would_stream(query: SelectQuery,
 _NO_ROW = object()
 
 
-def _stream_select(query: SelectQuery, evaluator: PatternEvaluator,
-                   source: GraphSource,
-                   eval_context: EvalContext) -> ResultTable:
-    """The streaming SELECT tail: projection, dedup, OFFSET/LIMIT.
-
-    Solutions are pulled batch-by-batch and pushed through projection
-    and — for ``DISTINCT`` / ``REDUCED`` — an *incremental dedup
-    operator*; pulling stops once ``OFFSET + LIMIT`` output rows exist.
-    ``DISTINCT`` keeps a seen-set of projected rows, bounded by that
-    row budget (only emitted rows enter it).  ``REDUCED`` only compares
-    against the previous projected row: adjacent dedup needs no
-    seen-set, fully dedups grouped input, and is conformant because
-    REDUCED permits any duplicate count between DISTINCT's and the
-    unmodified multiset's.
-
-    Queries whose projection is plain variables dedup and truncate on
-    **term ids** and decode only the emitted rows (the dictionary maps
-    terms to ids bijectively, so id-tuple equality is term-tuple
-    equality); projection expressions force the decoded-term path.
-    """
-    names = query.output_names()
-    needed = query.offset + (query.limit or 0)
-    if needed <= 0:
-        return ResultTable(names, [])
-    distinct = query.distinct
-    reduced = query.reduced and not distinct
-    rows: List[tuple] = []
-    batch = max(64, min(512, needed))
-    has_expressions = any(item.expression is not None
-                          for item in query.projection or [])
-
-    def projected() -> Iterator[tuple]:
-        """Projected rows in pipeline order: of terms when the
-        projection computes expressions, of term ids otherwise."""
-        for table in evaluator.stream_tables(query.pattern, source, batch):
-            if not has_expressions:
-                picks = [table.slots.get(name) for name in names]
-                for row in table.rows:
-                    yield tuple(None if pick is None else row[pick]
-                                for pick in picks)
-            else:
-                for binding in evaluator.decoded(table):
-                    aggregation.apply_projection(
-                        query.projection, binding, eval_context)
-                    yield tuple(binding.get(name) for name in names)
-
-    seen: set = set()
-    last: object = _NO_ROW
-    for row in projected():
-        if distinct:
-            if row in seen:
-                continue
-            seen.add(row)
-        elif reduced:
-            if row == last:
-                continue
-            last = row
-        rows.append(row)
-        if len(rows) >= needed:
-            break
-    rows = rows[query.offset:]
-    if not has_expressions:
-        decode = evaluator._dict.decode
-        rows = [tuple(None if cell is None else decode(cell)
-                      for cell in row) for row in rows]
-    return ResultTable(names, rows)
-
-
 def evaluate_select(query: SelectQuery, context: DatasetContext,
                     source: Optional[GraphSource] = None,
                     trace: Optional[List[StepTrace]] = None) -> ResultTable:
@@ -159,8 +67,7 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
 
     ``trace`` (EXPLAIN analyze) installs a step-trace list on the
     evaluator; sub-SELECTs inherit it, so nested plans show in the
-    analyzed output.  Tracing forces the materialized path — the trace
-    should show the full join cardinalities, not a truncated stream.
+    analyzed output.
     """
     scoped = context.scoped(query.from_graphs,
                             getattr(query, "from_named", None))
@@ -172,13 +79,8 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
     evaluator = PatternEvaluator(context)
     evaluator.trace = trace
     eval_context = evaluator._context_for(source)
-    if trace is None and would_stream(query, source):
-        # LIMIT pushdown: pull join batches only until enough output
-        # rows exist, instead of materializing the full binding table
-        context.streamed.selects += 1
-        return _stream_select(query, evaluator, source, eval_context)
-    # the one materialized tail: id rows → the grouped or the plain
-    # projection → _finalize_select
+    # the one tail: id rows → the grouped or the plain projection →
+    # _finalize_select
     table = evaluator.solve(query.pattern, source)
     if query.is_aggregate_query:
         plan = aggregation.Plan(query)
@@ -188,27 +90,47 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
             decode, eval_context)
         return _finalize_select(query, result_bindings, eval_context,
                                 order_terms)
-    if query.distinct and not query.order_by and all(
-            item.expression is None for item in query.projection or ()):
-        # only the distinct output rows are worth decoding
-        table = _distinct_table(table, query.output_names())
+    names = query.output_names()
+    plain = all(item.expression is None for item in query.projection or ())
+    windowed = not query.order_by and (
+        plain or not (query.distinct or query.reduced))
+    if windowed:
+        # no sort needs every row: dedup plain variables on ids and cut
+        # OFFSET / LIMIT before a row is decoded or projected
+        if query.distinct or query.reduced:
+            table = _deduplicated(table, names, adjacent=not query.distinct)
+        stop = len(table) if query.limit is None \
+            else min(len(table), query.offset + query.limit)
+        table = table.take(np.arange(min(query.offset, stop), stop))
     result_bindings = evaluator.decoded(table)
     for row in result_bindings:
         aggregation.apply_projection(query.projection, row, eval_context)
+    if windowed:
+        return ResultTable(names, [tuple(row.get(name) for name in names)
+                                   for row in result_bindings])
     return _finalize_select(query, result_bindings, eval_context)
 
 
-def _distinct_table(table: BindingTable, names: List[str]) -> BindingTable:
-    """``table`` cut down to the output ``names`` it has, the first
-    occurrence of each distinct row kept, in order.  Within one
-    evaluator ids and terms are one-to-one (overlay ids included), so
-    these are the rows DISTINCT keeps after decoding — a SELECT
-    DISTINCT of plain variables decodes its answer, not its input."""
+def _deduplicated(table: BindingTable, names: List[str],
+                  adjacent: bool) -> BindingTable:
+    """``table`` cut down to the output ``names`` it has, without the
+    rows DISTINCT drops (with ``adjacent``, REDUCED's adjacent dedup:
+    a row equal to the one before it), in order.  Within one evaluator
+    ids and terms are one-to-one (overlay ids included), so these are
+    the rows the dedup keeps after decoding — a deduplicated SELECT of
+    plain variables decodes its answer, not its input."""
     kept = [name for name in names if name in table.slots]
     columns = [table.columns[table.slots[name]] for name in kept]
     if not columns:
         return BindingTable.of((), (), min(len(table), 1))
-    first, _inverse = group(columns, len(table), by_first_row=True)
+    if adjacent:
+        changed = np.zeros(len(table), dtype=bool)
+        changed[:1] = True
+        for column in columns:
+            changed[1:] |= column[1:] != column[:-1]
+        first = np.flatnonzero(changed)
+    else:
+        first, _inverse = group(columns, len(table), by_first_row=True)
     return BindingTable.of(kept, [column[first] for column in columns],
                            len(first))
 
@@ -217,10 +139,11 @@ def _finalize_select(query: SelectQuery, result_bindings: List[Binding],
                      eval_context: EvalContext,
                      order_terms: Optional[List[Tuple[Optional[Term], ...]]]
                      = None) -> ResultTable:
-    """The materialized SELECT tail: ORDER BY, projection to named
-    rows, DISTINCT/REDUCED, OFFSET and LIMIT.
+    """The SELECT tail of terms: ORDER BY, projection to named rows,
+    DISTINCT/REDUCED, OFFSET and LIMIT.
 
-    Every materialized SELECT ends here.  ``order_terms`` holds each
+    A SELECT ends here unless :func:`evaluate_select` could dedup and
+    cut its rows on ids.  ``order_terms`` holds each
     binding's ORDER BY terms when they had to be evaluated beside it —
     a grouped query's, whose aggregates have values only while
     :func:`aggregation.finalize` works on the group.
@@ -255,9 +178,9 @@ def _finalize_select(query: SelectQuery, result_bindings: List[Binding],
                 deduped.append(row)
         rows = deduped
     elif query.reduced:
-        # adjacent dedup, exactly like the streaming path: REDUCED
+        # adjacent dedup, exactly like _deduplicated on ids: REDUCED
         # permits any duplicate count between DISTINCT's and the raw
-        # multiset's, so both paths agree row-for-row
+        # multiset's, so both agree row-for-row
         deduped = []
         last: object = _NO_ROW
         for row in rows:
@@ -290,11 +213,11 @@ class _Reversed:
 
 
 def evaluate_ask(query: AskQuery, context: DatasetContext) -> bool:
-    """Evaluate an ASK query (stops at the first non-empty chunk)."""
+    """Evaluate an ASK query: whether its pattern has a solution."""
     context = context.scoped(getattr(query, "from_graphs", None),
                              getattr(query, "from_named", None))
-    return PatternEvaluator(context).exists(
-        query.pattern, context.default_source())
+    return bool(PatternEvaluator(context).solve(
+        query.pattern, context.default_source()))
 
 
 def evaluate_construct(query, context: DatasetContext) -> Graph:

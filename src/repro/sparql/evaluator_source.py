@@ -27,8 +27,7 @@ class ProbeCounter:
     """Counts index entries touched by the batch join steps.
 
     A test/benchmark hook: activate it around a query to measure how
-    much of the index the evaluator actually pulled — the streaming
-    LIMIT tests assert this is far below full materialization.
+    much of the index the evaluator actually pulled.
     """
 
     __slots__ = ("active", "entries")
@@ -51,24 +50,6 @@ class ProbeCounter:
 
 #: The shared probe-counter hook (off unless a test turns it on).
 PROBE_COUNTER = ProbeCounter()
-
-
-class StreamTally:
-    """What one request's streaming LIMIT pipeline did: SELECT
-    evaluations that streamed (nested sub-SELECTs count separately),
-    the solution batches they pulled and the rows those carried.
-
-    One request evaluates on one thread, so the walker bumps it with no
-    lock; the endpoint folds it into its statistics afterwards.
-    """
-
-    __slots__ = ("selects", "batches", "rows")
-
-    def __init__(self) -> None:
-        self.selects = 0
-        self.batches = 0
-        self.rows = 0
-
 
 
 class GraphSource:
@@ -126,10 +107,6 @@ class DatasetContext:
     pinned :class:`~repro.rdf.graph.DatasetSnapshot` (the endpoint's
     snapshot-isolated read path passes the latter, so every source this
     context hands out reads one frozen epoch).
-
-    ``streamed`` is the request's :class:`StreamTally`; sub-queries
-    inherit it through :meth:`scoped`, so one tally covers the whole
-    request tree.
     """
 
     def __init__(self, dataset: Dataset,
@@ -140,7 +117,6 @@ class DatasetContext:
         self.default_as_union = default_as_union
         self.from_graphs = list(from_graphs) if from_graphs else []
         self.from_named = list(from_named) if from_named else []
-        self.streamed = StreamTally()
 
     @property
     def has_dataset_clause(self) -> bool:
@@ -151,10 +127,8 @@ class DatasetContext:
         """This context restricted by a query's dataset clauses."""
         if not from_graphs and not from_named:
             return self
-        scoped = DatasetContext(self.dataset, self.default_as_union,
-                                from_graphs, from_named)
-        scoped.streamed = self.streamed
-        return scoped
+        return DatasetContext(self.dataset, self.default_as_union,
+                              from_graphs, from_named)
 
     def default_source(self, from_graphs: Optional[List[IRI]] = None
                        ) -> GraphSource:

@@ -16,8 +16,8 @@ and average-only estimate that the trace threads to EXPLAIN.
 
 **The kernel.**  A :class:`~repro.sparql.bindings.BindingTable` holds
 one ``int64`` id column per variable, and every step — triple pattern,
-property path, the cross product of a pattern that shares no variable,
-a chunk of a streamed leading scan — is :func:`join_table`:
+property path, the cross product of a pattern that shares no variable
+— is :func:`join_table`:
 
 1. take the pattern's matches as position arrays (``(S, P, O)``), from
    one scan of its whole index range or from one read of all its
@@ -42,7 +42,7 @@ a chunk of a streamed leading scan — is :func:`join_table`:
 
 Output order is **row order, and within a row the matches' index
 order** — what the row-at-a-time loop this replaced produced, and what
-streamed ``LIMIT`` queries and REDUCED's adjacent dedup observe.  Rows
+a ``LIMIT`` without ORDER BY and REDUCED's adjacent dedup observe.  Rows
 with an unbound (``-1``) join cell are not a second algorithm: rows are
 partitioned by which join cells they leave unbound, each partition runs
 the same five steps with those positions capturing the match's value
@@ -56,8 +56,8 @@ unbound-cell partitions is steps 3–5 on the cells bound on both.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
-    Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 import numpy as np
 
@@ -505,29 +505,3 @@ class JoinSteps:
                     id_column(encode(last) for _first, last in pairs))
 
         return join_table(table, spec, out_names, fetch)
-
-    def _scan_chunks(self, pattern: TriplePatternNode, source: GraphSource,
-                     table: BindingTable, batch: int
-                     ) -> Iterator[BindingTable]:
-        """A leading join step that shares no variable with ``table``,
-        as a sequence of bounded-size tables."""
-        spec, new_names, _dead = self._compile_positions(
-            pattern.positions(), table)
-        names = table.names + tuple(new_names)
-        arrays = source.match_arrays(_base_pattern(spec))
-        # windowed so early termination (LIMIT, ASK) leaves the tail
-        # undecoded and unaccounted: probes land per consumed window
-        # only
-        counter = PROBE_COUNTER
-        total = int(len(arrays[0]))
-        # each window multiplies with every seed row: keep a piece near
-        # ``batch`` rows however many rows seed it
-        batch = max(1, batch // len(table))
-        for start in range(0, total, batch):
-            stop = min(start + batch, total)
-            if counter.active:
-                counter.entries += stop - start
-            window = tuple(column[start:stop] for column in arrays)
-            piece = join_table(table, spec, names, lambda _ids: window)
-            if piece:
-                yield piece

@@ -18,32 +18,16 @@ BIND and aggregate arguments, once per distinct key of the columns
 read) and at final projection; GROUP BY folds the id table itself
 (:mod:`repro.sparql.aggregation`).
 
-The walker (:meth:`PatternEvaluator._walk`) yields tables, and the
-query forms differ only in how they drain it:
-
-* **un-chunked** (:meth:`PatternEvaluator.solve`) — one table per
-  node; SELECT without LIMIT, CONSTRUCT, DESCRIBE and update ``WHERE``
-  clauses.
-* **chunked until enough rows exist** — queries with ``LIMIT`` but no
-  ORDER BY / aggregation pull the first join step's index scan in
-  windows and stop as soon as ``OFFSET + LIMIT`` output rows exist.
-  ``DISTINCT`` streams through an incremental dedup operator (seen-set
-  bounded by the row budget), ``REDUCED`` through adjacent dedup with
-  no seen-set at all, and ``OPTIONAL`` as a left-outer probe fed
-  piece-by-piece from its required side (see :func:`_stream_select`
-  and :meth:`PatternEvaluator.stream_tables`).  Streamability is
-  carried on the plan IR
-  (:attr:`~repro.sparql.optimizer.PhysicalPlan.streamable`) rather
-  than re-derived here.
-* **chunked until the first non-empty table**
-  (:meth:`PatternEvaluator.exists`) — ASK.  ``EXISTS`` is the same
-  drain seeded with every row of the table being filtered plus a row
-  marker, the way OPTIONAL seeds its right side, and stops once every
-  row has been seen in a solution.
-
-Every drain runs BGPs through the same :meth:`PatternEvaluator._walk_bgp`,
-so its ``evaluator.step`` failpoint and the step trace apply to all of
-them alike.
+The walker (:meth:`PatternEvaluator._walk`) answers one table per
+node, and every query form drains it the same way
+(:meth:`PatternEvaluator.solve`): SELECT, CONSTRUCT, DESCRIBE, update
+``WHERE`` clauses, and ASK, which asks whether the table is non-empty.
+``EXISTS`` is one walk seeded with each distinct row of the filtered
+table's columns its pattern can read, plus a row marker, the way
+OPTIONAL seeds its right side.
+All of them run BGPs through the same :meth:`PatternEvaluator._walk_bgp`,
+so its ``evaluator.step`` failpoint and the step trace apply to every
+form alike.
 
 Computed terms (BIND results, VALUES literals, seed bindings) intern
 into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
@@ -53,9 +37,7 @@ dictionary only grows with *stored* data.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -77,6 +59,7 @@ from repro.sparql.algebra import (
     Union as UnionNode,
     ValuesNode,
     Var,
+    pattern_nodes,
 )
 from repro.sparql.bindings import (
     UNBOUND,
@@ -94,12 +77,9 @@ from repro.sparql.evaluator_source import (
     GraphSource,
 )
 from repro.sparql.evaluator_steps import JoinSteps, paired
-from repro.sparql.expressions import EvalContext
+from repro.sparql.expressions import EvalContext, ExistsExpression, \
+    subexpressions
 from repro.sparql.optimizer import get_plan
-
-
-#: Index entries per window of a chunked leading scan.
-_CHUNK = 512
 
 
 class StepTrace:
@@ -121,9 +101,8 @@ class StepTrace:
 class PatternEvaluator(JoinSteps):
     """Evaluates pattern nodes against a dataset context.
 
-    :meth:`_walk` interprets the algebra; :meth:`solve`,
-    :meth:`stream_tables` and :meth:`exists` are the three ways of
-    draining it (see the module docstring).
+    :meth:`_walk` interprets the algebra and :meth:`solve` drains it
+    (see the module docstring).
     """
 
     def __init__(self, context: DatasetContext) -> None:
@@ -146,14 +125,7 @@ class PatternEvaluator(JoinSteps):
         """Evaluate ``node`` over every row of ``table`` at once."""
         if table is None:
             table = BindingTable.unit()
-        # un-chunked, the walker yields exactly one table per node
-        result, = self._walk(node, source, table, None)
-        return result
-
-    def exists(self, node: PatternNode, source: GraphSource) -> bool:
-        """Whether ``node`` has a solution: pulls chunks and stops at
-        the first non-empty one (ASK)."""
-        return bool(self._exists_rows(node, source, BindingTable.unit()))
+        return self._walk(node, source, table)
 
     def _marked(self, table: BindingTable) -> Tuple[str, BindingTable]:
         """``table`` plus a fresh internal column numbering its rows, so
@@ -168,18 +140,22 @@ class PatternEvaluator(JoinSteps):
     def _exists_rows(self, node: PatternNode, source: GraphSource,
                      table: BindingTable) -> Set[int]:
         """Indexes of the rows of ``table`` over which ``node`` has a
-        solution (EXISTS for a whole table at once).
-
-        The walker runs seeded with every row, in chunks, and stops as
-        soon as each row has been seen in some solution.
-        """
-        marker, seeded = self._marked(table)
-        found: Set[int] = set()
-        for piece in self._walk(node, source, seeded, _CHUNK):
-            found.update(piece.columns[piece.slots[marker]].tolist())
-            if len(found) == len(table):
-                break
-        return found
+        solution (EXISTS for a whole table at once): one walk seeded
+        with each distinct row of the columns ``node`` can read, so a
+        pattern sharing no variable with ``table`` runs once, not once
+        per row."""
+        if not table:
+            return set()
+        mentioned = _mentioned(node)
+        shared = [name for name in table.names if name in mentioned]
+        columns = [table.columns[table.slots[name]] for name in shared]
+        first, codes = group(columns, len(table))
+        marker, seeded = self._marked(BindingTable.of(
+            shared, [column[first] for column in columns], len(first)))
+        solved = self.solve(node, source, seeded)
+        hit = np.zeros(len(first), dtype=bool)
+        hit[solved.columns[solved.slots[marker]]] = True
+        return set(np.flatnonzero(hit[codes]).tolist())
 
     def _interned(self, names: Sequence[str], term_rows: Iterable[Sequence]
                   ) -> BindingTable:
@@ -206,73 +182,45 @@ class PatternEvaluator(JoinSteps):
     # ==================================================================
 
     def _walk(self, node: PatternNode, source: GraphSource,
-              table: BindingTable, chunk: Optional[int]
-              ) -> Iterator[BindingTable]:
-        """Tables whose concatenation is ``node`` evaluated over
-        ``table``.
-
-        With ``chunk`` set, the left-most BGP's leading index scan is
-        pulled in windows of at most ``chunk`` entries and every
-        operator above it that consumes its input row-locally maps over
-        the pieces, so a consumer that stops iterating stops the scan.
-        With ``chunk=None`` each node yields exactly one table.
-        """
+              table: BindingTable) -> BindingTable:
+        """``node`` evaluated over every row of ``table``."""
         if isinstance(node, BGP):
-            yield from self._walk_bgp(node, source, table, chunk)
-        elif isinstance(node, Join):
-            for left in self._walk(node.left, source, table, chunk):
-                yield from self._walk(node.right, source, left, None)
-        elif isinstance(node, LeftJoin):
-            # left-outer probe per required-side piece: each piece is
-            # extended (or None-padded) against the optional side right
-            # away, so neither side materializes fully when chunked
-            for left in self._walk(node.left, source, table, chunk):
-                yield self._left_outer_extend(node, source, left) \
-                    if left else left
-        elif isinstance(node, UnionNode):
-            yield from self._gathered(
-                chain(self._walk(node.left, source, table, chunk),
-                      self._walk(node.right, source, table, chunk)),
-                chunk, table.names)
-        elif isinstance(node, Minus):
+            return self._walk_bgp(node, source, table)
+        if isinstance(node, Join):
+            return self._walk(node.right, source,
+                              self._walk(node.left, source, table))
+        if isinstance(node, LeftJoin):
+            # left-outer probe: the optional side runs seeded with every
+            # required-side row, each extended or None-padded in place
+            left = self._walk(node.left, source, table)
+            return self._left_outer_extend(node, source, left) \
+                if left else left
+        if isinstance(node, UnionNode):
+            return table_concat([self._walk(node.left, source, table),
+                                 self._walk(node.right, source, table)])
+        if isinstance(node, Minus):
             # the right side is NOT correlated with the left in SPARQL
-            # MINUS: it is solved once, when the first left row shows up
-            removals = None
-            for left in self._walk(node.left, source, table, chunk):
-                if left:
-                    if removals is None:
-                        removals = self.solve(node.right, source)
-                    left = self._minus_table(left, removals)
-                yield left
-        elif isinstance(node, Filter):
-            for child in self._walk(node.child, source, table, chunk):
-                yield self._filter_table(child, node.condition, source)
-        elif isinstance(node, Extend):
-            for child in self._walk(node.child, source, table, chunk):
-                yield self._extend_table(node, child, source)
-        elif isinstance(node, ValuesNode):
+            # MINUS: it is solved once, and only for a non-empty left
+            left = self._walk(node.left, source, table)
+            return self._minus_table(left, self.solve(node.right, source)) \
+                if left else left
+        if isinstance(node, Filter):
+            return self._filter_table(self._walk(node.child, source, table),
+                                      node.condition, source)
+        if isinstance(node, Extend):
+            return self._extend_table(
+                node, self._walk(node.child, source, table), source)
+        if isinstance(node, ValuesNode):
             # the algebra's inline terms, not a table's row view
             # repro: allow[columnar-join-step]
-            yield _join_relation(table, self._interned(node.vars, node.rows))
-        elif isinstance(node, GraphNode):
-            yield from self._walk_graph(node, source, table, chunk)
-        elif isinstance(node, SubSelectNode):
-            yield _join_relation(table, self._subselect(node, source))
-        elif isinstance(node, Empty):
-            yield table
-        else:
-            raise EvaluationError(f"unknown pattern node {node!r}")
-
-    @staticmethod
-    def _gathered(pieces: Iterator[BindingTable], chunk: Optional[int],
-                  names: Tuple[str, ...]) -> Iterator[BindingTable]:
-        """``pieces`` as they come when chunked, concatenated into the
-        one table an un-chunked node owes otherwise."""
-        if chunk is not None:
-            yield from pieces
-            return
-        tables = list(pieces)
-        yield table_concat(tables) if tables else BindingTable.empty(names)
+            return _join_relation(table, self._interned(node.vars, node.rows))
+        if isinstance(node, GraphNode):
+            return self._walk_graph(node, source, table)
+        if isinstance(node, SubSelectNode):
+            return _join_relation(table, self._subselect(node, source))
+        if isinstance(node, Empty):
+            return table
+        raise EvaluationError(f"unknown pattern node {node!r}")
 
     def _bgp_dead(self, patterns) -> bool:
         """True when a triple pattern holds a never-interned constant.
@@ -292,70 +240,38 @@ class PatternEvaluator(JoinSteps):
         return False
 
     def _walk_bgp(self, node: BGP, source: GraphSource,
-                  table: BindingTable, chunk: Optional[int]
-                  ) -> Iterator[BindingTable]:
+                  table: BindingTable) -> BindingTable:
         patterns = node.patterns
         if not patterns:
-            yield table
-            return
+            return table
         if _faults.ACTIVE:
             _faults.fire("evaluator.step")
         if self._bgp_dead(patterns):
-            yield BindingTable.empty(table.names)
-            return
+            return BindingTable.empty(table.names)
         bound = frozenset(
             name for name in table.names if not name.startswith("#"))
-        plan = get_plan(node, bound, source)
-        steps = plan.steps
-        feeds: Iterable[Optional[BindingTable]] = (None,)
-        if chunk is not None and plan.streamable and table:
-            first = patterns[steps[0].index]
-            if not first.variables() & table.slots.keys():
-                # an incremental scan can lead: each window of it is
-                # one feed through the remaining steps
-                feeds = self._scan_chunks(first, source, table, chunk)
         trace = self.trace
-        for feed in feeds:
-            current = table
-            for position, step in enumerate(steps):
-                if not current:
-                    break
-                pattern = patterns[step.index]
-                rows_in = len(current)
-                if feed is not None and position == 0:
-                    current = feed
-                    self._last_strategy = "scan"
-                elif isinstance(pattern, PathPatternNode):
-                    current = self._step_path(pattern, source, current)
-                else:
-                    current = self._step_triple(pattern, source, current)
-                if trace is not None:
-                    trace.append(StepTrace(node, position, step, rows_in,
-                                           len(current),
-                                           self._last_strategy))
-            yield current
-
-    # -- draining in chunks (SELECT with LIMIT) ------------------------------
-
-    def stream_tables(self, node: PatternNode, source: GraphSource,
-                      batch: int = _CHUNK) -> Iterator[BindingTable]:
-        """Solution batches for a streamable subtree, counted on the
-        request's :class:`~repro.sparql.evaluator_source.StreamTally`."""
-        tally = self.context.streamed
-        for table in self._walk(node, source, BindingTable.unit(), batch):
-            tally.batches += 1
-            tally.rows += len(table)
-            if _faults.ACTIVE:
-                _faults.fire("evaluator.batch")
-            yield table
+        current = table
+        for position, step in enumerate(get_plan(node, bound, source).steps):
+            if not current:
+                break
+            pattern = patterns[step.index]
+            rows_in = len(current)
+            if isinstance(pattern, PathPatternNode):
+                current = self._step_path(pattern, source, current)
+            else:
+                current = self._step_triple(pattern, source, current)
+            if trace is not None:
+                trace.append(StepTrace(node, position, step, rows_in,
+                                       len(current), self._last_strategy))
+        return current
 
     # -- operators -----------------------------------------------------------
 
     def _left_outer_extend(self, node: LeftJoin, source: GraphSource,
                            left: BindingTable) -> BindingTable:
         """Extend solved required-side rows with the optional side, run
-        seeded with every row and a marker column numbering them
-        (row-local: called per required-side piece)."""
+        seeded with every row and a marker column numbering them."""
         marker, seeded = self._marked(left)
         right = self.solve(node.right, source, seeded)
         if node.condition is not None and right:
@@ -403,25 +319,17 @@ class PatternEvaluator(JoinSteps):
             + child.columns[slot + 1:], len(child))
 
     def _walk_graph(self, node: GraphNode, source: GraphSource,
-                    table: BindingTable, chunk: Optional[int]
-                    ) -> Iterator[BindingTable]:
+                    table: BindingTable) -> BindingTable:
         if not isinstance(node.name, Var):
-            yield from self._walk(node.child,
-                                  self.context.named_source(node.name),
-                                  table, chunk)
-            return
+            return self._walk(node.child,
+                              self.context.named_source(node.name), table)
         name = node.name.name
-
-        def per_graph() -> Iterator[BindingTable]:
-            for iri, graph in self.context.named_graphs():
-                # ?g is this graph: rows that bind it otherwise drop out
-                seeded = _join_relation(
-                    table, self._interned((name,), [(iri,)]))
-                yield from self._walk(node.child, GraphSource(graph),
-                                      seeded, chunk)
-
-        yield from self._gathered(
-            per_graph(), chunk,
+        tables = []
+        for iri, graph in self.context.named_graphs():
+            # ?g is this graph: rows that bind it otherwise drop out
+            seeded = _join_relation(table, self._interned((name,), [(iri,)]))
+            tables.append(self._walk(node.child, GraphSource(graph), seeded))
+        return table_concat(tables) if tables else BindingTable.empty(
             table.names + (() if name in table.slots else (name,)))
 
     def _subselect(self, node: SubSelectNode, source: GraphSource
@@ -479,6 +387,22 @@ class PatternEvaluator(JoinSteps):
 
         context = EvalContext(exists_evaluator=exists_evaluator)
         return context
+
+
+def _mentioned(node: PatternNode) -> Set[str]:
+    """Every variable ``node`` can read from a seed row: those its
+    patterns use and those its expressions mention, nested EXISTS
+    patterns included.  A superset is safe — it only keeps a column."""
+    names: Set[str] = set()
+    for current in pattern_nodes(node):
+        names |= current.variables()
+        for expression in (getattr(current, "condition", None),
+                           getattr(current, "expression", None)):
+            for part in subexpressions(expression) if expression else ():
+                names |= part.variables()
+                if isinstance(part, ExistsExpression):
+                    names |= _mentioned(part.pattern)
+    return names
 
 
 def _left_outer(left: BindingTable, right: BindingTable, marker: str

@@ -57,7 +57,6 @@ from repro.sparql.evaluator import (
     GraphSource,
     PatternEvaluator,
     StepTrace,
-    would_stream,
 )
 from repro.sparql.optimizer import PLAN_CACHE, estimate_pattern, get_plan
 from repro.sparql.parser import parse_query
@@ -240,8 +239,6 @@ class _PlanPrinter:
             modifiers.append(f"LIMIT {query.limit}")
         if query.offset:
             modifiers.append(f"OFFSET {query.offset}")
-        if would_stream(query, self.source):
-            modifiers.append("streams")
         suffix = ("  [" + ", ".join(modifiers) + "]") if modifiers else ""
         self.emit(f"SELECT [{names}]{suffix}"
                   if depth else f"SELECT [{names}]{suffix}", depth)
@@ -272,22 +269,14 @@ def _cache_stats_lines() -> List[str]:
 
 def _collect_traces(query: Query, context: DatasetContext
                     ) -> Optional[_TraceIndex]:
-    """Execute the query's pattern with step tracing (EXPLAIN analyze).
-
-    The pattern runs the way the query form runs it: ASK stops at the
-    first non-empty chunk, so its actual row counts are those of the
-    steps executed up to there; every other form drains the walker.
-    """
+    """Execute the query's pattern with step tracing (EXPLAIN analyze):
+    every query form solves its whole pattern, ASK included."""
     pattern = getattr(query, "pattern", None)
     if pattern is None:
         return None
-    source = context.default_source()
     evaluator = PatternEvaluator(context)
     evaluator.trace = []
-    if isinstance(query, AskQuery):
-        evaluator.exists(pattern, source)
-    else:
-        evaluator.solve(pattern, source)
+    evaluator.solve(pattern, context.default_source())
     return _index_traces(evaluator.trace)
 
 

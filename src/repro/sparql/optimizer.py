@@ -229,12 +229,6 @@ class PlanStep:
     hash-vs-probe against the *actual* table size at execution time, so
     a mis-estimate degrades to the safe choice rather than a blowup.
 
-    ``stream_safe`` marks steps the streaming pipeline may execute
-    incrementally.  Every step is row-local once it has input rows; the
-    only constraint is the *leading* step, whose index scan becomes the
-    batch source — a property-path closure cannot be pulled in batches,
-    so a path-first plan is marked not stream-safe at position 0.
-
     Statistics-v2 fields: ``est_source`` names the estimator that
     produced ``est_out`` (``"avg"`` / ``"hist"`` / ``"mcv"``);
     ``est_avg`` prices *this* step with the constant-independent v1
@@ -245,11 +239,10 @@ class PlanStep:
     """
 
     __slots__ = ("index", "strategy", "est_in", "est_out", "est_scan",
-                 "stream_safe", "est_avg", "est_source")
+                 "est_avg", "est_source")
 
     def __init__(self, index: int, strategy: str, est_in: float,
                  est_out: float, est_scan: float,
-                 stream_safe: bool = True,
                  est_avg: Optional[float] = None,
                  est_source: str = "avg") -> None:
         self.index = index
@@ -257,7 +250,6 @@ class PlanStep:
         self.est_in = est_in
         self.est_out = est_out
         self.est_scan = est_scan
-        self.stream_safe = stream_safe
         self.est_avg = est_out if est_avg is None else est_avg
         self.est_source = est_source
 
@@ -292,17 +284,6 @@ class PhysicalPlan:
 
     def __getitem__(self, index: int) -> int:
         return self.order[index]
-
-    @property
-    def streamable(self) -> bool:
-        """Whether the leading step can feed the pipeline in batches.
-
-        This is the plan-IR flag the evaluator's streaming path
-        consults (instead of re-deriving streamability from the
-        patterns): the first step must be an incremental index scan,
-        and every later step is row-local by construction.
-        """
-        return bool(self.steps) and self.steps[0].stream_safe
 
     def __repr__(self) -> str:
         return (f"<PhysicalPlan {self.order} cost {self.cost:.0f} "
@@ -354,7 +335,6 @@ def _build_steps(order: Sequence[int], costs: List[_PatternCost],
         else:
             strategy = "probe"
         steps.append(PlanStep(index, strategy, rows, out_rows, scan,
-                              stream_safe=bool(steps) or not cost.is_path,
                               est_avg=rows * _estimate(cost, bound, avg=True),
                               est_source=cost.est_source))
         rows = out_rows
@@ -381,36 +361,8 @@ def plan_physical(patterns: Sequence, source,
 
 
 # ---------------------------------------------------------------------------
-# Whole-pattern-tree planning surface (streamability + costing)
+# Whole-pattern-tree costing
 # ---------------------------------------------------------------------------
-
-
-def leading_bgp(node: PatternNode) -> Optional[BGP]:
-    """The BGP whose leading index scan would feed a stream of
-    ``node``, or ``None`` when the shape of ``node`` admits none.
-
-    A streamable tree has a BGP at its left-most leaf under operators
-    that consume input rows locally: FILTER, BIND, joins fed from the
-    left, and — via the left-outer probe — OPTIONAL whose required side
-    is itself streamable.
-    """
-    while isinstance(node, (Filter, Extend, Join, LeftJoin)):
-        node = node.child if isinstance(node, (Filter, Extend)) \
-            else node.left
-    return node if isinstance(node, BGP) else None
-
-
-def stream_shape(node: PatternNode) -> bool:
-    """Whether the algebra *shape* of ``node`` admits batch streaming
-    (see :func:`leading_bgp`).
-
-    Whether the *plan* for that leading BGP can actually scan
-    incrementally (its first step might be a property path) is recorded
-    on the :class:`PhysicalPlan` IR as :attr:`PhysicalPlan.streamable`,
-    so the shape test here and the plan flag together replace any
-    ad-hoc re-derivation in the evaluator.
-    """
-    return leading_bgp(node) is not None
 
 
 def estimate_pattern(node: PatternNode, source,

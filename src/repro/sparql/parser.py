@@ -184,6 +184,10 @@ class _Parser:
         #: inside a quad or CONSTRUCT template, where a predicate is an
         #: IRI or a variable, never a property path
         self._template = False
+        #: inside quad data, which takes no variable: ``True`` where it
+        #: takes blank nodes (INSERT DATA, a document), ``False`` where
+        #: it takes none (DELETE DATA), ``None`` outside
+        self._data: Optional[bool] = None
         self._fresh = itertools.count(1)
 
     # -- token plumbing ------------------------------------------------------
@@ -322,11 +326,13 @@ class _Parser:
         token = self.peek()
         if token.kind == "VAR":
             self.next()
+            self._data_term(token, blank=False)
             return Var(token.text[1:])
         if token.kind in ("IRIREF", "PNAME"):
             return self.parse_iri()
         if token.kind == "BNODE":
             self.next()
+            self._data_term(token, blank=True)
             label = token.text[2:]
             if label not in self._bnode_vars:
                 self._bnode_vars[label] = Var(f"_:{label}")
@@ -756,6 +762,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "VAR":
             self.next()
+            self._data_term(token, blank=False)
             return Var(token.text[1:])
         path = self._parse_path()
         if isinstance(path, LinkPath):
@@ -889,6 +896,7 @@ class _Parser:
         token = self.peek()
         if token.is_punct("["):
             self.next()
+            self._data_term(token, blank=True)
             node = self.fresh_var()
             if not self.peek().is_punct("]"):
                 self._parse_predicate_object_list(node, patterns)
@@ -899,6 +907,8 @@ class _Parser:
             items: List[PatternTerm] = []
             while not self.accept_punct(")"):
                 items.append(self._parse_node_with_properties(patterns))
+            if items:
+                self._data_term(token, blank=True)
             head: PatternTerm = RDF.nil
             for item in reversed(items):
                 cell = self.fresh_var()
@@ -1199,23 +1209,32 @@ class _Parser:
 
     def _parse_quad_data(self, blank_nodes: bool) -> List[Quad]:
         """Ground quads for INSERT DATA (``blank_nodes``) / DELETE DATA."""
-        return self._ground(self._parse_quad_pattern(), blank_nodes)
+        self._data = blank_nodes
+        quads = self._parse_quad_pattern()
+        self._data = None
+        return self._ground(quads)
 
-    def _ground(self, quads: List[Quad], blank_nodes: bool) -> List[Quad]:
+    def _data_term(self, token: Token, blank: bool) -> None:
+        """Refuse ``token`` — a variable, or a blank node (``blank``) —
+        where quad data does not take it: no block takes a variable,
+        DELETE DATA takes no blank node (SPARQL 1.1 Update §3.1.2)."""
+        if self._data is None:
+            return
+        if not blank:
+            raise self.error("variables are not allowed in DATA blocks",
+                             token)
+        if not self._data:
+            raise self.error("blank nodes are not allowed in DELETE DATA",
+                             token)
+
+    def _ground(self, quads: List[Quad]) -> List[Quad]:
         """Quad data: ``_:b`` and ``[ … ]`` are blank nodes fresh to the
-        request, one per label (SPARQL 1.1 Update §3.1.1); DELETE DATA
-        takes none (§3.1.2), and no block takes a variable."""
+        request, one per label (SPARQL 1.1 Update §3.1.1)."""
         ground: List[Quad] = []
         for graph, *triple in quads:
             terms: List[PatternTerm] = []
             for term in triple:
                 if isinstance(term, Var):
-                    if not term.name.startswith("_:"):
-                        raise self.error(
-                            "variables are not allowed in DATA blocks")
-                    if not blank_nodes:
-                        raise self.error(
-                            "blank nodes are not allowed in DELETE DATA")
                     if term.name not in self._bnodes:
                         self._bnodes[term.name] = BNode()
                     term = self._bnodes[term.name]
@@ -1254,11 +1273,12 @@ class _Parser:
         statements up to EOF, each top-level triples block ended by a
         ``.``.  Answers its ground quads and the prefixes it declares."""
         self.prefixes = {}
+        self._data = True
         quads: List[Quad] = []
         while True:
             self.parse_prologue(turtle=True)
             if self.peek().kind == "EOF":
-                return self._ground(quads, blank_nodes=True), self.prefixes
+                return self._ground(quads), self.prefixes
             self._parse_quads(quads)
             if not self.tokens[self.position - 1].is_punct(".", "}"):
                 raise self.error("expected '.'")

@@ -8,8 +8,6 @@ text rendering used by the examples and the exploration module.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import IRI, Literal, Term
@@ -74,18 +72,6 @@ class ResultTable:
                     item[name] = str(value)
             converted.append(item)
         return converted
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.vars)
-        for row in self.rows:
-            writer.writerow([
-                "" if value is None else (
-                    value.lexical if isinstance(value, Literal) else str(value))
-                for value in row
-            ])
-        return buffer.getvalue()
 
     def to_text(self, max_rows: Optional[int] = None,
                 max_width: int = 40) -> str:

@@ -2,8 +2,8 @@
 
 Production engines earn their resilience claims by *exercising* every
 failure path, not by hoping.  This module provides **failpoints**:
-named hooks compiled into the engine's hot paths (the evaluator's batch
-loops, ``Graph.add_all``, the endpoint's parse step) that tests arm to
+named hooks compiled into the engine's hot paths (the evaluator's BGP
+step, ``Graph.add_all``, the endpoint's parse step) that tests arm to
 inject latency or exceptions — deterministically, under a seed
 (``tests/concurrency/`` drives them under load).
 
@@ -24,8 +24,8 @@ Usage::
 
     from repro.testing import faults
 
-    with faults.failpoint("evaluator.batch", delay=0.05):
-        ...        # every solution batch now takes an extra 50ms
+    with faults.failpoint("evaluator.step", delay=0.05):
+        ...        # every BGP evaluation now takes an extra 50ms
 
     with faults.failpoint("graph.add_all.step", raises=RuntimeError,
                           skip_first=10):

@@ -2,8 +2,8 @@
 
 A valid :class:`PhysicalPlan` is built by the real planner over a
 small populated endpoint; each test then corrupts one IR invariant —
-an undefined join variable, a wrong ``stream_safe`` flag, an unknown
-strategy, a broken estimate chain — and asserts the verifier
+an undefined join variable, a path strategy on a triple pattern, an
+unknown strategy, a broken estimate chain — and asserts the verifier
 raises a typed :class:`PlanVerificationError` naming the offending
 step and check.
 """
@@ -96,23 +96,13 @@ def test_undefined_variable_names_the_step(valid, patterns):
     assert info.value.step is not None
 
 
-def test_wrong_stream_safe_flag(valid, patterns):
-    valid.steps[1].stream_safe = False
+def test_path_strategy_on_a_triple_pattern_names_the_step(valid, patterns):
+    valid.steps[0].strategy = "path"
     with pytest.raises(PlanVerificationError) as info:
         verify_plan(valid, patterns)
-    assert info.value.check == "stream-flags"
-    assert info.value.step == 1
-    assert "step 1" in str(info.value)
-
-
-def test_streamable_must_agree_with_flags(valid, patterns):
-    valid.steps[0].stream_safe = False
-    valid.steps[0].strategy = "path"  # keep the leading-step rule quiet
-    violations = collect_violations(valid, patterns)
-    checks = {violation.check for violation in violations}
-    # plan.streamable is a property derived from the flags, so the
-    # disagreement surfaces as the path/pattern mismatch instead
-    assert "def-before-use" in checks
+    assert info.value.check == "def-before-use"
+    assert info.value.step == 0
+    assert "strategy 'path'" in str(info.value)
 
 
 def test_plan_level_violation_names_no_step(valid, patterns):

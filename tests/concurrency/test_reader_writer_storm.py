@@ -1,7 +1,7 @@
 """Reader/writer storm: snapshot isolation under concurrent load.
 
 Eight reader threads hammer a :class:`LocalEndpoint` with the
-streamed shapes the translated OLAP workload leans on (DISTINCT/LIMIT,
+LIMIT shapes the translated OLAP workload leans on (DISTINCT/LIMIT,
 OPTIONAL, plain joins) while one writer thread keeps adding and
 removing observation pairs.  The writer records, per mutation epoch,
 the exact set of subjects alive at that epoch; every reader asserts
@@ -161,7 +161,7 @@ def reader_loop(storm: Storm, queries: int, index: int) -> None:
                 got = {row[0].value for row in table.rows}
                 if got != expected:
                     storm.record_failure(
-                        f"streamed DISTINCT diverged at epoch "
+                        f"wide DISTINCT diverged at epoch "
                         f"{table.snapshot_epoch}")
         except Exception as error:  # noqa: BLE001 - surface in main thread
             storm.record_failure(f"reader raised {error!r}")
@@ -194,7 +194,7 @@ def storm_result():
     concurrency_after = CONCURRENCY.snapshot()
     return {
         "storm": storm,
-        "streamed_selects": endpoint.statistics.streamed_selects,
+        "selects": endpoint.statistics.selects,
         "concurrency_before": concurrency_before,
         "concurrency_after": concurrency_after,
     }
@@ -205,12 +205,9 @@ class TestStorm:
         failures = storm_result["storm"].failures
         assert not failures, failures[:10]
 
-    def test_readers_actually_streamed(self, storm_result):
-        # every LIMIT query (all but the plain join) streamed, and the
-        # endpoint counted each one exactly once under 8 readers
-        limited = sum(1 for index in range(READERS)
-                      for k in range(QUERIES_PER_READER) if (index + k) % 4)
-        assert storm_result["streamed_selects"] == limited
+    def test_every_read_counted_once(self, storm_result):
+        # the endpoint counted each query exactly once under 8 readers
+        assert storm_result["selects"] == READERS * QUERIES_PER_READER
 
     def test_snapshots_were_pinned_and_released(self, storm_result):
         before = storm_result["concurrency_before"]

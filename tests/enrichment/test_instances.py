@@ -8,8 +8,9 @@ from repro.enrichment.instances import (
     collect_bottom_members,
     collect_member_property_table,
     member_properties,
-    observation_count,
 )
+from repro.exploration.stats import CubeStatistics
+from repro.qb4olap.model import CubeSchema
 
 EX = Namespace("http://example.org/")
 
@@ -72,6 +73,10 @@ class TestPropertyTable:
 
 class TestObservationCount:
     def test_counts_only_this_dataset(self, endpoint):
-        assert observation_count(endpoint, EX.ds) == 3
-        assert observation_count(endpoint, EX.other) == 1
-        assert observation_count(endpoint, EX.none) == 0
+        def observation_count(dataset):
+            schema = CubeSchema(dsd=EX.dsd, dataset=dataset)
+            return CubeStatistics(endpoint, schema).observation_count()
+
+        assert observation_count(EX.ds) == 3
+        assert observation_count(EX.other) == 1
+        assert observation_count(EX.none) == 0

@@ -22,7 +22,7 @@ from repro.sparql import PROBE_COUNTER, LocalEndpoint
 from repro.sparql.evaluator import GraphSource
 
 from tests.sparql.reference_join import reference_keyed_matches
-from tests.sparql.test_streaming_equivalence import materialized, run_both
+from tests.sparql.test_limit_window import run_both
 
 #: E3's predefined programs plus E6's demo query and the contract
 #: benchmark's five roll-ups and five dices, both translations
@@ -63,15 +63,14 @@ def test_ql_agrees_with_native_engine(fresh, native, name, variant):
 
 
 @pytest.mark.parametrize("name,variant", CASES)
-def test_streaming_switch_changes_nothing(fresh, name, variant):
-    program = PROGRAMS[name]
-    with PROBE_COUNTER as counter:
-        streamed = fresh.engine.execute(program, variant=variant)
-        probes = counter.entries
-    with materialized(), PROBE_COUNTER as counter:
-        full = fresh.engine.execute(program, variant=variant)
-        assert counter.entries == probes
-    assert streamed.table.rows == full.table.rows
+def test_limit_is_a_slice_of_the_full_answer(fresh, name, variant):
+    """Each program's SPARQL with a window appended answers that slice
+    of its full, ordered or grouped answer."""
+    text = getattr(fresh.engine.execute(
+        PROGRAMS[name], variant=variant).translation, variant)
+    full = fresh.endpoint.select(text)
+    window = fresh.endpoint.select(text + "\nLIMIT 7 OFFSET 2")
+    assert window.rows == full.rows[2:9]
 
 
 @pytest.mark.parametrize("name,variant", CASES)
@@ -115,11 +114,11 @@ def test_one_compacted_graph_changes_nothing(fresh, merged, name, variant):
     assert (union.vars, union.rows) == (single.vars, single.rows)
 
 
-def test_limit_query_streams_over_the_overlapping_union(fresh):
-    """The streaming first-step scan reads the deduplicated union too."""
+def test_limit_reads_the_overlapping_union(fresh):
+    """A LIMIT window is cut from the deduplicated union."""
     query = """
         PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
         SELECT ?s ?c WHERE { ?s rdf:type ?c } LIMIT 40"""
-    streamed, full = run_both(fresh.endpoint, query)
-    assert streamed.rows == full.rows
-    assert len(set(streamed.rows)) == len(streamed.rows) == 40
+    answer, oracle = run_both(fresh.endpoint, query)
+    assert answer.rows == oracle
+    assert len(set(answer.rows)) == len(answer.rows) == 40

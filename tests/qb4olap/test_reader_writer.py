@@ -18,7 +18,8 @@ from repro.qb4olap.model import (
     Measure,
     SchemaError,
 )
-from repro.qb4olap.reader import list_cubes
+from repro.exploration.catalog import list_cubes
+from repro.sparql import LocalEndpoint
 
 EX = Namespace("http://example.org/")
 
@@ -111,6 +112,7 @@ class TestReader:
         assert restored.bottom_level(EX.sex) == EX.sex
 
     def test_list_cubes(self):
-        graph = Graph().add_all(schema_triples(build_schema()))
-        assert list_cubes(graph) == [EX.ds]
-        assert list_cubes(Graph()) == []
+        endpoint = LocalEndpoint()
+        endpoint.insert_triples(schema_triples(build_schema()))
+        assert [info.dataset for info in list_cubes(endpoint)] == [EX.ds]
+        assert list_cubes(LocalEndpoint()) == []

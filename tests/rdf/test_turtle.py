@@ -19,6 +19,7 @@ from repro.rdf import (
 from repro.sparql import LocalEndpoint, QuerySyntaxError
 
 EX = Namespace("http://example.org/")
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 def parse_turtle(text: str) -> Graph:
@@ -270,6 +271,30 @@ class TestRoundTrip:
         text = serialize_turtle(g)
         assert text.index("a ex:Widget") < text.index("ex:z_last")
         assert "@prefix ex:" in text
+
+    @pytest.mark.parametrize("lexical,datatype,bare", [
+        ("5", "decimal", False),
+        ("5.", "decimal", False),
+        ("-.5", "decimal", True),
+        ("1", "boolean", False),
+        ("0", "boolean", False),
+        ("false", "boolean", True),
+        ("+7", "integer", True),
+        ("7.0", "integer", False),
+    ])
+    def test_dump_keeps_the_datatype(self, lexical, datatype, bare):
+        """A literal is written bare only when its lexical form is the
+        Turtle shorthand for its datatype; any other form is quoted, so
+        ``dump_trig`` → ``load_trig`` gives back the same literal."""
+        literal = Literal(lexical, datatype=XSD + datatype)
+        endpoint = LocalEndpoint()
+        endpoint.insert_triples([(EX.a, EX.p, literal)])
+        text = endpoint.dump_trig()
+        assert (f"ex:p {lexical} ." in text
+                or f"<{EX.p.value}> {lexical} ." in text) == bare
+        copy = LocalEndpoint()
+        copy.load_trig(text)
+        assert list(copy.dataset.default.objects(EX.a, EX.p)) == [literal]
 
     def test_deterministic(self):
         g = Graph()

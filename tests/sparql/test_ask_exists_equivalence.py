@@ -1,17 +1,20 @@
 """ASK and EXISTS run on the same walker as SELECT: differential tests.
 
-One walker interprets the algebra; ASK drains it until the first
-non-empty chunk and EXISTS runs it seeded with the rows being filtered.
+One walker interprets the algebra; ASK asks whether its pattern's
+table is non-empty and EXISTS runs it seeded with the distinct rows
+being filtered.
 For a corpus that covers every pattern-node type the three ways of
 asking "is there a solution" must agree::
 
     ASK {P}  ==  bool(SELECT * {P} LIMIT 1)  ==  bool(SELECT * {P})
 
 and ``FILTER EXISTS {Q}`` must keep exactly the rows the join-based
-rewrite keeps.  Early exit is stated in index entries touched (the
-probe counter), not in time.  The 21 W3C integrity constraints — the
+rewrite keeps.  The work each does is stated in index entries touched
+(the probe counter), not in time.  The 21 W3C integrity constraints — the
 one heavy ASK / NOT EXISTS user under ``src/`` — anchor the semantics.
 """
+
+import re
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.qb.constraints import all_constraint_checks
 from repro.qb.normalize import normalize_graph
 from repro.rdf.terms import IRI, Literal
 from repro.sparql import PROBE_COUNTER, LocalEndpoint
+from repro.sparql.evaluator import PatternEvaluator
 from repro.sparql.errors import SPARQLError
 from tests.qb.test_constraints import WELL_FORMED, normalized_graph
 
@@ -179,6 +183,34 @@ def test_exists_agrees_with_join_rewrite(endpoint, body):
     assert sorted(kept + dropped) == outer
 
 
+#: EXISTS bodies that read the outer ?s / ?o only in an expression —
+#: an inner FILTER, a nested EXISTS, a BIND — so the join rewrite does
+#: not apply; each row is checked against an ASK with its terms
+#: substituted in
+CORRELATED_IN_EXPRESSIONS = [
+    "?x :p ?y FILTER(?y = ?o)",
+    "?x :p ?y FILTER(?x != ?s)",
+    "?x :q ?w FILTER EXISTS { ?w :p ?z FILTER(?z = ?o) }",
+    "?x :p ?y BIND(?o AS ?copy) FILTER(?copy = ?y)",
+]
+
+
+@pytest.mark.parametrize("body", CORRELATED_IN_EXPRESSIONS)
+def test_exists_sees_outer_variables_in_expressions(endpoint, body):
+    outer = endpoint.select(PREFIX + "SELECT ?s ?o WHERE { ?s :p ?o }")
+    expected = sorted(
+        (row["s"], row["o"]) for row in outer
+        if endpoint.ask(PREFIX + "ASK { " + re.sub(
+            r"\?([so])\b", lambda match: row[match.group(1)].n3(), body)
+            + " }"))
+    kept = sorted((row["s"], row["o"]) for row in endpoint.select(
+        PREFIX + f"SELECT ?s ?o WHERE {{ ?s :p ?o FILTER EXISTS {{ {body} }} }}"))
+    # a dropped ?s / ?o column would leave the expression unbound, an
+    # error that keeps no row
+    assert kept == expected
+    assert expected
+
+
 def test_exists_outside_filter_is_one_row_at_a_time(endpoint):
     """BIND and HAVING reach EXISTS with a bare binding, not a table."""
     table = endpoint.select(PREFIX + """
@@ -195,10 +227,8 @@ def test_exists_outside_filter_is_one_row_at_a_time(endpoint):
 
 
 # ---------------------------------------------------------------------------
-# early exit, in probes
+# work done, in probes
 # ---------------------------------------------------------------------------
-
-CHUNK = 512  # index entries per window of a chunked leading scan
 
 
 @pytest.fixture(scope="module")
@@ -209,14 +239,13 @@ def cube() -> LocalEndpoint:
     return endpoint
 
 
-def test_ask_touches_one_chunk(cube):
-    assert len(cube.dataset.default) > 10 * CHUNK
+def test_ask_reads_its_pattern_once(cube):
     with PROBE_COUNTER:
         assert cube.ask("ASK { ?s ?p ?o }")
-    assert 0 < PROBE_COUNTER.entries <= CHUNK
+    assert PROBE_COUNTER.entries == len(cube.dataset.default)
 
 
-def test_uncorrelated_exists_touches_a_chunk_per_outer_table(cube):
+def test_uncorrelated_exists_runs_once_per_outer_table(cube):
     qb = "http://purl.org/linked-data/cube#"
     outer = f"?obs <{qb}dataSet> ?ds"
     with PROBE_COUNTER:
@@ -227,9 +256,31 @@ def test_uncorrelated_exists_touches_a_chunk_per_outer_table(cube):
         kept = cube.select(f"SELECT ?obs WHERE {{ {outer} "
                            f"FILTER EXISTS {{ ?a ?b ?c }} }}")
     assert len(kept) == rows
-    # far below rows * |G|: one window of the inner scan answers for
-    # every outer row
-    assert PROBE_COUNTER.entries - outer_probes <= CHUNK
+    # the inner pattern shares no variable with the outer rows: one
+    # unseeded scan answers for all of them, not rows * |G| solutions
+    assert PROBE_COUNTER.entries - outer_probes == len(cube.dataset.default)
+
+
+def test_correlated_exists_seeds_each_distinct_key_once(cube, monkeypatch):
+    """2 000 outer rows bind ?obs and ?c; the inner pattern reads only
+    ?c, so its one walk is seeded with each citizenship once."""
+    prop = "http://eurostat.linked-statistics.org/property#"
+    outer = f"?obs <{prop}citizen> ?c"
+    citizens = len(cube.select(f"SELECT DISTINCT ?c WHERE {{ {outer} }}"))
+    seeds = []
+    solve = PatternEvaluator.solve
+
+    def recording(self, node, source, table=None):
+        if table is not None:
+            seeds.append((len(table), table.names))
+        return solve(self, node, source, table)
+
+    monkeypatch.setattr(PatternEvaluator, "solve", recording)
+    kept = cube.select(f"SELECT ?obs WHERE {{ {outer} FILTER EXISTS "
+                       f"{{ ?other <{prop}citizen> ?c }} }}")
+    assert len(kept) == 2000
+    assert 1 < citizens < 2000
+    assert [(rows, names[0]) for rows, names in seeds] == [(citizens, "c")]
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ CORPUS = {
             ?obs <{CITIZEN}> ?member .
             ?member <{CONTINENT}> ?continent
         }}""",
-    # E5: instance browsing with OPTIONAL labels, streamed under LIMIT
+    # E5: instance browsing with OPTIONAL labels, under LIMIT
     "e5_labelled_members": f"""
         SELECT ?member ?label WHERE {{
             ?obs <{CITIZEN}> ?member

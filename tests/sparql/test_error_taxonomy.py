@@ -83,17 +83,23 @@ class TestEvaluatorExceptionMapping:
             with pytest.raises(QueryExecutionError):
                 endpoint.query(QUERY)
 
-    def test_streamed_path_is_mapped(self, endpoint):
-        with faults.failpoint("evaluator.batch", raises=KeyError):
-            with pytest.raises(QueryExecutionError):
-                endpoint.select(QUERY + " LIMIT 3")
-
-    def test_streamed_path_fires_the_step_failpoint(self, endpoint):
-        """Streamed and materialized SELECT run the same step loop."""
+    def test_limit_select_is_mapped(self, endpoint):
+        """A LIMIT window is cut after the same step loop."""
         with faults.failpoint("evaluator.step", raises=KeyError):
             with pytest.raises(QueryExecutionError) as info:
                 endpoint.select(QUERY + " LIMIT 3")
         assert info.value.code == "internal_error"
+
+    def test_exists_walk_is_mapped(self, endpoint):
+        """The outer BGP runs; the seeded EXISTS walk raises."""
+        query = (f"SELECT ?s WHERE {{ ?s <{EX}p> ?o "
+                 f"FILTER EXISTS {{ ?s <{EX}p> 3 }} }}")
+        with faults.failpoint("evaluator.step", raises=KeyError,
+                              skip_first=1) as point:
+            with pytest.raises(QueryExecutionError) as info:
+                endpoint.select(query)
+        assert point.hits == 2
+        assert info.value.query == query
 
     def test_counter_increments(self, endpoint):
         with faults.failpoint("evaluator.step", raises=KeyError):
@@ -174,7 +180,7 @@ UPDATES = {
 #: per read request: the read method and the request text
 READS = {
     "select": ("select", QUERY),
-    "streamed-select": ("select", QUERY + " LIMIT 3"),
+    "limit-select": ("select", QUERY + " LIMIT 3"),
     "ask": ("ask", f"ASK {{ ?s <{EX}p> ?o . ?s <{EX}p> 3 }}"),
     "construct": ("construct", f"CONSTRUCT {{ ?s <{EX}q> ?o }} "
                                f"WHERE {{ ?s <{EX}p> ?o }}"),

@@ -158,20 +158,20 @@ def test_union_and_subselect(dataset):
     assert "SubSelect" in plan
 
 
-def test_streaming_marker_on_eligible_selects(dataset):
-    streams = explain(
+def test_select_modifiers_are_listed(dataset):
+    limited = explain(
         f"SELECT ?s WHERE {{ ?s <{EX}value> ?v }} LIMIT 5", dataset)
-    assert "streams" in streams
+    assert "SELECT [?s]  [LIMIT 5]" in limited
     distinct = explain(
-        f"SELECT DISTINCT ?v WHERE {{ ?s <{EX}value> ?v }} LIMIT 5",
-        dataset)
-    assert "DISTINCT" in distinct and "streams" in distinct
+        f"SELECT DISTINCT ?v WHERE {{ ?s <{EX}value> ?v }} LIMIT 5 "
+        f"OFFSET 2", dataset)
+    assert "[DISTINCT, LIMIT 5, OFFSET 2]" in distinct
     ordered = explain(
-        f"SELECT ?s WHERE {{ ?s <{EX}value> ?v }} ORDER BY ?v LIMIT 5",
+        f"SELECT REDUCED ?s WHERE {{ ?s <{EX}value> ?v }} ORDER BY ?v",
         dataset)
-    assert "streams" not in ordered
+    assert "[REDUCED, ORDER BY (1)]" in ordered
     unlimited = explain(f"SELECT ?s WHERE {{ ?s <{EX}value> ?v }}", dataset)
-    assert "streams" not in unlimited
+    assert unlimited.splitlines()[0] == "SELECT [?s]"
 
 
 def test_optional_side_is_costed(dataset):
@@ -203,8 +203,7 @@ def test_analyze_traces_subselect_steps(dataset):
 
 
 def test_analyze_traces_subselect_under_ask(dataset):
-    """ASK drains the walker with early exit; its sub-SELECTs trace
-    too."""
+    """ASK solves its whole pattern; its sub-SELECTs trace too."""
     plan = explain(f"""
         ASK {{
             {{ SELECT ?s WHERE {{ ?s <{EX}value> ?v }} }}
@@ -214,9 +213,9 @@ def test_analyze_traces_subselect_under_ask(dataset):
     assert "SubSelect" in plan
 
 
-def test_analyze_of_ask_shows_the_steps_that_ran():
-    """ASK stops at the first non-empty chunk of the leading scan, and
-    EXPLAIN analyze reports that run — not a full materialization."""
+def test_analyze_of_ask_counts_the_whole_pattern():
+    """ASK solves its pattern like SELECT does, so EXPLAIN analyze
+    reports the same full counts for both."""
     dataset = Dataset()
     for i in range(2000):
         dataset.default.add(IRI(f"{EX}obs{i}"), IRI(EX + "value"),
@@ -224,14 +223,15 @@ def test_analyze_of_ask_shows_the_steps_that_ran():
     pattern = f"{{ ?s <{EX}value> ?v }}"
     asked = explain(f"ASK {pattern}", dataset, analyze=True)
     selected = explain(f"SELECT * WHERE {pattern}", dataset, analyze=True)
-    assert "est. 2000, actual 512" in asked
+    assert "est. 2000, actual 2000" in asked
     assert "est. 2000, actual 2000" in selected
 
 
-def test_path_first_plan_not_marked_streaming(dataset):
+def test_path_first_plan_under_limit(dataset):
     plan = explain(
         f"SELECT ?a ?b WHERE {{ ?a <{EX}value>+ ?b }} LIMIT 5", dataset)
-    assert "streams" not in plan
+    assert plan.splitlines()[0] == "SELECT [?a, ?b]  [LIMIT 5]"
+    assert plan.splitlines()[2].endswith("[path]")
 
 
 def test_compound_filter_conditions_print_their_structure():

@@ -14,7 +14,7 @@ Coverage layers:
 
 * the E1–E11-shaped columnar corpus (joins, OPTIONAL, FILTER, BIND,
   UNION, MINUS, VALUES, DISTINCT, grouped aggregation, ORDER BY);
-* the streamed corpus (LIMIT/OFFSET/DISTINCT/REDUCED edges);
+* the LIMIT window corpus (LIMIT/OFFSET/DISTINCT/REDUCED edges);
 * multi-pattern joins, each shown to take both forced strategies;
 * grouped and scalar aggregates, including ORDER BY ties in MIN/MAX;
 * ``explain(analyze=True)``'s strategy annotations.
@@ -36,7 +36,7 @@ from repro.sparql import LocalEndpoint
 from repro.sparql.evaluator_steps import JoinSteps
 
 from tests.sparql.test_columnar_equivalence import CORPUS, EX, populate
-from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
+from tests.sparql.test_limit_window import DIFFERENTIAL_QUERIES
 
 #: queries whose result order is pinned by the query itself
 ORDERED = [q for q in CORPUS if "ORDER BY" in q]
@@ -148,7 +148,7 @@ class TestCorpusEquivalence:
                 assert endpoint.select(query).rows == expected
 
     @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
-    def test_streamed_corpus_same_solutions(self, endpoint, query):
+    def test_limit_corpus_same_solutions(self, endpoint, query):
         tables, _answers = three_ways(endpoint, query)
         assert_identical(tables)
 

@@ -243,6 +243,41 @@ class TestUpdateParsing:
         with pytest.raises(QuerySyntaxError):
             parse_update("INSERT DATA { ?x <http://e/p> 1 }")
 
+    @pytest.mark.parametrize("request_text,message,got,line", [
+        ("DELETE DATA {\n <http://e/a> <http://e/p> 1 .\n"
+         " _:b <http://e/p> 2 .\n <http://e/c> <http://e/p> 3 .\n}",
+         "blank nodes are not allowed in DELETE DATA", "_:b", 3),
+        ("DELETE DATA {\n <http://e/a> <http://e/p> 1 .\n"
+         " <http://e/a> <http://e/q> [ <http://e/r> 2 ]\n}",
+         "blank nodes are not allowed in DELETE DATA", "[", 3),
+        ("DELETE DATA {\n <http://e/a> <http://e/p>\n"
+         " ( <http://e/b> ) }",
+         "blank nodes are not allowed in DELETE DATA", "(", 3),
+        ("INSERT DATA {\n <http://e/a> <http://e/p> 1 .\n"
+         " <http://e/a> <http://e/p> ?x .\n <http://e/c> <http://e/p> 3\n}",
+         "variables are not allowed in DATA blocks", "?x", 3),
+        ("INSERT DATA {\n <http://e/a> <http://e/p> 1 .\n\n"
+         " <http://e/a> ?p 2 }",
+         "variables are not allowed in DATA blocks", "?p", 4),
+    ], ids=["blank-label", "anonymous-node", "collection", "variable",
+            "predicate-variable"])
+    def test_data_block_error_names_the_term(self, request_text, message,
+                                             got, line):
+        """The offending term and its own line, not the token after
+        the block."""
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_update(request_text)
+        assert str(info.value) == f"{message}, got {got!r} (line {line})"
+        assert info.value.line == line
+
+    def test_document_error_names_the_variable(self):
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_document("<http://e/a> <http://e/p> 1 .\n"
+                           "<http://e/b> <http://e/p> ?x .\n"
+                           "<http://e/c> <http://e/p> 3 .\n")
+        assert str(info.value) == ("variables are not allowed in DATA "
+                                   "blocks, got '?x' (line 2)")
+
     def test_delete_data(self):
         ops = parse_update(
             "DELETE DATA { <http://e/a> <http://e/p> <http://e/b> }")

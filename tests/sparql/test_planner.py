@@ -476,20 +476,16 @@ class TestMaterializationReuse:
         assert stats["hits"] == len(members)
 
 
-class TestStreamingLimit:
-    def test_limit_touches_fewer_index_entries(self):
+class TestLimitWindow:
+    def test_limit_is_the_prefix_of_the_full_answer(self):
         ep = build_endpoint(n=300)
         query = ("SELECT ?o ?v WHERE { ?o <http://example.org/value> ?v }")
-        with PROBE_COUNTER as counter:
-            full = ep.select(query)
-        full_probes = counter.entries
-        with PROBE_COUNTER as counter:
-            limited = ep.select(query + " LIMIT 5")
+        full = ep.select(query)
+        limited = ep.select(query + " LIMIT 5")
         assert len(full) == 300
-        assert len(limited) == 5
-        assert counter.entries < full_probes / 2
+        assert limited.rows == full.rows[:5]
 
-    def test_streamed_rows_are_valid_solutions(self):
+    def test_limited_rows_are_valid_solutions(self):
         ep = build_endpoint(n=100)
         limited = ep.select(
             "SELECT ?o ?v WHERE { ?o <http://example.org/value> ?v . "
@@ -505,7 +501,7 @@ class TestStreamingLimit:
         query = ("SELECT ?o WHERE { ?o <http://example.org/value> ?v } ")
         assert len(ep.select(query + "LIMIT 10 OFFSET 95")) == 5
 
-    def test_filter_above_bgp_still_streams_correctly(self):
+    def test_filter_under_limit_is_exact(self):
         ep = build_endpoint(n=200)
         table = ep.select(
             "SELECT ?o ?v WHERE { ?o <http://example.org/value> ?v . "
@@ -513,60 +509,38 @@ class TestStreamingLimit:
         assert len(table) == 4
         assert all(row["v"].value >= 100 for row in table)
 
-    def test_order_by_disables_streaming_and_stays_exact(self):
+    def test_order_by_under_limit_stays_exact(self):
         ep = build_endpoint(n=50)
         table = ep.select(
             "SELECT ?v WHERE { ?o <http://example.org/value> ?v } "
             "ORDER BY ?v LIMIT 3")
         assert [row["v"].value for row in table] == [0, 1, 2]
 
-    def test_distinct_streams_through_incremental_dedup(self):
+    def test_distinct_under_limit_keeps_first_occurrences(self):
         ep = build_endpoint(n=500, groups=5)
         query = ("SELECT DISTINCT ?g WHERE { "
                  "?o <http://example.org/inGroup> ?g }")
-        with PROBE_COUNTER as counter:
-            full = ep.select(query)
-        full_probes = counter.entries
-        with PROBE_COUNTER as counter:
-            limited = ep.select(query + " LIMIT 5")
+        full = ep.select(query)
+        limited = ep.select(query + " LIMIT 3")
         assert len(full) == 5
-        assert len(limited) == 5
-        assert sorted(map(str, limited.rows)) == sorted(map(str, full.rows))
-        assert counter.entries < full_probes
+        assert limited.rows == full.rows[:3]
 
-    def test_optional_streams_as_left_outer_probe(self):
+    def test_optional_under_limit_is_a_prefix(self):
         ep = build_endpoint(n=500, groups=5)
         query = ("SELECT ?o ?n WHERE { ?o <http://example.org/inGroup> ?g "
                  ". OPTIONAL { ?g <http://example.org/name> ?n } }")
-        with PROBE_COUNTER as counter:
-            full = ep.select(query)
-        full_probes = counter.entries
-        with PROBE_COUNTER as counter:
-            limited = ep.select(query + " LIMIT 6")
+        full = ep.select(query)
+        limited = ep.select(query + " LIMIT 6")
         assert len(full) == 500
-        assert len(limited) == 6
-        assert counter.entries < full_probes / 2
-        assert set(map(str, limited.rows)) <= set(map(str, full.rows))
+        assert limited.rows == full.rows[:6]
 
-    def test_plan_ir_carries_stream_safety(self):
-        ep = build_endpoint(n=50)
-        query = parse_query(
-            "SELECT ?o ?v WHERE { ?o <http://example.org/value> ?v . "
-            "?o <http://example.org/inGroup> ?g }")
-        from repro.sparql.evaluator import DatasetContext
-        source = DatasetContext(ep.dataset).default_source()
-        plan = get_plan(query.pattern, frozenset(), source)
-        assert plan.streamable
-        assert all(step.stream_safe for step in plan.steps)
-
-    def test_path_first_plan_is_not_streamable(self):
+    def test_path_first_plan_under_limit(self):
         ep = build_endpoint(n=20)
-        query = parse_query(
-            "SELECT ?a ?b WHERE { ?a <http://example.org/inGroup>+ ?b }")
-        from repro.sparql.evaluator import DatasetContext
-        source = DatasetContext(ep.dataset).default_source()
-        plan = get_plan(query.pattern, frozenset(), source)
-        assert not plan.streamable
+        query = "SELECT ?a ?b WHERE { ?a <http://example.org/inGroup>+ ?b }"
+        full = ep.select(query)
+        limited = ep.select(query + " LIMIT 5")
+        assert len(limited) == 5
+        assert limited.rows == full.rows[:5]
 
 
 class TestExplainAnalyze:

@@ -3,6 +3,7 @@
 from repro.rdf import IRI, Literal
 
 from repro.sparql.results import ResultTable
+from repro.sparql.serializers import results_to_csv
 
 
 def table():
@@ -39,7 +40,7 @@ class TestResultTable:
         assert rows[2]["n"] is None
 
     def test_to_csv(self):
-        text = table().to_csv()
+        text = results_to_csv(table())
         lines = text.strip().splitlines()
         assert lines[0] == "x,n"
         assert lines[1] == "http://e/a,1"

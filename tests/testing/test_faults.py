@@ -138,10 +138,6 @@ def _reach_step(endpoint):
     endpoint.ask("ASK { ?s ?p ?o }")
 
 
-def _reach_batch(endpoint):
-    endpoint.select("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
-
-
 def _reach_add_all(endpoint):
     from repro.rdf import IRI, Literal
     endpoint.insert_triples([(IRI("http://example.org/b"),
@@ -152,7 +148,6 @@ def _reach_add_all(endpoint):
 SITES = {
     "endpoint.parse": _reach_parse,
     "evaluator.step": _reach_step,
-    "evaluator.batch": _reach_batch,
     "graph.add_all.step": _reach_add_all,
 }
 

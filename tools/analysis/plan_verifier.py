@@ -1,11 +1,11 @@
 """Static verifier for the :class:`PhysicalPlan` IR, and its corpus run.
 
 The optimizer's plan objects are a small intermediate representation
-(ordered :class:`PlanStep`\\ s with strategies, chained estimates
-and stream flags) that the evaluator *trusts*: a malformed plan does
-not crash — it silently joins in a wrong order, joins on a key no
-earlier step bound, or streams a non-streamable step.  This module
-checks the IR's well-formedness conditions mechanically, in the spirit
+(ordered :class:`PlanStep`\\ s with strategies and chained estimates)
+that the evaluator *trusts*: a malformed plan does not crash — it
+silently joins in a wrong order or joins on a key no earlier step
+bound.  This module checks the IR's well-formedness conditions
+mechanically, in the spirit
 of QB4OLAP's well-formedness rules over cube schemas, applied to our
 own plan algebra:
 
@@ -22,19 +22,17 @@ own plan algebra:
 * **strategy↔estimate** — a ``hash`` step implies the planner's own
   build-side conditions (``optimizer.HASH_MIN_ROWS`` and
   ``HASH_SCAN_FACTOR``);
-* **stream flags** — only the leading step may be stream-unsafe, and
-  only when it is a path closure; ``plan.streamable`` must agree with
-  the flags;
 * **totals** — ``est_rows`` matches the final ``est_out`` and ``cost``
   is a finite non-negative number.
 
 Violations raise :class:`PlanVerificationError` naming the offending
 step.  As a CLI the module runs the checks over the repository's
 generated plan corpus: every E1–E11-shaped query from the columnar
-differential suite plus the streaming differential corpus runs against
-a populated endpoint under :func:`verifying`, so each freshly planned
-plan is checked before it enters the plan cache.  Exit status 0 when
-every plan verifies; 1 with the offending query and step otherwise.
+differential suite plus the LIMIT / DISTINCT / REDUCED corpus runs
+against a populated endpoint under :func:`verifying`, so each freshly
+planned plan is checked before it enters the plan cache.  Exit status
+0 when every plan verifies; 1 with the offending query and step
+otherwise.
 
 Usage::
 
@@ -194,21 +192,6 @@ def collect_violations(plan, patterns: Optional[Sequence] = None,
                          "'path'", step=position, check="def-before-use")
             bound |= names
 
-    # -- stream flags --------------------------------------------------------
-    for position, step in enumerate(steps):
-        if position > 0 and not step.stream_safe:
-            flag("only the leading step may be stream-unsafe",
-                 step=position, check="stream-flags")
-        if position == 0 and not step.stream_safe \
-                and step.strategy != "path":
-            flag(f"leading {step.strategy} step marked stream-unsafe "
-                 f"(only path closures are)", step=position,
-                 check="stream-flags")
-    streamable = bool(steps) and bool(steps[0].stream_safe)
-    if bool(plan.streamable) != streamable:
-        flag(f"plan.streamable is {plan.streamable!r} but the step "
-             f"flags imply {streamable!r}", check="stream-flags")
-
     # -- totals --------------------------------------------------------------
     if not _finite(plan.est_rows) or plan.est_rows < 0:
         flag(f"est_rows is {plan.est_rows!r}", check="totals")
@@ -246,7 +229,7 @@ def verifying() -> Iterator[List[PhysicalPlan]]:
 def corpus() -> List[str]:
     """The generated plan corpus: E1–E11 shapes + differential suite."""
     from tests.sparql.test_columnar_equivalence import CORPUS
-    from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
+    from tests.sparql.test_limit_window import DIFFERENTIAL_QUERIES
     queries: List[str] = []
     for query in list(CORPUS) + list(DIFFERENTIAL_QUERIES):
         if query not in queries:
