@@ -26,7 +26,7 @@ from repro.rdf.namespace import Namespace, RDF, RDFS, SDMX_DIMENSION
 from repro.rdf.terms import BNode, IRI, Literal
 from repro.qb import vocabulary as qb
 from repro.data import geography as geo
-from repro.data.eurostat import MEASURE_PROPERTY
+from repro.data.eurostat import MEASURE_PROPERTY, TripleBuffer
 from repro.data.namespaces import (
     DATA,
     DIC_AGE,
@@ -143,35 +143,52 @@ def generate_observations(graph: Graph,
     rejected = [index for index, (code, _) in enumerate(DECISION_CODES)
                 if code == "REJECTED"]
 
+    # every term that repeats is built once: the constant IRIs, one
+    # literal per measure value (terms are immutable, so sharing is safe)
+    add = graph.add
+    rdf_type, observation_class = RDF.type, qb.Observation
+    data_set, dataset_iri = qb.dataSet, DATASET_IRI
+    components = list(zip(DIMENSION_PROPERTIES, axes))
+    months, citizens, destinations, sexes, ages = (len(axis)
+                                                   for axis in axes[:5])
+    positive_share = config.positive_share
+    max_count = config.max_count
+    literals: Dict[int, Literal] = {}
+    prefix = DATA["migr_asydcfstq/OBS_"].value
+    random_ = rng.random
+    randrange = rng.randrange
+    choice = rng.choice
+    paretovariate = rng.paretovariate
+
     seen: set = set()
     produced = 0
     attempts = 0
     max_attempts = wanted * 50
     while produced < wanted and attempts < max_attempts:
         attempts += 1
-        if rng.random() < config.positive_share:
-            decision_index = rng.choice(positive)
-        else:
-            decision_index = rng.choice(rejected)
+        decision_index = choice(positive if random_() < positive_share
+                                else rejected)
         coordinate = (
-            rng.randrange(len(axes[0])),
-            rng.randrange(len(axes[1])),
-            rng.randrange(len(axes[2])),
-            rng.randrange(len(axes[3])),
-            rng.randrange(len(axes[4])),
+            randrange(months),
+            randrange(citizens),
+            randrange(destinations),
+            randrange(sexes),
+            randrange(ages),
             decision_index,
         )
         if coordinate in seen:
             continue
         seen.add(coordinate)
-        observation = DATA[f"migr_asydcfstq/OBS_{produced:06d}"]
-        graph.add(observation, RDF.type, qb.Observation)
-        graph.add(observation, qb.dataSet, DATASET_IRI)
-        for axis, prop, index in zip(axes, DIMENSION_PROPERTIES, coordinate):
-            graph.add(observation, prop, axis[index])
-        value = int(rng.paretovariate(1.4))
-        graph.add(observation, MEASURE_PROPERTY,
-                  Literal(min(value, config.max_count)))
+        observation = IRI(f"{prefix}{produced:06d}")
+        add(observation, rdf_type, observation_class)
+        add(observation, data_set, dataset_iri)
+        for (prop, axis), index in zip(components, coordinate):
+            add(observation, prop, axis[index])
+        value = min(int(paretovariate(1.4)), max_count)
+        literal = literals.get(value)
+        if literal is None:
+            literal = literals[value] = Literal(value)
+        add(observation, MEASURE_PROPERTY, literal)
         produced += 1
     return produced
 
@@ -184,7 +201,8 @@ def build_decisions_graph(config: Optional[DecisionsConfig] = None) -> Graph:
     for prefix, namespace in DEMO_PREFIXES.items():
         graph.bind(prefix, namespace)
     graph.bind("dic-decision", DIC_DECISION)
-    build_dsd(graph)
-    build_decision_labels(graph)
-    generate_observations(graph, config)
-    return graph
+    buffer = TripleBuffer()
+    build_dsd(buffer)
+    build_decision_labels(buffer)
+    generate_observations(buffer, config)
+    return graph.add_all(buffer.triples)

@@ -16,12 +16,14 @@ group-bys produce realistically skewed aggregates.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SDMX_DIMENSION, SDMX_MEASURE
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import IRI, Literal, Term
 from repro.qb import vocabulary as qb
 from repro.data import geography as geo
 from repro.data.namespaces import (
@@ -84,6 +86,23 @@ def member_iris(config: Optional[GeneratorConfig] = None
     }
 
 
+class TripleBuffer:
+    """Stands where a generator expects a graph and keeps the triples
+    it emits, in order, so that a graph takes them in one
+    :meth:`Graph.add_all` — one lock, one validation and interning
+    pass, one fold — instead of one locked :meth:`Graph.add` each.
+    Interning in emission order gives every term the id per-triple
+    adds would have given it."""
+
+    __slots__ = ("triples",)
+
+    def __init__(self) -> None:
+        self.triples: List[Tuple[Term, Term, Term]] = []
+
+    def add(self, subject: Term, predicate: Term, obj: Term) -> None:
+        self.triples.append((subject, predicate, obj))
+
+
 def build_dsd(graph: Graph) -> None:
     """Emit the plain-QB data structure definition (paper §II snippet).
 
@@ -141,17 +160,31 @@ def generate_observations(graph: Graph,
     wanted = min(config.observations, space)
 
     # Weighted axis index choices for citizenship/destination; uniform
-    # elsewhere.  Rejection-sample unique coordinate tuples.  Cumulative
-    # weights are precomputed once; random.choices would otherwise
-    # rebuild them on every draw.
-    import itertools as _it
-    citizenship_cum = list(_it.accumulate(
-        _country_weights(config.citizenship)))
-    destination_cum = list(_it.accumulate(
+    # elsewhere.  Rejection-sample unique coordinate tuples.  A weighted
+    # draw is the bisection ``random.choices`` runs, on cumulative
+    # weights computed once: the same draw from the same stream.
+    citizenship_cum = list(accumulate(_country_weights(config.citizenship)))
+    destination_cum = list(accumulate(
         _destination_weights(config.destinations)))
-    citizenship_range = range(len(axes[1]))
-    destination_range = range(len(axes[2]))
-    month_count = len(axes[0])
+    citizenship_total = citizenship_cum[-1] + 0.0 if citizenship_cum else 0.0
+    destination_total = destination_cum[-1] + 0.0 if destination_cum else 0.0
+    citizenship_hi = len(citizenship_cum) - 1
+    destination_hi = len(destination_cum) - 1
+    months, sexes, ages, applications = (len(axes[index])
+                                         for index in (0, 3, 4, 5))
+
+    # every term that repeats is built once: the constant IRIs, one
+    # literal per measure value (terms are immutable, so sharing is safe)
+    add = graph.add
+    rdf_type, observation_class = RDF.type, qb.Observation
+    data_set, dataset_iri = qb.dataSet, DATASET_IRI
+    components = list(zip(DIMENSION_PROPERTIES, axes))
+    max_count = config.max_count
+    literals: Dict[int, Literal] = {}
+    prefix = DATA["migr_asyappctzm/OBS_"].value
+    random_ = rng.random
+    randrange = rng.randrange
+    paretovariate = rng.paretovariate
 
     seen: set = set()
     produced = 0
@@ -160,26 +193,28 @@ def generate_observations(graph: Graph,
     while produced < wanted and attempts < max_attempts:
         attempts += 1
         coordinate = (
-            rng.randrange(month_count),
-            rng.choices(citizenship_range, cum_weights=citizenship_cum,
-                        k=1)[0],
-            rng.choices(destination_range, cum_weights=destination_cum,
-                        k=1)[0],
-            rng.randrange(len(axes[3])),
-            rng.randrange(len(axes[4])),
-            rng.randrange(len(axes[5])),
+            randrange(months),
+            bisect(citizenship_cum, random_() * citizenship_total,
+                   0, citizenship_hi),
+            bisect(destination_cum, random_() * destination_total,
+                   0, destination_hi),
+            randrange(sexes),
+            randrange(ages),
+            randrange(applications),
         )
         if coordinate in seen:
             continue
         seen.add(coordinate)
-        observation = DATA[f"migr_asyappctzm/OBS_{produced:06d}"]
-        graph.add(observation, RDF.type, qb.Observation)
-        graph.add(observation, qb.dataSet, DATASET_IRI)
-        for axis, prop, index in zip(axes, DIMENSION_PROPERTIES, coordinate):
-            graph.add(observation, prop, axis[index])
-        value = int(rng.paretovariate(1.2))
-        graph.add(observation, MEASURE_PROPERTY,
-                  Literal(min(value, config.max_count)))
+        observation = IRI(f"{prefix}{produced:06d}")
+        add(observation, rdf_type, observation_class)
+        add(observation, data_set, dataset_iri)
+        for (prop, axis), index in zip(components, coordinate):
+            add(observation, prop, axis[index])
+        value = min(int(paretovariate(1.2)), max_count)
+        literal = literals.get(value)
+        if literal is None:
+            literal = literals[value] = Literal(value)
+        add(observation, MEASURE_PROPERTY, literal)
         produced += 1
     return produced
 
@@ -191,6 +226,7 @@ def build_qb_graph(config: Optional[GeneratorConfig] = None) -> Graph:
     graph = Graph()
     for prefix, namespace in DEMO_PREFIXES.items():
         graph.bind(prefix, namespace)
-    build_dsd(graph)
-    generate_observations(graph, config)
-    return graph
+    buffer = TripleBuffer()
+    build_dsd(buffer)
+    generate_observations(buffer, config)
+    return graph.add_all(buffer.triples)

@@ -46,6 +46,7 @@ from repro.sparql.evaluator_source import (  # noqa: F401  (re-exports)
 from repro.sparql.evaluator_walker import (  # noqa: F401  (re-exports)
     PatternEvaluator,
     StepTrace,
+    read_variables,
 )
 from repro.sparql.expressions import EvalContext, order_key
 from repro.sparql.results import ResultTable
@@ -102,13 +103,30 @@ def evaluate_select(query: SelectQuery, context: DatasetContext,
         stop = len(table) if query.limit is None \
             else min(len(table), query.offset + query.limit)
         table = table.take(np.arange(min(query.offset, stop), stop))
-    result_bindings = evaluator.decoded(table)
+    result_bindings = evaluator.decoded(_read_columns(query, table))
     for row in result_bindings:
         aggregation.apply_projection(query.projection, row, eval_context)
     if windowed:
         return ResultTable(names, [tuple(row.get(name) for name in names)
                                    for row in result_bindings])
     return _finalize_select(query, result_bindings, eval_context)
+
+
+def _read_columns(query: SelectQuery, table: BindingTable) -> BindingTable:
+    """``table`` cut to the columns the plain SELECT tail reads — the
+    projected variables and those its projection and ORDER BY
+    expressions read — so that no other column is decoded."""
+    names = set(query.output_names())
+    for item in query.projection or ():
+        if item.expression is not None:
+            names |= read_variables(item.expression)
+    for expression, _ascending in query.order_by:
+        names |= read_variables(expression)
+    kept = [name for name in table.names if name in names]
+    if len(kept) == len(table.names):
+        return table
+    return BindingTable.of(kept, [table.columns[table.slots[name]]
+                                  for name in kept], len(table))
 
 
 def _deduplicated(table: BindingTable, names: List[str],

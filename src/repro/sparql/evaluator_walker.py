@@ -78,7 +78,7 @@ from repro.sparql.evaluator_source import (
 )
 from repro.sparql.evaluator_steps import JoinSteps, paired
 from repro.sparql.expressions import EvalContext, ExistsExpression, \
-    subexpressions
+    Expression, subexpressions
 from repro.sparql.optimizer import get_plan
 
 
@@ -398,10 +398,19 @@ def _mentioned(node: PatternNode) -> Set[str]:
         names |= current.variables()
         for expression in (getattr(current, "condition", None),
                            getattr(current, "expression", None)):
-            for part in subexpressions(expression) if expression else ():
-                names |= part.variables()
-                if isinstance(part, ExistsExpression):
-                    names |= _mentioned(part.pattern)
+            if expression is not None:
+                names |= read_variables(expression)
+    return names
+
+
+def read_variables(expression: Expression) -> Set[str]:
+    """Every variable ``expression`` can read from a row: those it
+    names and, for an EXISTS inside it, those its pattern can read."""
+    names: Set[str] = set()
+    for part in subexpressions(expression):
+        names |= part.variables()
+        if isinstance(part, ExistsExpression):
+            names |= _mentioned(part.pattern)
     return names
 
 

@@ -244,9 +244,41 @@ def test_limit_decodes_only_the_rows_it_returns(demo_endpoint,
 
 def test_projection_runs_only_on_the_window(demo_endpoint, decoded_cells):
     """A projection expression is evaluated for the returned rows
-    only: the four rows' two cells are all that is decoded."""
+    only: the four rows' ``?c`` cells are all that is decoded — the
+    unread ``?obs`` column stays ids."""
     answer = demo_endpoint.select(f"""
         SELECT (STR(?c) AS ?name) WHERE {{ ?obs <{PROPERTY}citizen> ?c }}
         LIMIT 4 OFFSET 2""")
     assert len(answer) == 4
-    assert len(decoded_cells) == 4 * 2
+    assert len(decoded_cells) == 4
+
+
+def test_unprojected_columns_are_not_decoded(demo_endpoint, decoded_cells):
+    """A plain SELECT decodes the columns it projects, not every
+    variable its pattern binds: ``?p`` and ``?o`` stay ids."""
+    answer = demo_endpoint.select("SELECT ?s WHERE { ?s ?p ?o } LIMIT 4")
+    assert len(answer) == 4
+    assert len(decoded_cells) == 4
+
+
+def test_order_by_decodes_the_column_it_sorts_on(demo_endpoint,
+                                                 decoded_cells):
+    """Without a window every row is decoded before the sort — but
+    only the projected ``?obs`` and the sort key ``?c``, not ``?g``."""
+    answer = demo_endpoint.select(f"""
+        SELECT ?obs WHERE {{
+            ?obs <{PROPERTY}citizen> ?c ; <{PROPERTY}geo> ?g
+        }} ORDER BY ?c ?obs LIMIT 3""")
+    assert len(answer) == 3
+    assert len(decoded_cells) == 2 * 2000
+
+
+def test_exists_in_the_projection_reads_its_unprojected_variables(endpoint):
+    """``?m`` is not projected, but the EXISTS reads it from the row."""
+    answer = endpoint.select("""
+        SELECT ?o (EXISTS { ?m <http://example.org/label> ?l } AS ?named)
+        WHERE { ?o <http://example.org/citizen> ?m }""")
+    assert len(answer) == OBSERVATIONS
+    named = {row[0].value: row[1].value for row in answer.rows}
+    assert named == {f"http://example.org/obs{i}": i % MEMBERS < LABELLED
+                     for i in range(OBSERVATIONS)}
