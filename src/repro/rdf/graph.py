@@ -69,12 +69,7 @@ from repro.rdf.concurrency import CONCURRENCY, CountedRLock
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.errors import TermError
 from repro.rdf.namespace import NamespaceManager
-from repro.rdf.stats import (
-    GraphStats,
-    PredicateSummary,
-    StatisticsView,
-    build_predicate_summary,
-)
+from repro.rdf.stats import GraphStats, StatisticsView
 from repro.rdf.terms import IRI, Term, Triple, check_triple, make_triple
 from repro.testing import faults as _faults
 
@@ -740,8 +735,7 @@ class Graph(_GraphReadMixin):
         Statistics for the touched predicates are refreshed here,
         vectorized from the new columns — the delta tells us exactly
         which predicates could have moved, so untouched predicates
-        keep their counters and value-aware summaries without any
-        epoch-bump rescan.
+        keep their counters without any epoch-bump rescan.
         """
         if not (self._delta.size or self._tombstones.size):
             return
@@ -766,10 +760,10 @@ class Graph(_GraphReadMixin):
         self._columns = columns
 
     def _refresh_stats(self, touched) -> None:
-        """Re-derive exact per-predicate counters (and any cached
-        value-aware summaries) for ``touched`` predicates from the new
-        column generation — one vectorized pass per predicate that
-        actually changed, instead of a whole-graph rescan."""
+        """Re-derive exact per-predicate counters for ``touched``
+        predicates from the new column generation — one vectorized pass
+        per predicate that actually changed, instead of a whole-graph
+        rescan."""
         stats = self.stats
         for pi in touched:
             cardinality, subjects, objects = \
@@ -782,11 +776,6 @@ class Graph(_GraphReadMixin):
                 stats.cardinality.pop(pi, None)
                 stats.subjects.pop(pi, None)
                 stats.objects.pop(pi, None)
-            if pi in stats.summaries:
-                # the planner cares about this predicate: rebuild its
-                # summary now (delta is empty, so this reads only the
-                # columns) and stamp it current
-                stats.summaries[pi] = build_predicate_summary(self, pi)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -879,7 +868,7 @@ class Graph(_GraphReadMixin):
         return stored
 
     def statistics(self) -> StatisticsView:
-        """The planner's O(1) statistics view over this graph."""
+        """The planner's statistics view over this graph."""
         return StatisticsView([self])
 
     def distinct_subject_count(self) -> int:
@@ -906,40 +895,6 @@ class Graph(_GraphReadMixin):
             return len(self._delta.osp)
         return columns.n_objects + sum(
             1 for o in self._delta.osp if not columns.has_object(o))
-
-    def predicate_summary(self, predicate_id: int) -> PredicateSummary:
-        """The value-aware summary for ``predicate_id`` (statistics v2).
-
-        Epoch-based rebuild-on-read: mutations only bump
-        :attr:`epoch`; the first read after a mutation revalidates the
-        summary, and every later read at the same epoch is a dict
-        lookup.  Revalidation is O(1) when this predicate's v1
-        counters are unchanged — mutations that touched other
-        predicates merely restamp the summary, so an interleaved
-        write/query workload does not pay a rebuild per query.  Only
-        when the predicate's own cardinality or distinct counts moved
-        is the summary rebuilt from the POS bucket
-        (O(cardinality of this predicate)).  The one accepted
-        imprecision: a remove+add sequence on the *same* predicate
-        that lands on identical counter values keeps the old summary —
-        estimates may then lag until the counters move, but execution
-        correctness never depends on them.
-        """
-        summary = self.stats.summaries.get(predicate_id)
-        stats = self.stats
-        if summary is not None and summary.epoch != self.epoch:
-            if (summary.cardinality == stats.cardinality.get(predicate_id, 0)
-                    and summary.distinct_subjects
-                    == stats.subjects.get(predicate_id, 0)
-                    and summary.distinct_objects
-                    == stats.objects.get(predicate_id, 0)):
-                summary.epoch = self.epoch
-            else:
-                summary = None
-        if summary is None:
-            summary = build_predicate_summary(self, predicate_id)
-            self.stats.summaries[predicate_id] = summary
-        return summary
 
     # -- convenience ---------------------------------------------------------
 
@@ -1008,10 +963,8 @@ class GraphSnapshot(Graph):
     the snapshot cannot appear in its frozen indexes.
 
     The snapshot inherits every read path from :class:`Graph`
-    (``match_arrays`` / ``triples`` / ``count`` / ``statistics`` /
-    ``predicate_summary`` — value-aware summaries are rebuilt lazily
-    against the frozen indexes and cached per snapshot); mutation
-    entry points raise :class:`~repro.rdf.errors.TermError`.
+    (``match_arrays`` / ``triples`` / ``count`` / ``statistics``);
+    mutation entry points raise :class:`~repro.rdf.errors.TermError`.
     """
 
     def __init__(self, graph: Graph) -> None:  # called under graph._lock
@@ -1028,16 +981,6 @@ class GraphSnapshot(Graph):
         stats.cardinality = dict(graph.stats.cardinality)
         stats.subjects = dict(graph.stats.subjects)
         stats.objects = dict(graph.stats.objects)
-        # seed the value-aware summaries (shallow copy: the summary
-        # objects themselves are shared with the live graph) so an
-        # interleaved write/query workload keeps predicate_summary's
-        # O(1) counter revalidation instead of rebuilding per epoch.
-        # Sharing is safe: a summary is only ever *restamped* when the
-        # viewer's own counters match its content (so the content is
-        # valid for that viewer), and a rebuild replaces the dict
-        # entry in the rebuilder's private dict, never the shared
-        # object.
-        stats.summaries = dict(graph.stats.summaries)
         self.stats = stats
         self.epoch = graph.epoch
         #: ids below this were interned when the snapshot was taken
@@ -1146,7 +1089,7 @@ class UnionView(_GraphReadMixin):
         return len(self.match_arrays(pattern)[0])
 
     def statistics(self) -> StatisticsView:
-        """The planner's O(1) statistics view over all member graphs."""
+        """The planner's statistics view over all member graphs."""
         return StatisticsView(self.members())
 
     def __len__(self) -> int:

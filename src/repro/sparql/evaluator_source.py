@@ -90,7 +90,7 @@ class GraphSource:
         return tuple((id(graph), graph.epoch) for graph in self.graphs)
 
     def statistics(self) -> StatisticsView:
-        """The cost-based planner's O(1) statistics view."""
+        """The cost-based planner's statistics view."""
         return StatisticsView(self.graphs)
 
 

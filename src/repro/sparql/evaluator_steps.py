@@ -8,11 +8,10 @@ hash-vs-probe choice against the *actual* table size (estimates can
 still be wrong, so mis-estimates must degrade safely), and — when a
 trace list is installed — records per-step actual cardinalities for
 ``EXPLAIN ... analyze``.  Plans are cached per BGP as written, so
-every constant was costed from its own value-aware estimate (MCV /
-histogram, statistics v2) — the evaluator itself never needs to reason
-about skew, and each executed step's
-:class:`~repro.sparql.optimizer.PlanStep` carries the estimator label
-and average-only estimate that the trace threads to EXPLAIN.
+every constant was costed from its own exact count — the evaluator
+itself never needs to reason about skew, and each executed step's
+:class:`~repro.sparql.optimizer.PlanStep` carries the estimates that
+the trace threads to EXPLAIN.
 
 **The kernel.**  A :class:`~repro.sparql.bindings.BindingTable` holds
 one ``int64`` id column per variable, and every step — triple pattern,

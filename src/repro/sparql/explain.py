@@ -4,17 +4,16 @@ Renders a parsed query's algebra tree as an indented text plan.  When a
 dataset is supplied, each BGP is shown as the **physical plan** the
 cost-based optimizer would execute: join steps in order, each with its
 chosen strategy (``hash`` / ``probe`` / ``scan`` / ``path``) and the
-cardinality estimate that justified it, plus the plan's total cost
-(Σ of estimated intermediate rows).  Steps whose constants were costed
-from the value-aware statistics (MCV lists / equi-depth histograms,
-see :mod:`repro.rdf.stats`) are labelled with the estimator and the
-constant-independent figure it overrode — ``(est. 480 [mcv], avg
-65)``.  With ``analyze=True`` the query's pattern is actually executed
-and every step line gains the *actual* row count and strategy, so
-remaining estimate errors are directly visible next to what the
-average-only model would have guessed.  This is the debugging surface
-the paper's users get from ``EXPLAIN`` on a production endpoint
-(Virtuoso prints a similar operator tree).
+cardinality estimate that justified it — ``(est. 480)`` — plus the
+plan's total cost (Σ of estimated intermediate rows).  A step's
+constants are counted exactly (see :mod:`repro.rdf.stats`); where the
+estimate departs from the data, it is through the averages that price
+the variables earlier steps bound.  With ``analyze=True`` the query's
+pattern is actually executed and every step line gains the *actual*
+row count and strategy — ``(est. 480, actual 480)`` — so those errors
+are directly visible.  This is the debugging surface the paper's
+users get from ``EXPLAIN`` on a production endpoint (Virtuoso prints
+a similar operator tree).
 
 >>> from repro.rdf.graph import Dataset
 >>> from repro.sparql.explain import explain
@@ -74,20 +73,6 @@ def _pattern_text(pattern: Union[TriplePatternNode, PathPatternNode]) -> str:
                 f"{pattern.path.to_sparql()} "
                 f"{_term_text(pattern.object)}")
     return " ".join(_term_text(p) for p in pattern.positions())
-
-
-def _step_estimate(step) -> str:
-    """The ``est.`` clause of one step line.
-
-    Average-estimated steps keep the classic ``est. N``; steps whose
-    constants were costed by a value-aware estimator name it and show
-    the average-only figure it overrode, so the skew the v1 model
-    could not see is visible at a glance.
-    """
-    if step.est_source == "avg":
-        return f"est. {step.est_out:.0f}"
-    return (f"est. {step.est_out:.0f} [{step.est_source}], "
-            f"avg {step.est_avg:.0f}")
 
 
 #: per BGP identity: step position -> (executed PlanStep, Σ rows_in,
@@ -152,7 +137,7 @@ class _PlanPrinter:
                 if isinstance(pattern, PathPatternNode):
                     text += "  (path)"
                 self.emit(f"[{position}] {text}  "
-                          f"({_step_estimate(step)}, "
+                          f"(est. {step.est_out:.0f}, "
                           f"actual {rows_out}) [{strategy}]", depth + 1)
             for index, pattern in enumerate(node.patterns):
                 if index not in executed:
@@ -168,7 +153,7 @@ class _PlanPrinter:
             if isinstance(pattern, PathPatternNode):
                 text += "  (path)"
             self.emit(f"[{position}] {text}  "
-                      f"({_step_estimate(step)}) [{step.strategy}]",
+                      f"(est. {step.est_out:.0f}) [{step.strategy}]",
                       depth + 1)
 
     def walk(self, node: PatternNode, depth: int) -> None:

@@ -3,15 +3,15 @@
 The engine evaluates a BGP as a pipeline of batch join steps (see
 :mod:`repro.sparql.evaluator`).  This module decides the pipeline:
 
-* **Cost model** — fed by the O(1) per-predicate statistics layer
-  (:mod:`repro.rdf.stats`): a pattern's expected matches per input row
-  come from its predicate's cardinality divided by the average subject
-  fan-out / object fan-in for each bound *variable* position.  A bound
-  **constant**, however, is costed from its value (statistics v2): its
-  exact most-common-value count when it is hot, its equi-depth
-  histogram bucket's depth otherwise, falling back to the average only
-  when no summary applies.  Skewed constants therefore get different
-  join orders than cold ones — the E3 "busy destinations" fix.
+* **Cost model** — fed by the statistics layer
+  (:mod:`repro.rdf.stats`): a pattern's scan size is the exact number
+  of triples matching its constants (each variable position a
+  wildcard), which the member graphs answer from their id-keyed
+  storage; each position an earlier step binds (a *variable*) then
+  divides it by the predicate's average subject fan-out / object
+  fan-in.  A hot constant and a cold one of the same predicate are
+  therefore priced apart and can get different join orders — the E3
+  "busy destinations" fix.
 * **Join ordering** — one greedy walk over that cost model
   (:func:`_greedy_cost_order`): each step joins the cheapest pattern
   still connected to the variables bound so far, and a pattern that
@@ -23,7 +23,7 @@ The engine evaluates a BGP as a pipeline of batch join steps (see
   with their constants), the variables already bound when it runs and
   the source graphs' identity + mutation epochs (:data:`PLAN_CACHE`).
   A repeated query text re-uses its plan; a new constant is planned
-  from its own estimate; an update retires plans costed from stale
+  from its own count; an update retires plans costed from stale
   statistics.
 
 A stale or mis-estimated plan can never produce wrong results
@@ -51,7 +51,6 @@ from repro.sparql.algebra import (
     PathPatternNode,
     PatternNode,
     SubSelectNode,
-    TriplePatternNode,
     Union as UnionNode,
     ValuesNode,
     Var,
@@ -71,33 +70,25 @@ _PATH_ESTIMATES = {2: 64.0, 1: 4096.0, 0: float(1 << 41)}
 
 
 # ---------------------------------------------------------------------------
-# Cost model (statistics-driven; constants costed by value)
+# Cost model (constants counted exactly; bound variables averaged)
 # ---------------------------------------------------------------------------
 
 
 class _PatternCost:
     """Pre-resolved costing facts for one pattern.
 
-    ``base`` is the expected scan size with only the pattern's
-    constants applied.  With statistics v2 the constants are folded in
-    *by value* — a constant subject/object under a concrete predicate
-    is estimated from its MCV count or histogram bucket
-    (``est_source`` records which estimator won); ``base_avg`` keeps
-    the v1 constant-independent figure alongside so EXPLAIN can render
-    the skew the averages would have hidden.  ``s_sel`` / ``o_sel`` /
-    ``p_sel`` are the multipliers applied when the respective
-    *variable* position is already bound; ``None`` marks a constant
-    position.
+    ``base`` is the scan size with only the pattern's constants
+    applied: the exact match count of the pattern with every variable
+    position a wildcard.  ``s_sel`` / ``o_sel`` / ``p_sel`` are the
+    multipliers applied when the respective *variable* position is
+    already bound; a ``None`` name marks a constant position.
     """
 
-    __slots__ = ("base", "base_avg", "est_source",
-                 "s_name", "s_sel", "o_name", "o_sel",
+    __slots__ = ("base", "s_name", "s_sel", "o_name", "o_sel",
                  "p_name", "p_sel", "is_path", "vars", "endpoint_names")
 
     def __init__(self) -> None:
         self.base = 0.0
-        self.base_avg = 0.0
-        self.est_source = "avg"
         self.s_name: Optional[str] = None
         self.s_sel = 1.0
         self.o_name: Optional[str] = None
@@ -109,46 +100,6 @@ class _PatternCost:
         self.endpoint_names: Tuple[Optional[str], ...] = ()
 
 
-_ESTIMATOR_RANK = {"avg": 0, "hist": 1, "mcv": 2}
-
-
-def _constant_base(pattern: TriplePatternNode, stats: StatisticsView
-                   ) -> Optional[Tuple[float, float, str]]:
-    """Value-aware ``(base, base_avg, estimator)`` for a pattern whose
-    subject and/or object is a constant under a concrete predicate.
-
-    Returns ``None`` when the pattern has no value-aware constant (all
-    positions variable, or a variable predicate — per-predicate
-    summaries cannot apply).  Both the value-aware and the average
-    figure fold multiple constants in under the usual independence
-    assumption, so they stay comparable.
-    """
-    subject, predicate, obj = pattern.positions()
-    if isinstance(predicate, Var):
-        return None
-    if isinstance(subject, Var) and isinstance(obj, Var):
-        return None
-    cardinality = float(stats.predicate_cardinality(predicate))
-    s_sel = 1.0 / max(1, stats.predicate_subjects(predicate))
-    o_sel = 1.0 / max(1, stats.predicate_objects(predicate))
-    base = cardinality
-    base_avg = cardinality
-    kind = "avg"
-    if not isinstance(subject, Var):
-        base_avg *= s_sel
-        estimate, used = stats.subject_constant_estimate(predicate, subject)
-        base = base * (estimate / cardinality) if cardinality else 0.0
-        if _ESTIMATOR_RANK[used] > _ESTIMATOR_RANK[kind]:
-            kind = used
-    if not isinstance(obj, Var):
-        base_avg *= o_sel
-        estimate, used = stats.object_constant_estimate(predicate, obj)
-        base = base * (estimate / cardinality) if cardinality else 0.0
-        if _ESTIMATOR_RANK[used] > _ESTIMATOR_RANK[kind]:
-            kind = used
-    return base, base_avg, kind
-
-
 def _compile_cost(pattern, stats: StatisticsView) -> _PatternCost:
     cost = _PatternCost()
     cost.vars = set(pattern.variables())
@@ -158,48 +109,36 @@ def _compile_cost(pattern, stats: StatisticsView) -> _PatternCost:
             position.name if isinstance(position, Var) else None
             for position in pattern.endpoints())
         known = sum(1 for name in cost.endpoint_names if name is None)
-        cost.base = cost.base_avg = _PATH_ESTIMATES[known]
+        cost.base = _PATH_ESTIMATES[known]
         return cost
     subject, predicate, obj = pattern.positions()
     if isinstance(predicate, Var):
-        base = float(stats.triple_count())
         s_sel = 1.0 / max(1, stats.subject_count())
         o_sel = 1.0 / max(1, stats.object_count())
         cost.p_name = predicate.name
         cost.p_sel = 1.0 / max(1, stats.predicate_count())
     else:
-        base = float(stats.predicate_cardinality(predicate))
         s_sel = 1.0 / max(1, stats.predicate_subjects(predicate))
         o_sel = 1.0 / max(1, stats.predicate_objects(predicate))
     if isinstance(subject, Var):
         cost.s_name = subject.name
         cost.s_sel = s_sel
-    else:
-        base *= s_sel
     if isinstance(obj, Var):
         cost.o_name = obj.name
         cost.o_sel = o_sel
-    else:
-        base *= o_sel
-    cost.base = cost.base_avg = base
-    aware = _constant_base(pattern, stats)
-    if aware is not None:
-        cost.base, cost.base_avg, cost.est_source = aware
+    cost.base = float(stats.count(tuple(
+        None if isinstance(position, Var) else position
+        for position in (subject, predicate, obj))))
     return cost
 
 
-def _estimate(cost: _PatternCost, bound, avg: bool = False) -> float:
-    """Expected matches per input row when ``bound`` vars are bound.
-
-    ``avg=True`` prices from the constant-independent v1 base — the
-    figure the pre-v2 planner would have used — for EXPLAIN's
-    ``est(avg)`` column.
-    """
+def _estimate(cost: _PatternCost, bound) -> float:
+    """Expected matches per input row when ``bound`` vars are bound."""
     if cost.is_path:
         known = sum(1 for name in cost.endpoint_names
                     if name is None or name in bound)
         return _PATH_ESTIMATES[known]
-    estimate = cost.base_avg if avg else cost.base
+    estimate = cost.base
     if cost.s_name is not None and cost.s_name in bound:
         estimate *= cost.s_sel
     if cost.o_name is not None and cost.o_name in bound:
@@ -228,35 +167,21 @@ class PlanStep:
     one scan cross-applied) or ``"path"``.  The evaluator re-validates
     hash-vs-probe against the *actual* table size at execution time, so
     a mis-estimate degrades to the safe choice rather than a blowup.
-
-    Statistics-v2 fields: ``est_source`` names the estimator that
-    produced ``est_out`` (``"avg"`` / ``"hist"`` / ``"mcv"``);
-    ``est_avg`` prices *this* step with the constant-independent v1
-    per-row estimate while keeping the value-aware ``est_in`` of the
-    steps before it — it isolates the per-step skew the averages hid,
-    not a full replay of the pre-v2 planner (which might also have
-    chosen a different order).
     """
 
-    __slots__ = ("index", "strategy", "est_in", "est_out", "est_scan",
-                 "est_avg", "est_source")
+    __slots__ = ("index", "strategy", "est_in", "est_out", "est_scan")
 
     def __init__(self, index: int, strategy: str, est_in: float,
-                 est_out: float, est_scan: float,
-                 est_avg: Optional[float] = None,
-                 est_source: str = "avg") -> None:
+                 est_out: float, est_scan: float) -> None:
         self.index = index
         self.strategy = strategy
         self.est_in = est_in
         self.est_out = est_out
         self.est_scan = est_scan
-        self.est_avg = est_out if est_avg is None else est_avg
-        self.est_source = est_source
 
     def __repr__(self) -> str:
         return (f"<PlanStep [{self.index}] {self.strategy} "
-                f"est {self.est_in:.0f}->{self.est_out:.0f} "
-                f"({self.est_source})>")
+                f"est {self.est_in:.0f}->{self.est_out:.0f}>")
 
 
 class PhysicalPlan:
@@ -334,9 +259,7 @@ def _build_steps(order: Sequence[int], costs: List[_PatternCost],
             strategy = "hash"
         else:
             strategy = "probe"
-        steps.append(PlanStep(index, strategy, rows, out_rows, scan,
-                              est_avg=rows * _estimate(cost, bound, avg=True),
-                              est_source=cost.est_source))
+        steps.append(PlanStep(index, strategy, rows, out_rows, scan))
         rows = out_rows
         bound |= cost.vars
     return steps

@@ -470,6 +470,17 @@ FIXTURES = {
             return parse_document(text)[0]
         """,
     ),
+    "exact-constant-costs": (
+        """
+        def estimate(graph, predicate, obj):
+            return graph.predicate_summary(predicate).object_estimate(obj)
+        """,
+        "src/repro/rdf/stats.py",
+        """
+        def estimate(view, predicate, obj):
+            return view.count((None, predicate, obj))
+        """,
+    ),
 }
 
 
@@ -511,6 +522,7 @@ ROW_FIXTURES = [
     (ETL, "def hops(graph, members):\n"
           "    return [graph.objects(m, BROADER) for m in members]\n"),
     (ETL, "order = sorted(rows, key=lambda row: row[0])\n"),
+    ("src/repro/rdf/stats.py", "class Histogram:\n    pass\n"),
 ]
 
 

@@ -195,25 +195,6 @@ class TestPlacement:
                             for i in range(4))  # 5 + 4 reaches it
         assert world.graph.tier_sizes() == (27, 0, 0)
 
-    def test_a_fold_keeps_the_summaries_of_predicates_it_does_not_name(
-            self, threshold):
-        stored = [(s, p, OBJECTS[0]) for s in SUBJECTS
-                  for p in PREDICATES[:2]]
-        world = World("columns", stored, [])
-        graph = world.graph
-        named, other = (graph.dictionary.lookup(p) for p in PREDICATES[:2])
-        kept = graph.predicate_summary(other)
-        stale = graph.predicate_summary(named)
-        threshold(1)
-        graph.add_all([(s, PREDICATES[0], OBJECTS[1]) for s in SUBJECTS])
-        assert graph.tier_sizes() == (18, 0, 0)
-        assert graph.stats.summaries[other] is kept
-        rebuilt = graph.stats.summaries[named]
-        assert rebuilt is not stale
-        assert (rebuilt.epoch, rebuilt.cardinality,
-                rebuilt.distinct_objects) == (graph.epoch, 12, 2)
-        assert graph.predicate_summary(other) is kept  # restamped, not rebuilt
-
     def test_a_snapshot_rejects_the_id_level_entry_too(self):
         world = World("pinned", GOOD[:4], [])
         before = set(id_rows(world.pinned))

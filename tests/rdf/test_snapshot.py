@@ -106,29 +106,6 @@ class TestGraphSnapshot:
         # the planner's statistics view over the snapshot is frozen too
         assert snap.statistics().predicate_cardinality(iri("p")) == 4
 
-    def test_snapshot_predicate_summary_reads_frozen_indexes(self):
-        g = build_graph(4)
-        snap = g.snapshot()
-        pid = g.dictionary.lookup(iri("p"))
-        g.add(iri("s9"), iri("p"), iri("o9"))
-        summary = snap.predicate_summary(pid)
-        assert summary.cardinality == 4
-        assert summary.epoch == snap.epoch
-        # cached: the same object on re-read
-        assert snap.predicate_summary(pid) is summary
-
-    def test_snapshot_seeds_existing_summaries(self):
-        """Pinning must not throw away already-built value-aware
-        summaries: an interleaved write/query workload keeps the O(1)
-        counter revalidation instead of rebuilding per epoch."""
-        g = build_graph(4)
-        pid = g.dictionary.lookup(iri("p"))
-        live_summary = g.predicate_summary(pid)
-        assert g.snapshot().predicate_summary(pid) is live_summary
-        # a mutation on an *unrelated* predicate restamps, not rebuilds
-        g.add(iri("s0"), iri("q"), iri("o0"))
-        assert g.snapshot().predicate_summary(pid) is live_summary
-
     def test_snapshot_of_snapshot_is_identity(self):
         snap = build_graph(1).snapshot()
         assert snap.snapshot() is snap

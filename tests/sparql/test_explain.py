@@ -82,24 +82,32 @@ def test_describe_plan():
     assert plan.startswith("DESCRIBE [<http://example.org/obs0>]")
 
 
-def test_value_aware_steps_labelled(dataset):
+def test_constant_steps_print_their_exact_count(dataset):
     g = dataset.default
     for i in range(80):
         g.add(IRI(f"{EX}obs{i}"), IRI(EX + "inGroup"), IRI(EX + "big"))
     g.add(IRI(EX + "obs0"), IRI(EX + "inGroup"), IRI(EX + "small"))
-    plan = explain(
-        f"SELECT ?s WHERE {{ ?s <{EX}inGroup> <{EX}big> . "
-        f"?s <{EX}value> ?v }}", dataset)
-    line = next(l for l in plan.splitlines() if "big" in l)
-    assert "[mcv]" in line or "[hist]" in line
-    assert "avg" in line        # the figure the v1 model would have used
-    assert plan.splitlines()[1].endswith("]")  # a bare cost header
+    for member, count in (("big", 80), ("small", 1), ("none", 0)):
+        plan = explain(
+            f"SELECT ?s WHERE {{ ?s <{EX}inGroup> <{EX}{member}> }}",
+            dataset)
+        assert plan.splitlines()[2].endswith(f"(est. {count}) [scan]")
+        assert plan.splitlines()[1].endswith(f"[cost {count}]")
+
+
+def test_analyze_prints_the_exact_count_beside_the_actual(dataset):
+    g = dataset.default
+    for i in range(80):
+        g.add(IRI(f"{EX}obs{i}"), IRI(EX + "inGroup"), IRI(EX + "big"))
+    plan = explain(f"SELECT ?s WHERE {{ ?s <{EX}inGroup> <{EX}big> }}",
+                   dataset, analyze=True)
+    assert plan.splitlines()[2].endswith("(est. 80, actual 80) [scan]")
 
 
 def test_average_steps_keep_plain_format(dataset):
     plan = explain(f"SELECT ?s WHERE {{ ?s <{EX}value> ?v }}", dataset)
     assert "(est. 50)" in plan
-    assert "[mcv]" not in plan
+    assert "avg" not in plan
 
 
 def test_large_bgp_gets_a_plain_header(dataset):

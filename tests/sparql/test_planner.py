@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from benchmarks.perf.workloads import PROGRAMS
 from repro.rdf import Literal, Namespace
+from repro.rdf.stats import StatisticsView
 from repro.sparql import LocalEndpoint
 from repro.sparql.algebra import TriplePatternNode, Var
 from repro.sparql.evaluator import PROBE_COUNTER
@@ -142,59 +143,34 @@ class TestConstantAwarePlanning:
         assert stats["entries"] == 2
 
     def test_each_constant_is_costed_from_its_own_estimate(self):
-        # C7 (37 rows, histogram) and C25 (38, MCV) differ too little
-        # to change the order, so only the estimates tell a shared
-        # plan from two; each plan must price its own constant
+        # C7 (37 rows) and C25 (38) differ too little to change the
+        # order, so only the estimates tell a shared plan from two;
+        # each plan must price its own constant, by its exact count
         ep = build_skewed_endpoint()
         from repro.sparql.evaluator import DatasetContext
         source = DatasetContext(ep.dataset).default_source()
-        stats = ep.dataset.default.statistics()
+        scans = {}
         for member in ("DE", "C7", "C25"):
             node = parse_query(_skew_query(member)).pattern
             plan = get_plan(node, frozenset(), source)
             geo = next(step for step in plan.steps
                        if "geo" in node.patterns[step.index].predicate.value)
-            assert (geo.est_scan, geo.est_source) == \
-                stats.object_constant_estimate(EX.geo, EX[member])
-
-    def test_steps_carry_estimator(self):
-        ep = build_skewed_endpoint()
-        from repro.sparql.evaluator import DatasetContext
-        source = DatasetContext(ep.dataset).default_source()
-        query = parse_query(_skew_query("DE"))
-        plan = get_plan(query.pattern, frozenset(), source)
-        geo_step = next(s for s in plan.steps
-                        if "geo" in query.pattern.patterns[s.index]
-                        .predicate.value)
-        assert geo_step.est_source in ("mcv", "hist")
-        # the average-only figure is kept for EXPLAIN's skew display
-        assert geo_step.est_avg != geo_step.est_out
+            scans[member] = geo.est_scan
+        assert scans == {"DE": 500, "C7": 37, "C25": 38}
 
     def test_results_identical_across_cost_models(self, monkeypatch):
-        from repro.sparql import optimizer
         ep = build_skewed_endpoint()
-        aware = {tuple(r) for r in ep.select(_skew_query("DE")).rows}
-        monkeypatch.setattr(optimizer, "_constant_base",
-                            lambda pattern, stats: None)
+        exact = {tuple(r) for r in ep.select(_skew_query("DE")).rows}
+        monkeypatch.setattr(StatisticsView, "count", average_count)
         PLAN_CACHE.clear()
         avg = {tuple(r) for r in ep.select(_skew_query("DE")).rows}
-        assert aware == avg
-        assert len(aware) > 0
-
-    def test_average_costing_has_no_value_labels(self, monkeypatch):
-        from repro.sparql import optimizer
-        ep = build_skewed_endpoint()
-        monkeypatch.setattr(optimizer, "_constant_base",
-                            lambda pattern, stats: None)
-        plan = ep.explain(_skew_query("DE"))
-        assert "[mcv]" not in plan
-        assert "[hist]" not in plan
+        assert exact == avg
+        assert len(exact) > 0
 
     def test_value_aware_costing_reads_fewer_entries(self, monkeypatch):
-        """The hot constant, executed: value-aware costing leads with
-        the month and probes the 500-row member, average-only costing
-        scans the member first — pinned as ``(aware, average)``."""
-        from repro.sparql import optimizer
+        """The hot constant, executed: exact constant counts lead with
+        the month and probe the 500-row member, average-only costing
+        scans the member first — pinned as ``(exact, average)``."""
         ep = build_skewed_endpoint()
 
         def entries():
@@ -203,10 +179,85 @@ class TestConstantAwarePlanning:
                 ep.select(_skew_query("DE"))
             return counter.entries
 
-        aware = entries()
-        monkeypatch.setattr(optimizer, "_constant_base",
-                            lambda pattern, stats: None)
-        assert (aware, entries()) == (126, 605)
+        exact = entries()
+        monkeypatch.setattr(StatisticsView, "count", average_count)
+        assert (exact, entries()) == (126, 605)
+
+
+def _scans(text, source):
+    """``est_scan`` of every step of ``text``'s one BGP, in pattern
+    order."""
+    node = parse_query(text).pattern
+    plan = get_plan(node, frozenset(), source)
+    return [step.est_scan for step in sorted(plan.steps,
+                                             key=lambda s: s.index)]
+
+
+class TestExactConstantCosts:
+    def test_variable_predicate_with_a_constant_is_costed_exactly(self):
+        ep = build_endpoint()
+        g = ep.dataset.default
+        assert _scans("SELECT * WHERE { <http://example.org/obs7> ?p ?o }",
+                      g) == [2]
+        assert _scans("SELECT * WHERE { <http://example.org/obs7> ?p "
+                      "<http://example.org/g2> }", g) == [1]
+        assert _scans("SELECT * WHERE { ?s ?p <http://example.org/g2> }",
+                      g) == [60]
+
+    def test_a_literal_constant_is_counted_by_value(self):
+        g = build_endpoint().dataset.default
+        assert _scans('SELECT * WHERE { ?s <http://example.org/value> 5 }',
+                      g) == [1]
+        assert _scans('SELECT * WHERE { ?s <http://example.org/value> "5" }',
+                      g) == [0]
+
+    def test_a_write_replans_from_the_new_count(self):
+        ep = build_skewed_endpoint()
+        g = ep.dataset.default
+        query = _skew_query("C7")
+        assert _scans(query, g)[0] == 37
+        for i in range(100):
+            g.add(EX[f"late{i}"], EX.geo, EX.C7)
+        assert _scans(query, g)[0] == 137  # the epoch moved: a new plan
+
+    def test_a_union_source_sums_member_counts(self):
+        from repro.sparql.evaluator import DatasetContext
+        ep = build_skewed_endpoint()
+        named = ep.dataset.graph(EX.extra)
+        for i in range(5):
+            named.add(EX[f"extra{i}"], EX.geo, EX.DE)
+        named.add(EX.obs0, EX.geo, EX.DE)  # also in the default graph
+        source = DatasetContext(ep.dataset).default_source()
+        assert _scans(_skew_query("DE"), source)[0] == 506
+
+    def test_a_snapshot_plans_from_its_own_counts(self):
+        from repro.sparql.evaluator import GraphSource
+        ep = build_skewed_endpoint()
+        g = ep.dataset.default
+        pinned = GraphSource(g.snapshot())
+        g.remove((None, EX.geo, EX.DE))
+        assert _scans(_skew_query("DE"), pinned)[0] == 500
+        assert _scans(_skew_query("DE"), g)[0] == 0
+
+
+def average_count(view, pattern):
+    """The v1 price of a pattern's constants, for patching over
+    :meth:`StatisticsView.count`: the predicate's cardinality divided by
+    its average fan-out per constant subject and fan-in per constant
+    object (the whole store's, under a variable predicate)."""
+    subject, predicate, obj = pattern
+    if predicate is None:
+        base = float(view.triple_count())
+        subjects, objects = view.subject_count(), view.object_count()
+    else:
+        base = float(view.predicate_cardinality(predicate))
+        subjects = view.predicate_subjects(predicate)
+        objects = view.predicate_objects(predicate)
+    if subject is not None:
+        base /= max(1, subjects)
+    if obj is not None:
+        base /= max(1, objects)
+    return base
 
 
 #: ``[(step.index, step.strategy) …]`` of every BGP of E3's five

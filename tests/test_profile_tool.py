@@ -39,7 +39,7 @@ def profile_round(monkeypatch):
     # resolves, but wrapping it would time nothing: ``Graph.__dict__``
     # holds no ``triples`` (the mixin does), and a constant is no call
     ("repro.rdf.graph.Graph.triples", "an inherited method", ""),
-    ("repro.rdf.stats.MCV_SIZE", "not a function", ""),
+    ("repro.sparql.optimizer.HASH_MIN_ROWS", "not a function", ""),
 ])
 def test_a_mistyped_wall_name_is_a_usage_error(name, resolved, offered):
     done = subprocess.run(

@@ -138,7 +138,7 @@ def collect_violations(plan, patterns: Optional[Sequence] = None,
     # -- estimate chaining ---------------------------------------------------
     expected_in = 1.0
     for position, step in enumerate(steps):
-        for field in ("est_in", "est_out", "est_scan", "est_avg"):
+        for field in ("est_in", "est_out", "est_scan"):
             value = getattr(step, field)
             if not _finite(value) or value < 0:
                 flag(f"{field} is {value!r}, expected a finite "

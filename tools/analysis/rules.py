@@ -276,6 +276,13 @@ PINS: Tuple[Pin, ...] = (
         message="`sorted(…, key=<lambda>)` (take the keys once as a list "
                 "and sort by `keys.__getitem__`; a handful of IRIs sorts "
                 "by `key=str`)"),
+    Pin("exact-constant-costs", "name",
+        ("PredicateSummary", "Histogram", "build_predicate_summary",
+         "predicate_summary"),
+        scope=("src/",),
+        message="`{name}` is a value summary (the planner prices a "
+                "pattern's constants with StatisticsView.count, the exact "
+                "match count the graphs answer)"),
 )
 
 
@@ -1173,6 +1180,7 @@ ALL_RULES: List[Rule] = [
     ColumnarEtlRule(),
     PinnedRule("one-process-pool"),
     PinnedRule("one-rdf-reader"),
+    PinnedRule("exact-constant-costs"),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
