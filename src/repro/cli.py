@@ -170,10 +170,17 @@ def cmd_sparql(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Run the QB validator (the W3C IC suite on a normalized copy) and
-    the QB4OLAP schema and instance checks; exit 1 if any fails."""
-    from repro.data.namespaces import QB_GRAPH
-    from repro.qb import check_graph, normalize_graph
-    from repro.qb4olap import validate_instances, validate_schema
+    the QB4OLAP rows over the schema and instance graphs; exit 1 if any
+    fails."""
+    from repro.data.namespaces import INSTANCE_GRAPH, QB_GRAPH, SCHEMA_GRAPH
+    from repro.qb import (
+        ConstraintReport,
+        check_constraint,
+        check_graph,
+        cube_constraint_checks,
+        normalize_graph,
+    )
+    from repro.rdf.graph import UnionView
 
     demo = _prepare(args)
     probe = demo.endpoint.graph(QB_GRAPH).copy()
@@ -183,16 +190,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
           f"violations (after normalization, +{added} triples)")
     for line in str(qb_report).splitlines():
         print(f"  {line}")
-    schema_violations = validate_schema(demo.schema)
-    print(f"QB4OLAP schema checks:    {len(schema_violations)} violations")
-    union = demo.endpoint.dataset.union()
-    report = validate_instances(union, demo.schema,
-                                functional_tolerance=args.tolerance)
-    print(f"QB4OLAP instance checks:  {len(report.violations)} violations")
-    for violation in report.violations[:10]:
-        print(f"  {violation}")
-    return 1 if (qb_report.violations or schema_violations
-                 or report.violations) else 0
+    cube = UnionView(demo.endpoint.dataset, [
+        demo.endpoint.graph(SCHEMA_GRAPH),
+        demo.endpoint.graph(INSTANCE_GRAPH)]).copy()
+    cube_report = ConstraintReport()
+    for check in cube_constraint_checks(demo.schema.dsd, args.tolerance):
+        cube_report.results[check.ic] = check_constraint(cube, check)
+    print(f"QB4OLAP cube constraints: {len(cube_report.violations)} "
+          "violations")
+    for line in str(cube_report).splitlines():
+        print(f"  {line}")
+    return 1 if qb_report.violations or cube_report.violations else 0
 
 
 def cmd_drillacross(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF, RDFS, SDMX_DIMENSION
-from repro.rdf.terms import BNode, IRI, Literal
+from repro.rdf.terms import BNode, IRI, Literal, Term
 from repro.qb import vocabulary as qb
 from repro.data import geography as geo
 from repro.data.eurostat import MEASURE_PROPERTY, TripleBuffer
@@ -193,6 +193,17 @@ def generate_observations(graph: Graph,
     return produced
 
 
+def decisions_triples(config: Optional[DecisionsConfig] = None
+                      ) -> List[Tuple[Term, Term, Term]]:
+    """The decisions cube's triples in emission order: DSD + labels +
+    data set + observations (what an endpoint loads in one batch)."""
+    buffer = TripleBuffer()
+    build_dsd(buffer)
+    build_decision_labels(buffer)
+    generate_observations(buffer, config)
+    return buffer.triples
+
+
 def build_decisions_graph(config: Optional[DecisionsConfig] = None) -> Graph:
     """The full plain-QB decisions graph: DSD + data set + observations."""
     from repro.data.namespaces import DEMO_PREFIXES
@@ -201,8 +212,4 @@ def build_decisions_graph(config: Optional[DecisionsConfig] = None) -> Graph:
     for prefix, namespace in DEMO_PREFIXES.items():
         graph.bind(prefix, namespace)
     graph.bind("dic-decision", DIC_DECISION)
-    buffer = TripleBuffer()
-    build_dsd(buffer)
-    build_decision_labels(buffer)
-    generate_observations(buffer, config)
-    return graph.add_all(buffer.triples)
+    return graph.add_all(decisions_triples(config))

@@ -219,6 +219,16 @@ def generate_observations(graph: Graph,
     return produced
 
 
+def qb_triples(config: Optional[GeneratorConfig] = None
+               ) -> List[Tuple[Term, Term, Term]]:
+    """The plain-QB cube's triples in emission order: DSD + data set +
+    observations (what an endpoint loads in one batch)."""
+    buffer = TripleBuffer()
+    build_dsd(buffer)
+    generate_observations(buffer, config)
+    return buffer.triples
+
+
 def build_qb_graph(config: Optional[GeneratorConfig] = None) -> Graph:
     """The full plain-QB graph: DSD + data set + observations."""
     from repro.data.namespaces import DEMO_PREFIXES
@@ -226,7 +236,4 @@ def build_qb_graph(config: Optional[GeneratorConfig] = None) -> Graph:
     graph = Graph()
     for prefix, namespace in DEMO_PREFIXES.items():
         graph.bind(prefix, namespace)
-    buffer = TripleBuffer()
-    build_dsd(buffer)
-    generate_observations(buffer, config)
-    return graph.add_all(buffer.triples)
+    return graph.add_all(qb_triples(config))

@@ -19,7 +19,7 @@ from repro.data.eurostat import (
     DATASET_IRI,
     DSD_IRI,
     GeneratorConfig,
-    build_qb_graph,
+    qb_triples,
 )
 from repro.data.namespaces import (
     DEMO_PREFIXES,
@@ -49,9 +49,8 @@ def build_demo_endpoint(observations: int = 80_000,
     for prefix, namespace in DEMO_PREFIXES.items():
         endpoint.dataset.namespace_manager.bind(prefix, namespace)
 
-    qb_graph = build_qb_graph(GeneratorConfig(
-        observations=observations, seed=seed))
-    endpoint.insert_triples(qb_graph, graph=QB_GRAPH)
+    endpoint.insert_triples(qb_triples(GeneratorConfig(
+        observations=observations, seed=seed)), graph=QB_GRAPH)
 
     if include_reference:
         reference = build_reference_graph(
@@ -91,8 +90,7 @@ def small_demo(observations: int = 2_000, seed: int = 11,
     endpoint = LocalEndpoint()
     for prefix, namespace in DEMO_PREFIXES.items():
         endpoint.dataset.namespace_manager.bind(prefix, namespace)
-    qb_graph = build_qb_graph(config)
-    endpoint.insert_triples(qb_graph, graph=QB_GRAPH)
+    endpoint.insert_triples(qb_triples(config), graph=QB_GRAPH)
     reference = build_reference_graph(ReferenceConfig(
         noise_rate=noise_rate,
         citizenship=config.citizenship,
@@ -130,7 +128,7 @@ def add_decisions_cube(demo: DemoData,
         DATASET_IRI as DECISIONS_DATASET,
         DSD_IRI as DECISIONS_DSD,
         DecisionsConfig,
-        build_decisions_graph,
+        decisions_triples,
     )
 
     if small:
@@ -140,8 +138,7 @@ def add_decisions_cube(demo: DemoData,
             citizenship=base.citizenship, destinations=base.destinations)
     else:
         config = DecisionsConfig(observations=observations, seed=seed)
-    graph = build_decisions_graph(config)
-    demo.endpoint.insert_triples(graph, graph=QB_GRAPH)
+    demo.endpoint.insert_triples(decisions_triples(config), graph=QB_GRAPH)
     return DecisionsData(
         endpoint=demo.endpoint,
         dataset=DECISIONS_DATASET,

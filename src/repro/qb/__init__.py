@@ -5,7 +5,8 @@ holds the QB vocabulary (:mod:`repro.qb.vocabulary`), the normalization
 algorithm (spec §10, :mod:`repro.qb.normalize`) and the validator: the
 spec's 21 integrity constraints, run on a normalized graph as literal
 SPARQL ``ASK`` queries on the in-repo engine, with IC-12 answered in
-linear time and two adjunct checks (:mod:`repro.qb.constraints`).
+linear time and two adjunct checks, plus the QB4OLAP checks as rows of
+the same table (:mod:`repro.qb.constraints`).
 """
 
 from repro.qb.constraints import (
@@ -13,6 +14,8 @@ from repro.qb.constraints import (
     ConstraintReport,
     check_constraint,
     check_graph,
+    cube_constraint_checks,
+    step_error_rates,
 )
 from repro.qb.normalize import is_normalized, normalize_graph
 
@@ -21,6 +24,8 @@ __all__ = [
     "ConstraintReport",
     "check_constraint",
     "check_graph",
+    "cube_constraint_checks",
     "is_normalized",
     "normalize_graph",
+    "step_error_rates",
 ]

@@ -32,6 +32,15 @@ Two adjunct ``ASK`` rows the spec leaves out run after the 21
 measure values are literals.  IC-17 compares observation pairs
 (quadratic); it is flagged ``expensive`` so :func:`check_graph` can
 skip it on large graphs.
+
+The same table states the QB4OLAP checks (``Q4-*`` on the schema,
+``Q4I-*`` on the level instances), as templates expanded over one
+cube's DSD (:func:`cube_constraint_checks`): run them on a graph
+holding the enrichment's schema and instance triples.  Two checks of
+the Python validator they replaced have no row, because the schema
+reader repairs what they looked for: a dimension always has the
+hierarchy that named it, and a DSD level in no hierarchy becomes a
+degenerate dimension of its own.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.namespace import OWL, QB
 from repro.rdf.terms import IRI, Term
+from repro.qb4olap import vocabulary as qb4o
 from repro.sparql.errors import ExpressionError
 from repro.sparql.evaluator import evaluate_query
 from repro.sparql.expressions import _comparable_value
@@ -54,6 +64,7 @@ PREFIX skos: <http://www.w3.org/2004/02/skos/core#>
 PREFIX qb:   <http://purl.org/linked-data/cube#>
 PREFIX xsd:  <http://www.w3.org/2001/XMLSchema#>
 PREFIX owl:  <http://www.w3.org/2002/07/owl#>
+PREFIX qb4o: <http://purl.org/qb4olap/cubes#>
 """
 
 
@@ -77,7 +88,8 @@ class ConstraintReport:
     """Outcome of a constraint run over one graph.
 
     ``results`` holds the verdicts in the order the checks ran: the W3C
-    ids by number (IC-20/21 after IC-19), then the adjuncts.
+    ids by number (IC-20/21 after IC-19), then the adjuncts; or the
+    QB4OLAP rows in table order.
     """
 
     results: Dict[str, bool] = field(default_factory=dict)
@@ -460,6 +472,134 @@ ASK {
 }
 """]),
 ]
+
+
+def _among(terms: Tuple[IRI, ...]) -> str:
+    return ", ".join(term.n3() for term in terms)
+
+
+#: The hierarchies of one cube: the dimensions its DSD's levels belong
+#: to, and every hierarchy of those dimensions.  ``%(dsd)s`` is the
+#: DSD's IRI.
+_CUBE_HIERARCHIES = """
+  <%(dsd)s> qb:component/qb4o:level ?base .
+  ?anchor a qb4o:Hierarchy ; qb4o:hasLevel ?base ; qb4o:inDimension ?dim .
+  ?dim qb4o:hasHierarchy|^qb4o:inDimension ?h .
+"""
+
+#: ... and their roll-up steps between two levels.
+_CUBE_STEPS = _CUBE_HIERARCHIES + """
+  ?step qb4o:inHierarchy ?h ;
+        qb4o:childLevel ?child ;
+        qb4o:parentLevel ?parent .
+  FILTER (isIRI(?child) && isIRI(?parent))
+"""
+
+#: Each step's members and how many of them break it: a child member
+#: of a ManyToOne or OneToOne step (a step stating no cardinality reads
+#: as ManyToOne) must have exactly one ``skos:broader`` parent among the
+#: parent level's members.  Zero parents break it as two do.
+_STEP_ERRORS = """ WHERE {
+  { SELECT DISTINCT ?child ?parent ?card WHERE {""" + _CUBE_STEPS + """
+      OPTIONAL { ?step qb4o:pcCardinality ?card . FILTER isIRI(?card) }
+  } }
+  ?member qb4o:memberOf ?child .
+  OPTIONAL {
+    { SELECT ?member ?parent (COUNT(DISTINCT ?up) AS ?ups) WHERE {
+        ?member skos:broader ?up .
+        ?up qb4o:memberOf ?parent .
+      } GROUP BY ?member ?parent }
+  }
+  BIND (IF((!BOUND(?card) || ?card IN (""" + _among(
+    (qb4o.MANY_TO_ONE, qb4o.ONE_TO_ONE)) + """))
+           && COALESCE(?ups, 0) != 1, 1, 0) AS ?bad)
+} GROUP BY ?child ?parent"""
+
+#: The QB4OLAP rows (Etcheverry, Gomez & Vaisman's structure), as
+#: templates over one cube's DSD: ``(id, label, ASK text)``.
+_CUBE_TEMPLATES: List[Tuple[str, str, str]] = [
+    ("Q4-MEASURE", "Cube declares a measure", """
+ASK { FILTER NOT EXISTS {
+  <%(dsd)s> qb:component/qb:measure ?measure . FILTER isIRI(?measure)
+} }
+"""),
+    ("Q4-AGG", "Measures carry a known aggregate function", """
+ASK {
+  <%(dsd)s> qb:component ?component .
+  ?component qb:measure ?measure ; qb4o:aggregateFunction ?function .
+  FILTER (isIRI(?measure) && isIRI(?function)
+          && ?function NOT IN (""" + _among(qb4o.AGGREGATE_FUNCTIONS) + """))
+}
+"""),
+    ("Q4-DIM", "Cube declares a dimension", """
+ASK { FILTER NOT EXISTS {
+  <%(dsd)s> qb:component/qb4o:level ?level . FILTER isIRI(?level)
+} }
+"""),
+    ("Q4-LEVELS", "Hierarchies have levels",
+     "ASK {" + _CUBE_HIERARCHIES + """
+  FILTER NOT EXISTS { ?h qb4o:hasLevel ?level . FILTER isIRI(?level) }
+}
+"""),
+    ("Q4-STEP", "Steps stay inside their hierarchy",
+     "ASK {" + _CUBE_STEPS + """
+  FILTER (NOT EXISTS { ?h qb4o:hasLevel ?child }
+          || NOT EXISTS { ?h qb4o:hasLevel ?parent })
+}
+"""),
+    ("Q4-CARD", "Steps carry a known cardinality", "ASK {" + _CUBE_STEPS + """
+  ?step qb4o:pcCardinality ?card .
+  FILTER (isIRI(?card)
+          && ?card NOT IN (""" + _among(qb4o.CARDINALITIES) + """))
+}
+"""),
+    ("Q4-SELF", "No step rolls a level to itself", "ASK {" + _CUBE_STEPS + """
+  FILTER (?child = ?parent)
+}
+"""),
+    ("Q4-CYCLE", "No roll-up cycle", "ASK {" + _CUBE_STEPS + """
+  ?child (^qb4o:childLevel/qb4o:parentLevel)+ ?child .
+}
+"""),
+    ("Q4I-EMPTY", "Levels have members", """
+ASK {
+  { <%(dsd)s> qb:component/qb4o:level ?level }
+  UNION {""" + _CUBE_HIERARCHIES + """ ?h qb4o:hasLevel ?level }
+  FILTER isIRI(?level)
+  FILTER NOT EXISTS { ?member qb4o:memberOf ?level }
+}
+"""),
+    ("Q4I-FUNC", "Steps are functional within the tolerance",
+     "ASK { { SELECT ?child ?parent" + _STEP_ERRORS + """
+  HAVING (SUM(?bad) / COUNT(?member) > %(tolerance)r)
+} }
+"""),
+]
+
+
+def cube_constraint_checks(dsd: IRI, functional_tolerance: float = 0.0
+                           ) -> List[ConstraintCheck]:
+    """Expand the QB4OLAP rows for the cube whose DSD is ``dsd``.
+
+    Run them on a graph holding the cube's schema and level instances.
+    ``Q4I-FUNC`` is violated when a step's error rate
+    (:func:`step_error_rates`) exceeds ``functional_tolerance``, the
+    quasi-FD threshold enrichment may have accepted.
+    """
+    values = {"dsd": dsd.value, "tolerance": float(functional_tolerance)}
+    return [ConstraintCheck(ic, label, [PROLOGUE + text % values])
+            for ic, label, text in _CUBE_TEMPLATES]
+
+
+def step_error_rates(graph: Graph, dsd: IRI
+                     ) -> Dict[Tuple[Term, Term], float]:
+    """``(child level, parent level)`` → the fraction of the child
+    level's members that break the step (``Q4I-FUNC``'s rate), for
+    every step of the cube whose child level has members."""
+    query = (PROLOGUE + "SELECT ?child ?parent (COUNT(?member) AS ?members)"
+             " (SUM(?bad) AS ?errors)" + _STEP_ERRORS) % {"dsd": dsd.value}
+    return {(child, parent): errors.value / members.value
+            for child, parent, members, errors in _run(graph, query).rows}
 
 
 def all_constraint_checks(graph: Graph) -> List[ConstraintCheck]:

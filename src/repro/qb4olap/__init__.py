@@ -2,8 +2,9 @@
 
 Models the QB4OLAP vocabulary — dimension levels, hierarchies with
 roll-up steps and cardinalities, level attributes and members, and
-measures with aggregate functions — plus graph readers/writers and
-validators.
+measures with aggregate functions — plus graph readers/writers.  The
+QB4OLAP checks are rows of the constraint table in
+:mod:`repro.qb.constraints`.
 """
 
 from repro.qb4olap.model import (
@@ -16,12 +17,6 @@ from repro.qb4olap.model import (
     SchemaError,
 )
 from repro.qb4olap.reader import read_cube_schema
-from repro.qb4olap.validator import (
-    InstanceReport,
-    SchemaViolation,
-    validate_instances,
-    validate_schema,
-)
 from repro.qb4olap.writer import member_triples, schema_triples, write_schema
 
 __all__ = [
@@ -29,15 +24,11 @@ __all__ = [
     "Dimension",
     "Hierarchy",
     "HierarchyStep",
-    "InstanceReport",
     "Level",
     "Measure",
     "SchemaError",
-    "SchemaViolation",
     "member_triples",
     "read_cube_schema",
     "schema_triples",
-    "validate_instances",
-    "validate_schema",
     "write_schema",
 ]

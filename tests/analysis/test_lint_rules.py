@@ -481,6 +481,22 @@ FIXTURES = {
             return view.count((None, predicate, obj))
         """,
     ),
+    "one-constraint-table": (
+        """
+        from repro.qb4olap.validator import validate_schema
+
+        def cube_ok(demo):
+            return not validate_schema(demo.schema)
+        """,
+        "src/repro/cli.py",
+        """
+        from repro.qb.constraints import cube_constraint_checks
+
+        def cube_ok(graph, dsd):
+            return not any(check_constraint(graph, check)
+                           for check in cube_constraint_checks(dsd))
+        """,
+    ),
 }
 
 
@@ -523,6 +539,8 @@ ROW_FIXTURES = [
           "    return [graph.objects(m, BROADER) for m in members]\n"),
     (ETL, "order = sorted(rows, key=lambda row: row[0])\n"),
     ("src/repro/rdf/stats.py", "class Histogram:\n    pass\n"),
+    ("src/repro/qb4olap/validator.py",
+     "class SchemaViolation:\n    code: str\n"),
 ]
 
 

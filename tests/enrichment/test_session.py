@@ -6,7 +6,6 @@ from repro.data import small_demo
 from repro.data.namespaces import PROPERTY, REF_PROP, SCHEMA
 from repro.demo import PAPER_DIMENSION_NAMES
 from repro.rdf.namespace import SDMX_DIMENSION, SDMX_MEASURE
-from repro.qb4olap import validate_instances, validate_schema
 from repro.qb4olap import vocabulary as qb4o
 from repro.enrichment import (
     ATTRIBUTE,
@@ -15,6 +14,7 @@ from repro.enrichment import (
     EnrichmentSession,
     LEVEL,
 )
+from tests.qb4olap.cube_rows import cube_graph, cube_report
 
 
 @pytest.fixture
@@ -161,10 +161,8 @@ class TestAutoEnrichAndGenerate:
         assert report.schema_triples > 0
         assert report.membership_triples > 0
         assert report.rollup_triples > 0
-        assert validate_schema(schema) == []
-        union = session.endpoint.dataset.union()
-        instance_report = validate_instances(union, schema)
-        assert instance_report.ok, instance_report.violations
+        report = cube_report(cube_graph(session.endpoint), schema.dsd)
+        assert report.well_formed, report.violations
 
     def test_log_records_actions(self, session):
         session.redefine()

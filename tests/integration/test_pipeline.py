@@ -26,8 +26,8 @@ from repro.demo import (
 from repro.exploration import CubeExplorer, InstanceBrowser, list_cubes
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
 from repro.qb import check_graph, normalize_graph
-from repro.qb4olap import validate_instances, validate_schema
 from repro.rdf.namespace import SDMX_MEASURE
+from tests.qb4olap.cube_rows import cube_graph, cube_report
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,8 @@ class TestFullPipeline:
         assert sizes[INSTANCE_GRAPH.value] > 0
 
     def test_generated_schema_valid(self, fresh):
-        assert validate_schema(fresh.schema) == []
-        union = fresh.endpoint.dataset.union()
-        report = validate_instances(union, fresh.schema)
-        assert report.ok, report.violations
+        report = cube_report(cube_graph(fresh.endpoint), fresh.schema.dsd)
+        assert report.well_formed, report.violations
 
     def test_exploration_sees_the_cube(self, fresh):
         cubes = list_cubes(fresh.endpoint)

@@ -1,4 +1,5 @@
-"""Structural and instance-level validation of QB4OLAP cubes.
+"""The oracle of the QB4OLAP rows in ``repro.qb.constraints``: the
+Python walker that validated cubes before those rows existed.
 
 Two layers:
 
@@ -6,11 +7,12 @@ Two layers:
   (hierarchies non-empty, steps stay inside their hierarchy, measures
   carry known aggregate functions, DSD levels exist, ...).
 * :func:`validate_instances` — the member graph respects the schema:
-  members belong to declared levels, ``skos:broader`` edges connect
-  adjacent levels, and ManyToOne steps are functional (each child
-  member has at most one parent).  Violations of the last check are
-  exactly the *quasi-FD noise* the Enrichment module's fine-tuning
-  threshold tolerates, so the validator reports a per-step error rate.
+  ManyToOne / OneToOne steps are functional (each child member has
+  exactly one parent), with a per-step error rate checked against the
+  quasi-FD tolerance, and every level has members.
+
+Run it on ``read_cube_schema`` of the same triples the rows read
+(``test_cube_constraints.py``).
 """
 
 from __future__ import annotations

@@ -63,12 +63,12 @@ $C6 := ROLLUP ($C5, schema:timeDim, schema:year);
         assert "400" in out
 
     def test_validate_clean(self, capsys):
-        # the QB4OLAP checks pass; the W3C suite flags IC-4 (the raw
+        # the QB4OLAP rows pass; the W3C suite flags IC-4 (the raw
         # cube, like the real Eurostat dump, declares no rdfs:range)
         assert main(["validate", *ARGS]) == 1
         out = capsys.readouterr().out
-        assert "QB4OLAP schema checks:    0 violations" in out
-        assert "QB4OLAP instance checks:  0 violations" in out
+        assert "QB4OLAP cube constraints: 0 violations" in out
+        assert "Q4I-FUNC: ok" in out
 
     def test_validate_noisy_fails(self, capsys):
         # discovery accepts the quasi-FD (threshold 0.3) but strict
@@ -77,10 +77,11 @@ $C6 := ROLLUP ($C5, schema:timeDim, schema:year);
                      "--noise", "0.25", "--threshold", "0.3"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "Q4I" in out
+        assert "QB4OLAP cube constraints: 1 violations" in out
+        assert "Q4I-FUNC: VIOLATED" in out
 
     def test_validate_noisy_passes_with_tolerance(self, capsys):
-        # both QB4OLAP checks pass; the exit is 1 for IC-4 alone
+        # every QB4OLAP row passes; the exit is 1 for IC-4 alone
         code = main(["validate", "--observations", "400",
                      "--noise", "0.25", "--threshold", "0.3",
                      "--tolerance", "0.3"])
@@ -88,9 +89,8 @@ $C6 := ROLLUP ($C5, schema:timeDim, schema:year);
         assert code == 1
         assert "QB integrity constraints: 1 violations" in out
         assert "IC-4: VIOLATED" in out
-        assert "QB4OLAP schema checks:    0 violations" in out
-        assert "QB4OLAP instance checks:  0 violations" in out
-        assert "Q4I" not in out
+        assert "QB4OLAP cube constraints: 0 violations" in out
+        assert "VIOLATED" not in out.split("QB4OLAP cube constraints")[1]
 
     def test_demo(self, capsys):
         assert main(["demo", *ARGS]) == 0
@@ -154,7 +154,7 @@ class TestNewSubcommands:
 
     def test_validate_ic_suite_reports(self, capsys):
         # IC-4 fires: like the real Eurostat dump, the raw cube declares
-        # no rdfs:range on dimension properties; the QB4OLAP checks
+        # no rdfs:range on dimension properties; the QB4OLAP rows
         # still run and print after the suite
         code = main(["validate", *ARGS])
         out = capsys.readouterr().out
@@ -162,9 +162,9 @@ class TestNewSubcommands:
         assert "IC-4: VIOLATED" in out
         assert "IC-12: ok" in out
         assert "IC-MEAS: ok" in out
-        assert "QB4OLAP schema checks:    0 violations" in out
-        assert "QB4OLAP instance checks:  0 violations" in out
-        assert out.index("IC-4: VIOLATED") < out.index("QB4OLAP schema")
+        assert "QB4OLAP cube constraints: 0 violations" in out
+        assert "Q4-CYCLE: ok" in out
+        assert out.index("IC-4: VIOLATED") < out.index("QB4OLAP cube")
         assert code == 1
 
     def test_drillacross(self, capsys):

@@ -283,6 +283,13 @@ PINS: Tuple[Pin, ...] = (
         message="`{name}` is a value summary (the planner prices a "
                 "pattern's constants with StatisticsView.count, the exact "
                 "match count the graphs answer)"),
+    Pin("one-constraint-table", "name",
+        ("validate_schema", "validate_instances", "SchemaViolation"),
+        scope=("src/",),
+        message="`{name}` checks a QB4OLAP cube in Python (state the "
+                "check as a row of repro.qb.constraints' table — "
+                "`cube_constraint_checks`, run by `check_constraint` — "
+                "so it reads the published triples through SPARQL)"),
 )
 
 
@@ -1181,6 +1188,7 @@ ALL_RULES: List[Rule] = [
     PinnedRule("one-process-pool"),
     PinnedRule("one-rdf-reader"),
     PinnedRule("exact-constant-costs"),
+    PinnedRule("one-constraint-table"),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
