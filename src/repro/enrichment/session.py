@@ -357,7 +357,7 @@ class EnrichmentSession:
         for dimension in self.schema.dimensions:
             lines.append(f"└─ {dimension.iri.local_name()}")
             for hierarchy in dimension.hierarchies:
-                lines.append(f"   └─ {hierarchy.iri.local_name()}")
+                lines.append(f"   └─ {hierarchy.name}")
                 ordered = _levels_bottom_up(hierarchy)
                 for depth, level in enumerate(ordered):
                     state = self.levels.get(level)

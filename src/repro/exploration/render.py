@@ -105,7 +105,7 @@ def schema_dot(schema: CubeSchema) -> str:
         dim_node = fresh(dimension.iri.local_name(), "box")
         lines.append(f"  cube -> {dim_node};")
         for hierarchy in dimension.hierarchies:
-            hier_node = fresh(hierarchy.iri.local_name(), "folder")
+            hier_node = fresh(hierarchy.name, "folder")
             lines.append(f"  {dim_node} -> {hier_node};")
             level_nodes: Dict[IRI, str] = {}
             for level in hierarchy.levels:
@@ -137,7 +137,7 @@ def hierarchy_text(schema: CubeSchema, dimension_iri: IRI) -> str:
     dimension = schema.require_dimension(dimension_iri)
     lines = [dimension.iri.local_name()]
     for hierarchy in dimension.hierarchies:
-        lines.append(f"└─ {hierarchy.iri.local_name()}")
+        lines.append(f"└─ {hierarchy.name}")
         ordered = hierarchy.levels_bottom_up()
         for depth, level in enumerate(ordered):
             attributes = schema.attributes_of(level)

@@ -13,9 +13,10 @@ SPARQL joins over ``skos:broader`` member links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
-from repro.rdf.terms import IRI
+from repro.rdf.terms import BNode, IRI
 from repro.qb4olap import vocabulary as qb4o
 
 
@@ -48,12 +49,20 @@ class HierarchyStep:
 
 @dataclass
 class Hierarchy:
-    """A hierarchy inside a dimension: levels plus roll-up steps."""
+    """A hierarchy inside a dimension: levels plus roll-up steps.  A
+    published hierarchy may be a blank node, read as its ``iri``."""
 
-    iri: IRI
+    iri: Union[IRI, BNode]
     dimension: IRI
     levels: List[IRI] = field(default_factory=list)
     steps: List[HierarchyStep] = field(default_factory=list)
+
+    @property
+    def name(self) -> str:
+        """The IRI's local name, or the blank node's ``_:label``."""
+        if isinstance(self.iri, IRI):
+            return self.iri.local_name()
+        return self.iri.n3()
 
     def parents_of(self, level: IRI) -> List[IRI]:
         return [step.parent for step in self.steps if step.child == level]
@@ -258,7 +267,7 @@ class CubeSchema:
         for dimension in self.dimensions:
             lines.append(f"  Dimension {dimension.iri.local_name()}")
             for hierarchy in dimension.hierarchies:
-                lines.append(f"    Hierarchy {hierarchy.iri.local_name()}")
+                lines.append(f"    Hierarchy {hierarchy.name}")
                 for step in hierarchy.steps:
                     lines.append(
                         f"      {step.child.local_name()} "

@@ -7,11 +7,11 @@ the in-memory cube model used by Exploration and Querying.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Term
+from repro.rdf.terms import IRI, BNode, Term
 from repro.qb import vocabulary as qb
 from repro.qb4olap import vocabulary as qb4o
 from repro.qb4olap.model import (
@@ -28,6 +28,11 @@ def _iri_objects(graph: Graph, subject: Term, predicate: IRI) -> List[IRI]:
     return sorted(
         (o for o in graph.objects(subject, predicate) if isinstance(o, IRI)),
         key=lambda iri: iri.value)
+
+
+def _node_key(node: Term) -> Tuple[int, str]:
+    """IRIs by value, then blank nodes by label."""
+    return (0, node.value) if isinstance(node, IRI) else (1, node.label)
 
 
 def read_cube_schema(graph: Graph, dataset: IRI,
@@ -63,27 +68,32 @@ def read_cube_schema(graph: Graph, dataset: IRI,
             schema.measures.append(Measure(measure, aggregate))
 
     # -- dimensions reachable from the DSD levels ------------------------------
+    # a hierarchy (an IRI or a blank node) holding a DSD level reaches its
+    # dimension; the hierarchies of other cubes' dimensions are not read
+    anchored: List[Tuple[IRI, List[IRI]]] = []
+    for hierarchy_node in graph.subjects(RDF.type, qb4o.Hierarchy):
+        dimension = graph.value(hierarchy_node, qb4o.inDimension, None)
+        if isinstance(dimension, IRI):
+            anchored.append((dimension, _iri_objects(
+                graph, hierarchy_node, qb4o.hasLevel)))
+    reached = {dimension for dimension, levels in anchored
+               if not set(levels).isdisjoint(dsd_levels)}
     level_to_dimension: Dict[IRI, IRI] = {}
-    dimension_iris: List[IRI] = []
-    for hierarchy_iri in graph.subjects(RDF.type, qb4o.Hierarchy):
-        dimension = graph.value(hierarchy_iri, qb4o.inDimension, None)
-        if not isinstance(dimension, IRI):
-            continue
-        if dimension not in dimension_iris:
-            dimension_iris.append(dimension)
-        for level in _iri_objects(graph, hierarchy_iri, qb4o.hasLevel):
-            level_to_dimension.setdefault(level, dimension)
-    dimension_iris.sort(key=lambda iri: iri.value)
+    for dimension, levels in anchored:
+        if dimension in reached:
+            for level in levels:
+                level_to_dimension.setdefault(level, dimension)
 
-    for dimension_iri in dimension_iris:
+    for dimension_iri in sorted(reached, key=lambda iri: iri.value):
         dimension = Dimension(dimension_iri)
-        hierarchy_iris = _iri_objects(graph, dimension_iri, qb4o.hasHierarchy)
-        # also accept hierarchies that only assert qb4o:inDimension
-        for hierarchy_iri in graph.subjects(qb4o.inDimension, dimension_iri):
-            if isinstance(hierarchy_iri, IRI) \
-                    and hierarchy_iri not in hierarchy_iris:
-                hierarchy_iris.append(hierarchy_iri)
-        for hierarchy_iri in sorted(hierarchy_iris, key=lambda i: i.value):
+        # hierarchies named by qb4o:hasHierarchy or asserting only
+        # qb4o:inDimension, IRIs and blank nodes alike
+        hierarchy_nodes = {
+            node for node in (
+                *graph.objects(dimension_iri, qb4o.hasHierarchy),
+                *graph.subjects(qb4o.inDimension, dimension_iri))
+            if isinstance(node, (IRI, BNode))}
+        for hierarchy_iri in sorted(hierarchy_nodes, key=_node_key):
             hierarchy = Hierarchy(hierarchy_iri, dimension_iri)
             hierarchy.levels = _iri_objects(graph, hierarchy_iri, qb4o.hasLevel)
             for step_node in graph.subjects(qb4o.inHierarchy, hierarchy_iri):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.rdf.terms import IRI, Literal, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
@@ -72,13 +73,21 @@ class TranslationMetadata:
     group_variables: List[str] = field(default_factory=list)
 
 
-@dataclass
 class Translation:
-    """The two generated queries plus shared metadata."""
+    """The two generated queries plus shared metadata.  A query text is
+    rendered on first access and kept: a caller usually runs one."""
 
-    direct: str
-    optimized: str
-    metadata: TranslationMetadata
+    def __init__(self, translator: "Translator") -> None:
+        self._translator = translator
+        self.metadata: TranslationMetadata = translator.metadata
+
+    @cached_property
+    def direct(self) -> str:
+        return self._translator.direct_query()
+
+    @cached_property
+    def optimized(self) -> str:
+        return self._translator.optimized_query()
 
     @property
     def direct_lines(self) -> int:
@@ -380,11 +389,7 @@ class Translator:
         return self._finalize(lines)
 
     def translate(self) -> Translation:
-        return Translation(
-            direct=self.direct_query(),
-            optimized=self.optimized_query(),
-            metadata=self.metadata,
-        )
+        return Translation(self)
 
 
 def translate(schema: CubeSchema, program: SimplifiedProgram) -> Translation:

@@ -69,7 +69,7 @@ from repro.rdf.concurrency import CONCURRENCY, CountedRLock
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.errors import TermError
 from repro.rdf.namespace import NamespaceManager
-from repro.rdf.stats import GraphStats, StatisticsView
+from repro.rdf.stats import GraphStats, StatisticsView, holding
 from repro.rdf.terms import IRI, Term, Triple, check_triple, make_triple
 from repro.testing import faults as _faults
 
@@ -1036,6 +1036,11 @@ class UnionView(_GraphReadMixin):
     occurrence of a triple wins.  A read deduplicates when two or more
     members matched its pattern, decided from what matched, so there
     is nothing to track or configure.
+
+    **The routing rule.**  A read whose predicate is a constant id asks
+    only the members whose exact per-predicate counter holds it
+    (:meth:`routed`); a skipped member matched nothing, so neither the
+    answer nor the dedup decision changes.
     """
 
     def __init__(self, dataset: Union["Dataset", "DatasetSnapshot"],
@@ -1058,6 +1063,10 @@ class UnionView(_GraphReadMixin):
             return self._members
         return [self._dataset.default, *self._dataset.graphs()]
 
+    def routed(self, pattern: KeyedPattern) -> List[Graph]:
+        """The members a read of ``pattern`` asks, in read order."""
+        return holding(self.members(), pattern[1])
+
     # -- reads ---------------------------------------------------------------
 
     def match_arrays(self, pattern: KeyedPattern = _WILD
@@ -1066,7 +1075,7 @@ class UnionView(_GraphReadMixin):
         member arrays concatenated in member order, then a stable
         first-occurrence dedup when two or more members matched."""
         parts = [part for part in (graph.match_arrays(pattern)
-                                   for graph in self.members())
+                                   for graph in self.routed(pattern))
                  if len(part[0])]
         s, p, o = concat_arrays(parts, pattern)
         if len(parts) < 2:
@@ -1083,7 +1092,8 @@ class UnionView(_GraphReadMixin):
     def count_ids(self, pattern: IdPattern) -> int:
         """Exact number of distinct matching triples."""
         counts = [count for count in (graph.count_ids(pattern)
-                                      for graph in self.members()) if count]
+                                      for graph in self.routed(pattern))
+                  if count]
         if len(counts) < 2:
             return sum(counts)
         return len(self.match_arrays(pattern)[0])

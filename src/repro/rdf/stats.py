@@ -11,7 +11,14 @@ planning path.  This module gives the in-memory engine the same layer:
   buckets, so the marginal cost is a few integer increments);
 * :class:`StatisticsView` aggregates one or more graphs behind the
   term-level API the SPARQL planner consumes, summing the per-graph
-  counters at read time so union sources need no merged copy.
+  counters at read time so union sources need no merged copy;
+* :func:`holding` routes a union read: a pattern whose predicate is a
+  constant id asks only the member graphs whose ``cardinality``
+  counter has an entry for it.  The counter is exact (every write,
+  fold and snapshot pin keeps it so), so a skipped member holds no
+  match.  ``UnionView.match_arrays`` / ``count_ids``,
+  ``GraphSource.estimate_ids`` and :meth:`StatisticsView.count` all
+  route through it.
 
 The statistics are *epoch-consistent by construction*: they are updated
 in the same call that bumps ``Graph.epoch``, so any plan cached under a
@@ -33,14 +40,27 @@ planning time), through two averages:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.rdf.terms import Term
 
 __all__ = [
     "GraphStats",
     "StatisticsView",
+    "holding",
 ]
+
+
+def holding(graphs: List,
+            predicate: Union[None, int, np.integer, np.ndarray]) -> List:
+    """The graphs a read whose predicate cell is ``predicate`` must
+    ask: with a constant id, those whose exact ``cardinality`` counter
+    holds it; with a variable (``None``) or an array cell, all."""
+    if isinstance(predicate, (int, np.integer)):
+        return [g for g in graphs if predicate in g.stats.cardinality]
+    return graphs
 
 
 class GraphStats:
@@ -108,7 +128,8 @@ class StatisticsView:
     Every method asks each member graph once and sums the answers: a
     dictionary lookup for a counter, a staged binary search for
     :meth:`count`.  Nothing is copied or merged — the view reads the
-    live graphs, so it is always current.
+    live graphs, so it is always current.  The graphs share one term
+    dictionary (members of one dataset, or a single graph).
     """
 
     __slots__ = ("graphs",)
@@ -137,8 +158,12 @@ class StatisticsView:
                                    Optional[Term]]) -> int:
         """Matches of the term pattern ``pattern`` (``None`` a wildcard),
         exact per member graph and summed — a triple held by two
-        graphs counts twice, as in the per-predicate counters."""
-        return sum(g.count(pattern) for g in self.graphs)
+        graphs counts twice, as in the per-predicate counters.  A
+        constant predicate asks only the graphs :func:`holding` it."""
+        graphs = self.graphs
+        if pattern[1] is not None and graphs:
+            graphs = holding(graphs, graphs[0].dictionary.lookup(pattern[1]))
+        return sum(g.count(pattern) for g in graphs)
 
     # -- per-predicate counters ----------------------------------------------
 

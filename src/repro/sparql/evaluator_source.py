@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.rdf.graph import Dataset, Graph, KeyedPattern, UnionView
-from repro.rdf.stats import StatisticsView
+from repro.rdf.stats import StatisticsView, holding
 from repro.rdf.terms import IRI, Term, Triple
 
 Binding = Dict[str, Term]
@@ -82,8 +82,10 @@ class GraphSource:
 
     def estimate_ids(self, pattern: IdPattern) -> int:
         """Summed member counts (an upper bound on a union: exactness
-        would cost the dedup the estimate exists to avoid)."""
-        return sum(graph.count_ids(pattern) for graph in self.graphs)
+        would cost the dedup the estimate exists to avoid), asking only
+        the members :func:`~repro.rdf.stats.holding` the predicate."""
+        return sum(graph.count_ids(pattern)
+                   for graph in holding(self.graphs, pattern[1]))
 
     def cache_key(self) -> tuple:
         """Identity + mutation epochs, for the plan cache."""

@@ -17,7 +17,8 @@ from benchmarks.perf.workloads import DICE_PROGRAMS, ROLLUP_PROGRAMS
 from repro.data import small_demo
 from repro.demo import MARY_QL, enrich
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
-from repro.rdf import Dataset
+from repro.rdf import Dataset, Graph
+from repro.rdf.graph import UnionView
 from repro.sparql import PROBE_COUNTER, LocalEndpoint
 from repro.sparql.evaluator import GraphSource
 
@@ -122,3 +123,28 @@ def test_limit_reads_the_overlapping_union(fresh):
     answer, oracle = run_both(fresh.endpoint, query)
     assert answer.rows == oracle
     assert len(set(answer.rows)) == len(answer.rows) == 40
+
+
+@pytest.mark.parametrize("name", sorted(ROLLUP_PROGRAMS))
+def test_a_union_read_asks_the_member_holding_its_predicate(
+        fresh, monkeypatch, name):
+    """Every union read of a roll-up has a constant predicate, and one
+    member graph holds it: the read asks that member alone, where
+    asking every member would make five calls."""
+    members = UnionView(fresh.endpoint.dataset).members()
+    calls = {"union": 0, "member": 0}
+
+    def counted(method, key):
+        def wrapper(self, pattern=(None, None, None)):
+            calls[key] += 1
+            return method(self, pattern)
+        return wrapper
+
+    monkeypatch.setattr(UnionView, "match_arrays",
+                        counted(UnionView.match_arrays, "union"))
+    monkeypatch.setattr(Graph, "match_arrays",
+                        counted(Graph.match_arrays, "member"))
+    fresh.engine.execute(ROLLUP_PROGRAMS[name], variant="direct")
+    assert len(members) == 5
+    assert calls["union"] > 0
+    assert calls["member"] == calls["union"]

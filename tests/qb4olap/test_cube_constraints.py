@@ -3,11 +3,9 @@ walker they replaced (``reference_validator.py``), verdict for verdict
 and rate for rate, on the same triples.
 
 The oracle is ``validate_schema(read_cube_schema(graph, ...))`` plus
-``validate_instances(graph, ...)``.  One difference in scope is
-deliberate: the rows reach a cube's hierarchies through its DSD's
-levels, while the reader takes every hierarchy in the graph; every
-fixture here holds one cube whose dimensions all reach a DSD level, so
-the two read the same hierarchies.
+``validate_instances(graph, ...)``.  Both reach a cube's dimensions
+through its DSD's levels, and both read a blank-node hierarchy as they
+read an IRI one.
 """
 
 import pytest
@@ -90,6 +88,13 @@ def degenerate_level():
             *member_triples(EX.female, EX.sex)]
 
 
+def blank_hierarchy(triples):
+    """The clean cube with its hierarchy named by a blank node."""
+    node = BNode("timeHier")
+    return [tuple(node if term == EX.timeHier else term for term in triple)
+            for triple in triples]
+
+
 def no_dimension(triples):
     return without(qb4o.inDimension)(without(qb4o.level)(triples))
 
@@ -101,6 +106,7 @@ CASES = {
     "unknown aggregate": (
         replacing(qb4o.aggregateFunction, EX.bogus), 0.0, {"Q4-AGG"}),
     "no dimension": (no_dimension, 0.0, {"Q4-DIM"}),
+    "blank-node hierarchy": (blank_hierarchy, 0.0, set()),
     "hierarchy without levels": (
         adding((EX.timeHier2, RDF.type, qb4o.Hierarchy),
                (EX.timeHier2, qb4o.inDimension, EX.timeDim),
@@ -162,6 +168,20 @@ def test_rows_agree_with_the_oracle(case):
     rows = rows_verdict(graph, EX.dsd, tolerance)
     assert rows == oracle_verdict(graph, EX.ds, EX.dsd, tolerance)
     assert rows[0] == expected
+
+
+def test_a_blank_node_hierarchy_reads_like_an_iri_one():
+    """The dimension keeps its hierarchy, so its DSD level can roll up."""
+    schema = read_cube_schema(graph_of(blank_hierarchy(clean_triples())),
+                              EX.ds)
+    dimension = schema.require_dimension(EX.timeDim)
+    [hierarchy] = dimension.hierarchies
+    assert hierarchy.iri == BNode("timeHier")
+    assert hierarchy.name == "_:timeHier"
+    assert hierarchy.levels == [EX.month, EX.year]
+    assert hierarchy.path_up(EX.month, EX.year) == [EX.month, EX.year]
+    assert schema.dimension_levels == {EX.timeDim: EX.month}
+    assert "Hierarchy _:timeHier" in schema.describe()
 
 
 def test_step_rates_of_the_fixtures():

@@ -190,3 +190,20 @@ class TestTwoCubeIntegration:
                  for entry in list_cubes(demo.endpoint)}
         assert "migr_asyappctzm" in names
         assert "migr_asydcfstq" in names
+
+    def test_explorer_lists_each_cubes_own_dimensions(self, demo):
+        """The two cubes share one schema graph; reading one of them
+        returns the dimensions its DSD's levels reach, and no other."""
+        from repro.exploration.explorer import CubeExplorer
+        for cube in (demo.applications, demo.decisions):
+            explorer = CubeExplorer(demo.endpoint, cube.data.dataset,
+                                    cube.schema.dsd)
+            names = sorted(dimension.iri.local_name()
+                           for dimension in explorer.dimensions())
+            assert names == sorted(dimension.iri.local_name()
+                                   for dimension in cube.schema.dimensions)
+        decisions = CubeExplorer(demo.endpoint, demo.decisions.data.dataset)
+        assert sorted(dimension.iri.local_name()
+                      for dimension in decisions.dimensions()) == [
+            "ageDim", "citizenshipDim", "decisionDim", "destinationDim",
+            "sexDim", "timeDim"]

@@ -1,6 +1,10 @@
 """QL → SPARQL translation tests: structure of both variants."""
 
+import hashlib
+
 import pytest
+
+from benchmarks.perf.workloads import PROGRAMS
 
 from repro.data.namespaces import PROPERTY, REF_PROP, SCHEMA
 from repro.rdf.namespace import SDMX_MEASURE
@@ -9,9 +13,11 @@ from repro.ql import (
     QLBuilder,
     attr,
     measure,
+    parse_ql,
     simplify,
     translate,
 )
+from repro.ql.translator import Translator
 from repro.sparql import parse_query
 from repro.sparql.algebra import SelectQuery
 
@@ -114,3 +120,70 @@ class TestMetadata:
         assert t.direct_lines == len(
             [l for l in t.direct.splitlines() if l.strip()])
         assert t.optimized_lines >= t.direct_lines
+
+
+#: sha256 prefixes of each contract program's (direct, optimized) text
+#: on the session cube — the texts rendered when both were eager
+TEXT_DIGESTS = {
+    "africa_france": ("bc10687a03aa58cf",
+        "1c422a6d860d047d"),
+    "asia_germany": ("c68d01e9911d33d3",
+        "cd9b29c19f761b65"),
+    "busy_continent_year": ("6d0585dd1c430f76",
+        "82ed619893e8138d"),
+    "continent_political": ("b745f99a922d17ac",
+        "e86103bf7609e89b"),
+    "continent_year": ("e19ac39a660258ba",
+        "cde0db4c2a19fa44"),
+    "not_continent_and_measure": ("ec571b94a96d2686",
+        "657f1ddc04d89691"),
+    "or_destinations": ("d2cb1b8104b612c4",
+        "fe3c933266ef894a"),
+    "political_year": ("cf3493d385752201",
+        "be5c95adeea18bb1"),
+    "quarter_sex": ("5f2eb8134c9da541",
+        "f27f80c68770dcfe"),
+    "three_way_and": ("bdd6d8467e6eb783",
+        "a3cffa755eada6eb"),
+}
+
+
+class TestLazyTexts:
+    """A translation renders a query text when it is first read."""
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
+    @pytest.mark.parametrize("first", ["direct", "optimized"])
+    def test_texts_are_pinned_in_either_order(self, schema, name, first):
+        translation = translate(
+            schema, simplify(parse_ql(PROGRAMS[name]), schema))
+        second = {"direct": "optimized", "optimized": "direct"}[first]
+        texts = {first: getattr(translation, first),
+                 second: getattr(translation, second)}
+        assert (self.digest(texts["direct"]),
+                self.digest(texts["optimized"])) == TEXT_DIGESTS[name]
+
+    def test_each_text_renders_once_and_only_when_read(self, schema,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(method):
+            original = getattr(Translator, method)
+
+            def render(self):
+                calls.append(method)
+                return original(self)
+            return render
+
+        for method in ("direct_query", "optimized_query"):
+            monkeypatch.setattr(Translator, method, counted(method))
+        translation = translate(schema, simplify(
+            parse_ql(PROGRAMS["continent_year"]), schema))
+        assert calls == [] and translation.metadata.group_variables
+        assert translation.direct is translation.direct
+        assert calls == ["direct_query"]
+        assert translation.optimized_lines > 0
+        assert calls == ["direct_query", "optimized_query"]

@@ -12,7 +12,12 @@ and pinned):
 * the cost model's ``base`` for ``(s, p, ?)``, ``(?, p, o)``,
   ``(s, ?, o)`` and ``(?, p, ?)`` equals the matches the member graphs
   hold, recounted from ``match_arrays`` and summed (a triple held by
-  both graphs counts twice, as in the counters).
+  both graphs counts twice, as in the counters);
+* every routed union read (``match_arrays`` / ``count_ids`` /
+  ``estimate_ids`` / ``StatisticsView.count``) equals the unrouted
+  reference of ``reference_union.py``, which asks every member, for
+  every interned id, a never-interned id and a variable as the
+  predicate, and for array cells.
 """
 
 from contextlib import contextmanager
@@ -23,9 +28,17 @@ from hypothesis import given, settings, strategies as st
 
 import repro.rdf.graph as graph_module
 from repro.rdf import Dataset, IRI, Literal
+from repro.rdf.graph import UnionView
 from repro.sparql.algebra import TriplePatternNode, Var
-from repro.sparql.evaluator import DatasetContext
+from repro.sparql.evaluator import DatasetContext, GraphSource
 from repro.sparql.optimizer import _compile_cost
+
+from tests.rdf.reference_union import (
+    unrouted_count,
+    unrouted_count_ids,
+    unrouted_estimate_ids,
+    unrouted_match_arrays,
+)
 
 EX = "http://example.org/"
 SUBJECTS = [IRI(f"{EX}s{index}") for index in range(4)]
@@ -135,6 +148,53 @@ def check_exact(dataset, pinned):
                 members, pattern, dataset.dictionary), pattern
 
 
+def routed_patterns(dictionary):
+    """Id patterns for the routed reads: each interned id (an ``int``
+    and, for the predicates, a numpy integer), a never-interned id and
+    a variable as the predicate, alone and under a bound subject."""
+    interned = list(range(len(dictionary)))
+    predicates = [*interned, len(dictionary) + 1, None,
+                  *(np.int64(pid) for pid in map(dictionary.lookup,
+                                                 PREDICATES)
+                    if pid is not None)]
+    subject = dictionary.lookup(SUBJECTS[0])
+    return [(s, p, None) for p in predicates for s in (None, subject)]
+
+
+def check_routed(dataset, pinned):
+    """Routed union reads equal the unrouted reference, live and
+    pinned."""
+    dictionary = dataset.dictionary
+    patterns = routed_patterns(dictionary)
+    interned = np.arange(len(dictionary), dtype=np.int64)
+    cells = [(None, interned, None), (interned, None, None)] + [
+        (interned, p, None) for p in range(len(dictionary))]
+    terms = [(None, p, None) for p in (*PREDICATES, IRI(f"{EX}never"),
+                                       None)] \
+        + [(SUBJECTS[0], p, None) for p in PREDICATES]
+    for state in (dataset, pinned):
+        if state is None:
+            continue
+        source = DatasetContext(state).default_source()
+        view, members = source.view, source.graphs
+        assert members == view.members()
+        for pattern in patterns + cells:
+            routed = view.match_arrays(pattern)
+            reference = unrouted_match_arrays(members, pattern)
+            for column, expected in zip(routed, reference, strict=True):
+                assert column.dtype == expected.dtype, pattern
+                assert column.tolist() == expected.tolist(), pattern
+        for pattern in patterns:
+            assert view.count_ids(pattern) \
+                == unrouted_count_ids(members, pattern), pattern
+            assert source.estimate_ids(pattern) \
+                == unrouted_estimate_ids(members, pattern), pattern
+        statistics = source.statistics()
+        for pattern in terms:
+            assert statistics.count(pattern) \
+                == unrouted_count(members, pattern), pattern
+
+
 class TestEstimatesAreExact:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sequence=st.lists(steps, min_size=1, max_size=10))
@@ -143,6 +203,7 @@ class TestEstimatesAreExact:
         with low_thresholds():
             for pinned in replay(dataset, sequence):
                 check_exact(dataset, pinned)
+                check_routed(dataset, pinned)
 
     def test_the_sequence_reaches_every_tier(self):
         """Overlay rows, tombstones and columns at once in the live
@@ -159,5 +220,83 @@ class TestEstimatesAreExact:
         with low_thresholds():
             for pinned in replay(dataset, sequence):
                 check_exact(dataset, pinned)
+                check_routed(dataset, pinned)
         assert all(dataset.graph(NAMES[0]).tier_sizes())
         assert pinned.graph(NAMES[0]).tier_sizes()[1]
+
+
+def routed_and_reference(view, pattern):
+    """The routed and the unrouted answers of one read, as lists."""
+    members = view.members()
+    return ([column.tolist() for column in view.match_arrays(pattern)],
+            [column.tolist()
+             for column in unrouted_match_arrays(members, pattern)])
+
+
+class TestRoutedReads:
+    """Fixed states the random sequence reaches only by chance."""
+
+    def ids(self, dataset, *terms):
+        return [dataset.dictionary.lookup(term) for term in terms]
+
+    def test_a_from_merge_holding_one_triple_twice(self):
+        dataset = Dataset()
+        first, second = (dataset.graph(name) for name in NAMES)
+        shared = (SUBJECTS[0], PREDICATES[0], OBJECTS[0])
+        first.add(*shared)
+        second.add_all([shared, (SUBJECTS[1], PREDICATES[1], OBJECTS[1])])
+        view = UnionView(dataset, [first, second])
+        source = GraphSource(view)
+        p0, p1 = self.ids(dataset, *PREDICATES)
+        assert view.routed((None, p0, None)) == [first, second]
+        assert view.routed((None, p1, None)) == [second]
+        routed, reference = routed_and_reference(view, (None, p0, None))
+        assert routed == reference and len(routed[0]) == 1
+        assert view.count_ids((None, p0, None)) == 1
+        assert source.estimate_ids((None, p0, None)) == 2
+        assert source.statistics().count((None, PREDICATES[0], None)) == 2
+        assert view.count_ids((None, p1, None)) \
+            == source.estimate_ids((None, p1, None)) == 1
+
+    def test_a_predicate_only_in_the_overlay(self):
+        dataset = Dataset()
+        first, second = (dataset.graph(name) for name in NAMES)
+        first.add_all([(s, PREDICATES[0], o)
+                       for s in SUBJECTS for o in OBJECTS])
+        first.compact()
+        second.add(SUBJECTS[0], PREDICATES[0], OBJECTS[0])
+        first.add(SUBJECTS[1], PREDICATES[1], OBJECTS[2])
+        assert first.tier_sizes()[:2] == (16, 1)
+        pinned = dataset.snapshot()
+        _, p1 = self.ids(dataset, *PREDICATES)
+        pattern = (None, p1, None)
+        for state in (dataset, pinned):
+            view = UnionView(state)
+            assert view.routed(pattern) == [state.graph(NAMES[0])]
+            routed, reference = routed_and_reference(view, pattern)
+            assert routed == reference and len(routed[0]) == 1
+            assert view.count_ids(pattern) == 1
+            assert DatasetContext(state).default_source().statistics() \
+                .count((None, PREDICATES[1], None)) == 1
+
+    def test_a_predicate_whose_every_triple_is_tombstoned(self):
+        dataset = Dataset()
+        first, second = (dataset.graph(name) for name in NAMES)
+        first.add_all([(s, p, OBJECTS[0])
+                       for s in SUBJECTS for p in PREDICATES])
+        first.compact()
+        second.add(SUBJECTS[0], PREDICATES[0], OBJECTS[1])
+        assert first.remove((None, PREDICATES[1], None)) == 4
+        # pending: a snapshot would fold them away first
+        assert first.tier_sizes() == (8, 0, 4)
+        p0, p1 = self.ids(dataset, *PREDICATES)
+        assert p1 not in first.stats.cardinality
+        view = UnionView(dataset)
+        assert view.routed((None, p1, None)) == []
+        assert view.routed((None, p0, None)) == [first, second]
+        for pattern in ((None, p1, None), (None, p0, None)):
+            routed, reference = routed_and_reference(view, pattern)
+            assert routed == reference, pattern
+        assert view.count_ids((None, p1, None)) == 0
+        assert GraphSource(view).estimate_ids((None, p1, None)) == 0
+        assert view.statistics().count((None, PREDICATES[1], None)) == 0
