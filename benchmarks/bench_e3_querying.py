@@ -7,6 +7,8 @@ sub-millisecond — *SPARQL execution dominates*, which is exactly why
 the module optimizes the generated query rather than its own pipeline.
 """
 
+import time
+
 import pytest
 
 from repro.data.namespaces import SCHEMA
@@ -59,9 +61,26 @@ WARM_RUNS = 5
 def test_e3_phase_breakdown(demo, benchmark, save_rows):
     """Each phase's best of several warm runs (the first, cold run fills
     the plan cache and is not counted): the front end — parse, simplify,
-    translate — costs less than executing the SPARQL it produces."""
+    translate — costs less than executing the SPARQL it produces.
+
+    The engine keeps a program it has prepared, so a repeat
+    ``execute`` reports no front-end time; the front end is timed
+    through the uncached ``prepare`` instead (translate including the
+    rendering of the direct text), and execution through ``execute``.
+    """
+    def front_end():
+        *_, translation, report = demo.engine.prepare(MARY_QL)
+        started = time.perf_counter()
+        translation.direct
+        report.translate_seconds += time.perf_counter() - started
+        return report
+
     def run():
-        return demo.engine.execute(MARY_QL, variant="direct").report
+        report = front_end()
+        executed = demo.engine.execute(MARY_QL, variant="direct").report
+        report.execute_seconds, report.rows = (executed.execute_seconds,
+                                               executed.rows)
+        return report
 
     run()
     reports = [benchmark.pedantic(run, rounds=1, iterations=1)]

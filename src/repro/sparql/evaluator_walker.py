@@ -375,7 +375,11 @@ class PatternEvaluator(JoinSteps):
         """
         found: Dict[int, Set[int]] = {}
 
-        def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
+        # the row cursor is passed in, not read off the context: a
+        # closure over the context it is stored on would be a reference
+        # cycle holding ``table`` until the cyclic collector runs
+        def exists_evaluator(pattern: PatternNode, binding: Binding,
+                             row: int) -> bool:
             if table is None:
                 return bool(self._exists_rows(pattern, source, self._interned(
                     tuple(binding), [tuple(binding.values())])))
@@ -383,10 +387,9 @@ class PatternEvaluator(JoinSteps):
             if hits is None:
                 hits = found[id(pattern)] = self._exists_rows(
                     pattern, source, table)
-            return context.row in hits
+            return row in hits
 
-        context = EvalContext(exists_evaluator=exists_evaluator)
-        return context
+        return EvalContext(exists_evaluator=exists_evaluator)
 
 
 def _mentioned(node: PatternNode) -> Set[str]:

@@ -283,8 +283,9 @@ class EvalContext:
     the group whose HAVING / projection is being evaluated (set by
     :func:`repro.sparql.aggregation.finalize`, ``None`` elsewhere).
     ``row`` is the index of the table row under evaluation, kept by
-    :func:`repro.sparql.bindings.expression_column` for an
-    ``exists_evaluator`` that answers a whole table at once.
+    :func:`repro.sparql.bindings.expression_column` and passed to
+    ``exists_evaluator(pattern, binding, row)``, which may answer a
+    whole table at once.
     """
 
     def __init__(self, exists_evaluator: Optional[Callable] = None,
@@ -460,7 +461,8 @@ class ExistsExpression(Expression):
     def evaluate(self, binding: Binding, context: EvalContext) -> Term:
         if context.exists_evaluator is None:
             raise ExpressionError("EXISTS used outside a query evaluator")
-        exists = context.exists_evaluator(self.pattern, binding)
+        exists = context.exists_evaluator(self.pattern, binding,
+                                          context.row)
         return boolean(exists != self.negated)
 
     def variables(self) -> set[str]:
