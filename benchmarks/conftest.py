@@ -15,7 +15,8 @@ pristine endpoints build their own smaller ones.
 
 Each bench also appends its paper-shaped rows to
 ``benchmarks/results/<exp>.txt`` so the regenerated series survive the
-pytest-benchmark table.
+pytest-benchmark table.  The directory is not tracked (``.gitignore``
+lists it): every run rewrites what it holds, on the machine it ran on.
 """
 
 from __future__ import annotations

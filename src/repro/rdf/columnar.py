@@ -2,12 +2,12 @@
 
 This module holds the *compacted* half of the engine's storage layer:
 :class:`TripleColumns` keeps one immutable copy of a graph's triples as
-dictionary-encoded (s, p, o) integer arrays materialized in the three
-access orders the SPARQL evaluator needs — SPO, POS and OSP — each
-sorted lexicographically by its key prefix.  Every triple-pattern shape
-is then a **prefix range** of exactly one order, answered with staged
-binary searches (:func:`numpy.searchsorted`) instead of pointer-chasing
-the dict-of-dict-of-set indexes:
+dictionary-encoded (s, p, o) integer arrays materialized in the four
+access orders the SPARQL evaluator needs — SPO, POS, OSP and PSO —
+each sorted lexicographically by its key prefix.  Every triple-pattern
+shape is then a **prefix range** of exactly one order, answered with
+staged binary searches (:func:`numpy.searchsorted`) instead of
+pointer-chasing the dict-of-dict-of-set indexes:
 
 ======================  =======  ==============================
 pattern                 order    bound prefix
@@ -17,7 +17,7 @@ pattern                 order    bound prefix
 ``(s, ?, ?)``           SPO      ``s``
 ``(s, ?, o)``           OSP      ``o, s``
 ``(?, p, o)``           POS      ``p, o``
-``(?, p, ?)``           POS      ``p``
+``(?, p, ?)``           PSO      ``p``
 ``(?, ?, o)``           OSP      ``o``
 ``(?, ?, ?)``           SPO      — (everything)
 ======================  =======  ==============================
@@ -25,7 +25,12 @@ pattern                 order    bound prefix
 Counts are ``hi - lo`` of the located range — O(log n) for any shape —
 and scans materialize the range as column slices (numpy views, zero
 copy), which is what the evaluator's vectorized batch pipeline and the
-merge-join grouping consume.
+merge-join grouping consume.  A predicate's whole range comes from PSO,
+so it is in subject order (then object): two arms of one observation
+star read the same subjects in the same order, which the join step
+turns into an append.  PSO's P column is POS's, element for element,
+so the two orders share that array and PSO costs two columns, not
+three.
 
 The columns are **immutable by construction**: mutation lives in the
 owning :class:`~repro.rdf.graph.Graph`'s two small hash-indexed tiers —
@@ -48,6 +53,8 @@ before touching numpy.
 (2, 2)
 >>> [column.tolist() for column in cols.arrays((None, None, 2))]
 [[0, 4], [1, 1], [2, 2]]
+>>> [column.tolist() for column in cols.arrays((None, 1, None))]
+[[0, 0, 4], [1, 1, 1], [2, 3, 2]]
 >>> cols.contains(4, 1, 2), cols.contains(4, 1, 3)
 (True, False)
 """
@@ -69,7 +76,8 @@ Cell = Union[None, int, np.ndarray]
 KeyedPattern = Tuple[Cell, Cell, Cell]
 
 #: The per-order positional column sets — the whole sorted payload of
-#: one generation, keyed ``"spo"`` / ``"pos"`` / ``"osp"``.
+#: one generation, keyed ``"spo"`` / ``"pos"`` / ``"osp"`` / ``"pso"``
+#: (PSO's P column is POS's array).
 OrderArrays = Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 #: Triples as three parallel ``(S, P, O)`` id arrays.
@@ -79,7 +87,13 @@ __all__ = ["IdArrays", "KeyedPattern", "OrderArrays", "TripleColumns",
            "concat_arrays", "key_patterns"]
 
 #: positional column index of each order's sort-key sequence
-_ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
+_ORDER_KEYS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1),
+               "pso": (1, 0, 2)}
+#: ``(order, source)``: each order after SPO is a stable sort of an
+#: earlier one by its own lead column — the source sorts the rows of
+#: one lead by the rest of the order's key (OSP from SPO by O, POS from
+#: OSP by P, PSO from SPO by P), so only SPO takes a lexsort
+_DERIVED = (("osp", "spo"), ("pos", "osp"), ("pso", "spo"))
 
 
 def _dtype_for(max_id: int) -> type:
@@ -144,14 +158,20 @@ class TripleColumns:
         p = np.ascontiguousarray(p, dtype=dtype)
         o = np.ascontiguousarray(o, dtype=dtype)
         self._ceiling = high
-        self._orders = {}
-        base = (s, p, o)
-        for name, (first, second, third) in _ORDER_KEYS.items():
-            # an index order, not a grouping; np.lexsort sorts by the
-            # *last* key first
-            # repro: allow[single-grouping-kernel]
-            perm = np.lexsort((base[third], base[second], base[first]))
-            self._orders[name] = (s[perm], p[perm], o[perm])
+        # an index order, not a grouping; np.lexsort sorts by the *last*
+        # key first
+        # repro: allow[single-grouping-kernel]
+        perm = np.lexsort((o, p, s))
+        self._orders = {"spo": (s[perm], p[perm], o[perm])}
+        del perm  # one permutation alive at a time: the load's peak
+        for name, source in _DERIVED:
+            # stable by the lead key alone: rows of one lead keep the
+            # source order, which is already the rest of this key
+            held = self._orders[source]
+            perm = np.argsort(held[_ORDER_KEYS[name][0]], kind="stable")
+            self._orders[name] = (held[0][perm], held[1][perm], held[2][perm])
+            del perm
+        self._share_predicates(self._orders)
         spo_s, spo_p, _ = self._orders["spo"]
         pos_p = self._orders["pos"][1]
         osp_o = self._orders["osp"][2]
@@ -233,7 +253,11 @@ class TripleColumns:
             old = np.ones(size, dtype=bool)
             old[slot] = False
             columns = []
-            for was, new in zip(self._orders[name], added):
+            for position, (was, new) in enumerate(
+                    zip(self._orders[name], added)):
+                if name == "pso" and position == 1:
+                    columns.append(orders["pos"][1])  # shared, as built
+                    continue
                 column = np.empty(size, dtype=np.result_type(was, new))
                 column[old] = was[keep]
                 column[slot] = new
@@ -249,10 +273,18 @@ class TripleColumns:
             orders = {name: (s.astype(dtype), p.astype(dtype),
                              o.astype(dtype))
                       for name, (s, p, o) in orders.items()}
+            TripleColumns._share_predicates(orders)
         return TripleColumns.from_sorted_orders(
             orders, size, ceiling,
             (_run_count(leads[0]), _run_count(leads[1]),
              _run_count(leads[2])))
+
+    @staticmethod
+    def _share_predicates(orders: OrderArrays) -> None:
+        """Point PSO's P column at POS's: both are every predicate id
+        in ascending order, so the two arrays are equal."""
+        s, _, o = orders["pso"]
+        orders["pso"] = (s, orders["pos"][1], o)
 
     # -- range location ------------------------------------------------------
 
@@ -274,7 +306,7 @@ class TripleColumns:
             return "spo", (s, p, o)
         if p is not None:
             if o is None:
-                return "pos", (p,)
+                return "pso", (p,)
             return "pos", (p, o)
         if o is not None:
             return "osp", (o,)
@@ -393,11 +425,13 @@ class TripleColumns:
 
     def predicate_counts(self, predicate_id: int) -> Tuple[int, int, int]:
         """``(cardinality, distinct subjects, distinct objects)`` of
-        one predicate, from its POS range: the objects are sorted
-        there (a run count), the subjects take one sort."""
-        subjects, _, objects = self.arrays((None, predicate_id, None))
-        return (len(subjects), _run_count(np.sort(subjects)),
-                _run_count(objects))
+        one predicate: a run count over its subjects in PSO and one over
+        its objects in POS.  The shared P column puts the predicate's
+        range at the same ``[lo, hi)`` in both orders, and each range
+        is sorted by the column counted, so nothing is sorted here."""
+        lo, hi = self._range("pos", (predicate_id,))
+        return (hi - lo, _run_count(self._orders["pso"][0][lo:hi]),
+                _run_count(self._orders["pos"][2][lo:hi]))
 
     def has_subject(self, subject_id: int) -> bool:
         return self.count((subject_id, None, None)) > 0

@@ -5,7 +5,7 @@
 keyed on dense integer ids**:
 
 * the compacted bulk lives in immutable, sorted columnar arrays
-  (:class:`~repro.rdf.columnar.TripleColumns` — SPO/POS/OSP orders,
+  (:class:`~repro.rdf.columnar.TripleColumns` — SPO/POS/OSP/PSO orders,
   answered by staged binary search and vectorized range scans);
 * fresh writes land in a small **delta overlay**, removals of
   already-compacted triples in the **tombstones** — each a
@@ -294,11 +294,22 @@ class _TripleIndex:
         return self.size
 
     def arrays(self, pattern: KeyedPattern = _WILD) -> IdArrays:
-        """:meth:`ids` of each key in turn as ``(S, P, O)`` id arrays."""
+        """:meth:`ids` of each key in turn as ``(S, P, O)`` id arrays.
+        A key's ``(?, p, ?)`` or ``(?, p, o)`` rows come sorted by
+        ``(s, o)``, the order the columns hold them in, so a star's arms
+        read from this tier line up subject for subject like their
+        column rows."""
         if any(type(cell) is int and cell not in index  # held by no key
                for cell, index in zip(pattern, (self.spo, self.pos, self.osp))):
             return _NO_ROWS
-        rows = [ids for key in key_patterns(pattern) for ids in self.ids(key)]
+        rows: List[IdTriple] = []
+        for key in key_patterns(pattern):
+            found = list(self.ids(key))
+            if key[0] is None and key[1] is not None:
+                # one predicate: its triples sort by (s, o); bounded by
+                # the compaction thresholds, so a small sort
+                found.sort()
+            rows += found
         if not rows:  # the common answer of a small tier: no numpy call
             return _NO_ROWS
         data = np.asarray(rows, dtype=np.int64)

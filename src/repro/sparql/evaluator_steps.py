@@ -379,7 +379,9 @@ class JoinSteps:
     come from — one scan of the pattern's whole index range ("hash",
     the name kept from the bucketed build it replaced) or one read of
     its distinct keys ("probe"); that choice is
-    :meth:`_prefer_hash`, the range build :meth:`_hash_build`.
+    :meth:`_prefer_hash`.  A scanned range that holds exactly the
+    table's subjects, in the table's order (:meth:`_aligned`), skips
+    the kernel: its object column is appended ("append").
     """
 
     def __init__(self, dictionary) -> None:
@@ -445,14 +447,22 @@ class JoinSteps:
         return rows >= HASH_MIN_ROWS \
             and source.estimate_ids(base) <= HASH_SCAN_FACTOR * rows
 
-    def _hash_build(self, source: GraphSource, base: IdPattern,
-                    key_positions: Sequence[int],
-                    checks: Sequence[Tuple[int, int]], rows: int) -> Build:
-        """The build side off one scan of ``base``'s range, for a table
-        of ``rows``."""
-        return grouped(
-            _agreeing(self._vector_matches(source, base), checks),
-            key_positions, rows)
+    @staticmethod
+    def _aligned(spec: Spec, matches: Matches, table: BindingTable) -> bool:
+        """Whether a ``?v p ?x`` step (``?v`` bound, ``p`` a constant,
+        ``?x`` new) pairs row ``i`` with match ``i`` and nothing else:
+        the range's subjects equal the table's ``?v`` column and ascend
+        strictly — distinct, so no row has a second match, as a ``?v``
+        bound twice would.  A predicate's range is in subject order
+        (then object; tiers and union members each in turn), so the
+        arms of a star started at one arm's range line up this way
+        whenever each of its subjects has exactly one value."""
+        if [kind for kind, _value in spec] != ["v", "c", "n"]:
+            return False
+        subjects = matches[0]
+        return len(subjects) == len(table) \
+            and np.array_equal(subjects, table.columns[spec[0][1]]) \
+            and bool((subjects[1:] > subjects[:-1]).all())
 
     def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
                      table: BindingTable) -> BindingTable:
@@ -469,9 +479,17 @@ class JoinSteps:
             # no shared variables: one scan, applied to every row
             self._last_strategy = "scan"
         elif self._prefer_hash(source, base, len(table)):
+            # one scan of the range: appended as it stands when it
+            # lines up with the table, else grouped by the join key
+            matches = self._vector_matches(source, base)
+            if self._aligned(spec, matches, table):
+                self._last_strategy = "append"
+                return BindingTable.of(
+                    out_names, [*table.columns, matches[2].astype(np.int64)],
+                    len(table))
             self._last_strategy = "hash"
-            hashed = self._hash_build(source, base, key_positions,
-                                      _positions(spec, "d"), len(table))
+            hashed = grouped(_agreeing(matches, _positions(spec, "d")),
+                             key_positions, len(table))
         else:
             self._last_strategy = "probe"
         return join_table(

@@ -11,9 +11,10 @@ estimate departs from the data, it is through the averages that price
 the variables earlier steps bound.  With ``analyze=True`` the query's
 pattern is actually executed and every step line gains the *actual*
 row count and strategy — ``(est. 480, actual 480)`` — so those errors
-are directly visible.  This is the debugging surface the paper's
-users get from ``EXPLAIN`` on a production endpoint (Virtuoso prints
-a similar operator tree).
+are directly visible (a ``hash`` step whose range lined up with the
+table row for row runs as ``append``).  This is the debugging surface
+the paper's users get from ``EXPLAIN`` on a production endpoint
+(Virtuoso prints a similar operator tree).
 
 >>> from repro.rdf.graph import Dataset
 >>> from repro.sparql.explain import explain

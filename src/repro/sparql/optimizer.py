@@ -15,10 +15,16 @@ The engine evaluates a BGP as a pipeline of batch join steps (see
 * **Join ordering** — one greedy walk over that cost model
   (:func:`_greedy_cost_order`): each step joins the cheapest pattern
   still connected to the variables bound so far, and a pattern that
-  shares none joins only when nothing connected remains.  The result
-  is an explicit :class:`PhysicalPlan`: ordered :class:`PlanStep`\\ s
-  carrying the chosen join strategy (hash join / keyed index probe
-  / scan) and the cardinality estimates that justified them.
+  shares none joins only when nothing connected remains.  A BGP
+  planned with nothing bound that holds an observation star starts
+  there instead (:func:`_star_first`): the star's constant-object arm
+  with the fewest matches, then its other arms as written — each read
+  of a predicate's range is in subject order, so those arms line up
+  with the table row for row — and the greedy walk does the rest.  The
+  result is an explicit :class:`PhysicalPlan`: ordered
+  :class:`PlanStep`\\ s carrying the chosen join strategy (hash join /
+  keyed index probe / scan) and the cardinality estimates that
+  justified them.
 * **Plan cache** — plans are keyed on the BGP as written (its patterns
   with their constants), the variables already bound when it runs and
   the source graphs' identity + mutation epochs (:data:`PLAN_CACHE`).
@@ -166,7 +172,9 @@ class PlanStep:
     the distinct join keys), ``"scan"`` (no shared variables:
     one scan cross-applied) or ``"path"``.  The evaluator re-validates
     hash-vs-probe against the *actual* table size at execution time, so
-    a mis-estimate degrades to the safe choice rather than a blowup.
+    a mis-estimate degrades to the safe choice rather than a blowup, and
+    runs a ``hash`` step whose range lines up with the table row for
+    row as an append (reported ``"append"``; never planned).
     """
 
     __slots__ = ("index", "strategy", "est_in", "est_out", "est_scan")
@@ -215,7 +223,39 @@ class PhysicalPlan:
                 f"est {self.est_rows:.0f} rows>")
 
 
-def _greedy_cost_order(costs: List[_PatternCost], bound0: frozenset, n: int
+def _star_first(patterns: Sequence, costs: List[_PatternCost]
+                ) -> Tuple[int, ...]:
+    """The star a BGP planned with nothing bound starts with, as
+    pattern indices; empty when it holds none.
+
+    A star is a subject variable ``?v`` with a constant-object arm
+    ``?v p C`` and at least two arms ``?v p ?x`` (constant predicate,
+    variable object).  Its order: the constant-object arm with the
+    fewest matches, then ``?v``'s other constant-predicate arms as
+    written.  Of several stars, the one whose first arm has the fewest
+    matches (the first written on a tie).
+    """
+    arms: Dict[str, List[int]] = {}
+    for index, pattern in enumerate(patterns):
+        if isinstance(pattern, PathPatternNode):
+            continue
+        subject, predicate, _obj = pattern.positions()
+        if isinstance(subject, Var) and not isinstance(predicate, Var):
+            arms.setdefault(subject.name, []).append(index)
+    best: Tuple[int, ...] = ()
+    for indices in arms.values():
+        seeds = [index for index in indices
+                 if not isinstance(patterns[index].positions()[2], Var)]
+        if not seeds or len(indices) - len(seeds) < 2:
+            continue
+        first = min(seeds, key=lambda index: costs[index].base)
+        if not best or costs[first].base < costs[best[0]].base:
+            best = (first, *(index for index in indices if index != first))
+    return best
+
+
+def _greedy_cost_order(costs: List[_PatternCost], bound0: frozenset, n: int,
+                       prefix: Sequence[int] = ()
                        ) -> Tuple[float, float, Tuple[int, ...]]:
     """The join order: a greedy walk over the cost model.
 
@@ -223,6 +263,8 @@ def _greedy_cost_order(costs: List[_PatternCost], bound0: frozenset, n: int
     input row among those sharing a variable with what is bound so far
     (a Cartesian product only when no connected pattern remains), and
     ``total`` sums the estimated intermediate rows — the plan's cost.
+    The ``prefix`` patterns (a star, :func:`_star_first`) are taken
+    first, in their order; the walk goes on from what they bind.
     """
     bound: Set[str] = set(bound0)
     remaining = list(range(n))
@@ -230,9 +272,13 @@ def _greedy_cost_order(costs: List[_PatternCost], bound0: frozenset, n: int
     rows = 1.0
     total = 0.0
     while remaining:
-        connected = [i for i in remaining if _connected(costs[i], bound)]
-        pool = connected or remaining
-        best = min(pool, key=lambda i: _estimate(costs[i], bound))
+        if len(order) < len(prefix):
+            best = prefix[len(order)]
+        else:
+            connected = [i for i in remaining
+                         if _connected(costs[i], bound)]
+            best = min(connected or remaining,
+                       key=lambda i: _estimate(costs[i], bound))
         rows *= _estimate(costs[best], bound)
         total += rows
         order.append(best)
@@ -278,7 +324,8 @@ def plan_physical(patterns: Sequence, source,
         return PhysicalPlan([], [], 1.0, 0.0)
     stats = source.statistics()
     costs = [_compile_cost(pattern, stats) for pattern in patterns]
-    total, rows, order = _greedy_cost_order(costs, bound0, n)
+    star = () if bound0 else _star_first(patterns, costs)
+    total, rows, order = _greedy_cost_order(costs, bound0, n, star)
     return PhysicalPlan(list(order), _build_steps(order, costs, bound0),
                         est_rows=rows, cost=total)
 

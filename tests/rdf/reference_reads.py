@@ -4,7 +4,9 @@ This is the read ``Graph.triples_ids`` / ``UnionView.triples_ids`` made
 until ``match_arrays`` became the only one, moved here whole: a graph
 yields its column matches in index order, skipping the pending
 tombstones one membership test at a time, then its overlay's matches
-off the hash indexes; a union walks its members in order and keeps the
+off the hash indexes (a one-predicate read's sorted by subject, then
+object — the order the columns hold it in, which the join step's
+append relies on); a union walks its members in order and keeps the
 first occurrence of each triple in a seen-set.  It defines what
 ``match_arrays`` must answer — the same triples in the same order — and
 ``tests/rdf/test_match_arrays.py`` and ``tests/sparql/reference_join.py``
@@ -39,4 +41,7 @@ def reference_ids(view, pattern: IdPattern = WILD) -> Iterator[IdTriple]:
         for ids in zip(s.tolist(), p.tolist(), o.tolist()):
             if not dead(*ids):
                 yield ids
-    yield from view._delta.ids(pattern)
+    overlay = view._delta.ids(pattern)
+    if pattern[0] is None and pattern[1] is not None:
+        overlay = sorted(overlay)
+    yield from overlay

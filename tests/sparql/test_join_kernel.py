@@ -549,7 +549,7 @@ def test_limit_returns_the_first_rows_of_the_row_pipeline():
     """Which rows a ``LIMIT`` window holds is the kernel's order
     contract end to end.  The expected rows are what the row-at-a-time
     pipeline answered for this dataset (column tier, then a late
-    overlay)."""
+    overlay), now that a ``(?, p, ?)`` range is read in subject order."""
     dataset = Dataset()
     graph = dataset.default
     for index in range(300):
@@ -568,6 +568,6 @@ def test_limit_returns_the_first_rows_of_the_row_pipeline():
         f"OFFSET 3 LIMIT 8")
     assert [(s.value[len(EX):], o.value[len(EX):], v.lexical)
             for s, o, v in result.rows] == [
-        ("s272", "o1", "100"), ("s108", "o7", "100"), ("s244", "o2", "100"),
-        ("s80", "o8", "100"), ("s216", "o3", "100"), ("s52", "o9", "100"),
-        ("s188", "o4", "100"), ("s24", "o10", "100")]
+        ("s74", "o2", "2"), ("s148", "o4", "4"), ("s148", "o4", "104"),
+        ("s185", "o5", "0"), ("s259", "o7", "2"), ("s296", "o8", "3"),
+        ("s296", "o8", "101"), ("s70", "o10", "0")]

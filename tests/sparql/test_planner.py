@@ -263,34 +263,37 @@ def average_count(view, pattern):
 #: ``[(step.index, step.strategy) …]`` of every BGP of E3's five
 #: programs, both translations, on the 2 000-observation enriched demo
 #: cube, planned with nothing bound.  E3's ``mary`` is ``MARY_QL``, so
-#: E6's direct query is its ``direct`` row.
+#: E6's direct query is its ``direct`` row.  Every BGP but
+#: ``busy_destinations``' holds an observation star, so it starts
+#: star-first: the ``qb:dataSet`` arm scanned, the other ``?o`` arms
+#: hashed as written (appends when run), then the greedy walk.
 S, H, P = "scan", "hash", "probe"
 PLAN_SHAPES = {
     ("busy_destinations", "direct"): [[(0, S), (1, H), (2, H)]],
     ("busy_destinations", "optimized"): [[(0, S), (1, H), (2, H)]],
     ("continent_by_year", "direct"): [[
-        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
-        (2, P), (3, P), (4, P), (11, P)]],
+        (0, S), (1, H), (5, H), (11, H), (6, H), (2, H), (3, H), (4, H),
+        (7, P), (8, P), (9, P), (10, P)]],
     ("continent_by_year", "optimized"): [[
-        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
-        (2, P), (3, P), (4, P), (11, P)]],
+        (0, S), (1, H), (5, H), (11, H), (6, H), (2, H), (3, H), (4, H),
+        (7, P), (8, P), (9, P), (10, P)]],
     ("mary", "direct"): [[
-        (11, S), (10, P), (9, P), (8, P), (7, P), (6, P), (0, P), (1, P),
-        (2, P), (3, P), (4, P), (5, P), (12, P), (13, P), (14, P)]],
+        (0, S), (1, H), (5, H), (6, H), (12, H), (7, H), (2, H), (3, H),
+        (4, H), (8, P), (9, P), (10, P), (11, P), (13, P), (14, P)]],
     ("mary", "optimized"): [[
-        (14, S), (13, P), (12, P), (11, P), (10, P), (9, P), (3, P),
-        (4, P), (5, P), (6, P), (0, P), (7, P), (1, P), (8, P), (2, P),
-        (15, P)]],
+        (3, S), (4, H), (8, H), (9, H), (15, H), (10, H), (5, H), (2, H),
+        (6, H), (0, H), (7, P), (1, P), (11, P), (12, P), (13, P),
+        (14, P)]],
     ("political", "direct"): [[
-        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
-        (2, P), (3, P), (4, P), (11, P)]],
+        (0, S), (1, H), (5, H), (11, H), (6, H), (2, H), (3, H), (4, H),
+        (7, P), (8, P), (9, P), (10, P)]],
     ("political", "optimized"): [[
-        (10, S), (9, P), (8, P), (7, P), (6, P), (5, P), (0, P), (1, P),
-        (2, P), (3, P), (4, P), (11, P)]],
+        (0, S), (1, H), (5, H), (11, H), (6, H), (2, H), (3, H), (4, H),
+        (7, P), (8, P), (9, P), (10, P)]],
     ("quarterly_by_sex", "direct"): [[
-        (5, S), (4, P), (3, P), (2, P), (0, H), (1, H), (6, H)]],
+        (0, S), (1, H), (2, H), (6, H), (3, H), (4, H), (5, H)]],
     ("quarterly_by_sex", "optimized"): [[
-        (5, S), (4, P), (3, P), (2, P), (0, H), (1, H), (6, H)]],
+        (0, S), (1, H), (2, H), (6, H), (3, H), (4, H), (5, H)]],
 }
 
 
@@ -378,7 +381,9 @@ class TestGreedyOrdering:
 class TestGreedyMatchesTheDP:
     """The ten contract QL programs × both translations on a
     2 000-observation demo cube: greedy reads as many index entries as
-    the subset DP it replaced, and answers the same."""
+    the subset DP it replaced, and answers the same.  Both run with the
+    star rule off: it fixes a prefix the DP never chose, and every
+    contract BGP takes it (``TestStarFirst``)."""
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -399,18 +404,194 @@ class TestGreedyMatchesTheDP:
         from tests.sparql.reference_planner import reference_order
 
         program = PROGRAMS[name]
+        monkeypatch.setattr(optimizer, "_star_first",
+                            lambda patterns, costs: ())
         PLAN_CACHE.clear()
         with PROBE_COUNTER as counter:
             greedy_rows = self._run(session, program, variant)
         greedy_entries = counter.entries
-        monkeypatch.setattr(optimizer, "_greedy_cost_order",
-                            reference_order)
+        monkeypatch.setattr(
+            optimizer, "_greedy_cost_order",
+            lambda costs, bound0, n, prefix: reference_order(costs, bound0,
+                                                             n))
         PLAN_CACHE.clear()
         with PROBE_COUNTER as counter:
             dp_rows = self._run(session, program, variant)
         assert counter.entries == greedy_entries
         assert dp_rows == greedy_rows
         assert greedy_entries > 0
+
+
+def star_arms(patterns):
+    """Indices of the ``?o`` arms with a constant predicate, in written
+    order."""
+    return [index for index, pattern in enumerate(patterns)
+            if pattern.positions()[0] == Var("o")
+            and not isinstance(pattern.positions()[1], Var)]
+
+
+def no_star(monkeypatch):
+    from repro.sparql import optimizer
+    monkeypatch.setattr(optimizer, "_star_first", lambda patterns, costs: ())
+
+
+class TestStarFirst:
+    """The star-first rule: a BGP planned with nothing bound that holds
+    an observation star starts at its constant-object arm, joins the
+    star's other arms as written, then walks greedily."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        from repro.data import small_demo
+        from repro.demo import enrich
+        return enrich(small_demo(observations=2000, seed=1))
+
+    @staticmethod
+    def bgps(text):
+        from repro.sparql.algebra import BGP, pattern_nodes
+        return [node for node in pattern_nodes(parse_query(text).pattern)
+                if isinstance(node, BGP)]
+
+    @staticmethod
+    def source(session):
+        from repro.sparql.evaluator import DatasetContext
+        return DatasetContext(session.endpoint.dataset).default_source()
+
+    @pytest.mark.parametrize("variant", ["direct", "optimized"])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_every_contract_bgp_starts_at_its_dataset_arm(
+            self, session, name, variant):
+        from repro.qb.vocabulary import dataSet
+
+        text = getattr(session.engine.prepare(PROGRAMS[name])[3], variant)
+        (bgp,) = self.bgps(text)
+        arms = star_arms(bgp.patterns)
+        order = plan_physical(bgp.patterns, self.source(session)).order
+        assert bgp.patterns[order[0]].positions()[1] == dataSet
+        assert order[:len(arms)] == [order[0]] + [
+            index for index in arms if index != order[0]]
+        # run: the dataset arm scanned, every other ?o arm appended
+        lines = [line for line in session.endpoint.explain(
+            text, analyze=True).splitlines() if "] ?" in line]
+        tags = [line.rsplit("[", 1)[1].rstrip("]") for line in lines]
+        assert tags[:len(arms)] == ["scan"] + ["append"] * (len(arms) - 1)
+        assert all(" ?o " in line for line in lines[:len(arms)])
+
+    @pytest.mark.parametrize("shape", [
+        "SELECT * WHERE {{ ?o <{ex}inGroup> ?g OPTIONAL {{ ?o <{ex}value> "
+        "?v . ?o <{ex}inGroup> ?h . ?o <{ex}tag> <{ex}t0> }} }}",
+        "SELECT * WHERE {{ ?o <{ex}inGroup> ?g FILTER EXISTS {{ "
+        "?o <{ex}value> ?v . ?o <{ex}inGroup> ?h . "
+        "?o <{ex}tag> <{ex}t0> }} }}",
+    ], ids=["optional", "exists"])
+    def test_a_seeded_bgp_keeps_the_greedy_plan(self, monkeypatch, shape):
+        """The inner BGP is a star, but it runs seeded with ``?o``
+        bound: planned as the greedy walk plans it."""
+        from repro.sparql import optimizer
+        ep = build_endpoint()
+        for i in range(0, 300, 3):
+            ep.dataset.default.add(EX[f"obs{i}"], EX.tag, EX.t0)
+        text = shape.format(ex=str(EX))
+        planned = []
+        real = optimizer.plan_physical
+
+        def recording(patterns, source, bound_vars=None):
+            plan = real(patterns, source, bound_vars)
+            planned.append((len(patterns), frozenset(bound_vars or ()),
+                            plan.order))
+            return plan
+
+        monkeypatch.setattr(optimizer, "plan_physical", recording)
+        rows = sorted(map(str, ep.select(text).rows))
+        seeded = [entry for entry in planned if entry[0] == 3]
+        assert seeded and all(bound == {"o"} for _, bound, _ in seeded)
+        PLAN_CACHE.clear()
+        no_star(monkeypatch)
+        planned[:] = []
+        assert sorted(map(str, ep.select(text).rows)) == rows
+        greedy = [entry for entry in planned if entry[0] == 3]
+        assert greedy == seeded
+
+    def test_a_bgp_with_no_star_keeps_the_greedy_plan(self, monkeypatch):
+        ep = build_endpoint()
+        g = ep.dataset.default
+        chain = [TriplePatternNode(Var("o"), EX.inGroup, Var("g")),
+                 TriplePatternNode(Var("g"), EX.name, Var("n")),
+                 TriplePatternNode(Var("o"), EX.value, Literal(5))]
+        # ?o has a constant-object arm but one open arm: no star
+        star_rule = plan_physical(chain, g).order
+        no_star(monkeypatch)
+        assert plan_physical(chain, g).order == star_rule
+
+    def test_a_selective_chain_constant_gives_the_same_answer(
+            self, session, monkeypatch):
+        """``continent_year`` with its citizenship chain pinned to one
+        continent: star-first plans it differently, answers the same."""
+        text = session.engine.prepare(PROGRAMS["continent_year"])[3].direct
+        pinned = text.replace(
+            "?citizenship_0 skos:broader ?citizenship_1 .",
+            "?citizenship_0 skos:broader ?citizenship_1 .\n"
+            "  ?citizenship_0 skos:broader "
+            "<http://reference.example.org/resource/continent/EU> .")
+        assert pinned != text
+        (bgp,) = self.bgps(pinned)
+        source = self.source(session)
+        star = plan_physical(bgp.patterns, source).order
+        PLAN_CACHE.clear()
+        answer = session.endpoint.select(pinned).rows
+        assert answer
+        no_star(monkeypatch)
+        assert plan_physical(bgp.patterns, source).order != star
+        PLAN_CACHE.clear()
+        assert session.endpoint.select(pinned).rows == answer
+
+    def test_min_and_max_ties_take_the_first_encountered(self):
+        """MIN / MAX over values the ORDER BY order cannot tell apart
+        answer the first one the star-first plan's rows hold — checked
+        against the reference loop over those rows, in that order."""
+        from repro.rdf.terms import XSD_DECIMAL, XSD_INTEGER
+        from repro.sparql.expressions import (
+            Aggregate,
+            EvalContext,
+            VariableExpression,
+        )
+        from tests.sparql.reference_aggregate import reference_apply
+
+        ties = [Literal(1), Literal("01", datatype=XSD_INTEGER),
+                Literal("1.0", datatype=XSD_DECIMAL), Literal(1.0),
+                Literal(2), Literal("2.0", datatype=XSD_DECIMAL)]
+        ep = LocalEndpoint()
+        g = ep.dataset.default
+        for i in range(96):
+            # intern the observations out of index order, so subject
+            # order differs from insertion order
+            obs = EX[f"obs{(i * 37) % 96}"]
+            g.add(obs, EX.inSet, EX.cube)
+            g.add(obs, EX.inGroup, EX[f"g{i % 4}"])
+            g.add(obs, EX.value, ties[(i * 5) % len(ties)])
+        where = (f"WHERE {{ ?o <{EX.inSet}> <{EX.cube}> . "
+                 f"?o <{EX.inGroup}> ?g . ?o <{EX.value}> ?v }}")
+        explained = ep.explain(f"SELECT ?g ?v {where}", analyze=True)
+        assert explained.count("[append]") == 2
+        solutions = ep.select(f"SELECT ?g ?v {where}").rows
+        calls = {"lo": Aggregate("MIN", VariableExpression("v")),
+                 "hi": Aggregate("MAX", VariableExpression("v"))}
+        groups = {}
+        for group, value in solutions:
+            groups.setdefault(group, []).append({"v": value})
+        expected = {group: {name: reference_apply(call, members,
+                                                  EvalContext())
+                            for name, call in calls.items()}
+                    for group, members in groups.items()}
+        answered = ep.select(f"SELECT ?g (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) "
+                             f"{where} GROUP BY ?g")
+        got = {group: {"lo": lo, "hi": hi} for group, lo, hi in answered.rows}
+        assert got == expected
+        # the ties are really there: some group's MIN is not its first
+        # row's value under plain equality
+        assert any(type(members[0]["v"].value) is not type(
+            expected[group]["lo"].value) or members[0]["v"]
+            != expected[group]["lo"] for group, members in groups.items())
 
 
 class TestPlanKeys:

@@ -2,8 +2,9 @@
 one it could not time — before it sets anything up, times static and
 class methods as well as functions, reads ``--wall`` shares against
 the gated op kinds as well as the round, and replays ``--steps`` both
-ways."""
+ways — an append step as it ran, too."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,7 +150,7 @@ def test_steps_replay_a_probe_step_as_a_scan_and_as_one_keyed_read(
     header, rule, *rows, footer = capsys.readouterr().out.splitlines()
     assert header.split(" | ")[-2:] == ["range scan + kernel, ms",
                                         "keyed probe + kernel, ms |"]
-    assert rule.count("---") == 8
+    assert rule.count("---") == 9
     (row,) = rows
     picks, table_rows, keys, entries, out, steps = row.strip("| ").split(
         " | ")[:6]
@@ -157,3 +158,34 @@ def test_steps_replay_a_probe_step_as_a_scan_and_as_one_keyed_read(
         == ("probe", "40", "40", "120", "1")
     assert footer.startswith("# 1 shared-variable steps, 1 shapes")
     assert len(endpoint.select(query)) == 120
+
+
+def test_steps_list_append_steps_as_their_own_shape(profile_round, capsys):
+    """A star's arms after its constant-object arm are appends: one
+    shape, timed as it ran and replayed as a range scan and a keyed
+    probe with the append off — which the request's later steps do not
+    inherit."""
+    from repro.rdf import IRI, Dataset, Literal
+    from repro.sparql import LocalEndpoint
+
+    ex = "http://example.org/"
+    dataset = Dataset()
+    for index in range(80):
+        subject = IRI(f"{ex}s{index}")
+        dataset.default.add(subject, IRI(f"{ex}in"), IRI(f"{ex}set"))
+        dataset.default.add(subject, IRI(f"{ex}a"), Literal(index))
+        dataset.default.add(subject, IRI(f"{ex}b"), Literal(index % 7))
+    endpoint = LocalEndpoint(dataset)
+    query = (f"SELECT * WHERE {{ ?s <{ex}in> <{ex}set> . ?s <{ex}a> ?x . "
+             f"?s <{ex}b> ?y }}")
+    profile_round.step_table(lambda: endpoint.select(query), 1)
+    _header, _rule, *rows, footer = capsys.readouterr().out.splitlines()
+    (row,) = rows
+    cells = row.strip("| ").split(" | ")
+    assert cells[:6] == ["append", "80", "80", "80", "80", "2"]
+    assert all(float(cell) > 0 for cell in cells[6:])
+    assert footer.startswith("# 2 shared-variable steps, 1 shapes")
+    tags = re.findall(r"\[(\w+)\]\s*$",
+                      endpoint.explain(query, analyze=True), re.M)
+    assert tags == ["analyzed", "scan", "append", "append"]
+    assert len(endpoint.select(query)) == 80

@@ -41,13 +41,16 @@ beside its share of the round (on a 2-vCPU host the ETL is 15 % of a
 ``--steps`` prints, in place of the profile, the round's join steps as
 a markdown table (docs/performance.md, "Range scan or keyed probe"):
 every shared-variable ``JoinSteps._step_triple`` call by shape — the
-strategy the rule picked, table rows, distinct join keys, range
-entries, rows out — with how often the shape occurs in the round, and
-the first step of each shape replayed on its own table and source both
-ways, ungoverned, best of ``--repeat``: "range scan" is the step with
-``hash`` forced (one read of the pattern's whole range), "keyed probe"
-with ``probe`` forced (one read of all its distinct keys as array
-cells); both columns include the join kernel.
+strategy the step took (``append`` for a scanned range that lined up
+with the table), table rows, distinct join keys, range entries, rows
+out — with how often the shape occurs in the round, and the first step
+of each shape replayed on its own table and source, ungoverned, best
+of ``--repeat``: "append" is an ``append`` step as it ran (a scan, one
+``np.array_equal``, the object column appended); "range scan" is the
+step with ``hash`` forced and the append turned off (one read of the
+pattern's whole range through the join kernel), "keyed probe" with
+``probe`` forced (one read of all its distinct keys as array cells);
+both of those include the join kernel.
 """
 
 from __future__ import annotations
@@ -209,11 +212,16 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
     from repro.sparql import evaluator_steps as steps
 
     original = steps.JoinSteps._step_triple
-    #: shape -> [steps of that shape, range-scan ms, keyed-probe ms]
-    shapes: Dict[tuple, List[float]] = {}
+    #: shape -> [steps of that shape, append ms (``None``: not an
+    #: append), range-scan ms, keyed-probe ms]
+    shapes: Dict[tuple, List[Any]] = {}
 
-    def best(evaluator: Any, forced: bool, *step: Any) -> float:
-        evaluator._prefer_hash = lambda *_: forced
+    def best(evaluator: Any, forced: Any, *step: Any) -> float:
+        """The step's best time: as it ran (``forced`` ``None``), or
+        with the strategy forced and the append turned off."""
+        if forced is not None:
+            evaluator._prefer_hash = lambda *_: forced
+            evaluator._aligned = lambda *_: False
         clock = []
         for _ in range(repeat):
             started = time.perf_counter()
@@ -235,11 +243,15 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
                  source.estimate_ids(steps._base_pattern(spec)), len(out))
         if shape not in shapes:
             # the replay must not show in the request's trace
+            step = (pattern, source, table)
             try:
-                shapes[shape] = [0, best(self, True, pattern, source, table),
-                                 best(self, False, pattern, source, table)]
+                appended = best(self, None, *step) \
+                    if strategy == "append" else None
+                shapes[shape] = [0, appended, best(self, True, *step),
+                                 best(self, False, *step)]
             finally:
-                del self._prefer_hash
+                self.__dict__.pop("_prefer_hash", None)
+                self.__dict__.pop("_aligned", None)
                 self._last_strategy = strategy
         shapes[shape][0] += 1
         return out
@@ -249,16 +261,17 @@ def step_table(subject: Callable[[], Any], repeat: int) -> None:
         subject()
     finally:
         steps.JoinSteps._step_triple = original  # type: ignore[method-assign]
-    print("| rule picks | table rows | distinct keys | range entries "
-          "| rows out | steps | range scan + kernel, ms "
+    print("| step took | table rows | distinct keys | range entries "
+          "| rows out | steps | append, ms | range scan + kernel, ms "
           "| keyed probe + kernel, ms |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for shape in sorted(shapes, key=lambda shape: shape[1:]):
-        count, scan, probe = shapes[shape]
+        count, appended, scan, probe = shapes[shape]
         print("| " + " | ".join(
-            [str(cell) for cell in shape] + [str(count), f"{scan:.3f}",
-                                             f"{probe:.3f}"]) + " |")
-    print(f"# {sum(int(count) for count, _, _ in shapes.values())} "
+            [str(cell) for cell in shape]
+            + [str(count), "—" if appended is None else f"{appended:.3f}",
+               f"{scan:.3f}", f"{probe:.3f}"]) + " |")
+    print(f"# {sum(entry[0] for entry in shapes.values())} "
           f"shared-variable steps, {len(shapes)} shapes, best of {repeat}")
 
 

@@ -29,7 +29,7 @@ Usage::
 
 The pipeline took about 5 min on a 2-vCPU host, 11 with ``--tests``:
 the hook is called on every Python call.  Like ``make bench``, the
-E1–E11 run rewrites the tracked reports under ``benchmarks/results/``.
+E1–E11 run rewrites the (untracked) reports under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
